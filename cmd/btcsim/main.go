@@ -3,16 +3,16 @@
 //
 // Usage:
 //
-//	btcsim [-nodes 120] [-hours 4] [-churn 1.5] [-policy round-robin]
+//	btcsim [-nodes 120] [-hours 4] [-churn 1.5]
 //	       [-policies tried-only-addr+horizon-17d] [-txs 100] [-compact]
 //	       [-seed 1] [-runs 1] [-workers 0] [-trace-out trace.ndjson]
 //	       [-pprof] [-pprof-addr 127.0.0.1:6060]
 //
-// The relay policy is one of round-robin (Bitcoin Core's behaviour),
-// broadcast (the theoretical ideal), or priority-outbound (the paper's
-// §V refinement; "priority" is accepted as an alias). -policies applies
-// a composable intervention policy set (node.ParsePolicySet syntax) on
-// top: addressing, relay, and peering interventions in one encoding.
+// -policies applies a composable intervention policy set
+// (node.ParsePolicySet syntax) to every node: addressing, relay
+// (priority-relay is the paper's §V refinement, ideal-broadcast the
+// theoretical ideal), and peering interventions in one encoding; the
+// default "stock" is Bitcoin Core behaviour (round-robin relay).
 // With -runs N the simulation is replicated on paired
 // seeds across -workers goroutines; per-run summaries print in run
 // order regardless of completion order, and Ctrl-C cancels mid-run.
@@ -52,8 +52,7 @@ func run() error {
 		nodes     = flag.Int("nodes", 120, "reachable full nodes")
 		hours     = flag.Float64("hours", 4, "measured virtual hours")
 		churn     = flag.Float64("churn", 1.5, "node departures per 10 virtual minutes")
-		policy    = flag.String("policy", "round-robin", "relay policy: round-robin | broadcast | priority-outbound (alias: priority)")
-		policies  = flag.String("policies", "", "intervention policy set applied to every node (e.g. \"tried-only-addr+horizon-17d\"; \"stock\" = none)")
+		policies  = flag.String("policies", node.StockPolicyName, "intervention policy set applied to every node (e.g. \"tried-only-addr+horizon-17d\"; \"stock\" = none)")
 		txs       = flag.Int("txs", 100, "background transactions per block interval")
 		compact   = flag.Bool("compact", false, "use BIP-152 compact block relay")
 		seed      = flag.Int64("seed", 1, "random seed")
@@ -87,16 +86,9 @@ func run() error {
 		fmt.Printf("pprof listening on http://%s/debug/pprof/ (metrics at /metrics)\n", srv.Addr)
 	}
 
-	relay, err := node.ParseRelayPolicy(*policy)
+	policySet, err := node.ParsePolicySet(*policies)
 	if err != nil {
 		return err
-	}
-	var policySet node.PolicySet
-	if *policies != "" {
-		policySet, err = node.ParsePolicySet(*policies)
-		if err != nil {
-			return err
-		}
 	}
 
 	base := analysis.PropagationConfig{
@@ -104,7 +96,6 @@ func run() error {
 		NumReachable:            *nodes,
 		Duration:                time.Duration(*hours * float64(time.Hour)),
 		TxPerBlock:              *txs,
-		RelayPolicy:             relay,
 		Policies:                policySet,
 		CompactBlocks:           *compact,
 		ChurnDeparturesPer10Min: *churn,

@@ -5,7 +5,7 @@
 //	reproduce -list
 //	reproduce -id fig1 [-seed 1] [-scale 0.3] [-netsize 120] [-quick] [-csv out/]
 //	reproduce -all [-quick] [-csv out/] [-report report.html] [-workers 4]
-//	          [-resources] [-flightrec crashdir/]
+//	          [-flightrec crashdir/]
 //	reproduce -render fig12
 //
 // Each experiment prints its measured metrics next to the paper's
@@ -22,10 +22,10 @@
 // summarised on stderr as "reproduce: FAILED <id>: <cause>", and the
 // process exits non-zero.
 //
-// -resources adds one "  resources: ..." line per experiment (peak
-// heap, allocations, GC, CPU) to stderr alongside the profile lines;
-// stdout, CSVs, and the HTML report stay byte-identical at any -workers
-// count. -flightrec names a directory that receives a crash flight
+// Stderr carries one "  resources: <id> ..." line per experiment (wall
+// time, allocations, GC, peak heap, CPU); stdout, CSVs, and the HTML
+// report stay byte-identical at any -workers count. -flightrec names a
+// directory that receives a crash flight
 // record (tracer ring, resource watermarks, panic stack) whenever an
 // experiment dies by panic or deadline.
 package main
@@ -56,19 +56,18 @@ func main() {
 
 func run() error {
 	var (
-		list    = flag.Bool("list", false, "list experiments")
-		id      = flag.String("id", "", "experiment(s) to run, comma-separated (see -list)")
-		all     = flag.Bool("all", false, "run every experiment")
-		seed    = flag.Int64("seed", 1, "random seed")
-		scale   = flag.Float64("scale", 0, "population scale (0 = default)")
-		netSize = flag.Int("netsize", 0, "simulated live-node count (0 = default)")
-		quick   = flag.Bool("quick", false, "reduced sizes for a fast smoke run")
-		csvDir  = flag.String("csv", "", "also write series CSVs into this directory")
-		render  = flag.String("render", "", "render an ASCII artifact (currently: fig12)")
-		report   = flag.String("report", "", "write a self-contained HTML report (metrics + series sparklines) to this path")
+		list      = flag.Bool("list", false, "list experiments")
+		id        = flag.String("id", "", "experiment(s) to run, comma-separated (see -list)")
+		all       = flag.Bool("all", false, "run every experiment")
+		seed      = flag.Int64("seed", 1, "random seed")
+		scale     = flag.Float64("scale", 0, "population scale (0 = default)")
+		netSize   = flag.Int("netsize", 0, "simulated live-node count (0 = default)")
+		quick     = flag.Bool("quick", false, "reduced sizes for a fast smoke run")
+		csvDir    = flag.String("csv", "", "also write series CSVs into this directory")
+		render    = flag.String("render", "", "render an ASCII artifact (currently: fig12)")
+		report    = flag.String("report", "", "write a self-contained HTML report (metrics + series sparklines) to this path")
 		workers   = flag.Int("workers", 0, "experiment worker goroutines (0 = GOMAXPROCS)")
 		policies  = flag.String("policies", "", "intervention policy set for fig_interv (e.g. \"tried-only-addr+horizon-17d\"; empty = full policy axis)")
-		resources = flag.Bool("resources", false, "print per-experiment resource lines (peak heap, allocs, GC, CPU) to stderr")
 		flightDir = flag.String("flightrec", "", "write crash flight records (flightrec-<id>.json) into this directory on panic/deadline")
 	)
 	flag.Parse()
@@ -106,12 +105,6 @@ func run() error {
 		CSVDir:    *csvDir,
 		Profiles:  os.Stderr,
 		KeepGoing: true,
-	}
-	// Resource lines share the Profiles channel (stderr): wall-clock
-	// derived, so they must stay off stdout, the CSVs, and the HTML
-	// report, which are all byte-identical across -workers counts.
-	if *resources {
-		runner.Resources = obs.NewResourceSampler(nil)
 	}
 	if *flightDir != "" {
 		fr, err := obs.OpenFlightRecorder(*flightDir)

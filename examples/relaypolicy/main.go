@@ -1,7 +1,7 @@
 // Relay-policy ablation (§IV-C and §V): the same network workload under
-// Bitcoin Core's round-robin message scheduling, the idealized lock-step
-// broadcast of the theoretical models, and the paper's proposed
-// priority-outbound block relay. The three policies simulate
+// Bitcoin Core's round-robin message scheduling (the stock policy set),
+// the paper's proposed priority block relay, and the idealized lock-step
+// broadcast of the theoretical models. The three policy sets simulate
 // concurrently (par.Replicate); rows print in policy order either way.
 //
 //	go run ./examples/relaypolicy
@@ -28,7 +28,11 @@ func main() {
 }
 
 func run() error {
-	policies := []node.RelayPolicy{node.RoundRobin, node.PriorityOutbound, node.Broadcast}
+	policies := []node.PolicySet{
+		node.MustPolicySet(node.StockPolicyName),
+		node.MustPolicySet("priority-relay"),
+		node.MustPolicySet("ideal-broadcast"),
+	}
 
 	fmt.Println("relay-policy ablation: 50 nodes, 2 virtual hours, heavy tx congestion")
 	fmt.Printf("%-18s %10s %10s %10s %10s %12s\n",
@@ -46,7 +50,7 @@ func run() error {
 			Duration:                2 * time.Hour,
 			TxPerBlock:              1500,
 			CompactBlocks:           true,
-			RelayPolicy:             policy,
+			Policies:                policy,
 			ChurnDeparturesPer10Min: 1.5,
 		})
 		if err != nil {

@@ -20,31 +20,21 @@ import (
 type AblationVariant struct {
 	// Name labels the variant.
 	Name string
-	// RelayPolicy, TriedOnlyGetAddr, and AddrHorizon are the §V toggles
-	// in their legacy spelling. StockVariants keeps using them so the
-	// canonical ladder's output stays byte-identical across the policy
-	// API introduction.
-	RelayPolicy      node.RelayPolicy
-	TriedOnlyGetAddr bool
-	AddrHorizon      time.Duration
-	// Policies optionally expresses the variant as a policy set instead
-	// of (or on top of) the legacy toggles; node.Config folds it over
-	// them, policies winning.
+	// Policies is the intervention set every node in the variant runs.
 	Policies node.PolicySet
 }
 
 // StockVariants returns the canonical ablation ladder: stock Bitcoin
-// Core, each refinement alone, and all three together.
+// Core, each refinement alone, all three together, and the idealized
+// broadcast upper bound.
 func StockVariants() []AblationVariant {
-	const seventeenDays = 17 * 24 * time.Hour
 	return []AblationVariant{
-		{Name: "stock", RelayPolicy: node.RoundRobin},
-		{Name: "tried-only-addr", RelayPolicy: node.RoundRobin, TriedOnlyGetAddr: true},
-		{Name: "17d-horizon", RelayPolicy: node.RoundRobin, AddrHorizon: seventeenDays},
-		{Name: "priority-relay", RelayPolicy: node.PriorityOutbound},
-		{Name: "all-refinements", RelayPolicy: node.PriorityOutbound,
-			TriedOnlyGetAddr: true, AddrHorizon: seventeenDays},
-		{Name: "ideal-broadcast", RelayPolicy: node.Broadcast},
+		{Name: "stock", Policies: node.MustPolicySet(node.StockPolicyName)},
+		{Name: "tried-only-addr", Policies: node.MustPolicySet("tried-only-addr")},
+		{Name: "17d-horizon", Policies: node.MustPolicySet("horizon-17d")},
+		{Name: "priority-relay", Policies: node.MustPolicySet("priority-relay")},
+		{Name: "all-refinements", Policies: node.MustPolicySet("tried-only-addr+horizon-17d+priority-relay")},
+		{Name: "ideal-broadcast", Policies: node.MustPolicySet("ideal-broadcast")},
 	}
 }
 
@@ -86,9 +76,6 @@ func RunAblation(ctx context.Context, base PropagationConfig, variants []Ablatio
 	err := par.Replicate(ctx, len(variants), func(ctx context.Context, i int) error {
 		v := variants[i]
 		cfg := base
-		cfg.RelayPolicy = v.RelayPolicy
-		cfg.TriedOnlyGetAddr = v.TriedOnlyGetAddr
-		cfg.AddrHorizon = v.AddrHorizon
 		cfg.Policies = v.Policies
 		out, err := RunPropagation(ctx, cfg)
 		if err != nil {
@@ -100,8 +87,6 @@ func RunAblation(ctx context.Context, base PropagationConfig, variants []Ablatio
 			Duration:          5 * time.Minute,
 			PeerChurnPer10Min: 2,
 			ConnDropEvery:     40 * time.Second,
-			TriedOnlyGetAddr:  v.TriedOnlyGetAddr,
-			AddrHorizon:       v.AddrHorizon,
 			Policies:          v.Policies,
 			Runs:              3,
 		})

@@ -327,9 +327,9 @@ func TestRunAblation(t *testing.T) {
 	base.Duration = 45 * time.Minute
 	base.ChurnDeparturesPer10Min = 0.5
 	variants := []AblationVariant{
-		{Name: "stock", RelayPolicy: node.RoundRobin},
-		{Name: "priority", RelayPolicy: node.PriorityOutbound},
-		{Name: "broadcast", RelayPolicy: node.Broadcast},
+		{Name: "stock"},
+		{Name: "priority", Policies: node.MustPolicySet("priority-relay")},
+		{Name: "broadcast", Policies: node.MustPolicySet("ideal-broadcast")},
 	}
 	res, err := RunAblation(context.Background(), base, variants)
 	if err != nil {
@@ -374,19 +374,25 @@ func TestSummarizeRelays(t *testing.T) {
 	}
 }
 
+// TestStockVariantsCoverRefinements pins the ablation ladder: row labels
+// and the policy set each runs (node's TestResolvePoliciesHooks pins what
+// each set compiles to).
 func TestStockVariantsCoverRefinements(t *testing.T) {
+	want := [][2]string{
+		{"stock", "stock"},
+		{"tried-only-addr", "tried-only-addr"},
+		{"17d-horizon", "horizon-17d"},
+		{"priority-relay", "priority-relay"},
+		{"all-refinements", "tried-only-addr+horizon-17d+priority-relay"},
+		{"ideal-broadcast", "ideal-broadcast"},
+	}
 	vs := StockVariants()
-	if len(vs) < 5 {
-		t.Fatalf("variants = %d, want >= 5", len(vs))
+	if len(vs) != len(want) {
+		t.Fatalf("variants = %d, want %d", len(vs), len(want))
 	}
-	names := map[string]bool{}
-	for _, v := range vs {
-		names[v.Name] = true
-	}
-	for _, want := range []string{"stock", "tried-only-addr", "17d-horizon",
-		"priority-relay", "all-refinements"} {
-		if !names[want] {
-			t.Errorf("missing variant %q", want)
+	for i, v := range vs {
+		if got := [2]string{v.Name, v.Policies.String()}; got != want[i] {
+			t.Errorf("variant %d = %v, want %v", i, got, want[i])
 		}
 	}
 }

@@ -53,14 +53,10 @@ type ConnExperimentConfig struct {
 	// (Figure 6 observes an established node; Figure 7 measures from a
 	// cold start and uses zero warmup).
 	ObserverWarmup time.Duration
-	// TriedOnlyGetAddr and AddrHorizon apply the §V refinements to every
-	// node in the experiment (background peers and observer), so the
-	// ablation can measure their effect on cold-start success.
-	TriedOnlyGetAddr bool
-	AddrHorizon      time.Duration
 	// Policies is the intervention policy set applied to every node
-	// (background peers and observer). Policies fold over the legacy
-	// knobs above; empty means stock behaviour.
+	// (background peers and observer), so the ablation can measure the
+	// §V refinements' effect on cold-start success. Empty means stock
+	// behaviour.
 	Policies node.PolicySet
 	// StaleTried seeds the observer's tried table with this many dead
 	// addresses before measurement, modelling a restarting node whose
@@ -162,13 +158,11 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 		// the observer) are dominated by dead addresses.
 		for i := range live {
 			h := net.AddFullNode(node.Config{
-				Self:             wire.NetAddress{Addr: live[i], Services: wire.SFNodeNetwork},
-				Reachable:        true,
-				Genesis:          genesis,
-				TriedOnlyGetAddr: cfg.TriedOnlyGetAddr,
-				AddrHorizon:      cfg.AddrHorizon,
-				Policies:         cfg.Policies,
-				SeedAddrs:        seedSample(rng, live, dead, 150, cfg.LiveShare, live[i], net.Now()),
+				Self:      wire.NetAddress{Addr: live[i], Services: wire.SFNodeNetwork},
+				Reachable: true,
+				Genesis:   genesis,
+				Policies:  cfg.Policies,
+				SeedAddrs: seedSample(rng, live, dead, 150, cfg.LiveShare, live[i], net.Now()),
 			})
 			h.Start()
 			liveHosts[i] = h
@@ -197,12 +191,10 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 		// The observer starts now, with gossip-mix address tables.
 		observerAddr := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, 9, 9}), 8333)
 		observer := net.AddFullNode(node.Config{
-			Self:             wire.NetAddress{Addr: observerAddr, Services: wire.SFNodeNetwork},
-			Reachable:        true,
-			Genesis:          genesis,
-			TriedOnlyGetAddr: cfg.TriedOnlyGetAddr,
-			AddrHorizon:      cfg.AddrHorizon,
-			Policies:         cfg.Policies,
+			Self:      wire.NetAddress{Addr: observerAddr, Services: wire.SFNodeNetwork},
+			Reachable: true,
+			Genesis:   genesis,
+			Policies:  cfg.Policies,
 			SeedAddrs: seedSample(rng, live, dead, cfg.SeedsPerNode, cfg.LiveShare,
 				observerAddr, net.Now()),
 		})

@@ -120,45 +120,3 @@ func TestRunInterventionGridWorkersInvariant(t *testing.T) {
 		t.Error("series differ between workers=1 and workers=4")
 	}
 }
-
-// TestAblationPolicyEquivalence is the golden equivalence check for the
-// policy API: every legacy knob triple and its policy-set re-expression
-// must produce byte-identical ablation rows — the policies are a
-// refactoring of the knobs, not a behaviour change.
-func TestAblationPolicyEquivalence(t *testing.T) {
-	legacy := StockVariants()
-	reexpr := []AblationVariant{
-		{Name: "stock", Policies: node.MustPolicySet(node.StockPolicyName)},
-		{Name: "tried-only-addr", Policies: node.MustPolicySet("tried-only-addr")},
-		{Name: "17d-horizon", Policies: node.MustPolicySet("horizon-17d")},
-		{Name: "priority-relay", Policies: node.MustPolicySet("priority-relay")},
-		{Name: "all-refinements", Policies: node.MustPolicySet("tried-only-addr+horizon-17d+priority-relay")},
-		{Name: "ideal-broadcast", Policies: node.MustPolicySet("ideal-broadcast")},
-	}
-	for _, seed := range []int64{5, 11} {
-		base := smallPropConfig(seed)
-		base.NumReachable = 24
-		base.Duration = 30 * time.Minute
-		base.Warmup = 8 * time.Minute
-		base.TxPerBlock = 8
-		base.ChurnDeparturesPer10Min = 0.5
-		a, err := RunAblation(context.Background(), base, legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunAblation(context.Background(), base, reexpr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Rows {
-			ra, rb := a.Rows[i], b.Rows[i]
-			// Blank the variant descriptors: only the measured outcome
-			// must match.
-			ra.Variant, rb.Variant = AblationVariant{}, AblationVariant{}
-			if !reflect.DeepEqual(ra, rb) {
-				t.Errorf("seed %d row %q: legacy %+v != policy %+v",
-					seed, a.Rows[i].Variant.Name, ra, rb)
-			}
-		}
-	}
-}

@@ -43,15 +43,9 @@ type PropagationConfig struct {
 	// TxPerBlock is the number of background transactions submitted per
 	// block interval (they fill the round-robin queues).
 	TxPerBlock int
-	// RelayPolicy, CompactBlocks, TriedOnlyGetAddr, and AddrHorizon are
-	// forwarded to every node (the §IV-C/§V toggles). RelayPolicy,
-	// TriedOnlyGetAddr, and AddrHorizon are the legacy spellings of what
-	// Policies expresses compositionally; node.Config folds Policies over
-	// them (policies win).
-	RelayPolicy      node.RelayPolicy
-	CompactBlocks    bool
-	TriedOnlyGetAddr bool
-	AddrHorizon      time.Duration
+	// CompactBlocks enables BIP-152 relay on a CompactShare of the
+	// nodes (the §IV-C toggle).
+	CompactBlocks bool
 	// Policies is the intervention policy set forwarded to every node
 	// (reachable and unreachable alike). Empty means stock behaviour.
 	Policies node.PolicySet
@@ -142,8 +136,6 @@ func (c PropagationConfig) withDefaults() PropagationConfig {
 	if c.BlockInterval == 0 {
 		c.BlockInterval = 10 * time.Minute
 	}
-	// RelayPolicy deliberately not normalized here: node.Config.withDefaults
-	// is the single place RelayPolicy(0) becomes RoundRobin.
 	if c.RejoinAfter == 0 {
 		c.RejoinAfter = 30 * time.Minute
 	}
@@ -340,21 +332,18 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	for i, a := range addrs {
 		compact := cfg.CompactBlocks && rng.Float64() < cfg.CompactShare
 		cfgNode := node.Config{
-			Self:             wire.NetAddress{Addr: a, Services: wire.SFNodeNetwork},
-			Reachable:        true,
-			Genesis:          genesis,
-			SeedAddrs:        seedFor(a),
-			RelayPolicy:      cfg.RelayPolicy,
-			CompactBlocks:    compact,
-			TriedOnlyGetAddr: cfg.TriedOnlyGetAddr,
-			AddrHorizon:      cfg.AddrHorizon,
-			Policies:         cfg.Policies,
-			BlockSizeHint:    cfg.BlockSizeHint,
-			BytesPerSec:      cfg.BytesPerSec,
-			AddrManKey:       uint64(cfg.Seed) + uint64(i),
-			Sink:             sink,
-			Metrics:          reg,
-			Tracer:           tracer,
+			Self:          wire.NetAddress{Addr: a, Services: wire.SFNodeNetwork},
+			Reachable:     true,
+			Genesis:       genesis,
+			SeedAddrs:     seedFor(a),
+			CompactBlocks: compact,
+			Policies:      cfg.Policies,
+			BlockSizeHint: cfg.BlockSizeHint,
+			BytesPerSec:   cfg.BytesPerSec,
+			AddrManKey:    uint64(cfg.Seed) + uint64(i),
+			Sink:          sink,
+			Metrics:       reg,
+			Tracer:        tracer,
 		}
 		if i == 0 {
 			cfgNode.AddrSink = cfg.ObserverAddrSink
@@ -380,21 +369,18 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 			a := netip.AddrPortFrom(
 				netip.AddrFrom4([4]byte{11, byte(i >> 16), byte(i >> 8), byte(i)}), 8333)
 			cfgNode := node.Config{
-				Self:             wire.NetAddress{Addr: a, Services: wire.SFNodeNetwork},
-				Reachable:        false,
-				Genesis:          genesis,
-				SeedAddrs:        seedFor(a),
-				RelayPolicy:      cfg.RelayPolicy,
-				CompactBlocks:    cfg.CompactBlocks,
-				TriedOnlyGetAddr: cfg.TriedOnlyGetAddr,
-				AddrHorizon:      cfg.AddrHorizon,
-				Policies:         cfg.Policies,
-				BlockSizeHint:    cfg.BlockSizeHint,
-				BytesPerSec:      cfg.BytesPerSec,
-				AddrManKey:       uint64(cfg.Seed) + uint64(cfg.NumReachable+i),
-				Sink:             sink,
-				Metrics:          reg,
-				Tracer:           tracer,
+				Self:          wire.NetAddress{Addr: a, Services: wire.SFNodeNetwork},
+				Reachable:     false,
+				Genesis:       genesis,
+				SeedAddrs:     seedFor(a),
+				CompactBlocks: cfg.CompactBlocks,
+				Policies:      cfg.Policies,
+				BlockSizeHint: cfg.BlockSizeHint,
+				BytesPerSec:   cfg.BytesPerSec,
+				AddrManKey:    uint64(cfg.Seed) + uint64(cfg.NumReachable+i),
+				Sink:          sink,
+				Metrics:       reg,
+				Tracer:        tracer,
 			}
 			h := net.AddFullNode(cfgNode)
 			unreach = append(unreach, h)

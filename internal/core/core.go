@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // Options tune an experiment run.
@@ -92,12 +91,6 @@ type Report struct {
 	Tables []Table
 	// Notes carries free-form commentary (calibration caveats etc.).
 	Notes []string
-	// Profile is the run's wall/alloc measurement, filled by RunAll (or
-	// any harness that wraps Run with obs.StartProfile). Render omits it
-	// and WriteCSV never sees it: wall time is nondeterministic, and both
-	// surfaces promise byte-identical output for identical seeds. CLI
-	// front-ends print it to stderr instead.
-	Profile obs.Profile
 	// Series holds the experiment's sim-time metric series, written by
 	// WriteCSV as the <id>_timeseries.csv sidecar and rendered as
 	// sparklines by WriteHTMLReport. Like Tables, it is deterministic:
@@ -212,15 +205,6 @@ type Experiment struct {
 	Run func(context.Context, Options) (*Report, error)
 }
 
-// Replicate runs fn(ctx, rep) for every replication in [0, n)
-// concurrently and deterministically; it is par.Replicate re-exported so
-// experiment code layered on core need not import the engine package.
-// Callers derive per-replication seeds from rep and write results into
-// rep-indexed slots.
-func Replicate(ctx context.Context, n int, fn func(ctx context.Context, rep int) error) error {
-	return par.Replicate(ctx, n, fn)
-}
-
 // registry returns all experiments, built lazily so the experiment files
 // can live alongside their implementations.
 func registry() []Experiment {
@@ -269,23 +253,4 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// RunAll executes every experiment sequentially, rendering each to w as
-// it completes.
-//
-// Deprecated: RunAll is a thin shim over Runner for callers predating
-// the parallel engine; use Runner{...}.Run(ctx, Experiments(), w) to
-// control worker count and cancellation.
-func RunAll(opts Options, w io.Writer) error {
-	r := Runner{Workers: 1, Options: opts}
-	return r.Run(context.Background(), Experiments(), w)
-}
-
-// RunExperiment executes one experiment without cancellation support.
-//
-// Deprecated: shim for callers predating the context-aware Run
-// signature; call e.Run(ctx, opts) directly.
-func RunExperiment(e Experiment, opts Options) (*Report, error) {
-	return e.Run(context.Background(), opts)
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/node"
 	"repro/internal/stats"
 )
 
@@ -169,8 +168,7 @@ func relayExperiment(ctx context.Context, opts Options) (*analysis.PropagationRe
 		Duration:                6 * time.Hour,
 		TxPerBlock:              400,
 		CompactBlocks:           true,
-		CompactShare:            0.8, // the 2020 network mixed compact and legacy peers
-		RelayPolicy:             node.RoundRobin,
+		CompactShare:            0.8,       // the 2020 network mixed compact and legacy peers
 		BytesPerSec:             320 << 10, // a residential uplink share
 		ChurnDeparturesPer10Min: churnScaled(opts.NetSize, 1.5),
 	}

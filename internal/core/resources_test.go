@@ -152,10 +152,9 @@ func TestRunnerFlightRecordOnDeadline(t *testing.T) {
 	}
 }
 
-// TestRunnerFlightRecordWithoutSampler: arming only the recorder (the
-// CLI's -flightrec without -resources) must still yield a record with
-// live watermarks — the Runner samples on an unpublished fallback for
-// the crash window.
+// TestRunnerFlightRecordWithoutSampler: a Runner with no shared sampler
+// (the CLI's -flightrec) must still yield a record with live watermarks —
+// the Runner samples on its own unpublished sampler.
 func TestRunnerFlightRecordWithoutSampler(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "flightrec")
 	fr, err := obs.OpenFlightRecorder(dir)
@@ -166,9 +165,8 @@ func TestRunnerFlightRecordWithoutSampler(t *testing.T) {
 	if !ok {
 		t.Fatalf("ByID(%q) not found", SelftestCrashID)
 	}
-	var out, prof bytes.Buffer
-	r := Runner{Workers: 1, Options: Options{Quick: true}, KeepGoing: true,
-		FlightRecorder: fr, Profiles: &prof}
+	var out bytes.Buffer
+	r := Runner{Workers: 1, Options: Options{Quick: true}, KeepGoing: true, FlightRecorder: fr}
 	if err := r.Run(context.Background(), []Experiment{crash}, &out); err == nil {
 		t.Fatal("expected the induced panic to surface as an error")
 	}
@@ -178,10 +176,6 @@ func TestRunnerFlightRecordWithoutSampler(t *testing.T) {
 	}
 	if rec.Resources.PeakHeapBytes == 0 || rec.Resources.AllocBytes == 0 {
 		t.Errorf("record sampled nothing without an explicit sampler: %+v", rec.Resources)
-	}
-	// The fallback sampler must not switch the Profiles surface on.
-	if strings.Contains(prof.String(), "resources:") {
-		t.Errorf("fallback sampler leaked resource lines onto Profiles:\n%s", prof.String())
 	}
 }
 
@@ -207,9 +201,9 @@ func TestRunnerNoFlightRecordOnPlainFailure(t *testing.T) {
 }
 
 // TestRunnerResourcesWorkerInvariance is the resource observatory's
-// determinism contract: with the sampler enabled, Workers: 1 and
-// Workers: 4 still produce byte-identical report output and CSVs, and
-// the "  resources:" lines appear only on the Profiles channel.
+// determinism contract: Workers: 1 and Workers: 4 produce byte-identical
+// report output and CSVs, and the "  resources: <id>" lines appear only
+// on the Profiles channel, once per experiment in experiment order.
 func TestRunnerResourcesWorkerInvariance(t *testing.T) {
 	mk := func(id string, seed int64) Experiment {
 		return Experiment{ID: id, Run: func(_ context.Context, o Options) (*Report, error) {
@@ -233,11 +227,10 @@ func TestRunnerResourcesWorkerInvariance(t *testing.T) {
 		var out, profs bytes.Buffer
 		dir := t.TempDir()
 		r := Runner{
-			Workers:   workers,
-			Options:   opts,
-			CSVDir:    dir,
-			Profiles:  &profs,
-			Resources: obs.NewResourceSampler(nil),
+			Workers:  workers,
+			Options:  opts,
+			CSVDir:   dir,
+			Profiles: &profs,
 		}
 		if err := r.Run(context.Background(), exps, &out); err != nil {
 			t.Fatal(err)
@@ -249,7 +242,7 @@ func TestRunnerResourcesWorkerInvariance(t *testing.T) {
 	out4, csv4, prof4 := run(4)
 
 	if out1 != out4 {
-		t.Errorf("report output differs between worker counts with resources enabled:\n%q\n%q", out1, out4)
+		t.Errorf("report output differs between worker counts:\n%q\n%q", out1, out4)
 	}
 	if len(csv1) == 0 || len(csv1) != len(csv4) {
 		t.Fatalf("CSV counts differ: %d vs %d", len(csv1), len(csv4))
@@ -260,8 +253,14 @@ func TestRunnerResourcesWorkerInvariance(t *testing.T) {
 		}
 	}
 	for _, p := range []string{prof1, prof4} {
-		if n := strings.Count(p, "  resources: "); n != len(exps) {
-			t.Errorf("%d resources lines on Profiles, want %d:\n%s", n, len(exps), p)
+		lines := strings.Split(strings.TrimSuffix(p, "\n"), "\n")
+		if len(lines) != len(exps) {
+			t.Fatalf("%d lines on Profiles, want %d:\n%s", len(lines), len(exps), p)
+		}
+		for i, e := range exps {
+			if !strings.HasPrefix(lines[i], "  resources: "+e.ID+" wall=") {
+				t.Errorf("Profiles line %d = %q, want the resources line of %s", i, lines[i], e.ID)
+			}
 		}
 		if !strings.Contains(p, "peak-heap=") {
 			t.Errorf("resources line lacks watermarks:\n%s", p)

@@ -23,8 +23,8 @@ import (
 // to files keyed by its ID — no mutable state is shared across workers.
 // Reports are then emitted to the output writer in slice order, so the
 // rendered stream, the CSV directory, and every trace digest are
-// byte-identical whatever Workers is set to. Only the profile lines
-// (wall/alloc measurements, written to Profiles) are nondeterministic,
+// byte-identical whatever Workers is set to. Only the resources lines
+// (process measurements, written to Profiles) are nondeterministic,
 // which is why they are kept off the report surface.
 type Runner struct {
 	// Workers is the pool size; zero or negative means GOMAXPROCS.
@@ -33,9 +33,11 @@ type Runner struct {
 	Options Options
 	// CSVDir, when non-empty, receives each report's CSV sidecars.
 	CSVDir string
-	// Profiles, when non-nil, receives one "  profile: ..." line per
-	// experiment as its report is emitted. Wall times are real time, so
-	// this stream is nondeterministic and must stay separate from w.
+	// Profiles, when non-nil, receives one "  resources: <id> ..." line
+	// per experiment as its report is emitted: wall time, allocation, GC
+	// and peak-heap figures for the experiment's measurement window.
+	// They are wall-clock derived and nondeterministic, so they never
+	// touch the report writer, the CSV sidecars, or Report itself.
 	Profiles io.Writer
 	// Collect, when non-nil, receives every finished report in slice
 	// order from the merge loop (never concurrently) — the hook the HTML
@@ -48,18 +50,13 @@ type Runner struct {
 	// progress surface (the reprod service streams them as NDJSON), not
 	// part of the deterministic report output.
 	Trace *obs.Tracer
-	// Resources, when non-nil, opens a per-experiment measurement window
-	// on the shared process sampler and appends one "  resources: ..."
-	// line per experiment to Profiles. Like the profile lines, resource
-	// stats are wall-clock derived and nondeterministic, so they never
-	// touch the report writer, the CSV sidecars, or Report itself.
+	// Resources is the process sampler each experiment's measurement
+	// window opens on; share one to see the windows on its live proc.*
+	// gauges. When nil, Run samples on an unpublished sampler of its own.
 	Resources *obs.ResourceSampler
 	// FlightRecorder, when non-nil, receives a crash dump — tracer ring,
 	// resource watermarks, panic value and stack — whenever an experiment
-	// dies by panic or deadline, keyed by the experiment ID. Watermarks
-	// are captured even when Resources is nil: arming the recorder arms
-	// an unpublished sampler for the crash window, so a record is never
-	// dumped with empty resource data.
+	// dies by panic or deadline, keyed by the experiment ID.
 	FlightRecorder *obs.FlightRecorder
 	// FlightKey, when non-empty, keys flight records instead of the
 	// experiment ID — the reprod service passes its cache key so the
@@ -112,7 +109,7 @@ func (e *BatchError) Unwrap() []error {
 }
 
 // runnerJob is one experiment's private result, handed from its worker
-// to the in-order merge loop. Both the rendered report and the profile
+// to the in-order merge loop. Both the rendered report and the resources
 // line are buffered worker-side: the merge loop only copies bytes, so
 // neither stream can interleave across workers whatever the pool size.
 type runnerJob struct {
@@ -194,12 +191,8 @@ func (r *Runner) Run(ctx context.Context, exps []Experiment, w io.Writer) error 
 		jobs[i].done = make(chan struct{})
 	}
 
-	// Flight records must carry watermarks even when the caller never
-	// asked for resource lines; sample on an unpublished fallback then.
-	// Printing stays keyed on r.Resources so the Profiles surface is
-	// untouched.
 	sampler := r.Resources
-	if sampler == nil && r.FlightRecorder != nil {
+	if sampler == nil {
 		sampler = obs.NewResourceSampler(nil)
 	}
 
@@ -210,7 +203,6 @@ func (r *Runner) Run(ctx context.Context, exps []Experiment, w io.Writer) error 
 			e := exps[i]
 			r.emitTrace("exp.start", e.ID, "", 0)
 			begin := time.Now()
-			stop := obs.StartProfile()
 			endRes := sampler.StartRun()
 			rep, err := r.runOne(ctx, i, e)
 			res := endRes()
@@ -223,12 +215,8 @@ func (r *Runner) Run(ctx context.Context, exps []Experiment, w io.Writer) error 
 				}
 				return jobs[i].err
 			}
-			rep.Profile = stop()
-			fmt.Fprintf(&jobs[i].profBuf, "  profile: %s\n", rep.Profile)
-			if r.Resources != nil {
-				res.EventsProcessed = EventsProcessed(rep)
-				fmt.Fprintf(&jobs[i].profBuf, "  resources: %s\n", res)
-			}
+			res.EventsProcessed = EventsProcessed(rep)
+			fmt.Fprintf(&jobs[i].profBuf, "  resources: %s %s\n", e.ID, res)
 			if err := rep.Render(&jobs[i].buf); err != nil {
 				jobs[i].err = fmt.Errorf("core: %s: %w", e.ID, err)
 				r.emitTrace("exp.fail", e.ID, ": "+err.Error(), time.Since(begin))

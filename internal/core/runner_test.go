@@ -388,8 +388,9 @@ func TestRunnerErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestRunnerProfiles checks profile lines go to the Profiles writer, one
-// per experiment, and never into the report stream.
+// TestRunnerProfiles checks the Profiles writer gets exactly one labelled
+// resources line per experiment, in experiment order, and the report
+// stream gets none.
 func TestRunnerProfiles(t *testing.T) {
 	exps := []Experiment{
 		{ID: "x", Run: func(context.Context, Options) (*Report, error) {
@@ -404,32 +405,14 @@ func TestRunnerProfiles(t *testing.T) {
 	if err := r.Run(context.Background(), exps, &out); err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(profs.Bytes(), []byte("  profile: ")); n != 2 {
-		t.Errorf("%d profile lines, want 2", n)
+	lines := strings.Split(strings.TrimSuffix(profs.String(), "\n"), "\n")
+	if len(lines) != 2 ||
+		!strings.HasPrefix(lines[0], "  resources: x wall=") ||
+		!strings.HasPrefix(lines[1], "  resources: y wall=") {
+		t.Errorf("Profiles = %q, want one resources line each for x then y", profs.String())
 	}
-	if bytes.Contains(out.Bytes(), []byte("profile:")) {
-		t.Error("profile leaked into the report stream")
-	}
-}
-
-// TestRunAllShim checks the deprecated sequential shim still renders
-// every experiment the way the old RunAll did.
-func TestRunAllShim(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full quick registry")
-	}
-	// The shim is exercised against synthetic experiments elsewhere;
-	// here it only needs to prove the plumbing: a failing experiment
-	// surfaces, and RunExperiment forwards to Run.
-	e := Experiment{ID: "z", Run: func(_ context.Context, opts Options) (*Report, error) {
-		return &Report{ID: "z", Title: fmt.Sprintf("seed %d", opts.Seed)}, nil
-	}}
-	rep, err := RunExperiment(e, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Title != "seed 5" {
-		t.Errorf("Title = %q", rep.Title)
+	if bytes.Contains(out.Bytes(), []byte("resources:")) {
+		t.Error("resources line leaked into the report stream")
 	}
 }
 

@@ -209,7 +209,7 @@ func TestAccessors(t *testing.T) {
 			t.Error("empty direction string")
 		}
 	}
-	for _, rp := range []RelayPolicy{RoundRobin, Broadcast, PriorityOutbound, RelayPolicy(0)} {
+	for _, rp := range []RelayPolicy{RoundRobin, Broadcast, PriorityOutbound} {
 		if rp.String() == "" {
 			t.Error("empty relay policy string")
 		}

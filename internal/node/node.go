@@ -195,29 +195,11 @@ type Config struct {
 	// blocking connect per loop — use 1 to model it); the default equals
 	// MaxOutbound, which recovers slots faster.
 	MaxPendingDials int
-	// RelayPolicy selects the message scheduling policy (RoundRobin when
-	// zero). Normalization happens here and nowhere else: withDefaults
-	// is the single place a zero RelayPolicy becomes RoundRobin.
-	//
-	// Deprecated: prefer Policies (priority-relay / ideal-broadcast).
-	// The field remains the compile baseline a RelaySchedPolicy
-	// overrides, so existing callers keep byte-identical behaviour.
-	RelayPolicy RelayPolicy
 	// CompactBlocks enables BIP-152 high-bandwidth block relay.
 	CompactBlocks bool
-	// AddrHorizon overrides the addrman eviction horizon (§V refinement).
-	//
-	// Deprecated: prefer Policies (horizon-<N>d).
-	AddrHorizon time.Duration
-	// TriedOnlyGetAddr makes GETADDR responses sample only the tried
-	// table (§V refinement).
-	//
-	// Deprecated: prefer Policies (tried-only-addr).
-	TriedOnlyGetAddr bool
 	// Policies is the ordered intervention set (see policy.go). It is
 	// compiled once in New into plain fields — the hot paths never
-	// consult the set — and applies on top of the legacy knob fields
-	// above (last policy implementing a hook wins).
+	// consult the set. The last policy implementing a hook wins.
 	Policies PolicySet
 	// GetAddrResponder, when non-nil, overrides the ADDR response —
 	// the hook used to model the paper's §IV-B malicious flooders.
@@ -297,9 +279,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPendingDials == 0 {
 		c.MaxPendingDials = c.MaxOutbound
-	}
-	if c.RelayPolicy == 0 {
-		c.RelayPolicy = RoundRobin
 	}
 	if c.LoopOverhead == 0 {
 		c.LoopOverhead = DefaultLoopOverhead
@@ -499,13 +478,11 @@ func New(cfg Config, env Env) *Node {
 		dialStarted:    make(map[netip.AddrPort]time.Time),
 	}
 	amCfg := addrman.Config{
-		Key:              cfg.AddrManKey,
-		Horizon:          cfg.AddrHorizon,
-		TriedOnlyGetAddr: cfg.TriedOnlyGetAddr,
-		Now:              env.Now,
-		Rand:             env.Rand(),
+		Key:  cfg.AddrManKey,
+		Now:  env.Now,
+		Rand: env.Rand(),
 	}
-	n.pol, amCfg = resolvePolicies(cfg, amCfg)
+	n.pol, amCfg = resolvePolicies(cfg.Policies, amCfg)
 	n.addrman = addrman.New(amCfg)
 	n.pumpFn = n.pumpOnce
 	return n

@@ -521,7 +521,6 @@ func TestRoundRobinLastPeerDelay(t *testing.T) {
 	// §IV-C effect.
 	env := newFakeEnv()
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.RelayPolicy = RoundRobin
 	n := New(cfg, env)
 	n.Start()
 	const peers = 10
@@ -559,7 +558,7 @@ func TestRoundRobinLastPeerDelay(t *testing.T) {
 func TestBroadcastPolicyDeliversSimultaneously(t *testing.T) {
 	env := newFakeEnv()
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.RelayPolicy = Broadcast
+	cfg.Policies = MustPolicySet("ideal-broadcast")
 	n := New(cfg, env)
 	n.Start()
 	const peers = 10
@@ -592,7 +591,7 @@ func TestBroadcastPolicyDeliversSimultaneously(t *testing.T) {
 func TestPriorityOutboundServicesOutboundFirst(t *testing.T) {
 	env := newFakeEnv()
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.RelayPolicy = PriorityOutbound
+	cfg.Policies = MustPolicySet("priority-relay")
 	n := New(cfg, env)
 	n.Start()
 	// Two inbound peers first, then one outbound.

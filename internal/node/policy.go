@@ -12,7 +12,7 @@ import (
 
 // This file is the intervention-policy API: the paper's §V protocol
 // refinements (and the related-work remedies the ROADMAP names) as
-// first-class, composable values instead of scattered Config booleans.
+// first-class, composable values.
 //
 // A Policy is a named behaviour change. The node does NOT consult
 // policies on its hot paths: New compiles Config.Policies once into the
@@ -119,14 +119,14 @@ func (p horizonPolicy) ConfigureAddrMan(cfg addrman.Config) addrman.Config {
 // connections are serviced first (§V refinement 3).
 type priorityRelayPolicy struct{}
 
-func (priorityRelayPolicy) Name() string                { return "priority-relay" }
+func (priorityRelayPolicy) Name() string                 { return "priority-relay" }
 func (priorityRelayPolicy) RelayScheduling() RelayPolicy { return PriorityOutbound }
 
 // idealBroadcastPolicy: the theoretical lock-step broadcast (the
 // ablation ladder's upper bound, not a deployable fix).
 type idealBroadcastPolicy struct{}
 
-func (idealBroadcastPolicy) Name() string                { return "ideal-broadcast" }
+func (idealBroadcastPolicy) Name() string                 { return "ideal-broadcast" }
 func (idealBroadcastPolicy) RelayScheduling() RelayPolicy { return Broadcast }
 
 // unreachableTxRelayPolicy: unreachable nodes forward third-party
@@ -246,28 +246,12 @@ func MustPolicySet(s string) PolicySet {
 	return set
 }
 
-// ParseRelayPolicy parses a RelayPolicy name. It accepts every
-// RelayPolicy.String() output plus the historical btcsim alias
-// "priority" for priority-outbound.
-func ParseRelayPolicy(s string) (RelayPolicy, error) {
-	switch s {
-	case "round-robin":
-		return RoundRobin, nil
-	case "broadcast":
-		return Broadcast, nil
-	case "priority-outbound", "priority":
-		return PriorityOutbound, nil
-	default:
-		return 0, fmt.Errorf("node: unknown relay policy %q (round-robin | broadcast | priority-outbound)", s)
-	}
-}
-
 // compiledPolicies is the zero-cost dispatch form of a PolicySet: the
 // scalar decisions the hot paths read as plain fields. resolvePolicies
 // computes it once in New.
 type compiledPolicies struct {
-	// relay is the effective scheduling policy (Config.RelayPolicy
-	// unless a RelaySchedPolicy overrides it).
+	// relay is the effective scheduling policy (RoundRobin unless a
+	// RelaySchedPolicy overrides it).
 	relay RelayPolicy
 	// fwdTxUnreachable forwards third-party transactions on
 	// unreachable nodes.
@@ -276,13 +260,13 @@ type compiledPolicies struct {
 	anchorsEnabled bool
 }
 
-// resolvePolicies folds cfg.Policies over the legacy Config knobs:
-// the legacy fields form the baseline, policies apply on top in slice
+// resolvePolicies compiles set on top of stock behaviour (round-robin
+// relay, the given addrman configuration): policies apply in slice
 // order (last writer wins per hook), and the addrman configuration is
 // rewritten through every AddrManPolicy in turn.
-func resolvePolicies(cfg Config, am addrman.Config) (compiledPolicies, addrman.Config) {
-	c := compiledPolicies{relay: cfg.RelayPolicy}
-	for _, pol := range cfg.Policies {
+func resolvePolicies(set PolicySet, am addrman.Config) (compiledPolicies, addrman.Config) {
+	c := compiledPolicies{relay: RoundRobin}
+	for _, pol := range set {
 		if ap, ok := pol.(AddrManPolicy); ok {
 			am = ap.ConfigureAddrMan(am)
 		}

@@ -26,27 +26,6 @@ func TestRelayPolicyStringStable(t *testing.T) {
 	}
 }
 
-func TestParseRelayPolicyRoundTrip(t *testing.T) {
-	for _, p := range []RelayPolicy{RoundRobin, Broadcast, PriorityOutbound} {
-		got, err := ParseRelayPolicy(p.String())
-		if err != nil {
-			t.Fatalf("ParseRelayPolicy(%q): %v", p.String(), err)
-		}
-		if got != p {
-			t.Errorf("ParseRelayPolicy(%q) = %v, want %v", p.String(), got, p)
-		}
-	}
-	if p, err := ParseRelayPolicy("priority"); err != nil || p != PriorityOutbound {
-		t.Errorf("ParseRelayPolicy(priority) = %v, %v; want PriorityOutbound", p, err)
-	}
-	if _, err := ParseRelayPolicy("unknown(0)"); err == nil {
-		t.Error("ParseRelayPolicy accepted the unknown sentinel")
-	}
-	if _, err := ParseRelayPolicy(""); err == nil {
-		t.Error("ParseRelayPolicy accepted the empty string")
-	}
-}
-
 func TestPolicySetEncoding(t *testing.T) {
 	cases := []string{
 		"stock",
@@ -101,47 +80,41 @@ func TestPolicyNamesAllParse(t *testing.T) {
 	}
 }
 
-// TestResolvePoliciesHooks checks each hook lands on the compiled form
-// and that the legacy knobs stay the baseline a policy overrides.
+// TestResolvePoliciesHooks checks each hook lands on the compiled form,
+// on top of the stock baseline (round-robin relay, untouched addrman).
 func TestResolvePoliciesHooks(t *testing.T) {
-	base := Config{RelayPolicy: RoundRobin}.withDefaults()
-	am := addrman.Config{}
-
-	c, amOut := resolvePolicies(base, am)
-	if c.relay != RoundRobin || c.fwdTxUnreachable || c.anchorsEnabled {
-		t.Errorf("empty set compiled to %+v", c)
-	}
-	if amOut.TriedOnlyGetAddr || amOut.Horizon != 0 {
-		t.Errorf("empty set rewrote addrman config: %+v", amOut)
-	}
-
-	base.Policies = MustPolicySet("tried-only-addr+horizon-17d+priority-relay")
-	c, amOut = resolvePolicies(base, am)
-	if c.relay != PriorityOutbound {
-		t.Errorf("relay = %v, want priority-outbound", c.relay)
-	}
-	if !amOut.TriedOnlyGetAddr {
-		t.Error("tried-only-addr did not set TriedOnlyGetAddr")
-	}
-	if amOut.Horizon != 17*24*time.Hour {
-		t.Errorf("horizon = %v, want 17 days", amOut.Horizon)
-	}
-
-	base.Policies = MustPolicySet("unreachable-tx-relay+churn-resilient-peering")
-	c, _ = resolvePolicies(base, am)
-	if !c.fwdTxUnreachable || !c.anchorsEnabled {
-		t.Errorf("remedy hooks not compiled: %+v", c)
-	}
-	if c.relay != RoundRobin {
-		t.Errorf("remedy set changed relay to %v", c.relay)
-	}
-
-	// Last RelaySchedPolicy wins over both the legacy field and earlier
-	// policies.
-	base.Policies = MustPolicySet("priority-relay+ideal-broadcast")
-	c, _ = resolvePolicies(base, am)
-	if c.relay != Broadcast {
-		t.Errorf("relay = %v, want broadcast (last wins)", c.relay)
+	const seventeenDays = 17 * 24 * time.Hour
+	for _, tc := range []struct {
+		set       string
+		relay     RelayPolicy
+		triedOnly bool
+		horizon   time.Duration
+		fwdTx     bool
+		anchors   bool
+	}{
+		// The six analysis.StockVariants() sets (the §V ablation ladder).
+		{set: "stock", relay: RoundRobin},
+		{set: "tried-only-addr", relay: RoundRobin, triedOnly: true},
+		{set: "horizon-17d", relay: RoundRobin, horizon: seventeenDays},
+		{set: "priority-relay", relay: PriorityOutbound},
+		{set: "tried-only-addr+horizon-17d+priority-relay", relay: PriorityOutbound,
+			triedOnly: true, horizon: seventeenDays},
+		{set: "ideal-broadcast", relay: Broadcast},
+		// The related-work remedies leave relay and addrman alone.
+		{set: "unreachable-tx-relay+churn-resilient-peering", relay: RoundRobin,
+			fwdTx: true, anchors: true},
+		// Last RelaySchedPolicy wins.
+		{set: "priority-relay+ideal-broadcast", relay: Broadcast},
+	} {
+		c, am := resolvePolicies(MustPolicySet(tc.set), addrman.Config{})
+		if c.relay != tc.relay || c.fwdTxUnreachable != tc.fwdTx || c.anchorsEnabled != tc.anchors {
+			t.Errorf("%s compiled to %+v, want relay=%v fwdTx=%v anchors=%v",
+				tc.set, c, tc.relay, tc.fwdTx, tc.anchors)
+		}
+		if am.TriedOnlyGetAddr != tc.triedOnly || am.Horizon != tc.horizon {
+			t.Errorf("%s: addrman (tried-only=%v, horizon=%v), want (%v, %v)",
+				tc.set, am.TriedOnlyGetAddr, am.Horizon, tc.triedOnly, tc.horizon)
+		}
 	}
 }
 

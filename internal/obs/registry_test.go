@@ -150,28 +150,3 @@ func TestConcurrentAddSnapshot(t *testing.T) {
 		t.Errorf("histogram count = %d, want %d", h.Count, goroutines*perG)
 	}
 }
-
-func TestProfileCapture(t *testing.T) {
-	stop := StartProfile()
-	// Allocate something measurable.
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 16<<10))
-	}
-	p := stop()
-	_ = sink
-	if p.AllocBytes < 64*16<<10/2 {
-		t.Errorf("profile missed allocations: %+v", p)
-	}
-	if p.String() == "" {
-		t.Error("empty profile rendering")
-	}
-	for _, c := range []struct {
-		b    uint64
-		want string
-	}{{512, "512B"}, {4 << 10, "4.0KiB"}, {3 << 20, "3.0MiB"}, {2 << 30, "2.0GiB"}} {
-		if got := formatBytes(c.b); got != c.want {
-			t.Errorf("formatBytes(%d) = %q, want %q", c.b, got, c.want)
-		}
-	}
-}

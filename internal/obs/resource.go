@@ -51,8 +51,9 @@ type ResourceStats struct {
 
 // String renders the stats compactly for the Profiles channel.
 func (s ResourceStats) String() string {
-	out := fmt.Sprintf("peak-heap=%s peak-goroutines=%d alloc=%s gc=%d",
-		formatBytes(s.PeakHeapBytes), s.PeakGoroutines, formatBytes(s.AllocBytes), s.NumGC)
+	out := fmt.Sprintf("wall=%v alloc=%s gc=%d peak-heap=%s peak-goroutines=%d",
+		time.Duration(s.WallNS).Round(time.Millisecond), formatBytes(s.AllocBytes), s.NumGC,
+		formatBytes(s.PeakHeapBytes), s.PeakGoroutines)
 	if s.GCPauseMaxNS > 0 {
 		out += fmt.Sprintf(" gc-pause-max=%v", time.Duration(s.GCPauseMaxNS).Round(time.Microsecond))
 	}
@@ -63,6 +64,20 @@ func (s ResourceStats) String() string {
 		out += fmt.Sprintf(" events=%d", s.EventsProcessed)
 	}
 	return out
+}
+
+// formatBytes renders a byte count with a binary unit.
+func formatBytes(b uint64) string {
+	switch {
+	case b >= 1<<30:
+		return fmt.Sprintf("%.1fGiB", float64(b)/(1<<30))
+	case b >= 1<<20:
+		return fmt.Sprintf("%.1fMiB", float64(b)/(1<<20))
+	case b >= 1<<10:
+		return fmt.Sprintf("%.1fKiB", float64(b)/(1<<10))
+	default:
+		return fmt.Sprintf("%dB", b)
+	}
 }
 
 // ResourceSampler snapshots process resource state — runtime.MemStats,

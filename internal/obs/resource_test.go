@@ -131,6 +131,7 @@ func TestResourceSamplerTicker(t *testing.T) {
 
 func TestResourceStatsString(t *testing.T) {
 	s := ResourceStats{
+		WallNS:          int64(1500 * time.Millisecond),
 		PeakHeapBytes:   2 << 20,
 		PeakGoroutines:  7,
 		AllocBytes:      1 << 20,
@@ -140,7 +141,10 @@ func TestResourceStatsString(t *testing.T) {
 		EventsProcessed: 42,
 	}
 	out := s.String()
-	for _, want := range []string{"peak-heap=2.0MiB", "peak-goroutines=7", "gc=3", "events=42", "cpu="} {
+	if want := "wall=1.5s alloc=1.0MiB gc=3 peak-heap=2.0MiB"; !strings.HasPrefix(out, want) {
+		t.Errorf("String() = %q, want prefix %q", out, want)
+	}
+	for _, want := range []string{"peak-goroutines=7", "events=42", "cpu="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("String() = %q, missing %q", out, want)
 		}
@@ -150,6 +154,17 @@ func TestResourceStatsString(t *testing.T) {
 	for _, absent := range []string{"cpu=", "events=", "gc-pause-max="} {
 		if strings.Contains(brief, absent) {
 			t.Errorf("String() = %q, should omit %q", brief, absent)
+		}
+	}
+}
+
+func TestFormatBytes(t *testing.T) {
+	for _, c := range []struct {
+		b    uint64
+		want string
+	}{{512, "512B"}, {4 << 10, "4.0KiB"}, {3 << 20, "3.0MiB"}, {2 << 30, "2.0GiB"}} {
+		if got := formatBytes(c.b); got != c.want {
+			t.Errorf("formatBytes(%d) = %q, want %q", c.b, got, c.want)
 		}
 	}
 }

@@ -230,6 +230,7 @@ func (s *NodeServer) startConnIO(sc *serverConn) {
 func (s *NodeServer) readLoop(sc *serverConn) {
 	for {
 		_ = sc.conn.SetReadDeadline(time.Now().Add(2 * time.Minute))
+		// Caller-owned messages: the node retains decoded MsgBlock/MsgTx.
 		msg, err := wire.ReadMessage(sc.conn, s.netMagic)
 		if err != nil {
 			if errors.Is(err, wire.ErrUnknownCommand) {
@@ -246,13 +247,15 @@ func (s *NodeServer) readLoop(sc *serverConn) {
 
 // writeLoop drains the outbox onto the socket.
 func (s *NodeServer) writeLoop(sc *serverConn) {
+	enc := wire.GetEncoder()
+	defer enc.Release()
 	for {
 		select {
 		case <-sc.closed:
 			return
 		case msg := <-sc.outbox:
 			_ = sc.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-			if _, err := wire.WriteMessage(sc.conn, msg, s.netMagic); err != nil {
+			if _, err := enc.WriteMessage(sc.conn, msg, s.netMagic); err != nil {
 				s.dropConn(sc, true)
 				return
 			}

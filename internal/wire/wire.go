@@ -18,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"repro/internal/chainhash"
 )
 
 // BitcoinNet identifies which Bitcoin network a message belongs to via the
@@ -269,40 +267,6 @@ func WriteMessage(w io.Writer, msg Message, net BitcoinNet) (int, error) {
 	return n, err
 }
 
-// writeMessageBuffered is the legacy two-pass framing path: encode the
-// payload into a bytes.Buffer, write the header, write the payload. It is
-// kept as the reference implementation for FuzzEncoderParity, which pins
-// the pooled Encoder to this byte stream.
-func writeMessageBuffered(w io.Writer, msg Message, net BitcoinNet) (int, error) {
-	var payload bytes.Buffer
-	if err := msg.Encode(&payload); err != nil {
-		return 0, fmt.Errorf("wire: encode %s: %w", msg.Command(), err)
-	}
-	if payload.Len() > MaxMessagePayload {
-		return 0, fmt.Errorf("%w: %s payload is %d bytes", ErrPayloadTooLarge,
-			msg.Command(), payload.Len())
-	}
-	if len(msg.Command()) > CommandSize {
-		return 0, fmt.Errorf("wire: command %q exceeds %d bytes",
-			msg.Command(), CommandSize)
-	}
-	hdr := &messageHeader{
-		magic:    net,
-		command:  msg.Command(),
-		length:   uint32(payload.Len()),
-		checksum: chainhash.Checksum(payload.Bytes()),
-	}
-	hn, err := writeMessageHeader(w, hdr)
-	if err != nil {
-		return hn, fmt.Errorf("wire: write header: %w", err)
-	}
-	n, err := w.Write(payload.Bytes())
-	if err != nil {
-		return hn + n, fmt.Errorf("wire: write payload: %w", err)
-	}
-	return hn + n, nil
-}
-
 // ReadMessage reads one framed message for network net from r. It verifies
 // the magic and checksum and decodes the payload into the appropriate
 // message type. Unknown commands return ErrUnknownCommand (wrapped), with
@@ -316,37 +280,4 @@ func ReadMessage(r io.Reader, net BitcoinNet) (Message, error) {
 	msg, err := d.readMessage(r, net, false)
 	d.Release()
 	return msg, err
-}
-
-// readMessageBuffered is the legacy allocation-per-message read path, kept
-// as the reference implementation for FuzzEncoderParity.
-func readMessageBuffered(r io.Reader, net BitcoinNet) (Message, error) {
-	var scratch [headerSize]byte
-	hdr, err := readMessageHeader(r, &scratch)
-	if err != nil {
-		return nil, err
-	}
-	if hdr.magic != net {
-		return nil, fmt.Errorf("%w: got %#x, want %#x", ErrBadMagic,
-			uint32(hdr.magic), uint32(net))
-	}
-	if hdr.length > MaxMessagePayload {
-		return nil, fmt.Errorf("%w: header declares %d bytes",
-			ErrPayloadTooLarge, hdr.length)
-	}
-	payload := make([]byte, hdr.length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("wire: read %s payload: %w", hdr.command, err)
-	}
-	if sum := chainhash.Checksum(payload); sum != hdr.checksum {
-		return nil, fmt.Errorf("%w: %s payload", ErrBadChecksum, hdr.command)
-	}
-	msg, err := makeEmptyMessage(hdr.command)
-	if err != nil {
-		return nil, err
-	}
-	if err := msg.Decode(bytes.NewReader(payload)); err != nil {
-		return nil, fmt.Errorf("wire: decode %s: %w", hdr.command, err)
-	}
-	return msg, nil
 }
