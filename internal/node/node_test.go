@@ -467,6 +467,26 @@ func TestMineBlockExtendsChain(t *testing.T) {
 	}
 }
 
+// TestVersionAdvertisesTipHeight pins the outbound VERSION's StartHeight to
+// the chain tip at handshake time, not the height at construction.
+func TestVersionAdvertisesTipHeight(t *testing.T) {
+	const blocks = 4
+	n, env := minedChain(t, blocks)
+	n.OnDialResult(mkAddr(10, 0, 0, 2), 1, nil)
+	env.run(time.Second)
+	msgs := env.transmitsTo(1)
+	if len(msgs) == 0 {
+		t.Fatal("nothing transmitted after dial success")
+	}
+	ver, ok := msgs[0].(*wire.MsgVersion)
+	if !ok {
+		t.Fatalf("first message = %T, want *MsgVersion", msgs[0])
+	}
+	if ver.StartHeight != blocks {
+		t.Errorf("VERSION StartHeight = %d, want tip height %d", ver.StartHeight, blocks)
+	}
+}
+
 func TestBlockAnnouncedToPeers(t *testing.T) {
 	env := newFakeEnv()
 	n := New(testConfig(mkAddr(10, 0, 0, 1)), env)

@@ -3,6 +3,7 @@ package simnet
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/node"
@@ -73,11 +74,14 @@ func (h *Host) Stop() {
 	}
 	h.online = false
 	h.epoch++
-	// Close links under iteration: collect first.
+	// Close links under iteration: collect first, and close in ConnID
+	// order, because each close runs node code that schedules events and
+	// map order would differ from one process to the next.
 	ids := make([]node.ConnID, 0, len(h.links))
 	for id := range h.links {
 		ids = append(ids, id)
 	}
+	slices.Sort(ids)
 	for _, id := range ids {
 		h.net.closeLink(h, id)
 	}

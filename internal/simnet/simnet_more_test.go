@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -103,6 +104,42 @@ func TestRemoveHost(t *testing.T) {
 	out, _, _ := ha.Node().ConnCounts()
 	if out != 0 {
 		t.Errorf("connections to a removed host remain: %d", out)
+	}
+}
+
+// TestStopClosesLinksInConnIDOrder pins the order Host.Stop tears its
+// links down: each local OnDisconnect schedules follow-up events, so an
+// order taken from map iteration makes same-seed runs differ between
+// processes.
+func TestStopClosesLinksInConnIDOrder(t *testing.T) {
+	net := newTestNet(31)
+	hubAddr := addr4(10, 0, 0, 1, 8333)
+	var closed []node.ConnID
+	hubCfg := nodeCfg(hubAddr, nil)
+	hubCfg.Sink = node.SinkFunc(func(ev node.Event) {
+		if ev.Type == node.EvConnClose {
+			closed = append(closed, ev.Conn)
+		}
+	})
+	hub := net.AddFullNode(hubCfg)
+	hub.Start()
+	const peers = 12
+	for i := 0; i < peers; i++ {
+		net.AddFullNode(nodeCfg(addr4(10, 0, 1, byte(i+1), 8333),
+			seedsOf(net.Now(), hubAddr))).Start()
+	}
+	net.Scheduler().RunFor(30 * time.Second)
+	if _, in, _ := hub.Node().ConnCounts(); in != peers {
+		t.Fatalf("precondition: hub inbound = %d, want %d", in, peers)
+	}
+
+	closed = closed[:0]
+	hub.Stop()
+	if len(closed) != peers {
+		t.Fatalf("hub saw %d local disconnects, want %d", len(closed), peers)
+	}
+	if !slices.IsSorted(closed) {
+		t.Errorf("local OnDisconnect order %v is not ascending ConnID", closed)
 	}
 }
 

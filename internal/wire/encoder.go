@@ -9,11 +9,12 @@ import (
 	"repro/internal/chainhash"
 )
 
-// This file holds the pooled, zero-allocation framing path. The package
-// level WriteMessage/ReadMessage delegate to pooled Encoder/Decoder
-// instances, so every caller gets the allocation win; long-lived callers
-// (one per connection or per benchmark loop) can hold an Encoder/Decoder
-// directly and skip even the pool round-trip.
+// This file holds message framing. An Encoder owns the frame bytes and a
+// Decoder owns the payload bytes; Message.AppendPayload and Message.Decode
+// only ever see those two concrete buffers. The package level
+// WriteMessage/ReadMessage borrow pooled instances; long-lived callers (one
+// per connection or per benchmark loop) hold an Encoder/Decoder directly
+// and skip the pool round-trip.
 //
 // Ownership rules (see DESIGN "Hot-path memory discipline"):
 //
@@ -33,30 +34,14 @@ import (
 // buffer in the pool forever.
 const maxRetainedScratch = 1 << 20
 
-// frameBuilder is the io.Writer that Message.Encode targets inside an
-// Encoder: an append-only byte slice. It implements io.StringWriter so
-// WriteVarString via io.WriteString does not allocate a byte-slice copy.
-type frameBuilder struct{ buf []byte }
-
-func (b *frameBuilder) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	return len(p), nil
-}
-
-func (b *frameBuilder) WriteString(s string) (int, error) {
-	b.buf = append(b.buf, s...)
-	return len(s), nil
-}
-
 // Encoder frames messages into reusable scratch and writes each frame with
 // a single Write call. The encode is single-pass: the payload is appended
 // directly after a reserved 24-byte header slot, the checksum is computed
-// over the payload in place, and the header is back-filled — no
-// intermediate bytes.Buffer, no separate header write.
+// over the payload in place, and the header is back-filled.
 //
 // An Encoder is not safe for concurrent use.
 type Encoder struct {
-	frame frameBuilder
+	frame []byte
 }
 
 // WriteMessage frames msg for network net and writes it to w. It returns
@@ -68,18 +53,13 @@ func (e *Encoder) WriteMessage(w io.Writer, msg Message, net BitcoinNet) (int, e
 	if len(cmd) > CommandSize {
 		return 0, fmt.Errorf("wire: command %q exceeds %d bytes", cmd, CommandSize)
 	}
-	// Reserve the header slot; the command field must be NUL-padded, so
-	// clear it. Payload bytes are appended after it by msg.Encode.
-	if cap(e.frame.buf) < headerSize {
-		e.frame.buf = make([]byte, headerSize, 512)
-	} else {
-		e.frame.buf = e.frame.buf[:headerSize]
-	}
-	clear(e.frame.buf[:headerSize])
-	if err := msg.Encode(&e.frame); err != nil {
+	// Reserve a zeroed header slot (the command field is NUL-padded); the
+	// payload is appended after it.
+	frame, err := msg.AppendPayload(append(e.frame[:0], make([]byte, headerSize)...))
+	if err != nil {
 		return 0, fmt.Errorf("wire: encode %s: %w", cmd, err)
 	}
-	frame := e.frame.buf
+	e.frame = frame
 	payload := frame[headerSize:]
 	if len(payload) > MaxMessagePayload {
 		return 0, fmt.Errorf("%w: %s payload is %d bytes", ErrPayloadTooLarge,
@@ -106,16 +86,16 @@ func GetEncoder() *Encoder { return encoderPool.Get().(*Encoder) }
 // Release returns the Encoder to the pool. The Encoder must not be used
 // after Release.
 func (e *Encoder) Release() {
-	if cap(e.frame.buf) > maxRetainedScratch {
-		e.frame.buf = nil
+	if cap(e.frame) > maxRetainedScratch {
+		e.frame = nil
 	}
 	encoderPool.Put(e)
 }
 
 // Decoder reads framed messages using reusable payload scratch and, for
 // known commands, a reused message value per command. The Message returned
-// by ReadMessage (and anything reachable from it) is valid only until the
-// next ReadMessage call on the same Decoder.
+// by ReadMessage (and anything reachable from it) is borrowed: valid only
+// until the next ReadMessage call on the same Decoder.
 //
 // A Decoder is not safe for concurrent use.
 type Decoder struct {
@@ -191,8 +171,11 @@ func GetDecoder() *Decoder { return decoderPool.Get().(*Decoder) }
 // Release, except for messages from the fresh-allocation path (the
 // package-level ReadMessage), which are caller-owned.
 func (d *Decoder) Release() {
+	// The cached messages are as large as the frame they were decoded
+	// from, so they go whenever the scratch does.
 	if cap(d.payload) > maxRetainedScratch {
 		d.payload = nil
+		d.msgs = nil
 	}
 	decoderPool.Put(d)
 }

@@ -16,18 +16,18 @@ func parityAddrPort(b byte) netip.AddrPort {
 	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, b, 1}), 8333)
 }
 
-// writeMessageBuffered is the legacy two-pass framing path: encode the
-// payload into a bytes.Buffer, write the header, write the payload. It is
-// kept as the reference implementation for FuzzEncoderParity, which pins
-// the pooled Encoder to this byte stream.
+// writeMessageBuffered is the two-pass framing oracle: build the payload
+// on its own, write the header, write the payload. It is the reference
+// implementation for FuzzEncoderParity, which pins the Encoder's
+// single-pass back-filled frame to this byte stream.
 func writeMessageBuffered(w io.Writer, msg Message, net BitcoinNet) (int, error) {
-	var payload bytes.Buffer
-	if err := msg.Encode(&payload); err != nil {
+	payload, err := msg.AppendPayload(nil)
+	if err != nil {
 		return 0, fmt.Errorf("wire: encode %s: %w", msg.Command(), err)
 	}
-	if payload.Len() > MaxMessagePayload {
+	if len(payload) > MaxMessagePayload {
 		return 0, fmt.Errorf("%w: %s payload is %d bytes", ErrPayloadTooLarge,
-			msg.Command(), payload.Len())
+			msg.Command(), len(payload))
 	}
 	if len(msg.Command()) > CommandSize {
 		return 0, fmt.Errorf("wire: command %q exceeds %d bytes",
@@ -36,22 +36,22 @@ func writeMessageBuffered(w io.Writer, msg Message, net BitcoinNet) (int, error)
 	hdr := &messageHeader{
 		magic:    net,
 		command:  msg.Command(),
-		length:   uint32(payload.Len()),
-		checksum: chainhash.Checksum(payload.Bytes()),
+		length:   uint32(len(payload)),
+		checksum: chainhash.Checksum(payload),
 	}
 	hn, err := writeMessageHeader(w, hdr)
 	if err != nil {
 		return hn, fmt.Errorf("wire: write header: %w", err)
 	}
-	n, err := w.Write(payload.Bytes())
+	n, err := w.Write(payload)
 	if err != nil {
 		return hn + n, fmt.Errorf("wire: write payload: %w", err)
 	}
 	return hn + n, nil
 }
 
-// readMessageBuffered is the legacy allocation-per-message read path, kept
-// as the reference implementation for FuzzEncoderParity.
+// readMessageBuffered is the allocation-per-message read oracle for
+// FuzzEncoderParity: fresh header scratch, fresh payload, fresh message.
 func readMessageBuffered(r io.Reader, net BitcoinNet) (Message, error) {
 	var scratch [headerSize]byte
 	hdr, err := readMessageHeader(r, &scratch)
@@ -84,10 +84,10 @@ func readMessageBuffered(r io.Reader, net BitcoinNet) (Message, error) {
 }
 
 // FuzzEncoderParity is the differential fuzz target pinning the pooled
-// Encoder/Decoder to the legacy bytes.Buffer framing path: any frame the
-// legacy reader accepts must decode identically through a pooled Decoder
-// (twice, to exercise scratch reuse), and the decoded message must
-// re-encode byte-identically through both writers.
+// Encoder/Decoder framing to the two-pass oracle above: any frame the
+// oracle reader accepts must decode identically through a pooled Decoder
+// (twice, to exercise scratch and message reuse), and the decoded message
+// must re-frame byte-identically through both writers.
 func FuzzEncoderParity(f *testing.F) {
 	seeds := []Message{
 		&MsgPing{Nonce: 1},
@@ -117,49 +117,49 @@ func FuzzEncoderParity(f *testing.F) {
 	f.Add([]byte("not a frame"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		legacy, legacyErr := readMessageBuffered(bytes.NewReader(data), SimNet)
+		oracle, oracleErr := readMessageBuffered(bytes.NewReader(data), SimNet)
 		dec := GetDecoder()
 		defer dec.Release()
 		pooled, pooledErr := dec.ReadMessage(bytes.NewReader(data), SimNet)
-		if (legacyErr == nil) != (pooledErr == nil) {
-			t.Fatalf("acceptance mismatch: legacy err %v, pooled err %v",
-				legacyErr, pooledErr)
+		if (oracleErr == nil) != (pooledErr == nil) {
+			t.Fatalf("acceptance mismatch: oracle err %v, pooled err %v",
+				oracleErr, pooledErr)
 		}
-		if legacyErr != nil {
+		if oracleErr != nil {
 			return
 		}
-		if !reflect.DeepEqual(legacy, pooled) {
-			t.Fatalf("decode mismatch for %q:\nlegacy %#v\npooled %#v",
-				legacy.Command(), legacy, pooled)
+		if !reflect.DeepEqual(oracle, pooled) {
+			t.Fatalf("decode mismatch for %q:\noracle %#v\npooled %#v",
+				oracle.Command(), oracle, pooled)
 		}
 		// Second decode through the same Decoder reuses scratch and the
 		// cached message value; the result must not change.
 		again, err := dec.ReadMessage(bytes.NewReader(data), SimNet)
 		if err != nil {
-			t.Fatalf("pooled re-decode of %q: %v", legacy.Command(), err)
+			t.Fatalf("pooled re-decode of %q: %v", oracle.Command(), err)
 		}
-		if !reflect.DeepEqual(legacy, again) {
-			t.Fatalf("reused-decoder mismatch for %q", legacy.Command())
+		if !reflect.DeepEqual(oracle, again) {
+			t.Fatalf("reused-decoder mismatch for %q", oracle.Command())
 		}
 
-		var bufLegacy, bufPooled bytes.Buffer
-		nLegacy, err := writeMessageBuffered(&bufLegacy, legacy, SimNet)
+		var bufOracle, bufPooled bytes.Buffer
+		nOracle, err := writeMessageBuffered(&bufOracle, oracle, SimNet)
 		if err != nil {
-			t.Fatalf("legacy re-encode of %q: %v", legacy.Command(), err)
+			t.Fatalf("oracle re-encode of %q: %v", oracle.Command(), err)
 		}
 		enc := GetEncoder()
 		defer enc.Release()
 		nPooled, err := enc.WriteMessage(&bufPooled, again, SimNet)
 		if err != nil {
-			t.Fatalf("pooled re-encode of %q: %v", legacy.Command(), err)
+			t.Fatalf("pooled re-encode of %q: %v", oracle.Command(), err)
 		}
-		if nLegacy != nPooled {
-			t.Fatalf("byte count mismatch for %q: legacy %d, pooled %d",
-				legacy.Command(), nLegacy, nPooled)
+		if nOracle != nPooled {
+			t.Fatalf("byte count mismatch for %q: oracle %d, pooled %d",
+				oracle.Command(), nOracle, nPooled)
 		}
-		if !bytes.Equal(bufLegacy.Bytes(), bufPooled.Bytes()) {
-			t.Fatalf("frame mismatch for %q:\nlegacy %x\npooled %x",
-				legacy.Command(), bufLegacy.Bytes(), bufPooled.Bytes())
+		if !bytes.Equal(bufOracle.Bytes(), bufPooled.Bytes()) {
+			t.Fatalf("frame mismatch for %q:\noracle %x\npooled %x",
+				oracle.Command(), bufOracle.Bytes(), bufPooled.Bytes())
 		}
 	})
 }
@@ -263,6 +263,49 @@ func TestDecoderReuseNoPoisoning(t *testing.T) {
 	}
 	if n := gotPing.(*MsgPing).Nonce; n != 42 {
 		t.Fatalf("ping nonce = %d, want 42", n)
+	}
+}
+
+// TestDecoderReleaseDropsOversized reads a block frame above
+// maxRetainedScratch through a pooled Decoder: Release must let go of both
+// the payload scratch and the decoded block cached for reuse, or the pool
+// pins megabytes per idle Decoder.
+func TestDecoderReleaseDropsOversized(t *testing.T) {
+	script := make([]byte, maxScriptLen)
+	blk := &MsgBlock{Transactions: make([]MsgTx, 1+maxRetainedScratch/maxScriptLen)}
+	for i := range blk.Transactions {
+		blk.Transactions[i].TxIn = []TxIn{{SignatureScript: script}}
+	}
+	var frame bytes.Buffer
+	if _, err := WriteMessage(&frame, blk, SimNet); err != nil {
+		t.Fatal(err)
+	}
+
+	dec := GetDecoder()
+	if _, err := dec.ReadMessage(&frame, SimNet); err != nil {
+		t.Fatal(err)
+	}
+	if cap(dec.payload) <= maxRetainedScratch || dec.msgs[CmdBlock] == nil {
+		t.Fatalf("setup: payload cap %d, cached block %v", cap(dec.payload), dec.msgs[CmdBlock])
+	}
+	dec.Release()
+	if dec.payload != nil || len(dec.msgs) != 0 {
+		t.Errorf("released Decoder retains payload cap %d and %d cached messages",
+			cap(dec.payload), len(dec.msgs))
+	}
+
+	// An ordinary frame keeps both for the next user.
+	dec = new(Decoder)
+	frame.Reset()
+	if _, err := WriteMessage(&frame, &MsgPing{Nonce: 1}, SimNet); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dec.ReadMessage(&frame, SimNet); err != nil {
+		t.Fatal(err)
+	}
+	dec.Release()
+	if dec.payload == nil || dec.msgs[CmdPing] == nil {
+		t.Error("released Decoder dropped small scratch or its cached message")
 	}
 }
 

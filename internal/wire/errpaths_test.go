@@ -2,72 +2,8 @@ package wire
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"testing"
-	"time"
-
-	"repro/internal/chainhash"
 )
-
-// limitedWriter fails after n bytes, exercising encoder error paths.
-type limitedWriter struct {
-	n int
-}
-
-var errWriterFull = errors.New("writer full")
-
-func (w *limitedWriter) Write(p []byte) (int, error) {
-	if w.n <= 0 {
-		return 0, errWriterFull
-	}
-	if len(p) > w.n {
-		n := w.n
-		w.n = 0
-		return n, errWriterFull
-	}
-	w.n -= len(p)
-	return len(p), nil
-}
-
-// TestEncodeShortWriter drives every message encoder against writers that
-// fail at each possible byte offset: encoders must propagate the error,
-// never panic or report success.
-func TestEncodeShortWriter(t *testing.T) {
-	messages := []Message{
-		&MsgVersion{UserAgent: "/short/", Timestamp: time.Unix(1586000000, 0)},
-		&MsgAddr{AddrList: make([]NetAddress, 3)},
-		&MsgInv{invList{InvList: make([]InvVect, 2)}},
-		&MsgGetData{invList{InvList: make([]InvVect, 2)}},
-		&MsgNotFound{invList{InvList: make([]InvVect, 1)}},
-		&MsgTx{Version: 1, TxIn: []TxIn{{SignatureScript: []byte{1}}},
-			TxOut: []TxOut{{Value: 5, PkScript: []byte{2}}}},
-		&MsgBlock{Header: BlockHeader{Version: 4},
-			Transactions: []MsgTx{{Version: 1}}},
-		&MsgHeaders{Headers: make([]BlockHeader, 2)},
-		&MsgGetHeaders{BlockLocatorHashes: make([]chainhash.Hash, 2)},
-		&MsgPing{Nonce: 1},
-		&MsgPong{Nonce: 2},
-		&MsgReject{Cmd: "tx", Code: 1, Reason: "nope"},
-		&MsgSendCmpct{Announce: true, Version: 1},
-		&MsgCmpctBlock{ShortIDs: make([]ShortID, 2),
-			PrefilledTxs: []PrefilledTx{{Index: 0, Tx: MsgTx{Version: 1}}}},
-		&MsgGetBlockTxn{Indexes: []uint16{0, 4}},
-		&MsgBlockTxn{Transactions: []MsgTx{{Version: 1}}},
-	}
-	for _, msg := range messages {
-		var full bytes.Buffer
-		if err := msg.Encode(&full); err != nil {
-			t.Fatalf("%s baseline encode: %v", msg.Command(), err)
-		}
-		for limit := 0; limit < full.Len(); limit++ {
-			if err := msg.Encode(&limitedWriter{n: limit}); err == nil {
-				t.Errorf("%s: encode succeeded with a writer capped at %d/%d bytes",
-					msg.Command(), limit, full.Len())
-			}
-		}
-	}
-}
 
 // TestWriteMessageShortWriter covers framing-layer write failures.
 func TestWriteMessageShortWriter(t *testing.T) {
@@ -77,7 +13,7 @@ func TestWriteMessageShortWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for limit := 0; limit < full.Len(); limit++ {
-		if _, err := WriteMessage(&limitedWriter{n: limit}, msg, SimNet); err == nil {
+		if _, err := WriteMessage(&limitWriter{limit: limit}, msg, SimNet); err == nil {
 			t.Errorf("WriteMessage succeeded with writer capped at %d/%d", limit, full.Len())
 		}
 	}
@@ -93,6 +29,6 @@ func TestWriteMessageRejectsOversizedCommand(t *testing.T) {
 
 type badCommandMsg struct{}
 
-func (badCommandMsg) Command() string        { return "thirteenchars" }
-func (badCommandMsg) Encode(io.Writer) error { return nil }
-func (badCommandMsg) Decode(io.Reader) error { return nil }
+func (badCommandMsg) Command() string                        { return "thirteenchars" }
+func (badCommandMsg) AppendPayload(b []byte) ([]byte, error) { return b, nil }
+func (badCommandMsg) Decode(*bytes.Reader) error             { return nil }

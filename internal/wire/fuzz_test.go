@@ -67,11 +67,7 @@ func TestDecodeTruncations(t *testing.T) {
 		&MsgGetBlockTxn{Indexes: []uint16{1, 5, 9}},
 	}
 	for _, msg := range messages {
-		var buf bytes.Buffer
-		if err := msg.Encode(&buf); err != nil {
-			t.Fatalf("%s encode: %v", msg.Command(), err)
-		}
-		full := buf.Bytes()
+		full := mustPayload(t, msg)
 		for cut := 0; cut < len(full); cut++ {
 			fresh, err := makeEmptyMessage(msg.Command())
 			if err != nil {
@@ -98,35 +94,13 @@ func TestHostileCountFields(t *testing.T) {
 	cases := []struct {
 		name    string
 		command string
-		payload func() []byte
+		payload []byte
 	}{
-		{"addr-1e9", CmdAddr, func() []byte {
-			var b bytes.Buffer
-			_ = WriteVarInt(&b, 1_000_000_000)
-			return b.Bytes()
-		}},
-		{"inv-huge", CmdInv, func() []byte {
-			var b bytes.Buffer
-			_ = WriteVarInt(&b, 1<<40)
-			return b.Bytes()
-		}},
-		{"tx-huge-inputs", CmdTx, func() []byte {
-			var b bytes.Buffer
-			_ = writeUint32(&b, 1)
-			_ = WriteVarInt(&b, 1<<30)
-			return b.Bytes()
-		}},
-		{"headers-huge", CmdHeaders, func() []byte {
-			var b bytes.Buffer
-			_ = WriteVarInt(&b, 1<<20)
-			return b.Bytes()
-		}},
-		{"blocktxn-huge", CmdBlockTxn, func() []byte {
-			var b bytes.Buffer
-			b.Write(make([]byte, 32))
-			_ = WriteVarInt(&b, 1<<33)
-			return b.Bytes()
-		}},
+		{"addr-1e9", CmdAddr, appendVarInt(nil, 1_000_000_000)},
+		{"inv-huge", CmdInv, appendVarInt(nil, 1<<40)},
+		{"tx-huge-inputs", CmdTx, appendVarInt(appendUint32(nil, 1), 1<<30)},
+		{"headers-huge", CmdHeaders, appendVarInt(nil, 1<<20)},
+		{"blocktxn-huge", CmdBlockTxn, appendVarInt(make([]byte, 32), 1<<33)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,7 +108,7 @@ func TestHostileCountFields(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := msg.Decode(bytes.NewReader(tc.payload())); err == nil {
+			if err := msg.Decode(bytes.NewReader(tc.payload)); err == nil {
 				t.Error("hostile count accepted")
 			}
 		})

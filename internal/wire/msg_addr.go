@@ -1,8 +1,8 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 )
 
 // MsgGetAddr requests known addresses from a peer. The paper's crawler
@@ -15,11 +15,11 @@ var _ Message = (*MsgGetAddr)(nil)
 // Command implements Message.
 func (m *MsgGetAddr) Command() string { return CmdGetAddr }
 
-// Encode implements Message.
-func (m *MsgGetAddr) Encode(io.Writer) error { return nil }
+// AppendPayload implements Message.
+func (m *MsgGetAddr) AppendPayload(b []byte) ([]byte, error) { return b, nil }
 
 // Decode implements Message.
-func (m *MsgGetAddr) Decode(io.Reader) error { return nil }
+func (m *MsgGetAddr) Decode(*bytes.Reader) error { return nil }
 
 // MsgAddr carries up to MaxAddrPerMsg (1000) timestamped network
 // addresses. The paper's §IV-B shows these are 85.1% unreachable addresses
@@ -34,26 +34,22 @@ var _ Message = (*MsgAddr)(nil)
 // Command implements Message.
 func (m *MsgAddr) Command() string { return CmdAddr }
 
-// Encode implements Message.
-func (m *MsgAddr) Encode(w io.Writer) error {
+// AppendPayload implements Message.
+func (m *MsgAddr) AppendPayload(b []byte) ([]byte, error) {
 	if len(m.AddrList) > MaxAddrPerMsg {
-		return fmt.Errorf("%w: %d addresses (max %d)", ErrTooMany,
+		return nil, fmt.Errorf("%w: %d addresses (max %d)", ErrTooMany,
 			len(m.AddrList), MaxAddrPerMsg)
 	}
-	if err := WriteVarInt(w, uint64(len(m.AddrList))); err != nil {
-		return err
-	}
+	b = appendVarInt(b, uint64(len(m.AddrList)))
 	for i := range m.AddrList {
-		if err := writeNetAddress(w, &m.AddrList[i], true); err != nil {
-			return err
-		}
+		b = appendNetAddress(b, &m.AddrList[i], true)
 	}
-	return nil
+	return b, nil
 }
 
 // Decode implements Message.
-func (m *MsgAddr) Decode(r io.Reader) error {
-	count, err := ReadVarInt(r)
+func (m *MsgAddr) Decode(r *bytes.Reader) error {
+	count, err := readVarInt(r)
 	if err != nil {
 		return err
 	}
@@ -63,7 +59,7 @@ func (m *MsgAddr) Decode(r io.Reader) error {
 	}
 	// Reuse capacity when a Decoder recycles this message; every element
 	// is fully overwritten below. A fresh message still allocates (even
-	// for count 0) so decode results stay identical to the legacy path.
+	// for count 0) so fresh and recycled decodes compare equal.
 	if m.AddrList != nil && cap(m.AddrList) >= int(count) {
 		m.AddrList = m.AddrList[:count]
 	} else {

@@ -1,9 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"io"
 
 	"repro/internal/chainhash"
 )
@@ -24,20 +24,13 @@ var _ Message = (*MsgSendCmpct)(nil)
 // Command implements Message.
 func (m *MsgSendCmpct) Command() string { return CmdSendCmpct }
 
-// Encode implements Message.
-func (m *MsgSendCmpct) Encode(w io.Writer) error {
-	b := uint8(0)
-	if m.Announce {
-		b = 1
-	}
-	if err := writeUint8(w, b); err != nil {
-		return err
-	}
-	return writeUint64(w, m.Version)
+// AppendPayload implements Message.
+func (m *MsgSendCmpct) AppendPayload(b []byte) ([]byte, error) {
+	return appendUint64(append(b, boolByte(m.Announce)), m.Version), nil
 }
 
 // Decode implements Message.
-func (m *MsgSendCmpct) Decode(r io.Reader) error {
+func (m *MsgSendCmpct) Decode(r *bytes.Reader) error {
 	b, err := readUint8(r)
 	if err != nil {
 		return err
@@ -104,25 +97,15 @@ var _ Message = (*MsgCmpctBlock)(nil)
 // Command implements Message.
 func (m *MsgCmpctBlock) Command() string { return CmdCmpctBlock }
 
-// Encode implements Message.
-func (m *MsgCmpctBlock) Encode(w io.Writer) error {
-	if err := m.Header.Encode(w); err != nil {
-		return err
-	}
-	if err := writeUint64(w, m.Nonce); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(m.ShortIDs))); err != nil {
-		return err
-	}
+// AppendPayload implements Message.
+func (m *MsgCmpctBlock) AppendPayload(b []byte) ([]byte, error) {
+	b = m.Header.appendTo(b)
+	b = appendUint64(b, m.Nonce)
+	b = appendVarInt(b, uint64(len(m.ShortIDs)))
 	for i := range m.ShortIDs {
-		if _, err := w.Write(m.ShortIDs[i][:]); err != nil {
-			return err
-		}
+		b = append(b, m.ShortIDs[i][:]...)
 	}
-	if err := WriteVarInt(w, uint64(len(m.PrefilledTxs))); err != nil {
-		return err
-	}
+	b = appendVarInt(b, uint64(len(m.PrefilledTxs)))
 	// Prefilled indexes are differentially encoded: each stored index is
 	// the gap since the previous prefilled index minus one.
 	prev := -1
@@ -130,29 +113,25 @@ func (m *MsgCmpctBlock) Encode(w io.Writer) error {
 		p := &m.PrefilledTxs[i]
 		diff := int(p.Index) - prev - 1
 		if diff < 0 {
-			return fmt.Errorf("wire: prefilled tx indexes not strictly increasing at %d", p.Index)
+			return nil, fmt.Errorf("wire: prefilled tx indexes not strictly increasing at %d", p.Index)
 		}
-		if err := WriteVarInt(w, uint64(diff)); err != nil {
-			return err
-		}
-		if err := p.Tx.Encode(w); err != nil {
-			return err
-		}
+		b = appendVarInt(b, uint64(diff))
+		b = p.Tx.appendTo(b)
 		prev = int(p.Index)
 	}
-	return nil
+	return b, nil
 }
 
 // Decode implements Message.
-func (m *MsgCmpctBlock) Decode(r io.Reader) error {
-	if err := m.Header.Decode(r); err != nil {
+func (m *MsgCmpctBlock) Decode(r *bytes.Reader) error {
+	if err := m.Header.decode(r); err != nil {
 		return err
 	}
 	var err error
 	if m.Nonce, err = readUint64(r); err != nil {
 		return err
 	}
-	nIDs, err := ReadVarInt(r)
+	nIDs, err := readVarInt(r)
 	if err != nil {
 		return err
 	}
@@ -161,11 +140,11 @@ func (m *MsgCmpctBlock) Decode(r io.Reader) error {
 	}
 	m.ShortIDs = make([]ShortID, nIDs)
 	for i := range m.ShortIDs {
-		if _, err := io.ReadFull(r, m.ShortIDs[i][:]); err != nil {
+		if err := readFull(r, m.ShortIDs[i][:]); err != nil {
 			return err
 		}
 	}
-	nPre, err := ReadVarInt(r)
+	nPre, err := readVarInt(r)
 	if err != nil {
 		return err
 	}
@@ -175,7 +154,7 @@ func (m *MsgCmpctBlock) Decode(r io.Reader) error {
 	m.PrefilledTxs = make([]PrefilledTx, nPre)
 	prev := -1
 	for i := range m.PrefilledTxs {
-		diff, err := ReadVarInt(r)
+		diff, err := readVarInt(r)
 		if err != nil {
 			return err
 		}
@@ -215,34 +194,28 @@ var _ Message = (*MsgGetBlockTxn)(nil)
 // Command implements Message.
 func (m *MsgGetBlockTxn) Command() string { return CmdGetBlockTxn }
 
-// Encode implements Message.
-func (m *MsgGetBlockTxn) Encode(w io.Writer) error {
-	if _, err := w.Write(m.BlockHash[:]); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(m.Indexes))); err != nil {
-		return err
-	}
+// AppendPayload implements Message.
+func (m *MsgGetBlockTxn) AppendPayload(b []byte) ([]byte, error) {
+	b = append(b, m.BlockHash[:]...)
+	b = appendVarInt(b, uint64(len(m.Indexes)))
 	prev := -1
 	for _, idx := range m.Indexes {
 		diff := int(idx) - prev - 1
 		if diff < 0 {
-			return fmt.Errorf("wire: getblocktxn indexes not strictly increasing at %d", idx)
+			return nil, fmt.Errorf("wire: getblocktxn indexes not strictly increasing at %d", idx)
 		}
-		if err := WriteVarInt(w, uint64(diff)); err != nil {
-			return err
-		}
+		b = appendVarInt(b, uint64(diff))
 		prev = int(idx)
 	}
-	return nil
+	return b, nil
 }
 
 // Decode implements Message.
-func (m *MsgGetBlockTxn) Decode(r io.Reader) error {
-	if _, err := io.ReadFull(r, m.BlockHash[:]); err != nil {
+func (m *MsgGetBlockTxn) Decode(r *bytes.Reader) error {
+	if err := readFull(r, m.BlockHash[:]); err != nil {
 		return err
 	}
-	count, err := ReadVarInt(r)
+	count, err := readVarInt(r)
 	if err != nil {
 		return err
 	}
@@ -252,7 +225,7 @@ func (m *MsgGetBlockTxn) Decode(r io.Reader) error {
 	m.Indexes = make([]uint16, count)
 	prev := -1
 	for i := range m.Indexes {
-		diff, err := ReadVarInt(r)
+		diff, err := readVarInt(r)
 		if err != nil {
 			return err
 		}
@@ -279,28 +252,22 @@ var _ Message = (*MsgBlockTxn)(nil)
 // Command implements Message.
 func (m *MsgBlockTxn) Command() string { return CmdBlockTxn }
 
-// Encode implements Message.
-func (m *MsgBlockTxn) Encode(w io.Writer) error {
-	if _, err := w.Write(m.BlockHash[:]); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(m.Transactions))); err != nil {
-		return err
-	}
+// AppendPayload implements Message.
+func (m *MsgBlockTxn) AppendPayload(b []byte) ([]byte, error) {
+	b = append(b, m.BlockHash[:]...)
+	b = appendVarInt(b, uint64(len(m.Transactions)))
 	for i := range m.Transactions {
-		if err := m.Transactions[i].Encode(w); err != nil {
-			return err
-		}
+		b = m.Transactions[i].appendTo(b)
 	}
-	return nil
+	return b, nil
 }
 
 // Decode implements Message.
-func (m *MsgBlockTxn) Decode(r io.Reader) error {
-	if _, err := io.ReadFull(r, m.BlockHash[:]); err != nil {
+func (m *MsgBlockTxn) Decode(r *bytes.Reader) error {
+	if err := readFull(r, m.BlockHash[:]); err != nil {
 		return err
 	}
-	count, err := ReadVarInt(r)
+	count, err := readVarInt(r)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"repro/internal/chainhash"
 )
@@ -16,22 +15,13 @@ type InvVect struct {
 	Hash chainhash.Hash
 }
 
-func writeInvVect(w io.Writer, iv *InvVect) error {
-	if err := writeUint32(w, uint32(iv.Type)); err != nil {
-		return err
-	}
-	_, err := w.Write(iv.Hash[:])
-	return err
-}
-
-func readInvVect(r io.Reader, iv *InvVect) error {
+func readInvVect(r *bytes.Reader, iv *InvVect) error {
 	t, err := readUint32(r)
 	if err != nil {
 		return err
 	}
 	iv.Type = InvType(t)
-	_, err = io.ReadFull(r, iv.Hash[:])
-	return err
+	return readFull(r, iv.Hash[:])
 }
 
 // invList is the shared payload shape of INV, GETDATA, and NOTFOUND.
@@ -39,24 +29,23 @@ type invList struct {
 	InvList []InvVect
 }
 
-func (m *invList) encode(w io.Writer) error {
+// AppendPayload implements Message for the embedding types.
+func (m *invList) AppendPayload(b []byte) ([]byte, error) {
 	if len(m.InvList) > MaxInvPerMsg {
-		return fmt.Errorf("%w: %d inventory vectors (max %d)", ErrTooMany,
+		return nil, fmt.Errorf("%w: %d inventory vectors (max %d)", ErrTooMany,
 			len(m.InvList), MaxInvPerMsg)
 	}
-	if err := WriteVarInt(w, uint64(len(m.InvList))); err != nil {
-		return err
-	}
+	b = appendVarInt(b, uint64(len(m.InvList)))
 	for i := range m.InvList {
-		if err := writeInvVect(w, &m.InvList[i]); err != nil {
-			return err
-		}
+		b = appendUint32(b, uint32(m.InvList[i].Type))
+		b = append(b, m.InvList[i].Hash[:]...)
 	}
-	return nil
+	return b, nil
 }
 
-func (m *invList) decode(r io.Reader) error {
-	count, err := ReadVarInt(r)
+// Decode implements Message for the embedding types.
+func (m *invList) Decode(r *bytes.Reader) error {
+	count, err := readVarInt(r)
 	if err != nil {
 		return err
 	}
@@ -66,7 +55,7 @@ func (m *invList) decode(r io.Reader) error {
 	}
 	// Reuse capacity when a Decoder recycles this message; every element
 	// is fully overwritten below. A fresh message still allocates (even
-	// for count 0) so decode results stay identical to the legacy path.
+	// for count 0) so fresh and recycled decodes compare equal.
 	if m.InvList != nil && cap(m.InvList) >= int(count) {
 		m.InvList = m.InvList[:count]
 	} else {
@@ -90,12 +79,6 @@ var _ Message = (*MsgInv)(nil)
 // Command implements Message.
 func (m *MsgInv) Command() string { return CmdInv }
 
-// Encode implements Message.
-func (m *MsgInv) Encode(w io.Writer) error { return m.encode(w) }
-
-// Decode implements Message.
-func (m *MsgInv) Decode(r io.Reader) error { return m.decode(r) }
-
 // MsgGetData requests objects previously announced by INV.
 type MsgGetData struct {
 	invList
@@ -106,12 +89,6 @@ var _ Message = (*MsgGetData)(nil)
 // Command implements Message.
 func (m *MsgGetData) Command() string { return CmdGetData }
 
-// Encode implements Message.
-func (m *MsgGetData) Encode(w io.Writer) error { return m.encode(w) }
-
-// Decode implements Message.
-func (m *MsgGetData) Decode(r io.Reader) error { return m.decode(r) }
-
 // MsgNotFound answers a GETDATA for objects the peer no longer has.
 type MsgNotFound struct {
 	invList
@@ -121,12 +98,6 @@ var _ Message = (*MsgNotFound)(nil)
 
 // Command implements Message.
 func (m *MsgNotFound) Command() string { return CmdNotFound }
-
-// Encode implements Message.
-func (m *MsgNotFound) Encode(w io.Writer) error { return m.encode(w) }
-
-// Decode implements Message.
-func (m *MsgNotFound) Decode(r io.Reader) error { return m.decode(r) }
 
 // OutPoint references a specific output of a previous transaction.
 type OutPoint struct {
@@ -178,52 +149,38 @@ var _ Message = (*MsgTx)(nil)
 // Command implements Message.
 func (m *MsgTx) Command() string { return CmdTx }
 
-// Encode implements Message.
-func (m *MsgTx) Encode(w io.Writer) error {
-	if err := writeUint32(w, uint32(m.Version)); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(m.TxIn))); err != nil {
-		return err
-	}
+// AppendPayload implements Message.
+func (m *MsgTx) AppendPayload(b []byte) ([]byte, error) { return m.appendTo(b), nil }
+
+// appendTo appends the serialized transaction; no transaction is
+// unencodable, so blocks and hashing use it without an error to drop.
+func (m *MsgTx) appendTo(b []byte) []byte {
+	b = appendUint32(b, uint32(m.Version))
+	b = appendVarInt(b, uint64(len(m.TxIn)))
 	for i := range m.TxIn {
 		in := &m.TxIn[i]
-		if _, err := w.Write(in.PreviousOutPoint.Hash[:]); err != nil {
-			return err
-		}
-		if err := writeUint32(w, in.PreviousOutPoint.Index); err != nil {
-			return err
-		}
-		if err := writeByteSlice(w, in.SignatureScript); err != nil {
-			return err
-		}
-		if err := writeUint32(w, in.Sequence); err != nil {
-			return err
-		}
+		b = append(b, in.PreviousOutPoint.Hash[:]...)
+		b = appendUint32(b, in.PreviousOutPoint.Index)
+		b = appendByteSlice(b, in.SignatureScript)
+		b = appendUint32(b, in.Sequence)
 	}
-	if err := WriteVarInt(w, uint64(len(m.TxOut))); err != nil {
-		return err
-	}
+	b = appendVarInt(b, uint64(len(m.TxOut)))
 	for i := range m.TxOut {
 		out := &m.TxOut[i]
-		if err := writeUint64(w, uint64(out.Value)); err != nil {
-			return err
-		}
-		if err := writeByteSlice(w, out.PkScript); err != nil {
-			return err
-		}
+		b = appendUint64(b, uint64(out.Value))
+		b = appendByteSlice(b, out.PkScript)
 	}
-	return writeUint32(w, m.LockTime)
+	return appendUint32(b, m.LockTime)
 }
 
 // Decode implements Message.
-func (m *MsgTx) Decode(r io.Reader) error {
+func (m *MsgTx) Decode(r *bytes.Reader) error {
 	v, err := readUint32(r)
 	if err != nil {
 		return err
 	}
 	m.Version = int32(v)
-	nIn, err := ReadVarInt(r)
+	nIn, err := readVarInt(r)
 	if err != nil {
 		return err
 	}
@@ -233,7 +190,7 @@ func (m *MsgTx) Decode(r io.Reader) error {
 	m.TxIn = make([]TxIn, nIn)
 	for i := range m.TxIn {
 		in := &m.TxIn[i]
-		if _, err := io.ReadFull(r, in.PreviousOutPoint.Hash[:]); err != nil {
+		if err := readFull(r, in.PreviousOutPoint.Hash[:]); err != nil {
 			return err
 		}
 		if in.PreviousOutPoint.Index, err = readUint32(r); err != nil {
@@ -246,7 +203,7 @@ func (m *MsgTx) Decode(r io.Reader) error {
 			return err
 		}
 	}
-	nOut, err := ReadVarInt(r)
+	nOut, err := readVarInt(r)
 	if err != nil {
 		return err
 	}
@@ -270,43 +227,38 @@ func (m *MsgTx) Decode(r io.Reader) error {
 }
 
 // TxHash returns the double-SHA256 of the serialized transaction, its
-// canonical identifier.
+// canonical identifier. Transactions up to the scratch size hash without
+// allocating; larger ones grow onto the heap.
 func (m *MsgTx) TxHash() chainhash.Hash {
-	var buf bytes.Buffer
-	// Encoding to a buffer cannot fail.
-	_ = m.Encode(&buf)
-	return chainhash.DoubleSHA256(buf.Bytes())
+	var scratch [512]byte
+	return chainhash.DoubleSHA256(m.appendTo(scratch[:0]))
 }
 
 // SerializeSize returns the number of bytes the transaction occupies on
 // the wire.
 func (m *MsgTx) SerializeSize() int {
 	n := 4 + 4 // version + locktime
-	n += VarIntSerializeSize(uint64(len(m.TxIn)))
+	n += varIntSerializeSize(uint64(len(m.TxIn)))
 	for i := range m.TxIn {
 		n += 32 + 4 + 4 // prevout hash + index + sequence
-		n += VarIntSerializeSize(uint64(len(m.TxIn[i].SignatureScript)))
+		n += varIntSerializeSize(uint64(len(m.TxIn[i].SignatureScript)))
 		n += len(m.TxIn[i].SignatureScript)
 	}
-	n += VarIntSerializeSize(uint64(len(m.TxOut)))
+	n += varIntSerializeSize(uint64(len(m.TxOut)))
 	for i := range m.TxOut {
 		n += 8
-		n += VarIntSerializeSize(uint64(len(m.TxOut[i].PkScript)))
+		n += varIntSerializeSize(uint64(len(m.TxOut[i].PkScript)))
 		n += len(m.TxOut[i].PkScript)
 	}
 	return n
 }
 
-func writeByteSlice(w io.Writer, b []byte) error {
-	if err := WriteVarInt(w, uint64(len(b))); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
+func appendByteSlice(b, p []byte) []byte {
+	return append(appendVarInt(b, uint64(len(p))), p...)
 }
 
-func readByteSlice(r io.Reader) ([]byte, error) {
-	n, err := ReadVarInt(r)
+func readByteSlice(r *bytes.Reader) ([]byte, error) {
+	n, err := readVarInt(r)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +266,7 @@ func readByteSlice(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d-byte script", ErrTooMany, n)
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err := readFull(r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -336,71 +288,36 @@ type BlockHeader struct {
 	Nonce uint32
 }
 
-func (h *BlockHeader) fill(buf *[80]byte) {
-	putUint32(buf[0:4], uint32(h.Version))
-	copy(buf[4:36], h.PrevBlock[:])
-	copy(buf[36:68], h.MerkleRoot[:])
-	putUint32(buf[68:72], h.Timestamp)
-	putUint32(buf[72:76], h.Bits)
-	putUint32(buf[76:80], h.Nonce)
+// appendTo appends the 80-byte header serialization.
+func (h *BlockHeader) appendTo(b []byte) []byte {
+	b = appendUint32(b, uint32(h.Version))
+	b = append(b, h.PrevBlock[:]...)
+	b = append(b, h.MerkleRoot[:]...)
+	b = appendUint32(b, h.Timestamp)
+	b = appendUint32(b, h.Bits)
+	return appendUint32(b, h.Nonce)
 }
 
-func (h *BlockHeader) unfill(buf *[80]byte) {
+// decode reads the 80-byte header serialization.
+func (h *BlockHeader) decode(r *bytes.Reader) error {
+	var buf [80]byte
+	if err := readFull(r, buf[:]); err != nil {
+		return err
+	}
 	h.Version = int32(getUint32(buf[0:4]))
 	copy(h.PrevBlock[:], buf[4:36])
 	copy(h.MerkleRoot[:], buf[36:68])
 	h.Timestamp = getUint32(buf[68:72])
 	h.Bits = getUint32(buf[72:76])
 	h.Nonce = getUint32(buf[76:80])
-}
-
-// Encode writes the 80-byte header serialization.
-func (h *BlockHeader) Encode(w io.Writer) error {
-	if fb, ok := w.(*frameBuilder); ok {
-		var buf [80]byte
-		h.fill(&buf)
-		fb.buf = append(fb.buf, buf[:]...)
-		return nil
-	}
-	return h.encodeSlow(w)
-}
-
-func (h *BlockHeader) encodeSlow(w io.Writer) error {
-	var buf [80]byte
-	h.fill(&buf)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-// Decode reads the 80-byte header serialization.
-func (h *BlockHeader) Decode(r io.Reader) error {
-	var buf [80]byte
-	if br, ok := r.(*bytes.Reader); ok {
-		if err := readFull(br, buf[:]); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if buf, err = readBlockHeaderSlow(r); err != nil {
-			return err
-		}
-	}
-	h.unfill(&buf)
 	return nil
-}
-
-func readBlockHeaderSlow(r io.Reader) ([80]byte, error) {
-	var buf [80]byte
-	_, err := io.ReadFull(r, buf[:])
-	return buf, err
 }
 
 // BlockHash returns the double-SHA256 of the serialized header, the
 // block's canonical identifier.
 func (h *BlockHeader) BlockHash() chainhash.Hash {
-	var buf bytes.Buffer
-	_ = h.Encode(&buf)
-	return chainhash.DoubleSHA256(buf.Bytes())
+	var scratch [80]byte
+	return chainhash.DoubleSHA256(h.appendTo(scratch[:0]))
 }
 
 // maxTxPerBlock bounds block decoding allocation.
@@ -419,28 +336,22 @@ var _ Message = (*MsgBlock)(nil)
 // Command implements Message.
 func (m *MsgBlock) Command() string { return CmdBlock }
 
-// Encode implements Message.
-func (m *MsgBlock) Encode(w io.Writer) error {
-	if err := m.Header.Encode(w); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(m.Transactions))); err != nil {
-		return err
-	}
+// AppendPayload implements Message.
+func (m *MsgBlock) AppendPayload(b []byte) ([]byte, error) {
+	b = m.Header.appendTo(b)
+	b = appendVarInt(b, uint64(len(m.Transactions)))
 	for i := range m.Transactions {
-		if err := m.Transactions[i].Encode(w); err != nil {
-			return err
-		}
+		b = m.Transactions[i].appendTo(b)
 	}
-	return nil
+	return b, nil
 }
 
 // Decode implements Message.
-func (m *MsgBlock) Decode(r io.Reader) error {
-	if err := m.Header.Decode(r); err != nil {
+func (m *MsgBlock) Decode(r *bytes.Reader) error {
+	if err := m.Header.decode(r); err != nil {
 		return err
 	}
-	count, err := ReadVarInt(r)
+	count, err := readVarInt(r)
 	if err != nil {
 		return err
 	}
@@ -461,7 +372,7 @@ func (m *MsgBlock) BlockHash() chainhash.Hash { return m.Header.BlockHash() }
 
 // SerializeSize returns the block's on-wire size in bytes.
 func (m *MsgBlock) SerializeSize() int {
-	n := 80 + VarIntSerializeSize(uint64(len(m.Transactions)))
+	n := 80 + varIntSerializeSize(uint64(len(m.Transactions)))
 	for i := range m.Transactions {
 		n += m.Transactions[i].SerializeSize()
 	}
@@ -482,30 +393,24 @@ var _ Message = (*MsgHeaders)(nil)
 // Command implements Message.
 func (m *MsgHeaders) Command() string { return CmdHeaders }
 
-// Encode implements Message.
-func (m *MsgHeaders) Encode(w io.Writer) error {
+// AppendPayload implements Message.
+func (m *MsgHeaders) AppendPayload(b []byte) ([]byte, error) {
 	if len(m.Headers) > maxHeadersPerMsg {
-		return fmt.Errorf("%w: %d headers (max %d)", ErrTooMany,
+		return nil, fmt.Errorf("%w: %d headers (max %d)", ErrTooMany,
 			len(m.Headers), maxHeadersPerMsg)
 	}
-	if err := WriteVarInt(w, uint64(len(m.Headers))); err != nil {
-		return err
-	}
+	b = appendVarInt(b, uint64(len(m.Headers)))
 	for i := range m.Headers {
-		if err := m.Headers[i].Encode(w); err != nil {
-			return err
-		}
+		b = m.Headers[i].appendTo(b)
 		// Headers on the wire carry a trailing varint tx count of zero.
-		if err := WriteVarInt(w, 0); err != nil {
-			return err
-		}
+		b = appendVarInt(b, 0)
 	}
-	return nil
+	return b, nil
 }
 
 // Decode implements Message.
-func (m *MsgHeaders) Decode(r io.Reader) error {
-	count, err := ReadVarInt(r)
+func (m *MsgHeaders) Decode(r *bytes.Reader) error {
+	count, err := readVarInt(r)
 	if err != nil {
 		return err
 	}
@@ -515,10 +420,10 @@ func (m *MsgHeaders) Decode(r io.Reader) error {
 	}
 	m.Headers = make([]BlockHeader, count)
 	for i := range m.Headers {
-		if err := m.Headers[i].Decode(r); err != nil {
+		if err := m.Headers[i].decode(r); err != nil {
 			return err
 		}
-		txCount, err := ReadVarInt(r)
+		txCount, err := readVarInt(r)
 		if err != nil {
 			return err
 		}
@@ -549,34 +454,27 @@ var _ Message = (*MsgGetHeaders)(nil)
 // Command implements Message.
 func (m *MsgGetHeaders) Command() string { return CmdGetHeaders }
 
-// Encode implements Message.
-func (m *MsgGetHeaders) Encode(w io.Writer) error {
+// AppendPayload implements Message.
+func (m *MsgGetHeaders) AppendPayload(b []byte) ([]byte, error) {
 	if len(m.BlockLocatorHashes) > maxLocatorHashes {
-		return fmt.Errorf("%w: %d locator hashes (max %d)", ErrTooMany,
+		return nil, fmt.Errorf("%w: %d locator hashes (max %d)", ErrTooMany,
 			len(m.BlockLocatorHashes), maxLocatorHashes)
 	}
-	if err := writeUint32(w, m.ProtocolVersion); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(m.BlockLocatorHashes))); err != nil {
-		return err
-	}
+	b = appendUint32(b, m.ProtocolVersion)
+	b = appendVarInt(b, uint64(len(m.BlockLocatorHashes)))
 	for i := range m.BlockLocatorHashes {
-		if _, err := w.Write(m.BlockLocatorHashes[i][:]); err != nil {
-			return err
-		}
+		b = append(b, m.BlockLocatorHashes[i][:]...)
 	}
-	_, err := w.Write(m.HashStop[:])
-	return err
+	return append(b, m.HashStop[:]...), nil
 }
 
 // Decode implements Message.
-func (m *MsgGetHeaders) Decode(r io.Reader) error {
+func (m *MsgGetHeaders) Decode(r *bytes.Reader) error {
 	var err error
 	if m.ProtocolVersion, err = readUint32(r); err != nil {
 		return err
 	}
-	count, err := ReadVarInt(r)
+	count, err := readVarInt(r)
 	if err != nil {
 		return err
 	}
@@ -586,10 +484,9 @@ func (m *MsgGetHeaders) Decode(r io.Reader) error {
 	}
 	m.BlockLocatorHashes = make([]chainhash.Hash, count)
 	for i := range m.BlockLocatorHashes {
-		if _, err := io.ReadFull(r, m.BlockLocatorHashes[i][:]); err != nil {
+		if err := readFull(r, m.BlockLocatorHashes[i][:]); err != nil {
 			return err
 		}
 	}
-	_, err = io.ReadFull(r, m.HashStop[:])
-	return err
+	return readFull(r, m.HashStop[:])
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"io"
 	"time"
 )
@@ -35,41 +36,21 @@ var _ Message = (*MsgVersion)(nil)
 // Command implements Message.
 func (m *MsgVersion) Command() string { return CmdVersion }
 
-// Encode implements Message.
-func (m *MsgVersion) Encode(w io.Writer) error {
-	if err := writeUint32(w, m.ProtocolVersion); err != nil {
-		return err
-	}
-	if err := writeUint64(w, uint64(m.Services)); err != nil {
-		return err
-	}
-	if err := writeUint64(w, uint64(m.Timestamp.Unix())); err != nil {
-		return err
-	}
-	if err := writeNetAddress(w, &m.AddrYou, false); err != nil {
-		return err
-	}
-	if err := writeNetAddress(w, &m.AddrMe, false); err != nil {
-		return err
-	}
-	if err := writeUint64(w, m.Nonce); err != nil {
-		return err
-	}
-	if err := WriteVarString(w, m.UserAgent); err != nil {
-		return err
-	}
-	if err := writeUint32(w, uint32(m.StartHeight)); err != nil {
-		return err
-	}
-	relay := uint8(0)
-	if m.Relay {
-		relay = 1
-	}
-	return writeUint8(w, relay)
+// AppendPayload implements Message.
+func (m *MsgVersion) AppendPayload(b []byte) ([]byte, error) {
+	b = appendUint32(b, m.ProtocolVersion)
+	b = appendUint64(b, uint64(m.Services))
+	b = appendUint64(b, uint64(m.Timestamp.Unix()))
+	b = appendNetAddress(b, &m.AddrYou, false)
+	b = appendNetAddress(b, &m.AddrMe, false)
+	b = appendUint64(b, m.Nonce)
+	b = appendVarString(b, m.UserAgent)
+	b = appendUint32(b, uint32(m.StartHeight))
+	return append(b, boolByte(m.Relay)), nil
 }
 
 // Decode implements Message.
-func (m *MsgVersion) Decode(r io.Reader) error {
+func (m *MsgVersion) Decode(r *bytes.Reader) error {
 	var err error
 	if m.ProtocolVersion, err = readUint32(r); err != nil {
 		return err
@@ -93,7 +74,7 @@ func (m *MsgVersion) Decode(r io.Reader) error {
 	if m.Nonce, err = readUint64(r); err != nil {
 		return err
 	}
-	if m.UserAgent, err = ReadVarString(r); err != nil {
+	if m.UserAgent, err = readVarString(r); err != nil {
 		return err
 	}
 	h, err := readUint32(r)
@@ -123,11 +104,11 @@ var _ Message = (*MsgVerAck)(nil)
 // Command implements Message.
 func (m *MsgVerAck) Command() string { return CmdVerAck }
 
-// Encode implements Message.
-func (m *MsgVerAck) Encode(io.Writer) error { return nil }
+// AppendPayload implements Message.
+func (m *MsgVerAck) AppendPayload(b []byte) ([]byte, error) { return b, nil }
 
 // Decode implements Message.
-func (m *MsgVerAck) Decode(io.Reader) error { return nil }
+func (m *MsgVerAck) Decode(*bytes.Reader) error { return nil }
 
 // MsgPing is a keepalive probe carrying a nonce the peer echoes in PONG.
 type MsgPing struct {
@@ -140,11 +121,11 @@ var _ Message = (*MsgPing)(nil)
 // Command implements Message.
 func (m *MsgPing) Command() string { return CmdPing }
 
-// Encode implements Message.
-func (m *MsgPing) Encode(w io.Writer) error { return writeUint64(w, m.Nonce) }
+// AppendPayload implements Message.
+func (m *MsgPing) AppendPayload(b []byte) ([]byte, error) { return appendUint64(b, m.Nonce), nil }
 
 // Decode implements Message.
-func (m *MsgPing) Decode(r io.Reader) error {
+func (m *MsgPing) Decode(r *bytes.Reader) error {
 	var err error
 	m.Nonce, err = readUint64(r)
 	return err
@@ -161,11 +142,11 @@ var _ Message = (*MsgPong)(nil)
 // Command implements Message.
 func (m *MsgPong) Command() string { return CmdPong }
 
-// Encode implements Message.
-func (m *MsgPong) Encode(w io.Writer) error { return writeUint64(w, m.Nonce) }
+// AppendPayload implements Message.
+func (m *MsgPong) AppendPayload(b []byte) ([]byte, error) { return appendUint64(b, m.Nonce), nil }
 
 // Decode implements Message.
-func (m *MsgPong) Decode(r io.Reader) error {
+func (m *MsgPong) Decode(r *bytes.Reader) error {
 	var err error
 	m.Nonce, err = readUint64(r)
 	return err
@@ -186,26 +167,22 @@ var _ Message = (*MsgReject)(nil)
 // Command implements Message.
 func (m *MsgReject) Command() string { return CmdReject }
 
-// Encode implements Message.
-func (m *MsgReject) Encode(w io.Writer) error {
-	if err := WriteVarString(w, m.Cmd); err != nil {
-		return err
-	}
-	if err := writeUint8(w, m.Code); err != nil {
-		return err
-	}
-	return WriteVarString(w, m.Reason)
+// AppendPayload implements Message.
+func (m *MsgReject) AppendPayload(b []byte) ([]byte, error) {
+	b = appendVarString(b, m.Cmd)
+	b = append(b, m.Code)
+	return appendVarString(b, m.Reason), nil
 }
 
 // Decode implements Message.
-func (m *MsgReject) Decode(r io.Reader) error {
+func (m *MsgReject) Decode(r *bytes.Reader) error {
 	var err error
-	if m.Cmd, err = ReadVarString(r); err != nil {
+	if m.Cmd, err = readVarString(r); err != nil {
 		return err
 	}
 	if m.Code, err = readUint8(r); err != nil {
 		return err
 	}
-	m.Reason, err = ReadVarString(r)
+	m.Reason, err = readVarString(r)
 	return err
 }

@@ -9,30 +9,34 @@ import (
 	"time"
 )
 
-// Little-endian helpers over fixed buffers. These avoid the interface
-// allocations of binary.Read/Write on the hot encode/decode paths.
-//
-// Each helper carries a concrete fast path: writes recognize the
-// Encoder's *frameBuilder and append in place; reads recognize
-// *bytes.Reader (the Decoder's payload reader) and copy straight out of
-// it. The fast paths matter because a fixed-size scratch array passed
-// through an io.Writer/io.Reader interface call escapes to the heap —
-// exactly the per-field allocation this package is meant to avoid. The
-// slow paths keep their scratch in separate functions so the escape does
-// not leak into the fast path's frame.
+// Little-endian helpers. Payloads have one codec path: encoding appends
+// to a byte slice (the Encoder's frame, or a stack scratch when hashing)
+// and so cannot fail; decoding reads from the *bytes.Reader a Decoder
+// wraps around its payload scratch. Both sides are concrete types, so the
+// fixed-size arrays used below stay on the stack.
 
-func putUint16(b []byte, v uint16) { binary.LittleEndian.PutUint16(b, v) }
 func putUint32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
 func putUint64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 func getUint16(b []byte) uint16    { return binary.LittleEndian.Uint16(b) }
 func getUint32(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
 func getUint64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
 
-// readFull copies exactly len(p) bytes from a *bytes.Reader with
-// io.ReadFull's error contract, without the interface indirection that
-// would force p's backing array to the heap at the caller.
-func readFull(br *bytes.Reader, p []byte) error {
-	n, _ := br.Read(p)
+func appendUint16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
+func appendUint32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+func appendUint64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// readFull copies exactly len(p) bytes from r with io.ReadFull's error
+// contract: io.EOF if nothing was left, io.ErrUnexpectedEOF on a partial
+// read.
+func readFull(r *bytes.Reader, p []byte) error {
+	n, _ := r.Read(p)
 	if n < len(p) {
 		if n == 0 {
 			return io.EOF
@@ -42,168 +46,52 @@ func readFull(br *bytes.Reader, p []byte) error {
 	return nil
 }
 
-func writeUint8(w io.Writer, v uint8) error {
-	if fb, ok := w.(*frameBuilder); ok {
-		fb.buf = append(fb.buf, v)
-		return nil
-	}
-	return writeUint8Slow(w, v)
-}
+func readUint8(r *bytes.Reader) (uint8, error) { return r.ReadByte() }
 
-func writeUint8Slow(w io.Writer, v uint8) error {
-	_, err := w.Write([]byte{v})
-	return err
-}
-
-func readUint8(r io.Reader) (uint8, error) {
-	if br, ok := r.(*bytes.Reader); ok {
-		v, err := br.ReadByte()
-		return v, err
-	}
-	return readUint8Slow(r)
-}
-
-func readUint8Slow(r io.Reader) (uint8, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func writeUint16(w io.Writer, v uint16) error {
-	if fb, ok := w.(*frameBuilder); ok {
-		fb.buf = append(fb.buf, byte(v), byte(v>>8))
-		return nil
-	}
-	return writeUint16Slow(w, v)
-}
-
-func writeUint16Slow(w io.Writer, v uint16) error {
+func readUint16(r *bytes.Reader) (uint16, error) {
 	var b [2]byte
-	putUint16(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readUint16(r io.Reader) (uint16, error) {
-	if br, ok := r.(*bytes.Reader); ok {
-		var b [2]byte
-		if err := readFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return getUint16(b[:]), nil
-	}
-	return readUint16Slow(r)
-}
-
-func readUint16Slow(r io.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
+	if err := readFull(r, b[:]); err != nil {
 		return 0, err
 	}
 	return getUint16(b[:]), nil
 }
 
-func writeUint32(w io.Writer, v uint32) error {
-	if fb, ok := w.(*frameBuilder); ok {
-		fb.buf = append(fb.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		return nil
-	}
-	return writeUint32Slow(w, v)
-}
-
-func writeUint32Slow(w io.Writer, v uint32) error {
+func readUint32(r *bytes.Reader) (uint32, error) {
 	var b [4]byte
-	putUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readUint32(r io.Reader) (uint32, error) {
-	if br, ok := r.(*bytes.Reader); ok {
-		var b [4]byte
-		if err := readFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return getUint32(b[:]), nil
-	}
-	return readUint32Slow(r)
-}
-
-func readUint32Slow(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
+	if err := readFull(r, b[:]); err != nil {
 		return 0, err
 	}
 	return getUint32(b[:]), nil
 }
 
-func writeUint64(w io.Writer, v uint64) error {
-	if fb, ok := w.(*frameBuilder); ok {
-		fb.buf = append(fb.buf,
-			byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-		return nil
-	}
-	return writeUint64Slow(w, v)
-}
-
-func writeUint64Slow(w io.Writer, v uint64) error {
+func readUint64(r *bytes.Reader) (uint64, error) {
 	var b [8]byte
-	putUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readUint64(r io.Reader) (uint64, error) {
-	if br, ok := r.(*bytes.Reader); ok {
-		var b [8]byte
-		if err := readFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return getUint64(b[:]), nil
-	}
-	return readUint64Slow(r)
-}
-
-func readUint64Slow(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
+	if err := readFull(r, b[:]); err != nil {
 		return 0, err
 	}
 	return getUint64(b[:]), nil
 }
 
-// WriteVarInt writes a Bitcoin variable-length integer: values below 0xfd
-// encode as one byte; larger values use a 0xfd/0xfe/0xff discriminator
-// followed by 2/4/8 little-endian bytes.
-func WriteVarInt(w io.Writer, v uint64) error {
+// appendVarInt appends a Bitcoin variable-length integer: values below
+// 0xfd encode as one byte; larger values use a 0xfd/0xfe/0xff
+// discriminator followed by 2/4/8 little-endian bytes.
+func appendVarInt(b []byte, v uint64) []byte {
 	switch {
 	case v < 0xfd:
-		return writeUint8(w, uint8(v))
+		return append(b, uint8(v))
 	case v <= 0xffff:
-		if err := writeUint8(w, 0xfd); err != nil {
-			return err
-		}
-		return writeUint16(w, uint16(v))
+		return appendUint16(append(b, 0xfd), uint16(v))
 	case v <= 0xffffffff:
-		if err := writeUint8(w, 0xfe); err != nil {
-			return err
-		}
-		return writeUint32(w, uint32(v))
+		return appendUint32(append(b, 0xfe), uint32(v))
 	default:
-		if err := writeUint8(w, 0xff); err != nil {
-			return err
-		}
-		return writeUint64(w, v)
+		return appendUint64(append(b, 0xff), v)
 	}
 }
 
-// ReadVarInt reads a Bitcoin variable-length integer. Non-canonical
+// readVarInt reads a Bitcoin variable-length integer. Non-canonical
 // encodings (a wider form used for a value that fits a narrower one) are
 // rejected, matching Bitcoin Core's strict mode.
-func ReadVarInt(r io.Reader) (uint64, error) {
+func readVarInt(r *bytes.Reader) (uint64, error) {
 	disc, err := readUint8(r)
 	if err != nil {
 		return 0, err
@@ -241,8 +129,8 @@ func ReadVarInt(r io.Reader) (uint64, error) {
 	}
 }
 
-// VarIntSerializeSize returns the encoded size of v in bytes.
-func VarIntSerializeSize(v uint64) int {
+// varIntSerializeSize returns the encoded size of v in bytes.
+func varIntSerializeSize(v uint64) int {
 	switch {
 	case v < 0xfd:
 		return 1
@@ -259,19 +147,15 @@ func VarIntSerializeSize(v uint64) int {
 // longest legitimate string on the wire is a user agent.
 const maxVarStringLen = 16 * 1024
 
-// WriteVarString writes a length-prefixed string.
-func WriteVarString(w io.Writer, s string) error {
-	if err := WriteVarInt(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
+// appendVarString appends a length-prefixed string.
+func appendVarString(b []byte, s string) []byte {
+	return append(appendVarInt(b, uint64(len(s))), s...)
 }
 
-// ReadVarString reads a length-prefixed string, rejecting lengths above
+// readVarString reads a length-prefixed string, rejecting lengths above
 // maxVarStringLen to bound allocation from hostile peers.
-func ReadVarString(r io.Reader) (string, error) {
-	n, err := ReadVarInt(r)
+func readVarString(r *bytes.Reader) (string, error) {
+	n, err := readVarInt(r)
 	if err != nil {
 		return "", err
 	}
@@ -279,7 +163,7 @@ func ReadVarString(r io.Reader) (string, error) {
 		return "", fmt.Errorf("wire: var string of %d bytes exceeds limit", n)
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err := readFull(r, buf); err != nil {
 		return "", err
 	}
 	return string(buf), nil
@@ -318,40 +202,21 @@ func NewNetAddress(ap netip.AddrPort, services ServiceFlag, ts time.Time) NetAdd
 	return NetAddress{Timestamp: ts, Services: services, Addr: ap}
 }
 
-// writeNetAddress encodes na; the timestamp is included iff withTS.
-func writeNetAddress(w io.Writer, na *NetAddress, withTS bool) error {
+// appendNetAddress encodes na; the timestamp is included iff withTS.
+func appendNetAddress(b []byte, na *NetAddress, withTS bool) []byte {
 	if withTS {
-		if err := writeUint32(w, uint32(na.Timestamp.Unix())); err != nil {
-			return err
-		}
+		b = appendUint32(b, uint32(na.Timestamp.Unix()))
 	}
-	if err := writeUint64(w, uint64(na.Services)); err != nil {
-		return err
-	}
+	b = appendUint64(b, uint64(na.Services))
+	ip := na.Addr.Addr().As16()
+	b = append(b, ip[:]...)
 	// Port is big-endian on the wire, unlike everything else.
 	port := na.Addr.Port()
-	if fb, ok := w.(*frameBuilder); ok {
-		ip := na.Addr.Addr().As16()
-		fb.buf = append(fb.buf, ip[:]...)
-		fb.buf = append(fb.buf, byte(port>>8), byte(port))
-		return nil
-	}
-	return writeNetAddressSlow(w, na, port)
-}
-
-func writeNetAddressSlow(w io.Writer, na *NetAddress, port uint16) error {
-	ip := na.Addr.Addr().As16()
-	if _, err := w.Write(ip[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{byte(port >> 8), byte(port)}); err != nil {
-		return err
-	}
-	return nil
+	return append(b, byte(port>>8), byte(port))
 }
 
 // readNetAddress decodes into na; the timestamp is expected iff withTS.
-func readNetAddress(r io.Reader, na *NetAddress, withTS bool) error {
+func readNetAddress(r *bytes.Reader, na *NetAddress, withTS bool) error {
 	if withTS {
 		ts, err := readUint32(r)
 		if err != nil {
@@ -366,20 +231,11 @@ func readNetAddress(r io.Reader, na *NetAddress, withTS bool) error {
 	na.Services = ServiceFlag(svc)
 	var ip [16]byte
 	var portBuf [2]byte
-	if br, ok := r.(*bytes.Reader); ok {
-		if err := readFull(br, ip[:]); err != nil {
-			return err
-		}
-		if err := readFull(br, portBuf[:]); err != nil {
-			return err
-		}
-	} else {
-		// The slow path returns by value so its heap-escaping scratch does
-		// not drag the fast path's stack arrays along with it.
-		var err error
-		if ip, portBuf, err = readNetAddressTailSlow(r); err != nil {
-			return err
-		}
+	if err := readFull(r, ip[:]); err != nil {
+		return err
+	}
+	if err := readFull(r, portBuf[:]); err != nil {
+		return err
 	}
 	port := uint16(portBuf[0])<<8 | uint16(portBuf[1])
 	addr := netip.AddrFrom16(ip)
@@ -388,16 +244,6 @@ func readNetAddress(r io.Reader, na *NetAddress, withTS bool) error {
 	}
 	na.Addr = netip.AddrPortFrom(addr, port)
 	return nil
-}
-
-func readNetAddressTailSlow(r io.Reader) ([16]byte, [2]byte, error) {
-	var ip [16]byte
-	var portBuf [2]byte
-	if _, err := io.ReadFull(r, ip[:]); err != nil {
-		return ip, portBuf, err
-	}
-	_, err := io.ReadFull(r, portBuf[:])
-	return ip, portBuf, err
 }
 
 // InvType identifies the kind of object an inventory vector refers to.

@@ -8,9 +8,9 @@
 //
 // Encoding follows the Bitcoin protocol documentation; integers are
 // little-endian unless noted. Every message round-trips through
-// Encode/Decode, and ReadMessage/WriteMessage frame messages over any
-// io.Reader/io.Writer, which lets the same implementation serve both the
-// real-TCP transport and in-memory tests.
+// AppendPayload/Decode, and ReadMessage/WriteMessage frame messages over
+// any io.Reader/io.Writer, which lets the same implementation serve both
+// the real-TCP transport and in-memory tests.
 package wire
 
 import (
@@ -103,10 +103,13 @@ const (
 type Message interface {
 	// Command returns the protocol command string for the message.
 	Command() string
-	// Encode writes the message payload to w.
-	Encode(w io.Writer) error
-	// Decode reads the message payload from r.
-	Decode(r io.Reader) error
+	// AppendPayload appends the message payload to b and returns the
+	// extended slice. It fails only when the message itself is invalid
+	// (a count above its per-message limit, unordered indexes).
+	AppendPayload(b []byte) ([]byte, error)
+	// Decode reads the message payload from r, copying out every byte it
+	// keeps.
+	Decode(r *bytes.Reader) error
 }
 
 // Error sentinels for framing failures; use errors.Is to test.

@@ -29,6 +29,16 @@ func testNetAddress(t *testing.T) NetAddress {
 		SFNodeNetwork, time.Unix(1586000000, 0).UTC())
 }
 
+// mustPayload returns msg's encoded payload or fails the test.
+func mustPayload(t *testing.T, msg Message) []byte {
+	t.Helper()
+	b, err := msg.AppendPayload(nil)
+	if err != nil {
+		t.Fatalf("%s payload: %v", msg.Command(), err)
+	}
+	return b
+}
+
 // roundTrip frames msg over an in-memory buffer and decodes it back,
 // asserting structural equality.
 func roundTrip(t *testing.T, msg Message) Message {
@@ -75,11 +85,8 @@ func TestVersionMissingRelayFlag(t *testing.T) {
 		Timestamp:       time.Unix(1586312000, 0).UTC(),
 		UserAgent:       "/old/",
 	}
-	var buf bytes.Buffer
-	if err := msg.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()[:buf.Len()-1] // strip relay byte
+	raw := mustPayload(t, msg)
+	raw = raw[:len(raw)-1] // strip relay byte
 	var got MsgVersion
 	if err := got.Decode(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("decode without relay byte: %v", err)
@@ -123,19 +130,15 @@ func TestAddrIPv6RoundTrip(t *testing.T) {
 
 func TestAddrTooMany(t *testing.T) {
 	msg := &MsgAddr{AddrList: make([]NetAddress, MaxAddrPerMsg+1)}
-	var buf bytes.Buffer
-	if err := msg.Encode(&buf); !errors.Is(err, ErrTooMany) {
+	if _, err := msg.AppendPayload(nil); !errors.Is(err, ErrTooMany) {
 		t.Errorf("encode err = %v, want ErrTooMany", err)
 	}
 }
 
 func TestAddrDecodeTooMany(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteVarInt(&buf, MaxAddrPerMsg+1); err != nil {
-		t.Fatal(err)
-	}
 	var msg MsgAddr
-	if err := msg.Decode(&buf); !errors.Is(err, ErrTooMany) {
+	raw := appendVarInt(nil, MaxAddrPerMsg+1)
+	if err := msg.Decode(bytes.NewReader(raw)); !errors.Is(err, ErrTooMany) {
 		t.Errorf("decode err = %v, want ErrTooMany", err)
 	}
 }
@@ -188,12 +191,9 @@ func TestTxRoundTrip(t *testing.T) {
 
 func TestTxSerializeSizeMatchesEncoding(t *testing.T) {
 	tx := makeTestTx(9)
-	var buf bytes.Buffer
-	if err := tx.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := tx.SerializeSize(); got != buf.Len() {
-		t.Errorf("SerializeSize = %d, encoded %d bytes", got, buf.Len())
+	raw := mustPayload(t, &tx)
+	if got := tx.SerializeSize(); got != len(raw) {
+		t.Errorf("SerializeSize = %d, encoded %d bytes", got, len(raw))
 	}
 }
 
@@ -205,6 +205,28 @@ func TestTxHashDeterministic(t *testing.T) {
 	c := makeTestTx(6)
 	if a.TxHash() == c.TxHash() {
 		t.Error("distinct transactions must not share a hash")
+	}
+}
+
+// TestHashSharesTheFramedBytes pins hashing to the codec: TxHash is the
+// double-SHA256 of exactly the payload an Encoder frames for the same
+// transaction, and neither hash allocates.
+func TestHashSharesTheFramedBytes(t *testing.T) {
+	tx := makeTestTx(5)
+	var frame bytes.Buffer
+	var enc Encoder
+	if _, err := enc.WriteMessage(&frame, &tx, SimNet); err != nil {
+		t.Fatal(err)
+	}
+	if want := chainhash.DoubleSHA256(frame.Bytes()[headerSize:]); tx.TxHash() != want {
+		t.Errorf("TxHash = %s, framed payload hashes to %s", tx.TxHash(), want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = tx.TxHash() }); n != 0 {
+		t.Errorf("TxHash allocates %.1f per run, want 0", n)
+	}
+	hdr := BlockHeader{Version: 4, PrevBlock: makeHash(1), Timestamp: 1586312000}
+	if n := testing.AllocsPerRun(100, func() { _ = hdr.BlockHash() }); n != 0 {
+		t.Errorf("BlockHash allocates %.1f per run, want 0", n)
 	}
 }
 
@@ -228,12 +250,9 @@ func TestBlockSerializeSizeMatchesEncoding(t *testing.T) {
 		Header:       BlockHeader{Version: 4},
 		Transactions: []MsgTx{makeTestTx(1), makeTestTx(2)},
 	}
-	var buf bytes.Buffer
-	if err := blk.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := blk.SerializeSize(); got != buf.Len() {
-		t.Errorf("SerializeSize = %d, encoded %d bytes", got, buf.Len())
+	raw := mustPayload(t, blk)
+	if got := blk.SerializeSize(); got != len(raw) {
+		t.Errorf("SerializeSize = %d, encoded %d bytes", got, len(raw))
 	}
 }
 
@@ -297,8 +316,7 @@ func TestCmpctBlockBadPrefilledOrder(t *testing.T) {
 			{Index: 3, Tx: makeTestTx(2)}, // duplicate index
 		},
 	}
-	var buf bytes.Buffer
-	if err := msg.Encode(&buf); err == nil {
+	if _, err := msg.AppendPayload(nil); err == nil {
 		t.Error("non-increasing prefilled indexes: want error")
 	}
 }
@@ -424,15 +442,12 @@ func TestVarIntRoundTrip(t *testing.T) {
 		0xffffffff, 0x100000000, 1<<64 - 1,
 	}
 	for _, v := range values {
-		var buf bytes.Buffer
-		if err := WriteVarInt(&buf, v); err != nil {
-			t.Fatalf("write %d: %v", v, err)
+		raw := appendVarInt(nil, v)
+		if len(raw) != varIntSerializeSize(v) {
+			t.Errorf("value %d: size %d, varIntSerializeSize %d",
+				v, len(raw), varIntSerializeSize(v))
 		}
-		if buf.Len() != VarIntSerializeSize(v) {
-			t.Errorf("value %d: size %d, VarIntSerializeSize %d",
-				v, buf.Len(), VarIntSerializeSize(v))
-		}
-		got, err := ReadVarInt(&buf)
+		got, err := readVarInt(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("read %d: %v", v, err)
 		}
@@ -451,7 +466,7 @@ func TestVarIntNonCanonical(t *testing.T) {
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0, 0, 0x00}, // fits uint32
 	}
 	for i, raw := range cases {
-		if _, err := ReadVarInt(bytes.NewReader(raw)); err == nil {
+		if _, err := readVarInt(bytes.NewReader(raw)); err == nil {
 			t.Errorf("case %d: non-canonical varint accepted", i)
 		}
 	}
@@ -459,11 +474,7 @@ func TestVarIntNonCanonical(t *testing.T) {
 
 func TestVarStringRoundTrip(t *testing.T) {
 	for _, s := range []string{"", "a", "/Satoshi:0.20.1/", string(make([]byte, 300))} {
-		var buf bytes.Buffer
-		if err := WriteVarString(&buf, s); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadVarString(&buf)
+		got, err := readVarString(bytes.NewReader(appendVarString(nil, s)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,11 +485,8 @@ func TestVarStringRoundTrip(t *testing.T) {
 }
 
 func TestVarStringTooLong(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteVarInt(&buf, maxVarStringLen+1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadVarString(&buf); err == nil {
+	raw := appendVarInt(nil, maxVarStringLen+1)
+	if _, err := readVarString(bytes.NewReader(raw)); err == nil {
 		t.Error("oversized var string accepted")
 	}
 }
@@ -487,12 +495,9 @@ func TestNetAddressIPv4Mapping(t *testing.T) {
 	// IPv4 addresses travel as 4-in-6 and must come back as plain IPv4.
 	na := NewNetAddress(mustAddrPort(t, "192.0.2.1:8333"), SFNodeNetwork,
 		time.Unix(1586000000, 0).UTC())
-	var buf bytes.Buffer
-	if err := writeNetAddress(&buf, &na, true); err != nil {
-		t.Fatal(err)
-	}
 	var got NetAddress
-	if err := readNetAddress(&buf, &got, true); err != nil {
+	raw := appendNetAddress(nil, &na, true)
+	if err := readNetAddress(bytes.NewReader(raw), &got, true); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Addr.Addr().Is4() {
@@ -525,11 +530,7 @@ func TestVarIntRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		v := rng.Uint64() >> uint(rng.Intn(64))
-		var buf bytes.Buffer
-		if err := WriteVarInt(&buf, v); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadVarInt(&buf)
+		got, err := readVarInt(bytes.NewReader(appendVarInt(nil, v)))
 		if err != nil || got != v {
 			t.Fatalf("round trip %d -> %d (err %v)", v, got, err)
 		}
@@ -591,15 +592,12 @@ func TestTxRoundTripProperty(t *testing.T) {
 				PkScript: script,
 			})
 		}
-		var buf bytes.Buffer
-		if err := tx.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf.Len() != tx.SerializeSize() {
-			t.Fatalf("iteration %d: size mismatch %d vs %d", i, buf.Len(), tx.SerializeSize())
+		raw := mustPayload(t, &tx)
+		if len(raw) != tx.SerializeSize() {
+			t.Fatalf("iteration %d: size mismatch %d vs %d", i, len(raw), tx.SerializeSize())
 		}
 		var got MsgTx
-		if err := got.Decode(&buf); err != nil {
+		if err := got.Decode(bytes.NewReader(raw)); err != nil {
 			t.Fatal(err)
 		}
 		// Normalize nil vs empty slices for comparison.
