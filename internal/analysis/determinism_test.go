@@ -157,3 +157,59 @@ func TestChaosObservabilityGolden(t *testing.T) {
 		t.Error("different seeds produced identical series CSVs")
 	}
 }
+
+// TestPropagationObservabilityGolden is the propagation twin of the
+// chaos golden: with several transactions per block, two same-seed runs
+// must agree on the trace digest, the event total and the series CSV,
+// and a different seed must change the digest. Block templates are the
+// sensitive spot — the transaction order decides the merkle root, the
+// block hash, and through it every deliver.block/relay.block label and
+// span identifier in the trace.
+func TestPropagationObservabilityGolden(t *testing.T) {
+	cfg := PropagationConfig{
+		Seed:         77,
+		NumReachable: 30,
+		Duration:     45 * time.Minute,
+		TxPerBlock:   20,
+	}
+	a, err := RunPropagation(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunPropagation(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.TraceTotal == 0 || a.BlocksMined == 0 {
+		t.Fatalf("run emitted %d trace events over %d blocks", a.TraceTotal, a.BlocksMined)
+	}
+	if a.TraceDigest != b.TraceDigest {
+		t.Errorf("same-seed trace digests differ: %s vs %s", a.TraceDigest, b.TraceDigest)
+	}
+	if a.TraceTotal != b.TraceTotal {
+		t.Errorf("same-seed trace totals differ: %d vs %d", a.TraceTotal, b.TraceTotal)
+	}
+	csvA, err := a.Series.EncodeCSV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvB, err := b.Series.EncodeCSV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if csvA == "" {
+		t.Fatal("run produced no time series")
+	}
+	if csvA != csvB {
+		t.Error("same-seed series CSVs differ")
+	}
+
+	cfg.Seed = 78
+	c, err := RunPropagation(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.TraceDigest == a.TraceDigest {
+		t.Error("different seeds produced the same trace digest")
+	}
+}

@@ -1,7 +1,9 @@
 package node
 
 import (
+	"bytes"
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/chain"
@@ -550,7 +552,8 @@ func (n *Node) handleBlockTxn(p *Peer, m *wire.MsgBlockTxn) {
 }
 
 // MineBlock produces a block on top of the current tip containing up to
-// maxTxs mempool transactions, accepts it locally, and announces it. The
+// maxTxs mempool transactions in txid order, accepts it locally, and
+// announces it. The
 // simulation harness invokes this on the scheduled miner.
 func (n *Node) MineBlock(maxTxs int) (*wire.MsgBlock, error) {
 	tip, height := n.chain.Tip()
@@ -576,7 +579,13 @@ func (n *Node) MineBlock(maxTxs int) (*wire.MsgBlock, error) {
 		},
 		Transactions: []wire.MsgTx{coinbase},
 	}
-	for _, h := range n.mempool.Hashes() {
+	// Template in txid order: Hashes() comes back in map order, and the
+	// transaction order decides the merkle root, the block hash and which
+	// transactions survive the maxTxs cap — all of which must repeat for
+	// a seed.
+	template := n.mempool.Hashes()
+	slices.SortFunc(template, func(a, b chainhash.Hash) int { return bytes.Compare(a[:], b[:]) })
+	for _, h := range template {
 		if maxTxs > 0 && len(blk.Transactions) > maxTxs {
 			break
 		}
