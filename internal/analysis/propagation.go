@@ -108,10 +108,11 @@ type PropagationConfig struct {
 	// this run).
 	Metrics *obs.Registry
 	// TraceSink optionally receives every trace event at emission time
-	// (the -trace-out NDJSON stream). It runs under the tracer lock and
-	// must not call back into the tracer. Run it per-experiment: the
-	// sink sees only this run's events.
-	TraceSink func(obs.Event)
+	// (the -trace-out NDJSON stream). It runs under the tracer lock, must
+	// not call back into the tracer and must not keep the pointer (see
+	// obs.Tracer.AddStream). Run it per-experiment: the sink sees only
+	// this run's events.
+	TraceSink func(*obs.Event)
 }
 
 func (c PropagationConfig) withDefaults() PropagationConfig {
@@ -255,9 +256,9 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	sampler := obs.NewSampler(reg, obs.DefaultSeriesCapacity)
 	tree := obs.NewPropagationTree()
 	var measuring bool
-	tracer.AddStream(func(ev obs.Event) {
+	tracer.AddStream(func(ev *obs.Event) {
 		if measuring {
-			tree.Feed(ev)
+			tree.FeedStream(ev)
 		}
 	})
 	if cfg.TraceSink != nil {

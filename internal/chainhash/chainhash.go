@@ -26,6 +26,17 @@ func (h Hash) String() string {
 	return hex.EncodeToString(rev[:])
 }
 
+// Prefix returns the 8 bytes String renders first — the most significant
+// ones — so hex.EncodeToString(p[:]) == h.String()[:16]. Trace labels
+// carry it in place of a rendered string.
+func (h Hash) Prefix() [8]byte {
+	var p [8]byte
+	for i := range p {
+		p[i] = h[HashSize-1-i]
+	}
+	return p
+}
+
 // IsZero reports whether the hash is all zeroes.
 func (h Hash) IsZero() bool {
 	return h == Hash{}

@@ -1,6 +1,7 @@
 package chainhash
 
 import (
+	"encoding/hex"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -94,6 +95,17 @@ func TestDoubleSHA256Injective(t *testing.T) {
 		return DoubleSHA256(a) != DoubleSHA256(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestPrefixIsStringPrefix(t *testing.T) {
+	f := func(data []byte) bool {
+		h := DoubleSHA256(data)
+		p := h.Prefix()
+		return hex.EncodeToString(p[:]) == h.String()[:16]
+	}
+	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }

@@ -338,7 +338,7 @@ func (n *Node) handleBlock(p *Peer, m *wire.MsgBlock) {
 		if n.tracer != nil {
 			n.tracer.Emit(obs.Event{
 				Time: n.env.Now(), Kind: "block-download", From: p.addr,
-				To: n.cfg.Self.Addr, Detail: h.String()[:16], Dur: dlDur,
+				To: n.cfg.Self.Addr, Obj: obs.ObjectPrefix(h.Prefix()), Dur: dlDur,
 			})
 		}
 	}
@@ -553,8 +553,8 @@ func (n *Node) handleBlockTxn(p *Peer, m *wire.MsgBlockTxn) {
 
 // MineBlock produces a block on top of the current tip containing up to
 // maxTxs mempool transactions in txid order, accepts it locally, and
-// announces it. The
-// simulation harness invokes this on the scheduled miner.
+// announces it. The simulation harness invokes this on the scheduled
+// miner.
 func (n *Node) MineBlock(maxTxs int) (*wire.MsgBlock, error) {
 	tip, height := n.chain.Tip()
 	coinbase := wire.MsgTx{

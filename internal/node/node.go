@@ -604,8 +604,8 @@ func (n *Node) traceDeliver(kind string, h chainhash.Hash, from netip.AddrPort, 
 	self := n.cfg.Self.Addr
 	ev := obs.Event{
 		Time: at, Kind: kind, From: from, To: self,
-		Detail: h.String()[:16],
-		Span:   obs.SpanKey(self, h[:]),
+		Obj:  obs.ObjectPrefix(h.Prefix()),
+		Span: obs.SpanKey(self, h[:]),
 	}
 	if from.IsValid() {
 		ev.Parent = obs.SpanKey(from, h[:])
@@ -899,7 +899,7 @@ func (n *Node) addPeer(conn ConnID, remote netip.AddrPort, dir Direction) *Peer 
 		addr:      remote,
 		dir:       dir,
 		connected: n.env.Now(),
-		knownInv:  make(map[chainhash.Hash]struct{}),
+		knownInv:  make(map[uint64]struct{}),
 	}
 	n.slotOf[conn] = int32(len(n.slots))
 	n.slots = append(n.slots, p)

@@ -80,7 +80,7 @@ func (n *Node) transmitNow(p *Peer, out outMsg, delay time.Duration) {
 		// receive-to-last-connection delay without extra bookkeeping.
 		n.tracer.Emit(obs.Event{
 			Time: at, Kind: kind, From: n.cfg.Self.Addr, To: p.addr,
-			Detail: out.relayMark.String()[:16], Dur: relayDelay,
+			Obj: obs.ObjectPrefix(out.relayMark.Prefix()), Dur: relayDelay,
 			Parent: obs.SpanKey(n.cfg.Self.Addr, out.relayMark[:]),
 		})
 	}

@@ -67,8 +67,8 @@ func (n *NDJSONWriter) AutoFlush(on bool) {
 
 // Sink returns a tracer stream callback writing each event as one JSON
 // line. Errors are sticky and reported by Close.
-func (n *NDJSONWriter) Sink() func(Event) {
-	return func(ev Event) {
+func (n *NDJSONWriter) Sink() func(*Event) {
+	return func(ev *Event) {
 		var from, to string
 		if ev.From.IsValid() {
 			from = ev.From.String()
@@ -81,7 +81,7 @@ func (n *NDJSONWriter) Sink() func(Event) {
 			Kind:   ev.Kind,
 			From:   from,
 			To:     to,
-			Detail: ev.Detail,
+			Detail: ev.DetailString(),
 			DurNS:  int64(ev.Dur),
 			Span:   ev.Span,
 			Parent: ev.Parent,

@@ -15,9 +15,9 @@ func TestNDJSONWriterStream(t *testing.T) {
 	w := NewNDJSONWriter(&buf)
 	sink := w.Sink()
 	a, b := addrPort(1), addrPort(2)
-	sink(Event{Time: time.Unix(5, 0).UTC(), Kind: KindRelayBlock,
+	sink(&Event{Time: time.Unix(5, 0).UTC(), Kind: KindRelayBlock,
 		From: a, To: b, Detail: "abcd", Dur: time.Second, Span: 7, Parent: 3})
-	sink(Event{Time: time.Unix(6, 0).UTC(), Kind: "drop"}) // point event, zero endpoints
+	sink(&Event{Time: time.Unix(6, 0).UTC(), Kind: "drop"}) // point event, zero endpoints
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +73,8 @@ func TestNDJSONWriterStickyErrorAndClose(t *testing.T) {
 	sink := w.Sink()
 	// Enough events to overflow the bufio buffer and hit the error.
 	big := strings.Repeat("x", bufio.NewWriter(nil).Size())
-	sink(Event{Kind: "a", Detail: big})
-	sink(Event{Kind: "b", Detail: big})
+	sink(&Event{Kind: "a", Detail: big})
+	sink(&Event{Kind: "b", Detail: big})
 	err := w.Close()
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Errorf("Close error = %v, want disk full", err)

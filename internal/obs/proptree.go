@@ -42,8 +42,10 @@ type Delivery struct {
 	Time time.Time
 	// Span and Parent are the delivery span identifiers.
 	Span, Parent uint64
-	// Object labels the delivered object (hash prefix).
+	// Object labels the delivered object (hash prefix). It is rendered
+	// by Deliveries; while the tree is being fed only obj is kept.
 	Object string
+	obj    ObjectID
 	// HopLatency is the delivery-to-delivery latency from the parent
 	// node (zero at the origin or when the parent's delivery was not
 	// observed).
@@ -83,7 +85,7 @@ type ObjectStat struct {
 
 // PropagationTree reconstructs per-object propagation trees from
 // deliver.*/relay.* trace events. Feed it from a tracer stream
-// (tracer.AddStream(tree.Feed)) so ring eviction cannot lose hops; it
+// (tracer.AddStream(tree.FeedStream)) so ring eviction cannot lose hops; it
 // is not itself locked, relying on the tracer's emission lock for
 // serialization. All derived views are deterministically ordered.
 type PropagationTree struct {
@@ -108,8 +110,12 @@ func NewPropagationTree() *PropagationTree {
 }
 
 // Feed consumes one trace event, ignoring kinds outside the propagation
-// families. Safe to attach directly as a tracer stream.
-func (pt *PropagationTree) Feed(ev Event) {
+// families.
+func (pt *PropagationTree) Feed(ev Event) { pt.FeedStream(&ev) }
+
+// FeedStream is Feed in tracer-stream form (tracer.AddStream(
+// tree.FeedStream)): it reads the event in place and keeps no pointer.
+func (pt *PropagationTree) FeedStream(ev *Event) {
 	switch ev.Kind {
 	case KindDeliverBlock, KindDeliverTx:
 		if ev.Span == 0 {
@@ -125,6 +131,7 @@ func (pt *PropagationTree) Feed(ev Event) {
 			Span:   ev.Span,
 			Parent: ev.Parent,
 			Object: ev.Detail,
+			obj:    ev.Obj,
 		}
 	case KindRelayBlock, KindRelayTx:
 		if ev.Parent == 0 {
@@ -175,6 +182,7 @@ func (pt *PropagationTree) Deliveries() []Delivery {
 	out := make([]Delivery, 0, len(pt.deliveries))
 	for _, d := range pt.deliveries {
 		dd := *d
+		dd.Object = d.obj.String() + d.Object
 		if parent, ok := pt.deliveries[d.Parent]; ok && d.Parent != 0 {
 			dd.HopLatency = d.Time.Sub(parent.Time)
 		}

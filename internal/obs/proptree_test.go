@@ -111,7 +111,7 @@ func TestPropagationTreeDuplicatesAndPointEvents(t *testing.T) {
 func TestPropagationTreeFromTracerStream(t *testing.T) {
 	tr := NewTracer(2, virtualClock()) // tiny ring: everything evicts
 	pt := NewPropagationTree()
-	tr.AddStream(pt.Feed)
+	tr.AddStream(pt.FeedStream)
 	hash := []byte{9}
 	for i := 0; i < 20; i++ {
 		n := addrPort(byte(i + 1))

@@ -9,12 +9,13 @@ import (
 
 // Event is one structured trace record. The same type serves fault
 // injections, node protocol transitions, and span completions; Kind
-// discriminates, Detail carries free-form context, and Dur is non-zero
-// for span events. Span and Parent carry hierarchical span identifiers:
-// Span is this event's own span when it opens or closes one, Parent is
-// the enclosing span (zero when the event is a root or a plain point
-// event). Propagation instrumentation derives both deterministically
-// with SpanKey, so same-seed runs produce identical identifier streams.
+// discriminates, Obj names the block or transaction concerned, Detail
+// carries free-form context, and Dur is non-zero for span events. Span
+// and Parent carry hierarchical span identifiers: Span is this event's
+// own span when it opens or closes one, Parent is the enclosing span
+// (zero when the event is a root or a plain point event). Propagation
+// instrumentation derives both deterministically with SpanKey, so
+// same-seed runs produce identical identifier streams.
 type Event struct {
 	// Time is the (virtual) time of the event.
 	Time time.Time
@@ -24,6 +25,11 @@ type Event struct {
 	Kind string
 	// From and To are the endpoints, when applicable.
 	From, To netip.AddrPort
+	// Obj labels the block or transaction the event is about (zero when
+	// it is about none). It is carried as bytes and rendered only at
+	// export; every rendering and the digest put its 16 hex characters
+	// in front of Detail.
+	Obj ObjectID
 	// Detail carries the message command or extra context.
 	Detail string
 	// Dur is the span duration for span-completion events (zero for
@@ -36,10 +42,14 @@ type Event struct {
 	Parent uint64
 }
 
+// DetailString renders the event's detail text: the object label, if
+// any, followed by Detail.
+func (e *Event) DetailString() string { return e.Obj.String() + e.Detail }
+
 // String renders the event compactly.
 func (e Event) String() string {
 	s := fmt.Sprintf("%s %s %v->%v %s",
-		e.Time.Format("15:04:05.000"), e.Kind, e.From, e.To, e.Detail)
+		e.Time.Format("15:04:05.000"), e.Kind, e.From, e.To, e.DetailString())
 	if e.Dur != 0 {
 		s += fmt.Sprintf(" dur=%v", e.Dur)
 	}
@@ -71,6 +81,21 @@ func fnvUint64(h, v uint64) uint64 {
 func fnvString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// fnvObject folds an object label into an FNV-64a state exactly as
+// fnvString would fold its 16-character hex rendering, without building
+// the string.
+func fnvObject(h uint64, o ObjectID) uint64 {
+	if !o.set {
+		return h
+	}
+	const digits = "0123456789abcdef"
+	for _, c := range o.prefix {
+		h = (h ^ uint64(digits[c>>4])) * fnvPrime64
+		h = (h ^ uint64(digits[c&0x0f])) * fnvPrime64
 	}
 	return h
 }
@@ -128,7 +153,7 @@ type Tracer struct {
 	dropped  uint64 // events evicted from the ring
 	hash     uint64 // running FNV-64a
 	nextSpan uint64 // sequential span IDs for Span()
-	sinks    []func(Event)
+	sinks    []func(*Event)
 }
 
 // DefaultTraceCapacity bounds the retained trace when NewTracer is
@@ -156,9 +181,11 @@ func NewTracer(capacity int, clock func() time.Time) *Tracer {
 // AddStream registers a synchronous consumer invoked for every event at
 // emission time, before ring eviction can lose it. The callback runs
 // under the tracer lock — it must be fast and must not call back into
-// the tracer. Streams cannot be removed; attach them for the tracer's
+// the tracer — and the event it is handed is the tracer's own ring
+// slot: read it, copy it if it must outlive the call, never keep the
+// pointer. Streams cannot be removed; attach them for the tracer's
 // lifetime (one experiment run).
-func (t *Tracer) AddStream(fn func(Event)) {
+func (t *Tracer) AddStream(fn func(*Event)) {
 	if t == nil || fn == nil {
 		return
 	}
@@ -167,41 +194,47 @@ func (t *Tracer) AddStream(fn func(Event)) {
 	t.sinks = append(t.sinks, fn)
 }
 
-// Emit records one event, stamping Time from the clock when zero.
+// Emit records one event, stamping Time from the clock when zero. The
+// event is written into its ring slot once; the digest and the streams
+// read it there rather than passing the struct on by value.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if ev.Time.IsZero() {
-		ev.Time = t.clock()
-	}
-	t.total++
-	t.mixLocked(ev)
-	for _, fn := range t.sinks {
-		fn(ev)
-	}
+	var slot *Event
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, ev)
+		slot = &t.ring[len(t.ring)-1]
 		t.n++
-		return
+	} else {
+		// Ring full: overwrite the oldest.
+		slot = &t.ring[t.start]
+		*slot = ev
+		t.start = (t.start + 1) % len(t.ring)
+		t.dropped++
 	}
-	// Ring full: overwrite the oldest.
-	t.ring[t.start] = ev
-	t.start = (t.start + 1) % len(t.ring)
-	t.dropped++
+	if slot.Time.IsZero() {
+		slot.Time = t.clock()
+	}
+	t.total++
+	t.mixLocked(slot)
+	for _, fn := range t.sinks {
+		fn(slot)
+	}
 }
 
 // mixLocked folds ev into the running digest. Hand-rolled FNV-64a over
 // the raw field bytes: the tracer is on the relay hot path of multi-hour
 // simulations, so this must not allocate or format.
-func (t *Tracer) mixLocked(ev Event) {
+func (t *Tracer) mixLocked(ev *Event) {
 	h := uint64(fnvOffset64)
 	h = fnvUint64(h, uint64(ev.Time.UnixNano()))
 	h = fnvString(h, ev.Kind)
 	h = fnvAddr(h, ev.From)
 	h = fnvAddr(h, ev.To)
+	h = fnvObject(h, ev.Obj)
 	h = fnvString(h, ev.Detail)
 	h = fnvUint64(h, uint64(ev.Dur))
 	h = fnvUint64(h, ev.Span)

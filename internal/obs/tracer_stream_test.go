@@ -7,10 +7,10 @@ import (
 func TestTracerStreamsSeeEveryEvent(t *testing.T) {
 	tr := NewTracer(2, virtualClock())
 	var seen []Event
-	tr.AddStream(func(ev Event) { seen = append(seen, ev) })
+	tr.AddStream(func(ev *Event) { seen = append(seen, *ev) })
 	tr.AddStream(nil) // ignored
 	var nilTr *Tracer
-	nilTr.AddStream(func(Event) {}) // no-op
+	nilTr.AddStream(func(*Event) {}) // no-op
 
 	for i := 0; i < 7; i++ {
 		tr.Emit(Event{Kind: "k"})

@@ -484,7 +484,7 @@ func (s *Server) streamCached(w http.ResponseWriter, b *Bundle) {
 	w.Header().Set("X-Reprod-Cache", "hit")
 	nd := obs.NewNDJSONWriter(nopCloser{w})
 	nd.AutoFlush(true)
-	nd.Sink()(obs.Event{Time: time.Now(), Kind: "run.result", Detail: "ok key=" + b.Key})
+	nd.Sink()(&obs.Event{Time: time.Now(), Kind: "run.result", Detail: "ok key=" + b.Key})
 }
 
 // streamProgress streams the call's live trace events as NDJSON until
@@ -502,7 +502,7 @@ func (s *Server) streamProgress(w http.ResponseWriter, r *http.Request, c *call,
 	for {
 		select {
 		case ev := <-ch:
-			sink(ev)
+			sink(&ev)
 			if ev.Kind == "run.result" {
 				return
 			}
@@ -512,7 +512,7 @@ func (s *Server) streamProgress(w http.ResponseWriter, r *http.Request, c *call,
 			for {
 				select {
 				case ev := <-ch:
-					sink(ev)
+					sink(&ev)
 					if ev.Kind == "run.result" {
 						return
 					}

@@ -115,12 +115,12 @@ func newProgressHub(dropped *obs.Counter) *progressHub {
 }
 
 // publish fans one event out, dropping per-subscriber on overflow.
-func (h *progressHub) publish(ev obs.Event) {
+func (h *progressHub) publish(ev *obs.Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, ch := range h.subs {
 		select {
-		case ch <- ev:
+		case ch <- *ev:
 		default:
 			h.dropped.Inc()
 		}

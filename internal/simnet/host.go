@@ -109,13 +109,7 @@ func (h *Host) Rand() *rand.Rand {
 // Schedule implements node.Env. Callbacks are dropped if the host session
 // that scheduled them has ended.
 func (h *Host) Schedule(d time.Duration, fn func()) {
-	epoch := h.epoch
-	h.net.sched.After(d, func() {
-		if h.epoch != epoch || !h.online {
-			return
-		}
-		fn()
-	})
+	h.net.sched.scheduleAfter(d, payload{fn: fn, host: h, epoch: h.epoch})
 }
 
 // Dial implements node.Env.

@@ -142,11 +142,15 @@ func (c Config) withDefaults() Config {
 }
 
 // link is an established connection between two hosts. Both endpoints
-// address it by the same ConnID.
+// address it by the same ConnID. latency is the one-way delay between
+// them, fixed when the link forms: LatencyFunc is deterministic per pair,
+// so caching it changes no delivery time and keeps the pair hash off the
+// per-message path.
 type link struct {
-	id     node.ConnID
-	a, b   *Host
-	closed bool
+	id      node.ConnID
+	a, b    *Host
+	latency time.Duration
+	closed  bool
 }
 
 // other returns the opposite endpoint.
@@ -293,9 +297,11 @@ func (n *Network) RemoveHost(addr netip.AddrPort) {
 	delete(n.hosts, addr)
 }
 
-// latencyBetween returns the one-way delay between two hosts.
-func (n *Network) latencyBetween(a, b *Host) time.Duration {
-	return n.cfg.Latency(a.addr.Addr(), b.addr.Addr())
+// addLink registers l with the network and both of its endpoints.
+func (n *Network) addLink(l *link) {
+	n.links[l.id] = l
+	l.a.links[l.id] = l
+	l.b.links[l.id] = l
 }
 
 // dial implements the connection attempt semantics. Called by a Host on
@@ -349,7 +355,8 @@ func (n *Network) dial(from *Host, remote netip.AddrPort) {
 		}
 		return
 	}
-	rtt := n.latencyBetween(from, target) * time.Duration(n.cfg.HandshakeRTTs)
+	lat := n.cfg.Latency(from.addr.Addr(), remote.Addr())
+	rtt := lat * time.Duration(n.cfg.HandshakeRTTs)
 	switch target.kind {
 	case KindSilentStub:
 		fail(n.cfg.DialTimeout, ErrTimeout)
@@ -376,10 +383,7 @@ func (n *Network) dial(from *Host, remote netip.AddrPort) {
 			// complete on it.
 			n.next++
 			id := n.next
-			l := &link{id: id, a: from, b: target}
-			n.links[id] = l
-			from.links[id] = l
-			target.links[id] = l
+			n.addLink(&link{id: id, a: from, b: target, latency: lat})
 			n.mDialOK.Inc()
 			from.node.OnDialResult(remote, id, nil)
 			return
@@ -390,14 +394,11 @@ func (n *Network) dial(from *Host, remote netip.AddrPort) {
 		}
 		n.next++
 		id := n.next
-		l := &link{id: id, a: from, b: target}
 		if !target.node.OnInbound(from.addr, id) {
-			fail(n.latencyBetween(from, target), ErrRefused)
+			fail(lat, ErrRefused)
 			return
 		}
-		n.links[id] = l
-		from.links[id] = l
-		target.links[id] = l
+		n.addLink(&link{id: id, a: from, b: target, latency: lat})
 		n.mDialOK.Inc()
 		from.node.OnDialResult(remote, id, nil)
 	})
@@ -418,20 +419,16 @@ func (n *Network) transmit(from *Host, id node.ConnID, msg wire.Message, delay t
 			return
 		}
 	}
-	toEpoch := to.epoch
-	total := delay + n.latencyBetween(from, to) + verdict.ExtraDelay
+	total := delay + l.latency + verdict.ExtraDelay
 	n.mTransmit.Inc()
 	n.hTransmit.ObserveDuration(total)
-	deliver := func() {
-		if l.closed || to.epoch != toEpoch || to.node == nil || !to.online {
-			return
-		}
-		to.node.OnMessage(id, msg)
-	}
-	n.sched.After(total, deliver)
+	// A delivery event owns only references: the same msg pointer rides
+	// both copies of a duplicated message and is never recycled here.
+	deliver := payload{link: l, host: to, epoch: to.epoch, msg: msg}
+	n.sched.scheduleAfter(total, deliver)
 	if verdict.Duplicate {
 		n.mTransmitDup.Inc()
-		n.sched.After(total+verdict.DuplicateDelay, deliver)
+		n.sched.scheduleAfter(total+verdict.DuplicateDelay, deliver)
 	}
 }
 
@@ -454,8 +451,7 @@ func (n *Network) closeLink(from *Host, id node.ConnID) {
 		local.node.OnDisconnect(id)
 	}
 	remoteEpoch := remote.epoch
-	lat := n.latencyBetween(l.a, l.b)
-	n.sched.After(lat, func() {
+	n.sched.After(l.latency, func() {
 		if remote.epoch != remoteEpoch || remote.node == nil {
 			return
 		}

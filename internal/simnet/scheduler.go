@@ -7,44 +7,117 @@
 package simnet
 
 import (
-	"container/heap"
 	"context"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
-// event is a scheduled callback. Times are kept as Unix nanoseconds so
-// heap comparisons are plain integer compares.
+// event is one heap slot: a due time, the FIFO tiebreak, and the payload
+// to run. Times are kept as Unix nanoseconds so heap comparisons are
+// plain integer compares.
 type event struct {
 	at  int64  // UnixNano
 	seq uint64 // FIFO tiebreak for simultaneous events
-	fn  func()
+	payload
 }
 
-// eventHeap is a min-heap ordered by (at, seq).
+// payload is what an event does when it fires. It is one of three
+// shapes, told apart by which fields are set, so that the two hot
+// schedulers — Host.Schedule and Network.transmit — queue their work
+// without allocating a closure:
+//
+//   - callback (At/After):   fn only.
+//   - host-guarded callback: fn, host and epoch; fn is skipped when the
+//     host session that armed it has ended.
+//   - delivery:              link, host (the destination), epoch and msg;
+//     dropped when the link closed or the destination session ended.
+type payload struct {
+	fn    func()
+	host  *Host
+	epoch int
+	link  *link
+	msg   wire.Message
+}
+
+// run applies the payload's staleness guard and executes it.
+func (p *payload) run() {
+	h := p.host
+	switch {
+	case p.link != nil:
+		if p.link.closed || h.epoch != p.epoch || h.node == nil || !h.online {
+			return
+		}
+		h.node.OnMessage(p.link.id, p.msg)
+	case h != nil:
+		if h.epoch != p.epoch || !h.online {
+			return
+		}
+		p.fn()
+	default:
+		p.fn()
+	}
+}
+
+// eventHeap is a binary min-heap ordered by (at, seq). seq is unique, so
+// the order is total and the pop sequence does not depend on the heap's
+// internal layout.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires before b.
+func before(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// push adds ev, sifting it up from the new leaf.
+func (h *eventHeap) push(ev *event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(ev, q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	*h = q
+}
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes and returns the earliest event, sifting the last leaf down
+// from the root. The heap must not be empty.
+func (h *eventHeap) pop() *event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && before(q[child+1], q[child]) {
+			child++
+		}
+		if !before(q[child], last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return top
 }
 
 // Scheduler executes callbacks in virtual-time order. It is
@@ -108,49 +181,60 @@ func (s *Scheduler) Pending() int { return len(s.events) }
 const maxFree = 4096
 
 // getEvent takes a recycled event struct or allocates a fresh one.
-func (s *Scheduler) getEvent(at int64, fn func()) *event {
+func (s *Scheduler) getEvent(at int64, p payload) *event {
 	s.seq++
 	if n := len(s.free); n > 0 {
 		ev := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		ev.at, ev.seq, ev.fn = at, s.seq, fn
+		ev.at, ev.seq, ev.payload = at, s.seq, p
 		s.mEvReused.Inc()
 		s.mFreeLen.Set(int64(n - 1))
 		return ev
 	}
 	s.mEvAlloc.Inc()
-	return &event{at: at, seq: s.seq, fn: fn}
+	return &event{at: at, seq: s.seq, payload: p}
 }
 
-// putEvent returns a popped event to the free list, dropping the fn
-// reference so the closure (and anything it captures) is released even
+// putEvent returns a popped event to the free list, dropping the payload
+// so the callback, message and host it references are released even
 // while the struct sits in the pool.
 func (s *Scheduler) putEvent(ev *event) {
-	ev.fn = nil
+	ev.payload = payload{}
 	if len(s.free) < maxFree {
 		s.free = append(s.free, ev)
 		s.mFreeLen.Set(int64(len(s.free)))
 	}
 }
 
-// At schedules fn at the absolute virtual time t. Times in the past run
-// at the current time (never rewinding the clock).
-func (s *Scheduler) At(t time.Time, fn func()) {
-	if t.Before(s.now) {
-		t = s.now
-	}
-	heap.Push(&s.events, s.getEvent(t.UnixNano(), fn))
+// schedule queues p at the absolute time at (UnixNano, not before now).
+func (s *Scheduler) schedule(at int64, p payload) {
+	s.events.push(s.getEvent(at, p))
 	s.mDepth.Set(int64(len(s.events)))
 	s.mDepthMax.SetMax(int64(len(s.events)))
 }
 
-// After schedules fn d from now. Negative d is treated as zero.
-func (s *Scheduler) After(d time.Duration, fn func()) {
+// scheduleAfter queues p d from now. Negative d is treated as zero.
+func (s *Scheduler) scheduleAfter(d time.Duration, p payload) {
 	if d < 0 {
 		d = 0
 	}
-	s.At(s.now.Add(d), fn)
+	s.schedule(s.now.UnixNano()+int64(d), p)
+}
+
+// At schedules fn at the absolute virtual time t. Times in the past run
+// at the current time (never rewinding the clock).
+func (s *Scheduler) At(t time.Time, fn func()) {
+	at := t.UnixNano()
+	if now := s.now.UnixNano(); at < now {
+		at = now
+	}
+	s.schedule(at, payload{fn: fn})
+}
+
+// After schedules fn d from now. Negative d is treated as zero.
+func (s *Scheduler) After(d time.Duration, fn func()) {
+	s.scheduleAfter(d, payload{fn: fn})
 }
 
 // Every schedules fn at a fixed period, first firing d from now, and
@@ -195,19 +279,8 @@ func (s *Scheduler) RunUntil(deadline time.Time) {
 func (s *Scheduler) RunUntilCtx(ctx context.Context, deadline time.Time) error {
 	deadlineNS := deadline.UnixNano()
 	cancellable := ctx.Done() != nil
-	for len(s.events) > 0 {
-		next := s.events[0]
-		if next.at > deadlineNS {
-			break
-		}
-		heap.Pop(&s.events)
-		s.now = time.Unix(0, next.at).UTC()
-		s.count++
-		s.mDepth.Set(int64(len(s.events)))
-		s.mExecuted.Inc()
-		fn := next.fn
-		s.putEvent(next)
-		fn()
+	for len(s.events) > 0 && s.events[0].at <= deadlineNS {
+		s.step()
 		if cancellable && s.count%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -240,15 +313,22 @@ func (s *Scheduler) RunForCtx(ctx context.Context, d time.Duration) error {
 // tests on bounded workloads; simulations with self-rescheduling ticks
 // must use RunUntil.
 func (s *Scheduler) Drain(maxEvents int) {
-	for len(s.events) > 0 && maxEvents > 0 {
-		ev := heap.Pop(&s.events).(*event)
-		s.now = time.Unix(0, ev.at).UTC()
-		s.count++
-		s.mDepth.Set(int64(len(s.events)))
-		s.mExecuted.Inc()
-		maxEvents--
-		fn := ev.fn
-		s.putEvent(ev)
-		fn()
+	for ; len(s.events) > 0 && maxEvents > 0; maxEvents-- {
+		s.step()
 	}
+}
+
+// step pops the earliest event, advances the clock to it and runs it.
+// The struct goes back on the free list before its payload runs, so a
+// callback that reschedules itself reuses it; the alloc/reused split in
+// the deterministic series depends on that order.
+func (s *Scheduler) step() {
+	ev := s.events.pop()
+	s.now = time.Unix(0, ev.at).UTC()
+	s.count++
+	s.mDepth.Set(int64(len(s.events)))
+	s.mExecuted.Inc()
+	p := ev.payload
+	s.putEvent(ev)
+	p.run()
 }
