@@ -12,6 +12,29 @@
 // evaluated: a tried-only GETADDR response mode and a configurable
 // eviction horizon (the paper proposes lowering Bitcoin Core's 30 days to
 // 17 days, matching the measured mean node lifetime of 16.6 days).
+//
+// # Address manager tables
+//
+// NewBucketCount × BucketSize new slots and TriedBucketCount × BucketSize
+// tried slots (81 920 in all, Bitcoin Core's geometry) are the logical
+// tables: the placement hashes reduce by those constants, and collision,
+// eviction and demotion are decided per logical slot. They are not the
+// storage. One map keyed by table<<31 | bucket<<6 | slot holds a pointer
+// to the occupying record for each occupied slot and nothing for an empty
+// one, and each record lists its own (at most four) new-table slot keys
+// inline. A simulated node learns about 300 addresses (0.4 % occupancy),
+// and a churned experiment builds a manager at every node start, so
+// storage follows the addresses held: New allocates 256 B in 3 objects and
+// a manager holding 300 addresses is about 90 KiB, where the two dense
+// [bucket][slot]netip.AddrPort arrays cost 2.5 MiB of pointer-bearing
+// memory per manager, zeroed at birth and scanned by every GC cycle. A map
+// rather than dense arrays allocated on first touch, because a second tier
+// would keep the geometry-sized cost for any manager that fills up and
+// would be a second storage path to keep in step; the map has one path at
+// every fill level and also hands back the occupant's record, where the
+// arrays held its key and needed a second lookup. The dense tables live on
+// in the tests as the reference model the index is checked against call by
+// call (TestSparseMatchesDenseOracle).
 package addrman
 
 import (
@@ -74,6 +97,10 @@ type Config struct {
 	Rand *rand.Rand
 }
 
+// maxNewRefs caps how many new-table slots may reference one address
+// (Bitcoin Core's ADDRMAN_NEW_BUCKETS_PER_ADDRESS, 8 there).
+const maxNewRefs = 4
+
 // addrInfo is the per-address bookkeeping record.
 type addrInfo struct {
 	addr     wire.NetAddress
@@ -83,11 +110,10 @@ type addrInfo struct {
 	attempts int        // failed attempts since last success
 	inTried  bool
 	refCount int // number of new-table slots referencing this address
-	listPos  int // index in the owning key list (newList or triedList)
-	// newSlots records the (bucket, slot) locations of this address's
-	// new-table references, so clearing them is O(refs) instead of a
-	// scan over every bucket.
-	newSlots [][2]int16
+	listPos  int // index in the owning list (newList or triedList)
+	// newSlots[:refCount] are the slot keys of this address's new-table
+	// references, so clearing them is O(refs) instead of a table scan.
+	newSlots [maxNewRefs]uint32
 }
 
 // AddrMan is the address manager. It is safe for concurrent use.
@@ -97,39 +123,47 @@ type AddrMan struct {
 
 	info map[netip.AddrPort]*addrInfo
 
-	// newTable[bucket][slot] and triedTable[bucket][slot] hold address
-	// keys; the zero AddrPort marks an empty slot.
-	newTable   [NewBucketCount][BucketSize]netip.AddrPort
-	triedTable [TriedBucketCount][BucketSize]netip.AddrPort
+	// slots is both tables: slotKey(table, bucket, slot) → the record
+	// occupying that slot, absent when the slot is empty. NewBucketCount,
+	// TriedBucketCount and BucketSize are the logical geometry the
+	// placement hashes reduce by; storage is proportional to the addresses
+	// held, not to the geometry (see the package comment).
+	slots map[uint32]*addrInfo
 
-	// newList and triedList hold the unique keys of each table for O(1)
+	// newList and triedList hold each table's unique records for O(1)
 	// uniform sampling in Select; positions are tracked in addrInfo.
-	newList   []netip.AddrPort
-	triedList []netip.AddrPort
+	newList   []*addrInfo
+	triedList []*addrInfo
 
-	nNew   int // occupied new-table slots referencing unique addresses
+	// pool is GetAddr's candidate scratch, reused across calls.
+	pool []*addrInfo
+
+	nNew   int // unique addresses in the new table
 	nTried int
 }
 
-// listAppend appends key to the given list, recording its position.
-func (a *AddrMan) listAppend(list *[]netip.AddrPort, key netip.AddrPort, info *addrInfo) {
-	info.listPos = len(*list)
-	*list = append(*list, key)
+// slotKey packs a table (0 = new, 1 = tried), bucket and slot into the
+// index key: table<<31 | bucket<<6 | slot.
+func slotKey(table, bucket, slot int) uint32 {
+	return uint32(table)<<31 | uint32(bucket)<<6 | uint32(slot)
 }
 
-// listRemove removes the entry at info.listPos from list via swap-remove,
-// fixing up the moved element's recorded position.
-func (a *AddrMan) listRemove(list *[]netip.AddrPort, info *addrInfo) {
+// listAppend appends info to the given list, recording its position.
+func listAppend(list *[]*addrInfo, info *addrInfo) {
+	info.listPos = len(*list)
+	*list = append(*list, info)
+}
+
+// listRemove removes info from list via swap-remove, fixing up the moved
+// element's recorded position.
+func listRemove(list *[]*addrInfo, info *addrInfo) {
 	l := *list
-	pos := info.listPos
 	last := len(l) - 1
-	if pos != last {
-		moved := l[last]
-		l[pos] = moved
-		if mi := a.info[moved]; mi != nil {
-			mi.listPos = pos
-		}
+	if pos := info.listPos; pos != last {
+		l[pos] = l[last]
+		l[pos].listPos = pos
 	}
+	l[last] = nil
 	*list = l[:last]
 	info.listPos = -1
 }
@@ -146,8 +180,9 @@ func New(cfg Config) *AddrMan {
 		cfg.Rand = rand.New(rand.NewSource(int64(cfg.Key) ^ 0x5deece66d))
 	}
 	return &AddrMan{
-		cfg:  cfg,
-		info: make(map[netip.AddrPort]*addrInfo),
+		cfg:   cfg,
+		info:  make(map[netip.AddrPort]*addrInfo),
+		slots: make(map[uint32]*addrInfo),
 	}
 }
 
@@ -219,6 +254,18 @@ func (a *AddrMan) slotFor(table int, bucket int, addr netip.AddrPort) int {
 	return int(h % BucketSize)
 }
 
+// newSlotFor returns the new-table slot key for addr learned from source.
+func (a *AddrMan) newSlotFor(addr netip.AddrPort, source netip.Addr) uint32 {
+	bucket := a.newBucketFor(addr, source)
+	return slotKey(0, bucket, a.slotFor(0, bucket, addr))
+}
+
+// triedSlotFor returns the tried-table slot key for addr.
+func (a *AddrMan) triedSlotFor(addr netip.AddrPort) uint32 {
+	bucket := a.triedBucketFor(addr)
+	return slotKey(1, bucket, a.slotFor(1, bucket, addr))
+}
+
 // Add records addresses learned from source (typically the peer that sent
 // the ADDR message). It returns how many were newly added. Addresses
 // already in tried are refreshed but not duplicated.
@@ -240,8 +287,8 @@ func (a *AddrMan) addLocked(na wire.NetAddress, source netip.Addr) bool {
 		return false
 	}
 	now := a.cfg.Now()
-	info, exists := a.info[key]
-	if exists {
+	info := a.info[key]
+	if info != nil {
 		// Refresh the advertised timestamp, capped to now (peers routinely
 		// advertise future or stale timestamps).
 		if na.Timestamp.After(info.addr.Timestamp) && !na.Timestamp.After(now) {
@@ -253,68 +300,64 @@ func (a *AddrMan) addLocked(na wire.NetAddress, source netip.Addr) bool {
 		}
 		// Already in new; Bitcoin Core may add another new-table reference
 		// from a different source, with decreasing probability.
-		if info.refCount >= 4 || a.cfg.Rand.Intn(1<<info.refCount) != 0 {
+		if info.refCount >= maxNewRefs || a.cfg.Rand.Intn(1<<info.refCount) != 0 {
 			return false
 		}
-	} else {
+	}
+
+	k := a.newSlotFor(key, source)
+	if occ := a.slots[k]; occ != nil {
+		// The address already holds this slot, or a healthy incumbent
+		// keeps it and the newcomer is dropped; only a terrible occupant
+		// is evicted.
+		if occ == info || !a.isTerribleLocked(occ, now) {
+			return false
+		}
+		a.removeNewRefLocked(occ, k)
+	}
+	isNew := info == nil
+	if isNew {
 		if na.Timestamp.After(now) {
 			na.Timestamp = now
 		}
 		info = &addrInfo{addr: na, source: source}
 		a.info[key] = info
-	}
-
-	bucket := a.newBucketFor(key, source)
-	slot := a.slotFor(0, bucket, key)
-	occupant := a.newTable[bucket][slot]
-	if occupant == key {
-		return !exists
-	}
-	if occupant.IsValid() {
-		// Evict the occupant if it is terrible; otherwise the incumbent
-		// stays and the newcomer is dropped unless it has no other slot.
-		occInfo := a.info[occupant]
-		if occInfo != nil && a.isTerribleLocked(occInfo, now) {
-			a.removeNewRefLocked(occupant, bucket, slot)
-		} else {
-			if !exists {
-				// Keep the map entry only if it got a slot somewhere.
-				delete(a.info, key)
-			}
-			return false
-		}
-	}
-	a.newTable[bucket][slot] = key
-	info.refCount++
-	info.newSlots = append(info.newSlots, [2]int16{int16(bucket), int16(slot)})
-	if info.refCount == 1 && !info.inTried {
 		a.nNew++
-		a.listAppend(&a.newList, key, info)
+		listAppend(&a.newList, info)
 	}
-	return !exists
+	a.slots[k] = info
+	info.newSlots[info.refCount] = k
+	info.refCount++
+	return isNew
 }
 
-// removeNewRefLocked clears one new-table reference of addr and deletes
-// the record entirely when no references remain.
-func (a *AddrMan) removeNewRefLocked(addr netip.AddrPort, bucket, slot int) {
-	a.newTable[bucket][slot] = netip.AddrPort{}
-	info := a.info[addr]
-	if info == nil {
-		return
-	}
-	info.refCount--
-	for i, bs := range info.newSlots {
-		if int(bs[0]) == bucket && int(bs[1]) == slot {
-			info.newSlots[i] = info.newSlots[len(info.newSlots)-1]
-			info.newSlots = info.newSlots[:len(info.newSlots)-1]
+// removeNewRefLocked clears info's new-table reference at slot key k and
+// deletes the record entirely when no references remain.
+func (a *AddrMan) removeNewRefLocked(info *addrInfo, k uint32) {
+	delete(a.slots, k)
+	for i := 0; i < info.refCount; i++ {
+		if info.newSlots[i] == k {
+			info.refCount--
+			info.newSlots[i] = info.newSlots[info.refCount]
 			break
 		}
 	}
-	if info.refCount <= 0 && !info.inTried {
-		a.listRemove(&a.newList, info)
-		delete(a.info, addr)
+	if info.refCount == 0 {
 		a.nNew--
+		listRemove(&a.newList, info)
+		delete(a.info, info.addr.Addr)
 	}
+}
+
+// dropNewRefsLocked clears every new-table reference of info and takes it
+// off the new list; the caller moves it to tried or deletes it.
+func (a *AddrMan) dropNewRefsLocked(info *addrInfo) {
+	for _, k := range info.newSlots[:info.refCount] {
+		delete(a.slots, k)
+	}
+	info.refCount = 0
+	a.nNew--
+	listRemove(&a.newList, info)
 }
 
 // Attempt records a failed or in-progress connection attempt to addr.
@@ -333,19 +376,16 @@ func (a *AddrMan) Attempt(addr netip.AddrPort) {
 func (a *AddrMan) Good(addr netip.AddrPort) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	now := a.cfg.Now()
 	info := a.info[addr]
 	if info == nil {
-		// Unknown address connected directly (e.g. a manual peer): track it.
-		info = &addrInfo{
-			addr:   wire.NetAddress{Addr: addr, Timestamp: a.cfg.Now()},
-			source: addr.Addr(),
-		}
+		// Unknown address connected directly (e.g. a manual peer): track
+		// it; it goes straight to tried without a new-table slot.
+		info = &addrInfo{addr: wire.NetAddress{Addr: addr}, source: addr.Addr()}
 		a.info[addr] = info
-		a.nNew++
-		info.refCount = 1
-		a.listAppend(&a.newList, addr, info)
+	} else if !info.inTried {
+		a.dropNewRefsLocked(info)
 	}
-	now := a.cfg.Now()
 	info.lastGood = now
 	info.lastTry = now
 	info.attempts = 0
@@ -353,55 +393,40 @@ func (a *AddrMan) Good(addr netip.AddrPort) {
 	if info.inTried {
 		return
 	}
-	// Clear all new-table references via their recorded locations.
-	for _, bs := range info.newSlots {
-		if a.newTable[bs[0]][bs[1]] == addr {
-			a.newTable[bs[0]][bs[1]] = netip.AddrPort{}
-		}
-	}
-	info.newSlots = nil
-	info.refCount = 0
-	a.nNew--
-	a.listRemove(&a.newList, info)
 
-	bucket := a.triedBucketFor(addr)
-	slot := a.slotFor(1, bucket, addr)
-	if occupant := a.triedTable[bucket][slot]; occupant.IsValid() && occupant != addr {
+	k := a.triedSlotFor(addr)
+	if occ := a.slots[k]; occ != nil {
 		// Demote the occupant back into the new table (test-before-evict
 		// is approximated by unconditional demotion, Bitcoin Core's
 		// pre-feeler behaviour).
-		if occInfo := a.info[occupant]; occInfo != nil {
-			occInfo.inTried = false
-			a.nTried--
-			a.listRemove(&a.triedList, occInfo)
-			a.reinsertIntoNewLocked(occupant, occInfo)
-		}
+		occ.inTried = false
+		a.nTried--
+		listRemove(&a.triedList, occ)
+		a.reinsertIntoNewLocked(occ, now)
 	}
-	a.triedTable[bucket][slot] = addr
+	a.slots[k] = info
 	info.inTried = true
 	a.nTried++
-	a.listAppend(&a.triedList, addr, info)
+	listAppend(&a.triedList, info)
 }
 
-// reinsertIntoNewLocked places a demoted tried address back into the new
+// reinsertIntoNewLocked places a demoted tried record back into the new
 // table, dropping it when the target slot holds a healthy incumbent.
-func (a *AddrMan) reinsertIntoNewLocked(addr netip.AddrPort, info *addrInfo) {
-	bucket := a.newBucketFor(addr, info.source)
-	slot := a.slotFor(0, bucket, addr)
-	occupant := a.newTable[bucket][slot]
-	if occupant.IsValid() && occupant != addr {
-		occInfo := a.info[occupant]
-		if occInfo == nil || !a.isTerribleLocked(occInfo, a.cfg.Now()) {
+func (a *AddrMan) reinsertIntoNewLocked(info *addrInfo, now time.Time) {
+	addr := info.addr.Addr
+	k := a.newSlotFor(addr, info.source)
+	if occ := a.slots[k]; occ != nil {
+		if !a.isTerribleLocked(occ, now) {
 			delete(a.info, addr)
 			return
 		}
-		a.removeNewRefLocked(occupant, bucket, slot)
+		a.removeNewRefLocked(occ, k)
 	}
-	a.newTable[bucket][slot] = addr
+	a.slots[k] = info
+	info.newSlots[0] = k
 	info.refCount = 1
-	info.newSlots = append(info.newSlots[:0], [2]int16{int16(bucket), int16(slot)})
 	a.nNew++
-	a.listAppend(&a.newList, addr, info)
+	listAppend(&a.newList, info)
 }
 
 // isTerribleLocked reports whether an address should be evicted, matching
@@ -450,41 +475,31 @@ func (a *AddrMan) Select(newOnly bool) (wire.NetAddress, bool) {
 	if len(a.info) == 0 {
 		return wire.NetAddress{}, false
 	}
-	useTried := !newOnly && len(a.triedList) > 0 &&
-		(len(a.newList) == 0 || a.cfg.Rand.Intn(2) == 0)
-	var list []netip.AddrPort
-	if useTried {
+	list := a.newList
+	if !newOnly && len(a.triedList) > 0 &&
+		(len(a.newList) == 0 || a.cfg.Rand.Intn(2) == 0) {
 		list = a.triedList
-	} else {
-		list = a.newList
 	}
 	if len(list) == 0 {
 		return wire.NetAddress{}, false
 	}
-	key := list[a.cfg.Rand.Intn(len(list))]
-	info := a.info[key]
-	if info == nil {
-		return wire.NetAddress{}, false
-	}
-	return info.addr, true
+	return list[a.cfg.Rand.Intn(len(list))].addr, true
 }
 
 // GetAddr returns the GETADDR response sample: up to 23% of known
 // addresses, capped at 1000. With TriedOnlyGetAddr set (§V refinement) the
-// sample comes exclusively from the tried table.
+// sample comes exclusively from the tried table. The returned slice is the
+// caller's and has one spare element of capacity, so a responder can
+// prepend its own address without a second allocation.
 func (a *AddrMan) GetAddr() []wire.NetAddress {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	pool := make([]*addrInfo, 0, len(a.info))
+	pool := a.pool[:0]
 	now := a.cfg.Now()
-	// Iterate the key lists (deterministic order), not the map: sampling
+	// Iterate the lists (deterministic order), not the map: sampling
 	// below must be reproducible for a given Rand stream.
-	for _, list := range [][]netip.AddrPort{a.newList, a.triedList} {
-		for _, key := range list {
-			info := a.info[key]
-			if info == nil {
-				continue
-			}
+	for _, list := range [2][]*addrInfo{a.newList, a.triedList} {
+		for _, info := range list {
 			if a.cfg.TriedOnlyGetAddr && !info.inTried {
 				continue
 			}
@@ -494,6 +509,7 @@ func (a *AddrMan) GetAddr() []wire.NetAddress {
 			pool = append(pool, info)
 		}
 	}
+	a.pool = pool
 	want := len(a.info) * getAddrMaxPct / 100
 	if want > getAddrMax {
 		want = getAddrMax
@@ -505,7 +521,7 @@ func (a *AddrMan) GetAddr() []wire.NetAddress {
 		want = len(pool)
 	}
 	// Partial Fisher-Yates for an unbiased sample.
-	out := make([]wire.NetAddress, 0, want)
+	out := make([]wire.NetAddress, 0, want+1)
 	for i := 0; i < want; i++ {
 		j := i + a.cfg.Rand.Intn(len(pool)-i)
 		pool[i], pool[j] = pool[j], pool[i]
@@ -523,7 +539,7 @@ func (a *AddrMan) Evict() int {
 	now := a.cfg.Now()
 	removed := 0
 	// Deterministic removal order (the map iteration order would leak
-	// into the key lists' layout and hence into Select's sampling).
+	// into the lists' layout and hence into Select's sampling).
 	keys := make([]netip.AddrPort, 0, len(a.info))
 	for key := range a.info {
 		keys = append(keys, key)
@@ -535,21 +551,11 @@ func (a *AddrMan) Evict() int {
 			continue
 		}
 		if info.inTried {
-			b := a.triedBucketFor(key)
-			s := a.slotFor(1, b, key)
-			if a.triedTable[b][s] == key {
-				a.triedTable[b][s] = netip.AddrPort{}
-			}
+			delete(a.slots, a.triedSlotFor(key))
 			a.nTried--
-			a.listRemove(&a.triedList, info)
+			listRemove(&a.triedList, info)
 		} else {
-			for _, bs := range info.newSlots {
-				if a.newTable[bs[0]][bs[1]] == key {
-					a.newTable[bs[0]][bs[1]] = netip.AddrPort{}
-				}
-			}
-			a.nNew--
-			a.listRemove(&a.newList, info)
+			a.dropNewRefsLocked(info)
 		}
 		delete(a.info, key)
 		removed++

@@ -394,34 +394,12 @@ func TestGetAddrExcludesTerrible(t *testing.T) {
 	}
 }
 
-// Invariant: an address is never simultaneously in both tables, and
-// counts match the map contents.
+// checkInvariants fails the test when check() finds the index, the
+// reference lists, the sampling lists or the counters out of step.
 func checkInvariants(t *testing.T, am *AddrMan) {
 	t.Helper()
-	am.mu.Lock()
-	defer am.mu.Unlock()
-	numNew, numTried := 0, 0
-	for key, info := range am.info {
-		if info.inTried {
-			numTried++
-			if info.refCount != 0 {
-				t.Fatalf("%v in tried with refCount %d", key, info.refCount)
-			}
-			b := am.triedBucketFor(key)
-			s := am.slotFor(1, b, key)
-			if am.triedTable[b][s] != key {
-				t.Fatalf("%v marked tried but absent from its slot", key)
-			}
-		} else {
-			numNew++
-			if info.refCount < 1 {
-				t.Fatalf("%v in new with refCount %d", key, info.refCount)
-			}
-		}
-	}
-	if numNew != am.nNew || numTried != am.nTried {
-		t.Fatalf("counts drifted: map %d/%d, counters %d/%d",
-			numNew, numTried, am.nNew, am.nTried)
+	if err := am.check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -46,10 +46,10 @@ func fuzzSeedBlob(f *testing.F) []byte {
 }
 
 // FuzzPersistLoad feeds arbitrary bytes to the peers.dat loader. The
-// invariants: Load never panics on untrusted input, and any state it
-// accepts survives a Save/Load round trip with identical table counts.
-// Byte-level comparison is deliberately avoided — Save iterates a map,
-// so two dumps of the same state can order records differently.
+// invariants: Load never panics on untrusted input, whatever it accepts
+// passes check(), and that state survives a Save/Load round trip: same
+// table counts, and the second dump equals the first byte for byte (Save
+// writes in list order, and a reload under the same key collides nowhere).
 func FuzzPersistLoad(f *testing.F) {
 	f.Add(fuzzSeedBlob(f))
 	f.Add([]byte("ADRM"))
@@ -61,11 +61,10 @@ func FuzzPersistLoad(f *testing.F) {
 		if err != nil {
 			return // rejecting garbage is correct; panicking is not
 		}
-		newA, triedA := am.Counts()
-		if newA < 0 || triedA < 0 || newA+triedA != am.Size() {
-			t.Fatalf("inconsistent counts after load: new=%d tried=%d size=%d",
-				newA, triedA, am.Size())
+		if err := am.check(); err != nil {
+			t.Fatalf("loaded state: %v", err)
 		}
+		newA, triedA := am.Counts()
 		var buf bytes.Buffer
 		if err := am.Save(&buf); err != nil {
 			t.Fatalf("saving loaded state: %v", err)
@@ -74,10 +73,20 @@ func FuzzPersistLoad(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reloading saved state: %v", err)
 		}
+		if err := am2.check(); err != nil {
+			t.Fatalf("reloaded state: %v", err)
+		}
 		newB, triedB := am2.Counts()
 		if newB != newA || triedB != triedA {
 			t.Fatalf("round trip changed counts: new %d->%d tried %d->%d",
 				newA, newB, triedA, triedB)
+		}
+		var buf2 bytes.Buffer
+		if err := am2.Save(&buf2); err != nil {
+			t.Fatalf("saving reloaded state: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+			t.Fatal("second dump differs from the first")
 		}
 	})
 }

@@ -19,7 +19,8 @@ import (
 // Format (little-endian): magic "ADRM", u16 version, u32 count, then per
 // address: 16-byte IP, u16 port, u64 services, 16-byte source IP,
 // i64 timestamp, i64 lastTry, i64 lastGood (unix seconds; 0 = zero time),
-// u32 attempts, u8 inTried.
+// u32 attempts, u8 inTried. Records are written in sampling-list order, new
+// table first, so one state has one serialization; Load accepts any order.
 
 const (
 	persistMagic   = "ADRM"
@@ -38,29 +39,34 @@ func (a *AddrMan) Save(w io.Writer) error {
 	}
 	var hdr [6]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], persistVersion)
-	binary.LittleEndian.PutUint32(hdr[2:6], uint32(len(a.info)))
+	binary.LittleEndian.PutUint32(hdr[2:6], uint32(len(a.newList)+len(a.triedList)))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("addrman: write header: %w", err)
 	}
+	// Records go out in list order (new, then tried), so a given state has
+	// one serialization and Load's collision drops do not depend on map
+	// iteration order.
 	var rec [16 + 2 + 8 + 16 + 8 + 8 + 8 + 4 + 1]byte
-	for key, info := range a.info {
-		ip := key.Addr().As16()
-		copy(rec[0:16], ip[:])
-		binary.LittleEndian.PutUint16(rec[16:18], key.Port())
-		binary.LittleEndian.PutUint64(rec[18:26], uint64(info.addr.Services))
-		src := info.source.As16()
-		copy(rec[26:42], src[:])
-		binary.LittleEndian.PutUint64(rec[42:50], uint64(unixOrZero(info.addr.Timestamp)))
-		binary.LittleEndian.PutUint64(rec[50:58], uint64(unixOrZero(info.lastTry)))
-		binary.LittleEndian.PutUint64(rec[58:66], uint64(unixOrZero(info.lastGood)))
-		binary.LittleEndian.PutUint32(rec[66:70], uint32(info.attempts))
-		if info.inTried {
-			rec[70] = 1
-		} else {
-			rec[70] = 0
-		}
-		if _, err := bw.Write(rec[:]); err != nil {
-			return fmt.Errorf("addrman: write record: %w", err)
+	for _, list := range [2][]*addrInfo{a.newList, a.triedList} {
+		for _, info := range list {
+			ip := info.addr.Addr.Addr().As16()
+			copy(rec[0:16], ip[:])
+			binary.LittleEndian.PutUint16(rec[16:18], info.addr.Addr.Port())
+			binary.LittleEndian.PutUint64(rec[18:26], uint64(info.addr.Services))
+			src := info.source.As16()
+			copy(rec[26:42], src[:])
+			binary.LittleEndian.PutUint64(rec[42:50], uint64(unixOrZero(info.addr.Timestamp)))
+			binary.LittleEndian.PutUint64(rec[50:58], uint64(unixOrZero(info.lastTry)))
+			binary.LittleEndian.PutUint64(rec[58:66], uint64(unixOrZero(info.lastGood)))
+			binary.LittleEndian.PutUint32(rec[66:70], uint32(info.attempts))
+			if info.inTried {
+				rec[70] = 1
+			} else {
+				rec[70] = 0
+			}
+			if _, err := bw.Write(rec[:]); err != nil {
+				return fmt.Errorf("addrman: write record: %w", err)
+			}
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -151,7 +157,7 @@ func Load(cfg Config, r io.Reader) (*AddrMan, error) {
 }
 
 // restoreLocked places a deserialized record into the tables, dropping it
-// on collision with a healthier incumbent.
+// on collision with an incumbent.
 func (a *AddrMan) restoreLocked(key netip.AddrPort, info *addrInfo) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -159,28 +165,25 @@ func (a *AddrMan) restoreLocked(key netip.AddrPort, info *addrInfo) {
 		return
 	}
 	if info.inTried {
-		bucket := a.triedBucketFor(key)
-		slot := a.slotFor(1, bucket, key)
-		if a.triedTable[bucket][slot].IsValid() {
-			// Collision: demote this record to the new table instead.
-			info.inTried = false
-		} else {
+		k := a.triedSlotFor(key)
+		if a.slots[k] == nil {
 			a.info[key] = info
-			a.triedTable[bucket][slot] = key
+			a.slots[k] = info
 			a.nTried++
-			a.listAppend(&a.triedList, key, info)
+			listAppend(&a.triedList, info)
 			return
 		}
+		// Collision: demote this record to the new table instead.
+		info.inTried = false
 	}
-	bucket := a.newBucketFor(key, info.source)
-	slot := a.slotFor(0, bucket, key)
-	if a.newTable[bucket][slot].IsValid() {
+	k := a.newSlotFor(key, info.source)
+	if a.slots[k] != nil {
 		return // occupied; drop, as Bitcoin Core does on reload collisions
 	}
 	a.info[key] = info
-	a.newTable[bucket][slot] = key
+	a.slots[k] = info
+	info.newSlots[0] = k
 	info.refCount = 1
-	info.newSlots = append(info.newSlots[:0], [2]int16{int16(bucket), int16(slot)})
 	a.nNew++
-	a.listAppend(&a.newList, key, info)
+	listAppend(&a.newList, info)
 }

@@ -102,3 +102,24 @@ func BenchmarkHandleAddr(b *testing.B) {
 		env.run(10 * time.Millisecond)
 	}
 }
+
+// BenchmarkNodeNew measures one node birth as a churned simulation pays
+// it on every Host.Start: New (maps, policy resolution, the address
+// manager) plus Start seeding addrman with 8 addresses. B/op is the guard
+// against table-sized allocations coming back (2.5 MiB per node before
+// addrman's slot index).
+func BenchmarkNodeNew(b *testing.B) {
+	env := newFakeEnv()
+	cfg := testConfig(mkAddr(10, 0, 0, 1))
+	for i := 0; i < 8; i++ {
+		cfg.SeedAddrs = append(cfg.SeedAddrs, wire.NetAddress{
+			Addr: mkAddr(10, byte(i+1), 0, 1), Timestamp: env.Now(),
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(cfg, env).Start()
+		env.q = env.q[:0] // drop the timers Start scheduled
+	}
+}

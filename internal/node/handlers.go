@@ -167,9 +167,13 @@ func (n *Node) handleGetAddr(p *Peer) {
 	if n.cfg.GetAddrResponder != nil {
 		list = n.cfg.GetAddrResponder()
 	} else {
-		self := n.cfg.Self
-		self.Timestamp = n.env.Now()
-		list = append([]wire.NetAddress{self}, n.addrman.GetAddr()...)
+		// Prepend self in place: GetAddr leaves one spare element of
+		// capacity, so this shifts the sample instead of copying it into a
+		// second slice.
+		list = append(n.addrman.GetAddr(), wire.NetAddress{})
+		copy(list[1:], list)
+		list[0] = n.cfg.Self
+		list[0].Timestamp = n.env.Now()
 	}
 	// Respect the wire cap in chunks of MaxAddrPerMsg.
 	for len(list) > 0 {
