@@ -13,10 +13,24 @@ import (
 // contract), and the inbound ping is reused with a mutated nonce, so the
 // steady-state pump must run allocation-free — CI enforces 0 allocs/op.
 func BenchmarkPumpThroughput(b *testing.B) {
+	benchPump(b, 20, func(i int) ConnID { return ConnID(i%20 + 1) })
+}
+
+// BenchmarkPumpSparse is the same ping-pong with 100 connections of which
+// one, in the last slot, ever has work: a loop must cost what it services,
+// not what is connected, so this stays beside BenchmarkPumpThroughput's
+// ns/op however many idle slots there are.
+func BenchmarkPumpSparse(b *testing.B) {
+	benchPump(b, 100, func(int) ConnID { return 100 })
+}
+
+// benchPump handshakes the given number of inbound peers and times one
+// ping in, one pong out per iteration on the connection target names.
+func benchPump(b *testing.B, peers int, target func(i int) ConnID) {
 	env := newFakeEnv()
 	n := New(testConfig(mkAddr(10, 0, 0, 1)), env)
 	n.Start()
-	for i := 0; i < 20; i++ {
+	for i := 0; i < peers; i++ {
 		conn := ConnID(i + 1)
 		peer := mkAddr(10, 0, 1, byte(i+1))
 		if !n.OnInbound(peer, conn) {
@@ -32,14 +46,14 @@ func BenchmarkPumpThroughput(b *testing.B) {
 	// Warm the free lists and queue capacities out of the timed region.
 	for i := 0; i < 100; i++ {
 		ping.Nonce = uint64(i)
-		n.OnMessage(ConnID(i%20+1), ping)
+		n.OnMessage(target(i), ping)
 		env.run(10 * time.Millisecond)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ping.Nonce = uint64(i)
-		n.OnMessage(ConnID(i%20+1), ping)
+		n.OnMessage(target(i), ping)
 		env.run(10 * time.Millisecond)
 	}
 }

@@ -241,13 +241,17 @@ func (n *Node) handleGetData(p *Peer, m *wire.MsgGetData) {
 		switch iv.Type {
 		case wire.InvTypeTx:
 			if tx := n.mempool.Get(iv.Hash); tx != nil {
-				n.queueRelay(p, tx, classTx, n.relayMarkFor(iv.Hash))
+				out := n.relayMarkFor(iv.Hash)
+				out.msg, out.class = tx, classTx
+				n.queueRelay(p, &out)
 				continue
 			}
 			missing = append(missing, iv)
 		case wire.InvTypeBlock:
 			if blk, err := n.chain.BlockByHash(iv.Hash); err == nil {
-				n.queueRelay(p, blk, classBlock, n.relayMarkFor(iv.Hash))
+				out := n.relayMarkFor(iv.Hash)
+				out.msg, out.class = blk, classBlock
+				n.queueRelay(p, &out)
 				continue
 			}
 			missing = append(missing, iv)
@@ -268,8 +272,9 @@ func (n *Node) handleGetData(p *Peer, m *wire.MsgGetData) {
 // the metric).
 const relayFreshness = 15 * time.Second
 
-// relayMarkFor builds relay instrumentation for an object seen recently;
-// unknown or stale objects get a zero mark (no event emitted).
+// relayMarkFor starts a queue entry with relay instrumentation for an
+// object seen recently; unknown or stale objects get a zero mark (no event
+// emitted). The caller fills in the message.
 func (n *Node) relayMarkFor(h chainhash.Hash) outMsg {
 	seen, ok := n.seenTimes[h]
 	if !ok || n.env.Now().Sub(seen) > relayFreshness {
@@ -328,7 +333,7 @@ func (n *Node) announceTx(h chainhash.Hash, except ConnID, recvAt time.Time) {
 		p.markKnown(h)
 		inv := n.getInv()
 		inv.InvList = append(inv.InvList, wire.InvVect{Type: wire.InvTypeTx, Hash: h})
-		n.queueRelay(p, inv, classTx, outMsg{relayMark: h, recvAt: recvAt})
+		n.queueRelay(p, &outMsg{msg: inv, class: classTx, relayMark: h, recvAt: recvAt})
 	}
 }
 
@@ -396,17 +401,18 @@ func (n *Node) announceBlock(blk *wire.MsgBlock, except ConnID, recvAt time.Time
 			return
 		}
 		p.markKnown(h)
-		mark := outMsg{relayMark: h, recvAt: recvAt}
+		out := outMsg{class: classBlock, relayMark: h, recvAt: recvAt}
 		if n.cfg.CompactBlocks && p.wantsCmpct {
 			if cmpct == nil {
 				cmpct = chain.BuildCompactBlock(blk, n.env.Rand().Uint64())
 			}
-			n.queueRelay(p, cmpct, classBlock, mark)
-			return
+			out.msg = cmpct
+		} else {
+			inv := n.getInv()
+			inv.InvList = append(inv.InvList, wire.InvVect{Type: wire.InvTypeBlock, Hash: h})
+			out.msg = inv
 		}
-		inv := n.getInv()
-		inv.InvList = append(inv.InvList, wire.InvVect{Type: wire.InvTypeBlock, Hash: h})
-		n.queueRelay(p, inv, classBlock, mark)
+		n.queueRelay(p, &out)
 	}
 	// PriorityOutbound announces to outbound connections first (the §V
 	// refinement); the stock policies use arrival order.

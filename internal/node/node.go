@@ -331,11 +331,12 @@ type Node struct {
 	// arrival order (the round-robin order), slotOf maps a ConnID to its
 	// slot index. Removal leaves a nil hole so slot indices stay stable
 	// while the pump iterates; holes are compacted outside the pump once
-	// they outnumber live entries. This replaces the old rrOrder slice +
-	// per-ID map lookup on every pump iteration.
+	// they outnumber live entries. ready is the pump's work list, one bit
+	// per slot index (see pump.go); it never shrinks.
 	slots     []*Peer
 	slotOf    map[ConnID]int32
 	slotHoles int
+	ready     []uint64
 	inPump    bool
 	// Per-direction connection counters, maintained by addPeer/removePeer
 	// so ConnCounts is O(1) (it runs on every maintenance tick).
@@ -345,8 +346,7 @@ type Node struct {
 
 	byAddr     map[netip.AddrPort]*Peer
 	dialing    map[netip.AddrPort]Direction
-	pending    int // total queued messages across all peers
-	pumpArmed  bool
+	pumpArmed  bool      // a pump wake-up is scheduled, or the running loop owes one
 	busyUntil  time.Time // virtual time the current loop's socket work ends
 	maintGen   uint64    // supersession counter for maintenance scheduling
 	started    bool
@@ -519,11 +519,13 @@ func (n *Node) Stop() {
 	for _, p := range n.slots {
 		if p != nil {
 			n.env.Disconnect(p.id)
+			p.slot = -1
 		}
 	}
 	n.slots = nil
 	n.slotOf = make(map[ConnID]int32)
 	n.slotHoles = 0
+	clear(n.ready)
 	n.nOutbound, n.nInbound, n.nFeelers = 0, 0, 0
 	n.byAddr = make(map[netip.AddrPort]*Peer)
 	n.emit(Event{Type: EvStopped, Node: n.cfg.Self.Addr, Time: n.env.Now()})
@@ -877,10 +879,11 @@ func (n *Node) OnMessage(conn ConnID, msg wire.Message) {
 	if p == nil {
 		return
 	}
-	p.lastRecv = n.env.Now()
+	now := n.env.Now()
+	p.lastRecv = now
 	p.pushRecv(msg)
-	n.pending++
-	n.armPump()
+	n.markReady(p)
+	n.armPumpAt(now)
 }
 
 // peerByConn resolves a connection ID to its peer, or nil.
@@ -899,10 +902,13 @@ func (n *Node) addPeer(conn ConnID, remote netip.AddrPort, dir Direction) *Peer 
 		addr:      remote,
 		dir:       dir,
 		connected: n.env.Now(),
-		knownInv:  make(map[uint64]struct{}),
+		slot:      int32(len(n.slots)),
 	}
-	n.slotOf[conn] = int32(len(n.slots))
+	n.slotOf[conn] = p.slot
 	n.slots = append(n.slots, p)
+	if len(n.slots) > 64*len(n.ready) {
+		n.ready = append(n.ready, 0)
+	}
 	n.byAddr[remote] = p
 	switch dir {
 	case Outbound:
@@ -922,9 +928,10 @@ func (n *Node) removePeer(p *Peer) {
 	if !ok || n.slots[i] != p {
 		return
 	}
-	n.pending -= p.recvLen() + p.queueLen()
 	n.slots[i] = nil
 	n.slotHoles++
+	n.ready[i>>6] &^= 1 << (i & 63)
+	p.slot = -1
 	delete(n.slotOf, p.id)
 	if n.byAddr[p.addr] == p {
 		delete(n.byAddr, p.addr)
@@ -948,10 +955,15 @@ func (n *Node) maybeCompactSlots() {
 		return
 	}
 	live := n.slots[:0]
+	clear(n.ready)
 	for _, p := range n.slots {
 		if p != nil {
-			n.slotOf[p.id] = int32(len(live))
+			p.slot = int32(len(live))
+			n.slotOf[p.id] = p.slot
 			live = append(live, p)
+			if p.recvLen()+p.queueLen() > 0 {
+				n.markReady(p)
+			}
 		}
 	}
 	for i := len(live); i < len(n.slots); i++ {

@@ -27,9 +27,8 @@ const (
 
 // outMsg is one entry of a peer's vSendMsg queue.
 type outMsg struct {
-	msg      wire.Message
-	class    msgClass
-	enqueued time.Time
+	msg   wire.Message
+	class msgClass
 	// relayMark carries the object hash for relay-delay instrumentation
 	// (zero when not a tracked relay).
 	relayMark chainhash.Hash
@@ -46,6 +45,9 @@ type Peer struct {
 	addr      netip.AddrPort
 	dir       Direction
 	connected time.Time
+	// slot is the peer's index in Node.slots (and in the ready bitmap);
+	// -1 once the peer has been removed.
+	slot int32
 
 	// Handshake state.
 	versionReceived bool
@@ -67,8 +69,8 @@ type Peer struct {
 	// knownInv tracks the objects this peer is known to have, to avoid
 	// redundant announcements. It is keyed on the first 64 bits of the
 	// hash (see invKey): the set is probed for every peer on every
-	// announcement, and an 8-byte key hashes and compares in one word.
-	knownInv map[uint64]struct{}
+	// announcement, and an 8-byte key indexes and compares in one word.
+	knownInv invSet
 
 	// wantsCmpct reports whether the peer negotiated BIP-152 relay.
 	wantsCmpct bool
@@ -106,21 +108,102 @@ func (p *Peer) Handshook() bool { return p.handshook }
 // costs there: one announcement to one peer is skipped.
 func invKey(h chainhash.Hash) uint64 { return binary.LittleEndian.Uint64(h[:8]) }
 
+// maxKnownInv bounds a peer's knownInv set.
+const maxKnownInv = 8192
+
 // markKnown records that the peer has (or was sent) the object.
-// The map is bounded: once it grows past maxKnownInv it is reset, which
+// The set is bounded: once it holds maxKnownInv keys it is emptied, which
 // only costs an occasional duplicate announcement.
 func (p *Peer) markKnown(h chainhash.Hash) {
-	const maxKnownInv = 8192
-	if len(p.knownInv) >= maxKnownInv {
-		p.knownInv = make(map[uint64]struct{}, maxKnownInv/4)
+	if p.knownInv.n >= maxKnownInv {
+		p.knownInv.reset()
 	}
-	p.knownInv[invKey(h)] = struct{}{}
+	p.knownInv.add(invKey(h))
 }
 
 // knows reports whether the peer is known to have the object.
-func (p *Peer) knows(h chainhash.Hash) bool {
-	_, ok := p.knownInv[invKey(h)]
-	return ok
+func (p *Peer) knows(h chainhash.Hash) bool { return p.knownInv.has(invKey(h)) }
+
+// invSet is an exact set of 64-bit keys in one open-addressed table. The
+// keys are hash prefixes, uniform already, so the low bits index the
+// table directly and collisions probe linearly. A zero cell is empty; the
+// zero key is a flag beside the table. The table starts at invSetMinCells
+// on the first add and doubles whenever it would pass half load, so a
+// probe sequence always ends at an empty cell.
+type invSet struct {
+	cells []uint64 // power-of-two length, 0 = empty cell
+	n     int      // keys held, the zero key included
+	zero  bool     // the zero key is a member
+}
+
+const invSetMinCells = 16
+
+// has reports whether k is in the set.
+func (s *invSet) has(k uint64) bool {
+	if k == 0 {
+		return s.zero
+	}
+	if len(s.cells) == 0 {
+		return false
+	}
+	mask := uint64(len(s.cells) - 1)
+	for i := k & mask; ; i = (i + 1) & mask {
+		switch s.cells[i] {
+		case k:
+			return true
+		case 0:
+			return false
+		}
+	}
+}
+
+// add inserts k; adding a member again changes nothing.
+func (s *invSet) add(k uint64) {
+	if k == 0 {
+		if !s.zero {
+			s.zero = true
+			s.n++
+		}
+		return
+	}
+	if 2*(s.n+1) > len(s.cells) {
+		s.grow()
+	}
+	if s.place(k) {
+		s.n++
+	}
+}
+
+// place stores k in the first free cell of its probe sequence and reports
+// whether it was absent.
+func (s *invSet) place(k uint64) bool {
+	mask := uint64(len(s.cells) - 1)
+	for i := k & mask; ; i = (i + 1) & mask {
+		switch s.cells[i] {
+		case k:
+			return false
+		case 0:
+			s.cells[i] = k
+			return true
+		}
+	}
+}
+
+// grow doubles the table and re-places every key.
+func (s *invSet) grow() {
+	old := s.cells
+	s.cells = make([]uint64, max(invSetMinCells, 2*len(old)))
+	for _, k := range old {
+		if k != 0 {
+			s.place(k)
+		}
+	}
+}
+
+// reset empties the set in place; the table keeps its size.
+func (s *invSet) reset() {
+	clear(s.cells)
+	s.n, s.zero = 0, false
 }
 
 // queueLen returns the depth of the peer's send queue.
@@ -145,7 +228,7 @@ func (p *Peer) popRecv() wire.Message {
 }
 
 // pushSend appends an outbound message.
-func (p *Peer) pushSend(out outMsg) { p.sendQ = append(p.sendQ, out) }
+func (p *Peer) pushSend(out *outMsg) { p.sendQ = append(p.sendQ, *out) }
 
 // popSend removes and returns the oldest outbound message.
 func (p *Peer) popSend() outMsg {
@@ -161,12 +244,12 @@ func (p *Peer) popSend() outMsg {
 
 // insertSendPriority inserts out after any existing classBlock entries at
 // the front of the send queue (the §V priority-relay placement).
-func (p *Peer) insertSendPriority(out outMsg) {
+func (p *Peer) insertSendPriority(out *outMsg) {
 	insert := p.sendHead
 	for insert < len(p.sendQ) && p.sendQ[insert].class == classBlock {
 		insert++
 	}
 	p.sendQ = append(p.sendQ, outMsg{})
 	copy(p.sendQ[insert+1:], p.sendQ[insert:])
-	p.sendQ[insert] = out
+	p.sendQ[insert] = *out
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math/bits"
 	"time"
 
 	"repro/internal/obs"
@@ -21,44 +22,32 @@ import (
 // immediately under the Broadcast policy for announcement classes) and
 // arms the pump.
 func (n *Node) queueMsg(p *Peer, msg wire.Message, class msgClass) {
-	n.queueRelay(p, msg, class, outMsg{})
+	n.queueRelay(p, &outMsg{msg: msg, class: class})
 }
 
-// queueRelay is queueMsg with relay instrumentation: mark carries the
-// object hash and original receive time.
-func (n *Node) queueRelay(p *Peer, msg wire.Message, class msgClass, mark outMsg) {
-	out := outMsg{
-		msg:       msg,
-		class:     class,
-		enqueued:  n.env.Now(),
-		relayMark: mark.relayMark,
-		recvAt:    mark.recvAt,
-	}
-	switch n.pol.relay {
-	case Broadcast:
+// queueRelay is queueMsg for a caller-built entry, which is how relay
+// instrumentation (relayMark, recvAt) rides along. out is copied into the
+// queue, not retained.
+func (n *Node) queueRelay(p *Peer, out *outMsg) {
+	switch {
+	case n.pol.relay == Broadcast && (out.class == classBlock || out.class == classTx):
 		// Idealized lock-step broadcast: announcements leave instantly,
 		// concurrently to every connection.
-		if class == classBlock || class == classTx {
-			n.transmitNow(p, out, 0)
-			return
-		}
-	case PriorityOutbound:
+		n.transmitNow(p, out, 0)
+		return
+	case n.pol.relay == PriorityOutbound && out.class == classBlock:
 		// §V refinement: block traffic jumps ahead of queued requests.
-		if class == classBlock {
-			p.insertSendPriority(out)
-			n.pending++
-			n.armPump()
-			return
-		}
+		p.insertSendPriority(out)
+	default:
+		p.pushSend(out)
 	}
-	p.pushSend(out)
-	n.pending++
+	n.markReady(p)
 	n.armPump()
 }
 
 // transmitNow hands a message to the environment with the given local
 // serialization delay and emits relay instrumentation.
-func (n *Node) transmitNow(p *Peer, out outMsg, delay time.Duration) {
+func (n *Node) transmitNow(p *Peer, out *outMsg, delay time.Duration) {
 	n.env.Transmit(p.id, out.msg, delay)
 	if out.relayMark.IsZero() {
 		return
@@ -90,55 +79,111 @@ func (n *Node) transmitNow(p *Peer, out outMsg, delay time.Duration) {
 	})
 }
 
-// armPump schedules a pump iteration if one is not already pending.
-// pumpFn is the cached method value: Schedule takes a func() and a fresh
-// n.pumpOnce closure per call would allocate on every arm.
+// The ready bitmap holds one bit per slot index: bit i is set exactly
+// when slots[i] is a live peer with a message in either queue. The pump
+// visits set bits only, so an idle connection costs a loop nothing, and
+// "any word non-zero" is the only record of pending work.
+
+// markReady sets p's ready bit after a push onto one of its queues. A
+// peer already removed from its slot gets none: nothing services it again.
+func (n *Node) markReady(p *Peer) {
+	if i := p.slot; i >= 0 {
+		n.ready[i>>6] |= 1 << (i & 63)
+	}
+}
+
+// nextReady returns the lowest ready slot index in [from, limit), or -1.
+// It reads the live bitmap on every call, so a slot at or above from that
+// gains work while an earlier one is serviced is still found this loop.
+func (n *Node) nextReady(from, limit int) int {
+	for from < limit {
+		if word := n.ready[from>>6] >> (from & 63); word != 0 {
+			if i := from + bits.TrailingZeros64(word); i < limit {
+				return i
+			}
+			return -1
+		}
+		from = (from | 63) + 1
+	}
+	return -1
+}
+
+// hasPendingWork reports whether any peer queue is non-empty.
+func (n *Node) hasPendingWork() bool {
+	for _, word := range n.ready {
+		if word != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// armPump makes sure a pump loop is coming. There is one wake-up per
+// loop and it is scheduled once, for the instant the loop may start. An
+// arm from inside a running loop only sets the flag (and reads no clock):
+// that loop schedules the wake-up when it knows its own busyUntil.
 func (n *Node) armPump() {
 	if n.pumpArmed || n.stopped {
 		return
 	}
-	n.pumpArmed = true
-	n.env.Schedule(0, n.pumpFn)
+	if n.inPump {
+		n.pumpArmed = true
+		return
+	}
+	n.armPumpAt(n.env.Now())
 }
 
-// pumpOnce runs one message-handler loop iteration (Algorithm 3).
-// RoundRobin and Broadcast service connections in arrival order (Bitcoin
-// Core iterates vNodes in connection order); PriorityOutbound services
-// outbound connections first, as a second inline pass over the slots —
-// no order slice is materialized.
+// armPumpAt is armPump for a caller that has already read the clock. From
+// outside a loop the wake-up goes to max(now, busyUntil): the previous
+// loop's socket serialization may still be in progress in virtual time,
+// and the next loop must not start before it completes — this is what
+// makes a 1 MB block body actually occupy the wire. pumpFn is the cached
+// method value: Schedule takes a func() and a fresh n.pumpOnce closure per
+// call would allocate on every arm.
+func (n *Node) armPumpAt(now time.Time) {
+	if n.pumpArmed || n.stopped {
+		return
+	}
+	n.pumpArmed = true
+	if n.inPump {
+		return
+	}
+	wait := time.Duration(0)
+	if now.Before(n.busyUntil) {
+		wait = n.busyUntil.Sub(now)
+	}
+	n.env.Schedule(wait, n.pumpFn)
+}
+
+// pumpOnce runs one message-handler loop iteration (Algorithm 3) over the
+// slots that hold work, in ascending slot order. RoundRobin and Broadcast
+// service connections in arrival order (Bitcoin Core iterates vNodes in
+// connection order); PriorityOutbound services outbound connections
+// first, as a second scan of the same bitmap.
 func (n *Node) pumpOnce() {
 	n.pumpArmed = false
 	if n.stopped {
 		return
 	}
-	// The previous loop's socket serialization may still be in progress
-	// in virtual time (a pump armed by message arrival fires
-	// immediately); do not start the next loop before it completes —
-	// this is what makes a 1 MB block body actually occupy the wire.
 	now := n.env.Now()
-	if now.Before(n.busyUntil) {
-		n.pumpArmed = true
-		n.env.Schedule(n.busyUntil.Sub(now), n.pumpFn)
-		return
-	}
 	n.maybeCompactSlots()
 	n.inPump = true
 	busy := time.Duration(0)
-	// Peers added mid-loop must not be serviced this iteration (the old
-	// order snapshot had the same property), so the bound is fixed here.
+	// Peers added mid-loop must not be serviced this iteration, so the
+	// bound is fixed here.
 	limit := len(n.slots)
 	if n.pol.relay != PriorityOutbound {
-		for i := 0; i < limit && !n.stopped; i++ {
+		for i := n.nextReady(0, limit); i >= 0 && !n.stopped; i = n.nextReady(i+1, limit) {
 			n.serviceSlot(i, &busy)
 		}
 	} else {
-		for i := 0; i < limit && !n.stopped; i++ {
-			if p := n.slots[i]; p != nil && p.dir != Inbound {
+		for i := n.nextReady(0, limit); i >= 0 && !n.stopped; i = n.nextReady(i+1, limit) {
+			if n.slots[i].dir != Inbound {
 				n.serviceSlot(i, &busy)
 			}
 		}
-		for i := 0; i < limit && !n.stopped; i++ {
-			if p := n.slots[i]; p != nil && p.dir == Inbound {
+		for i := n.nextReady(0, limit); i >= 0 && !n.stopped; i = n.nextReady(i+1, limit) {
+			if n.slots[i].dir == Inbound {
 				n.serviceSlot(i, &busy)
 			}
 		}
@@ -149,29 +194,26 @@ func (n *Node) pumpOnce() {
 		return
 	}
 	n.busyUntil = now.Add(busy)
-	// Re-run while any queue holds work; each loop costs its accumulated
-	// service time plus a fixed overhead. armPump may already have
-	// scheduled a wake-up during processing; the busyUntil guard above
-	// keeps that early firing honest.
-	if n.hasPendingWork() && !n.pumpArmed {
+	// A handler that queued work during the loop armed the pump: the next
+	// loop starts as soon as this one's socket work ends. Otherwise re-run
+	// while any queue holds work, a fixed overhead later.
+	if n.pumpArmed {
+		n.env.Schedule(busy, n.pumpFn)
+	} else if n.hasPendingWork() {
 		n.pumpArmed = true
 		n.env.Schedule(busy+n.cfg.LoopOverhead, n.pumpFn)
 	}
 }
 
-// serviceSlot runs one round-robin quantum for the peer in slot i:
+// serviceSlot runs one round-robin quantum for the peer in ready slot i:
 // process one received message, transmit one queued message. The slot is
 // re-read around the handler because handling a message may disconnect
-// this peer (or others — their slots go nil and are skipped naturally).
+// this peer (or others — their bits clear and they are skipped).
 func (n *Node) serviceSlot(i int, busy *time.Duration) {
 	p := n.slots[i]
-	if p == nil {
-		return
-	}
 	// ThreadMessageHandler: process one message from vProcessMsg.
 	if p.recvLen() > 0 {
 		*busy += n.cfg.MsgProcTime
-		n.pending--
 		n.handleMessage(p, p.popRecv())
 	}
 	// SocketHandler: write one message from vSendMsg.
@@ -182,8 +224,10 @@ func (n *Node) serviceSlot(i int, busy *time.Duration) {
 	if p.queueLen() > 0 {
 		out := p.popSend()
 		*busy += n.sendTime(out.msg)
-		n.pending--
-		n.transmitNow(p, out, *busy)
+		n.transmitNow(p, &out, *busy)
+	}
+	if p.recvLen()+p.queueLen() == 0 {
+		n.ready[i>>6] &^= 1 << (i & 63)
 	}
 }
 
@@ -232,9 +276,6 @@ func (n *Node) RecycleOutbound(msg wire.Message) {
 		}
 	}
 }
-
-// hasPendingWork reports whether any peer queue is non-empty.
-func (n *Node) hasPendingWork() bool { return n.pending > 0 }
 
 // sendTime models the local serialization cost of one message: a fixed
 // overhead plus wire size over the per-socket rate.
