@@ -206,10 +206,19 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "scan done in %v\n", time.Since(start).Round(time.Millisecond))
 		fmt.Printf("scan: probed %d, responsive %d (%.1f%%), misclassified-reachable %d\n",
 			res.Probed, len(res.Responsive),
-			100*float64(len(res.Responsive))/float64(res.Probed),
+			sharePct(len(res.Responsive), res.Probed),
 			len(res.ReachableSurprises))
 	}
 	return nil
+}
+
+// sharePct returns part as a percentage of whole, and 0 for an empty
+// whole: a crawl that collected no unreachable address scans nothing.
+func sharePct(part, whole int) float64 {
+	if whole == 0 {
+		return 0
+	}
+	return 100 * float64(part) / float64(whole)
 }
 
 // seriesCSV lands one crawl experiment per row, flushed row by row, so

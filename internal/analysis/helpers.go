@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"time"
-
 	"repro/internal/chain"
 	"repro/internal/wire"
 )
@@ -10,15 +8,6 @@ import (
 // chainGenesis builds the genesis block used by analysis experiments.
 func chainGenesis(tag string) *wire.MsgBlock {
 	return chain.GenesisBlock(tag)
-}
-
-// DurationsToSeconds converts a duration slice to float seconds.
-func DurationsToSeconds(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
 }
 
 // RelayDelaysSeconds extracts the last-connection delays in seconds.

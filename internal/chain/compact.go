@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/chainhash"
 	"repro/internal/wire"
 )
 
@@ -161,13 +160,4 @@ func BlockTxnFor(blk *wire.MsgBlock, req *wire.MsgGetBlockTxn) (*wire.MsgBlockTx
 		out.Transactions = append(out.Transactions, blk.Transactions[idx])
 	}
 	return out, nil
-}
-
-// TxIDsOf returns the transaction hashes of blk in block order.
-func TxIDsOf(blk *wire.MsgBlock) []chainhash.Hash {
-	out := make([]chainhash.Hash, len(blk.Transactions))
-	for i := range blk.Transactions {
-		out[i] = blk.Transactions[i].TxHash()
-	}
-	return out
 }

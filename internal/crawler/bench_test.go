@@ -21,19 +21,30 @@ func benchUniverse(b *testing.B, seed int64) *netgen.Universe {
 
 // BenchmarkCrawlSnapshot measures one full Algorithm 1 crawl over a
 // small synthetic universe, with the dense index and default fan-out —
-// the hot path of the longitudinal study.
+// the hot path of the longitudinal study. Like the study it never crawls
+// one instant twice in a row: iteration i crawls the i-mod-k-th of k
+// consecutive crawl instants, whose inputs are prepared before the timer
+// starts.
 func BenchmarkCrawlSnapshot(b *testing.B) {
 	u := benchUniverse(b, 55)
-	at := u.Params.Epoch.Add(10 * 24 * time.Hour)
-	seedView := u.SeedViewAt(at)
-	targets := TargetsOf(seedView)
-	known := ReachableReference(seedView)
+	type instant struct {
+		at      time.Time
+		targets []netip.AddrPort
+		known   map[netip.AddrPort]struct{}
+	}
+	instants := make([]instant, 8)
+	for k := range instants {
+		at := u.Params.Epoch.Add(10*24*time.Hour + time.Duration(k)*u.Params.CrawlInterval)
+		seedView := u.SeedViewAt(at)
+		instants[k] = instant{at, TargetsOf(seedView), ReachableReference(seedView)}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		view := NewUniverseView(u, at)
+		in := instants[i%len(instants)]
+		view := NewUniverseView(u, in.at)
 		c := New(Config{Index: u.Index}, view)
-		if _, err := c.Crawl(context.Background(), at, targets, known); err != nil {
+		if _, err := c.Crawl(context.Background(), in.at, in.targets, in.known); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -124,7 +125,7 @@ type Exchange struct {
 	Addrs []wire.NetAddress
 }
 
-// Observer receives crawl exchanges. Deliveries happen on the merge
+// Observer receives crawl exchanges. Deliveries happen on Crawl's calling
 // goroutine in target order (and round order within a target), so an
 // observer needs no locking and sees a byte-identical stream at any
 // worker count. Attaching an observer does not perturb the snapshot.
@@ -293,11 +294,17 @@ func (v *knownView) contains(addr netip.AddrPort, id addridx.ID) bool {
 // interned). Epoch versioning makes clear O(1) — the per-target "seen"
 // set is cleared once per crawled node, and a full memset of an
 // index-sized bitset per node was a measurable slice of crawl CPU.
+// A worker's pooled set also carries the scratch in which drainNode
+// collects one target's unreachable (addr, id) pairs, so the buffers grow
+// to the worker's largest target once, not once per target.
 type memberSet struct {
 	idx    *addridx.Index
 	epochs []uint32 // epochs[id] == epoch ⇔ id is a member
 	epoch  uint32
 	rest   map[netip.AddrPort]struct{}
+
+	unreachable    []netip.AddrPort
+	unreachableIDs []addridx.ID // parallel to unreachable
 }
 
 func newMemberSet(idx *addridx.Index) *memberSet {
@@ -349,37 +356,19 @@ func (m *memberSet) clear() {
 		m.epoch = 1
 	}
 	clear(m.rest)
+	m.unreachable = m.unreachable[:0]
+	m.unreachableIDs = m.unreachableIDs[:0]
 }
 
-// crawlJob is one target's private crawl outcome, handed from its
-// worker to the in-order merge loop — the Runner pattern: workers write
-// only their own slot, the merge loop alone touches the snapshot, so
-// output is byte-identical at any worker count and memory for merged
-// slots is released while later targets are still crawling.
+// crawlJob is one target's private crawl outcome — the Runner pattern:
+// workers write only their own slot, the merge alone touches the
+// snapshot, so output is byte-identical at any worker count.
 type crawlJob struct {
-	report         *NodeReport // nil when the target was skipped (MaxNodes)
-	unreachable    []netip.AddrPort // exact-size, nil when none
+	report         *NodeReport      // nil when the target was skipped (MaxNodes)
+	unreachable    []netip.AddrPort // the job's own copy of the worker's scratch
 	unreachableIDs []addridx.ID     // parallel to unreachable
 	exchanges      []Exchange       // captured only when Config.Observer != nil
 }
-
-// drainBufs is an unreachable-accumulation arena: drainNode appends one
-// target's entries, and the job keeps a capped three-index view of its
-// own range instead of a copy. The arena is never truncated while a
-// crawl runs — later appends either land past every view or move to a
-// fresh backing array, leaving old views intact either way — so each
-// worker pays amortized-nothing per target. The Get/Put pair lives
-// entirely inside the worker body: recycling must not depend on the
-// merge goroutine keeping pace, which on few cores it does not.
-type drainBufs struct {
-	addrs []netip.AddrPort
-	ids   []addridx.ID
-}
-
-// drainBufsPool recycles arenas across crawls. Arenas enter it only
-// from Crawl's success path, truncated, after the snapshot is built and
-// every job view into them is dead.
-var drainBufsPool sync.Pool
 
 // Crawl runs Algorithm 1 against every address in targets: connect, issue
 // GETADDR until a response adds nothing new, classify each collected
@@ -403,116 +392,75 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 
 	known := newKnownView(c.cfg.Index, knownReachable)
 	jobs := make([]crawlJob, len(targets))
-	// Completion is a flag per job plus one shared wake-up token, not a
-	// channel per job: after every flag store a token is pending (the
-	// one-slot send either succeeds or finds one already there), and the
-	// merge loop re-checks its flag after every token, so no wake-up is
-	// ever lost.
-	jobDone := make([]atomic.Bool, len(targets))
-	notify := make(chan struct{}, 1)
 	scratch := sync.Pool{New: func() any { return newMemberSet(c.cfg.Index) }}
-	var bufPool sync.Pool // *drainBufs, recycled by the merge loop
 	var connected atomic.Int64 // MaxNodes accounting; workers == 1 then
-
-	forEachErr := make(chan error, 1)
-	go func() {
-		forEachErr <- par.ForEach(ctx, workers, len(targets), func(ctx context.Context, i int) error {
-			defer func() {
-				jobDone[i].Store(true)
-				select {
-				case notify <- struct{}{}:
-				default:
-				}
-			}()
-			if c.cfg.MaxNodes > 0 && int(connected.Load()) >= c.cfg.MaxNodes {
-				return nil // skipped: report stays nil
-			}
-			seen := scratch.Get().(*memberSet)
-			bufs, _ := bufPool.Get().(*drainBufs)
-			if bufs == nil {
-				if bufs, _ = drainBufsPool.Get().(*drainBufs); bufs == nil {
-					bufs = &drainBufs{}
-				}
-			}
-			c.crawlTarget(targets[i], known, seen, &jobs[i], bufs)
-			seen.clear()
-			scratch.Put(seen)
-			bufPool.Put(bufs)
-			if jobs[i].report.Connected {
-				connected.Add(1)
-			}
-			c.mPending.Add(-1)
-			return nil
-		})
-	}()
+	err := par.ForEach(ctx, workers, len(targets), func(ctx context.Context, i int) error {
+		if c.cfg.MaxNodes > 0 && int(connected.Load()) >= c.cfg.MaxNodes {
+			return nil // skipped: report stays nil
+		}
+		seen := scratch.Get().(*memberSet)
+		c.crawlTarget(targets[i], known, seen, &jobs[i])
+		seen.clear()
+		scratch.Put(seen)
+		if jobs[i].report.Connected {
+			connected.Add(1)
+		}
+		c.mPending.Add(-1)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	// Merge, phase one: fold per-target reports into the snapshot in
-	// target order as they complete. Jobs skipped after a cancellation
-	// never flag done, so the merge also watches ctx. The per-job
-	// unreachable slices are left in place for phase two, which sizes the
-	// aggregate exactly.
+	// target order. The per-job unreachable slices are left in place for
+	// phase two, which sizes the aggregate exactly.
 	snap := &Snapshot{
 		Time:    at,
 		Reports: make(map[netip.AddrPort]*NodeReport, len(targets)),
 	}
 	global := newMemberSet(c.cfg.Index)
-	mergeErr := func() error {
-		for i := range jobs {
-			for !jobDone[i].Load() {
-				select {
-				case <-notify:
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			rep := jobs[i].report
-			if rep == nil {
-				continue
-			}
-			snap.Dialed++
-			snap.Reports[rep.Addr] = rep
-			if !rep.Connected {
-				continue
-			}
-			if snap.Connected == nil {
-				// Connected is bounded by the target count: reserve it
-				// whole rather than paying append's growth churn.
-				snap.Connected = make([]netip.AddrPort, 0, len(targets))
-			}
-			snap.Connected = append(snap.Connected, rep.Addr)
-			if c.cfg.Index != nil {
-				if snap.ConnectedIDs == nil {
-					snap.ConnectedIDs = make([]addridx.ID, 0, len(targets))
-				}
-				snap.ConnectedIDs = append(snap.ConnectedIDs, global.resolve(rep.Addr))
-			}
-			if c.cfg.Observer != nil {
-				// Deliver from the merge goroutine, never from workers:
-				// the observer stream inherits the merge order and needs
-				// no synchronization of its own.
-				srcID := global.resolve(rep.Addr)
-				for _, ex := range jobs[i].exchanges {
-					ex.At = at
-					ex.SourceID = srcID
-					c.cfg.Observer(ex)
-				}
-				jobs[i].exchanges = nil
-			}
+	for i := range jobs {
+		rep := jobs[i].report
+		if rep == nil {
+			continue
 		}
-		return nil
-	}()
-	if err := <-forEachErr; err != nil {
-		return nil, err
+		snap.Dialed++
+		snap.Reports[rep.Addr] = rep
+		if !rep.Connected {
+			continue
+		}
+		if snap.Connected == nil {
+			// Connected is bounded by the target count: reserve it
+			// whole rather than paying append's growth churn.
+			snap.Connected = make([]netip.AddrPort, 0, len(targets))
+		}
+		snap.Connected = append(snap.Connected, rep.Addr)
+		if c.cfg.Index != nil {
+			if snap.ConnectedIDs == nil {
+				snap.ConnectedIDs = make([]addridx.ID, 0, len(targets))
+			}
+			snap.ConnectedIDs = append(snap.ConnectedIDs, global.resolve(rep.Addr))
+		}
+		if c.cfg.Observer != nil {
+			// Deliver from the merge, never from workers: the observer
+			// stream inherits the merge order and needs no
+			// synchronization of its own.
+			srcID := global.resolve(rep.Addr)
+			for _, ex := range jobs[i].exchanges {
+				ex.At = at
+				ex.SourceID = srcID
+				c.cfg.Observer(ex)
+			}
+			jobs[i].exchanges = nil
+		}
 	}
-	if mergeErr != nil {
-		return nil, mergeErr
-	}
-	// Merge, phase two: aggregate the unreachable sets. Every job is
-	// complete now, so a counting pass sizes the aggregate exactly and the
-	// fill pass allocates it once — incremental appending paid for the
-	// accumulated set again and again in growth copies. The membership set
-	// is cleared between the passes; both replay the identical add
-	// sequence, so first-seen order is preserved.
+	// Merge, phase two: aggregate the unreachable sets. A counting pass
+	// sizes the aggregate exactly and the fill pass allocates it once —
+	// incremental appending paid for the accumulated set again and again
+	// in growth copies. The membership set is cleared between the passes;
+	// both replay the identical add sequence, so first-seen order is
+	// preserved.
 	total := 0
 	for i := range jobs {
 		for k, a := range jobs[i].unreachable {
@@ -541,25 +489,14 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 		}
 		jobs[i] = crawlJob{}
 	}
-	// Every view into the arenas is dead now: truncate them and hand them
-	// to the cross-crawl pool so the next crawl starts at full capacity.
-	for {
-		bufs, _ := bufPool.Get().(*drainBufs)
-		if bufs == nil {
-			break
-		}
-		bufs.addrs = bufs.addrs[:0]
-		bufs.ids = bufs.ids[:0]
-		drainBufsPool.Put(bufs)
-	}
 	c.mPending.Set(0)
 	return snap, nil
 }
 
 // crawlTarget dials one target and drains it into its private job slot,
-// accumulating through the worker's reusable bufs.
+// accumulating through the worker's seen scratch.
 func (c *Crawler) crawlTarget(target netip.AddrPort, known *knownView,
-	seen *memberSet, job *crawlJob, bufs *drainBufs) {
+	seen *memberSet, job *crawlJob) {
 	c.mDials.Inc()
 	job.report = &NodeReport{Addr: target}
 	sess, err := c.dialer.Dial(target)
@@ -568,14 +505,9 @@ func (c *Crawler) crawlTarget(target netip.AddrPort, known *knownView,
 	}
 	job.report.Connected = true
 	c.mConnected.Inc()
-	lo := len(bufs.addrs)
-	c.drainNode(sess, known, seen, bufs, job)
-	if hi := len(bufs.addrs); hi > lo {
-		// The job's record is a capped view of its arena range: no copy,
-		// and no way for later appends to touch it.
-		job.unreachable = bufs.addrs[lo:hi:hi]
-		job.unreachableIDs = bufs.ids[lo:hi:hi]
-	}
+	c.drainNode(sess, known, seen, job)
+	job.unreachable = slices.Clone(seen.unreachable)
+	job.unreachableIDs = slices.Clone(seen.unreachableIDs)
 	if err := sess.Close(); err != nil {
 		// Teardown failed after a successful drain: record it on the
 		// report and keep the snapshot.
@@ -584,9 +516,8 @@ func (c *Crawler) crawlTarget(target netip.AddrPort, known *knownView,
 }
 
 // drainNode implements the Algorithm 1 inner loop for one node,
-// appending the node's unreachable addresses to bufs.
-func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet,
-	bufs *drainBufs, job *crawlJob) {
+// appending the node's unreachable addresses to seen's scratch.
+func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet, job *crawlJob) {
 	report := job.report
 	// Sessions that know their addresses' dense IDs save the per-address
 	// index lookup; the IDs are only meaningful against Config.Index.
@@ -641,8 +572,8 @@ func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet,
 			} else {
 				report.UnreachableSent++
 				c.mAddrsUnreach.Inc()
-				bufs.addrs = append(bufs.addrs, na.Addr)
-				bufs.ids = append(bufs.ids, id)
+				seen.unreachable = append(seen.unreachable, na.Addr)
+				seen.unreachableIDs = append(seen.unreachableIDs, id)
 			}
 		}
 		// Algorithm 1 termination: a response with no new addresses

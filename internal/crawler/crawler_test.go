@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -321,6 +323,59 @@ func TestScanCancelled(t *testing.T) {
 	}
 }
 
+// cancellingDialer wraps fakeDialer and cancels the crawl's context on
+// its k-th dial.
+type cancellingDialer struct {
+	fakeDialer
+	k      int64
+	dials  atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (d *cancellingDialer) Dial(addr netip.AddrPort) (Session, error) {
+	if d.dials.Add(1) == d.k {
+		d.cancel()
+	}
+	return d.fakeDialer.Dial(addr)
+}
+
+func TestCrawlCancelled(t *testing.T) {
+	// Cancellation mid-crawl: Crawl returns ctx.Err() and no snapshot,
+	// and every goroutine it started has exited.
+	books := make(map[netip.AddrPort][]wire.NetAddress)
+	var targets []netip.AddrPort
+	for i := 1; i <= 40; i++ {
+		targets = append(targets, tAddr(i))
+		books[tAddr(i)] = []wire.NetAddress{na(tAddr(i)), na(tAddr(100 + i))}
+	}
+	for _, workers := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		d := &cancellingDialer{fakeDialer: fakeDialer{books: books}, k: 5, cancel: cancel}
+		snap, err := New(Config{Workers: workers}, d).Crawl(ctx, time.Unix(0, 0), targets, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if snap != nil {
+			t.Errorf("workers=%d: snapshot returned from a cancelled crawl", workers)
+		}
+		// One worker checks the context before every target; several may
+		// each have a dial in flight when the k-th cancels.
+		if n := d.dials.Load(); workers == 1 && n != d.k {
+			t.Errorf("workers=1: %d dials, want the crawl to stop at dial %d", n, d.k)
+		}
+		// A goroutine that has signalled its WaitGroup may not have left
+		// the scheduler's count yet: give it a moment.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("workers=%d: %d goroutines before the crawl, %d after", workers, before, after)
+		}
+	}
+}
+
 // closeFailDialer wraps fakeDialer so every session's Close fails.
 type closeFailDialer struct{ fakeDialer }
 
@@ -361,31 +416,52 @@ func TestCrawlKeepsSnapshotOnCloseError(t *testing.T) {
 }
 
 func TestCrawlWorkerCountInvariance(t *testing.T) {
-	// The snapshot must be byte-identical at any fan-out width: the
-	// popsim backend keys all randomness by StationID and the merge is
-	// in target order.
+	// The snapshot and the observer stream must be byte-identical at any
+	// fan-out width: the popsim backend keys all randomness by StationID
+	// and the merge is in target order.
 	u := smallUniverse(t)
 	at := u.Params.Epoch.Add(10 * 24 * time.Hour)
 	seedView := u.SeedViewAt(at)
 	targets := TargetsOf(seedView)
 	known := ReachableReference(seedView)
 
-	crawlWith := func(workers int) *Snapshot {
+	crawlWith := func(workers int) (*Snapshot, []Exchange) {
+		var exchanges []Exchange
 		view := NewUniverseView(u, at)
-		c := New(Config{Workers: workers, Index: u.Index}, view)
+		c := New(Config{Workers: workers, Index: u.Index,
+			Observer: func(ex Exchange) { exchanges = append(exchanges, ex) }}, view)
 		snap, err := c.Crawl(context.Background(), at, targets, known)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snap
+		return snap, exchanges
 	}
-	seq, par4 := crawlWith(1), crawlWith(4)
-	if !reflect.DeepEqual(seq, par4) {
-		t.Errorf("snapshots differ between workers=1 and workers=4:\n"+
-			"seq: dialed=%d connected=%d unreachable=%d\n"+
-			"par: dialed=%d connected=%d unreachable=%d",
-			seq.Dialed, len(seq.Connected), len(seq.Unreachable),
-			par4.Dialed, len(par4.Connected), len(par4.Unreachable))
+	seq, seqEx := crawlWith(1)
+	if len(seq.Unreachable) == 0 || len(seqEx) == 0 {
+		t.Fatalf("degenerate crawl: %d unreachable, %d exchanges", len(seq.Unreachable), len(seqEx))
+	}
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{
+		{"workers=4", 4},
+		// The same instant again on the same universe: a book is a pure
+		// function of (seed, instant, StationID), so nothing has to
+		// remember the first crawl for the second to repeat it.
+		{"same instant again", 1},
+	} {
+		got, gotEx := crawlWith(tc.workers)
+		if !reflect.DeepEqual(seq, got) {
+			t.Errorf("%s: snapshot differs from the first workers=1 crawl:\n"+
+				"first: dialed=%d connected=%d unreachable=%d\n"+
+				"got:   dialed=%d connected=%d unreachable=%d", tc.name,
+				seq.Dialed, len(seq.Connected), len(seq.Unreachable),
+				got.Dialed, len(got.Connected), len(got.Unreachable))
+		}
+		if !reflect.DeepEqual(seqEx, gotEx) {
+			t.Errorf("%s: observer stream differs from the first workers=1 crawl: %d vs %d exchanges",
+				tc.name, len(seqEx), len(gotEx))
+		}
 	}
 }
 

@@ -100,7 +100,7 @@ func (v *UniverseView) Dial(addr netip.AddrPort) (Session, error) {
 	if s.ids == nil {
 		s.ids = make([]addridx.ID, 0, 64)
 	}
-	s.book, s.ids = v.u.CachedAddrBook(s.book[:0], s.ids[:0], st, v.at, v.online, v.visible)
+	s.book, s.ids = v.u.AppendAddrBook(s.book[:0], s.ids[:0], st, v.at, v.online, v.visible)
 	return s, nil
 }
 

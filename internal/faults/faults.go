@@ -188,9 +188,6 @@ func New(net *simnet.Network, cfg Config) *Injector {
 // under clean conditions.
 func (inj *Injector) SetEnabled(enabled bool) { inj.disabled = !enabled }
 
-// SetDefault replaces the default link profile.
-func (inj *Injector) SetDefault(p Profile) { inj.cfg.Default = p }
-
 // SetLinkProfile overrides the profile for the link between a and b (both
 // directions). Use a zero Profile to make one link clean under a lossy
 // default.

@@ -2,7 +2,6 @@ package netgen
 
 import (
 	"math/rand/v2"
-	"sync"
 	"time"
 
 	"repro/internal/addridx"
@@ -25,21 +24,16 @@ func (u *Universe) NetAddr(s *Station, t time.Time, rng *rand.Rand) wire.NetAddr
 	}
 }
 
-// AddrBook returns the full address set station s would reveal through
-// iterative GETADDR at time t: its own address first, then a mixture of
-// reachable and unreachable addresses at the paper's measured 14.9/85.1
-// composition. Malicious stations return an unreachable-only flood slice
-// of their budget (no self-advertisement — the detection heuristic's
-// tell). The book is sampled deterministically from the pools current at
-// t using a per-(station, crawl-interval) PCG stream keyed by the dense
-// StationID, so book content is independent of crawl order.
-func (u *Universe) AddrBook(s *Station, t time.Time) []wire.NetAddress {
-	return u.AddrBookFrom(s, t, u.OnlineReachable(t), u.VisibleUnreachable(t))
-}
-
-// AddrBookFrom is AddrBook with the candidate pools precomputed, so a
-// crawl over thousands of stations scans the universe once per
-// experiment rather than once per station.
+// AddrBookFrom returns the full address set station s would reveal
+// through iterative GETADDR at time t: its own address first, then a
+// mixture of reachable and unreachable addresses at the paper's measured
+// 14.9/85.1 composition. Malicious stations return an unreachable-only
+// flood slice of their budget (no self-advertisement — the detection
+// heuristic's tell). The book is sampled deterministically from online
+// and visible, the candidate pools current at t (OnlineReachable,
+// VisibleUnreachable), using a per-(station, crawl-interval) PCG stream
+// keyed by the dense StationID, so book content is independent of crawl
+// order.
 func (u *Universe) AddrBookFrom(s *Station, t time.Time, online, visible []*Station) []wire.NetAddress {
 	book, _ := u.AppendAddrBook(nil, nil, s, t, online, visible)
 	return book
@@ -109,49 +103,6 @@ func (u *Universe) AppendAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
 		}
 	}
 	return addrs, ids
-}
-
-// bookCache memoizes sampled address books for one instant. Book
-// content is a pure function of (station, instant, candidate pools), so
-// workloads that revisit an instant — repeated experiments over one
-// frozen universe view, the intervention grid's per-policy crawls, a
-// benchmark loop — can skip resampling entirely. Like instantPools, the
-// cache holds a single instant and drops wholesale when a new instant is
-// queried, bounding it to one crawl's worth of dialed books.
-type bookCache struct {
-	mu    sync.Mutex
-	at    time.Time
-	ok    bool
-	books map[addridx.ID]cachedBook
-}
-
-type cachedBook struct {
-	addrs []wire.NetAddress
-	ids   []addridx.ID
-}
-
-// CachedAddrBook returns station s's address book at t copied into the
-// caller's buffers (appended; both may be nil), serving from the
-// universe's per-instant book cache and sampling on a miss. The copy is
-// what keeps the cache sound: sessions shuffle and page their books in
-// place, so they must own their bytes.
-func (u *Universe) CachedAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
-	s *Station, t time.Time, online, visible []*Station) ([]wire.NetAddress, []addridx.ID) {
-	u.bookMemo.mu.Lock()
-	if !u.bookMemo.ok || !u.bookMemo.at.Equal(t) {
-		u.bookMemo.at, u.bookMemo.ok = t, true
-		u.bookMemo.books = make(map[addridx.ID]cachedBook)
-	}
-	cb, hit := u.bookMemo.books[s.ID]
-	if !hit {
-		a, i := u.AppendAddrBook(nil, make([]addridx.ID, 0, 8), s, t, online, visible)
-		cb = cachedBook{addrs: a, ids: i}
-		u.bookMemo.books[s.ID] = cb
-	}
-	u.bookMemo.mu.Unlock()
-	// Cached entries are immutable once inserted; copying outside the
-	// lock is safe.
-	return append(addrs, cb.addrs...), append(ids, cb.ids...)
 }
 
 // SeedView is the crawl bootstrap picture at one instant: the two seed

@@ -171,18 +171,17 @@ type Universe struct {
 	stations []*Station // by dense ID
 	rng      *rand.Rand
 
-	pools    instantPools // memoized per-instant candidate pools
-	bookMemo bookCache    // memoized per-instant address books
+	pools instantPools // memoized per-instant candidate pools
 }
 
 // instantPools memoizes the candidate pools of the most recently queried
 // instant. A crawl experiment freezes one instant and then asks for the
-// same pools once per view (and once per AddrBook in the slow path), so
-// remembering the last answer turns the repeated full-population scans
-// into pointer returns. The cached slices are allocated exactly (no
-// spare capacity) and never mutated afterwards, so handing the same
-// slice to multiple callers is safe: callers treat the pools as
-// read-only, and an append by any caller reallocates.
+// same pools once per view (and once per TrueDegree on the ground-truth
+// path), so remembering the last answer turns the repeated
+// full-population scans into pointer returns. The cached slices are
+// allocated exactly (no spare capacity) and never mutated afterwards, so
+// handing the same slice to multiple callers is safe: callers treat the
+// pools as read-only, and an append by any caller reallocates.
 type instantPools struct {
 	mu      sync.Mutex
 	at      time.Time
@@ -261,11 +260,6 @@ func (u *Universe) ByID(id addridx.ID) *Station {
 	}
 	return u.stations[id]
 }
-
-// NumStations returns the total interned station count (reachable plus
-// unreachable) — the sizing bound for addridx.Set bitsets over this
-// universe.
-func (u *Universe) NumStations() int { return len(u.stations) }
 
 // End returns the end of the measurement horizon.
 func (u *Universe) End() time.Time { return u.Params.Epoch.Add(u.Params.Horizon) }

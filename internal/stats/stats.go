@@ -193,11 +193,6 @@ func NewHistogram(xs []float64, n int) (*Histogram, error) {
 	return h, nil
 }
 
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.Width
-}
-
 // Density returns the normalized density of bin i such that the histogram
 // integrates to 1.
 func (h *Histogram) Density(i int) float64 {

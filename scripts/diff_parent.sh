@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Output-equivalence check against a parent commit: the oracle for any
 # change of storage or scheduling that claims to move no output byte.
-# Builds `reproduce` and `btcsim` from REF and from the working tree, runs
-# the determinism job's commands on both, and compares
+# Builds `reproduce`, `btcsim` and `btccrawl` from REF and from the working
+# tree, runs the determinism job's commands on both, and compares
 #
 #   - stdout of `reproduce -all -quick -seed 7 -workers=1` and of
 #     `reproduce -id fig10 -quick -seed 179 -workers=1` (trace digests
@@ -10,7 +10,9 @@
 #   - the two -csv trees with diff -r, after dropping the rows whose
 #     series name matches -allow,
 #   - stdout and the NDJSON trace of `btcsim -nodes 30 -hours 1 -txs 50
-#     -compact -seed 179 -trace-out` with diff and cmp.
+#     -compact -seed 179 -trace-out` with diff and cmp,
+#   - stdout of `btccrawl -series 6 -scale 0.02 -seed 7 -workers=1` with
+#     diff.
 #
 # Exit status 0 means every surface is identical. The stderr of each run
 # (wall-clock `resources:` lines) is kept beside its output and is not
@@ -54,15 +56,16 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir "$tmp/src" "$tmp/parent" "$tmp/change"
 git archive "$ref" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/parent/" ./cmd/reproduce ./cmd/btcsim)
-go build -o "$tmp/change/" ./cmd/reproduce ./cmd/btcsim
+(cd "$tmp/src" && go build -o "$tmp/parent/" ./cmd/reproduce ./cmd/btcsim ./cmd/btccrawl)
+go build -o "$tmp/change/" ./cmd/reproduce ./cmd/btcsim ./cmd/btccrawl
 
-# produce runs the three commands in directory $1 with the binaries there.
+# produce runs the four commands in directory $1 with the binaries there.
 produce() (
   cd "$1"
   ./reproduce -all -quick -seed 7 -workers=1 -csv csv7 > all7.txt 2> all7.err
   ./reproduce -id fig10 -quick -seed 179 -workers=1 -csv csv179 > fig10_179.txt 2> fig10_179.err
   ./btcsim -nodes 30 -hours 1 -txs 50 -compact -seed 179 -trace-out trace.ndjson > btcsim.txt 2> btcsim.err
+  ./btccrawl -series 6 -scale 0.02 -seed 7 -workers=1 > btccrawl.txt 2> btccrawl.err
   # Copy each CSV without the -allow rows; the name is matched as its own
   # field, so the regex can anchor it with ^ and $.
   for tree in csv7 csv179; do
@@ -96,6 +99,7 @@ check "csv tree: seed 7${allow:+ (minus -allow rows)}"   diff -r "$tmp/parent/fi
 check "csv tree: seed 179${allow:+ (minus -allow rows)}" diff -r "$tmp/parent/filtered/csv179" "$tmp/change/filtered/csv179"
 check "stdout: btcsim -seed 179"                     diff "$tmp/parent/btcsim.txt" "$tmp/change/btcsim.txt"
 check "trace:  btcsim -seed 179 NDJSON"              cmp "$tmp/parent/trace.ndjson" "$tmp/change/trace.ndjson"
+check "stdout: btccrawl -series 6 -seed 7"           diff "$tmp/parent/btccrawl.txt" "$tmp/change/btccrawl.txt"
 
 if [ -n "$allow" ]; then
   moved=$( (diff -r "$tmp/parent/csv7" "$tmp/change/csv7"; diff -r "$tmp/parent/csv179" "$tmp/change/csv179") | grep -c '^<' || true)
