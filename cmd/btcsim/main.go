@@ -25,6 +25,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,37 +42,93 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "btcsim:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	var (
-		nodes     = flag.Int("nodes", 120, "reachable full nodes")
-		hours     = flag.Float64("hours", 4, "measured virtual hours")
-		churn     = flag.Float64("churn", 1.5, "node departures per 10 virtual minutes")
-		policies  = flag.String("policies", node.StockPolicyName, "intervention policy set applied to every node (e.g. \"tried-only-addr+horizon-17d\"; \"stock\" = none)")
-		txs       = flag.Int("txs", 100, "background transactions per block interval")
-		compact   = flag.Bool("compact", false, "use BIP-152 compact block relay")
-		seed      = flag.Int64("seed", 1, "random seed")
-		runs      = flag.Int("runs", 1, "replications on paired seeds (seed + i*7919)")
-		workers   = flag.Int("workers", 0, "replication worker goroutines (0 = GOMAXPROCS)")
-		traceOut  = flag.String("trace-out", "", "stream trace events (NDJSON, one event per line) to this file")
-		pprof     = flag.Bool("pprof", false, "serve net/http/pprof profiles while the simulation runs")
-		pprofAddr = flag.String("pprof-addr", "127.0.0.1:6060", "pprof listen address (with -pprof; port 0 picks a free port)")
-	)
-	flag.Parse()
+// options holds the parsed command line.
+type options struct {
+	nodes     int
+	hours     float64
+	churn     float64
+	policies  string
+	txs       int
+	compact   bool
+	seed      int64
+	runs      int
+	workers   int
+	traceOut  string
+	pprof     bool
+	pprofAddr string
+}
 
+// run parses args and runs the simulation. It returns the exit status: 2
+// for a command line it rejects, before any work is done, and 1 for a
+// simulation that failed.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("btcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&o.nodes, "nodes", 120, "reachable full nodes (at least 3)")
+	fs.Float64Var(&o.hours, "hours", 4, "measured virtual hours (above 0)")
+	fs.Float64Var(&o.churn, "churn", 1.5, "node departures per 10 virtual minutes")
+	fs.StringVar(&o.policies, "policies", node.StockPolicyName, "intervention policy set applied to every node (e.g. \"tried-only-addr+horizon-17d\"; \"stock\" = none)")
+	fs.IntVar(&o.txs, "txs", 100, "background transactions per block interval")
+	fs.BoolVar(&o.compact, "compact", false, "use BIP-152 compact block relay")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.IntVar(&o.runs, "runs", 1, "replications on paired seeds (seed + i*7919)")
+	fs.IntVar(&o.workers, "workers", 0, "replication worker goroutines (0 = GOMAXPROCS)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "stream trace events (NDJSON, one event per line) to this file")
+	fs.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof profiles while the simulation runs")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "127.0.0.1:6060", "pprof listen address (with -pprof; port 0 picks a free port)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(stderr, "btcsim:", err)
+		fs.Usage()
+		return 2
+	}
+	if err := simulate(o, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "btcsim:", err)
+		return 1
+	}
+	return 0
+}
+
+// duration is -hours as the measured phase length.
+func (o options) duration() time.Duration {
+	return time.Duration(o.hours * float64(time.Hour))
+}
+
+// validate rejects the flag values the simulation would otherwise replace
+// with a default or fail on after set-up.
+func (o options) validate() error {
+	switch {
+	case !(o.hours > 0) || o.duration() <= 0:
+		return fmt.Errorf("-hours must be above 0, got %v", o.hours)
+	case o.nodes < 3:
+		return fmt.Errorf("-nodes must be at least 3, got %d", o.nodes)
+	case o.txs < 0:
+		return fmt.Errorf("-txs must not be negative, got %d", o.txs)
+	case o.runs < 1:
+		return fmt.Errorf("-runs must be at least 1, got %d", o.runs)
+	}
+	return nil
+}
+
+// simulate runs the replications and prints their summaries.
+func simulate(o options, stdout, stderr io.Writer) error {
 	// A shared registry lets -pprof expose live /metrics across all
 	// replications. It only feeds the HTTP view: per-run results and
 	// stdout still come from each run's own accounting, so output stays
 	// deterministic even though concurrent runs merge their counters
 	// here.
 	var liveReg *obs.Registry
-	if *pprof {
-		srv, err := obs.StartPprof(*pprofAddr)
+	if o.pprof {
+		srv, err := obs.StartPprof(o.pprofAddr)
 		if err != nil {
 			return fmt.Errorf("pprof: %w", err)
 		}
@@ -83,28 +140,28 @@ func run() error {
 		// touch stdout, so output determinism is unaffected.
 		stopRes := obs.NewResourceSampler(liveReg).Start(2 * time.Second)
 		defer stopRes()
-		fmt.Printf("pprof listening on http://%s/debug/pprof/ (metrics at /metrics)\n", srv.Addr)
+		fmt.Fprintf(stdout, "pprof listening on http://%s/debug/pprof/ (metrics at /metrics)\n", srv.Addr)
 	}
 
-	policySet, err := node.ParsePolicySet(*policies)
+	policySet, err := node.ParsePolicySet(o.policies)
 	if err != nil {
 		return err
 	}
 
 	base := analysis.PropagationConfig{
-		Seed:                    *seed,
-		NumReachable:            *nodes,
-		Duration:                time.Duration(*hours * float64(time.Hour)),
-		TxPerBlock:              *txs,
+		Seed:                    o.seed,
+		NumReachable:            o.nodes,
+		Duration:                o.duration(),
+		TxPerBlock:              o.txs,
 		Policies:                policySet,
-		CompactBlocks:           *compact,
-		ChurnDeparturesPer10Min: *churn,
+		CompactBlocks:           o.compact,
+		ChurnDeparturesPer10Min: o.churn,
 		Metrics:                 liveReg,
 	}
 
 	traceClose := func() error { return nil }
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
 		if err != nil {
 			return fmt.Errorf("trace-out: %w", err)
 		}
@@ -135,19 +192,16 @@ func run() error {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	if *runs < 1 {
-		*runs = 1
-	}
 	start := time.Now()
-	bufs := make([]bytes.Buffer, *runs)
-	err = par.ForEach(ctx, *workers, *runs, func(ctx context.Context, i int) error {
+	bufs := make([]bytes.Buffer, o.runs)
+	err = par.ForEach(ctx, o.workers, o.runs, func(ctx context.Context, i int) error {
 		cfg := base
 		cfg.Seed = base.Seed + int64(i)*7919
 		res, err := analysis.RunPropagation(ctx, cfg)
 		if err != nil {
 			return fmt.Errorf("run %d (seed %d): %w", i, cfg.Seed, err)
 		}
-		if *runs > 1 {
+		if o.runs > 1 {
 			fmt.Fprintf(&bufs[i], "-- run %d (seed %d) --\n", i, cfg.Seed)
 		}
 		summarize(&bufs[i], res)
@@ -161,10 +215,10 @@ func run() error {
 	}
 	// Wall time goes to stderr so stdout stays byte-identical across
 	// same-seed invocations and worker counts.
-	fmt.Fprintf(os.Stderr, "simulated %d nodes for %v of virtual time x %d run(s) (%v wall)\n",
-		*nodes, base.Duration, *runs, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "simulated %d nodes for %v of virtual time x %d run(s) (%v wall)\n",
+		base.NumReachable, base.Duration, o.runs, time.Since(start).Round(time.Millisecond))
 	for i := range bufs {
-		if _, err := bufs[i].WriteTo(os.Stdout); err != nil {
+		if _, err := bufs[i].WriteTo(stdout); err != nil {
 			return err
 		}
 	}

@@ -29,27 +29,6 @@ type ChaosConfig struct {
 	NumNodes int
 	// Duration is the total scenario length (default 40 min).
 	Duration time.Duration
-	// BlockInterval is the mining cadence at node 0 (default 1 min).
-	// Mining stops 5 minutes before the end so the final measurement is
-	// not racing an in-flight block.
-	BlockInterval time.Duration
-	// Drop, Spike, and Duplicate are the link fault probabilities applied
-	// from the start until FaultsOffAt (defaults 5%, 5%, 2%).
-	Drop, Spike, Duplicate float64
-	// PartitionAt/PartitionFor script the partition window (defaults:
-	// minute 5, for 5 minutes). PartitionShare is the fraction of nodes
-	// isolated from the miner's side (default 0.4).
-	PartitionAt    time.Duration
-	PartitionFor   time.Duration
-	PartitionShare float64
-	// CrashAt/CrashFor/CrashCount script the crash wave (defaults:
-	// minute 12, 3 minutes down, NumNodes/5 nodes, 30 s stagger).
-	CrashAt    time.Duration
-	CrashFor   time.Duration
-	CrashCount int
-	// FaultsOffAt disables the probabilistic faults so the scenario tail
-	// converges under clean conditions (default Duration − 15 min).
-	FaultsOffAt time.Duration
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -59,47 +38,32 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.Duration == 0 {
 		c.Duration = 40 * time.Minute
 	}
-	if c.BlockInterval == 0 {
-		c.BlockInterval = time.Minute
-	}
-	if c.Drop == 0 {
-		c.Drop = 0.05
-	}
-	if c.Spike == 0 {
-		c.Spike = 0.05
-	}
-	if c.Duplicate == 0 {
-		c.Duplicate = 0.02
-	}
-	if c.PartitionAt == 0 {
-		c.PartitionAt = 5 * time.Minute
-	}
-	if c.PartitionFor == 0 {
-		c.PartitionFor = 5 * time.Minute
-	}
-	if c.PartitionShare == 0 {
-		c.PartitionShare = 0.4
-	}
-	if c.CrashAt == 0 {
-		c.CrashAt = 12 * time.Minute
-	}
-	if c.CrashFor == 0 {
-		c.CrashFor = 3 * time.Minute
-	}
-	if c.CrashCount == 0 {
-		c.CrashCount = c.NumNodes / 5
-		if c.CrashCount < 1 {
-			c.CrashCount = 1
-		}
-	}
-	if c.FaultsOffAt == 0 {
-		c.FaultsOffAt = c.Duration - 15*time.Minute
-		if c.FaultsOffAt < c.CrashAt+c.CrashFor {
-			c.FaultsOffAt = c.CrashAt + c.CrashFor
-		}
-	}
 	return c
 }
+
+// The scenario's script. No caller varies it (see DESIGN.md,
+// "Configuration").
+const (
+	// chaosBlockInterval is the mining cadence at node 0. Mining stops
+	// 5 minutes before the end so the final measurement is not racing an
+	// in-flight block.
+	chaosBlockInterval = time.Minute
+	// chaosDrop, chaosSpike and chaosDuplicate are the link fault
+	// probabilities applied from the start until the faults go off.
+	chaosDrop      = 0.05
+	chaosSpike     = 0.05
+	chaosDuplicate = 0.02
+	// The partition window, and the fraction of nodes it isolates from the
+	// miner's side.
+	chaosPartitionAt    = 5 * time.Minute
+	chaosPartitionFor   = 5 * time.Minute
+	chaosPartitionShare = 0.4
+	// The crash wave: a fifth of the nodes go down chaosCrashStagger
+	// apart, each for chaosCrashFor.
+	chaosCrashAt      = 12 * time.Minute
+	chaosCrashFor     = 3 * time.Minute
+	chaosCrashStagger = 30 * time.Second
+)
 
 // ChaosResult reports the scenario outcome.
 type ChaosResult struct {
@@ -164,11 +128,11 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	defer stopSampling()
 	genesis := chainGenesis("chaos")
 	inj := faults.New(net, faults.Config{Seed: cfg.Seed, Default: faults.Profile{
-		Drop:      cfg.Drop,
-		Spike:     cfg.Spike,
+		Drop:      chaosDrop,
+		Spike:     chaosSpike,
 		SpikeMin:  200 * time.Millisecond,
 		SpikeMax:  2 * time.Second,
-		Duplicate: cfg.Duplicate,
+		Duplicate: chaosDuplicate,
 	}, Metrics: reg, Tracer: tracer})
 
 	addrs := make([]netip.AddrPort, cfg.NumNodes)
@@ -206,38 +170,30 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		if h := net.Host(miner); h.Online() && h.Node() != nil {
 			_, _ = h.Node().MineBlock(0)
 		}
-		if net.Now().Sub(epoch)+cfg.BlockInterval < mineUntil {
-			sched.After(cfg.BlockInterval, mine)
+		if net.Now().Sub(epoch)+chaosBlockInterval < mineUntil {
+			sched.After(chaosBlockInterval, mine)
 		}
 	}
-	sched.After(cfg.BlockInterval, mine)
+	sched.After(chaosBlockInterval, mine)
 
 	// Partition: the isolated share is taken from the tail so the miner
 	// (node 0) stays on the majority side.
-	isolated := int(float64(cfg.NumNodes) * cfg.PartitionShare)
-	if isolated < 1 {
-		isolated = 1
-	}
-	if isolated > cfg.NumNodes-2 {
-		isolated = cfg.NumNodes - 2
-	}
-	split := cfg.NumNodes - isolated
-	inj.SchedulePartition(cfg.PartitionAt, cfg.PartitionFor, addrs[:split], addrs[split:])
+	split := cfg.NumNodes - int(float64(cfg.NumNodes)*chaosPartitionShare)
+	inj.SchedulePartition(chaosPartitionAt, chaosPartitionFor, addrs[:split], addrs[split:])
 
 	// Crash wave from the tail, never the miner.
-	crashFrom := cfg.NumNodes - cfg.CrashCount
-	if crashFrom < 1 {
-		crashFrom = 1
-	}
-	inj.CrashWave(addrs[crashFrom:], cfg.CrashAt, cfg.CrashFor, 30*time.Second)
-	sched.After(cfg.FaultsOffAt, func() { inj.SetEnabled(false) })
+	crashes := max(cfg.NumNodes/5, 1)
+	inj.CrashWave(addrs[cfg.NumNodes-crashes:], chaosCrashAt, chaosCrashFor, chaosCrashStagger)
+	// The probabilistic faults go off 15 minutes before the end, and not
+	// before the crash wave's first restart, so the scenario tail converges
+	// under clean conditions.
+	faultsOffAt := max(cfg.Duration-15*time.Minute, chaosCrashAt+chaosCrashFor)
+	sched.After(faultsOffAt, func() { inj.SetEnabled(false) })
 
-	// The last scripted disruption: the final crash's restart.
-	lastDisruption := cfg.CrashAt +
-		time.Duration(cfg.CrashCount-1)*30*time.Second + cfg.CrashFor
-	if h := cfg.PartitionAt + cfg.PartitionFor; h > lastDisruption {
-		lastDisruption = h
-	}
+	// The last scripted disruption: the final crash's restart, which is
+	// after the partition heals.
+	lastDisruption := chaosCrashAt +
+		time.Duration(crashes-1)*chaosCrashStagger + chaosCrashFor
 	atTip := func() bool {
 		mh := net.Host(miner)
 		if mh.Node() == nil {

@@ -19,9 +19,6 @@ import (
 type ChurnFigsConfig struct {
 	// Params calibrates the universe (2020 by default).
 	Params netgen.Params
-	// MatrixInterval is the Figure 12 sampling cadence (daily keeps the
-	// matrix readable; the paper sampled at 10 minutes).
-	MatrixInterval time.Duration
 }
 
 // ChurnFigsResult aggregates Figures 12 and 13.
@@ -55,21 +52,14 @@ func RunChurnFigs(ctx context.Context, cfg ChurnFigsConfig) (*ChurnFigsResult, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.MatrixInterval == 0 {
-		cfg.MatrixInterval = 24 * time.Hour
-	}
 	u, err := netgen.Generate(cfg.Params)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: generate universe: %w", err)
 	}
-	m := churn.FromUniverse(u, cfg.MatrixInterval)
-	// Figure 13 is computed from daily snapshots regardless of the
-	// matrix cadence.
-	daily := m
-	if cfg.MatrixInterval != 24*time.Hour {
-		daily = churn.FromUniverse(u, 24*time.Hour)
-	}
-	tr := daily.Transitions()
+	// Figures 12 and 13 share one matrix of daily snapshots (daily keeps
+	// the matrix readable; the paper sampled at 10 minutes).
+	m := churn.FromUniverse(u, 24*time.Hour)
+	tr := m.Transitions()
 
 	res := &ChurnFigsResult{
 		Matrix:              m,

@@ -26,15 +26,6 @@ type ConnExperimentConfig struct {
 	// LivePeers is the number of live reachable nodes in the background
 	// network.
 	LivePeers int
-	// DeadAddrs is the number of dead/unreachable addresses mixed into
-	// the observer's address manager; the paper's tables hold 85.1%
-	// such addresses.
-	DeadAddrs int
-	// SeedsPerNode sizes the observer's initial address tables.
-	SeedsPerNode int
-	// LiveShare is the live fraction among the observer's seeds
-	// (paper: the ADDR mix of 14.9%).
-	LiveShare float64
 	// Duration is the observation window (Figure 6: 260 s;
 	// Figure 7: 5 min per run).
 	Duration time.Duration
@@ -58,12 +49,6 @@ type ConnExperimentConfig struct {
 	// §V refinements' effect on cold-start success. Empty means stock
 	// behaviour.
 	Policies node.PolicySet
-	// StaleTried seeds the observer's tried table with this many dead
-	// addresses before measurement, modelling a restarting node whose
-	// persisted peers.dat references long-departed peers — without it
-	// the fresh tried table is unrealistically healthy and the success
-	// rate overshoots the paper's 11.2%.
-	StaleTried int
 	// Runs repeats the experiment (Figure 7 uses 5 runs).
 	Runs int
 }
@@ -72,20 +57,8 @@ func (c ConnExperimentConfig) withDefaults() ConnExperimentConfig {
 	if c.LivePeers == 0 {
 		c.LivePeers = 60
 	}
-	if c.SeedsPerNode == 0 {
-		c.SeedsPerNode = 300
-	}
-	if c.LiveShare == 0 {
-		c.LiveShare = 0.149
-	}
-	if c.DeadAddrs == 0 {
-		c.DeadAddrs = int(float64(c.LivePeers)/c.LiveShare) - c.LivePeers
-	}
 	if c.Duration == 0 {
 		c.Duration = 260 * time.Second
-	}
-	if c.StaleTried == 0 {
-		c.StaleTried = 120
 	}
 	if c.SampleEvery == 0 {
 		c.SampleEvery = time.Second
@@ -95,6 +68,24 @@ func (c ConnExperimentConfig) withDefaults() ConnExperimentConfig {
 	}
 	return c
 }
+
+// deadAddrs is the number of dead/unreachable addresses mixed into the
+// observer's address manager, so that the live peers are the gossip's
+// 14.9% (the paper's tables hold 85.1% such addresses).
+func (c ConnExperimentConfig) deadAddrs() int {
+	return deadAddrPool(c.LivePeers) - c.LivePeers
+}
+
+const (
+	// observerSeeds sizes the observer's initial address tables.
+	observerSeeds = 300
+	// staleTried is how many mostly-dead addresses the observer's tried
+	// table is seeded with before measurement, modelling a restarting node
+	// whose persisted peers.dat references long-departed peers — without
+	// it the fresh tried table is unrealistically healthy and the success
+	// rate overshoots the paper's 11.2%.
+	staleTried = 120
+)
 
 // ConnRun is one experiment run.
 type ConnRun struct {
@@ -148,7 +139,7 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 				netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), 8333)
 			liveHosts = append(liveHosts, nil) // placeholder; filled below
 		}
-		dead := make([]netip.AddrPort, cfg.DeadAddrs)
+		dead := make([]netip.AddrPort, cfg.deadAddrs())
 		for i := range dead {
 			dead[i] = netip.AddrPortFrom(
 				netip.AddrFrom4([4]byte{172, 20, byte(i >> 8), byte(i)}), 8333)
@@ -162,7 +153,7 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 				Reachable: true,
 				Genesis:   genesis,
 				Policies:  cfg.Policies,
-				SeedAddrs: seedSample(rng, live, dead, 150, cfg.LiveShare, live[i], net.Now()),
+				SeedAddrs: seedSample(rng, live, dead, 150, live[i], net.Now()),
 			})
 			h.Start()
 			liveHosts[i] = h
@@ -195,11 +186,10 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 			Reachable: true,
 			Genesis:   genesis,
 			Policies:  cfg.Policies,
-			SeedAddrs: seedSample(rng, live, dead, cfg.SeedsPerNode, cfg.LiveShare,
-				observerAddr, net.Now()),
+			SeedAddrs: seedSample(rng, live, dead, observerSeeds, observerAddr, net.Now()),
 		})
 		observer.Start()
-		seedStaleTried(rng, observer.Node(), dead, live, cfg.StaleTried, net.Now())
+		seedStaleTried(rng, observer.Node(), dead, live, net.Now())
 		hostByAddr := make(map[netip.AddrPort]*simnet.Host, len(liveHosts))
 		for _, h := range liveHosts {
 			hostByAddr[h.Addr()] = h
@@ -280,17 +270,16 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 	return res, nil
 }
 
-// seedStaleTried plants tried-table entries that mostly point at departed
-// peers: the address manager state a node restarts with after its peers
-// churned away (≈85% of tried entries go stale at the paper's measured
-// churn).
-func seedStaleTried(rng *rand.Rand, n *node.Node, dead, live []netip.AddrPort,
-	count int, now time.Time) {
-	if n == nil || count <= 0 || len(dead) == 0 {
+// seedStaleTried plants staleTried tried-table entries that mostly point
+// at departed peers: the address manager state a node restarts with after
+// its peers churned away (≈85% of tried entries go stale at the paper's
+// measured churn).
+func seedStaleTried(rng *rand.Rand, n *node.Node, dead, live []netip.AddrPort, now time.Time) {
+	if n == nil || len(dead) == 0 {
 		return
 	}
 	am := n.AddrMan()
-	for i := 0; i < count; i++ {
+	for i := 0; i < staleTried; i++ {
 		var a netip.AddrPort
 		if rng.Float64() < 0.10 && len(live) > 0 {
 			a = live[rng.Intn(len(live))]
@@ -312,17 +301,14 @@ func seedStaleTried(rng *rand.Rand, n *node.Node, dead, live []netip.AddrPort,
 const gossipOnlineFraction = 0.67
 
 // seedSample builds a seed list mixing live and dead addresses at the
-// given live share (discounted by gossipOnlineFraction).
+// gossip's reachable share, discounted by gossipOnlineFraction; with no
+// dead addresses every seed is live.
 func seedSample(rng *rand.Rand, live, dead []netip.AddrPort, n int,
-	liveShare float64, self netip.AddrPort, now time.Time) []wire.NetAddress {
+	self netip.AddrPort, now time.Time) []wire.NetAddress {
 	out := make([]wire.NetAddress, 0, n)
-	effective := liveShare
-	if len(dead) > 0 && liveShare < 1 {
-		effective = liveShare * gossipOnlineFraction
-	}
 	for len(out) < n {
 		var a netip.AddrPort
-		if len(dead) == 0 || rng.Float64() < effective {
+		if len(dead) == 0 || rng.Float64() < addrReachableShare*gossipOnlineFraction {
 			a = live[rng.Intn(len(live))]
 		} else {
 			a = dead[rng.Intn(len(dead))]
@@ -373,12 +359,12 @@ func RunResync(ctx context.Context, cfg ConnExperimentConfig) (*ResyncResult, er
 			Self:      wire.NetAddress{Addr: live[i], Services: wire.SFNodeNetwork},
 			Reachable: true,
 			Genesis:   genesis,
-			SeedAddrs: seedSample(rng, live, nil, 20, 1.0, live[i], net.Now()),
+			SeedAddrs: seedSample(rng, live, nil, 20, live[i], net.Now()),
 		})
 		h.Start()
 		hosts = append(hosts, h)
 	}
-	dead := make([]netip.AddrPort, cfg.DeadAddrs)
+	dead := make([]netip.AddrPort, cfg.deadAddrs())
 	for i := range dead {
 		dead[i] = netip.AddrPortFrom(
 			netip.AddrFrom4([4]byte{172, 21, byte(i >> 8), byte(i)}), 8333)
@@ -412,8 +398,7 @@ func RunResync(ctx context.Context, cfg ConnExperimentConfig) (*ResyncResult, er
 		// Bitcoin Core restarts dial serially (ThreadOpenConnections):
 		// most of the paper's 11-minute recovery is spent here.
 		MaxPendingDials: 1,
-		SeedAddrs: seedSample(rng, live, dead, cfg.SeedsPerNode, cfg.LiveShare,
-			observerAddr, net.Now()),
+		SeedAddrs:       seedSample(rng, live, dead, observerSeeds, observerAddr, net.Now()),
 		Sink: node.SinkFunc(func(ev node.Event) {
 			switch ev.Type {
 			case node.EvHandshake:
@@ -428,7 +413,7 @@ func RunResync(ctx context.Context, cfg ConnExperimentConfig) (*ResyncResult, er
 		}),
 	})
 	observer.Start()
-	seedStaleTried(rng, observer.Node(), dead, live, cfg.StaleTried, net.Now())
+	seedStaleTried(rng, observer.Node(), dead, live, net.Now())
 
 	end := net.Now().Add(30 * time.Minute)
 	var watch func()

@@ -92,10 +92,6 @@ func TestChaosObservabilityGolden(t *testing.T) {
 		Seed:     41,
 		NumNodes: 8,
 		Duration: 25 * time.Minute,
-		Drop:     0.05,
-		Spike:    0.02,
-		CrashAt:  8 * time.Minute,
-		CrashFor: 4 * time.Minute,
 	}
 	a, err := RunChaos(context.Background(), cfg)
 	if err != nil {

@@ -27,17 +27,15 @@ type Fig1Config struct {
 	// larger per-node rates so the contrast is resolvable).
 	Churn2019 float64
 	Churn2020 float64
-	// TxPerBlock is the background transaction load.
-	TxPerBlock int
-	// BlockInterval overrides the mean block gap (10 min default);
-	// shorter intervals yield more samples per virtual hour.
-	BlockInterval time.Duration
 	// Replications runs each regime several times with paired seeds and
 	// pools the samples: per-run synchronization means carry ±3-point
 	// noise from topology randomness, while the regime *difference* is
 	// stable within a pair (default 3).
 	Replications int
 }
+
+// fig1TxPerBlock is the background transaction load of both regimes.
+const fig1TxPerBlock = 30
 
 func (c Fig1Config) withDefaults() Fig1Config {
 	if c.NumReachable == 0 {
@@ -51,9 +49,6 @@ func (c Fig1Config) withDefaults() Fig1Config {
 	}
 	if c.Churn2020 == 0 {
 		c.Churn2020 = 2.0
-	}
-	if c.TxPerBlock == 0 {
-		c.TxPerBlock = 30
 	}
 	if c.Replications == 0 {
 		c.Replications = 3
@@ -108,11 +103,10 @@ func summarizeRegime(samples []float64) (RegimeSync, error) {
 func RunFig1(ctx context.Context, cfg Fig1Config) (*Fig1Result, error) {
 	cfg = cfg.withDefaults()
 	base := PropagationConfig{
-		Seed:          cfg.Seed,
-		NumReachable:  cfg.NumReachable,
-		Duration:      cfg.Duration,
-		TxPerBlock:    cfg.TxPerBlock,
-		BlockInterval: cfg.BlockInterval,
+		Seed:         cfg.Seed,
+		NumReachable: cfg.NumReachable,
+		Duration:     cfg.Duration,
+		TxPerBlock:   fig1TxPerBlock,
 	}
 
 	// Within each replication the two regimes run with the same seed:

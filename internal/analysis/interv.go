@@ -255,11 +255,7 @@ func runIntervCell(ctx context.Context, cfg InterventionGridConfig, spec intervC
 	// Population scoring: the gossip-visible non-reachable population is
 	// the dead address pool plus the unreachable nodes (which enter
 	// gossip by self-advertisement).
-	deadPool := pcfg.DeadAddrPool
-	if deadPool == 0 {
-		deadPool = int(float64(pcfg.NumReachable) / pcfg.withDefaults().AddrReachableShare)
-	}
-	cell.PopTruth = float64(deadPool + out.NumUnreachable)
+	cell.PopTruth = float64(deadAddrPool(pcfg.NumReachable) + out.NumUnreachable)
 	cell.PopEst = col.PopulationEstimate()
 	cell.PopRelErr = estimate.RelativeError(cell.PopEst, cell.PopTruth)
 

@@ -24,24 +24,12 @@ type PropagationConfig struct {
 	Seed int64
 	// NumReachable is the number of live reachable full nodes.
 	NumReachable int
-	// DeadAddrPool is the number of unreachable/dead addresses mixed
-	// into gossip and seeds; dials to them time out, reproducing the
-	// §IV-B failure rate.
-	DeadAddrPool int
-	// AddrReachableShare is the fraction of reachable addresses in each
-	// node's seed set (paper: 14.9% in gossip).
-	AddrReachableShare float64
-	// SeedsPerNode is how many addresses each node starts with.
-	SeedsPerNode int
 	// Warmup lets the topology form before measurement begins.
 	Warmup time.Duration
 	// Duration is the measured phase length.
 	Duration time.Duration
-	// BlockInterval is the mean block production gap (10 min on
-	// mainnet).
-	BlockInterval time.Duration
 	// TxPerBlock is the number of background transactions submitted per
-	// block interval (they fill the round-robin queues).
+	// mean block interval (they fill the round-robin queues).
 	TxPerBlock int
 	// CompactBlocks enables BIP-152 relay on a CompactShare of the
 	// nodes (the §IV-C toggle).
@@ -72,36 +60,9 @@ type PropagationConfig struct {
 	// driven through the network (paper: 3.9 in 2019, 7.6 in 2020 at
 	// full scale — scale it with NumReachable).
 	ChurnDeparturesPer10Min float64
-	// RejoinAfter is the mean offline period before a departed node
-	// rejoins.
-	RejoinAfter time.Duration
-	// ObserverConnSampleEvery samples the observer node's connection
-	// count at this cadence (0 disables; Figure 6 uses 1 s).
-	ObserverConnSampleEvery time.Duration
-	// BlockSizeHint and BytesPerSec forward to the node timing model
-	// (BytesPerSec is the effective per-socket rate; lower values deepen
-	// the §IV-C queueing delays).
-	BlockSizeHint int
-	BytesPerSec   int
-	// SyncSampleEvery is the cadence at which network synchronization is
-	// sampled (the paper's Bitnodes feed is 10-minutely; denser sampling
-	// reduces estimator variance without changing the mean). Default
-	// 2 minutes.
-	SyncSampleEvery time.Duration
-	// PollInterval is the Bitnodes-style monitor cadence: each node's
-	// height is only observed when the monitor revisits it, so the
-	// observed synchronization lags the true one — this is the
-	// measurement process behind Figure 1 (0 disables the observed
-	// metric).
-	PollInterval time.Duration
-	// ListingTTL keeps recently-departed nodes in the monitor's listing
-	// (they count as unsynchronized until they expire), matching how a
-	// crawler's view lags churn.
-	ListingTTL time.Duration
-	// SampleEvery is the sim-time series sampling cadence (default:
-	// SyncSampleEvery). Each tick snapshots every registry metric into
-	// the result's Series set.
-	SampleEvery time.Duration
+	// BytesPerSec forwards to the node timing model: the effective
+	// per-socket rate; lower values deepen the §IV-C queueing delays.
+	BytesPerSec int
 	// Metrics optionally supplies the registry the run writes to. Leave
 	// nil for a private registry (the default, and required when several
 	// runs execute concurrently — the snapshot must be a pure function of
@@ -119,43 +80,52 @@ func (c PropagationConfig) withDefaults() PropagationConfig {
 	if c.NumReachable == 0 {
 		c.NumReachable = 200
 	}
-	if c.AddrReachableShare == 0 {
-		c.AddrReachableShare = 0.149
-	}
-	if c.SeedsPerNode == 0 {
-		c.SeedsPerNode = 200
-	}
-	if c.DeadAddrPool == 0 {
-		c.DeadAddrPool = int(float64(c.NumReachable) / c.AddrReachableShare)
-	}
 	if c.Warmup == 0 {
 		c.Warmup = 20 * time.Minute
 	}
 	if c.Duration == 0 {
 		c.Duration = 4 * time.Hour
 	}
-	if c.BlockInterval == 0 {
-		c.BlockInterval = 10 * time.Minute
-	}
-	if c.RejoinAfter == 0 {
-		c.RejoinAfter = 30 * time.Minute
-	}
 	if c.CompactShare == 0 {
 		c.CompactShare = 1.0
 	}
-	if c.SyncSampleEvery == 0 {
-		c.SyncSampleEvery = 2 * time.Minute
-	}
-	if c.PollInterval == 0 {
-		c.PollInterval = 5 * time.Minute
-	}
-	if c.ListingTTL == 0 {
-		c.ListingTTL = time.Hour
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = c.SyncSampleEvery
-	}
 	return c
+}
+
+// Constants of the propagation environment. No caller varies them (see
+// DESIGN.md, "Configuration").
+const (
+	// addrReachableShare is the fraction of reachable addresses in gossip
+	// and so in each node's seed set (paper: 14.9%).
+	addrReachableShare = 0.149
+	// seedsPerNode is how many addresses each node starts with.
+	seedsPerNode = 200
+	// blockInterval is the mean block production gap, as on mainnet.
+	blockInterval = 10 * time.Minute
+	// rejoinAfter is the mean offline period before a departed node
+	// rejoins.
+	rejoinAfter = 30 * time.Minute
+	// syncSampleEvery is the cadence at which network synchronization and
+	// the sim-time series are sampled (the paper's Bitnodes feed is
+	// 10-minutely; denser sampling reduces estimator variance without
+	// changing the mean).
+	syncSampleEvery = 2 * time.Minute
+	// pollInterval is the Bitnodes-style monitor cadence: each node's
+	// height is only observed when the monitor revisits it, so the
+	// observed synchronization lags the true one — the measurement
+	// process behind Figure 1.
+	pollInterval = 5 * time.Minute
+	// listingTTL keeps recently-departed nodes in the monitor's listing
+	// (they count as unsynchronized until they expire), matching how a
+	// crawler's view lags churn.
+	listingTTL = time.Hour
+)
+
+// deadAddrPool is the number of unreachable/dead addresses mixed into
+// gossip and seeds beside numReachable live ones; dials to them time out,
+// reproducing the §IV-B failure rate.
+func deadAddrPool(numReachable int) int {
+	return int(float64(numReachable) / addrReachableShare)
 }
 
 // RelayObservation is one node's relay-completion record for one object:
@@ -172,7 +142,7 @@ type RelayObservation struct {
 // PropagationResult aggregates a propagation experiment.
 type PropagationResult struct {
 	// SyncSamples is the true fraction of online nodes at the chain
-	// tip, sampled every SyncSampleEvery.
+	// tip, sampled every two minutes.
 	SyncSamples []float64
 	// ObservedSyncSamples is the Bitnodes-style measurement: the
 	// fraction of *listed* nodes (online or recently departed) whose
@@ -183,9 +153,6 @@ type PropagationResult struct {
 	// observations (Figures 10/11).
 	BlockRelays []RelayObservation
 	TxRelays    []RelayObservation
-	// ObserverConns samples the observer's total connection count
-	// (Figure 6).
-	ObserverConns []int
 	// DialAttempts/DialSuccesses count outbound-slot dials summed over
 	// all nodes (feelers excluded — they probe the new table by design
 	// and would dilute the §V addressing comparisons).
@@ -194,9 +161,6 @@ type PropagationResult struct {
 	// FeelerAttempts/FeelerSuccesses count feeler dials.
 	FeelerAttempts  int
 	FeelerSuccesses int
-	// ObserverAttempts/ObserverSuccesses cover just the observer node.
-	ObserverAttempts  int
-	ObserverSuccesses int
 	// BlocksMined counts produced blocks.
 	BlocksMined int
 	// NumUnreachable is the number of unreachable nodes the run added
@@ -210,19 +174,15 @@ type PropagationResult struct {
 	// MeanOutdegree is the average outbound connection count across
 	// online nodes, sampled per block.
 	MeanOutdegree float64
-	// Series holds the sim-time metric series sampled every SampleEvery
+	// Series holds the sim-time metric series sampled every two minutes
 	// during the measured phase (counter deltas, gauge values, histogram
 	// quantiles, and the prop.* experiment observables). Same-seed runs
 	// produce byte-identical CSV renderings of this set.
 	Series *obs.SeriesSet
-	// Metrics is the end-of-run registry snapshot (scheduler, network,
-	// and node metrics).
-	Metrics *obs.Snapshot
 	// TraceDigest is the tracer's order-sensitive running digest;
-	// TraceTotal and TraceDropped count emitted and ring-evicted events.
-	TraceDigest  string
-	TraceTotal   uint64
-	TraceDropped uint64
+	// TraceTotal counts emitted events.
+	TraceDigest string
+	TraceTotal  uint64
 }
 
 // RunPropagation executes the experiment and aggregates its events. The
@@ -273,14 +233,13 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 		addrs[i] = netip.AddrPortFrom(
 			netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), 8333)
 	}
-	dead := make([]netip.AddrPort, cfg.DeadAddrPool)
+	dead := make([]netip.AddrPort, deadAddrPool(cfg.NumReachable))
 	for i := range dead {
 		dead[i] = netip.AddrPortFrom(
 			netip.AddrFrom4([4]byte{172, byte(i >> 16), byte(i >> 8), byte(i)}), 8333)
 	}
 
 	res := &PropagationResult{}
-	observer := addrs[0]
 
 	sink := node.SinkFunc(func(ev node.Event) {
 		if !measuring {
@@ -293,17 +252,11 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 			} else {
 				res.DialAttempts++
 			}
-			if ev.Node == observer {
-				res.ObserverAttempts++
-			}
 		case node.EvDialSuccess:
 			if ev.Dir == node.Feeler {
 				res.FeelerSuccesses++
 			} else {
 				res.DialSuccesses++
-			}
-			if ev.Node == observer {
-				res.ObserverSuccesses++
 			}
 		}
 	})
@@ -311,15 +264,13 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	// Build hosts.
 	hosts := make([]*simnet.Host, cfg.NumReachable)
 	seedFor := func(self netip.AddrPort) []wire.NetAddress {
-		seeds := make([]wire.NetAddress, 0, cfg.SeedsPerNode)
-		for len(seeds) < cfg.SeedsPerNode {
+		seeds := make([]wire.NetAddress, 0, seedsPerNode)
+		for len(seeds) < seedsPerNode {
 			var a netip.AddrPort
-			if rng.Float64() < cfg.AddrReachableShare {
+			if rng.Float64() < addrReachableShare {
 				a = addrs[rng.Intn(len(addrs))]
-			} else if len(dead) > 0 {
-				a = dead[rng.Intn(len(dead))]
 			} else {
-				a = addrs[rng.Intn(len(addrs))]
+				a = dead[rng.Intn(len(dead))]
 			}
 			if a == self {
 				continue
@@ -339,7 +290,6 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 			SeedAddrs:     seedFor(a),
 			CompactBlocks: compact,
 			Policies:      cfg.Policies,
-			BlockSizeHint: cfg.BlockSizeHint,
 			BytesPerSec:   cfg.BytesPerSec,
 			AddrManKey:    uint64(cfg.Seed) + uint64(i),
 			Sink:          sink,
@@ -376,7 +326,6 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 				SeedAddrs:     seedFor(a),
 				CompactBlocks: cfg.CompactBlocks,
 				Policies:      cfg.Policies,
-				BlockSizeHint: cfg.BlockSizeHint,
 				BytesPerSec:   cfg.BytesPerSec,
 				AddrManKey:    uint64(cfg.Seed) + uint64(cfg.NumReachable+i),
 				Sink:          sink,
@@ -397,7 +346,7 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	lastSeen := make(map[netip.AddrPort]time.Time, len(hosts))
 	for i := range hosts {
 		h := hosts[i]
-		interval := time.Duration(float64(cfg.PollInterval) * (0.5 + 2.0*rng.Float64()))
+		interval := time.Duration(float64(pollInterval) * (0.5 + 2.0*rng.Float64()))
 		var poll func()
 		poll = func() {
 			if n := h.Node(); n != nil {
@@ -420,9 +369,9 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 
 	// Sim-time series sampling over the measured phase: the first tick
 	// baselines counters at measurement start (its deltas absorb the
-	// warmup), subsequent ticks ride the scheduler at SampleEvery.
+	// warmup), subsequent ticks ride the scheduler at syncSampleEvery.
 	sampler.Tick(net.Now())
-	stopSampling := sched.Every(cfg.SampleEvery, func() {
+	stopSampling := sched.Every(syncSampleEvery, func() {
 		sampler.Tick(net.Now())
 	})
 	defer stopSampling()
@@ -447,7 +396,7 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 				cfgNode := h.Config()
 				cfgNode.SeedAddrs = seedFor(cfgNode.Self.Addr)
 				h.SetConfig(cfgNode)
-				off := time.Duration(rng.ExpFloat64() * float64(cfg.RejoinAfter))
+				off := time.Duration(rng.ExpFloat64() * float64(rejoinAfter))
 				sched.After(off, h.Start)
 				break
 			}
@@ -456,26 +405,9 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 		sched.After(time.Duration(rng.ExpFloat64()*float64(gap)), churnTick)
 	}
 
-	// Observer connection sampler (Figure 6).
-	if cfg.ObserverConnSampleEvery > 0 {
-		var sample func()
-		sample = func() {
-			if !net.Now().Before(end) {
-				return
-			}
-			if n := hosts[0].Node(); n != nil {
-				out, in, feelers := n.ConnCounts()
-				res.ObserverConns = append(res.ObserverConns, out+feelers)
-				_ = in
-			}
-			sched.After(cfg.ObserverConnSampleEvery, sample)
-		}
-		sched.After(0, sample)
-	}
-
 	// Background transactions: TxPerBlock submissions per block interval.
 	if cfg.TxPerBlock > 0 {
-		txGap := cfg.BlockInterval / time.Duration(cfg.TxPerBlock)
+		txGap := blockInterval / time.Duration(cfg.TxPerBlock)
 		txCounter := uint32(0)
 		var txTick func()
 		txTick = func() {
@@ -547,7 +479,7 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 			if !ever {
 				continue
 			}
-			if !h.Online() && now.Sub(seen) > cfg.ListingTTL {
+			if !h.Online() && now.Sub(seen) > listingTTL {
 				continue
 			}
 			listed++
@@ -560,9 +492,9 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 			res.ObservedSyncSamples = append(res.ObservedSyncSamples, observed)
 			sampler.Observe(now, "prop.sync.observed.ratio", observed)
 		}
-		sched.After(cfg.SyncSampleEvery, syncSample)
+		sched.After(syncSampleEvery, syncSample)
 	}
-	sched.After(cfg.SyncSampleEvery, syncSample)
+	sched.After(syncSampleEvery, syncSample)
 
 	// Mining driver: the block schedule is precomputed from a dedicated
 	// random stream, so two runs with the same seed see identical block
@@ -570,7 +502,7 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	// contrasts (Figure 1) directly comparable.
 	blockRng := rand.New(rand.NewSource(cfg.Seed ^ 0x0b10c0))
 	var blockTimes []time.Time
-	for t := net.Now().Add(time.Duration(blockRng.ExpFloat64() * float64(cfg.BlockInterval))); t.Before(end); t = t.Add(time.Duration(blockRng.ExpFloat64() * float64(cfg.BlockInterval))) {
+	for t := net.Now().Add(time.Duration(blockRng.ExpFloat64() * float64(blockInterval))); t.Before(end); t = t.Add(time.Duration(blockRng.ExpFloat64() * float64(blockInterval))) {
 		blockTimes = append(blockTimes, t)
 	}
 	for _, bt := range blockTimes {
@@ -631,10 +563,8 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	}
 	tracer.Publish(reg)
 	res.Series = sampler.Set()
-	res.Metrics = reg.Snapshot()
 	res.TraceDigest = tracer.Digest()
 	res.TraceTotal = tracer.Total()
-	res.TraceDropped = tracer.Dropped()
 	return res, nil
 }
 

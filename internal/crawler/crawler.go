@@ -26,7 +26,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/addridx"
@@ -131,15 +130,11 @@ type Exchange struct {
 // worker count. Attaching an observer does not perturb the snapshot.
 type Observer func(Exchange)
 
-// Config bounds crawler behaviour.
+// maxGetAddrRounds caps the Algorithm 1 repeat loop per node.
+const maxGetAddrRounds = 50
+
+// Config parameterizes a crawler.
 type Config struct {
-	// MaxGetAddrRounds caps the Algorithm 1 repeat loop per node
-	// (default 50).
-	MaxGetAddrRounds int
-	// MaxNodes caps how many reachable nodes are crawled (0 = no cap).
-	// The cap is defined by dial order, so a non-zero value pins the
-	// crawl to one worker.
-	MaxNodes int
 	// Workers is the crawl fan-out width; zero or negative means
 	// GOMAXPROCS. Results are merged in target order and are
 	// byte-identical at any width.
@@ -160,13 +155,6 @@ type Config struct {
 	// deterministic target order (see Observer). Nil disables capture —
 	// and its buffering cost — entirely.
 	Observer Observer
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxGetAddrRounds == 0 {
-		c.MaxGetAddrRounds = 50
-	}
-	return c
 }
 
 // NodeReport is the per-reachable-node crawl record.
@@ -236,7 +224,6 @@ type Crawler struct {
 
 // New creates a crawler over the given dialer.
 func New(cfg Config, dialer Dialer) *Crawler {
-	cfg = cfg.withDefaults()
 	return &Crawler{
 		cfg:    cfg,
 		dialer: dialer,
@@ -364,7 +351,7 @@ func (m *memberSet) clear() {
 // workers write only their own slot, the merge alone touches the
 // snapshot, so output is byte-identical at any worker count.
 type crawlJob struct {
-	report         *NodeReport      // nil when the target was skipped (MaxNodes)
+	report         *NodeReport
 	unreachable    []netip.AddrPort // the job's own copy of the worker's scratch
 	unreachableIDs []addridx.ID     // parallel to unreachable
 	exchanges      []Exchange       // captured only when Config.Observer != nil
@@ -381,9 +368,6 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 		return nil, errors.New("crawler: no targets")
 	}
 	workers := par.Workers(c.cfg.Workers)
-	if c.cfg.MaxNodes > 0 {
-		workers = 1
-	}
 	if workers > len(targets) {
 		workers = len(targets)
 	}
@@ -393,18 +377,11 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 	known := newKnownView(c.cfg.Index, knownReachable)
 	jobs := make([]crawlJob, len(targets))
 	scratch := sync.Pool{New: func() any { return newMemberSet(c.cfg.Index) }}
-	var connected atomic.Int64 // MaxNodes accounting; workers == 1 then
 	err := par.ForEach(ctx, workers, len(targets), func(ctx context.Context, i int) error {
-		if c.cfg.MaxNodes > 0 && int(connected.Load()) >= c.cfg.MaxNodes {
-			return nil // skipped: report stays nil
-		}
 		seen := scratch.Get().(*memberSet)
 		c.crawlTarget(targets[i], known, seen, &jobs[i])
 		seen.clear()
 		scratch.Put(seen)
-		if jobs[i].report.Connected {
-			connected.Add(1)
-		}
 		c.mPending.Add(-1)
 		return nil
 	})
@@ -422,9 +399,6 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 	global := newMemberSet(c.cfg.Index)
 	for i := range jobs {
 		rep := jobs[i].report
-		if rep == nil {
-			continue
-		}
 		snap.Dialed++
 		snap.Reports[rep.Addr] = rep
 		if !rep.Connected {
@@ -525,7 +499,7 @@ func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet, job
 	if c.cfg.Index != nil {
 		idSess, _ = sess.(SessionWithIDs)
 	}
-	for round := 0; round < c.cfg.MaxGetAddrRounds; round++ {
+	for round := 0; round < maxGetAddrRounds; round++ {
 		var addrs []wire.NetAddress
 		var ids []addridx.ID
 		var err error

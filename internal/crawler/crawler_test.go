@@ -149,38 +149,20 @@ func TestCrawlFailedDialRecorded(t *testing.T) {
 
 func TestCrawlMaxRoundsBound(t *testing.T) {
 	// A pathological session that always returns fresh addresses must be
-	// cut off by MaxGetAddrRounds.
+	// cut off after maxGetAddrRounds.
 	target := tAddr(1)
 	var big []wire.NetAddress
 	for i := 0; i < 1000; i++ {
 		big = append(big, na(tAddr(i+100)))
 	}
 	d := &fakeDialer{books: map[netip.AddrPort][]wire.NetAddress{target: big}, page: 5}
-	c := New(Config{MaxGetAddrRounds: 10}, d)
+	c := New(Config{}, d)
 	snap, err := c.Crawl(context.Background(), time.Unix(0, 0), []netip.AddrPort{target}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.Reports[target].Rounds; got != 10 {
-		t.Errorf("rounds = %d, want 10 (capped)", got)
-	}
-}
-
-func TestCrawlMaxNodes(t *testing.T) {
-	books := map[netip.AddrPort][]wire.NetAddress{}
-	var targets []netip.AddrPort
-	for i := 1; i <= 5; i++ {
-		a := tAddr(i)
-		books[a] = []wire.NetAddress{na(a)}
-		targets = append(targets, a)
-	}
-	c := New(Config{MaxNodes: 2}, &fakeDialer{books: books})
-	snap, err := c.Crawl(context.Background(), time.Unix(0, 0), targets, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Connected) != 2 {
-		t.Errorf("Connected = %d, want 2 (capped)", len(snap.Connected))
+	if got := snap.Reports[target].Rounds; got != maxGetAddrRounds {
+		t.Errorf("rounds = %d, want %d (capped)", got, maxGetAddrRounds)
 	}
 }
 

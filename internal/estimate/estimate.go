@@ -51,12 +51,9 @@ const (
 // diverges there, and the estimator contract is to stay finite.
 const maxPopulation = 1e12
 
-// Config tunes a Collector.
+// Config tunes a Collector. Its degree estimator assumes the Bitcoin Core
+// GETADDR policy above.
 type Config struct {
-	// GetAddrMaxPct and GetAddrMax describe the responder's GETADDR
-	// sampling policy; zero values select the Bitcoin Core defaults.
-	GetAddrMaxPct int
-	GetAddrMax    int
 	// IsReachable classifies an announced address against the
 	// known-reachable reference set: addresses for which it returns true
 	// are excluded from the unreachable-population sample (the crawl's
@@ -66,16 +63,6 @@ type Config struct {
 	// (est.exchanges, est.announcements, est.announcements.unreachable,
 	// est.sources). Nil disables instrumentation.
 	Metrics *obs.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.GetAddrMaxPct <= 0 {
-		c.GetAddrMaxPct = DefaultGetAddrMaxPct
-	}
-	if c.GetAddrMax <= 0 {
-		c.GetAddrMax = DefaultGetAddrMax
-	}
-	return c
 }
 
 // PopulationEstimator recovers the size of the hidden unreachable
@@ -389,11 +376,10 @@ type Collector struct {
 
 // NewCollector creates a collector over cfg.
 func NewCollector(cfg Config) *Collector {
-	cfg = cfg.withDefaults()
 	return &Collector{
 		cfg: cfg,
 		Pop: NewPopulationEstimator(),
-		Deg: NewDegreeEstimator(cfg.GetAddrMaxPct, cfg.GetAddrMax),
+		Deg: NewDegreeEstimator(DefaultGetAddrMaxPct, DefaultGetAddrMax),
 
 		mExchanges: cfg.Metrics.Counter("est.exchanges"),
 		mAnnounce:  cfg.Metrics.Counter("est.announcements"),

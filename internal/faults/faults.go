@@ -63,18 +63,15 @@ type Config struct {
 	Seed int64
 	// Default is the profile applied to links without an override.
 	Default Profile
-	// TraceLimit bounds the retained trace ring when the injector builds
-	// its own tracer (default obs.DefaultTraceCapacity); events past the
-	// limit are evicted oldest-first but still counted and digested.
-	// Ignored when Tracer is provided.
-	TraceLimit int
 	// Metrics, when set, hosts the fault counters (faults.* names) so
 	// one registry covers the whole experiment. When nil the injector
 	// keeps a private registry — Counters and CounterValue still work.
 	Metrics *obs.Registry
 	// Tracer, when set, receives the fault events, interleaving them
 	// with node and network events in one timeline. When nil the
-	// injector keeps a private ring sized by TraceLimit.
+	// injector keeps a private ring of obs.DefaultTraceCapacity events;
+	// events past it are evicted oldest-first but still counted and
+	// digested.
 	Tracer *obs.Tracer
 }
 
@@ -149,12 +146,9 @@ var _ simnet.Injector = (*Injector)(nil)
 
 // New creates an injector and installs it on the network.
 func New(net *simnet.Network, cfg Config) *Injector {
-	if cfg.TraceLimit == 0 {
-		cfg.TraceLimit = obs.DefaultTraceCapacity
-	}
 	tracer := cfg.Tracer
 	if tracer == nil {
-		tracer = obs.NewTracer(cfg.TraceLimit, net.Now)
+		tracer = obs.NewTracer(obs.DefaultTraceCapacity, net.Now)
 	}
 	reg := cfg.Metrics
 	if reg == nil {

@@ -154,27 +154,20 @@ func (n *Node) requestHeaders(p *Peer) {
 	}, classControl)
 }
 
-// handleGetAddr answers with the addrman sample (or the configured
-// responder override). Bitcoin Core answers a single GETADDR per
-// connection, which the crawler's Algorithm 1 works around by
-// reconnecting; we keep the single-response rule.
+// handleGetAddr answers with the addrman sample. Bitcoin Core answers a
+// single GETADDR per connection, which the crawler's Algorithm 1 works
+// around by reconnecting; we keep the single-response rule.
 func (n *Node) handleGetAddr(p *Peer) {
 	if p.addrResponded {
 		return
 	}
 	p.addrResponded = true
-	var list []wire.NetAddress
-	if n.cfg.GetAddrResponder != nil {
-		list = n.cfg.GetAddrResponder()
-	} else {
-		// Prepend self in place: GetAddr leaves one spare element of
-		// capacity, so this shifts the sample instead of copying it into a
-		// second slice.
-		list = append(n.addrman.GetAddr(), wire.NetAddress{})
-		copy(list[1:], list)
-		list[0] = n.cfg.Self
-		list[0].Timestamp = n.env.Now()
-	}
+	// Prepend self in place: GetAddr leaves one spare element of capacity,
+	// so this shifts the sample instead of copying it into a second slice.
+	list := append(n.addrman.GetAddr(), wire.NetAddress{})
+	copy(list[1:], list)
+	list[0] = n.cfg.Self
+	list[0].Timestamp = n.env.Now()
 	// Respect the wire cap in chunks of MaxAddrPerMsg.
 	for len(list) > 0 {
 		chunk := list

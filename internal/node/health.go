@@ -45,35 +45,6 @@ type backoffState struct {
 // are pruned, falling back to a reset if everything is live.
 const maxBackoffEntries = 4096
 
-// healthTickInterval derives the health-check cadence from the enabled
-// timeouts: a quarter of the tightest one, clamped to [1s, 30s]. It
-// returns 0 when every health feature is disabled, in which case the
-// tick is never scheduled.
-func (n *Node) healthTickInterval() time.Duration {
-	tightest := time.Duration(0)
-	for _, d := range []time.Duration{
-		n.cfg.PingInterval, n.cfg.HandshakeTimeout, n.cfg.BlockStallTimeout,
-	} {
-		if d > 0 && (tightest == 0 || d < tightest) {
-			tightest = d
-		}
-	}
-	// StallTimeout matters only if keepalives are sent at all, and it is
-	// never tighter than PingInterval in practice; PingInterval already
-	// covers its cadence.
-	if tightest == 0 {
-		return 0
-	}
-	interval := tightest / 4
-	if interval < time.Second {
-		interval = time.Second
-	}
-	if interval > 30*time.Second {
-		interval = 30 * time.Second
-	}
-	return interval
-}
-
 // healthTick runs the periodic connection-health checks and reschedules
 // itself. All eviction decisions are collected before acting so map and
 // slice mutation never happens under iteration, and eviction order is
@@ -86,24 +57,19 @@ func (n *Node) healthTick() {
 	n.checkHandshakes(now)
 	n.checkKeepalive(now)
 	n.checkBlockStalls(now)
-	if d := n.healthTickInterval(); d > 0 {
-		n.env.Schedule(d, n.healthTick)
-	}
+	n.env.Schedule(healthTickEvery, n.healthTick)
 }
 
 // checkHandshakes evicts peers that have not completed VERSION/VERACK
 // within the handshake timeout — the defence against black-hole peers
 // that accept a connection and then say nothing.
 func (n *Node) checkHandshakes(now time.Time) {
-	if n.cfg.HandshakeTimeout <= 0 {
-		return
-	}
 	var stale []*Peer
 	for _, p := range n.slots {
 		if p == nil || p.handshook {
 			continue
 		}
-		if now.Sub(p.connected) >= n.cfg.HandshakeTimeout {
+		if now.Sub(p.connected) >= handshakeTimeout {
 			stale = append(stale, p)
 		}
 	}
@@ -128,19 +94,16 @@ func (n *Node) checkKeepalive(now time.Time) {
 			continue
 		}
 		if p.pingNonce != 0 {
-			if n.cfg.StallTimeout > 0 && now.Sub(p.pingSent) >= n.cfg.StallTimeout {
+			if now.Sub(p.pingSent) >= stallTimeout {
 				stalled = append(stalled, p)
 			}
-			continue
-		}
-		if n.cfg.PingInterval <= 0 {
 			continue
 		}
 		idleSince := p.lastRecv
 		if idleSince.IsZero() {
 			idleSince = p.connected
 		}
-		if now.Sub(idleSince) >= n.cfg.PingInterval {
+		if now.Sub(idleSince) >= pingInterval {
 			nonce := n.env.Rand().Uint64()
 			if nonce == 0 {
 				nonce = 1 // zero means "no PING outstanding"
@@ -174,9 +137,6 @@ func (n *Node) handlePong(p *Peer, m *wire.MsgPong) {
 // the block-stall timeout (the simplified form of Bitcoin Core's
 // 2-minute stalling rule), so IBD can continue from another peer.
 func (n *Node) checkBlockStalls(now time.Time) {
-	if n.cfg.BlockStallTimeout <= 0 {
-		return
-	}
 	// Collect the oldest stalled request per connection, deterministically
 	// despite map iteration: gather then sort by (conn, hash).
 	type stall struct {
@@ -185,7 +145,7 @@ func (n *Node) checkBlockStalls(now time.Time) {
 	}
 	var stalls []stall
 	for h, f := range n.blocksInFlight {
-		if now.Sub(f.requested) >= n.cfg.BlockStallTimeout {
+		if now.Sub(f.requested) >= blockStallTimeout {
 			stalls = append(stalls, stall{f.conn, h})
 		}
 	}
@@ -257,9 +217,6 @@ func (n *Node) inBackoff(addr netip.AddrPort) bool {
 // base×2^(failures−1), capped at max, then jittered ±50% so a network
 // full of nodes does not retry in lockstep.
 func (n *Node) armBackoff(addr netip.AddrPort) {
-	if n.cfg.DialBackoffBase <= 0 {
-		return
-	}
 	st := n.backoff[addr]
 	if st == nil {
 		n.pruneBackoff()
@@ -271,9 +228,9 @@ func (n *Node) armBackoff(addr netip.AddrPort) {
 	if shift > 16 {
 		shift = 16
 	}
-	d := n.cfg.DialBackoffBase << uint(shift)
-	if d <= 0 || d > n.cfg.DialBackoffMax {
-		d = n.cfg.DialBackoffMax
+	d := dialBackoffBase << uint(shift)
+	if d > dialBackoffMax {
+		d = dialBackoffMax
 	}
 	// Jitter uniformly in [d/2, 3d/2).
 	d = d/2 + time.Duration(n.env.Rand().Int63n(int64(d)))

@@ -219,7 +219,6 @@ func TestDialFailureArmsBackoff(t *testing.T) {
 	cfg.Sink = rec
 	cfg.SeedAddrs = []wire.NetAddress{{Addr: remote, Timestamp: env.Now()}}
 	cfg.MaxFeelers = -1
-	cfg.DialBackoffBase = time.Minute
 	n := New(cfg, env)
 	n.Start()
 	env.run(2 * time.Second)
@@ -235,16 +234,16 @@ func TestDialFailureArmsBackoff(t *testing.T) {
 	if !ok {
 		t.Fatal("no EvDialBackoff emitted")
 	}
-	// base×2^0 jittered ±50%: the window is [30s, 90s).
-	if ev.Delay < 30*time.Second || ev.Delay >= 90*time.Second {
-		t.Errorf("backoff delay = %v, want within [30s, 90s)", ev.Delay)
+	// dialBackoffBase×2^0 jittered ±50%: the window is [5s, 15s).
+	if ev.Delay < dialBackoffBase/2 || ev.Delay >= dialBackoffBase*3/2 {
+		t.Errorf("backoff delay = %v, want within [5s, 15s)", ev.Delay)
 	}
 	if ev.Count != 1 {
 		t.Errorf("backoff failure count = %d, want 1", ev.Count)
 	}
 
 	// Inside the window the address must not be redialed...
-	env.run(20 * time.Second)
+	env.run(4 * time.Second)
 	if len(env.dials) != 1 {
 		t.Fatalf("address redialed inside its backoff window (%d dials)", len(env.dials))
 	}
@@ -267,11 +266,10 @@ func TestBackoffEscalatesWithConsecutiveFailures(t *testing.T) {
 	remote := mkAddr(10, 0, 0, 2)
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
 	cfg.Sink = rec
-	cfg.DialBackoffBase = time.Minute
-	cfg.DialBackoffMax = 4 * time.Minute
 	n := New(cfg, env)
 	n.Start()
-	for i := 0; i < 4; i++ {
+	const failures = 8
+	for i := 0; i < failures; i++ {
 		n.dialing[remote] = Outbound
 		n.OnDialResult(remote, 0, errors.New("refused"))
 	}
@@ -281,47 +279,22 @@ func TestBackoffEscalatesWithConsecutiveFailures(t *testing.T) {
 			delays = append(delays, ev.Delay)
 		}
 	}
-	if len(delays) != 4 {
-		t.Fatalf("backoff events = %d, want 4", len(delays))
+	if len(delays) != failures {
+		t.Fatalf("backoff events = %d, want %d", len(delays), failures)
 	}
-	// Failure i has pre-jitter delay min(1m×2^(i−1), 4m); jitter keeps it
-	// within [d/2, 3d/2). The fourth failure must respect the cap.
-	if delays[3] >= 6*time.Minute {
-		t.Errorf("capped backoff = %v, want < 6m (cap 4m + jitter)", delays[3])
+	// Failure i+1 has pre-jitter delay min(10s×2^i, 10m); jitter keeps it
+	// within [d/2, 3d/2). The seventh failure (640 s) is the first the cap
+	// holds back.
+	for i, got := range delays {
+		d := dialBackoffBase << uint(i)
+		if d > dialBackoffMax {
+			d = dialBackoffMax
+		}
+		if got < d/2 || got >= d*3/2 {
+			t.Errorf("backoff %d = %v, want within [%v, %v)", i+1, got, d/2, d*3/2)
+		}
 	}
-	if delays[3] < 2*time.Minute {
-		t.Errorf("fourth backoff = %v, want ≥ 2m (cap floor)", delays[3])
-	}
-	if n.Health().BackoffsArmed != 4 {
-		t.Errorf("BackoffsArmed = %d, want 4", n.Health().BackoffsArmed)
-	}
-}
-
-func TestNegativeConfigDisablesHealthMachinery(t *testing.T) {
-	env := newFakeEnv()
-	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.PingInterval = -1
-	cfg.StallTimeout = -1
-	cfg.HandshakeTimeout = -1
-	cfg.BlockStallTimeout = -1
-	cfg.DialBackoffBase = -1
-	n := New(cfg, env)
-	if d := n.healthTickInterval(); d != 0 {
-		t.Fatalf("healthTickInterval = %v with everything disabled, want 0", d)
-	}
-	n.Start()
-	// A mute inbound peer survives forever with the machinery off.
-	if !n.OnInbound(mkAddr(10, 0, 0, 9), 7) {
-		t.Fatal("inbound refused")
-	}
-	env.run(30 * time.Minute)
-	if n.peerByConn(7) == nil {
-		t.Error("peer evicted despite disabled health machinery")
-	}
-	// Failed dials arm nothing.
-	n.dialing[mkAddr(10, 0, 0, 2)] = Outbound
-	n.OnDialResult(mkAddr(10, 0, 0, 2), 0, errors.New("refused"))
-	if len(n.backoff) != 0 {
-		t.Error("backoff armed despite negative DialBackoffBase")
+	if n.Health().BackoffsArmed != failures {
+		t.Errorf("BackoffsArmed = %d, want %d", n.Health().BackoffsArmed, failures)
 	}
 }

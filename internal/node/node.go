@@ -125,48 +125,68 @@ type Env interface {
 	Disconnect(conn ConnID)
 }
 
-// Default protocol limits, matching Bitcoin Core.
+// Slot targets, matching Bitcoin Core. These two are what Config's
+// MaxOutbound and MaxFeelers default to; measurement code reads them.
 const (
 	// DefaultMaxOutbound is the outbound connection target.
 	DefaultMaxOutbound = 8
-	// DefaultMaxInbound is the inbound connection capacity.
-	DefaultMaxInbound = 117
 	// DefaultMaxFeelers is the number of concurrent feeler connections.
 	DefaultMaxFeelers = 2
-	// DefaultFeelerInterval is how often a feeler is attempted.
-	DefaultFeelerInterval = 2 * time.Minute
-	// DefaultConnectInterval is how often the openConnections loop tries
-	// to fill an empty outbound slot.
-	DefaultConnectInterval = 500 * time.Millisecond
-	// DefaultLoopOverhead is the fixed cost of one message-handler loop
+)
+
+// Protocol constants of the one program the paper analyses, Bitcoin Core
+// v0.20.1. No caller varies them, so they are not configuration (see
+// DESIGN.md, "Configuration").
+const (
+	// maxInbound is the inbound connection capacity (125 slots less the
+	// outbound ones).
+	maxInbound = 117
+	// feelerInterval is how often a feeler is attempted (FEELER_INTERVAL).
+	feelerInterval = 2 * time.Minute
+	// connectInterval is how often the openConnections loop tries to fill
+	// an empty outbound slot.
+	connectInterval = 500 * time.Millisecond
+	// connectIdleInterval is the maintenance cadence while all outbound
+	// slots are filled; it keeps large simulations cheap without changing
+	// behaviour (the loop is re-armed immediately on disconnect).
+	connectIdleInterval = 30 * time.Second
+	// userAgent is advertised in the VERSION handshake.
+	userAgent = "/Satoshi:0.20.1(repro)/"
+	// loopOverhead is the fixed cost of one message-handler loop
 	// iteration.
-	DefaultLoopOverhead = time.Millisecond
-	// DefaultMsgProcTime is the processing cost of one inbound message.
-	DefaultMsgProcTime = 200 * time.Microsecond
-	// DefaultBytesPerSec is the effective per-socket serialization rate.
-	DefaultBytesPerSec = 2 << 20
-	// DefaultBlockSizeHint is the synthetic full-block wire size used for
-	// timing when simulated blocks carry few transactions (real 2020
-	// blocks average ~1.2 MB).
-	DefaultBlockSizeHint = 1 << 20
-	// DefaultPingInterval is how long a peer may stay quiet before a
-	// keepalive PING is sent (Bitcoin Core's PING_INTERVAL).
-	DefaultPingInterval = 2 * time.Minute
-	// DefaultStallTimeout disconnects a peer whose keepalive PING has
-	// gone unanswered for this long (Bitcoin Core's TIMEOUT_INTERVAL).
-	DefaultStallTimeout = 20 * time.Minute
-	// DefaultHandshakeTimeout disconnects peers that fail to complete
-	// VERSION/VERACK (Bitcoin Core's version-handshake timeout).
-	DefaultHandshakeTimeout = 60 * time.Second
-	// DefaultBlockStallTimeout evicts a peer that sits on a requested
-	// block for this long (Bitcoin Core's 2-minute stalling rule,
-	// simplified to a flat per-request deadline).
-	DefaultBlockStallTimeout = 2 * time.Minute
-	// DefaultDialBackoffBase is the first reconnect backoff applied to
-	// an address after a failed dial; it doubles per consecutive failure.
-	DefaultDialBackoffBase = 10 * time.Second
-	// DefaultDialBackoffMax caps the per-address reconnect backoff.
-	DefaultDialBackoffMax = 10 * time.Minute
+	loopOverhead = time.Millisecond
+	// msgProcTime is the processing cost of one inbound message.
+	msgProcTime = 200 * time.Microsecond
+	// defaultBytesPerSec is the effective per-socket serialization rate
+	// Config.BytesPerSec defaults to.
+	defaultBytesPerSec = 2 << 20
+	// blockSizeHint is the synthetic full-block wire size used for timing,
+	// simulated blocks carrying few transactions (real 2020 blocks average
+	// ~1.2 MB).
+	blockSizeHint = 1 << 20
+	// pingInterval is how long a peer may stay quiet before a keepalive
+	// PING is sent (PING_INTERVAL).
+	pingInterval = 2 * time.Minute
+	// stallTimeout disconnects a peer whose keepalive PING has gone
+	// unanswered for this long (TIMEOUT_INTERVAL).
+	stallTimeout = 20 * time.Minute
+	// handshakeTimeout disconnects peers that fail to complete
+	// VERSION/VERACK, evicting black-hole peers that accept and stall
+	// (the version-handshake timeout).
+	handshakeTimeout = 60 * time.Second
+	// blockStallTimeout evicts a peer that sits on a requested block for
+	// this long, so IBD can continue from another peer (the 2-minute
+	// stalling rule, simplified to a flat per-request deadline).
+	blockStallTimeout = 2 * time.Minute
+	// healthTickEvery is the cadence of the health checks: a quarter of
+	// the tightest timeout above.
+	healthTickEvery = handshakeTimeout / 4
+	// dialBackoffBase is the first reconnect backoff applied to an address
+	// after a failed dial; it doubles per consecutive failure, is capped at
+	// dialBackoffMax and jittered ±50%, so dial storms do not hammer dead
+	// addresses.
+	dialBackoffBase = 10 * time.Second
+	dialBackoffMax  = 10 * time.Minute
 )
 
 // Config parameterizes a node.
@@ -176,20 +196,11 @@ type Config struct {
 	// Reachable nodes accept inbound connections; unreachable nodes (the
 	// paper's NATed population) only dial out.
 	Reachable bool
-	// MaxOutbound, MaxInbound, and MaxFeelers bound the connection slots
-	// (defaults applied when zero; negative disables that slot type,
-	// which tests use to isolate one maintenance loop).
+	// MaxOutbound and MaxFeelers bound the dialed connection slots
+	// (defaults applied when zero; negative disables that slot type, which
+	// a served-only node uses to stay off the dialer).
 	MaxOutbound int
-	MaxInbound  int
 	MaxFeelers  int
-	// FeelerInterval and ConnectInterval control the maintenance cadence.
-	FeelerInterval  time.Duration
-	ConnectInterval time.Duration
-	// ConnectIdleInterval is the maintenance cadence while all outbound
-	// slots are filled; a larger value keeps large simulations cheap
-	// without changing behaviour (the loop is re-armed immediately on
-	// disconnect).
-	ConnectIdleInterval time.Duration
 	// MaxPendingDials caps concurrent outbound connection attempts.
 	// Bitcoin Core's ThreadOpenConnections is strictly serial (one
 	// blocking connect per loop — use 1 to model it); the default equals
@@ -201,9 +212,6 @@ type Config struct {
 	// compiled once in New into plain fields — the hot paths never
 	// consult the set. The last policy implementing a hook wins.
 	Policies PolicySet
-	// GetAddrResponder, when non-nil, overrides the ADDR response —
-	// the hook used to model the paper's §IV-B malicious flooders.
-	GetAddrResponder func() []wire.NetAddress
 	// AddrSink, when non-nil, receives every multi-address ADDR payload
 	// this node ingests (GETADDR response chunks; one-address
 	// self-advertisements are skipped). It is the measurement seam the
@@ -214,14 +222,9 @@ type Config struct {
 	SeedAddrs []wire.NetAddress
 	// Genesis anchors the chain. Required.
 	Genesis *wire.MsgBlock
-	// UserAgent is advertised in the VERSION handshake.
-	UserAgent string
-	// LoopOverhead, MsgProcTime, BytesPerSec, and BlockSizeHint
-	// parameterize the service-time model (defaults applied when zero).
-	LoopOverhead  time.Duration
-	MsgProcTime   time.Duration
-	BytesPerSec   int
-	BlockSizeHint int
+	// BytesPerSec is the effective per-socket serialization rate of the
+	// service-time model (default applied when zero).
+	BytesPerSec int
 	// Sink receives instrumentation events; nil discards them.
 	Sink EventSink
 	// Metrics, when set, receives the node's counters and latency
@@ -233,28 +236,6 @@ type Config struct {
 	Tracer *obs.Tracer
 	// AddrManKey seeds addrman bucket placement.
 	AddrManKey uint64
-
-	// PingInterval is the keepalive cadence: a PING is sent on any
-	// connection idle for this long (default 2 min, like Bitcoin Core;
-	// negative disables keepalive).
-	PingInterval time.Duration
-	// StallTimeout disconnects a peer whose keepalive PING has gone
-	// unanswered for this long (default 20 min; negative disables).
-	StallTimeout time.Duration
-	// HandshakeTimeout disconnects a peer that has not completed
-	// VERSION/VERACK within this window (default 60 s; negative
-	// disables), evicting black-hole peers that accept and stall.
-	HandshakeTimeout time.Duration
-	// BlockStallTimeout evicts a peer that has held a requested block
-	// for this long without delivering it, so IBD can continue from
-	// another peer (default 2 min; negative disables).
-	BlockStallTimeout time.Duration
-	// DialBackoffBase and DialBackoffMax shape the per-address
-	// reconnect backoff: after a failed dial the address is skipped for
-	// base×2^(failures−1), jittered ±50% and capped at max, so dial
-	// storms do not hammer dead addresses (negative base disables).
-	DialBackoffBase time.Duration
-	DialBackoffMax  time.Duration
 }
 
 // withDefaults fills zero fields.
@@ -262,56 +243,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxOutbound == 0 {
 		c.MaxOutbound = DefaultMaxOutbound
 	}
-	if c.MaxInbound == 0 {
-		c.MaxInbound = DefaultMaxInbound
-	}
 	if c.MaxFeelers == 0 {
 		c.MaxFeelers = DefaultMaxFeelers
-	}
-	if c.FeelerInterval == 0 {
-		c.FeelerInterval = DefaultFeelerInterval
-	}
-	if c.ConnectInterval == 0 {
-		c.ConnectInterval = DefaultConnectInterval
-	}
-	if c.ConnectIdleInterval == 0 {
-		c.ConnectIdleInterval = 30 * time.Second
 	}
 	if c.MaxPendingDials == 0 {
 		c.MaxPendingDials = c.MaxOutbound
 	}
-	if c.LoopOverhead == 0 {
-		c.LoopOverhead = DefaultLoopOverhead
-	}
-	if c.MsgProcTime == 0 {
-		c.MsgProcTime = DefaultMsgProcTime
-	}
 	if c.BytesPerSec == 0 {
-		c.BytesPerSec = DefaultBytesPerSec
-	}
-	if c.BlockSizeHint == 0 {
-		c.BlockSizeHint = DefaultBlockSizeHint
-	}
-	if c.UserAgent == "" {
-		c.UserAgent = "/Satoshi:0.20.1(repro)/"
-	}
-	if c.PingInterval == 0 {
-		c.PingInterval = DefaultPingInterval
-	}
-	if c.StallTimeout == 0 {
-		c.StallTimeout = DefaultStallTimeout
-	}
-	if c.HandshakeTimeout == 0 {
-		c.HandshakeTimeout = DefaultHandshakeTimeout
-	}
-	if c.BlockStallTimeout == 0 {
-		c.BlockStallTimeout = DefaultBlockStallTimeout
-	}
-	if c.DialBackoffBase == 0 {
-		c.DialBackoffBase = DefaultDialBackoffBase
-	}
-	if c.DialBackoffMax == 0 {
-		c.DialBackoffMax = DefaultDialBackoffMax
+		c.BytesPerSec = defaultBytesPerSec
 	}
 	return c
 }
@@ -503,10 +442,8 @@ func (n *Node) Start() {
 	}
 	n.emit(Event{Type: EvStarted, Node: n.cfg.Self.Addr, Time: n.env.Now()})
 	n.scheduleMaintenance(0)
-	n.env.Schedule(n.cfg.FeelerInterval, n.feelerTick)
-	if d := n.healthTickInterval(); d > 0 {
-		n.env.Schedule(d, n.healthTick)
-	}
+	n.env.Schedule(feelerInterval, n.feelerTick)
+	n.env.Schedule(healthTickEvery, n.healthTick)
 }
 
 // Stop takes the node offline: every connection is dropped and future
@@ -637,12 +574,12 @@ func (n *Node) openConnectionsTick() {
 			pendingOut++
 		}
 	}
-	interval := n.cfg.ConnectIdleInterval
+	interval := connectIdleInterval
 	if outbound+pendingOut < n.cfg.MaxOutbound && pendingOut < n.cfg.MaxPendingDials {
 		if na, ok := n.selectDialTarget(false); ok {
 			n.startDial(na, Outbound)
 		}
-		interval = n.cfg.ConnectInterval
+		interval = connectInterval
 	}
 	n.scheduleMaintenance(interval)
 }
@@ -680,7 +617,7 @@ func (n *Node) feelerTick() {
 			n.startDial(na, Feeler)
 		}
 	}
-	n.env.Schedule(n.cfg.FeelerInterval, n.feelerTick)
+	n.env.Schedule(feelerInterval, n.feelerTick)
 }
 
 // selectDialTarget samples addrman for a dialable address, skipping self,
@@ -832,7 +769,7 @@ func (n *Node) OnInbound(remote netip.AddrPort, conn ConnID) bool {
 		return false
 	}
 	_, inbound, _ := n.ConnCounts()
-	if inbound >= n.cfg.MaxInbound {
+	if inbound >= maxInbound {
 		n.emit(Event{
 			Type: EvInboundRefused, Node: n.cfg.Self.Addr, Peer: remote,
 			Time: n.env.Now(),
@@ -981,7 +918,7 @@ func (n *Node) versionMsg() *wire.MsgVersion {
 		Timestamp:       n.env.Now(),
 		AddrMe:          n.cfg.Self,
 		Nonce:           n.env.Rand().Uint64(),
-		UserAgent:       n.cfg.UserAgent,
+		UserAgent:       userAgent,
 		StartHeight:     n.chain.Height(),
 		Relay:           true,
 	}

@@ -29,21 +29,29 @@ func TestDuplicateVersionIgnored(t *testing.T) {
 }
 
 func TestGetAddrResponseChunking(t *testing.T) {
-	// More than 1000 known addresses must arrive in multiple ADDR
-	// messages, each within the wire cap.
+	// A full GETADDR sample (1000 addresses) plus the prepended self
+	// address is one more than an ADDR message may carry, so it must
+	// arrive in two messages, each within the wire cap.
 	env := newFakeEnv()
-	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	// Responder override returns 2500 addresses.
-	big := make([]wire.NetAddress, 2500)
-	for i := range big {
-		big[i] = wire.NetAddress{
-			Addr:      mkAddr(20, byte(i/250), byte(i%250), 1),
-			Timestamp: env.Now(),
-		}
-	}
-	cfg.GetAddrResponder = func() []wire.NetAddress { return big }
-	n := New(cfg, env)
+	n := New(testConfig(mkAddr(10, 0, 0, 1)), env)
 	n.Start()
+	// The sample is 23% of the table: 1000 needs 4348 known addresses.
+	// One /16 per address and one source per batch spread them over the
+	// new table's buckets.
+	for src := 0; src < 100; src++ {
+		batch := make([]wire.NetAddress, 60)
+		for i := range batch {
+			group := src*len(batch) + i
+			batch[i] = wire.NetAddress{
+				Addr:      mkAddr(20+byte(group/250), byte(group%250), 0, 1),
+				Timestamp: env.Now(),
+			}
+		}
+		n.AddrMan().Add(batch, mkAddr(100, byte(src), 0, 1).Addr())
+	}
+	if size := n.AddrMan().Size(); size < 4348 {
+		t.Fatalf("addrman holds %d addresses, the test needs 4348", size)
+	}
 	completeHandshake(t, n, env, 1, mkAddr(10, 0, 0, 2), 0)
 	n.OnMessage(1, &wire.MsgGetAddr{})
 	env.run(2 * time.Second)
@@ -57,10 +65,8 @@ func TestGetAddrResponseChunking(t *testing.T) {
 			}
 		}
 	}
-	// One self-ADDR may not be present here (inbound peers get no
-	// self-advertisement), so expect exactly ceil(2500/1000) = 3 chunks.
-	if chunks != 3 || total != 2500 {
-		t.Errorf("chunks=%d total=%d, want 3/2500", chunks, total)
+	if chunks != 2 || total != wire.MaxAddrPerMsg+1 {
+		t.Errorf("chunks=%d total=%d, want 2/%d", chunks, total, wire.MaxAddrPerMsg+1)
 	}
 }
 
@@ -201,7 +207,7 @@ func TestSizeEstimateOrdering(t *testing.T) {
 	inv.InvList = []wire.InvVect{{Type: wire.InvTypeBlock}}
 	// A full block must be estimated far larger than an INV, and at
 	// least the synthetic block size hint.
-	if n.sizeEstimate(blk) < n.cfg.BlockSizeHint {
+	if n.sizeEstimate(blk) < blockSizeHint {
 		t.Error("block size below the hint")
 	}
 	if n.sizeEstimate(inv) >= n.sizeEstimate(blk) {
@@ -300,11 +306,10 @@ func TestNegativeMaxFeelersDisablesFeelers(t *testing.T) {
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
 	cfg.MaxOutbound = -1
 	cfg.MaxFeelers = -1
-	cfg.FeelerInterval = time.Second
 	cfg.SeedAddrs = []wire.NetAddress{{Addr: mkAddr(10, 0, 0, 2), Timestamp: env.Now()}}
 	n := New(cfg, env)
 	n.Start()
-	env.run(10 * time.Second)
+	env.run(2 * feelerInterval)
 	if len(env.dials) != 0 {
 		t.Errorf("dials = %d, want 0 with both loops disabled", len(env.dials))
 	}

@@ -283,14 +283,14 @@ func TestInboundRefusedWhenUnreachable(t *testing.T) {
 
 func TestInboundCapacity(t *testing.T) {
 	env := newFakeEnv()
-	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.MaxInbound = 2
-	n := New(cfg, env)
+	n := New(testConfig(mkAddr(10, 0, 0, 1)), env)
 	n.Start()
-	if !n.OnInbound(mkAddr(10, 0, 0, 2), 1) || !n.OnInbound(mkAddr(10, 0, 0, 3), 2) {
-		t.Fatal("first two inbound connections refused")
+	for i := 0; i < maxInbound; i++ {
+		if !n.OnInbound(mkAddr(10, 0, 1, byte(i)), ConnID(i+1)) {
+			t.Fatalf("inbound connection %d of %d refused", i+1, maxInbound)
+		}
 	}
-	if n.OnInbound(mkAddr(10, 0, 0, 4), 3) {
+	if n.OnInbound(mkAddr(10, 0, 2, 0), maxInbound+1) {
 		t.Error("inbound connection beyond capacity accepted")
 	}
 }
@@ -725,13 +725,12 @@ func TestDisconnectClearsInFlightBlocks(t *testing.T) {
 func TestFeelerDisconnectsAfterHandshake(t *testing.T) {
 	env := newFakeEnv()
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.FeelerInterval = time.Second
 	cfg.MaxOutbound = -1 // isolate the feeler loop from outbound dialing
 	n := New(cfg, env)
 	n.Start()
 	target := mkAddr(10, 0, 0, 9)
 	n.AddrMan().Add([]wire.NetAddress{{Addr: target, Timestamp: env.Now()}}, target.Addr())
-	env.run(1500 * time.Millisecond) // feeler tick fires
+	env.run(feelerInterval + time.Second) // feeler tick fires
 	if len(env.dials) == 0 {
 		t.Fatal("feeler never dialed")
 	}

@@ -201,7 +201,7 @@ func (n *Node) pumpOnce() {
 		n.env.Schedule(busy, n.pumpFn)
 	} else if n.hasPendingWork() {
 		n.pumpArmed = true
-		n.env.Schedule(busy+n.cfg.LoopOverhead, n.pumpFn)
+		n.env.Schedule(busy+loopOverhead, n.pumpFn)
 	}
 }
 
@@ -213,7 +213,7 @@ func (n *Node) serviceSlot(i int, busy *time.Duration) {
 	p := n.slots[i]
 	// ThreadMessageHandler: process one message from vProcessMsg.
 	if p.recvLen() > 0 {
-		*busy += n.cfg.MsgProcTime
+		*busy += msgProcTime
 		n.handleMessage(p, p.popRecv())
 	}
 	// SocketHandler: write one message from vSendMsg.
@@ -281,12 +281,12 @@ func (n *Node) RecycleOutbound(msg wire.Message) {
 // overhead plus wire size over the per-socket rate.
 func (n *Node) sendTime(msg wire.Message) time.Duration {
 	size := n.sizeEstimate(msg)
-	return n.cfg.MsgProcTime +
+	return msgProcTime +
 		time.Duration(size)*time.Second/time.Duration(n.cfg.BytesPerSec)
 }
 
 // sizeEstimate approximates the wire size of msg without serializing.
-// Full blocks are clamped up to BlockSizeHint: simulated blocks carry few
+// Full blocks are clamped up to blockSizeHint: simulated blocks carry few
 // transactions, while the 2020 mainnet blocks whose propagation the paper
 // measures averaged ~1 MB, and the timing model should reflect the
 // latter.
@@ -294,8 +294,8 @@ func (n *Node) sizeEstimate(msg wire.Message) int {
 	switch m := msg.(type) {
 	case *wire.MsgBlock:
 		size := m.SerializeSize()
-		if size < n.cfg.BlockSizeHint {
-			size = n.cfg.BlockSizeHint
+		if size < blockSizeHint {
+			size = blockSizeHint
 		}
 		return size
 	case *wire.MsgCmpctBlock:
@@ -303,9 +303,8 @@ func (n *Node) sizeEstimate(msg wire.Message) int {
 		// BIP-152 compact blocks are ~9 KB for a 1 MB block. Scale with
 		// the block size hint.
 		base := 88 + wire.ShortIDSize*len(m.ShortIDs) + 300
-		hintScaled := n.cfg.BlockSizeHint / 120
-		if base < hintScaled {
-			base = hintScaled
+		if base < blockSizeHint/120 {
+			base = blockSizeHint / 120
 		}
 		return base
 	case *wire.MsgTx:

@@ -57,7 +57,7 @@ func (n *Node) fullWalkLoop() {
 		n.env.Schedule(busy, n.pumpFn)
 	} else if queued > 0 {
 		n.pumpArmed = true
-		n.env.Schedule(busy+n.cfg.LoopOverhead, n.pumpFn)
+		n.env.Schedule(busy+loopOverhead, n.pumpFn)
 	}
 }
 
@@ -68,7 +68,7 @@ func (n *Node) fullWalkSlot(i int, busy *time.Duration) {
 		return
 	}
 	if p.recvLen() > 0 {
-		*busy += n.cfg.MsgProcTime
+		*busy += msgProcTime
 		n.handleMessage(p, p.popRecv())
 	}
 	if n.stopped || n.slots[i] != p {
@@ -473,7 +473,7 @@ func TestPumpWakeups(t *testing.T) {
 	if loops := loopsDuring(0); len(loops) != 1 || !loops[0].Equal(t0) {
 		t.Fatalf("loops %v, want one at %v", loops, t0)
 	}
-	busyUntil := t0.Add(n.cfg.MsgProcTime)
+	busyUntil := t0.Add(msgProcTime)
 	if !n.busyUntil.Equal(busyUntil) || n.pumpArmed {
 		t.Fatalf("after a quiet loop: busyUntil %v armed %v, want %v unarmed", n.busyUntil, n.pumpArmed, busyUntil)
 	}
@@ -481,7 +481,7 @@ func TestPumpWakeups(t *testing.T) {
 	// Mid-busy arrival: exactly one Schedule call, for busyUntil; a second
 	// arrival adds none; the loop starts at busyUntil and nothing pump-side
 	// runs before.
-	env.run(n.cfg.MsgProcTime / 2)
+	env.run(msgProcTime / 2)
 	if calls := deliver(2, quiet); len(calls) != 1 || !calls[0].due.Equal(busyUntil) {
 		t.Fatalf("mid-busy arrival scheduled %v, want one wake-up at busyUntil %v", calls, busyUntil)
 	}
@@ -514,7 +514,7 @@ func TestPumpWakeups(t *testing.T) {
 	t2 := env.Now()
 	deliver(2, quiet)
 	deliver(2, quiet)
-	want := []time.Time{t2, t2.Add(n.cfg.MsgProcTime + n.cfg.LoopOverhead)}
+	want := []time.Time{t2, t2.Add(msgProcTime + loopOverhead)}
 	if loops := loopsDuring(time.Second); len(loops) != 2 || !loops[0].Equal(want[0]) || !loops[1].Equal(want[1]) {
 		t.Fatalf("loops %v, want %v", loops, want)
 	}

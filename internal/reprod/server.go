@@ -47,6 +47,29 @@ type Config struct {
 	Version string
 }
 
+// withDefaults fills zero fields.
+func (c Config) withDefaults() Config {
+	if c.MaxActive <= 0 {
+		c.MaxActive = runtime.GOMAXPROCS(0)
+	}
+	if c.RunTimeout <= 0 {
+		c.RunTimeout = 10 * time.Minute
+	}
+	if c.ForceGrace <= 0 {
+		c.ForceGrace = 5 * time.Second
+	}
+	if c.Registry == nil {
+		c.Registry = obs.NewRegistry()
+	}
+	if c.Lookup == nil {
+		c.Lookup = core.ByID
+	}
+	if c.Version == "" {
+		c.Version = CodeVersion()
+	}
+	return c
+}
+
 // RunError is a run failure as reported to clients: structured, with a
 // machine-readable kind, so a crashed or timed-out experiment is an
 // HTTP response, never a crashed server.
@@ -128,24 +151,7 @@ func (s *Server) setDraining() {
 // New builds a Server: opens (and crash-sweeps) the cache, constructs
 // the admission gate, and wires the routes.
 func New(cfg Config) (*Server, error) {
-	if cfg.MaxActive <= 0 {
-		cfg.MaxActive = runtime.GOMAXPROCS(0)
-	}
-	if cfg.RunTimeout <= 0 {
-		cfg.RunTimeout = 10 * time.Minute
-	}
-	if cfg.ForceGrace <= 0 {
-		cfg.ForceGrace = 5 * time.Second
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
-	if cfg.Lookup == nil {
-		cfg.Lookup = core.ByID
-	}
-	if cfg.Version == "" {
-		cfg.Version = CodeVersion()
-	}
+	cfg = cfg.withDefaults()
 	reg := cfg.Registry
 	cache, err := OpenCache(cfg.CacheDir, reg)
 	if err != nil {

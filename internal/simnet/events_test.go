@@ -67,19 +67,13 @@ func TestSchedulerOrderIsStableSortByTime(t *testing.T) {
 	}
 }
 
-// quietCfg is nodeCfg with every periodic loop a node runs on its own
-// switched off or pushed out of reach, so that once a connection has
-// settled the only events in the queue are the ones a test puts there.
+// quietCfg is nodeCfg with the dialing loops limited to maxOutbound
+// connections and no feelers, so that once a connection has settled the
+// node's own periodic ticks put no message on the wire.
 func quietCfg(self netip.AddrPort, seeds []wire.NetAddress, maxOutbound int) node.Config {
 	cfg := nodeCfg(self, seeds)
 	cfg.MaxOutbound = maxOutbound
 	cfg.MaxFeelers = -1
-	cfg.FeelerInterval = 1000 * time.Hour
-	cfg.ConnectIdleInterval = 1000 * time.Hour
-	cfg.PingInterval = -1
-	cfg.StallTimeout = -1
-	cfg.HandshakeTimeout = -1
-	cfg.BlockStallTimeout = -1
 	return cfg
 }
 

@@ -73,7 +73,7 @@ func TestFastFailSplitIsPerAddress(t *testing.T) {
 			t.Errorf("target %v: dialer A saw %v, dialer B saw %v — split must be per-address",
 				target, errA, errB)
 		}
-		want := int(addrHash(target.Addr())%100) < net.cfg.FastFailPct
+		want := int(addrHash(target.Addr())%100) < fastFailPct
 		if got := errors.Is(errA, ErrRefused); got != want {
 			t.Errorf("target %v: refused=%v, want %v from addrHash split", target, got, want)
 		}
@@ -187,7 +187,6 @@ func TestBlackholeStubStallsDialer(t *testing.T) {
 	var dialOK bool
 	cfg := ha.Config()
 	cfg.MaxFeelers = -1
-	cfg.HandshakeTimeout = -1 // isolate the stall: no eviction here
 	cfg.Sink = node.SinkFunc(func(ev node.Event) {
 		if ev.Type == node.EvDialSuccess && ev.Peer == hole {
 			dialOK = true
@@ -195,6 +194,7 @@ func TestBlackholeStubStallsDialer(t *testing.T) {
 	})
 	ha.SetConfig(cfg)
 	ha.Start()
+	// Short of the 60 s handshake timeout, which would evict the stall.
 	net.Scheduler().RunFor(45 * time.Second)
 	if !dialOK {
 		t.Fatal("dial to black-hole stub must succeed")

@@ -22,7 +22,7 @@ func ConstantLatency(d time.Duration) LatencyFunc {
 
 // addrHash produces a deterministic 64-bit hash of a single address —
 // used where an outcome must be a property of one endpoint alone (e.g.
-// the FastFailPct refusal/timeout split for dead addresses).
+// the fastFailPct refusal/timeout split for dead addresses).
 func addrHash(a netip.Addr) uint64 {
 	return pairHash(a, a)
 }

@@ -94,27 +94,30 @@ type Injector interface {
 	FilterTransmit(from, to netip.AddrPort, msg wire.Message) TransmitVerdict
 }
 
+// Constants of the connection model. No caller varies them (see
+// DESIGN.md, "Configuration").
+const (
+	// dialTimeout is how long an unanswered dial takes to fail: Bitcoin
+	// Core's connect timeout.
+	dialTimeout = 5 * time.Second
+	// handshakeRTTs is the number of latency units consumed by TCP
+	// connection establishment before the protocol handshake: SYN +
+	// SYNACK/ACK.
+	handshakeRTTs = 2
+	// fastFailPct is the percentage of dials to dead addresses that fail
+	// quickly with a refusal (RST from a host that departed) instead of
+	// waiting out the full timeout (SYN silently dropped by a NAT). The
+	// outcome is deterministic per address.
+	fastFailPct = 50
+)
+
 // Config parameterizes a Network.
 type Config struct {
-	// Epoch is the virtual start time.
-	Epoch time.Time
 	// Seed drives all randomness in the network and its nodes.
 	Seed int64
 	// Latency is the one-way link delay model (defaults to a 20–100 ms
 	// hash latency).
 	Latency LatencyFunc
-	// DialTimeout is how long an unanswered dial takes to fail
-	// (default 5 s, Bitcoin Core's connect timeout).
-	DialTimeout time.Duration
-	// HandshakeRTTs is the number of latency units consumed by TCP
-	// connection establishment before the protocol handshake
-	// (default 2: SYN + SYNACK/ACK).
-	HandshakeRTTs int
-	// FastFailPct is the percentage of dials to dead addresses that fail
-	// quickly with a refusal (RST from a host that departed) instead of
-	// waiting out the full timeout (SYN silently dropped by a NAT). The
-	// outcome is deterministic per address. Default 50.
-	FastFailPct int
 	// Metrics, when set, receives the network's instrumentation:
 	// scheduler queue depth, dial outcome counters, and the transmit
 	// latency histogram (simnet.* names). Nil disables instrumentation
@@ -123,20 +126,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Epoch.IsZero() {
-		c.Epoch = time.Unix(1585958400, 0).UTC() // 04 Apr 2020, the crawl start
-	}
 	if c.Latency == nil {
 		c.Latency = HashLatency(20*time.Millisecond, 100*time.Millisecond)
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.HandshakeRTTs == 0 {
-		c.HandshakeRTTs = 2
-	}
-	if c.FastFailPct == 0 {
-		c.FastFailPct = 50
 	}
 	return c
 }
@@ -185,8 +176,9 @@ type Network struct {
 func New(cfg Config) *Network {
 	cfg = cfg.withDefaults()
 	n := &Network{
-		cfg:   cfg,
-		sched: NewScheduler(cfg.Epoch),
+		cfg: cfg,
+		// Virtual time starts on 04 Apr 2020, the crawl start.
+		sched: NewScheduler(time.Unix(1585958400, 0).UTC()),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		hosts: make(map[netip.AddrPort]*Host),
 		links: make(map[node.ConnID]*link),
@@ -329,11 +321,10 @@ func (n *Network) dial(from *Host, remote netip.AddrPort) {
 	if n.injector != nil {
 		switch n.injector.FilterDial(from.addr, remote) {
 		case DialBlock:
-			fail(n.cfg.DialTimeout, ErrTimeout)
+			fail(dialTimeout, ErrTimeout)
 			return
 		case DialRefuse:
-			rtt := n.cfg.Latency(from.addr.Addr(), remote.Addr()) *
-				time.Duration(n.cfg.HandshakeRTTs)
+			rtt := n.cfg.Latency(from.addr.Addr(), remote.Addr()) * handshakeRTTs
 			fail(rtt, ErrRefused)
 			return
 		}
@@ -346,20 +337,19 @@ func (n *Network) dial(from *Host, remote netip.AddrPort) {
 	// silently swallows the SYN (NAT/firewall) does not depend on who
 	// dials it, so every dialer observes the same failure mode.
 	if target == nil || !target.online {
-		if int(addrHash(remote.Addr())%100) < n.cfg.FastFailPct {
-			rtt := n.cfg.Latency(from.addr.Addr(), remote.Addr()) *
-				time.Duration(n.cfg.HandshakeRTTs)
+		if int(addrHash(remote.Addr())%100) < fastFailPct {
+			rtt := n.cfg.Latency(from.addr.Addr(), remote.Addr()) * handshakeRTTs
 			fail(rtt, ErrRefused)
 		} else {
-			fail(n.cfg.DialTimeout, ErrTimeout)
+			fail(dialTimeout, ErrTimeout)
 		}
 		return
 	}
 	lat := n.cfg.Latency(from.addr.Addr(), remote.Addr())
-	rtt := lat * time.Duration(n.cfg.HandshakeRTTs)
+	rtt := lat * handshakeRTTs
 	switch target.kind {
 	case KindSilentStub:
-		fail(n.cfg.DialTimeout, ErrTimeout)
+		fail(dialTimeout, ErrTimeout)
 		return
 	case KindResponsiveStub:
 		// Running Bitcoin behind NAT: actively refuses (FIN/RST).
@@ -374,7 +364,7 @@ func (n *Network) dial(from *Host, remote netip.AddrPort) {
 			return
 		}
 		if target.epoch != targetEpoch || !target.online {
-			fail(n.cfg.DialTimeout-rtt, ErrTimeout)
+			fail(dialTimeout-rtt, ErrTimeout)
 			return
 		}
 		if target.kind == KindBlackholeStub {
@@ -389,7 +379,7 @@ func (n *Network) dial(from *Host, remote netip.AddrPort) {
 			return
 		}
 		if target.node == nil {
-			fail(n.cfg.DialTimeout-rtt, ErrTimeout)
+			fail(dialTimeout-rtt, ErrTimeout)
 			return
 		}
 		n.next++
@@ -480,17 +470,17 @@ const (
 func (n *Network) Probe(from netip.Addr, addr netip.AddrPort, done func(ProbeResult)) {
 	target := n.hosts[addr]
 	if target == nil || !target.online {
-		n.sched.After(n.cfg.DialTimeout, func() { done(ProbeSilent) })
+		n.sched.After(dialTimeout, func() { done(ProbeSilent) })
 		return
 	}
-	lat := n.cfg.Latency(from, addr.Addr()) * time.Duration(n.cfg.HandshakeRTTs)
+	lat := n.cfg.Latency(from, addr.Addr()) * handshakeRTTs
 	switch target.kind {
 	case KindSilentStub:
-		n.sched.After(n.cfg.DialTimeout, func() { done(ProbeSilent) })
+		n.sched.After(dialTimeout, func() { done(ProbeSilent) })
 	case KindBlackholeStub:
 		// Accepts the connection but never answers the VER probe; the
 		// scanner's read deadline expires and classifies it silent.
-		n.sched.After(n.cfg.DialTimeout, func() { done(ProbeSilent) })
+		n.sched.After(dialTimeout, func() { done(ProbeSilent) })
 	case KindResponsiveStub:
 		n.sched.After(lat, func() { done(ProbeResponsive) })
 	default:

@@ -52,9 +52,8 @@ func TestFastFailTiming(t *testing.T) {
 	// End-to-end: a node seeded with only dead addresses sees a mix of
 	// quick refusals and slow timeouts under the default 50% split.
 	net := New(Config{
-		Seed:        5,
-		Latency:     ConstantLatency(10 * time.Millisecond),
-		DialTimeout: 5 * time.Second,
+		Seed:    5,
+		Latency: ConstantLatency(10 * time.Millisecond),
 	})
 	self := addr4(10, 0, 0, 1, 8333)
 	var seeds []wire.NetAddress

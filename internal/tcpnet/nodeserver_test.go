@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"context"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,15 +26,15 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timeout waiting for %s", what)
 }
 
-// newNodeServer starts a full node over loopback with fast maintenance
-// cadence for testing.
-func newNodeServer(t *testing.T, genesis *wire.MsgBlock, seeds []wire.NetAddress) *NodeServer {
+// newNodeServer starts a full node over loopback; sink, when non-nil,
+// receives its events.
+func newNodeServer(t *testing.T, genesis *wire.MsgBlock, seeds []wire.NetAddress, sink node.EventSink) *NodeServer {
 	t.Helper()
 	cfg := node.Config{
-		Reachable:       true,
-		Genesis:         genesis,
-		SeedAddrs:       seeds,
-		ConnectInterval: 50 * time.Millisecond,
+		Reachable: true,
+		Genesis:   genesis,
+		SeedAddrs: seeds,
+		Sink:      sink,
 	}
 	s, err := NewNodeServer(cfg, wire.SimNet, "127.0.0.1:0")
 	if err != nil {
@@ -47,24 +48,40 @@ func newNodeServer(t *testing.T, genesis *wire.MsgBlock, seeds []wire.NetAddress
 	return s
 }
 
-func TestNodeServerHandshakeOverTCP(t *testing.T) {
+// connectedPair starts node a, then node b seeded with a's address, and
+// returns once both ends of b's outbound connection have completed the
+// handshake. A connection counts in ConnCounts from the dial on, a few
+// milliseconds before that, and a node announces nothing to a peer it has
+// not shaken hands with.
+func connectedPair(t *testing.T) (a, b *NodeServer) {
+	t.Helper()
 	genesis := chain.GenesisBlock("tcp-node-test")
-	a := newNodeServer(t, genesis, nil)
-	seeds := []wire.NetAddress{{
+	var handshakes atomic.Int32
+	sink := node.SinkFunc(func(ev node.Event) {
+		if ev.Type == node.EvHandshake {
+			handshakes.Add(1)
+		}
+	})
+	a = newNodeServer(t, genesis, nil, sink)
+	b = newNodeServer(t, genesis, []wire.NetAddress{{
 		Addr: a.Addr(), Services: wire.SFNodeNetwork, Timestamp: time.Now(),
-	}}
-	b := newNodeServer(t, genesis, seeds)
+	}}, sink)
+	// a learns b's address only from b's self-advertisement after the
+	// handshake, so the first two events are the two ends of b's dial.
+	waitFor(t, 10*time.Second, "handshake at both ends", func() bool {
+		return handshakes.Load() >= 2
+	})
+	return a, b
+}
 
-	waitFor(t, 10*time.Second, "outbound handshake", func() bool {
-		var out int
-		b.Do(func(n *node.Node) { out, _, _ = n.ConnCounts() })
-		return out == 1
-	})
-	waitFor(t, 10*time.Second, "inbound registered at A", func() bool {
-		var in int
-		a.Do(func(n *node.Node) { _, in, _ = n.ConnCounts() })
-		return in == 1
-	})
+func TestNodeServerHandshakeOverTCP(t *testing.T) {
+	a, b := connectedPair(t)
+	var out, in int
+	b.Do(func(n *node.Node) { out, _, _ = n.ConnCounts() })
+	a.Do(func(n *node.Node) { _, in, _ = n.ConnCounts() })
+	if out != 1 || in != 1 {
+		t.Errorf("outbound at B = %d, inbound at A = %d, want 1 and 1", out, in)
+	}
 	// B must have promoted A into its tried table.
 	var tried bool
 	b.Do(func(n *node.Node) { tried = n.AddrMan().InTried(a.Addr()) })
@@ -74,16 +91,7 @@ func TestNodeServerHandshakeOverTCP(t *testing.T) {
 }
 
 func TestNodeServerBlockPropagationOverTCP(t *testing.T) {
-	genesis := chain.GenesisBlock("tcp-node-test")
-	a := newNodeServer(t, genesis, nil)
-	b := newNodeServer(t, genesis, []wire.NetAddress{{
-		Addr: a.Addr(), Services: wire.SFNodeNetwork, Timestamp: time.Now(),
-	}})
-	waitFor(t, 10*time.Second, "connection", func() bool {
-		var out int
-		b.Do(func(n *node.Node) { out, _, _ = n.ConnCounts() })
-		return out == 1
-	})
+	a, b := connectedPair(t)
 	a.Do(func(n *node.Node) {
 		if _, err := n.MineBlock(0); err != nil {
 			t.Errorf("mine: %v", err)
@@ -97,16 +105,7 @@ func TestNodeServerBlockPropagationOverTCP(t *testing.T) {
 }
 
 func TestNodeServerTxPropagationOverTCP(t *testing.T) {
-	genesis := chain.GenesisBlock("tcp-node-test")
-	a := newNodeServer(t, genesis, nil)
-	b := newNodeServer(t, genesis, []wire.NetAddress{{
-		Addr: a.Addr(), Services: wire.SFNodeNetwork, Timestamp: time.Now(),
-	}})
-	waitFor(t, 10*time.Second, "connection", func() bool {
-		var out int
-		b.Do(func(n *node.Node) { out, _, _ = n.ConnCounts() })
-		return out == 1
-	})
+	a, b := connectedPair(t)
 	tx := &wire.MsgTx{
 		Version: 2,
 		TxIn:    []wire.TxIn{{Sequence: 7, SignatureScript: []byte{9}}},
@@ -134,7 +133,7 @@ func TestNodeServerAnswersCrawler(t *testing.T) {
 			Timestamp: time.Now(),
 		}
 	}
-	s := newNodeServer(t, genesis, seeds)
+	s := newNodeServer(t, genesis, seeds, nil)
 	c := crawler.New(crawler.Config{}, &Dialer{})
 	snap, err := c.Crawl(context.Background(), time.Now(), []netip.AddrPort{s.Addr()}, nil)
 	if err != nil {

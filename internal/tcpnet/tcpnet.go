@@ -38,42 +38,27 @@ const (
 	DefaultRetryBackoff = 100 * time.Millisecond
 )
 
-// ServerConfig parameterizes a reachable TCP endpoint.
+// ServerConfig parameterizes a reachable TCP endpoint. It speaks the
+// SimNet wire magic and bounds per-message socket I/O by DefaultIOTimeout.
 type ServerConfig struct {
-	// Net is the wire network magic (SimNet default).
-	Net wire.BitcoinNet
-	// Self is the address the server advertises in handshakes and
-	// self-ADDR; when zero it is filled from the listener address.
-	Self wire.NetAddress
 	// Book is the address set served to GETADDR, paged at min(23%,
 	// 1000) per response like Bitcoin Core.
 	Book []wire.NetAddress
 	// OmitSelf suppresses the self-advertisement — the malicious flooder
 	// behaviour the detection heuristic keys on.
 	OmitSelf bool
-	// UserAgent is advertised in VERSION.
-	UserAgent string
-	// IOTimeout bounds per-message socket I/O.
-	IOTimeout time.Duration
 }
 
-func (c ServerConfig) withDefaults() ServerConfig {
-	if c.Net == 0 {
-		c.Net = wire.SimNet
-	}
-	if c.UserAgent == "" {
-		c.UserAgent = "/Satoshi:0.20.1(repro-tcp)/"
-	}
-	if c.IOTimeout == 0 {
-		c.IOTimeout = DefaultIOTimeout
-	}
-	return c
-}
+// serverUserAgent is advertised in the server's VERSION.
+const serverUserAgent = "/Satoshi:0.20.1(repro-tcp)/"
 
 // Server is a reachable wire-protocol endpoint over TCP.
 type Server struct {
 	cfg      ServerConfig
 	listener net.Listener
+	// self is the listener's address, advertised in handshakes and
+	// self-ADDR.
+	self wire.NetAddress
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -84,7 +69,6 @@ type Server struct {
 // NewServer starts a server listening on listenAddr (use "127.0.0.1:0"
 // for an ephemeral port).
 func NewServer(cfg ServerConfig, listenAddr string) (*Server, error) {
-	cfg = cfg.withDefaults()
 	l, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", listenAddr, err)
@@ -94,13 +78,11 @@ func NewServer(cfg ServerConfig, listenAddr string) (*Server, error) {
 		listener: l,
 		conns:    make(map[net.Conn]struct{}),
 	}
-	if !s.cfg.Self.Addr.IsValid() {
-		if ap, err := netip.ParseAddrPort(l.Addr().String()); err == nil {
-			s.cfg.Self = wire.NetAddress{
-				Addr:      ap,
-				Services:  wire.SFNodeNetwork,
-				Timestamp: time.Now(),
-			}
+	if ap, err := netip.ParseAddrPort(l.Addr().String()); err == nil {
+		s.self = wire.NetAddress{
+			Addr:      ap,
+			Services:  wire.SFNodeNetwork,
+			Timestamp: time.Now(),
 		}
 	}
 	s.wg.Add(1)
@@ -109,7 +91,7 @@ func NewServer(cfg ServerConfig, listenAddr string) (*Server, error) {
 }
 
 // Addr returns the listening address.
-func (s *Server) Addr() netip.AddrPort { return s.cfg.Self.Addr }
+func (s *Server) Addr() netip.AddrPort { return s.self.Addr }
 
 // Close stops the listener and all live connections.
 func (s *Server) Close() error {
@@ -170,11 +152,11 @@ func (s *Server) serve(conn net.Conn) {
 	defer enc.Release()
 	dec := wire.GetDecoder()
 	defer dec.Release()
-	deadline := func() { _ = conn.SetDeadline(time.Now().Add(s.cfg.IOTimeout)) }
+	deadline := func() { _ = conn.SetDeadline(time.Now().Add(DefaultIOTimeout)) }
 
 	// Expect the initiator's VERSION.
 	deadline()
-	msg, err := dec.ReadMessage(conn, s.cfg.Net)
+	msg, err := dec.ReadMessage(conn, wire.SimNet)
 	if err != nil {
 		return
 	}
@@ -186,15 +168,15 @@ func (s *Server) serve(conn net.Conn) {
 		ProtocolVersion: wire.ProtocolVersion,
 		Services:        wire.SFNodeNetwork,
 		Timestamp:       time.Now(),
-		AddrMe:          s.cfg.Self,
-		UserAgent:       s.cfg.UserAgent,
+		AddrMe:          s.self,
+		UserAgent:       serverUserAgent,
 	}
 	deadline()
-	if _, err := enc.WriteMessage(conn, ours, s.cfg.Net); err != nil {
+	if _, err := enc.WriteMessage(conn, ours, wire.SimNet); err != nil {
 		return
 	}
 	deadline()
-	if _, err := enc.WriteMessage(conn, &wire.MsgVerAck{}, s.cfg.Net); err != nil {
+	if _, err := enc.WriteMessage(conn, &wire.MsgVerAck{}, wire.SimNet); err != nil {
 		return
 	}
 
@@ -204,7 +186,7 @@ func (s *Server) serve(conn net.Conn) {
 	var pageBuf []wire.NetAddress
 	for {
 		deadline()
-		msg, err := dec.ReadMessage(conn, s.cfg.Net)
+		msg, err := dec.ReadMessage(conn, wire.SimNet)
 		if err != nil {
 			if errors.Is(err, wire.ErrUnknownCommand) {
 				continue // skip and keep serving
@@ -217,14 +199,14 @@ func (s *Server) serve(conn net.Conn) {
 		case *wire.MsgPing:
 			pong.Nonce = m.Nonce
 			deadline()
-			if _, err := enc.WriteMessage(conn, pong, s.cfg.Net); err != nil {
+			if _, err := enc.WriteMessage(conn, pong, wire.SimNet); err != nil {
 				return
 			}
 		case *wire.MsgGetAddr:
 			pageBuf = s.page(&cursor, pageBuf[:0])
 			reply.AddrList = pageBuf
 			deadline()
-			if _, err := enc.WriteMessage(conn, reply, s.cfg.Net); err != nil {
+			if _, err := enc.WriteMessage(conn, reply, wire.SimNet); err != nil {
 				return
 			}
 		default:
@@ -240,7 +222,7 @@ func (s *Server) serve(conn net.Conn) {
 func (s *Server) page(cursor *int, out []wire.NetAddress) []wire.NetAddress {
 	book := s.cfg.Book
 	if !s.cfg.OmitSelf {
-		out = append(out, s.cfg.Self)
+		out = append(out, s.self)
 	}
 	if len(book) == 0 {
 		return out

@@ -16,6 +16,18 @@ func parityAddrPort(b byte) netip.AddrPort {
 	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, b, 1}), 8333)
 }
 
+// writeMessageHeader writes the 24-byte header the two-pass oracle below
+// frames with, and returns the number of bytes actually written, so
+// short-write totals stay truthful.
+func writeMessageHeader(w io.Writer, h *messageHeader) (int, error) {
+	var buf [headerSize]byte
+	putUint32(buf[0:4], uint32(h.magic))
+	copy(buf[4:4+CommandSize], h.command) // zero-padded by array init
+	putUint32(buf[16:20], h.length)
+	copy(buf[20:24], h.checksum[:])
+	return w.Write(buf[:])
+}
+
 // writeMessageBuffered is the two-pass framing oracle: build the payload
 // on its own, write the header, write the payload. It is the reference
 // implementation for FuzzEncoderParity, which pins the Encoder's

@@ -180,17 +180,6 @@ type messageHeader struct {
 	checksum [4]byte
 }
 
-// writeMessageHeader writes the 24-byte header and returns the number of
-// bytes actually written, so short-write totals stay truthful.
-func writeMessageHeader(w io.Writer, h *messageHeader) (int, error) {
-	var buf [headerSize]byte
-	putUint32(buf[0:4], uint32(h.magic))
-	copy(buf[4:4+CommandSize], h.command) // zero-padded by array init
-	putUint32(buf[16:20], h.length)
-	copy(buf[20:24], h.checksum[:])
-	return w.Write(buf[:])
-}
-
 // internCommand returns the canonical constant for a known command name so
 // header parsing does not allocate a string per message. Unknown commands
 // (the rare path; they fail makeEmptyMessage anyway) fall back to a fresh
