@@ -6,10 +6,9 @@
 // map[netip.AddrPort] sets, every received address pays 28-byte key
 // hashing and every snapshot pays map growth and rehash churn. Interning
 // the universe once at construction replaces all of that with a single
-// sorted dense-table lookup per address (binary search over a flat
-// table) followed by O(1) bitset operations — and the dense IDs double
-// as the deterministic per-target RNG-derivation component for the
-// parallel crawl fan-out.
+// probe-table lookup per address followed by O(1) bitset operations —
+// and the dense IDs double as the deterministic per-target
+// RNG-derivation component for the parallel crawl fan-out.
 //
 // addridx is a leaf package (no repo-internal imports) so netgen,
 // crawler, churn, and analysis can all share it without cycles.
@@ -19,9 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"net/netip"
-	"sort"
 )
 
 // ID is a dense station identifier: the position of the address in the
@@ -47,12 +44,11 @@ func Compare(a, b netip.AddrPort) int {
 	}
 }
 
-// key is the integer form of an endpoint the sorted table is ordered by:
-// the 16-byte address (IPv4 mapped into IPv6 space) split into two
-// big-endian words, then the port. Binary search over keys costs three
-// register compares per step where netip.Addr.Compare pays format
-// dispatch on every call — the difference is ~40% of a whole crawl.
-// Zones are ignored; a scoped-address universe is not a crawl target.
+// key is the integer form of an endpoint the probe table stores: the
+// 16-byte address (IPv4 mapped into IPv6 space) split into two big-endian
+// words, then the port. Comparing keys costs three register compares
+// where netip.Addr.Compare pays format dispatch on every call. Zones are
+// ignored; a scoped-address universe is not a crawl target.
 type key struct {
 	hi, lo uint64
 	port   uint16
@@ -67,30 +63,16 @@ func keyOf(a netip.AddrPort) key {
 	}
 }
 
-func (k key) less(o key) bool {
-	if k.hi != o.hi {
-		return k.hi < o.hi
-	}
-	if k.lo != o.lo {
-		return k.lo < o.lo
-	}
-	return k.port < o.port
-}
-
-// Index is an immutable intern table: Addr resolves an ID back to its
-// endpoint in O(1), Lookup resolves an endpoint to its ID in O(1)
-// expected via a flat open-addressing probe table over the integer keys
-// (the sorted dense table stays the canonical structure — it defines
-// ascending iteration and duplicate detection — but binary-searching it
-// costs ~14 dependent cache misses per address at universe scale, which
-// profiling showed was the single largest slice of a crawl). An Index
-// is safe for concurrent use once built.
+// Index is an immutable intern table: addrs[id] is the endpoint interned
+// as id, and Lookup resolves an endpoint to its ID in O(1) expected via a
+// flat open-addressing probe table over the integer keys (binary search
+// over a sorted table costs ~14 dependent cache misses per address at
+// universe scale, which profiling showed was the single largest slice of
+// a crawl). An Index is safe for concurrent use once built.
 type Index struct {
-	addrs  []netip.AddrPort // dense table, addrs[id]
-	keys   []key            // integer keys in ascending order
-	sorted []ID             // ids parallel to keys
-	slots  []slot           // open-addressing lookup table, len = 2^k
-	mask   uint64
+	addrs []netip.AddrPort // dense table, addrs[id]
+	slots []slot           // open-addressing lookup table, len = 2^k
+	mask  uint64
 }
 
 // slot is one probe-table entry; id == None marks an empty slot.
@@ -118,25 +100,7 @@ func Build(addrs []netip.AddrPort) (*Index, error) {
 	if len(addrs) >= int(None) {
 		return nil, fmt.Errorf("addridx: %d addresses overflow the ID space", len(addrs))
 	}
-	x := &Index{
-		addrs:  append([]netip.AddrPort(nil), addrs...),
-		sorted: make([]ID, len(addrs)),
-	}
-	for i := range x.sorted {
-		x.sorted[i] = ID(i)
-	}
-	sort.Slice(x.sorted, func(i, j int) bool {
-		return keyOf(x.addrs[x.sorted[i]]).less(keyOf(x.addrs[x.sorted[j]]))
-	})
-	x.keys = make([]key, len(x.sorted))
-	for i, id := range x.sorted {
-		x.keys[i] = keyOf(x.addrs[id])
-	}
-	for i := 1; i < len(x.keys); i++ {
-		if x.keys[i-1] == x.keys[i] {
-			return nil, fmt.Errorf("addridx: duplicate address %v", x.addrs[x.sorted[i]])
-		}
-	}
+	x := &Index{addrs: append([]netip.AddrPort(nil), addrs...)}
 
 	// Probe table at ≤50% load: linear probing stays a one-cache-line
 	// affair on average.
@@ -149,21 +113,22 @@ func Build(addrs []netip.AddrPort) (*Index, error) {
 	for i := range x.slots {
 		x.slots[i].id = None
 	}
-	for i, k := range x.keys {
+	for id, a := range x.addrs {
+		k := keyOf(a)
 		h := hashKey(k) & x.mask
 		for x.slots[h].id != None {
+			if x.slots[h].k == k {
+				return nil, fmt.Errorf("addridx: duplicate address %v", a)
+			}
 			h = (h + 1) & x.mask
 		}
-		x.slots[h] = slot{k: k, id: x.sorted[i]}
+		x.slots[h] = slot{k: k, id: ID(id)}
 	}
 	return x, nil
 }
 
 // Len returns the number of interned addresses.
 func (x *Index) Len() int { return len(x.addrs) }
-
-// Addr returns the endpoint interned as id.
-func (x *Index) Addr(id ID) netip.AddrPort { return x.addrs[id] }
 
 // Lookup resolves addr to its dense ID, or (None, false) when addr is
 // outside the interned universe.
@@ -231,36 +196,4 @@ func (s *Set) Clear() {
 		s.words[i] = 0
 	}
 	s.count = 0
-}
-
-// Union merges t into s.
-func (s *Set) Union(t *Set) {
-	if t == nil {
-		return
-	}
-	if len(t.words) > len(s.words) {
-		grown := make([]uint64, len(t.words))
-		copy(grown, s.words)
-		s.words = grown
-	}
-	count := 0
-	for i := range s.words {
-		if i < len(t.words) {
-			s.words[i] |= t.words[i]
-		}
-		count += bits.OnesCount64(s.words[i])
-	}
-	s.count = count
-}
-
-// AppendIDs appends the members to dst in ascending ID order.
-func (s *Set) AppendIDs(dst []ID) []ID {
-	for w, word := range s.words {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			dst = append(dst, ID(w<<6+b))
-			word &= word - 1
-		}
-	}
-	return dst
 }

@@ -38,10 +38,8 @@
 package addrman
 
 import (
-	"bytes"
 	"math/rand"
 	"net/netip"
-	"sort"
 	"sync"
 	"time"
 
@@ -58,7 +56,7 @@ const (
 	BucketSize = 64
 
 	// DefaultHorizon is how long an address may sit in a table without a
-	// successful connection before IsTerrible evicts it. Bitcoin Core uses
+	// successful connection before it counts as terrible. Bitcoin Core uses
 	// 30 days; the paper's §V proposes 17 days.
 	DefaultHorizon = 30 * 24 * time.Hour
 
@@ -453,17 +451,6 @@ func (a *AddrMan) isTerribleLocked(info *addrInfo, now time.Time) bool {
 	return false
 }
 
-// IsTerrible reports whether addr is currently eligible for eviction.
-func (a *AddrMan) IsTerrible(addr netip.AddrPort) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	info := a.info[addr]
-	if info == nil {
-		return false
-	}
-	return a.isTerribleLocked(info, a.cfg.Now())
-}
-
 // Select picks an address to connect to. With newOnly false it chooses
 // between the tried and new tables with equal probability (when both are
 // non-empty), then samples within the chosen table — the selection rule
@@ -528,48 +515,6 @@ func (a *AddrMan) GetAddr() []wire.NetAddress {
 		out = append(out, pool[i].addr)
 	}
 	return out
-}
-
-// Evict removes every address IsTerrible condemns and returns how many
-// were removed. Bitcoin Core performs this lazily on collisions; exposing
-// it lets the §V horizon refinement be measured directly.
-func (a *AddrMan) Evict() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	now := a.cfg.Now()
-	removed := 0
-	// Deterministic removal order (the map iteration order would leak
-	// into the lists' layout and hence into Select's sampling).
-	keys := make([]netip.AddrPort, 0, len(a.info))
-	for key := range a.info {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return addrLess(keys[i], keys[j]) })
-	for _, key := range keys {
-		info := a.info[key]
-		if !a.isTerribleLocked(info, now) {
-			continue
-		}
-		if info.inTried {
-			delete(a.slots, a.triedSlotFor(key))
-			a.nTried--
-			listRemove(&a.triedList, info)
-		} else {
-			a.dropNewRefsLocked(info)
-		}
-		delete(a.info, key)
-		removed++
-	}
-	return removed
-}
-
-// addrLess orders AddrPorts by IP bytes then port.
-func addrLess(x, y netip.AddrPort) bool {
-	xb, yb := x.Addr().As16(), y.Addr().As16()
-	if c := bytes.Compare(xb[:], yb[:]); c != 0 {
-		return c < 0
-	}
-	return x.Port() < y.Port()
 }
 
 // Counts returns the number of unique addresses in the new and tried

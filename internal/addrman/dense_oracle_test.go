@@ -2,23 +2,14 @@ package addrman
 
 // The dense-array address manager this package used until the sparse slot
 // index replaced it, kept as the reference model for
-// TestSparseMatchesDenseOracle and the persistence round-trip test. The
-// code is the old addrman.go and persist.go with the types renamed
-// (denseAddrMan → denseAddrMan, denseInfo → denseInfo, New → newDense, Load →
-// denseLoad) and one deliberate edit: Save writes records in key-list
-// order (new, then tried) instead of map order, the same rule the sparse
-// Save follows, so the two files can be compared byte for byte. Constants,
-// Config and the free hashing helpers (groupOf, fnvMix, addrKey, addrLess,
-// unixOrZero, timeOrZero) are shared with the package.
+// TestSparseMatchesDenseOracle. The code is the old addrman.go with the
+// types renamed (AddrMan → denseAddrMan, addrInfo → denseInfo, New →
+// newDense). Constants, Config and the free hashing helpers (groupOf,
+// fnvMix, addrKey) are shared with the package.
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"math/rand"
 	"net/netip"
-	"sort"
 	"sync"
 	"time"
 
@@ -426,49 +417,6 @@ func (a *denseAddrMan) GetAddr() []wire.NetAddress {
 	return out
 }
 
-// Evict removes every address IsTerrible condemns and returns how many
-// were removed. Bitcoin Core performs this lazily on collisions; exposing
-// it lets the §V horizon refinement be measured directly.
-func (a *denseAddrMan) Evict() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	now := a.cfg.Now()
-	removed := 0
-	// Deterministic removal order (the map iteration order would leak
-	// into the key lists' layout and hence into Select's sampling).
-	keys := make([]netip.AddrPort, 0, len(a.info))
-	for key := range a.info {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return addrLess(keys[i], keys[j]) })
-	for _, key := range keys {
-		info := a.info[key]
-		if !a.isTerribleLocked(info, now) {
-			continue
-		}
-		if info.inTried {
-			b := a.triedBucketFor(key)
-			s := a.slotFor(1, b, key)
-			if a.triedTable[b][s] == key {
-				a.triedTable[b][s] = netip.AddrPort{}
-			}
-			a.nTried--
-			a.listRemove(&a.triedList, info)
-		} else {
-			for _, bs := range info.newSlots {
-				if a.newTable[bs[0]][bs[1]] == key {
-					a.newTable[bs[0]][bs[1]] = netip.AddrPort{}
-				}
-			}
-			a.nNew--
-			a.listRemove(&a.newList, info)
-		}
-		delete(a.info, key)
-		removed++
-	}
-	return removed
-}
-
 // Counts returns the number of unique addresses in the new and tried
 // tables.
 func (a *denseAddrMan) Counts() (numNew, numTried int) {
@@ -497,149 +445,4 @@ func (a *denseAddrMan) Have(addr netip.AddrPort) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.info[addr] != nil
-}
-
-// Save writes the manager's state to w.
-func (a *denseAddrMan) Save(w io.Writer) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(persistMagic); err != nil {
-		return fmt.Errorf("addrman: write magic: %w", err)
-	}
-	var hdr [6]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], persistVersion)
-	binary.LittleEndian.PutUint32(hdr[2:6], uint32(len(a.info)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("addrman: write header: %w", err)
-	}
-	var rec [16 + 2 + 8 + 16 + 8 + 8 + 8 + 4 + 1]byte
-	// The one edit to the old code: key-list order instead of map order.
-	var keys []netip.AddrPort
-	keys = append(append(keys, a.newList...), a.triedList...)
-	for _, key := range keys {
-		info := a.info[key]
-		ip := key.Addr().As16()
-		copy(rec[0:16], ip[:])
-		binary.LittleEndian.PutUint16(rec[16:18], key.Port())
-		binary.LittleEndian.PutUint64(rec[18:26], uint64(info.addr.Services))
-		src := info.source.As16()
-		copy(rec[26:42], src[:])
-		binary.LittleEndian.PutUint64(rec[42:50], uint64(unixOrZero(info.addr.Timestamp)))
-		binary.LittleEndian.PutUint64(rec[50:58], uint64(unixOrZero(info.lastTry)))
-		binary.LittleEndian.PutUint64(rec[58:66], uint64(unixOrZero(info.lastGood)))
-		binary.LittleEndian.PutUint32(rec[66:70], uint32(info.attempts))
-		if info.inTried {
-			rec[70] = 1
-		} else {
-			rec[70] = 0
-		}
-		if _, err := bw.Write(rec[:]); err != nil {
-			return fmt.Errorf("addrman: write record: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("addrman: flush: %w", err)
-	}
-	return nil
-}
-
-// Load reconstructs a manager from r using cfg (the cfg.Key governs
-// bucket placement, exactly as a fresh manager would place the same
-// addresses). Entries colliding on full buckets are dropped, as on a real
-// reload.
-func denseLoad(cfg Config, r io.Reader) (*denseAddrMan, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("addrman: read magic: %w", err)
-	}
-	if string(magic) != persistMagic {
-		return nil, fmt.Errorf("addrman: bad magic %q", magic)
-	}
-	var hdr [6]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("addrman: read header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[0:2]); v != persistVersion {
-		return nil, fmt.Errorf("addrman: unsupported version %d", v)
-	}
-	count := binary.LittleEndian.Uint32(hdr[2:6])
-	if count > maxPersistEntries {
-		return nil, fmt.Errorf("addrman: %d entries exceeds limit", count)
-	}
-
-	am := newDense(cfg)
-	var rec [71]byte
-	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("addrman: read record %d: %w", i, err)
-		}
-		var ip16 [16]byte
-		copy(ip16[:], rec[0:16])
-		ip := netip.AddrFrom16(ip16)
-		if ip.Is4In6() {
-			ip = ip.Unmap()
-		}
-		port := binary.LittleEndian.Uint16(rec[16:18])
-		key := netip.AddrPortFrom(ip, port)
-		if !key.IsValid() || port == 0 {
-			continue
-		}
-		var src16 [16]byte
-		copy(src16[:], rec[26:42])
-		src := netip.AddrFrom16(src16)
-		if src.Is4In6() {
-			src = src.Unmap()
-		}
-		info := &denseInfo{
-			addr: wire.NetAddress{
-				Addr:      key,
-				Services:  wire.ServiceFlag(binary.LittleEndian.Uint64(rec[18:26])),
-				Timestamp: timeOrZero(int64(binary.LittleEndian.Uint64(rec[42:50]))),
-			},
-			source:   src,
-			lastTry:  timeOrZero(int64(binary.LittleEndian.Uint64(rec[50:58]))),
-			lastGood: timeOrZero(int64(binary.LittleEndian.Uint64(rec[58:66]))),
-			attempts: int(binary.LittleEndian.Uint32(rec[66:70])),
-			inTried:  rec[70] == 1,
-		}
-		am.restoreLocked(key, info)
-	}
-	return am, nil
-}
-
-// restoreLocked places a deserialized record into the tables, dropping it
-// on collision with a healthier incumbent.
-func (a *denseAddrMan) restoreLocked(key netip.AddrPort, info *denseInfo) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, dup := a.info[key]; dup {
-		return
-	}
-	if info.inTried {
-		bucket := a.triedBucketFor(key)
-		slot := a.slotFor(1, bucket, key)
-		if a.triedTable[bucket][slot].IsValid() {
-			// Collision: demote this record to the new table instead.
-			info.inTried = false
-		} else {
-			a.info[key] = info
-			a.triedTable[bucket][slot] = key
-			a.nTried++
-			a.listAppend(&a.triedList, key, info)
-			return
-		}
-	}
-	bucket := a.newBucketFor(key, info.source)
-	slot := a.slotFor(0, bucket, key)
-	if a.newTable[bucket][slot].IsValid() {
-		return // occupied; drop, as Bitcoin Core does on reload collisions
-	}
-	a.info[key] = info
-	a.newTable[bucket][slot] = key
-	info.refCount = 1
-	info.newSlots = append(info.newSlots[:0], [2]int16{int16(bucket), int16(slot)})
-	a.nNew++
-	a.listAppend(&a.newList, key, info)
 }

@@ -40,7 +40,6 @@ func TestSelectAlwaysReturnsKnownProperty(t *testing.T) {
 				}
 			case 4:
 				clk.advance(time.Duration(rng.Intn(72)) * time.Hour)
-				am.Evict()
 			case 5:
 				if na, ok := am.Select(rng.Intn(2) == 0); ok {
 					if !am.Have(na.Addr) {
@@ -76,7 +75,7 @@ func TestGetAddrSubsetProperty(t *testing.T) {
 		}
 		seen := make(map[netip.AddrPort]bool, len(got))
 		for _, na := range got {
-			if seen[na.Addr] || !am.Have(na.Addr) || am.IsTerrible(na.Addr) {
+			if seen[na.Addr] || !am.Have(na.Addr) || terrible(am, na.Addr) {
 				return false
 			}
 			seen[na.Addr] = true
@@ -112,7 +111,6 @@ func TestCountsConsistentProperty(t *testing.T) {
 				}
 			case 4:
 				clk.advance(time.Duration(rng.Intn(24)) * time.Hour)
-				am.Evict()
 			}
 			numNew, numTried := am.Counts()
 			if numNew+numTried != am.Size() {

@@ -93,35 +93,53 @@ func RunAblation(ctx context.Context, base PropagationConfig, variants []Ablatio
 		if err != nil {
 			return fmt.Errorf("analysis: ablation cold-start %q: %w", v.Name, err)
 		}
-		row := AblationRow{
+		sum := summarizePropagation(out)
+		res.Rows[i] = AblationRow{
 			Variant:              v,
 			MeanOutdegree:        out.MeanOutdegree,
 			ColdStartSuccessRate: cold.SuccessRate,
+			DialSuccessRate:      sum.dialSuccessRate,
+			MeanObservedSync:     sum.meanObservedSync,
+			MeanBlockRelay:       sum.meanBlockRelay,
+			MaxBlockRelay:        sum.maxBlockRelay,
 		}
-		if out.DialAttempts > 0 {
-			row.DialSuccessRate = float64(out.DialSuccesses) / float64(out.DialAttempts)
-		}
-		if len(out.ObservedSyncSamples) > 0 {
-			row.MeanObservedSync = stats.Mean(out.ObservedSyncSamples)
-		}
-		if len(out.BlockRelays) > 0 {
-			var sum, max time.Duration
-			for _, o := range out.BlockRelays {
-				sum += o.LastDelay
-				if o.LastDelay > max {
-					max = o.LastDelay
-				}
-			}
-			row.MeanBlockRelay = sum / time.Duration(len(out.BlockRelays))
-			row.MaxBlockRelay = max
-		}
-		res.Rows[i] = row
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// propagationSummary holds the numbers the §V tables (ablation rows and
+// intervention cells) report of one propagation run. A quantity with no
+// sample behind it is zero.
+type propagationSummary struct {
+	dialSuccessRate  float64
+	meanObservedSync float64
+	meanBlockRelay   time.Duration
+	maxBlockRelay    time.Duration
+}
+
+func summarizePropagation(out *PropagationResult) propagationSummary {
+	var s propagationSummary
+	if out.DialAttempts > 0 {
+		s.dialSuccessRate = float64(out.DialSuccesses) / float64(out.DialAttempts)
+	}
+	if len(out.ObservedSyncSamples) > 0 {
+		s.meanObservedSync = stats.Mean(out.ObservedSyncSamples)
+	}
+	if len(out.BlockRelays) > 0 {
+		var sum time.Duration
+		for _, o := range out.BlockRelays {
+			sum += o.LastDelay
+			if o.LastDelay > s.maxBlockRelay {
+				s.maxBlockRelay = o.LastDelay
+			}
+		}
+		s.meanBlockRelay = sum / time.Duration(len(out.BlockRelays))
+	}
+	return s
 }
 
 // RelayDelayStats summarizes a relay-delay distribution (Figures 10/11).

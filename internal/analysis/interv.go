@@ -234,23 +234,11 @@ func runIntervCell(ctx context.Context, cfg InterventionGridConfig, spec intervC
 	if len(out.SyncSamples) > 0 {
 		cell.MeanSync = stats.Mean(out.SyncSamples)
 	}
-	if len(out.ObservedSyncSamples) > 0 {
-		cell.MeanObservedSync = stats.Mean(out.ObservedSyncSamples)
-	}
-	if out.DialAttempts > 0 {
-		cell.DialSuccessRate = float64(out.DialSuccesses) / float64(out.DialAttempts)
-	}
-	if len(out.BlockRelays) > 0 {
-		var sum, max time.Duration
-		for _, o := range out.BlockRelays {
-			sum += o.LastDelay
-			if o.LastDelay > max {
-				max = o.LastDelay
-			}
-		}
-		cell.MeanBlockRelay = sum / time.Duration(len(out.BlockRelays))
-		cell.MaxBlockRelay = max
-	}
+	sum := summarizePropagation(out)
+	cell.MeanObservedSync = sum.meanObservedSync
+	cell.DialSuccessRate = sum.dialSuccessRate
+	cell.MeanBlockRelay = sum.meanBlockRelay
+	cell.MaxBlockRelay = sum.maxBlockRelay
 
 	// Population scoring: the gossip-visible non-reachable population is
 	// the dead address pool plus the unreachable nodes (which enter

@@ -56,9 +56,6 @@ func (d *Distribution) Sample(rng *rand.Rand) uint32 {
 	return d.asns[idx]
 }
 
-// NumASes returns the number of sampleable ASes.
-func (d *Distribution) NumASes() int { return len(d.asns) }
-
 // PowerLawWeights builds an AS weight map with a fixed "head" (ASN →
 // fractional share, e.g. the paper's Table I top-20) and a Zipf-like tail
 // of tailCount synthetic ASes (ASNs starting at tailBase) sharing the

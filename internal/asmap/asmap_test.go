@@ -24,8 +24,8 @@ func TestDistributionSampleFrequencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumASes() != 3 {
-		t.Fatalf("NumASes = %d, want 3", d.NumASes())
+	if len(d.asns) != 3 {
+		t.Fatalf("%d ASes, want 3", len(d.asns))
 	}
 	rng := rand.New(rand.NewSource(1))
 	counts := map[uint32]int{}

@@ -75,21 +75,18 @@ type entry struct {
 // Chain is a linear (best-chain-only) block store. Heights start at 0 for
 // the genesis block. It is safe for concurrent use.
 type Chain struct {
-	mu      sync.RWMutex
-	byHash  map[chainhash.Hash]entry
-	byIdx   []chainhash.Hash // byIdx[h] = hash of block at height h
-	genesis chainhash.Hash
+	mu     sync.RWMutex
+	byHash map[chainhash.Hash]entry
+	byIdx  []chainhash.Hash // byIdx[h] = hash of block at height h
 }
 
 // New creates a chain rooted at the given genesis block.
 func New(genesis *wire.MsgBlock) *Chain {
 	gh := genesis.BlockHash()
-	c := &Chain{
-		byHash:  map[chainhash.Hash]entry{gh: {block: genesis, height: 0}},
-		byIdx:   []chainhash.Hash{gh},
-		genesis: gh,
+	return &Chain{
+		byHash: map[chainhash.Hash]entry{gh: {block: genesis, height: 0}},
+		byIdx:  []chainhash.Hash{gh},
 	}
-	return c
 }
 
 // GenesisBlock builds a deterministic genesis block for a simulated
@@ -131,9 +128,6 @@ func (c *Chain) Height() int32 {
 	return int32(len(c.byIdx) - 1)
 }
 
-// Genesis returns the genesis block hash.
-func (c *Chain) Genesis() chainhash.Hash { return c.genesis }
-
 // HaveBlock reports whether the chain stores the given block.
 func (c *Chain) HaveBlock(h chainhash.Hash) bool {
 	c.mu.RLock()
@@ -162,17 +156,6 @@ func (c *Chain) BlockByHeight(height int32) (*wire.MsgBlock, error) {
 			height, len(c.byIdx)-1)
 	}
 	return c.byHash[c.byIdx[height]].block, nil
-}
-
-// HeightOf returns the height of a stored block.
-func (c *Chain) HeightOf(h chainhash.Hash) (int32, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.byHash[h]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, h)
-	}
-	return e.height, nil
 }
 
 // CheckBlock performs the structural validation this substrate enforces:

@@ -49,13 +49,6 @@ func (m *Mempool) Get(h chainhash.Hash) *wire.MsgTx {
 	return m.txs[h]
 }
 
-// Remove deletes the transaction with the given hash if present.
-func (m *Mempool) Remove(h chainhash.Hash) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.txs, h)
-}
-
 // RemoveBlockTxs evicts every transaction confirmed by blk.
 func (m *Mempool) RemoveBlockTxs(blk *wire.MsgBlock) {
 	m.mu.Lock()

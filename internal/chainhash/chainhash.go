@@ -6,7 +6,6 @@ package chainhash
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 )
 
 // HashSize is the size in bytes of a Bitcoin hash.
@@ -40,28 +39,6 @@ func (h Hash) Prefix() [8]byte {
 // IsZero reports whether the hash is all zeroes.
 func (h Hash) IsZero() bool {
 	return h == Hash{}
-}
-
-// NewHashFromStr parses a reversed-hex string (as produced by String) into
-// a Hash. Short inputs are zero-padded on the most significant side, which
-// matches Bitcoin Core's convenience behaviour for test vectors.
-func NewHashFromStr(s string) (Hash, error) {
-	var h Hash
-	if len(s) > HashSize*2 {
-		return h, fmt.Errorf("chainhash: hex string too long: %d chars", len(s))
-	}
-	if len(s)%2 != 0 {
-		s = "0" + s
-	}
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return h, fmt.Errorf("chainhash: decode %q: %w", s, err)
-	}
-	// Reverse into place, right-aligned.
-	for i, b := range raw {
-		h[len(raw)-1-i] = b
-	}
-	return h, nil
 }
 
 // DoubleSHA256 computes SHA256(SHA256(data)) and returns it as a Hash.

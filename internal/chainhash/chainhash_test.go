@@ -2,7 +2,6 @@ package chainhash
 
 import (
 	"encoding/hex"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -18,36 +17,24 @@ func TestDoubleSHA256KnownVector(t *testing.T) {
 	}
 }
 
+// unreverse undoes String: hex-decode, then reverse the byte order.
+func unreverse(t *testing.T, s string) Hash {
+	t.Helper()
+	raw, err := hex.DecodeString(s)
+	if err != nil || len(raw) != HashSize {
+		t.Fatalf("String() = %q: %d bytes, %v", s, len(raw), err)
+	}
+	var h Hash
+	for i, b := range raw {
+		h[HashSize-1-i] = b
+	}
+	return h
+}
+
 func TestStringRoundTrip(t *testing.T) {
 	h := DoubleSHA256([]byte("round trip"))
-	parsed, err := NewHashFromStr(h.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed != h {
+	if parsed := unreverse(t, h.String()); parsed != h {
 		t.Errorf("round trip mismatch: %s vs %s", parsed, h)
-	}
-}
-
-func TestNewHashFromStrShort(t *testing.T) {
-	h, err := NewHashFromStr("1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h[0] != 1 {
-		t.Errorf("h[0] = %d, want 1", h[0])
-	}
-	if !strings.HasSuffix(h.String(), "01") {
-		t.Errorf("String() = %s, want ...01", h.String())
-	}
-}
-
-func TestNewHashFromStrErrors(t *testing.T) {
-	if _, err := NewHashFromStr(strings.Repeat("ab", 33)); err == nil {
-		t.Error("overlong input: want error")
-	}
-	if _, err := NewHashFromStr("zz"); err == nil {
-		t.Error("non-hex input: want error")
 	}
 }
 
@@ -73,12 +60,11 @@ func TestChecksumMatchesPrefix(t *testing.T) {
 	}
 }
 
-// Property: String/NewHashFromStr round-trips for arbitrary hashes.
+// Property: String is the reversed hex of arbitrary hashes.
 func TestHashStringRoundTripProperty(t *testing.T) {
 	f := func(raw [HashSize]byte) bool {
 		h := Hash(raw)
-		back, err := NewHashFromStr(h.String())
-		return err == nil && back == h
+		return unreverse(t, h.String()) == h
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -135,18 +135,6 @@ func popcount(x uint64) int {
 	return count
 }
 
-// ColOnes returns the number of present addresses in sample j.
-func (m *Matrix) ColOnes(j int) int {
-	total := 0
-	word, bit := j/64, uint(j%64)
-	for i := range m.rows {
-		if m.rows[i][word]&(1<<bit) != 0 {
-			total++
-		}
-	}
-	return total
-}
-
 // PersistentCount returns the number of rows present in every sample —
 // Figure 12's end-to-end horizontal lines (paper: 3,034).
 func (m *Matrix) PersistentCount() int {

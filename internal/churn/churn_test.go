@@ -53,12 +53,6 @@ func TestMatrixBasics(t *testing.T) {
 	if got := m.RowOnes(1); got != 2 {
 		t.Errorf("RowOnes(1) = %d, want 2", got)
 	}
-	if got := m.ColOnes(0); got != 2 {
-		t.Errorf("ColOnes(0) = %d, want 2", got)
-	}
-	if got := m.ColOnes(2); got != 2 {
-		t.Errorf("ColOnes(2) = %d, want 2", got)
-	}
 }
 
 func TestPersistentCount(t *testing.T) {

@@ -12,6 +12,20 @@ import (
 // Snapshot-level churn experiments: Figures 12 and 13 and the
 // synchronized-departure contrast.
 
+// Figures 12 and 13 read one presence matrix, memoized so a batch builds
+// it once.
+var churnStudy = newStudy[*analysis.ChurnFigsResult]()
+
+// churnFigsFor returns the (possibly memoized) presence-matrix study for
+// opts.
+func churnFigsFor(ctx context.Context, opts Options) (*analysis.ChurnFigsResult, error) {
+	return churnStudy.get(ctx, opts, func(ctx context.Context, opts Options) (*analysis.ChurnFigsResult, error) {
+		return analysis.RunChurnFigs(ctx, analysis.ChurnFigsConfig{
+			Params: netgen.DefaultParams(opts.Seed, opts.Scale),
+		})
+	})
+}
+
 // fig12Experiment reproduces the binary presence matrix.
 func fig12Experiment() Experiment {
 	return Experiment{
@@ -19,10 +33,7 @@ func fig12Experiment() Experiment {
 		Title:   "Binary presence matrix of reachable addresses",
 		Section: "§IV-D, Figure 12 / Algorithm 4",
 		Run: func(ctx context.Context, opts Options) (*Report, error) {
-			opts = opts.withDefaults()
-			res, err := analysis.RunChurnFigs(ctx, analysis.ChurnFigsConfig{
-				Params: netgen.DefaultParams(opts.Seed, opts.Scale),
-			})
+			res, err := churnFigsFor(ctx, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -47,10 +58,7 @@ func fig13Experiment() Experiment {
 		Title:   "Daily node arrivals and departures",
 		Section: "§IV-D, Figure 13",
 		Run: func(ctx context.Context, opts Options) (*Report, error) {
-			opts = opts.withDefaults()
-			res, err := analysis.RunChurnFigs(ctx, analysis.ChurnFigsConfig{
-				Params: netgen.DefaultParams(opts.Seed, opts.Scale),
-			})
+			res, err := churnFigsFor(ctx, opts)
 			if err != nil {
 				return nil, err
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/netgen"
@@ -11,50 +10,25 @@ import (
 
 // The crawl-series experiments (Figures 3, 4, 5, 8, Table I, and the
 // ADDR-composition scalar) all derive from one longitudinal study, which
-// is memoized per (seed, scale, quick) so `reproduce all` pays for it
-// once.
+// is memoized so `reproduce all` pays for it once.
+var crawlStudy = newStudy[*analysis.CrawlSeriesResult]()
 
-// crawlKey identifies a cached crawl series.
-type crawlKey struct {
-	seed  int64
-	scale float64
-	quick bool
-}
-
-var (
-	crawlMu    sync.Mutex
-	crawlCache = map[crawlKey]*analysis.CrawlSeriesResult{}
-)
-
-// crawlSeriesFor returns the (possibly cached) longitudinal study for
+// crawlSeriesFor returns the (possibly memoized) longitudinal study for
 // opts.
 func crawlSeriesFor(ctx context.Context, opts Options) (*analysis.CrawlSeriesResult, error) {
-	opts = opts.withDefaults()
-	key := crawlKey{seed: opts.Seed, scale: opts.Scale, quick: opts.Quick}
-	crawlMu.Lock()
-	defer crawlMu.Unlock()
-	if res, ok := crawlCache[key]; ok {
-		return res, nil
-	}
-	params := netgen.DefaultParams(opts.Seed, opts.Scale)
-	// Workers is deliberately absent from the cache key: the study is
-	// byte-identical at any fan-out width, so width never invalidates.
-	cfg := analysis.CrawlSeriesConfig{
-		Params:                 params,
-		ScannerStartExperiment: 14, // the paper's two-week scanner delay
-		ScanSampleFraction:     1.0,
-		Workers:                opts.Workers,
-	}
-	if opts.Quick {
-		cfg.Experiments = 12
-		cfg.ScannerStartExperiment = 3
-	}
-	res, err := analysis.RunCrawlSeries(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	crawlCache[key] = res
-	return res, nil
+	return crawlStudy.get(ctx, opts, func(ctx context.Context, opts Options) (*analysis.CrawlSeriesResult, error) {
+		cfg := analysis.CrawlSeriesConfig{
+			Params:                 netgen.DefaultParams(opts.Seed, opts.Scale),
+			ScannerStartExperiment: 14, // the paper's two-week scanner delay
+			ScanSampleFraction:     1.0,
+			Workers:                opts.Workers,
+		}
+		if opts.Quick {
+			cfg.Experiments = 12
+			cfg.ScannerStartExperiment = 3
+		}
+		return analysis.RunCrawlSeries(ctx, cfg)
+	})
 }
 
 // scaledPaper renders a paper-scale count at the run's scale for honest

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/netgen"
@@ -18,51 +17,27 @@ import (
 // cause analysis — are run against simulated universes whose ground
 // truth is known, across a churn × flooder × NAT-mix grid. Both
 // figures derive from one sweep, memoized like the crawl series.
+var estStudy = newStudy[*analysis.EstFigsResult]()
 
-// estKey identifies a cached estimator sweep.
-type estKey struct {
-	seed  int64
-	scale float64
-	quick bool
-}
-
-var (
-	estMu    sync.Mutex
-	estCache = map[estKey]*analysis.EstFigsResult{}
-)
-
-// estFor returns the (possibly cached) estimator sweep for opts.
+// estFor returns the (possibly memoized) estimator sweep for opts.
 func estFor(ctx context.Context, opts Options) (*analysis.EstFigsResult, error) {
-	opts = opts.withDefaults()
-	key := estKey{seed: opts.Seed, scale: opts.Scale, quick: opts.Quick}
-	estMu.Lock()
-	defer estMu.Unlock()
-	if res, ok := estCache[key]; ok {
-		return res, nil
-	}
-	// The sweep builds eight universes, so the per-cell scale is capped
-	// below the single-universe experiments' full scale. The cap is a
-	// function of the cache key, never of Workers, so it cannot break
-	// memoization or determinism.
-	scale := opts.Scale
-	if scale > 0.10 {
-		scale = 0.10
-	}
-	rounds := 6
-	if opts.Quick {
-		rounds = 3
-	}
-	cfg := analysis.EstFigsConfig{
-		Base:    netgen.DefaultParams(opts.Seed, scale),
-		Rounds:  rounds,
-		Workers: opts.Workers,
-	}
-	res, err := analysis.RunEstFigs(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	estCache[key] = res
-	return res, nil
+	return estStudy.get(ctx, opts, func(ctx context.Context, opts Options) (*analysis.EstFigsResult, error) {
+		// The sweep builds eight universes, so the per-cell scale is
+		// capped below the single-universe experiments' full scale.
+		scale := opts.Scale
+		if scale > 0.10 {
+			scale = 0.10
+		}
+		rounds := 6
+		if opts.Quick {
+			rounds = 3
+		}
+		return analysis.RunEstFigs(ctx, analysis.EstFigsConfig{
+			Base:    netgen.DefaultParams(opts.Seed, scale),
+			Rounds:  rounds,
+			Workers: opts.Workers,
+		})
+	})
 }
 
 // estSeriesSplit filters the sweep's merged series for one figure:

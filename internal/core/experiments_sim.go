@@ -159,24 +159,29 @@ func fig7Experiment() Experiment {
 	}
 }
 
-// relayExperiment shares the Figure 10/11 workload.
+// Figures 10 and 11 read the block and the transaction relays of one
+// trace, memoized so a batch replays it once.
+var relayStudy = newStudy[*analysis.PropagationResult]()
+
+// relayExperiment returns the (possibly memoized) Figure 10/11 workload.
 func relayExperiment(ctx context.Context, opts Options) (*analysis.PropagationResult, error) {
-	opts = opts.withDefaults()
-	cfg := analysis.PropagationConfig{
-		Seed:                    opts.Seed,
-		NumReachable:            opts.NetSize,
-		Duration:                6 * time.Hour,
-		TxPerBlock:              400,
-		CompactBlocks:           true,
-		CompactShare:            0.8,       // the 2020 network mixed compact and legacy peers
-		BytesPerSec:             320 << 10, // a residential uplink share
-		ChurnDeparturesPer10Min: churnScaled(opts.NetSize, 1.5),
-	}
-	if opts.Quick {
-		cfg.Duration = 90 * time.Minute
-		cfg.TxPerBlock = 150
-	}
-	return analysis.RunPropagation(ctx, cfg)
+	return relayStudy.get(ctx, opts, func(ctx context.Context, opts Options) (*analysis.PropagationResult, error) {
+		cfg := analysis.PropagationConfig{
+			Seed:                    opts.Seed,
+			NumReachable:            opts.NetSize,
+			Duration:                6 * time.Hour,
+			TxPerBlock:              400,
+			CompactBlocks:           true,
+			CompactShare:            0.8,       // the 2020 network mixed compact and legacy peers
+			BytesPerSec:             320 << 10, // a residential uplink share
+			ChurnDeparturesPer10Min: churnScaled(opts.NetSize, 1.5),
+		}
+		if opts.Quick {
+			cfg.Duration = 90 * time.Minute
+			cfg.TxPerBlock = 150
+		}
+		return analysis.RunPropagation(ctx, cfg)
+	})
 }
 
 // fig10Experiment reproduces the block relay-delay distribution.

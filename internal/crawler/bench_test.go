@@ -79,7 +79,7 @@ func BenchmarkUniverseView(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		view := NewUniverseView(u, at)
-		if view.OnlineCount() == 0 {
+		if len(view.online) == 0 {
 			b.Fatal("empty view")
 		}
 	}

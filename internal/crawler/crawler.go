@@ -5,11 +5,10 @@
 // (Algorithm 1), and the scanner that classifies unreachable addresses as
 // responsive or silent by probing them with a VER message (Algorithm 2).
 //
-// The crawler is generic over a Dialer/Prober pair. Three backends exist:
+// The crawler is generic over a Dialer/Prober pair. Two backends exist:
 // the popsim backend over a netgen.Universe (snapshot-level, fast enough
-// for 60-day × 700K-address reproductions), the simnet backend (live
-// in-process nodes), and the tcpnet backend (real sockets speaking the
-// real wire protocol).
+// for 60-day × 700K-address reproductions) and the tcpnet backend (real
+// sockets speaking the real wire protocol).
 //
 // Both the crawl and the scan fan their per-target loops out through
 // internal/par and merge results in target order, so output is

@@ -620,10 +620,10 @@ func TestUniverseViewAccessors(t *testing.T) {
 	u := smallUniverse(t)
 	at := u.Params.Epoch.Add(24 * time.Hour)
 	view := NewUniverseView(u, at)
-	if !view.At().Equal(at) {
+	if !view.at.Equal(at) {
 		t.Error("At mismatch")
 	}
-	if view.OnlineCount() <= 0 || view.VisibleCount() <= 0 {
+	if len(view.online) <= 0 || view.VisibleCount() <= 0 {
 		t.Error("empty pools")
 	}
 	sess, err := view.Dial(TargetsOf(u.SeedViewAt(at))[0])

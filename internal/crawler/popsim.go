@@ -46,18 +46,9 @@ func NewUniverseView(u *netgen.Universe, t time.Time) *UniverseView {
 	}
 }
 
-// At returns the frozen instant.
-func (v *UniverseView) At() time.Time { return v.at }
-
-// OnlineCount returns the number of online reachable stations.
-func (v *UniverseView) OnlineCount() int { return len(v.online) }
-
 // VisibleCount returns the number of gossip-visible unreachable
 // addresses.
 func (v *UniverseView) VisibleCount() int { return len(v.visible) }
-
-// Universe returns the backing universe.
-func (v *UniverseView) Universe() *netgen.Universe { return v.u }
 
 // popSessPool recycles sessions — and, through them, the book and ID
 // buffers they carry — across dials. A session returns to the pool on

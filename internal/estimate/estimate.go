@@ -118,9 +118,6 @@ func (e *PopulationEstimator) Observe(source, addr netip.AddrPort) bool {
 	return true
 }
 
-// Distinct returns the number of distinct addresses observed.
-func (e *PopulationEstimator) Distinct() int { return e.distinct }
-
 // Total returns the number of counted draws (per-source deduplicated
 // announcements).
 func (e *PopulationEstimator) Total() int { return e.total }
@@ -296,9 +293,6 @@ func (e *DegreeEstimator) ObserveExchange(source netip.AddrPort, addrs []netip.A
 	return created
 }
 
-// NumSources returns the number of peers observed.
-func (e *DegreeEstimator) NumSources() int { return len(e.order) }
-
 // estimateOf computes one source's SourceDegree.
 func (e *DegreeEstimator) estimateOf(source netip.AddrPort, st *sourceDegree) SourceDegree {
 	out := SourceDegree{
@@ -325,16 +319,6 @@ func (e *DegreeEstimator) Estimates() []SourceDegree {
 		out = append(out, e.estimateOf(src, e.sources[src]))
 	}
 	return out
-}
-
-// EstimateOf returns one source's outcome and whether the source has
-// been observed.
-func (e *DegreeEstimator) EstimateOf(source netip.AddrPort) (SourceDegree, bool) {
-	st := e.sources[source]
-	if st == nil || st.first < 0 {
-		return SourceDegree{}, false
-	}
-	return e.estimateOf(source, st), true
 }
 
 // Mean returns the mean combined estimate and the mean single-exchange

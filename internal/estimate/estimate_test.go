@@ -79,8 +79,8 @@ func TestPopulationEstimatorDedup(t *testing.T) {
 	if e.Observe(s1, s1) {
 		t.Error("self-referential announcement counted")
 	}
-	if e.Distinct() != 1 || e.Total() != 2 {
-		t.Errorf("distinct/total = %d/%d, want 1/2", e.Distinct(), e.Total())
+	if e.distinct != 1 || e.Total() != 2 {
+		t.Errorf("distinct/total = %d/%d, want 1/2", e.distinct, e.Total())
 	}
 }
 
@@ -102,10 +102,10 @@ func TestDegreeEstimatorDrainedExact(t *testing.T) {
 		book[i] = eAddr(10 + i)
 	}
 	e.ObserveExchange(src, book[0:4])
-	sd, ok := e.EstimateOf(src)
-	if !ok {
+	if len(e.Estimates()) != 1 {
 		t.Fatal("source not found")
 	}
+	sd := e.Estimates()[0]
 	if sd.Drained {
 		t.Error("drained before any repeat")
 	}
@@ -118,7 +118,7 @@ func TestDegreeEstimatorDrainedExact(t *testing.T) {
 		e.ObserveExchange(src, book[cursor:cursor+4])
 	}
 	e.ObserveExchange(src, book[0:4]) // repeat page: Algorithm 1 terminator
-	sd, _ = e.EstimateOf(src)
+	sd = e.Estimates()[0]
 	if !sd.Drained || sd.Estimate != 20 || sd.Distinct != 20 {
 		t.Errorf("after drain: %+v, want drained exact 20", sd)
 	}
@@ -133,7 +133,7 @@ func TestDegreeEstimatorZeroLengthIgnored(t *testing.T) {
 	if e.ObserveExchange(src, nil) {
 		t.Error("zero-length exchange created a source")
 	}
-	if _, ok := e.EstimateOf(src); ok {
+	if len(e.Estimates()) != 0 {
 		t.Error("source exists after only an empty exchange")
 	}
 	if est, ratio := e.Mean(); est != 0 || ratio != 0 {
@@ -149,7 +149,7 @@ func TestDegreeEstimatorCapClamp(t *testing.T) {
 		page = append(page, eAddr(100+i))
 	}
 	e.ObserveExchange(eAddr(1), page)
-	sd, _ := e.EstimateOf(eAddr(1))
+	sd := e.Estimates()[0]
 	if want := 10 * 100.0 / 23; sd.Ratio != want {
 		t.Errorf("over-cap ratio = %v, want %v", sd.Ratio, want)
 	}
@@ -192,10 +192,10 @@ func TestCollector(t *testing.T) {
 	if c.Pop.Total() != 2 {
 		t.Errorf("population draws = %d, want 2 (reachable filtered)", c.Pop.Total())
 	}
-	if c.Deg.NumSources() != 1 {
-		t.Errorf("degree sources = %d, want 1", c.Deg.NumSources())
+	if n := len(c.Deg.Estimates()); n != 1 {
+		t.Fatalf("degree sources = %d, want 1", n)
 	}
-	sd, _ := c.Deg.EstimateOf(src)
+	sd := c.Deg.Estimates()[0]
 	if sd.Distinct != 3 {
 		t.Errorf("degree distinct = %d, want 3 (reachable NOT filtered)", sd.Distinct)
 	}

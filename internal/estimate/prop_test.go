@@ -133,7 +133,7 @@ func TestDegreeErrorMonotoneAndConverges(t *testing.T) {
 			// Bitcoin Core response model.
 			rng.Shuffle(len(book), func(i, j int) { book[i], book[j] = book[j], book[i] })
 			e.ObserveExchange(src, book[:page])
-			sd, _ := e.EstimateOf(src)
+			sd := e.Estimates()[0]
 			if sd.Estimate > float64(c.degree)+1e-9 {
 				t.Fatalf("estimate %v exceeds truth %d (must be a lower bound)\nreproduce with %+v",
 					sd.Estimate, c.degree, c)
@@ -174,7 +174,7 @@ func TestDegreeExactOnPagedDrain(t *testing.T) {
 			e.ObserveExchange(src, book[cursor:end])
 		}
 		e.ObserveExchange(src, book[:page]) // repeat page: Algorithm 1 terminator
-		sd, _ := e.EstimateOf(src)
+		sd := e.Estimates()[0]
 		if !sd.Drained || sd.Estimate != float64(n) {
 			t.Errorf("n=%d: drained=%v estimate=%v, want exact %d", n, sd.Drained, sd.Estimate, n)
 		}

@@ -69,8 +69,8 @@ func runChaosScenario(t *testing.T, seed int64) chaosResult {
 
 	tip, wantHeight := net.Host(miner).Node().Chain().Tip()
 	res := chaosResult{
-		trace:    inj.Trace(),
-		digest:   inj.TraceDigest(),
+		trace:    inj.tracer.Events(),
+		digest:   inj.tracer.Digest(),
 		counters: inj.Counters(),
 	}
 	for _, a := range addrs {

@@ -1,9 +1,9 @@
 // Package faults is a deterministic, seeded fault-injection layer for
 // the simulated network. It implements simnet.Injector, intercepting the
-// dial and transmit paths with per-link message drop, duplication,
-// latency spikes (which double as reordering, since unspiked messages
-// overtake spiked ones), and dial failures; on top of that it scripts
-// network partitions with heal and node crash/restart schedules.
+// dial and transmit paths with message drop, duplication, latency spikes
+// (which double as reordering, since unspiked messages overtake spiked
+// ones), and dial failures; on top of that it scripts network partitions
+// with heal and node crash/restart schedules.
 //
 // The paper's root causes — churned peers, black-holed routes, and
 // messages that silently vanish — are exactly the adversities this layer
@@ -30,9 +30,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Profile sets the probabilistic fault rates for a link (or, as
-// Config.Default, for every link without an override). Probabilities are
-// in [0, 1]; the zero Profile injects nothing.
+// Profile sets the probabilistic fault rates every link runs under
+// (Config.Default). Probabilities are in [0, 1]; the zero Profile injects
+// nothing.
 type Profile struct {
 	// Drop is the probability a message is silently discarded.
 	Drop float64
@@ -61,11 +61,11 @@ func (p Profile) zero() bool {
 type Config struct {
 	// Seed drives all fault randomness.
 	Seed int64
-	// Default is the profile applied to links without an override.
+	// Default is the profile applied to every link.
 	Default Profile
 	// Metrics, when set, hosts the fault counters (faults.* names) so
 	// one registry covers the whole experiment. When nil the injector
-	// keeps a private registry — Counters and CounterValue still work.
+	// keeps a private registry — Counters still works.
 	Metrics *obs.Registry
 	// Tracer, when set, receives the fault events, interleaving them
 	// with node and network events in one timeline. When nil the
@@ -100,16 +100,6 @@ var faultCounterNames = []string{
 	"faults.transmit.spiked",
 }
 
-// linkKey identifies an unordered address pair.
-type linkKey struct{ lo, hi netip.Addr }
-
-func keyFor(a, b netip.Addr) linkKey {
-	if b.Less(a) {
-		a, b = b, a
-	}
-	return linkKey{a, b}
-}
-
 // Injector is the fault layer. Construct with New; all methods must be
 // called from the scheduler goroutine (scenario setup before Run, or
 // scheduled callbacks), like everything else touching a simnet.
@@ -119,7 +109,6 @@ type Injector struct {
 	rng *rand.Rand
 
 	disabled bool
-	links    map[linkKey]Profile
 	// groups is the active partition: addresses in different non-zero
 	// groups cannot exchange anything. Absent addresses (group 0) are
 	// unrestricted.
@@ -164,7 +153,6 @@ func New(net *simnet.Network, cfg Config) *Injector {
 		net:        net,
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		links:      make(map[linkKey]Profile),
 		groups:     make(map[netip.Addr]int),
 		blackholed: make(map[netip.Addr]bool),
 		counters:   counters,
@@ -181,13 +169,6 @@ func New(net *simnet.Network, cfg Config) *Injector {
 // Scenarios disable it near the end so the tail of the run converges
 // under clean conditions.
 func (inj *Injector) SetEnabled(enabled bool) { inj.disabled = !enabled }
-
-// SetLinkProfile overrides the profile for the link between a and b (both
-// directions). Use a zero Profile to make one link clean under a lossy
-// default.
-func (inj *Injector) SetLinkProfile(a, b netip.Addr, p Profile) {
-	inj.links[keyFor(a, b)] = p
-}
 
 // Partition splits the network: addresses in different groups cannot
 // dial or message each other. Addresses in no group are unrestricted
@@ -245,14 +226,6 @@ func (inj *Injector) blocked(from, to netip.AddrPort) bool {
 	return gf != 0 && gt != 0 && gf != gt
 }
 
-// profileFor returns the effective profile for a route.
-func (inj *Injector) profileFor(from, to netip.AddrPort) Profile {
-	if p, ok := inj.links[keyFor(from.Addr(), to.Addr())]; ok {
-		return p
-	}
-	return inj.cfg.Default
-}
-
 // FilterDial implements simnet.Injector.
 func (inj *Injector) FilterDial(from, to netip.AddrPort) simnet.DialVerdict {
 	if inj.disabled {
@@ -265,7 +238,7 @@ func (inj *Injector) FilterDial(from, to netip.AddrPort) simnet.DialVerdict {
 		})
 		return simnet.DialBlock
 	}
-	p := inj.profileFor(from, to)
+	p := inj.cfg.Default
 	if p.DialFail > 0 && inj.rng.Float64() < p.DialFail {
 		inj.inc("faults.dial.refused")
 		inj.record(TraceEvent{
@@ -289,7 +262,7 @@ func (inj *Injector) FilterTransmit(from, to netip.AddrPort, msg wire.Message) s
 		})
 		return simnet.TransmitVerdict{Drop: true}
 	}
-	p := inj.profileFor(from, to)
+	p := inj.cfg.Default
 	if p.zero() {
 		return simnet.TransmitVerdict{}
 	}
@@ -336,20 +309,6 @@ func (inj *Injector) inc(name string) { inj.counters[name].Inc() }
 // record emits a trace event into the (possibly shared) tracer.
 func (inj *Injector) record(ev TraceEvent) { inj.tracer.Emit(ev) }
 
-// Trace returns the retained trace events, oldest first. With a shared
-// Config.Tracer the slice interleaves fault events with whatever else
-// the experiment traced; the ring bounds retention, but TraceDigest
-// still covers everything ever emitted.
-func (inj *Injector) Trace() []TraceEvent { return inj.tracer.Events() }
-
-// TraceDigest returns the tracer's running digest over every event ever
-// emitted — the compact same-seed comparison handle (ring eviction does
-// not change it).
-func (inj *Injector) TraceDigest() string { return inj.tracer.Digest() }
-
-// Tracer exposes the event tracer (shared or private).
-func (inj *Injector) Tracer() *obs.Tracer { return inj.tracer }
-
 // Counters returns a name-sorted snapshot of the fault counters. The
 // order is fixed at compile time (faultCounterNames), so no allocation
 // beyond the result and no sorting happens per call — and with a shared
@@ -361,12 +320,6 @@ func (inj *Injector) Counters() []obs.NamedValue {
 		out[i] = obs.NamedValue{Name: name, Value: inj.counters[name].Value()}
 	}
 	return out
-}
-
-// CounterValue returns one fault counter by its registry name
-// ("faults.crash", "faults.transmit.dropped", …). Unknown names read 0.
-func (inj *Injector) CounterValue(name string) int64 {
-	return inj.counters[name].Value()
 }
 
 // CountersString renders the non-zero counters as a deterministic

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"net/netip"
-	"reflect"
 	"testing"
 	"time"
 
@@ -72,7 +71,7 @@ func TestPartitionBlocksAndHeals(t *testing.T) {
 			}
 		}
 	}
-	if got := inj.CounterValue("faults.dial.blocked"); got == 0 {
+	if got := inj.counters["faults.dial.blocked"].Value(); got == 0 {
 		t.Error("partition never blocked a dial")
 	}
 
@@ -98,24 +97,8 @@ func TestDropProfileLosesMessages(t *testing.T) {
 	inj := New(net, Config{Seed: 2, Default: Profile{Drop: 0.3}})
 	buildMesh(net, 4)
 	net.Scheduler().RunFor(5 * time.Minute)
-	if got := inj.CounterValue("faults.transmit.dropped"); got == 0 {
+	if got := inj.counters["faults.transmit.dropped"].Value(); got == 0 {
 		t.Error("30% drop profile never dropped a message")
-	}
-}
-
-func TestLinkProfileOverridesDefault(t *testing.T) {
-	net := simnet.New(simnet.Config{Seed: 3})
-	// Default drops everything; the a-b link override is clean.
-	inj := New(net, Config{Seed: 3, Default: Profile{Drop: 1}})
-	a := addr4(10, 0, 0, 1, 8333)
-	b := addr4(10, 0, 0, 2, 8333)
-	inj.SetLinkProfile(a.Addr(), b.Addr(), Profile{})
-	net.AddFullNode(nodeCfg(b, nil)).Start()
-	ha := net.AddFullNode(nodeCfg(a, seedsOf(net.Now(), a, []netip.AddrPort{b})))
-	ha.Start()
-	net.Scheduler().RunFor(time.Minute)
-	if !ha.Node().AddrMan().InTried(b) {
-		t.Error("handshake failed on a clean link override")
 	}
 }
 
@@ -127,9 +110,9 @@ func TestBlackholeSilencesHost(t *testing.T) {
 
 	victim := addrs[0]
 	inj.Blackhole(victim.Addr())
-	before := inj.CounterValue("faults.transmit.blocked")
+	before := inj.counters["faults.transmit.blocked"].Value()
 	net.Scheduler().RunFor(5 * time.Minute)
-	if inj.CounterValue("faults.transmit.blocked") == before {
+	if inj.counters["faults.transmit.blocked"].Value() == before {
 		t.Error("blackholed host's traffic was not blocked")
 	}
 	inj.Restore(victim.Addr())
@@ -151,9 +134,9 @@ func TestScheduleCrashAndPresenceMatrix(t *testing.T) {
 	if !net.Host(addrs[1]).Online() {
 		t.Fatal("host did not restart after outage")
 	}
-	if inj.CounterValue("faults.crash") != 1 || inj.CounterValue("faults.restart") != 1 {
+	if inj.counters["faults.crash"].Value() != 1 || inj.counters["faults.restart"].Value() != 1 {
 		t.Errorf("crash/restart counters = %d/%d, want 1/1",
-			inj.CounterValue("faults.crash"), inj.CounterValue("faults.restart"))
+			inj.counters["faults.crash"].Value(), inj.counters["faults.restart"].Value())
 	}
 
 	m := inj.PresenceMatrix(time.Minute)
@@ -189,33 +172,6 @@ func TestCrashWaveStaggers(t *testing.T) {
 	}
 }
 
-func TestChurnScriptIsDeterministic(t *testing.T) {
-	run := func(seed int64) []TraceEvent {
-		net := simnet.New(simnet.Config{Seed: 7})
-		inj := New(net, Config{Seed: seed})
-		addrs := buildMesh(net, 6)
-		inj.ChurnScript(addrs, time.Minute, 20*time.Minute, 6, time.Minute)
-		net.Scheduler().RunFor(25 * time.Minute)
-		var out []TraceEvent
-		for _, ev := range inj.Trace() {
-			if ev.Kind == "crash" || ev.Kind == "restart" {
-				out = append(out, ev)
-			}
-		}
-		return out
-	}
-	a, b := run(42), run(42)
-	if len(a) == 0 {
-		t.Fatal("churn script produced no crash/restart events")
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("same-seed churn scripts diverged")
-	}
-	if c := run(43); reflect.DeepEqual(a, c) {
-		t.Error("different seeds produced the identical churn schedule")
-	}
-}
-
 func TestDisabledInjectorIsTransparent(t *testing.T) {
 	net := simnet.New(simnet.Config{Seed: 8})
 	inj := New(net, Config{Seed: 8, Default: Profile{Drop: 1, DialFail: 1}})
@@ -225,7 +181,7 @@ func TestDisabledInjectorIsTransparent(t *testing.T) {
 	if !net.Host(addrs[0]).Node().AddrMan().InTried(addrs[1]) {
 		t.Error("disabled injector still interfered with the handshake")
 	}
-	if len(inj.Trace()) != 0 {
-		t.Errorf("disabled injector recorded %d events", len(inj.Trace()))
+	if len(inj.tracer.Events()) != 0 {
+		t.Errorf("disabled injector recorded %d events", len(inj.tracer.Events()))
 	}
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // This file scripts scenario timelines on top of the injector: scheduled
-// crash/restart of hosts, crash waves, random churn, and timed
-// partitions. Crash tracking feeds a churn.Matrix so chaos scenarios can
-// be analyzed with the same presence-matrix machinery as the paper's
-// §IV-D measurements.
+// crash/restart of hosts, crash waves, and timed partitions. Crash
+// tracking feeds a churn.Matrix so chaos scenarios can be analyzed with
+// the same presence-matrix machinery as the paper's §IV-D measurements.
 
 // ScheduleCrash stops the host at addr after the given delay and
 // restarts it downFor later (a restart rebuilds the node from its
@@ -48,29 +47,6 @@ func (inj *Injector) ScheduleCrash(addr netip.AddrPort, at, downFor time.Duratio
 func (inj *Injector) CrashWave(addrs []netip.AddrPort, at, downFor, stagger time.Duration) {
 	for i, a := range addrs {
 		inj.ScheduleCrash(a, at+time.Duration(i)*stagger, downFor)
-	}
-}
-
-// ChurnScript schedules random crash/restart events among addrs over the
-// window [start, end): on average per10Min events per 10 minutes, with
-// exponentially distributed downtimes of mean meanDown (floored at 10 s).
-// All draws happen now, from the injector's seeded source, so the
-// schedule is fixed the moment this returns.
-func (inj *Injector) ChurnScript(addrs []netip.AddrPort, start, end time.Duration,
-	per10Min float64, meanDown time.Duration) {
-	if len(addrs) == 0 || per10Min <= 0 || end <= start {
-		return
-	}
-	window := end - start
-	events := int(per10Min * float64(window) / float64(10*time.Minute))
-	for i := 0; i < events; i++ {
-		addr := addrs[inj.rng.Intn(len(addrs))]
-		at := start + time.Duration(inj.rng.Int63n(int64(window)))
-		down := time.Duration(inj.rng.ExpFloat64() * float64(meanDown))
-		if down < 10*time.Second {
-			down = 10 * time.Second
-		}
-		inj.ScheduleCrash(addr, at, down)
 	}
 }
 

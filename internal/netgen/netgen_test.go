@@ -1,6 +1,7 @@
 package netgen
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -363,7 +364,7 @@ func TestNetAddrTimestampPast(t *testing.T) {
 	u := generate(t, p)
 	mid := p.Epoch.Add(10 * 24 * time.Hour)
 	s := u.Reachable[0]
-	na := u.NetAddr(s, mid, StationRand(p.Seed, mid, s.ID))
+	na := u.NetAddr(s, mid, rand.New(rand.NewPCG(StationSeed(p.Seed, mid, s.ID))))
 	if na.Timestamp.After(mid) {
 		t.Error("gossip timestamp in the future")
 	}

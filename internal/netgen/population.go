@@ -115,17 +115,6 @@ func (s *Station) OnlineAt(t time.Time) bool {
 // at t.
 func (s *Station) VisibleAt(t time.Time) bool { return s.Visible.Contains(t) }
 
-// FirstSeen returns the station's first appearance time.
-func (s *Station) FirstSeen() time.Time {
-	if s.Class == ClassReachable {
-		if len(s.Sessions) == 0 {
-			return time.Time{}
-		}
-		return s.Sessions[0].Start
-	}
-	return s.Visible.Start
-}
-
 // TotalOnline returns the station's cumulative online time.
 func (s *Station) TotalOnline() time.Duration {
 	var total time.Duration
@@ -164,7 +153,7 @@ type Universe struct {
 	// Alloc maps the universe's IPs back to ASNs.
 	Alloc *asmap.IPAllocator
 	// Index interns every station address into a dense StationID; it is
-	// built once at the end of Generate and backs ByAddr/ByID plus every
+	// built once at the end of Generate and backs ByAddr plus every
 	// crawl-path membership bitset.
 	Index *addridx.Index
 
@@ -248,14 +237,6 @@ func (u *Universe) buildIndex() error {
 func (u *Universe) ByAddr(addr netip.AddrPort) *Station {
 	id, ok := u.Index.Lookup(addr)
 	if !ok {
-		return nil
-	}
-	return u.stations[id]
-}
-
-// ByID returns the station with the given dense ID, or nil.
-func (u *Universe) ByID(id addridx.ID) *Station {
-	if int(id) >= len(u.stations) {
 		return nil
 	}
 	return u.stations[id]

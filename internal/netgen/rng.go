@@ -36,17 +36,11 @@ func stationStream(sel uint64, id addridx.ID) uint64 {
 }
 
 // StationSeed returns the two PCG seed words for station id at instant
-// at — the stream StationRand draws from, exposed so hot paths can
-// reseed a pooled rand.PCG in place instead of allocating a fresh
-// generator per dial.
+// at — the dial/session randomness of the popsim crawler backend — so
+// hot paths can reseed a pooled rand.PCG in place instead of allocating
+// a fresh generator per dial.
 func StationSeed(seed int64, at time.Time, id addridx.ID) (uint64, uint64) {
 	return uint64(seed), stationStream(uint64(at.UnixNano()), id)
-}
-
-// StationRand returns the RNG stream for station id at the instant at —
-// the dial/session randomness of the popsim crawler backend.
-func StationRand(seed int64, at time.Time, id addridx.ID) *rand.Rand {
-	return rand.New(rand.NewPCG(StationSeed(seed, at, id)))
 }
 
 // bookRand returns the RNG stream for station id's address book in

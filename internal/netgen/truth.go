@@ -6,48 +6,21 @@ import (
 )
 
 // This file exposes the simulator's ground truth for estimator
-// validation (ROADMAP item 4): the true unreachable census and the true
-// per-station gossip out-degree that live-network measurements can only
-// infer. Both are pure functions of (Params, t), like everything else
-// derived from the universe, so estimator-error experiments are
-// deterministic and cacheable.
+// validation: the true per-station gossip out-degree that live-network
+// measurements can only infer. It is a pure function of (Params, t), like
+// everything else derived from the universe, so estimator-error
+// experiments are deterministic and cacheable.
 
-// UnreachableCensusAt returns the true unreachable population at t: the
-// number of gossip-visible unreachable stations, split into responsive
-// (running Bitcoin behind NAT/firewall) and silent. visible is always
-// responsive + silent. This is the quantity the announcement-recurrence
-// estimator (arXiv:2102.12774) targets — every visible unreachable
-// address is in the gossip pools reachable books sample from.
-func (u *Universe) UnreachableCensusAt(t time.Time) (visible, responsive, silent int) {
-	for _, s := range u.Unreachable {
-		if !s.VisibleAt(t) {
-			continue
-		}
-		visible++
-		if s.Class == ClassResponsive {
-			responsive++
-		} else {
-			silent++
-		}
-	}
-	return visible, responsive, silent
-}
-
-// TrueDegree returns station s's true gossip out-degree at t: the
+// TrueDegreeFrom returns station s's true gossip out-degree at t: the
 // number of DISTINCT addresses in the address book it would reveal
 // through exhaustive GETADDR. Books are sampled with replacement, so
 // this is strictly less than the book length whenever a draw repeats —
 // and the distinct count is the exact quantity iterative
 // address-return sampling (arXiv:2108.00815) converges to, since a
 // crawler can never distinguish one book slot from a repeated draw of
-// the same address.
-func (u *Universe) TrueDegree(s *Station, t time.Time) int {
-	return u.TrueDegreeFrom(s, t, u.OnlineReachable(t), u.VisibleUnreachable(t))
-}
-
-// TrueDegreeFrom is TrueDegree with the candidate pools precomputed
-// (the AddrBookFrom pattern): an experiment measuring thousands of
-// stations scans the universe once, not once per station. The book is
+// the same address. The candidate pools come precomputed (the
+// AddrBookFrom pattern): an experiment measuring thousands of stations
+// scans the universe once, not once per station. The book is
 // regenerated from the same deterministic per-(station, crawl-interval)
 // stream AddrBookFrom uses, so the truth matches what any crawl at t
 // actually observes.

@@ -6,29 +6,6 @@ import (
 	"time"
 )
 
-func TestUnreachableCensusAt(t *testing.T) {
-	u, err := Generate(DefaultParams(11, 0.02))
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := u.Params.Epoch.Add(10 * 24 * time.Hour)
-	visible, responsive, silent := u.UnreachableCensusAt(at)
-	if visible != responsive+silent {
-		t.Errorf("census split %d+%d != visible %d", responsive, silent, visible)
-	}
-	if got := len(u.VisibleUnreachable(at)); got != visible {
-		t.Errorf("census visible = %d, VisibleUnreachable = %d", visible, got)
-	}
-	if visible == 0 || responsive == 0 || silent == 0 {
-		t.Errorf("degenerate census %d/%d/%d at mid-horizon", visible, responsive, silent)
-	}
-	// Past the horizon plus the TTL everything has expired.
-	far := u.End().Add(10 * u.Params.UnreachableTTL)
-	if v, _, _ := u.UnreachableCensusAt(far); v != 0 {
-		t.Errorf("census after expiry = %d, want 0", v)
-	}
-}
-
 func TestTrueDegreeMatchesBookDistinct(t *testing.T) {
 	u, err := Generate(DefaultParams(11, 0.02))
 	if err != nil {
@@ -43,10 +20,6 @@ func TestTrueDegreeMatchesBookDistinct(t *testing.T) {
 			continue
 		}
 		deg := u.TrueDegreeFrom(s, at, online, visible)
-		if deg != u.TrueDegree(s, at) {
-			t.Fatalf("TrueDegreeFrom %d != TrueDegree %d for %v", deg,
-				u.TrueDegree(s, at), s.Addr)
-		}
 		book := u.AddrBookFrom(s, at, online, visible)
 		distinct := make(map[netip.AddrPort]struct{})
 		for _, na := range book {
@@ -82,8 +55,10 @@ func TestTrueDegreeDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := a.Params.Epoch.Add(5 * 24 * time.Hour)
+	onA, visA := a.OnlineReachable(at), a.VisibleUnreachable(at)
+	onB, visB := b.OnlineReachable(at), b.VisibleUnreachable(at)
 	for i, s := range a.Reachable[:10] {
-		if got, want := a.TrueDegree(s, at), b.TrueDegree(b.Reachable[i], at); got != want {
+		if got, want := a.TrueDegreeFrom(s, at, onA, visA), b.TrueDegreeFrom(b.Reachable[i], at, onB, visB); got != want {
 			t.Fatalf("station %d degree %d != %d across identical universes", i, got, want)
 		}
 	}

@@ -196,13 +196,10 @@ func TestAccessors(t *testing.T) {
 	self := mkAddr(10, 0, 0, 1)
 	n := New(testConfig(self), env)
 	n.Start()
-	if n.Self() != self {
-		t.Error("Self mismatch")
-	}
 	completeHandshake(t, n, env, 1, mkAddr(10, 0, 0, 2), 0)
 	p := n.peerByConn(1)
-	if p.Addr() != mkAddr(10, 0, 0, 2) || p.Dir() != Inbound || !p.Handshook() {
-		t.Error("peer accessors inconsistent")
+	if p.addr != mkAddr(10, 0, 0, 2) || p.dir != Inbound || !p.handshook {
+		t.Error("peer state inconsistent after handshake")
 	}
 	for _, d := range []Direction{Outbound, Inbound, Feeler, Direction(0)} {
 		if d.String() == "" {

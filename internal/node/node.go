@@ -427,9 +427,6 @@ func New(cfg Config, env Env) *Node {
 	return n
 }
 
-// Policies returns the node's configured intervention set.
-func (n *Node) Policies() PolicySet { return n.cfg.Policies }
-
 // Start boots the node: seeds the address manager and begins the
 // connection maintenance and feeler loops.
 func (n *Node) Start() {
@@ -470,9 +467,6 @@ func (n *Node) Stop() {
 
 // Stopped reports whether Stop was called.
 func (n *Node) Stopped() bool { return n.stopped }
-
-// Self returns the node's advertised address.
-func (n *Node) Self() netip.AddrPort { return n.cfg.Self.Addr }
 
 // Chain exposes the node's chain state (read-mostly; analyses sample tip
 // heights).

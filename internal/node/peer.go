@@ -91,15 +91,6 @@ type Peer struct {
 	pingSent  time.Time
 }
 
-// Addr returns the peer's remote address.
-func (p *Peer) Addr() netip.AddrPort { return p.addr }
-
-// Dir returns the connection direction.
-func (p *Peer) Dir() Direction { return p.dir }
-
-// Handshook reports whether the VERSION/VERACK exchange completed.
-func (p *Peer) Handshook() bool { return p.handshook }
-
 // invKey is an object's knownInv key: the first 8 bytes of its hash. Two
 // distinct objects share a key with probability 2^-64, so a probe of a
 // full set (8192 entries) is a false positive with probability below

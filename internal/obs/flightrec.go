@@ -92,14 +92,6 @@ func OpenFlightRecorder(dir string) (*FlightRecorder, error) {
 	return &FlightRecorder{dir: dir}, nil
 }
 
-// Dir returns the recorder's directory ("" for nil).
-func (fr *FlightRecorder) Dir() string {
-	if fr == nil {
-		return ""
-	}
-	return fr.dir
-}
-
 // Dump commits rec as flightrec-<key>.json and returns the artifact
 // path. A zero Time is stamped with the current wall clock. The write is
 // atomic and durable; a crash mid-dump leaves only a swept-on-reopen

@@ -83,14 +83,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration sample in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Count returns the number of samples (zero for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of
 // the bucket holding the q-th sample — deterministic, and exact to one
 // bucket width. Samples past the last bound are estimated by the

@@ -10,8 +10,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	for v := int64(1); v <= 100; v++ {
 		h.Observe(v % 50)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	if got := h.Stat("").Count; got != 100 {
+		t.Fatalf("count = %d", got)
 	}
 	// Values 0..49 twice: p50 falls in the bucket bounded by 30
 	// (cumulative through 30 covers ranks 1..62).

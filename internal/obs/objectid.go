@@ -21,9 +21,6 @@ func ObjectPrefix(prefix [8]byte) ObjectID {
 	return ObjectID{prefix: prefix, set: true}
 }
 
-// IsZero reports whether no object is named.
-func (o ObjectID) IsZero() bool { return !o.set }
-
 // String renders the label as 16 hex characters ("" for the zero value).
 func (o ObjectID) String() string {
 	if !o.set {

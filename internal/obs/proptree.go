@@ -6,8 +6,7 @@ import (
 	"time"
 )
 
-// This file reconstructs object propagation from the flat trace-event
-// stream. Nodes emit two event families per relayed object (block or
+// Nodes emit two trace-event families per relayed object (block or
 // transaction):
 //
 //   - deliver.block / deliver.tx — the object was accepted at a node.
@@ -19,9 +18,10 @@ import (
 //     receive-to-relay delay for that connection.
 //
 // Because the identifiers are SpanKey-derived, parent/child edges line up
-// across hops without any state shared between nodes, and the tree is a
-// pure function of the trace — the replacement for the per-experiment
-// relay bookkeeping that used to live in internal/analysis.
+// across hops without any state shared between nodes. The deliver family
+// is for readers of the NDJSON trace; PropagationTree folds the relay
+// family into the per-node delays of Figures 10/11, a pure function of
+// the trace.
 
 // Trace event kinds for the propagation span families.
 const (
@@ -30,27 +30,6 @@ const (
 	KindRelayBlock   = "relay.block"
 	KindRelayTx      = "relay.tx"
 )
-
-// Delivery is one node's receipt of one object.
-type Delivery struct {
-	// Node is the accepting endpoint.
-	Node netip.AddrPort
-	// From is the endpoint the object arrived from (the node itself at
-	// the origin).
-	From netip.AddrPort
-	// Time is the acceptance (first-seen) time.
-	Time time.Time
-	// Span and Parent are the delivery span identifiers.
-	Span, Parent uint64
-	// Object labels the delivered object (hash prefix). It is rendered
-	// by Deliveries; while the tree is being fed only obj is kept.
-	Object string
-	obj    ObjectID
-	// HopLatency is the delivery-to-delivery latency from the parent
-	// node (zero at the origin or when the parent's delivery was not
-	// observed).
-	HopLatency time.Duration
-}
 
 // RelayStat aggregates one node's relay activity for one object — the
 // unit behind the paper's Figures 10/11.
@@ -66,31 +45,13 @@ type RelayStat struct {
 	Fanout int
 }
 
-// ObjectStat summarizes one object's spread through the network.
-type ObjectStat struct {
-	// Object labels the object (hash prefix from the trace detail).
-	Object string
-	// Origin is the first node that held the object.
-	Origin netip.AddrPort
-	// FirstSeen is the origin delivery time.
-	FirstSeen time.Time
-	// Nodes is how many nodes the object reached.
-	Nodes int
-	// TimeToLastNode is the origin-to-final-delivery latency — the
-	// network-wide propagation span.
-	TimeToLastNode time.Duration
-	// MaxHopLatency is the slowest observed single hop.
-	MaxHopLatency time.Duration
-}
-
-// PropagationTree reconstructs per-object propagation trees from
-// deliver.*/relay.* trace events. Feed it from a tracer stream
-// (tracer.AddStream(tree.FeedStream)) so ring eviction cannot lose hops; it
-// is not itself locked, relying on the tracer's emission lock for
-// serialization. All derived views are deterministically ordered.
+// PropagationTree aggregates the relay.* trace events of a run under the
+// delivery span they belong to. Feed it from a tracer stream
+// (tracer.AddStream(tree.FeedStream)) so ring eviction cannot lose
+// relays; it is not itself locked, relying on the tracer's emission lock
+// for serialization. RelayStats is deterministically ordered.
 type PropagationTree struct {
-	deliveries map[uint64]*Delivery // delivery span → first delivery
-	relays     map[uint64]*relayAgg // delivery span → relay aggregate
+	relays map[uint64]*relayAgg // delivery span → relay aggregate
 }
 
 // relayAgg accumulates relay events under one delivery span.
@@ -101,52 +62,29 @@ type relayAgg struct {
 	fanout int
 }
 
-// NewPropagationTree creates an empty reconstructor.
+// NewPropagationTree creates an empty aggregator.
 func NewPropagationTree() *PropagationTree {
-	return &PropagationTree{
-		deliveries: make(map[uint64]*Delivery),
-		relays:     make(map[uint64]*relayAgg),
-	}
+	return &PropagationTree{relays: make(map[uint64]*relayAgg)}
 }
 
-// Feed consumes one trace event, ignoring kinds outside the propagation
-// families.
+// Feed consumes one trace event, ignoring kinds outside the relay family.
 func (pt *PropagationTree) Feed(ev Event) { pt.FeedStream(&ev) }
 
 // FeedStream is Feed in tracer-stream form (tracer.AddStream(
 // tree.FeedStream)): it reads the event in place and keeps no pointer.
 func (pt *PropagationTree) FeedStream(ev *Event) {
-	switch ev.Kind {
-	case KindDeliverBlock, KindDeliverTx:
-		if ev.Span == 0 {
-			return
-		}
-		if _, ok := pt.deliveries[ev.Span]; ok {
-			return // duplicate delivery (re-announcement); keep the first
-		}
-		pt.deliveries[ev.Span] = &Delivery{
-			Node:   ev.To,
-			From:   ev.From,
-			Time:   ev.Time,
-			Span:   ev.Span,
-			Parent: ev.Parent,
-			Object: ev.Detail,
-			obj:    ev.Obj,
-		}
-	case KindRelayBlock, KindRelayTx:
-		if ev.Parent == 0 {
-			return
-		}
-		agg := pt.relays[ev.Parent]
-		if agg == nil {
-			agg = &relayAgg{node: ev.From, kind: ev.Kind}
-			pt.relays[ev.Parent] = agg
-		}
-		if ev.Dur > agg.last {
-			agg.last = ev.Dur
-		}
-		agg.fanout++
+	if (ev.Kind != KindRelayBlock && ev.Kind != KindRelayTx) || ev.Parent == 0 {
+		return
 	}
+	agg := pt.relays[ev.Parent]
+	if agg == nil {
+		agg = &relayAgg{node: ev.From, kind: ev.Kind}
+		pt.relays[ev.Parent] = agg
+	}
+	if ev.Dur > agg.last {
+		agg.last = ev.Dur
+	}
+	agg.fanout++
 }
 
 // RelayStats returns the per-(node, object) relay aggregates for one
@@ -172,62 +110,6 @@ func (pt *PropagationTree) RelayStats(kind string) []RelayStat {
 			return c < 0
 		}
 		return out[i].Fanout < out[j].Fanout
-	})
-	return out
-}
-
-// Deliveries returns every observed delivery with hop latencies
-// resolved against parent deliveries, sorted by time, then node.
-func (pt *PropagationTree) Deliveries() []Delivery {
-	out := make([]Delivery, 0, len(pt.deliveries))
-	for _, d := range pt.deliveries {
-		dd := *d
-		dd.Object = d.obj.String() + d.Object
-		if parent, ok := pt.deliveries[d.Parent]; ok && d.Parent != 0 {
-			dd.HopLatency = d.Time.Sub(parent.Time)
-		}
-		out = append(out, dd)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Time.Equal(out[j].Time) {
-			return out[i].Time.Before(out[j].Time)
-		}
-		return compareAddrPort(out[i].Node, out[j].Node) < 0
-	})
-	return out
-}
-
-// Objects summarizes propagation per object: origin, reach, and
-// time-to-last-node, sorted by first-seen time then object label.
-func (pt *PropagationTree) Objects() []ObjectStat {
-	byObject := make(map[string]*ObjectStat)
-	for _, d := range pt.Deliveries() { // time-sorted: first hit is the origin
-		st := byObject[d.Object]
-		if st == nil {
-			st = &ObjectStat{
-				Object:    d.Object,
-				Origin:    d.Node,
-				FirstSeen: d.Time,
-			}
-			byObject[d.Object] = st
-		}
-		st.Nodes++
-		if ttl := d.Time.Sub(st.FirstSeen); ttl > st.TimeToLastNode {
-			st.TimeToLastNode = ttl
-		}
-		if d.HopLatency > st.MaxHopLatency {
-			st.MaxHopLatency = d.HopLatency
-		}
-	}
-	out := make([]ObjectStat, 0, len(byObject))
-	for _, st := range byObject {
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].FirstSeen.Equal(out[j].FirstSeen) {
-			return out[i].FirstSeen.Before(out[j].FirstSeen)
-		}
-		return out[i].Object < out[j].Object
 	})
 	return out
 }

@@ -82,8 +82,7 @@ func formatBytes(b uint64) string {
 
 // ResourceSampler snapshots process resource state — runtime.MemStats,
 // goroutine counts, GC pause deltas — on demand or on a wall ticker,
-// maintaining lifetime high-watermarks and any number of concurrent
-// per-run measurement windows. When constructed over a registry it also
+// maintaining any number of concurrent per-run measurement windows. When constructed over a registry it also
 // publishes live proc.* gauges and a proc.gc.pause.ns histogram, giving
 // /metrics scrapes the same view.
 //
@@ -91,10 +90,6 @@ func formatBytes(b uint64) string {
 type ResourceSampler struct {
 	mu        sync.Mutex
 	lastNumGC uint32
-	peak      ResourceStats // lifetime watermarks + cumulative deltas
-	base      runtime.MemStats
-	baseCPU   int64
-	start     time.Time
 	windows   map[*resourceWindow]struct{}
 
 	// Live registry handles (nil when no registry was supplied).
@@ -117,8 +112,8 @@ type resourceWindow struct {
 	base           runtime.MemStats
 }
 
-// NewResourceSampler creates a sampler. reg may be nil (watermarks and
-// run windows still work); when non-nil it receives the live gauges
+// NewResourceSampler creates a sampler. reg may be nil (run windows
+// still work); when non-nil it receives the live gauges
 // proc.heap.alloc.bytes, proc.heap.sys.bytes, proc.heap.objects,
 // proc.heap.alloc.max.bytes, proc.goroutines, proc.gc.num, and the
 // proc.gc.pause.ns histogram. The first sample is taken immediately so
@@ -126,7 +121,6 @@ type resourceWindow struct {
 func NewResourceSampler(reg *Registry) *ResourceSampler {
 	rs := &ResourceSampler{
 		windows:     make(map[*resourceWindow]struct{}),
-		start:       time.Now(),
 		gHeap:       reg.Gauge("proc.heap.alloc.bytes"),
 		gHeapSys:    reg.Gauge("proc.heap.sys.bytes"),
 		gHeapObjs:   reg.Gauge("proc.heap.objects"),
@@ -135,15 +129,14 @@ func NewResourceSampler(reg *Registry) *ResourceSampler {
 		gGCNum:      reg.Gauge("proc.gc.num"),
 		hGCPause:    reg.Histogram("proc.gc.pause.ns"),
 	}
-	runtime.ReadMemStats(&rs.base)
-	rs.lastNumGC = rs.base.NumGC
-	rs.baseCPU = processCPUNanos()
-	rs.sampleLocked(&rs.base, runtime.NumGoroutine())
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	rs.lastNumGC = ms.NumGC
+	rs.sampleLocked(&ms, runtime.NumGoroutine())
 	return rs
 }
 
-// Sample takes one snapshot now: live gauges are refreshed, watermarks
-// raised, GC pauses since the previous sample observed into the
+// Sample takes one snapshot now: live gauges are refreshed, GC pauses since the previous sample observed into the
 // histogram, and every open run window updated. Safe for concurrent use.
 func (rs *ResourceSampler) Sample() {
 	if rs == nil {
@@ -157,8 +150,7 @@ func (rs *ResourceSampler) Sample() {
 	rs.sampleLocked(&ms, n)
 }
 
-// sampleLocked folds one MemStats reading into gauges, watermarks, and
-// open windows. Callers hold mu (or are the constructor).
+// sampleLocked folds one MemStats reading into gauges and open windows. Callers hold mu (or are the constructor).
 func (rs *ResourceSampler) sampleLocked(ms *runtime.MemStats, goroutines int) {
 	rs.gHeap.Set(int64(ms.HeapAlloc))
 	rs.gHeapSys.Set(int64(ms.HeapSys))
@@ -184,15 +176,6 @@ func (rs *ResourceSampler) sampleLocked(ms *runtime.MemStats, goroutines int) {
 	}
 	rs.lastNumGC = ms.NumGC
 
-	if ms.HeapAlloc > rs.peak.PeakHeapBytes {
-		rs.peak.PeakHeapBytes = ms.HeapAlloc
-	}
-	if goroutines > rs.peak.PeakGoroutines {
-		rs.peak.PeakGoroutines = goroutines
-	}
-	if pauseMax > rs.peak.GCPauseMaxNS {
-		rs.peak.GCPauseMaxNS = pauseMax
-	}
 	for w := range rs.windows {
 		if ms.HeapAlloc > w.peakHeap {
 			w.peakHeap = ms.HeapAlloc
@@ -265,28 +248,6 @@ func (rs *ResourceSampler) StartRun() func() ResourceStats {
 			PeakGoroutines: w.peakGoroutines,
 		}
 	}
-}
-
-// Watermarks reports the sampler's lifetime view: cumulative deltas
-// since construction plus the high-watermarks across every sample
-// taken. It takes a fresh sample first, so the result is current.
-func (rs *ResourceSampler) Watermarks() ResourceStats {
-	if rs == nil {
-		return ResourceStats{}
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	n := runtime.NumGoroutine()
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.sampleLocked(&ms, n)
-	out := rs.peak
-	out.WallNS = time.Since(rs.start).Nanoseconds()
-	out.CPUNS = cpuDelta(rs.baseCPU)
-	out.AllocBytes = ms.TotalAlloc - rs.base.TotalAlloc
-	out.Mallocs = ms.Mallocs - rs.base.Mallocs
-	out.NumGC = ms.NumGC - rs.base.NumGC
-	return out
 }
 
 // cpuDelta returns process CPU nanoseconds consumed since base, zero

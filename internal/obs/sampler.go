@@ -17,9 +17,7 @@ import (
 // sample time from the caller. Simulations drive it from the simnet
 // scheduler with virtual time, so two same-seed runs produce
 // byte-identical series CSVs — the sampler half of the determinism
-// golden test. Live (tcpnet/crawler) runs drive it from a wall-clock
-// ticker via StartWall; those series are real measurements and make no
-// determinism promise.
+// golden test.
 //
 // The nil sampler discards samples, so wiring can be unconditional.
 type Sampler struct {
@@ -139,31 +137,6 @@ func (s *Sampler) Set() *SeriesSet {
 		ss.Series = append(ss.Series, Series{Name: name, Points: s.rings[name].points()})
 	}
 	return ss
-}
-
-// StartWall drives Tick from a wall-clock ticker for live runs; the
-// returned stop function halts it. Sim runs must never use this — they
-// schedule Tick(net.Now()) on the virtual scheduler instead, keeping
-// wall time out of the series entirely.
-func (s *Sampler) StartWall(interval time.Duration) (stop func()) {
-	if s == nil || interval <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case now := <-t.C:
-				s.Tick(now)
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }
 
 // MergeSeriesSets concatenates several sets into one name-sorted set,

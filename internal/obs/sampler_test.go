@@ -129,9 +129,6 @@ func TestSamplerNilSafety(t *testing.T) {
 	if set := s.Set(); set.Len() != 0 {
 		t.Errorf("nil sampler recorded %d points", set.Len())
 	}
-	stop := s.StartWall(time.Second)
-	stop()
-	stop() // idempotent
 
 	// A sampler without a registry records Observe series only.
 	s2 := NewSampler(nil, 0)

@@ -29,14 +29,6 @@ type Series struct {
 	Points []Point
 }
 
-// Last returns the most recent point (zero when empty).
-func (s *Series) Last() Point {
-	if s == nil || len(s.Points) == 0 {
-		return Point{}
-	}
-	return s.Points[len(s.Points)-1]
-}
-
 // SeriesSet is a name-sorted collection of series — the time-resolved
 // counterpart of a Snapshot.
 type SeriesSet struct {

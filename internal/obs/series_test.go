@@ -85,14 +85,6 @@ func TestSeriesSetGetAndLen(t *testing.T) {
 	if _, ok := nilSet.Get("x"); ok {
 		t.Error("nil set Get succeeded")
 	}
-	var empty Series
-	if p := empty.Last(); p != (Point{}) {
-		t.Errorf("empty Last = %+v", p)
-	}
-	full := set.Series[0]
-	if p := full.Last(); p.V != -1e-9 {
-		t.Errorf("Last = %+v", p)
-	}
 }
 
 // FuzzSeriesCSVRoundTrip pins the decoder against untrusted sidecar

@@ -5,38 +5,6 @@ import (
 	"strings"
 )
 
-// Counter returns the named counter value from the snapshot (zero when
-// absent).
-func (s *Snapshot) Counter(name string) int64 {
-	for _, nv := range s.Counters {
-		if nv.Name == name {
-			return nv.Value
-		}
-	}
-	return 0
-}
-
-// Gauge returns the named gauge value from the snapshot (zero when
-// absent).
-func (s *Snapshot) Gauge(name string) int64 {
-	for _, nv := range s.Gauges {
-		if nv.Name == name {
-			return nv.Value
-		}
-	}
-	return 0
-}
-
-// Histogram returns the named histogram stat and whether it exists.
-func (s *Snapshot) Histogram(name string) (HistogramStat, bool) {
-	for _, h := range s.Histograms {
-		if h.Name == name {
-			return h, true
-		}
-	}
-	return HistogramStat{}, false
-}
-
 // String renders the snapshot deterministically, one metric per line,
 // sorted by kind then name. Two same-seed experiment runs must produce
 // byte-identical output — the property the determinism golden tests

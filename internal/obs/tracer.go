@@ -144,16 +144,15 @@ func SpanKey(a netip.AddrPort, key []byte) uint64 {
 // Methods are mutex-guarded for the tcpnet (real socket) backends;
 // under simnet the lock is uncontended.
 type Tracer struct {
-	mu       sync.Mutex
-	clock    func() time.Time
-	ring     []Event
-	start    int // index of the oldest retained event
-	n        int // retained events
-	total    uint64
-	dropped  uint64 // events evicted from the ring
-	hash     uint64 // running FNV-64a
-	nextSpan uint64 // sequential span IDs for Span()
-	sinks    []func(*Event)
+	mu      sync.Mutex
+	clock   func() time.Time
+	ring    []Event
+	start   int // index of the oldest retained event
+	n       int // retained events
+	total   uint64
+	dropped uint64 // events evicted from the ring
+	hash    uint64 // running FNV-64a
+	sinks   []func(*Event)
 }
 
 // DefaultTraceCapacity bounds the retained trace when NewTracer is
@@ -161,9 +160,8 @@ type Tracer struct {
 const DefaultTraceCapacity = 20000
 
 // NewTracer creates a tracer retaining up to capacity events. clock
-// supplies event times for Emit calls with a zero Time and span
-// durations; nil defaults to time.Now (simulations pass the virtual
-// clock).
+// supplies event times for Emit calls with a zero Time; nil defaults to
+// time.Now (simulations pass the virtual clock).
 func NewTracer(capacity int, clock func() time.Time) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
@@ -305,68 +303,4 @@ func (t *Tracer) Digest() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return fmt.Sprintf("%016x", t.hash)
-}
-
-// Span is an in-progress timed operation. End emits a completion event
-// whose Dur is the elapsed (possibly virtual) time since Span was
-// created. The nil span is a no-op.
-type Span struct {
-	tr     *Tracer
-	ev     Event
-	begin  time.Time
-	id     uint64
-	parent uint64
-}
-
-// Span starts a timed root operation of the given kind between from and
-// to, with a fresh sequential span identifier.
-func (t *Tracer) Span(kind string, from, to netip.AddrPort) *Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	t.nextSpan++
-	id := t.nextSpan
-	t.mu.Unlock()
-	return &Span{
-		tr:    t,
-		ev:    Event{Kind: kind, From: from, To: to},
-		begin: t.clock(),
-		id:    id,
-	}
-}
-
-// Child starts a sub-span nested under s. The child's completion event
-// carries s's identifier as Parent, so reconstruction (for example
-// PropagationTree) can rebuild the hierarchy from the flat event stream.
-// The nil span returns a nil (no-op) child.
-func (s *Span) Child(kind string, from, to netip.AddrPort) *Span {
-	if s == nil {
-		return nil
-	}
-	c := s.tr.Span(kind, from, to)
-	c.parent = s.id
-	return c
-}
-
-// ID returns the span's identifier (zero for nil).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
-// End completes the span, recording detail and the elapsed duration.
-func (s *Span) End(detail string) {
-	if s == nil {
-		return
-	}
-	now := s.tr.clock()
-	s.ev.Time = now
-	s.ev.Detail = detail
-	s.ev.Dur = now.Sub(s.begin)
-	s.ev.Span = s.id
-	s.ev.Parent = s.parent
-	s.tr.Emit(s.ev)
 }

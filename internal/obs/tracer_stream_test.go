@@ -46,29 +46,3 @@ func TestTracerPublish(t *testing.T) {
 	nilTr.Publish(reg)
 	tr.Publish(nil)
 }
-
-func TestSpanChildHierarchy(t *testing.T) {
-	tr := NewTracer(8, virtualClock())
-	root := tr.Span("download", addrPort(1), addrPort(2))
-	child := root.Child("chunk", addrPort(1), addrPort(2))
-	child.End("done")
-	root.End("ok")
-	evs := tr.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d", len(evs))
-	}
-	if evs[0].Parent != root.ID() {
-		t.Errorf("child parent = %d, want root %d", evs[0].Parent, root.ID())
-	}
-	if evs[1].Span != root.ID() || evs[1].Parent != 0 {
-		t.Errorf("root event = %+v", evs[1])
-	}
-	var nilSpan *Span
-	if nilSpan.Child("x", addrPort(1), addrPort(2)) != nil {
-		t.Error("nil span child is not nil")
-	}
-	if nilSpan.ID() != 0 {
-		t.Error("nil span has nonzero ID")
-	}
-	nilSpan.End("noop")
-}

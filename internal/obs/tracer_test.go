@@ -25,7 +25,7 @@ func virtualClock() func() time.Time {
 func TestTracerRecordsAndStamps(t *testing.T) {
 	tr := NewTracer(8, virtualClock())
 	tr.Emit(Event{Kind: "drop", From: addrPort(1), To: addrPort(2), Detail: "ping"})
-	tr.Emit(Event{Kind: "spike", Time: time.Unix(99, 0).UTC()})
+	tr.Emit(Event{Kind: "spike", Time: time.Unix(99, 0).UTC(), Dur: time.Millisecond})
 	evs := tr.Events()
 	if len(evs) != 2 {
 		t.Fatalf("events = %d", len(evs))
@@ -38,6 +38,9 @@ func TestTracerRecordsAndStamps(t *testing.T) {
 	}
 	if s := evs[0].String(); !strings.Contains(s, "drop") || !strings.Contains(s, "ping") {
 		t.Errorf("event rendering: %q", s)
+	}
+	if s := evs[1].String(); !strings.Contains(s, "dur=") {
+		t.Errorf("timed event rendering lacks duration: %q", s)
 	}
 }
 
@@ -84,27 +87,6 @@ func TestTracerDigestDeterministicAndEvictionFree(t *testing.T) {
 	b.Emit(Event{Kind: "x"})
 	if a.Digest() == b.Digest() {
 		t.Error("digest ignored event order")
-	}
-}
-
-func TestSpanMeasuresVirtualTime(t *testing.T) {
-	tr := NewTracer(8, virtualClock())
-	sp := tr.Span("dial", addrPort(1), addrPort(2))
-	// Clock advances 1 ms per call: Span took one tick, End takes another.
-	sp.End("ok")
-	evs := tr.Events()
-	if len(evs) != 1 {
-		t.Fatalf("span emitted %d events", len(evs))
-	}
-	ev := evs[0]
-	if ev.Kind != "dial" || ev.Detail != "ok" {
-		t.Errorf("span event = %+v", ev)
-	}
-	if ev.Dur != time.Millisecond {
-		t.Errorf("span dur = %v, want 1ms", ev.Dur)
-	}
-	if !strings.Contains(ev.String(), "dur=") {
-		t.Errorf("span rendering lacks duration: %q", ev.String())
 	}
 }
 

@@ -97,9 +97,3 @@ func (a *Admission) claimed() func() {
 		<-a.tokens
 	}
 }
-
-// Active reports how many runs hold slots right now.
-func (a *Admission) Active() int64 { return a.active.Value() }
-
-// Waiting reports how many requests are parked in the queue.
-func (a *Admission) Waiting() int64 { return a.waiting.Load() }

@@ -24,8 +24,8 @@ func TestAdmissionFastPathAndShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Active() != 2 {
-		t.Errorf("Active = %d, want 2", a.Active())
+	if a.active.Value() != 2 {
+		t.Errorf("Active = %d, want 2", a.active.Value())
 	}
 
 	// Both slots busy and maxQueue is 0: the next arrival is shed, not
@@ -44,8 +44,8 @@ func TestAdmissionFastPathAndShed(t *testing.T) {
 	}
 	r2()
 	r3()
-	if a.Active() != 0 {
-		t.Errorf("Active after releases = %d, want 0", a.Active())
+	if a.active.Value() != 0 {
+		t.Errorf("Active after releases = %d, want 0", a.active.Value())
 	}
 }
 
@@ -69,7 +69,7 @@ func TestAdmissionQueueGrantsInOrderOfAvailability(t *testing.T) {
 	}()
 
 	// Wait until the second acquirer is parked in the queue.
-	waitFor(t, func() bool { return a.Waiting() == 1 })
+	waitFor(t, func() bool { return a.waiting.Load() == 1 })
 
 	// The queue is full now: a third arrival sheds.
 	if _, err := a.Acquire(ctx); !errors.Is(err, ErrShed) {
@@ -99,7 +99,7 @@ func TestAdmissionContextCancelWhileQueued(t *testing.T) {
 		_, err := a.Acquire(ctx)
 		errc <- err
 	}()
-	waitFor(t, func() bool { return a.Waiting() == 1 })
+	waitFor(t, func() bool { return a.waiting.Load() == 1 })
 	cancel()
 	select {
 	case err := <-errc:
@@ -109,7 +109,7 @@ func TestAdmissionContextCancelWhileQueued(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled acquirer never returned")
 	}
-	waitFor(t, func() bool { return a.Waiting() == 0 })
+	waitFor(t, func() bool { return a.waiting.Load() == 0 })
 }
 
 func TestAdmissionReleaseIsIdempotent(t *testing.T) {
@@ -120,8 +120,8 @@ func TestAdmissionReleaseIsIdempotent(t *testing.T) {
 	}
 	r()
 	r() // double release must not free a phantom slot
-	if a.Active() != 0 {
-		t.Fatalf("Active = %d, want 0", a.Active())
+	if a.active.Value() != 0 {
+		t.Fatalf("Active = %d, want 0", a.active.Value())
 	}
 	r2, err := a.Acquire(context.Background())
 	if err != nil {
@@ -188,8 +188,8 @@ func TestAdmissionFloodInvariant(t *testing.T) {
 	if granted.Load() < maxActive {
 		t.Errorf("granted = %d, want at least %d", granted.Load(), maxActive)
 	}
-	if a.Active() != 0 || a.Waiting() != 0 {
-		t.Errorf("gate not empty after flood: active=%d waiting=%d", a.Active(), a.Waiting())
+	if a.active.Value() != 0 || a.waiting.Load() != 0 {
+		t.Errorf("gate not empty after flood: active=%d waiting=%d", a.active.Value(), a.waiting.Load())
 	}
 	if got := reg.Counter("reprod.shed.total").Value(); got != shed.Load() {
 		t.Errorf("shed counter = %d, observed %d", got, shed.Load())

@@ -595,7 +595,7 @@ func TestServerDrain(t *testing.T) {
 	select {
 	case <-time.After(50 * time.Millisecond):
 	}
-	waitFor(t, func() bool { return ts.adm.Active() == 1 })
+	waitFor(t, func() bool { return ts.adm.active.Value() == 1 })
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()

@@ -11,13 +11,14 @@ import (
 )
 
 // Host is one simulated endpoint. Full-node hosts own a node.Node
-// instance per online session; stubs only participate in dial/probe
-// semantics. Host implements node.Env for its current node.
+// instance per online session; a black-hole stub only accepts dials.
+// Host implements node.Env for its current node.
 type Host struct {
-	net     *Network
-	addr    netip.AddrPort
-	kind    HostKind
-	nodeCfg node.Config
+	net  *Network
+	addr netip.AddrPort
+	// blackhole marks a stub that accepts connections and never speaks.
+	blackhole bool
+	nodeCfg   node.Config
 
 	node   *node.Node
 	online bool
@@ -31,9 +32,6 @@ type Host struct {
 
 // Addr returns the host's address.
 func (h *Host) Addr() netip.AddrPort { return h.addr }
-
-// Kind returns the host kind.
-func (h *Host) Kind() HostKind { return h.kind }
 
 // Online reports whether the host is currently up.
 func (h *Host) Online() bool { return h.online }
@@ -52,15 +50,14 @@ func (h *Host) SetConfig(cfg node.Config) { h.nodeCfg = cfg }
 // Start brings the host online. Full-node hosts construct and start a
 // fresh node instance (a restart models a node rejoining the network:
 // its addrman starts from the configured seeds, and its chain from
-// genesis unless the previous session's state was explicitly carried
-// over via SetConfig hooks).
+// genesis).
 func (h *Host) Start() {
 	if h.online {
 		return
 	}
 	h.online = true
 	h.epoch++
-	if h.kind != KindFull {
+	if h.blackhole {
 		return
 	}
 	h.node = node.New(h.nodeCfg, h)

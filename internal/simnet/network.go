@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"net/netip"
-	"sort"
 	"time"
 
 	"repro/internal/node"
@@ -24,28 +23,6 @@ var (
 	// with RST/FIN, the paper's "responsive" class) or is out of inbound
 	// capacity.
 	ErrRefused = errors.New("simnet: connection refused")
-)
-
-// HostKind classifies simulated endpoints.
-type HostKind int
-
-// Host kinds.
-const (
-	// KindFull hosts run the complete node state machine.
-	KindFull HostKind = iota + 1
-	// KindResponsiveStub models an unreachable node that is running
-	// Bitcoin but only refuses inbound connections (answers the
-	// scanner's VER probe with a FIN). It generates no traffic.
-	KindResponsiveStub
-	// KindSilentStub models an address whose firewall drops everything;
-	// dials and probes time out.
-	KindSilentStub
-	// KindBlackholeStub models a stalling peer: it accepts the TCP
-	// connection (the dial succeeds and a link forms) but never sends a
-	// byte, so the dialer's handshake hangs until its own stall
-	// detection gives up. This is the adversity class behind the
-	// node-side handshake and keepalive timeouts.
-	KindBlackholeStub
 )
 
 // DialVerdict is a fault injector's decision about one dial attempt.
@@ -194,10 +171,6 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// Metrics returns the registry the network reports into (nil when
-// observability is off).
-func (n *Network) Metrics() *obs.Registry { return n.cfg.Metrics }
-
 // Scheduler exposes the event scheduler for harness-driven workloads
 // (block mining ticks, churn traces, measurements).
 func (n *Network) Scheduler() *Scheduler { return n.sched }
@@ -205,31 +178,8 @@ func (n *Network) Scheduler() *Scheduler { return n.sched }
 // Now returns the current virtual time.
 func (n *Network) Now() time.Time { return n.sched.Now() }
 
-// Rand returns the network-wide random source. Only use from inside
-// scheduled callbacks.
-func (n *Network) Rand() *rand.Rand { return n.rng }
-
 // Host returns the host registered at addr, or nil.
 func (n *Network) Host(addr netip.AddrPort) *Host { return n.hosts[addr] }
-
-// HostList returns the registered hosts sorted by address. Returning a
-// fresh sorted slice (rather than the internal map, as the removed
-// Hosts() accessor did) keeps iteration deterministic and prevents
-// callers from aliasing or mutating the network's host table.
-func (n *Network) HostList() []*Host {
-	out := make([]*Host, 0, len(n.hosts))
-	for _, h := range n.hosts {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ai, aj := out[i].addr, out[j].addr
-		if c := ai.Addr().Compare(aj.Addr()); c != 0 {
-			return c < 0
-		}
-		return ai.Port() < aj.Port()
-	})
-	return out
-}
 
 // AddFullNode registers a host at cfg.Self running the full node state
 // machine. The host starts offline; call Host.Start.
@@ -237,7 +187,6 @@ func (n *Network) AddFullNode(cfg node.Config) *Host {
 	h := &Host{
 		net:   n,
 		addr:  cfg.Self.Addr,
-		kind:  KindFull,
 		links: make(map[node.ConnID]*link),
 		rng:   rand.New(rand.NewSource(n.rng.Int63())),
 	}
@@ -246,28 +195,17 @@ func (n *Network) AddFullNode(cfg node.Config) *Host {
 	return h
 }
 
-// AddStub registers a lightweight unreachable endpoint.
-func (n *Network) AddStub(addr netip.AddrPort, responsive bool) *Host {
-	kind := KindSilentStub
-	if responsive {
-		kind = KindResponsiveStub
-	}
-	return n.addStub(addr, kind)
-}
-
-// AddBlackholeStub registers a stalling endpoint: dials to it succeed
-// but it never transmits, so connections to it hang until the dialer's
-// stall detection fires. Call Start to bring it online like any stub.
+// AddBlackholeStub registers a stalling endpoint: it accepts the TCP
+// connection (the dial succeeds and a link forms) but never sends a
+// byte, so the dialer's handshake hangs until its own stall detection
+// gives up. This is the adversity class behind the node-side handshake
+// and keepalive timeouts. Call Start to bring it online.
 func (n *Network) AddBlackholeStub(addr netip.AddrPort) *Host {
-	return n.addStub(addr, KindBlackholeStub)
-}
-
-func (n *Network) addStub(addr netip.AddrPort, kind HostKind) *Host {
 	h := &Host{
-		net:   n,
-		addr:  addr,
-		kind:  kind,
-		links: make(map[node.ConnID]*link),
+		net:       n,
+		addr:      addr,
+		blackhole: true,
+		links:     make(map[node.ConnID]*link),
 	}
 	n.hosts[addr] = h
 	return h
@@ -278,16 +216,6 @@ func (n *Network) addStub(addr netip.AddrPort, kind HostKind) *Host {
 // runs; swapping injectors mid-run is allowed and takes effect for
 // subsequent calls.
 func (n *Network) SetInjector(i Injector) { n.injector = i }
-
-// RemoveHost unregisters addr entirely (stopping it first).
-func (n *Network) RemoveHost(addr netip.AddrPort) {
-	h := n.hosts[addr]
-	if h == nil {
-		return
-	}
-	h.Stop()
-	delete(n.hosts, addr)
-}
 
 // addLink registers l with the network and both of its endpoints.
 func (n *Network) addLink(l *link) {
@@ -347,15 +275,6 @@ func (n *Network) dial(from *Host, remote netip.AddrPort) {
 	}
 	lat := n.cfg.Latency(from.addr.Addr(), remote.Addr())
 	rtt := lat * handshakeRTTs
-	switch target.kind {
-	case KindSilentStub:
-		fail(dialTimeout, ErrTimeout)
-		return
-	case KindResponsiveStub:
-		// Running Bitcoin behind NAT: actively refuses (FIN/RST).
-		fail(rtt, ErrRefused)
-		return
-	}
 	// Full node or black-hole target: the accept decision happens at the
 	// target after the connection-establishment RTT.
 	targetEpoch := target.epoch
@@ -367,7 +286,7 @@ func (n *Network) dial(from *Host, remote netip.AddrPort) {
 			fail(dialTimeout-rtt, ErrTimeout)
 			return
 		}
-		if target.kind == KindBlackholeStub {
+		if target.blackhole {
 			// The black hole accepts the connection and then says
 			// nothing, ever: the link exists but no handshake will
 			// complete on it.
@@ -447,49 +366,4 @@ func (n *Network) closeLink(from *Host, id node.ConnID) {
 		}
 		remote.node.OnDisconnect(id)
 	})
-}
-
-// ProbeResult classifies the scanner's VER probe outcome (Algorithm 2).
-type ProbeResult int
-
-// Probe outcomes.
-const (
-	// ProbeSilent means nothing answered within the timeout.
-	ProbeSilent ProbeResult = iota + 1
-	// ProbeResponsive means the target answered the probe by closing the
-	// connection (FIN) — an unreachable node running Bitcoin.
-	ProbeResponsive
-	// ProbeReachable means the target accepted the connection — a
-	// reachable node.
-	ProbeReachable
-)
-
-// Probe models the Scapy VER-message scan: it reports how the endpoint at
-// addr responds, after the appropriate delay, via done. The from address
-// is only used for latency computation.
-func (n *Network) Probe(from netip.Addr, addr netip.AddrPort, done func(ProbeResult)) {
-	target := n.hosts[addr]
-	if target == nil || !target.online {
-		n.sched.After(dialTimeout, func() { done(ProbeSilent) })
-		return
-	}
-	lat := n.cfg.Latency(from, addr.Addr()) * handshakeRTTs
-	switch target.kind {
-	case KindSilentStub:
-		n.sched.After(dialTimeout, func() { done(ProbeSilent) })
-	case KindBlackholeStub:
-		// Accepts the connection but never answers the VER probe; the
-		// scanner's read deadline expires and classifies it silent.
-		n.sched.After(dialTimeout, func() { done(ProbeSilent) })
-	case KindResponsiveStub:
-		n.sched.After(lat, func() { done(ProbeResponsive) })
-	default:
-		// Full nodes: reachable ones accept; unreachable full nodes
-		// refuse like responsive stubs.
-		if target.nodeCfg.Reachable {
-			n.sched.After(lat, func() { done(ProbeReachable) })
-		} else {
-			n.sched.After(lat, func() { done(ProbeResponsive) })
-		}
-	}
 }

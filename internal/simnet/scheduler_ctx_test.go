@@ -89,34 +89,3 @@ func TestEventPoolRecycles(t *testing.T) {
 	}
 	s.RunFor(time.Second)
 }
-
-// TestHostListSortedDeterministic checks HostList returns addresses in
-// sorted order and fresh slices.
-func TestHostListSortedDeterministic(t *testing.T) {
-	net := newTestNet(1)
-	addrs := [][4]byte{{10, 0, 0, 9}, {10, 0, 0, 1}, {172, 16, 0, 2}, {10, 0, 0, 5}}
-	for _, a := range addrs {
-		ap := addr4(a[0], a[1], a[2], a[3], 8333)
-		net.AddStub(ap, true)
-	}
-	l1 := net.HostList()
-	l2 := net.HostList()
-	if len(l1) != len(addrs) {
-		t.Fatalf("HostList len = %d, want %d", len(l1), len(addrs))
-	}
-	for i := 1; i < len(l1); i++ {
-		prev, cur := l1[i-1].Addr(), l1[i].Addr()
-		if prev.Addr().Compare(cur.Addr()) > 0 {
-			t.Fatalf("HostList unsorted: %v before %v", prev, cur)
-		}
-	}
-	for i := range l1 {
-		if l1[i] != l2[i] {
-			t.Fatal("HostList order not stable")
-		}
-	}
-	l1[0] = nil // mutating the returned slice must not alias internal state
-	if net.HostList()[0] == nil {
-		t.Fatal("HostList aliases internal storage")
-	}
-}

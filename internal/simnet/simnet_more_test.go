@@ -86,26 +86,6 @@ func TestFastFailTiming(t *testing.T) {
 	}
 }
 
-func TestRemoveHost(t *testing.T) {
-	net := newTestNet(30)
-	a := addr4(10, 0, 0, 1, 8333)
-	b := addr4(10, 0, 0, 2, 8333)
-	hb := net.AddFullNode(nodeCfg(b, nil))
-	ha := net.AddFullNode(nodeCfg(a, seedsOf(net.Now(), b)))
-	hb.Start()
-	ha.Start()
-	net.Scheduler().RunFor(30 * time.Second)
-	net.RemoveHost(b)
-	if net.Host(b) != nil {
-		t.Fatal("host still registered after removal")
-	}
-	net.Scheduler().RunFor(10 * time.Second)
-	out, _, _ := ha.Node().ConnCounts()
-	if out != 0 {
-		t.Errorf("connections to a removed host remain: %d", out)
-	}
-}
-
 // TestStopClosesLinksInConnIDOrder pins the order Host.Stop tears its
 // links down: each local OnDisconnect schedules follow-up events, so an
 // order taken from map iteration makes same-seed runs differ between
@@ -176,19 +156,6 @@ func TestSchedulerDrainBounded(t *testing.T) {
 	}
 }
 
-func TestProbeOfflineStub(t *testing.T) {
-	net := newTestNet(32)
-	stub := net.AddStub(addr4(10, 0, 0, 5, 8333), true)
-	stub.Start()
-	stub.Stop()
-	var result ProbeResult
-	net.Probe(netip.MustParseAddr("10.0.0.9"), stub.Addr(), func(r ProbeResult) { result = r })
-	net.Scheduler().RunFor(30 * time.Second)
-	if result != ProbeSilent {
-		t.Errorf("offline stub probe = %v, want silent", result)
-	}
-}
-
 func TestMediumNetworkConverges(t *testing.T) {
 	// 60 nodes bootstrap from one seed and converge on a mined chain.
 	if testing.Short() {
@@ -243,16 +210,9 @@ func TestMediumNetworkConverges(t *testing.T) {
 
 func TestNetworkAccessors(t *testing.T) {
 	net := newTestNet(77)
-	if net.Rand() == nil {
-		t.Error("nil Rand")
-	}
 	a := addr4(10, 0, 0, 1, 8333)
-	h := net.AddFullNode(nodeCfg(a, nil))
-	if h.Kind() != KindFull {
-		t.Errorf("Kind = %v, want KindFull", h.Kind())
-	}
-	if got := net.HostList(); len(got) != 1 || got[0] != h {
-		t.Error("HostList inconsistent")
+	if h := net.AddFullNode(nodeCfg(a, nil)); net.Host(a) != h || h.Addr() != a {
+		t.Error("Host lookup inconsistent")
 	}
 	s := net.Scheduler()
 	if s.Pending() != 0 {

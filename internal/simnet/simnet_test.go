@@ -181,31 +181,6 @@ func TestDialToDeadAddressTimesOut(t *testing.T) {
 	}
 }
 
-func TestDialToResponsiveStubRefused(t *testing.T) {
-	net := newTestNet(3)
-	a := addr4(10, 0, 0, 1, 8333)
-	nat := addr4(10, 5, 5, 5, 8333)
-	net.AddStub(nat, true).Start()
-	ha := net.AddFullNode(nodeCfg(a, seedsOf(net.Now(), nat)))
-	var refusedQuickly bool
-	start := net.Now()
-	cfg := ha.Config()
-	cfg.Sink = node.SinkFunc(func(ev node.Event) {
-		if ev.Type == node.EvDialFail && ev.Peer == nat {
-			// An active refusal resolves in RTTs, far below the timeout.
-			if ev.Time.Sub(start) < 15*time.Second && ev.Err != nil {
-				refusedQuickly = true
-			}
-		}
-	})
-	ha.SetConfig(cfg)
-	ha.Start()
-	net.Scheduler().RunFor(10 * time.Second)
-	if !refusedQuickly {
-		t.Error("responsive stub did not refuse the dial")
-	}
-}
-
 func TestUnreachableFullNodeRefusesInbound(t *testing.T) {
 	net := newTestNet(4)
 	a := addr4(10, 0, 0, 1, 8333)
@@ -469,39 +444,6 @@ func TestCompactBlockMissingTxFallback(t *testing.T) {
 	net.Scheduler().RunFor(30 * time.Second)
 	if got := hb.Node().Chain().Height(); got != 1 {
 		t.Errorf("B height = %d, want 1 (GETBLOCKTXN path failed)", got)
-	}
-}
-
-func TestProbeSemantics(t *testing.T) {
-	net := newTestNet(14)
-	r := addr4(10, 0, 0, 1, 8333)
-	resp := addr4(10, 0, 0, 2, 8333)
-	silent := addr4(10, 0, 0, 3, 8333)
-	ghost := addr4(10, 0, 0, 4, 8333)
-	hr := net.AddFullNode(nodeCfg(r, nil))
-	hr.Start()
-	net.AddStub(resp, true).Start()
-	net.AddStub(silent, false).Start()
-
-	results := map[netip.AddrPort]ProbeResult{}
-	src := netip.MustParseAddr("10.0.0.100")
-	for _, target := range []netip.AddrPort{r, resp, silent, ghost} {
-		target := target
-		net.Probe(src, target, func(res ProbeResult) { results[target] = res })
-	}
-	net.Scheduler().RunFor(30 * time.Second)
-
-	if results[r] != ProbeReachable {
-		t.Errorf("reachable probe = %v, want ProbeReachable", results[r])
-	}
-	if results[resp] != ProbeResponsive {
-		t.Errorf("responsive probe = %v, want ProbeResponsive", results[resp])
-	}
-	if results[silent] != ProbeSilent {
-		t.Errorf("silent probe = %v, want ProbeSilent", results[silent])
-	}
-	if results[ghost] != ProbeSilent {
-		t.Errorf("ghost probe = %v, want ProbeSilent", results[ghost])
 	}
 }
 

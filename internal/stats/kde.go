@@ -43,9 +43,6 @@ func silverman(xs []float64) float64 {
 	return 0.9 * spread * math.Pow(float64(s.N), -0.2)
 }
 
-// Bandwidth reports the bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
 // At evaluates the estimated density at x.
 func (k *KDE) At(x float64) float64 {
 	const invSqrt2Pi = 0.3989422804014327
@@ -79,15 +76,4 @@ func Grid(lo, hi float64, n int) []float64 {
 		out[i] = lo + float64(i)*step
 	}
 	return out
-}
-
-// Integrate approximates the integral of ys over xs using the trapezoid
-// rule. xs must be sorted ascending and have the same length as ys; when
-// these preconditions are violated the result is unspecified.
-func Integrate(xs, ys []float64) float64 {
-	var area float64
-	for i := 1; i < len(xs) && i < len(ys); i++ {
-		area += 0.5 * (ys[i] + ys[i-1]) * (xs[i] - xs[i-1])
-	}
-	return area
 }

@@ -143,65 +143,6 @@ func Quantiles(xs []float64, qs []float64) []float64 {
 	return out
 }
 
-// Histogram is a fixed-width binned count of a sample.
-type Histogram struct {
-	// Lo is the left edge of the first bin.
-	Lo float64
-	// Width is the width of every bin.
-	Width float64
-	// Counts holds the per-bin counts, left to right.
-	Counts []int
-	// Total is the number of samples binned (equals sum of Counts).
-	Total int
-}
-
-// NewHistogram bins xs into n equal-width bins spanning [min, max].
-// Values exactly equal to max land in the final bin. It returns ErrEmpty
-// when xs is empty and an error when n < 1.
-func NewHistogram(xs []float64, n int) (*Histogram, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("stats: histogram needs at least 1 bin, got %d", n)
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	width := (hi - lo) / float64(n)
-	if width == 0 {
-		width = 1 // degenerate sample: single bin catches everything
-	}
-	h := &Histogram{Lo: lo, Width: width, Counts: make([]int, n)}
-	for _, x := range xs {
-		idx := int((x - lo) / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		h.Counts[idx]++
-		h.Total++
-	}
-	return h, nil
-}
-
-// Density returns the normalized density of bin i such that the histogram
-// integrates to 1.
-func (h *Histogram) Density(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / (float64(h.Total) * h.Width)
-}
-
 // ECDF returns the empirical CDF of xs evaluated at each point of grid.
 // The grid does not need to be sorted.
 func ECDF(xs, grid []float64) []float64 {
@@ -218,28 +159,4 @@ func ECDF(xs, grid []float64) []float64 {
 		out[i] = float64(k) / float64(len(sorted))
 	}
 	return out
-}
-
-// Pearson returns the Pearson correlation coefficient between xs and ys.
-// It returns an error when the lengths differ or fewer than two samples
-// are provided.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }

@@ -91,66 +91,6 @@ func TestQuantilesMatchesQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	h, err := NewHistogram(xs, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total != len(xs) {
-		t.Errorf("Total = %d, want %d", h.Total, len(xs))
-	}
-	sum := 0
-	for _, c := range h.Counts {
-		sum += c
-	}
-	if sum != len(xs) {
-		t.Errorf("sum of counts = %d, want %d", sum, len(xs))
-	}
-	// Max value must land in the last bin, not overflow.
-	if h.Counts[4] == 0 {
-		t.Error("last bin empty; max value lost")
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h, err := NewHistogram([]float64{3, 3, 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total != 3 {
-		t.Errorf("Total = %d, want 3", h.Total)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 3); err != ErrEmpty {
-		t.Errorf("empty err = %v, want ErrEmpty", err)
-	}
-	if _, err := NewHistogram([]float64{1}, 0); err == nil {
-		t.Error("zero bins: want error")
-	}
-}
-
-func TestHistogramDensityIntegratesToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.Float64() * 10
-	}
-	h, err := NewHistogram(xs, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var integral float64
-	for i := range h.Counts {
-		integral += h.Density(i) * h.Width
-	}
-	if !almostEqual(integral, 1, 1e-9) {
-		t.Errorf("histogram density integral = %v, want 1", integral)
-	}
-}
-
 func TestECDF(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	grid := []float64{0, 1, 2.5, 4, 5}
@@ -172,38 +112,6 @@ func TestECDFEmpty(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(r, 1, 1e-12) {
-		t.Errorf("Pearson = %v, want 1", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, err = Pearson(xs, neg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(r, -1, 1e-12) {
-		t.Errorf("Pearson = %v, want -1", r)
-	}
-}
-
-func TestPearsonErrors(t *testing.T) {
-	if _, err := Pearson([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch: want error")
-	}
-	if _, err := Pearson([]float64{1}, []float64{2}); err == nil {
-		t.Error("n<2: want error")
-	}
-	if _, err := Pearson([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Error("zero variance: want error")
-	}
-}
-
 func TestKDEIntegratesToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	xs := make([]float64, 500)
@@ -216,7 +124,10 @@ func TestKDEIntegratesToOne(t *testing.T) {
 	}
 	grid := Grid(0, 100, 2001)
 	dens := k.Evaluate(grid)
-	integral := Integrate(grid, dens)
+	var integral float64 // trapezoid rule
+	for i := 1; i < len(grid); i++ {
+		integral += 0.5 * (dens[i] + dens[i-1]) * (grid[i] - grid[i-1])
+	}
 	if !almostEqual(integral, 1, 0.01) {
 		t.Errorf("KDE integral = %v, want ~1", integral)
 	}
@@ -238,8 +149,8 @@ func TestKDEExplicitBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Bandwidth() != 2.5 {
-		t.Errorf("Bandwidth = %v, want 2.5", k.Bandwidth())
+	if k.bandwidth != 2.5 {
+		t.Errorf("bandwidth = %v, want 2.5", k.bandwidth)
 	}
 }
 
@@ -255,8 +166,8 @@ func TestKDEDegenerateSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Bandwidth() <= 0 {
-		t.Errorf("Bandwidth = %v, want > 0", k.Bandwidth())
+	if k.bandwidth <= 0 {
+		t.Errorf("bandwidth = %v, want > 0", k.bandwidth)
 	}
 	if v := k.At(5); math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Errorf("At(5) = %v, want finite", v)

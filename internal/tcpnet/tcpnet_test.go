@@ -195,7 +195,7 @@ func TestServerPingPong(t *testing.T) {
 	defer func() { _ = sess.Close() }()
 	ts := sess.(*tcpSession)
 	ts.deadline()
-	if _, err := wire.WriteMessage(ts.conn, &wire.MsgPing{Nonce: 99}, ts.net); err != nil {
+	if _, err := new(wire.Encoder).WriteMessage(ts.conn, &wire.MsgPing{Nonce: 99}, ts.net); err != nil {
 		t.Fatal(err)
 	}
 	for {

@@ -289,7 +289,7 @@ func TestDecoderReleaseDropsOversized(t *testing.T) {
 		blk.Transactions[i].TxIn = []TxIn{{SignatureScript: script}}
 	}
 	var frame bytes.Buffer
-	if _, err := WriteMessage(&frame, blk, SimNet); err != nil {
+	if _, err := new(Encoder).WriteMessage(&frame, blk, SimNet); err != nil {
 		t.Fatal(err)
 	}
 
@@ -309,7 +309,7 @@ func TestDecoderReleaseDropsOversized(t *testing.T) {
 	// An ordinary frame keeps both for the next user.
 	dec = new(Decoder)
 	frame.Reset()
-	if _, err := WriteMessage(&frame, &MsgPing{Nonce: 1}, SimNet); err != nil {
+	if _, err := new(Encoder).WriteMessage(&frame, &MsgPing{Nonce: 1}, SimNet); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dec.ReadMessage(&frame, SimNet); err != nil {

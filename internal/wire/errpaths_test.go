@@ -9,11 +9,11 @@ import (
 func TestWriteMessageShortWriter(t *testing.T) {
 	msg := &MsgPing{Nonce: 3}
 	var full bytes.Buffer
-	if _, err := WriteMessage(&full, msg, SimNet); err != nil {
+	if _, err := new(Encoder).WriteMessage(&full, msg, SimNet); err != nil {
 		t.Fatal(err)
 	}
 	for limit := 0; limit < full.Len(); limit++ {
-		if _, err := WriteMessage(&limitWriter{limit: limit}, msg, SimNet); err == nil {
+		if _, err := new(Encoder).WriteMessage(&limitWriter{limit: limit}, msg, SimNet); err == nil {
 			t.Errorf("WriteMessage succeeded with writer capped at %d/%d", limit, full.Len())
 		}
 	}
@@ -22,7 +22,7 @@ func TestWriteMessageShortWriter(t *testing.T) {
 // TestWriteMessageRejectsOversizedCommand guards the header invariant.
 func TestWriteMessageRejectsOversizedCommand(t *testing.T) {
 	bad := badCommandMsg{}
-	if _, err := WriteMessage(&bytes.Buffer{}, bad, SimNet); err == nil {
+	if _, err := new(Encoder).WriteMessage(&bytes.Buffer{}, bad, SimNet); err == nil {
 		t.Error("13-byte command accepted")
 	}
 }

@@ -26,7 +26,7 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	for _, msg := range seeds {
 		var buf bytes.Buffer
-		if _, err := WriteMessage(&buf, msg, SimNet); err != nil {
+		if _, err := new(Encoder).WriteMessage(&buf, msg, SimNet); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -40,7 +40,7 @@ func FuzzReadMessage(f *testing.F) {
 			return // rejection is fine; panics are not
 		}
 		var buf bytes.Buffer
-		if _, err := WriteMessage(&buf, msg, SimNet); err != nil {
+		if _, err := new(Encoder).WriteMessage(&buf, msg, SimNet); err != nil {
 			t.Fatalf("accepted message %q fails to re-encode: %v", msg.Command(), err)
 		}
 	})
@@ -89,7 +89,7 @@ func FuzzReadWriteMessage(f *testing.F) {
 	}
 	for _, msg := range seeds {
 		var buf bytes.Buffer
-		if _, err := WriteMessage(&buf, msg, SimNet); err != nil {
+		if _, err := new(Encoder).WriteMessage(&buf, msg, SimNet); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -102,7 +102,7 @@ func FuzzReadWriteMessage(f *testing.F) {
 			return
 		}
 		var first bytes.Buffer
-		if _, err := WriteMessage(&first, msg, SimNet); err != nil {
+		if _, err := new(Encoder).WriteMessage(&first, msg, SimNet); err != nil {
 			t.Fatalf("accepted %q fails to encode: %v", msg.Command(), err)
 		}
 		again, err := ReadMessage(bytes.NewReader(first.Bytes()), SimNet)
@@ -110,7 +110,7 @@ func FuzzReadWriteMessage(f *testing.F) {
 			t.Fatalf("re-encoded %q fails to decode: %v", msg.Command(), err)
 		}
 		var second bytes.Buffer
-		if _, err := WriteMessage(&second, again, SimNet); err != nil {
+		if _, err := new(Encoder).WriteMessage(&second, again, SimNet); err != nil {
 			t.Fatalf("second encode of %q: %v", msg.Command(), err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {

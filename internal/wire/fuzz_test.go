@@ -31,7 +31,7 @@ func TestReadMessageRandomGarbage(t *testing.T) {
 func TestReadMessageBitFlippedFrames(t *testing.T) {
 	msg := &MsgPing{Nonce: 0x1122334455667788}
 	var buf bytes.Buffer
-	if _, err := WriteMessage(&buf, msg, SimNet); err != nil {
+	if _, err := new(Encoder).WriteMessage(&buf, msg, SimNet); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()

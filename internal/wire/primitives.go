@@ -196,12 +196,6 @@ type NetAddress struct {
 	Addr netip.AddrPort
 }
 
-// NewNetAddress builds a NetAddress from an AddrPort with the given
-// services and timestamp.
-func NewNetAddress(ap netip.AddrPort, services ServiceFlag, ts time.Time) NetAddress {
-	return NetAddress{Timestamp: ts, Services: services, Addr: ap}
-}
-
 // appendNetAddress encodes na; the timestamp is included iff withTS.
 func appendNetAddress(b []byte, na *NetAddress, withTS bool) []byte {
 	if withTS {

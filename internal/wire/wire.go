@@ -249,16 +249,6 @@ func readMessageHeader(r io.Reader, buf *[headerSize]byte) (messageHeader, error
 	return h, nil
 }
 
-// WriteMessage frames msg with a header for network net and writes it to w.
-// It returns the total number of bytes written. Internally it borrows a
-// pooled Encoder; hold an Encoder directly to skip the pool round-trip.
-func WriteMessage(w io.Writer, msg Message, net BitcoinNet) (int, error) {
-	e := GetEncoder()
-	n, err := e.WriteMessage(w, msg, net)
-	e.Release()
-	return n, err
-}
-
 // ReadMessage reads one framed message for network net from r. It verifies
 // the magic and checksum and decodes the payload into the appropriate
 // message type. Unknown commands return ErrUnknownCommand (wrapped), with

@@ -25,8 +25,8 @@ func mustAddrPort(t *testing.T, s string) netip.AddrPort {
 
 func testNetAddress(t *testing.T) NetAddress {
 	t.Helper()
-	return NewNetAddress(mustAddrPort(t, "203.0.113.7:8333"),
-		SFNodeNetwork, time.Unix(1586000000, 0).UTC())
+	return NetAddress{Addr: mustAddrPort(t, "203.0.113.7:8333"),
+		Services: SFNodeNetwork, Timestamp: time.Unix(1586000000, 0).UTC()}
 }
 
 // mustPayload returns msg's encoded payload or fails the test.
@@ -44,7 +44,7 @@ func mustPayload(t *testing.T, msg Message) []byte {
 func roundTrip(t *testing.T, msg Message) Message {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := WriteMessage(&buf, msg, SimNet); err != nil {
+	if _, err := new(Encoder).WriteMessage(&buf, msg, SimNet); err != nil {
 		t.Fatalf("WriteMessage(%s): %v", msg.Command(), err)
 	}
 	got, err := ReadMessage(&buf, SimNet)
@@ -115,15 +115,15 @@ func TestAddrRoundTrip(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		ap := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 1}), uint16(8333+i))
 		msg.AddrList = append(msg.AddrList,
-			NewNetAddress(ap, SFNodeNetwork, time.Unix(int64(1586000000+i), 0).UTC()))
+			NetAddress{Addr: ap, Services: SFNodeNetwork, Timestamp: time.Unix(int64(1586000000+i), 0).UTC()})
 	}
 	roundTrip(t, msg)
 }
 
 func TestAddrIPv6RoundTrip(t *testing.T) {
 	msg := &MsgAddr{AddrList: []NetAddress{
-		NewNetAddress(mustAddrPort(t, "[2001:db8::1]:8333"), SFNodeNetwork,
-			time.Unix(1586000000, 0).UTC()),
+		NetAddress{Addr: mustAddrPort(t, "[2001:db8::1]:8333"), Services: SFNodeNetwork,
+			Timestamp: time.Unix(1586000000, 0).UTC()},
 	}}
 	roundTrip(t, msg)
 }
@@ -354,7 +354,7 @@ func TestComputeShortIDProperties(t *testing.T) {
 
 func TestReadMessageBadMagic(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteMessage(&buf, &MsgPing{Nonce: 1}, MainNet); err != nil {
+	if _, err := new(Encoder).WriteMessage(&buf, &MsgPing{Nonce: 1}, MainNet); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadMessage(&buf, SimNet); !errors.Is(err, ErrBadMagic) {
@@ -364,7 +364,7 @@ func TestReadMessageBadMagic(t *testing.T) {
 
 func TestReadMessageBadChecksum(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteMessage(&buf, &MsgPing{Nonce: 1}, SimNet); err != nil {
+	if _, err := new(Encoder).WriteMessage(&buf, &MsgPing{Nonce: 1}, SimNet); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -388,7 +388,7 @@ func TestReadMessageUnknownCommand(t *testing.T) {
 
 func TestReadMessageTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteMessage(&buf, &MsgPing{Nonce: 1}, SimNet); err != nil {
+	if _, err := new(Encoder).WriteMessage(&buf, &MsgPing{Nonce: 1}, SimNet); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()[:buf.Len()-3]
@@ -421,7 +421,7 @@ func TestWriteMessageStream(t *testing.T) {
 		&MsgPong{Nonce: 2},
 	}
 	for _, m := range msgs {
-		if _, err := WriteMessage(&buf, m, SimNet); err != nil {
+		if _, err := new(Encoder).WriteMessage(&buf, m, SimNet); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -493,8 +493,8 @@ func TestVarStringTooLong(t *testing.T) {
 
 func TestNetAddressIPv4Mapping(t *testing.T) {
 	// IPv4 addresses travel as 4-in-6 and must come back as plain IPv4.
-	na := NewNetAddress(mustAddrPort(t, "192.0.2.1:8333"), SFNodeNetwork,
-		time.Unix(1586000000, 0).UTC())
+	na := NetAddress{Addr: mustAddrPort(t, "192.0.2.1:8333"), Services: SFNodeNetwork,
+		Timestamp: time.Unix(1586000000, 0).UTC()}
 	var got NetAddress
 	raw := appendNetAddress(nil, &na, true)
 	if err := readNetAddress(bytes.NewReader(raw), &got, true); err != nil {
@@ -550,11 +550,11 @@ func TestAddrRoundTripProperty(t *testing.T) {
 				ipBytes[0] = 1 // avoid 0.x addresses for realism
 			}
 			ap := netip.AddrPortFrom(netip.AddrFrom4(ipBytes), uint16(rng.Intn(65535)+1))
-			msg.AddrList[j] = NewNetAddress(ap, ServiceFlag(rng.Uint64()),
-				time.Unix(rng.Int63n(2_000_000_000), 0).UTC())
+			msg.AddrList[j] = NetAddress{Addr: ap, Services: ServiceFlag(rng.Uint64()),
+				Timestamp: time.Unix(rng.Int63n(2_000_000_000), 0).UTC()}
 		}
 		var buf bytes.Buffer
-		if _, err := WriteMessage(&buf, msg, SimNet); err != nil {
+		if _, err := new(Encoder).WriteMessage(&buf, msg, SimNet); err != nil {
 			t.Fatal(err)
 		}
 		got, err := ReadMessage(&buf, SimNet)
@@ -611,13 +611,13 @@ func BenchmarkWriteMessageAddr(b *testing.B) {
 	msg := &MsgAddr{AddrList: make([]NetAddress, MaxAddrPerMsg)}
 	for i := range msg.AddrList {
 		ap := netip.AddrPortFrom(netip.AddrFrom4([4]byte{byte(i), byte(i >> 8), 1, 1}), 8333)
-		msg.AddrList[i] = NewNetAddress(ap, SFNodeNetwork, time.Unix(1586000000, 0))
+		msg.AddrList[i] = NetAddress{Addr: ap, Services: SFNodeNetwork, Timestamp: time.Unix(1586000000, 0)}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if _, err := WriteMessage(&buf, msg, SimNet); err != nil {
+		if _, err := new(Encoder).WriteMessage(&buf, msg, SimNet); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -627,10 +627,10 @@ func BenchmarkReadMessageAddr(b *testing.B) {
 	msg := &MsgAddr{AddrList: make([]NetAddress, MaxAddrPerMsg)}
 	for i := range msg.AddrList {
 		ap := netip.AddrPortFrom(netip.AddrFrom4([4]byte{byte(i), byte(i >> 8), 1, 1}), 8333)
-		msg.AddrList[i] = NewNetAddress(ap, SFNodeNetwork, time.Unix(1586000000, 0))
+		msg.AddrList[i] = NetAddress{Addr: ap, Services: SFNodeNetwork, Timestamp: time.Unix(1586000000, 0)}
 	}
 	var buf bytes.Buffer
-	if _, err := WriteMessage(&buf, msg, SimNet); err != nil {
+	if _, err := new(Encoder).WriteMessage(&buf, msg, SimNet); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()

@@ -1,38 +1,11 @@
-// Command configcensus enforces the configuration rule of DESIGN.md: an
-// exported field of a struct named Config, *Config or Options must be set
-// by some non-test code in the module. A field nobody sets is a constant,
-// and the knob, its default branch and the code serving its other values
-// are to be deleted instead of kept.
-//
-// It type-checks every package of the module from source, tests included,
-// against the export data `go list -export` produces (offline, a few
-// seconds), and records every write to such a field: a composite-literal
-// key, or the target of an assignment or ++/--. Writes inside the struct's
-// own withDefaults method do not count. Fields are matched across packages
-// by the file and line of their declaration, which export data carries.
-//
-// Usage (from anywhere inside the module):
-//
-//	go run ./scripts/configcensus
-//
-// It prints one line per struct with its field count, then one line per
-// field without a writer, naming the test files that do set it, and exits
-// with status 1 if there is any. Exit status 2 is a failure to load or
-// type-check the module.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -50,17 +23,6 @@ var testSeams = map[string]string{
 	"crawler.ScanConfig.Observer": "crawler_test.go records the scan's probe order",
 }
 
-// listedPackage is the subset of `go list -json` output the census reads.
-type listedPackage struct {
-	Dir        string
-	ImportPath string
-	Export     string
-	ForTest    string
-	Module     *struct{ Main bool }
-	GoFiles    []string
-	ImportMap  map[string]string
-}
-
 // field is one exported field of a config struct.
 type field struct {
 	name     string // pkg.Struct.Field
@@ -68,17 +30,6 @@ type field struct {
 	declared token.Position
 	writers  map[string]bool // non-test write positions
 	tests    map[string]bool // test files that write it
-}
-
-func main() {
-	fields, err := census()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "configcensus:", err)
-		os.Exit(2)
-	}
-	if !report(os.Stdout, fields) {
-		os.Exit(1)
-	}
 }
 
 // report prints the per-struct counts and every violation, and returns
@@ -126,139 +77,11 @@ func report(w io.Writer, fields []*field) bool {
 	return clean
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // isConfigName reports whether a struct type of this name is held to the
 // rule.
 func isConfigName(name string) bool {
 	return strings.HasSuffix(name, "Config") || name == "Options"
 }
-
-// census loads the module and returns its config fields, sorted by name,
-// with their writers filled in.
-func census() ([]*field, error) {
-	root, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list -m: %w", err)
-	}
-	cmd := exec.Command("go", "list", "-export", "-deps", "-test", "-json", "./...")
-	cmd.Dir = strings.TrimSpace(string(root))
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list -export: %w\n%s", err, stderr.Bytes())
-	}
-	exports := map[string]string{} // package ID → export data file
-	var units []*listedPackage
-	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-		p := new(listedPackage)
-		if err := dec.Decode(p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list output: %w", err)
-		}
-		exports[p.ImportPath] = p.Export
-		path, _, _ := strings.Cut(p.ImportPath, " [")
-		switch {
-		case p.Module == nil || !p.Module.Main || strings.HasSuffix(p.ImportPath, ".test"):
-			// Not ours, or the generated test main.
-		case p.ForTest != "" && path != p.ForTest && path != p.ForTest+"_test":
-			// A dependency recompiled for another package's test.
-		default:
-			units = append(units, p)
-		}
-	}
-
-	c := &checker{fset: token.NewFileSet(), byDecl: map[string]*field{}}
-	var checked []*unit
-	for _, p := range units {
-		u, err := c.check(p, exports)
-		if err != nil {
-			return nil, err
-		}
-		checked = append(checked, u)
-	}
-	// Declarations first, from every unit, so a write is recognised
-	// whichever package it is in.
-	for _, u := range checked {
-		c.declare(u)
-	}
-	for _, u := range checked {
-		c.writes(u)
-	}
-	fields := make([]*field, 0, len(c.byDecl))
-	for _, f := range c.byDecl {
-		fields = append(fields, f)
-	}
-	sort.Slice(fields, func(i, j int) bool { return fields[i].name < fields[j].name })
-	return fields, nil
-}
-
-// unit is one type-checked package variant.
-type unit struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
-}
-
-type checker struct {
-	fset   *token.FileSet
-	byDecl map[string]*field // key of the declaration → field
-}
-
-// check parses and type-checks one listed package from source. Imports
-// come from export data through the package's own ImportMap, so an
-// external test sees the test variant of the package it tests.
-func (c *checker) check(p *listedPackage, exports map[string]string) (*unit, error) {
-	u := &unit{info: &types.Info{
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Types:      map[ast.Expr]types.TypeAndValue{},
-	}}
-	for _, name := range p.GoFiles {
-		f, err := parser.ParseFile(c.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		u.files = append(u.files, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := p.ImportMap[path]; ok {
-			path = mapped
-		}
-		file := exports[path]
-		if file == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	conf := types.Config{Importer: importer.ForCompiler(c.fset, "gc", lookup)}
-	path, _, _ := strings.Cut(p.ImportPath, " [")
-	pkg, err := conf.Check(path, c.fset, u.files, u.info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %w", p.ImportPath, err)
-	}
-	u.pkg = pkg
-	return u, nil
-}
-
-// key identifies a field by where it is declared. Export data keeps the
-// file and line of a declaration and drops the column, so the name tells
-// apart fields sharing a line.
-func (c *checker) key(f types.Object) string {
-	at := c.fset.Position(f.Pos())
-	return fmt.Sprintf("%s:%d:%s", at.Filename, at.Line, f.Name())
-}
-
-func isTestFile(name string) bool { return strings.HasSuffix(name, "_test.go") }
 
 // declare records the exported fields of the config structs the unit
 // declares in non-test files.
@@ -358,13 +181,6 @@ func (c *checker) note(obj types.Object, pos token.Pos, own string) {
 	} else {
 		f.writers[at.String()] = true
 	}
-}
-
-func deref(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
 }
 
 // structName renders a (pointer to a) named type as pkg.Name, the form
