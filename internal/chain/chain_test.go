@@ -44,7 +44,7 @@ func nextBlock(t *testing.T, c *Chain, n int, seedBase uint32) *wire.MsgBlock {
 }
 
 func TestMerkleRootEmpty(t *testing.T) {
-	if got := MerkleRoot(nil); !got.IsZero() {
+	if got := MerkleRoot(nil); got != (chainhash.Hash{}) {
 		t.Errorf("MerkleRoot(nil) = %s, want zero", got)
 	}
 }

@@ -36,11 +36,6 @@ func (h Hash) Prefix() [8]byte {
 	return p
 }
 
-// IsZero reports whether the hash is all zeroes.
-func (h Hash) IsZero() bool {
-	return h == Hash{}
-}
-
 // DoubleSHA256 computes SHA256(SHA256(data)) and returns it as a Hash.
 func DoubleSHA256(data []byte) Hash {
 	first := sha256.Sum256(data)

@@ -38,17 +38,6 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIsZero(t *testing.T) {
-	var z Hash
-	if !z.IsZero() {
-		t.Error("zero hash should report IsZero")
-	}
-	h := DoubleSHA256(nil)
-	if h.IsZero() {
-		t.Error("hash of empty input should not be zero")
-	}
-}
-
 func TestChecksumMatchesPrefix(t *testing.T) {
 	data := []byte("checksum me")
 	full := DoubleSHA256(data)

@@ -11,12 +11,11 @@ import (
 type EventType int
 
 // Instrumentation event types. Analyses subscribe to these to produce the
-// paper's figures.
+// paper's figures. Object receipt and relay are not among them: the
+// tracer's deliver.* and relay.* events (obs.Tracer) are their one record.
 const (
 	// EvStarted fires when the node starts.
 	EvStarted EventType = iota + 1
-	// EvStopped fires when the node stops.
-	EvStopped
 	// EvDialAttempt fires for every outbound connection attempt — the
 	// Figure 7 denominator.
 	EvDialAttempt
@@ -24,28 +23,10 @@ const (
 	EvDialSuccess
 	// EvDialFail fires when a dial fails.
 	EvDialFail
-	// EvConnOpen fires when a connection is established (either side).
-	EvConnOpen
 	// EvConnClose fires when a connection closes.
 	EvConnClose
-	// EvInboundRefused fires when an inbound connection is turned away.
-	EvInboundRefused
 	// EvHandshake fires when VERSION/VERACK completes.
 	EvHandshake
-	// EvAddrReceived fires for every received ADDR message.
-	EvAddrReceived
-	// EvTxReceived fires when a transaction first enters the mempool.
-	EvTxReceived
-	// EvTxRelayed fires when a transaction announcement leaves for a
-	// peer; Delay carries receive-to-relay latency (Figure 11).
-	EvTxRelayed
-	// EvBlockReceived fires when a block is first received and accepted.
-	EvBlockReceived
-	// EvBlockRelayed fires when a block announcement leaves for a peer;
-	// Delay carries receive-to-relay latency (Figure 10).
-	EvBlockRelayed
-	// EvBlockMined fires when this node produces a block.
-	EvBlockMined
 	// EvSyncDone fires when initial block download completes.
 	EvSyncDone
 	// EvPeerStalled fires when a peer is evicted because its keepalive
@@ -69,34 +50,16 @@ func (t EventType) String() string {
 	switch t {
 	case EvStarted:
 		return "started"
-	case EvStopped:
-		return "stopped"
 	case EvDialAttempt:
 		return "dial-attempt"
 	case EvDialSuccess:
 		return "dial-success"
 	case EvDialFail:
 		return "dial-fail"
-	case EvConnOpen:
-		return "conn-open"
 	case EvConnClose:
 		return "conn-close"
-	case EvInboundRefused:
-		return "inbound-refused"
 	case EvHandshake:
 		return "handshake"
-	case EvAddrReceived:
-		return "addr-received"
-	case EvTxReceived:
-		return "tx-received"
-	case EvTxRelayed:
-		return "tx-relayed"
-	case EvBlockReceived:
-		return "block-received"
-	case EvBlockRelayed:
-		return "block-relayed"
-	case EvBlockMined:
-		return "block-mined"
 	case EvSyncDone:
 		return "sync-done"
 	case EvPeerStalled:
@@ -127,12 +90,11 @@ type Event struct {
 	Conn ConnID
 	// Dir is the connection direction, when applicable.
 	Dir Direction
-	// Hash identifies the block or transaction, when applicable.
+	// Hash identifies the stalled block for EvBlockStalled.
 	Hash chainhash.Hash
-	// Delay carries relay latency for EvTxRelayed/EvBlockRelayed.
+	// Delay carries the backoff duration for EvDialBackoff.
 	Delay time.Duration
-	// Count carries ADDR sizes: for EvAddrReceived, the total number of
-	// addresses.
+	// Count carries the consecutive-failure count for EvDialBackoff.
 	Count int
 	// Err carries the failure for EvDialFail.
 	Err error

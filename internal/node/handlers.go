@@ -183,10 +183,6 @@ func (n *Node) handleGetAddr(p *Peer) {
 // ingestion point the paper's malicious flooders exploit: nothing here
 // can distinguish reachable from unreachable addresses.
 func (n *Node) handleAddr(p *Peer, m *wire.MsgAddr) {
-	n.emit(Event{
-		Type: EvAddrReceived, Time: n.env.Now(), Node: n.cfg.Self.Addr,
-		Peer: p.addr, Count: len(m.AddrList),
-	})
 	// Measurement seam: multi-address payloads are GETADDR response
 	// chunks (self-advertisements carry exactly one address), the
 	// exchange shape the Grundmann estimators consume.
@@ -266,14 +262,14 @@ func (n *Node) handleGetData(p *Peer, m *wire.MsgGetData) {
 const relayFreshness = 15 * time.Second
 
 // relayMarkFor starts a queue entry with relay instrumentation for an
-// object seen recently; unknown or stale objects get a zero mark (no event
-// emitted). The caller fills in the message.
+// object seen recently; unknown or stale objects get an untracked entry
+// (no event emitted). The caller fills in the message.
 func (n *Node) relayMarkFor(h chainhash.Hash) outMsg {
 	seen, ok := n.seenTimes[h]
 	if !ok || n.env.Now().Sub(seen) > relayFreshness {
 		return outMsg{}
 	}
-	return outMsg{relayMark: h, recvAt: seen}
+	return relayOut(h, obs.SpanKey(n.cfg.Self.Addr, h[:]), seen)
 }
 
 // handleTx accepts a transaction into the mempool and relays it.
@@ -285,17 +281,13 @@ func (n *Node) handleTx(p *Peer, m *wire.MsgTx) {
 	}
 	now := n.env.Now()
 	n.noteSeen(h, now)
-	n.traceDeliver(obs.KindDeliverTx, h, p.addr, now)
-	n.emit(Event{
-		Type: EvTxReceived, Time: now, Node: n.cfg.Self.Addr,
-		Peer: p.addr, Hash: h,
-	})
+	span := n.traceDeliver(obs.KindDeliverTx, h, p.addr, now)
 	// Stock unreachable (NATed) nodes accept third-party transactions
 	// but do not forward them — they are relay dead-ends, one of the
 	// §IV root causes. The unreachable-tx-relay policy (Franzoni &
 	// Daza) turns forwarding on; reachable nodes always forward.
 	if n.cfg.Reachable || n.pol.fwdTxUnreachable {
-		n.announceTx(h, p.id, now)
+		n.announceTx(h, span, p.id, now)
 	}
 }
 
@@ -308,17 +300,17 @@ func (n *Node) SubmitTx(tx *wire.MsgTx) chainhash.Hash {
 	}
 	now := n.env.Now()
 	n.noteSeen(h, now)
-	n.traceDeliver(obs.KindDeliverTx, h, netip.AddrPort{}, now)
-	n.emit(Event{
-		Type: EvTxReceived, Time: now, Node: n.cfg.Self.Addr, Hash: h,
-	})
-	n.announceTx(h, 0, now)
+	span := n.traceDeliver(obs.KindDeliverTx, h, netip.AddrPort{}, now)
+	n.announceTx(h, span, 0, now)
 	return h
 }
 
 // announceTx queues a transaction INV to every handshook peer that does
-// not already know it.
-func (n *Node) announceTx(h chainhash.Hash, except ConnID, recvAt time.Time) {
+// not already know it; span is this node's delivery span of the
+// transaction, which each entry carries for the relay record.
+func (n *Node) announceTx(h chainhash.Hash, span uint64, except ConnID, recvAt time.Time) {
+	relay := relayOut(h, span, recvAt)
+	relay.class = classTx
 	for _, p := range n.slots {
 		if p == nil || !p.handshook || p.id == except || p.knows(h) {
 			continue
@@ -326,7 +318,9 @@ func (n *Node) announceTx(h chainhash.Hash, except ConnID, recvAt time.Time) {
 		p.markKnown(h)
 		inv := n.getInv()
 		inv.InvList = append(inv.InvList, wire.InvVect{Type: wire.InvTypeTx, Hash: h})
-		n.queueRelay(p, &outMsg{msg: inv, class: classTx, relayMark: h, recvAt: recvAt})
+		out := relay
+		out.msg = inv
+		n.queueRelay(p, &out)
 	}
 }
 
@@ -371,30 +365,30 @@ func (n *Node) acceptAndRelayBlock(p *Peer, m *wire.MsgBlock) bool {
 	if p != nil {
 		peerAddr = p.addr
 	}
-	n.traceDeliver(obs.KindDeliverBlock, h, peerAddr, now)
-	n.emit(Event{
-		Type: EvBlockReceived, Time: now, Node: n.cfg.Self.Addr,
-		Peer: peerAddr, Hash: h,
-	})
+	span := n.traceDeliver(obs.KindDeliverBlock, h, peerAddr, now)
 	except := ConnID(0)
 	if p != nil {
 		except = p.id
 	}
-	n.announceBlock(m, except, now)
+	n.announceBlock(m, span, except, now)
 	return true
 }
 
 // announceBlock queues a block announcement (compact block or INV) to
-// every handshook peer that does not know the block yet.
-func (n *Node) announceBlock(blk *wire.MsgBlock, except ConnID, recvAt time.Time) {
+// every handshook peer that does not know the block yet; span is this
+// node's delivery span of the block, which each entry carries for the
+// relay record.
+func (n *Node) announceBlock(blk *wire.MsgBlock, span uint64, except ConnID, recvAt time.Time) {
 	h := blk.BlockHash()
+	relay := relayOut(h, span, recvAt)
+	relay.class = classBlock
 	var cmpct *wire.MsgCmpctBlock
 	announce := func(p *Peer) {
 		if p == nil || !p.handshook || p.id == except || p.knows(h) {
 			return
 		}
 		p.markKnown(h)
-		out := outMsg{class: classBlock, relayMark: h, recvAt: recvAt}
+		out := relay
 		if n.cfg.CompactBlocks && p.wantsCmpct {
 			if cmpct == nil {
 				cmpct = chain.BuildCompactBlock(blk, n.env.Rand().Uint64())
@@ -602,12 +596,9 @@ func (n *Node) MineBlock(maxTxs int) (*wire.MsgBlock, error) {
 	}
 	n.mempool.RemoveBlockTxs(blk)
 	now := n.env.Now()
-	n.noteSeen(blk.BlockHash(), now)
-	n.traceDeliver(obs.KindDeliverBlock, blk.BlockHash(), netip.AddrPort{}, now)
-	n.emit(Event{
-		Type: EvBlockMined, Time: now, Node: n.cfg.Self.Addr,
-		Hash: blk.BlockHash(),
-	})
-	n.announceBlock(blk, 0, now)
+	h := blk.BlockHash()
+	n.noteSeen(h, now)
+	span := n.traceDeliver(obs.KindDeliverBlock, h, netip.AddrPort{}, now)
+	n.announceBlock(blk, span, 0, now)
 	return blk, nil
 }

@@ -4,8 +4,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
+
+// relayStream attaches a tracer to cfg and returns the relay.* events it
+// will see, in emission order: the one record of each relay hop.
+func relayStream(cfg *Config, env *fakeEnv) *[]obs.Event {
+	var relays []obs.Event
+	cfg.Tracer = obs.NewTracer(0, env.Now)
+	cfg.Tracer.AddStream(func(ev *obs.Event) {
+		if ev.Kind == obs.KindRelayBlock || ev.Kind == obs.KindRelayTx {
+			relays = append(relays, *ev)
+		}
+	})
+	return &relays
+}
 
 // TestHeadOfLineBlocking verifies the §IV-C mechanism end to end: a large
 // block body being serialized to one peer delays the announcements queued
@@ -14,8 +28,7 @@ func TestHeadOfLineBlocking(t *testing.T) {
 	env := newFakeEnv()
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
 	cfg.BytesPerSec = 200 << 10 // 1MB body ≈ 5.2s serialization
-	var events []Event
-	cfg.Sink = SinkFunc(func(ev Event) { events = append(events, ev) })
+	relays := relayStream(&cfg, env)
 	n := New(cfg, env)
 	n.Start()
 	completeHandshake(t, n, env, 1, mkAddr(10, 0, 1, 1), 0)
@@ -36,16 +49,12 @@ func TestHeadOfLineBlocking(t *testing.T) {
 	env.run(30 * time.Second)
 
 	var bodyDelay, txDelay time.Duration
-	for _, ev := range events {
-		switch ev.Type {
-		case EvBlockRelayed:
-			if ev.Delay > bodyDelay {
-				bodyDelay = ev.Delay
-			}
-		case EvTxRelayed:
-			if ev.Delay > txDelay {
-				txDelay = ev.Delay
-			}
+	for _, ev := range *relays {
+		switch ev.Kind {
+		case obs.KindRelayBlock:
+			bodyDelay = max(bodyDelay, ev.Dur)
+		case obs.KindRelayTx:
+			txDelay = max(txDelay, ev.Dur)
 		}
 	}
 	if bodyDelay < 5*time.Second {

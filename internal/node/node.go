@@ -462,7 +462,6 @@ func (n *Node) Stop() {
 	clear(n.ready)
 	n.nOutbound, n.nInbound, n.nFeelers = 0, 0, 0
 	n.byAddr = make(map[netip.AddrPort]*Peer)
-	n.emit(Event{Type: EvStopped, Node: n.cfg.Self.Addr, Time: n.env.Now()})
 }
 
 // Stopped reports whether Stop was called.
@@ -525,20 +524,21 @@ func (n *Node) noteSeen(h chainhash.Hash, t time.Time) {
 }
 
 // traceDeliver emits the delivery-span trace event for an accepted
-// object. Span identity is SpanKey-derived, so the receiving node's
-// Parent matches the sender's own delivery Span without any shared
-// state — PropagationTree stitches the hops back together from the
-// flat stream. from is the zero AddrPort at the origin (local mine or
-// submit), which yields Parent 0 (tree root).
-func (n *Node) traceDeliver(kind string, h chainhash.Hash, from netip.AddrPort, at time.Time) {
-	if n.tracer == nil {
-		return
-	}
+// object and returns the span, which every relay entry for the object
+// carries as its Parent (see relayOut). Span identity is SpanKey-derived,
+// so the receiving node's Parent matches the sender's own delivery Span
+// without any shared state — PropagationTree stitches the hops back
+// together from the flat stream. from is the zero AddrPort at the origin
+// (local mine or submit), which yields Parent 0 (tree root).
+func (n *Node) traceDeliver(kind string, h chainhash.Hash, from netip.AddrPort, at time.Time) uint64 {
 	self := n.cfg.Self.Addr
+	span := obs.SpanKey(self, h[:])
+	if n.tracer == nil {
+		return span
+	}
 	ev := obs.Event{
 		Time: at, Kind: kind, From: from, To: self,
-		Obj:  obs.ObjectPrefix(h.Prefix()),
-		Span: obs.SpanKey(self, h[:]),
+		Obj: obs.ObjectPrefix(h.Prefix()), Span: span,
 	}
 	if from.IsValid() {
 		ev.Parent = obs.SpanKey(from, h[:])
@@ -546,6 +546,7 @@ func (n *Node) traceDeliver(kind string, h chainhash.Hash, from netip.AddrPort, 
 		ev.From = self
 	}
 	n.tracer.Emit(ev)
+	return span
 }
 
 // emit delivers an instrumentation event to the configured sink.
@@ -764,17 +765,9 @@ func (n *Node) OnInbound(remote netip.AddrPort, conn ConnID) bool {
 	}
 	_, inbound, _ := n.ConnCounts()
 	if inbound >= maxInbound {
-		n.emit(Event{
-			Type: EvInboundRefused, Node: n.cfg.Self.Addr, Peer: remote,
-			Time: n.env.Now(),
-		})
 		return false
 	}
 	n.addPeer(conn, remote, Inbound)
-	n.emit(Event{
-		Type: EvConnOpen, Node: n.cfg.Self.Addr, Peer: remote,
-		Dir: Inbound, Time: n.env.Now(), Conn: conn,
-	})
 	return true
 }
 

@@ -294,7 +294,7 @@ func TestAnnounceSkipsKnowingPeers(t *testing.T) {
 	}
 	// Re-announcing (e.g. via a second acceptAndRelay path) must not
 	// duplicate: the peer is marked as knowing the block.
-	n.announceBlock(blk, 0, env.Now())
+	n.announceBlock(blk, 1, 0, env.Now())
 	env.run(time.Second)
 	if got := count(); got != first {
 		t.Errorf("announcements after re-announce = %d, want %d", got, first)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/chainhash"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -653,16 +654,11 @@ func TestPriorityOutboundServicesOutboundFirst(t *testing.T) {
 }
 
 func TestBlockRelayEventDelays(t *testing.T) {
-	// EvBlockRelayed events must carry non-decreasing delays for
-	// successive peers under round-robin with queue backlog.
+	// A mined block's announcement to 8 peers is one relay.block event
+	// per peer, each with a non-negative receive-to-relay delay.
 	env := newFakeEnv()
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	var relays []Event
-	cfg.Sink = SinkFunc(func(ev Event) {
-		if ev.Type == EvBlockRelayed {
-			relays = append(relays, ev)
-		}
-	})
+	relays := relayStream(&cfg, env)
 	n := New(cfg, env)
 	n.Start()
 	for i := 0; i < 8; i++ {
@@ -672,12 +668,15 @@ func TestBlockRelayEventDelays(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.run(10 * time.Second)
-	if len(relays) != 8 {
-		t.Fatalf("relay events = %d, want 8", len(relays))
+	if len(*relays) != 8 {
+		t.Fatalf("relay events = %d, want 8", len(*relays))
 	}
-	for _, ev := range relays {
-		if ev.Delay < 0 {
-			t.Errorf("negative relay delay %v", ev.Delay)
+	for _, ev := range *relays {
+		if ev.Kind != obs.KindRelayBlock {
+			t.Errorf("relay event kind %q, want %q", ev.Kind, obs.KindRelayBlock)
+		}
+		if ev.Dur < 0 {
+			t.Errorf("negative relay delay %v", ev.Dur)
 		}
 	}
 }

@@ -25,16 +25,29 @@ const (
 	classBlock
 )
 
-// outMsg is one entry of a peer's vSendMsg queue.
+// outMsg is one entry of a peer's vSendMsg queue. It is copied by value
+// into and out of the queue once per message, so it holds what the relay
+// record needs and nothing it could re-derive: 48 bytes (pinned by
+// TestOutMsgSize).
 type outMsg struct {
 	msg   wire.Message
 	class msgClass
-	// relayMark carries the object hash for relay-delay instrumentation
-	// (zero when not a tracked relay).
-	relayMark chainhash.Hash
-	// recvAt is when the relayed object was originally received, for
-	// relay-delay events.
-	recvAt time.Time
+	// span is this node's delivery span of the relayed object, the relay
+	// event's Parent (zero when the entry is not a tracked relay).
+	span uint64
+	// obj is the object's hash prefix (chainhash.Hash.Prefix), the relay
+	// event's label.
+	obj [8]byte
+	// recvAt is when the relayed object was first received, in Unix
+	// nanoseconds: the start of the relay delay.
+	recvAt int64
+}
+
+// relayOut starts a queue entry that records the relay of object h, first
+// received at recvAt, under this node's delivery span for it. The caller
+// fills in the message and class.
+func relayOut(h chainhash.Hash, span uint64, recvAt time.Time) outMsg {
+	return outMsg{span: span, obj: h.Prefix(), recvAt: recvAt.UnixNano()}
 }
 
 // Peer is the node-side state of one connection, mirroring Bitcoin Core's

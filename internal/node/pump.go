@@ -26,7 +26,7 @@ func (n *Node) queueMsg(p *Peer, msg wire.Message, class msgClass) {
 }
 
 // queueRelay is queueMsg for a caller-built entry, which is how relay
-// instrumentation (relayMark, recvAt) rides along. out is copied into the
+// instrumentation (span, obj, recvAt) rides along. out is copied into the
 // queue, not retained.
 func (n *Node) queueRelay(p *Peer, out *outMsg) {
 	switch {
@@ -46,18 +46,18 @@ func (n *Node) queueRelay(p *Peer, out *outMsg) {
 }
 
 // transmitNow hands a message to the environment with the given local
-// serialization delay and emits relay instrumentation.
+// serialization delay and, for a tracked relay, records the hop: the
+// relay histogram and one relay.* trace event. Everything the event
+// needs travelled in the entry; nothing is derived here.
 func (n *Node) transmitNow(p *Peer, out *outMsg, delay time.Duration) {
 	n.env.Transmit(p.id, out.msg, delay)
-	if out.relayMark.IsZero() {
+	if out.span == 0 {
 		return
 	}
 	at := n.env.Now().Add(delay)
-	relayDelay := at.Sub(out.recvAt)
-	evType := EvTxRelayed
+	relayDelay := time.Duration(at.UnixNano() - out.recvAt)
 	kind := obs.KindRelayTx
 	if out.class == classBlock {
-		evType = EvBlockRelayed
 		kind = obs.KindRelayBlock
 		n.met.relayBlock.ObserveDuration(relayDelay)
 	} else {
@@ -69,14 +69,9 @@ func (n *Node) transmitNow(p *Peer, out *outMsg, delay time.Duration) {
 		// receive-to-last-connection delay without extra bookkeeping.
 		n.tracer.Emit(obs.Event{
 			Time: at, Kind: kind, From: n.cfg.Self.Addr, To: p.addr,
-			Obj: obs.ObjectPrefix(out.relayMark.Prefix()), Dur: relayDelay,
-			Parent: obs.SpanKey(n.cfg.Self.Addr, out.relayMark[:]),
+			Obj: obs.ObjectPrefix(out.obj), Dur: relayDelay, Parent: out.span,
 		})
 	}
-	n.emit(Event{
-		Type: evType, Time: at, Node: n.cfg.Self.Addr, Peer: p.addr,
-		Dir: p.dir, Hash: out.relayMark, Delay: relayDelay,
-	})
 }
 
 // The ready bitmap holds one bit per slot index: bit i is set exactly

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/chainhash"
 	"repro/internal/wire"
@@ -285,7 +286,7 @@ func (s *pumpScript) message() {
 		gd := &wire.MsgGetData{}
 		gd.InvList = []wire.InvVect{{Type: wire.InvTypeTx, Hash: s.txs[s.rng.Intn(len(s.txs))]}}
 		msg = gd
-	case r < 17 && !s.tip.IsZero():
+	case r < 17 && s.tip != (chainhash.Hash{}):
 		// A block body: about half a second of socket time, so later
 		// steps land inside the busy period.
 		gd := &wire.MsgGetData{}
@@ -520,5 +521,16 @@ func TestPumpWakeups(t *testing.T) {
 	}
 	if n.pumpArmed || n.hasPendingWork() {
 		t.Fatal("pump not idle at the end")
+	}
+}
+
+// TestOutMsgSize pins the send-queue entry at no more than 48 bytes:
+// every queued message is copied into the queue and out of it by value,
+// once per peer per relayed object, so the entry's size is paid on the
+// relay hot path. A field that would only let the relay record re-derive
+// something (the full hash, a time.Time) belongs outside it.
+func TestOutMsgSize(t *testing.T) {
+	if got := unsafe.Sizeof(outMsg{}); got > 48 {
+		t.Errorf("outMsg is %d bytes, want <= 48", got)
 	}
 }

@@ -75,9 +75,10 @@ func BenchmarkSamplerTick(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanEmit is the per-hop cost of the propagation span
-// instrumentation: one SpanKey derivation plus a traced emit, as the
-// deliver/relay paths pay it.
+// BenchmarkSpanEmit is the cost of one deliver event as the node pays it:
+// two SpanKey derivations (its own span and the sender's) plus a traced
+// emit. The relay path derives no key — its entry carries the delivery
+// span — so a relay hop costs what BenchmarkTracerEmit measures.
 func BenchmarkSpanEmit(b *testing.B) {
 	tr := NewTracer(DefaultTraceCapacity, virtualClock())
 	self, peer := addrPort(1), addrPort(2)

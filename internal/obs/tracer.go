@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -27,8 +28,8 @@ type Event struct {
 	From, To netip.AddrPort
 	// Obj labels the block or transaction the event is about (zero when
 	// it is about none). It is carried as bytes and rendered only at
-	// export; every rendering and the digest put its 16 hex characters
-	// in front of Detail.
+	// export; every rendering puts its 16 hex characters in front of
+	// Detail, and the digest folds its 8 bytes as one word.
 	Obj ObjectID
 	// Detail carries the message command or extra context.
 	Detail string
@@ -62,7 +63,7 @@ func (e Event) String() string {
 	return s
 }
 
-// FNV-64a parameters, shared by the digest and SpanKey.
+// FNV-64a parameters, shared by the digest's word fold and SpanKey.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -85,22 +86,8 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// fnvObject folds an object label into an FNV-64a state exactly as
-// fnvString would fold its 16-character hex rendering, without building
-// the string.
-func fnvObject(h uint64, o ObjectID) uint64 {
-	if !o.set {
-		return h
-	}
-	const digits = "0123456789abcdef"
-	for _, c := range o.prefix {
-		h = (h ^ uint64(digits[c>>4])) * fnvPrime64
-		h = (h ^ uint64(digits[c&0x0f])) * fnvPrime64
-	}
-	return h
-}
-
-// fnvAddr folds an address/port into an FNV-64a state.
+// fnvAddr folds an address/port into an FNV-64a state byte by byte, as
+// SpanKey's identifiers are defined.
 func fnvAddr(h uint64, a netip.AddrPort) uint64 {
 	b := a.Addr().As16()
 	for _, c := range b {
@@ -129,8 +116,9 @@ func SpanKey(a netip.AddrPort, key []byte) uint64 {
 }
 
 // Tracer is a low-overhead structured event recorder: a fixed-capacity
-// ring buffer retaining the most recent events, plus a running FNV-64a
-// digest over every event ever emitted (eviction does not change the
+// ring buffer retaining the most recent events, plus a running digest
+// (FNV-1a steps over 64-bit words, see mixLocked) of every event ever
+// emitted (eviction does not change the
 // digest). Under the simnet virtual clock the scheduler invokes all
 // instrumented code in a deterministic order, so a seeded run always
 // produces the identical event sequence and digest — the property the
@@ -151,7 +139,7 @@ type Tracer struct {
 	n       int // retained events
 	total   uint64
 	dropped uint64 // events evicted from the ring
-	hash    uint64 // running FNV-64a
+	hash    uint64 // running digest
 	sinks   []func(*Event)
 }
 
@@ -223,20 +211,41 @@ func (t *Tracer) Emit(ev Event) {
 	}
 }
 
-// mixLocked folds ev into the running digest. Hand-rolled FNV-64a over
-// the raw field bytes: the tracer is on the relay hot path of multi-hour
-// simulations, so this must not allocate or format.
+// mixWord folds one 64-bit word into a digest state: the FNV-1a
+// xor-multiply step, taken once per word instead of once per byte.
+func mixWord(h, v uint64) uint64 { return (h ^ v) * fnvPrime64 }
+
+// mixAddr folds an address/port as three words: the 16-byte form's two
+// halves and the port.
+func mixAddr(h uint64, a netip.AddrPort) uint64 {
+	b := a.Addr().As16()
+	h = mixWord(h, binary.BigEndian.Uint64(b[:8]))
+	h = mixWord(h, binary.BigEndian.Uint64(b[8:]))
+	return mixWord(h, uint64(a.Port()))
+}
+
+// mixLocked folds ev into the running digest: one xor-multiply step per
+// numeric word and per string byte. The tracer is on the relay hot path
+// of multi-hour simulations, so this must not allocate or format, and the
+// step count is its cost. Each step is a bijection of the state, so
+// changing any one word changes the event hash; an unset Obj folds
+// nothing. A multiply carries a difference only towards the high bits,
+// so the event hash is xor-shifted once before it joins the chain, where
+// the low bits it reaches are carried up again by the next event.
 func (t *Tracer) mixLocked(ev *Event) {
 	h := uint64(fnvOffset64)
-	h = fnvUint64(h, uint64(ev.Time.UnixNano()))
+	h = mixWord(h, uint64(ev.Time.UnixNano()))
 	h = fnvString(h, ev.Kind)
-	h = fnvAddr(h, ev.From)
-	h = fnvAddr(h, ev.To)
-	h = fnvObject(h, ev.Obj)
+	h = mixAddr(h, ev.From)
+	h = mixAddr(h, ev.To)
+	if ev.Obj.set {
+		h = mixWord(h, binary.BigEndian.Uint64(ev.Obj.prefix[:]))
+	}
 	h = fnvString(h, ev.Detail)
-	h = fnvUint64(h, uint64(ev.Dur))
-	h = fnvUint64(h, ev.Span)
-	h = fnvUint64(h, ev.Parent)
+	h = mixWord(h, uint64(ev.Dur))
+	h = mixWord(h, ev.Span)
+	h = mixWord(h, ev.Parent)
+	h ^= h >> 32
 	// Chain the per-event hash into the running digest so order matters.
 	t.hash = (t.hash ^ h) * fnvPrime64
 }

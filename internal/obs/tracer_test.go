@@ -90,6 +90,66 @@ func TestTracerDigestDeterministicAndEvictionFree(t *testing.T) {
 	}
 }
 
+// TestTracerDigestGolden pins the word fold's value over a fixed relay
+// trace, so any change to what the digest folds, or how, shows up as a
+// change of this constant and nowhere else.
+func TestTracerDigestGolden(t *testing.T) {
+	const golden = "d79926afc78bd3b2"
+	_, evs := labelEvents()
+	tr := NewTracer(8, nil)
+	for _, ev := range evs {
+		tr.Emit(ev)
+	}
+	if got := tr.Digest(); got != golden {
+		t.Errorf("digest %s, want %s", got, golden)
+	}
+}
+
+// TestTracerDigestSeesEveryField: changing any one field of an event, or
+// the order of two events, changes the digest.
+func TestTracerDigestSeesEveryField(t *testing.T) {
+	h := [8]byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}
+	base := Event{
+		Time: time.Unix(1585958400, 0).UTC(), Kind: KindRelayBlock,
+		From: addrPort(1), To: addrPort(2), Obj: ObjectPrefix(h),
+		Detail: "x", Dur: time.Second, Span: 7, Parent: 9,
+	}
+	digest := func(evs ...Event) string {
+		tr := NewTracer(4, nil)
+		for _, ev := range evs {
+			tr.Emit(ev)
+		}
+		return tr.Digest()
+	}
+	want := digest(base)
+	for _, tc := range []struct {
+		field  string
+		change func(*Event)
+	}{
+		{"Time", func(e *Event) { e.Time = e.Time.Add(time.Nanosecond) }},
+		{"Kind", func(e *Event) { e.Kind = KindRelayTx }},
+		{"From address", func(e *Event) { e.From = netip.AddrPortFrom(addrPort(3).Addr(), e.From.Port()) }},
+		{"From port", func(e *Event) { e.From = netip.AddrPortFrom(e.From.Addr(), e.From.Port()+1) }},
+		{"To", func(e *Event) { e.To = addrPort(3) }},
+		{"Obj unset", func(e *Event) { e.Obj = ObjectID{} }},
+		{"Detail", func(e *Event) { e.Detail = "y" }},
+		{"Dur", func(e *Event) { e.Dur++ }},
+		{"Span", func(e *Event) { e.Span++ }},
+		{"Parent", func(e *Event) { e.Parent++ }},
+	} {
+		ev := base
+		tc.change(&ev)
+		if digest(ev) == want {
+			t.Errorf("changing %s left the digest at %s", tc.field, want)
+		}
+	}
+	other := base
+	other.Kind, other.Span = KindDeliverBlock, 11
+	if digest(base, other) == digest(other, base) {
+		t.Error("swapping two events left the digest unchanged")
+	}
+}
+
 func TestTracerEventsCopy(t *testing.T) {
 	tr := NewTracer(4, virtualClock())
 	tr.Emit(Event{Kind: "a"})
