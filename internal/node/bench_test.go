@@ -9,9 +9,10 @@ import (
 
 // BenchmarkPumpThroughput measures the round-robin message pump: inbound
 // pings answered with pongs across 20 peers. The env discards transmits
-// at Transmit time and feeds the node's free lists (the RecycleOutbound
-// contract), and the inbound ping is reused with a mutated nonce, so the
-// steady-state pump must run allocation-free — CI enforces 0 allocs/op.
+// at Transmit time and feeds each PONG back to the node's free list (the
+// RecycleOutbound contract), and the inbound ping is reused with a
+// mutated nonce, so the steady-state pump must run allocation-free — CI
+// enforces 0 allocs/op.
 func BenchmarkPumpThroughput(b *testing.B) {
 	benchPump(b, 20, func(i int) ConnID { return ConnID(i%20 + 1) })
 }
@@ -27,23 +28,11 @@ func BenchmarkPumpSparse(b *testing.B) {
 // benchPump handshakes the given number of inbound peers and times one
 // ping in, one pong out per iteration on the connection target names.
 func benchPump(b *testing.B, peers int, target func(i int) ConnID) {
-	env := newFakeEnv()
-	n := New(testConfig(mkAddr(10, 0, 0, 1)), env)
-	n.Start()
-	for i := 0; i < peers; i++ {
-		conn := ConnID(i + 1)
-		peer := mkAddr(10, 0, 1, byte(i+1))
-		if !n.OnInbound(peer, conn) {
-			b.Fatal("inbound refused")
-		}
-		n.OnMessage(conn, &wire.MsgVersion{Timestamp: env.Now()})
-		n.OnMessage(conn, &wire.MsgVerAck{})
-	}
-	env.run(time.Second)
+	env, n := handshookNode(b, peers)
 	env.discard = true
 	env.recycle = n.RecycleOutbound
 	ping := &wire.MsgPing{}
-	// Warm the free lists and queue capacities out of the timed region.
+	// Warm the free list and queue capacities out of the timed region.
 	for i := 0; i < 100; i++ {
 		ping.Nonce = uint64(i)
 		n.OnMessage(target(i), ping)
@@ -59,28 +48,27 @@ func benchPump(b *testing.B, peers int, target func(i int) ConnID) {
 }
 
 // BenchmarkPolicyDispatch measures the relay hot path with an empty
-// policy set: Config.Policies is compiled once in New, so a node with no
-// policies must pay nothing per message over the pre-policy baseline.
-// Each iteration submits a fresh local transaction and drains the INV
-// fan-out to 8 handshook peers.
+// policy set (testConfig sets none): Config.Policies is compiled once in
+// New, so a node with no policies must pay nothing per message over the
+// pre-policy baseline. Each iteration submits a fresh local transaction
+// and drains its one shared INV to 8 handshook peers; with CI's zero
+// alloc slack, a per-peer allocation fails the build. A fresh node takes
+// over every dispatchPerNode iterations: one kept for all of b.N would
+// ping its silent peers after pingInterval, evict them at the stall
+// timeout and go on timing fan-outs to nobody.
 func BenchmarkPolicyDispatch(b *testing.B) {
-	env := newFakeEnv()
-	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.Policies = PolicySet{} // "stock": hot paths must be policy-free
-	n := New(cfg, env)
-	n.Start()
-	for i := 0; i < 8; i++ {
-		conn := ConnID(i + 1)
-		if !n.OnInbound(mkAddr(10, 0, 1, byte(i+1)), conn) {
-			b.Fatal("inbound refused")
-		}
-		n.OnMessage(conn, &wire.MsgVersion{Timestamp: env.Now()})
-		n.OnMessage(conn, &wire.MsgVerAck{})
-	}
-	env.run(time.Second)
+	const dispatchPerNode = 4096 // 41 s of virtual time at 10 ms a step
+	var env *fakeEnv
+	var n *Node
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%dispatchPerNode == 0 {
+			b.StopTimer()
+			env, n = handshookNode(b, 8)
+			env.discard = true
+			b.StartTimer()
+		}
 		n.SubmitTx(&wire.MsgTx{
 			Version: 2,
 			TxIn:    []wire.TxIn{{Sequence: uint32(i)}},
@@ -88,6 +76,25 @@ func BenchmarkPolicyDispatch(b *testing.B) {
 		})
 		env.run(10 * time.Millisecond)
 	}
+}
+
+// handshookNode starts a node whose inbound peers on conns 1..peers have
+// completed the handshake.
+func handshookNode(tb testing.TB, peers int) (*fakeEnv, *Node) {
+	tb.Helper()
+	env := newFakeEnv()
+	n := New(testConfig(mkAddr(10, 0, 0, 1)), env)
+	n.Start()
+	for i := 0; i < peers; i++ {
+		conn := ConnID(i + 1)
+		if !n.OnInbound(mkAddr(10, 0, 1, byte(i+1)), conn) {
+			tb.Fatal("inbound refused")
+		}
+		n.OnMessage(conn, &wire.MsgVersion{Timestamp: env.Now()})
+		n.OnMessage(conn, &wire.MsgVerAck{})
+	}
+	env.run(time.Second)
+	return env, n
 }
 
 // BenchmarkHandleAddr measures ADDR ingestion into addrman.

@@ -194,13 +194,13 @@ func (n *Node) handleAddr(p *Peer, m *wire.MsgAddr) {
 
 // handleInv requests announced objects we lack.
 func (n *Node) handleInv(p *Peer, m *wire.MsgInv) {
-	var want []wire.InvVect
+	var gd *wire.MsgGetData
 	for _, iv := range m.InvList {
 		p.markKnown(iv.Hash)
 		switch iv.Type {
 		case wire.InvTypeTx:
-			if !n.mempool.Have(iv.Hash) {
-				want = append(want, iv)
+			if n.mempool.Have(iv.Hash) {
+				continue
 			}
 		case wire.InvTypeBlock:
 			if n.chain.HaveBlock(iv.Hash) {
@@ -210,14 +210,41 @@ func (n *Node) handleInv(p *Peer, m *wire.MsgInv) {
 				continue
 			}
 			n.blocksInFlight[iv.Hash] = inFlightBlock{conn: p.id, requested: n.env.Now()}
-			want = append(want, iv)
+		default:
+			continue
+		}
+		if gd == nil {
+			gd = newGetData(iv)
+		} else {
+			gd.InvList = append(gd.InvList, iv)
 		}
 	}
-	if len(want) > 0 {
-		gd := &wire.MsgGetData{}
-		gd.InvList = want
+	if gd != nil {
 		n.queueMsg(p, gd, classControl)
 	}
+}
+
+// oneInv is an INV or GETDATA together with the backing array of its
+// first entry, so a message naming one object — nearly every
+// announcement and request — costs one allocation.
+type oneInv[M any] struct {
+	msg M
+	one [1]wire.InvVect
+}
+
+// newInv returns a one-entry INV in a single allocation.
+func newInv(iv wire.InvVect) *wire.MsgInv {
+	m := &oneInv[wire.MsgInv]{one: [1]wire.InvVect{iv}}
+	m.msg.InvList = m.one[:]
+	return &m.msg
+}
+
+// newGetData returns a GETDATA for iv in a single allocation; only a
+// second entry appended to it grows the slice.
+func newGetData(iv wire.InvVect) *wire.MsgGetData {
+	m := &oneInv[wire.MsgGetData]{one: [1]wire.InvVect{iv}}
+	m.msg.InvList = m.one[:]
+	return &m.msg
 }
 
 // handleGetData serves requested objects. Served bodies carry the relay
@@ -306,8 +333,9 @@ func (n *Node) SubmitTx(tx *wire.MsgTx) chainhash.Hash {
 }
 
 // announceTx queues a transaction INV to every handshook peer that does
-// not already know it; span is this node's delivery span of the
-// transaction, which each entry carries for the relay record.
+// not already know it: one INV, built for the first such peer and shared
+// by every entry. span is this node's delivery span of the transaction,
+// which each entry carries for the relay record.
 func (n *Node) announceTx(h chainhash.Hash, span uint64, except ConnID, recvAt time.Time) {
 	relay := relayOut(h, span, recvAt)
 	relay.class = classTx
@@ -316,11 +344,10 @@ func (n *Node) announceTx(h chainhash.Hash, span uint64, except ConnID, recvAt t
 			continue
 		}
 		p.markKnown(h)
-		inv := n.getInv()
-		inv.InvList = append(inv.InvList, wire.InvVect{Type: wire.InvTypeTx, Hash: h})
-		out := relay
-		out.msg = inv
-		n.queueRelay(p, &out)
+		if relay.msg == nil {
+			relay.msg = newInv(wire.InvVect{Type: wire.InvTypeTx, Hash: h})
+		}
+		n.queueRelay(p, &relay)
 	}
 }
 
@@ -382,7 +409,10 @@ func (n *Node) announceBlock(blk *wire.MsgBlock, span uint64, except ConnID, rec
 	h := blk.BlockHash()
 	relay := relayOut(h, span, recvAt)
 	relay.class = classBlock
+	// One compact block and one INV per announcement, each built for the
+	// first peer that needs it and shared by the rest.
 	var cmpct *wire.MsgCmpctBlock
+	var inv *wire.MsgInv
 	announce := func(p *Peer) {
 		if p == nil || !p.handshook || p.id == except || p.knows(h) {
 			return
@@ -395,8 +425,9 @@ func (n *Node) announceBlock(blk *wire.MsgBlock, span uint64, except ConnID, rec
 			}
 			out.msg = cmpct
 		} else {
-			inv := n.getInv()
-			inv.InvList = append(inv.InvList, wire.InvVect{Type: wire.InvTypeBlock, Hash: h})
+			if inv == nil {
+				inv = newInv(wire.InvVect{Type: wire.InvTypeBlock, Hash: h})
+			}
 			out.msg = inv
 		}
 		n.queueRelay(p, &out)
@@ -437,9 +468,7 @@ func (n *Node) handleHeaders(p *Peer, m *wire.MsgHeaders) {
 			break
 		}
 		n.blocksInFlight[h] = inFlightBlock{conn: p.id, requested: n.env.Now()}
-		gd := &wire.MsgGetData{}
-		gd.InvList = []wire.InvVect{{Type: wire.InvTypeBlock, Hash: h}}
-		n.queueMsg(p, gd, classControl)
+		n.queueMsg(p, newGetData(wire.InvVect{Type: wire.InvTypeBlock, Hash: h}), classControl)
 		requested++
 	}
 	if requested == 0 && len(m.Headers) == 0 && len(n.blocksInFlight) == 0 {
@@ -496,9 +525,7 @@ func (n *Node) handleCmpctBlock(p *Peer, m *wire.MsgCmpctBlock) {
 	if err != nil {
 		// Short-ID collision: fall back to a full block request.
 		n.blocksInFlight[h] = inFlightBlock{conn: p.id, requested: n.env.Now()}
-		gd := &wire.MsgGetData{}
-		gd.InvList = []wire.InvVect{{Type: wire.InvTypeBlock, Hash: h}}
-		n.queueMsg(p, gd, classControl)
+		n.queueMsg(p, newGetData(wire.InvVect{Type: wire.InvTypeBlock, Hash: h}), classControl)
 		return
 	}
 	if res.Complete {
@@ -540,9 +567,7 @@ func (n *Node) handleBlockTxn(p *Peer, m *wire.MsgBlockTxn) {
 	if err != nil {
 		// Reconstruction failed: request the full block.
 		n.blocksInFlight[m.BlockHash] = inFlightBlock{conn: p.id, requested: n.env.Now()}
-		gd := &wire.MsgGetData{}
-		gd.InvList = []wire.InvVect{{Type: wire.InvTypeBlock, Hash: m.BlockHash}}
-		n.queueMsg(p, gd, classControl)
+		n.queueMsg(p, newGetData(wire.InvVect{Type: wire.InvTypeBlock, Hash: m.BlockHash}), classControl)
 		return
 	}
 	n.acceptAndRelayBlock(p, blk)

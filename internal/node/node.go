@@ -297,13 +297,12 @@ type Node struct {
 	// call would allocate on the hottest path in the package.
 	pumpFn func()
 
-	// pongFree and invFree recycle outbound message values. They are fed
-	// only by RecycleOutbound — environments that fully consume messages
-	// at Transmit time — so under simnet (which retains and may
-	// re-deliver message pointers) they stay empty and every message is
-	// freshly allocated, exactly as before.
+	// pongFree recycles outbound PONG values. It is fed only by
+	// RecycleOutbound — environments that fully consume messages at
+	// Transmit time — so under simnet (which retains and may re-deliver
+	// message pointers) it stays empty and every PONG is freshly
+	// allocated.
 	pongFree []*wire.MsgPong
-	invFree  []*wire.MsgInv
 
 	// Connection statistics (Figure 6/7 observables).
 	dialAttempts  int

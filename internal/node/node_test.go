@@ -2,6 +2,7 @@ package node
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -27,8 +28,8 @@ type fakeEnv struct {
 	// discard stops Transmit from recording messages; recycle, when also
 	// set, receives each transmitted message instead. Benchmarks use the
 	// pair to model an environment that fully consumes messages at
-	// Transmit time (the node.RecycleOutbound contract) so the steady
-	// state allocates nothing.
+	// Transmit time (the node.RecycleOutbound contract, which recycles
+	// PONGs) so the ping-pong steady state allocates nothing.
 	discard bool
 	recycle func(wire.Message)
 
@@ -443,6 +444,60 @@ func TestTxRelayToOtherPeers(t *testing.T) {
 	}
 	if sawOn1 {
 		t.Error("tx announced back to its source")
+	}
+}
+
+// TestRelayAllocatesPerObject pins relay's allocation shape: announcing a
+// transaction costs as many allocations at 2 peers as at 8 (one INV,
+// shared by every peer's queue entry), and an INV naming one unknown
+// transaction costs exactly one (its GETDATA, entry included).
+func TestRelayAllocatesPerObject(t *testing.T) {
+	const runs = 100
+	// warm fills each peer's inventory set and empties it again, so its
+	// table never grows inside the measured runs.
+	warm := func(n *Node, peers int) {
+		for c := 1; c <= peers; c++ {
+			p := n.peerByConn(ConnID(c))
+			for k := uint64(1); k <= 2*runs; k++ {
+				p.knownInv.add(k)
+			}
+			p.knownInv.reset()
+		}
+	}
+	submit := func(peers int) float64 {
+		env, n := handshookNode(t, peers)
+		env.discard = true
+		warm(n, peers)
+		txs := make([]*wire.MsgTx, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range txs {
+			txs[i] = &wire.MsgTx{Version: 2, TxOut: []wire.TxOut{{Value: int64(i) + 1, PkScript: []byte{0x51}}}}
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			n.SubmitTx(txs[i])
+			i++
+			env.run(10 * time.Millisecond)
+		})
+	}
+	if at2, at8 := submit(2), submit(8); at2 != at8 {
+		t.Errorf("SubmitTx costs %v allocations at 2 peers and %v at 8: want no per-peer term", at2, at8)
+	}
+
+	env, n := handshookNode(t, 1)
+	env.discard = true
+	warm(n, 1)
+	p := n.peerByConn(1)
+	inv := &wire.MsgInv{}
+	inv.InvList = []wire.InvVect{{Type: wire.InvTypeTx}}
+	var k uint64
+	got := testing.AllocsPerRun(runs, func() {
+		k++
+		binary.LittleEndian.PutUint64(inv.InvList[0].Hash[:], k)
+		n.handleInv(p, inv)
+		env.run(10 * time.Millisecond)
+	})
+	if got != 1 {
+		t.Errorf("handleInv of one unknown tx costs %v allocations, want 1", got)
 	}
 }
 

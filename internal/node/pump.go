@@ -226,7 +226,7 @@ func (n *Node) serviceSlot(i int, busy *time.Duration) {
 	}
 }
 
-// maxFreeList bounds each recycled-message free list.
+// maxFreeList bounds the PONG free list.
 const maxFreeList = 64
 
 // getPong returns a PONG value from the free list, or a fresh one. The
@@ -240,35 +240,23 @@ func (n *Node) getPong() *wire.MsgPong {
 	return new(wire.MsgPong)
 }
 
-// getInv returns an empty INV from the free list, or a fresh one.
-func (n *Node) getInv() *wire.MsgInv {
-	if k := len(n.invFree); k > 0 {
-		inv := n.invFree[k-1]
-		n.invFree = n.invFree[:k-1]
-		inv.InvList = inv.InvList[:0]
-		return inv
-	}
-	return new(wire.MsgInv)
-}
-
-// RecycleOutbound returns a message previously handed to Env.Transmit to
-// the node's free lists. Only an environment that fully consumes each
-// transmitted message at Transmit time — serializing or discarding it
-// before returning — may call this, at most once per transmitted
-// message. Environments that retain message pointers or may deliver the
-// same pointer twice (simnet under Duplicate fault verdicts, test envs
-// that record transmits) must never call it; with the free lists unfed,
-// every outbound message is freshly allocated, exactly as before.
+// RecycleOutbound returns a PONG previously handed to Env.Transmit to the
+// node's free list; any other message is ignored. Only an environment that
+// fully consumes each transmitted message at Transmit time — serializing
+// or discarding it before returning — may call this, at most once per
+// transmitted message. Environments that retain message pointers or may
+// deliver the same pointer twice (simnet under Duplicate fault verdicts,
+// test envs that record transmits) must never call it; with the free list
+// unfed, every PONG is freshly allocated.
+//
+// Every other message follows one rule instead: a message handed to
+// Env.Transmit is never mutated afterwards, by the node or by the
+// environment. That is what lets one INV, one compact block or one body
+// go to every peer as the same pointer — simnet delivers it as is, and
+// tcpnet's per-connection writers may encode it concurrently.
 func (n *Node) RecycleOutbound(msg wire.Message) {
-	switch m := msg.(type) {
-	case *wire.MsgPong:
-		if len(n.pongFree) < maxFreeList {
-			n.pongFree = append(n.pongFree, m)
-		}
-	case *wire.MsgInv:
-		if len(n.invFree) < maxFreeList && cap(m.InvList) <= 64 {
-			n.invFree = append(n.invFree, m)
-		}
+	if pong, ok := msg.(*wire.MsgPong); ok && len(n.pongFree) < maxFreeList {
+		n.pongFree = append(n.pongFree, pong)
 	}
 }
 

@@ -2,9 +2,11 @@ package simnet
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/chainhash"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -13,17 +15,61 @@ import (
 // lastTransmit is an Injector that passes everything and remembers the
 // last message put on a link. A node's relay.* event follows the Transmit
 // of its message within the same call, so the stream can read back which
-// message a relay event records.
+// message a relay event records. It also keeps every INV and GETDATA it
+// passes, with a copy of the entries as they were at the first transmit,
+// and which INVs carried each (sender, object) announcement.
 type lastTransmit struct {
 	from, to netip.AddrPort
 	msg      wire.Message
+	sent     map[wire.Message][]wire.InvVect
+	invs     map[sentObject]map[*wire.MsgInv]int // INV → peers it went to
+}
+
+// sentObject is one node's announcement of one object.
+type sentObject struct {
+	from netip.AddrPort
+	obj  chainhash.Hash
+}
+
+func newLastTransmit() *lastTransmit {
+	return &lastTransmit{
+		sent: make(map[wire.Message][]wire.InvVect),
+		invs: make(map[sentObject]map[*wire.MsgInv]int),
+	}
 }
 
 func (l *lastTransmit) FilterDial(from, to netip.AddrPort) DialVerdict { return DialProceed }
 
 func (l *lastTransmit) FilterTransmit(from, to netip.AddrPort, msg wire.Message) TransmitVerdict {
 	l.from, l.to, l.msg = from, to, msg
+	list, ok := invListOf(msg)
+	if !ok {
+		return TransmitVerdict{}
+	}
+	if _, seen := l.sent[msg]; !seen {
+		l.sent[msg] = slices.Clone(list)
+	}
+	if inv, ok := msg.(*wire.MsgInv); ok {
+		for _, iv := range list {
+			k := sentObject{from, iv.Hash}
+			if l.invs[k] == nil {
+				l.invs[k] = make(map[*wire.MsgInv]int)
+			}
+			l.invs[k][inv]++
+		}
+	}
 	return TransmitVerdict{}
+}
+
+// invListOf returns the entries of an INV or GETDATA.
+func invListOf(msg wire.Message) ([]wire.InvVect, bool) {
+	switch m := msg.(type) {
+	case *wire.MsgInv:
+		return m.InvList, true
+	case *wire.MsgGetData:
+		return m.InvList, true
+	}
+	return nil, false
 }
 
 // TestRelayHopParentIsOwnDelivery runs six nodes through every way a
@@ -33,9 +79,13 @@ func (l *lastTransmit) FilterTransmit(from, to netip.AddrPort, msg wire.Message)
 // direct transmit — and checks the one invariant the relay record rests
 // on: every relay.* event's Parent is the same node's earlier deliver.*
 // Span of the same object, and the event is labelled with that object.
+// It also checks the rule that lets relay allocate per object rather than
+// per peer: each node announces an object with one one-entry INV that
+// every peer receives as the same pointer, and no INV or GETDATA changes
+// after it is transmitted.
 func TestRelayHopParentIsOwnDelivery(t *testing.T) {
 	net := newTestNet(24)
-	last := &lastTransmit{}
+	last := newLastTransmit()
 	net.SetInjector(last)
 	tr := obs.NewTracer(0, net.Now)
 
@@ -147,4 +197,29 @@ func TestRelayHopParentIsOwnDelivery(t *testing.T) {
 	if got := hosts[0].Node().Chain().Height(); got != 2*nodes {
 		t.Errorf("height = %d, want %d: blocks did not propagate", got, 2*nodes)
 	}
+
+	shared := 0
+	for k, invs := range last.invs {
+		if len(invs) != 1 {
+			t.Errorf("%v announced %v in %d INVs, want one shared by its peers", k.from, k.obj, len(invs))
+		}
+		for inv, peers := range invs {
+			if len(inv.InvList) != 1 {
+				t.Errorf("%v announced %v in an INV of %d entries, want 1", k.from, k.obj, len(inv.InvList))
+			}
+			if peers > 1 {
+				shared++
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("no INV went to more than one peer: sharing was not exercised")
+	}
+	for msg, snap := range last.sent {
+		if list, _ := invListOf(msg); !slices.Equal(list, snap) {
+			t.Errorf("%s changed after transmit: %v, sent as %v", msg.Command(), list, snap)
+		}
+	}
+	t.Logf("%d INV/GETDATA messages; %d announcements, %d of them to more than one peer",
+		len(last.sent), len(last.invs), shared)
 }

@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"sync/atomic"
 	"testing"
@@ -104,20 +105,37 @@ func TestNodeServerBlockPropagationOverTCP(t *testing.T) {
 	})
 }
 
+// TestNodeServerTxPropagationOverTCP relays a transaction from a hub to
+// two connected peers. The hub announces it with one INV shared by both
+// connections, so under -race this also covers two outbox writers
+// encoding the same message at once.
 func TestNodeServerTxPropagationOverTCP(t *testing.T) {
-	a, b := connectedPair(t)
+	genesis := chain.GenesisBlock("tcp-node-test")
+	var inbound atomic.Int32
+	hub := newNodeServer(t, genesis, nil, node.SinkFunc(func(ev node.Event) {
+		if ev.Type == node.EvHandshake && ev.Dir == node.Inbound {
+			inbound.Add(1)
+		}
+	}))
+	seed := []wire.NetAddress{{Addr: hub.Addr(), Services: wire.SFNodeNetwork, Timestamp: time.Now()}}
+	peers := []*NodeServer{newNodeServer(t, genesis, seed, nil), newNodeServer(t, genesis, seed, nil)}
+	waitFor(t, 10*time.Second, "both peers handshaken at the hub", func() bool {
+		return inbound.Load() >= 2
+	})
 	tx := &wire.MsgTx{
 		Version: 2,
 		TxIn:    []wire.TxIn{{Sequence: 7, SignatureScript: []byte{9}}},
 		TxOut:   []wire.TxOut{{Value: 123, PkScript: []byte{0x51}}},
 	}
 	h := tx.TxHash()
-	b.Do(func(n *node.Node) { n.SubmitTx(tx) })
-	waitFor(t, 10*time.Second, "tx propagation", func() bool {
-		var have bool
-		a.Do(func(n *node.Node) { have = n.Mempool().Have(h) })
-		return have
-	})
+	hub.Do(func(n *node.Node) { n.SubmitTx(tx) })
+	for i, p := range peers {
+		waitFor(t, 10*time.Second, fmt.Sprintf("tx propagation to peer %d", i), func() bool {
+			var have bool
+			p.Do(func(n *node.Node) { have = n.Mempool().Have(h) })
+			return have
+		})
+	}
 }
 
 func TestNodeServerAnswersCrawler(t *testing.T) {
