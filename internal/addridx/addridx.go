@@ -8,7 +8,9 @@
 // the universe once at construction replaces all of that with a single
 // probe-table lookup per address followed by O(1) bitset operations —
 // and the dense IDs double as the deterministic per-target
-// RNG-derivation component for the parallel crawl fan-out.
+// RNG-derivation component for the parallel crawl fan-out. Endpoints
+// outside any universe (a crawl over real sockets) go into a Seen, a
+// pointer-free probe set over the same integer key.
 //
 // addridx is a leaf package (no repo-internal imports) so netgen,
 // crawler, churn, and analysis can all share it without cycles.
@@ -196,4 +198,114 @@ func (s *Set) Clear() {
 		s.words[i] = 0
 	}
 	s.count = 0
+}
+
+// Seen is a growable membership set over open-world endpoints — the
+// addresses no Index interns. It is an open-addressing table over the
+// same integer key and hash as Index, and its slots hold no pointer, so
+// the garbage collector never scans it.
+//
+// Key equality is Index.Lookup's: the 16-byte form of the address plus
+// the port. An IPv4 endpoint and its IPv4-mapped IPv6 form
+// (1.2.3.4:p and [::ffff:1.2.3.4]:p) are one member, and zones are
+// ignored. For addresses decoded off the wire this is exact, because
+// the decoder unmaps 4-in-6 addresses and carries no zone.
+//
+// A slot is occupied only while its epoch equals the set's, so Clear is
+// one increment. The zero Seen is empty and usable; it is not safe for
+// concurrent mutation.
+type Seen struct {
+	slots []seenSlot // len = 0 or 2^k
+	mask  uint64
+	n     int    // members in the current epoch
+	epoch uint32 // 0 only while slots is nil
+}
+
+// seenSlot is 24 bytes: the key's words, its epoch, its port.
+type seenSlot struct {
+	hi, lo uint64
+	epoch  uint32
+	port   uint16
+}
+
+// Add inserts addr and reports whether it was newly added. The table
+// doubles when an insert would take it past ¾ load.
+func (s *Seen) Add(addr netip.AddrPort) bool {
+	if (s.n+1)*4 > len(s.slots)*3 {
+		s.resize(max(2*len(s.slots), 16))
+	}
+	k := keyOf(addr)
+	h := hashKey(k) & s.mask
+	for {
+		sl := &s.slots[h]
+		if sl.epoch != s.epoch {
+			*sl = seenSlot{hi: k.hi, lo: k.lo, epoch: s.epoch, port: k.port}
+			s.n++
+			return true
+		}
+		if sl.hi == k.hi && sl.lo == k.lo && sl.port == k.port {
+			return false
+		}
+		h = (h + 1) & s.mask
+	}
+}
+
+// Contains reports whether addr is a member.
+func (s *Seen) Contains(addr netip.AddrPort) bool {
+	if s.n == 0 {
+		return false
+	}
+	k := keyOf(addr)
+	h := hashKey(k) & s.mask
+	for {
+		sl := &s.slots[h]
+		if sl.epoch != s.epoch {
+			return false
+		}
+		if sl.hi == k.hi && sl.lo == k.lo && sl.port == k.port {
+			return true
+		}
+		h = (h + 1) & s.mask
+	}
+}
+
+// Clear empties the set, keeping its table for reuse.
+func (s *Seen) Clear() {
+	s.n = 0
+	s.epoch++
+	if s.epoch == 0 {
+		// Epoch wrapped: pay the one-in-four-billion full reset.
+		clear(s.slots)
+		s.epoch = 1
+	}
+}
+
+// Reserve sizes the table so that n members fit without growing.
+func (s *Seen) Reserve(n int) {
+	size := 16
+	for n*4 > size*3 {
+		size <<= 1
+	}
+	if size > len(s.slots) {
+		s.resize(size)
+	}
+}
+
+// resize moves the current members into a fresh table of size slots.
+func (s *Seen) resize(size int) {
+	old, epoch := s.slots, s.epoch
+	s.slots = make([]seenSlot, size)
+	s.mask = uint64(size - 1)
+	s.epoch = 1
+	for i := range old {
+		sl := &old[i]
+		if sl.epoch != epoch {
+			continue
+		}
+		h := hashKey(key{hi: sl.hi, lo: sl.lo, port: sl.port}) & s.mask
+		for s.slots[h].epoch == s.epoch {
+			h = (h + 1) & s.mask
+		}
+		s.slots[h] = seenSlot{hi: sl.hi, lo: sl.lo, epoch: s.epoch, port: sl.port}
+	}
 }

@@ -1,11 +1,13 @@
 package addridx
 
 import (
+	"math"
 	"math/rand"
 	"net/netip"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // randAddrs generates n distinct random endpoints.
@@ -157,5 +159,121 @@ func BenchmarkIndexLookup(b *testing.B) {
 		if _, ok := x.Lookup(addrs[i&(1<<16-1)]); !ok {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// TestSeenAgainstReferenceMap: random Add/Contains/Clear/Reserve
+// sequences through several resizes and one forced epoch wrap must agree
+// with a map over the same key at every step.
+func TestSeenAgainstReferenceMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	pool := randAddrs(rng, 3000)
+	var s Seen
+	ref := make(map[key]struct{})
+	resizes, wrapped := 0, false
+	for op := 0; op < 40000; op++ {
+		if op == 30000 {
+			// Force the wrap: the next Clear takes the epoch to zero.
+			s.Clear()
+			clear(ref)
+			s.epoch = math.MaxUint32
+		}
+		a := pool[rng.Intn(len(pool))]
+		switch r := rng.Intn(1000); {
+		case r < 600:
+			_, dup := ref[keyOf(a)]
+			ref[keyOf(a)] = struct{}{}
+			size := len(s.slots)
+			if added := s.Add(a); added == dup {
+				t.Fatalf("op %d: Add(%v) = %v, reference dup = %v", op, a, added, dup)
+			}
+			if len(s.slots) != size {
+				resizes++
+			}
+		case r < 995:
+			_, want := ref[keyOf(a)]
+			if got := s.Contains(a); got != want {
+				t.Fatalf("op %d: Contains(%v) = %v, want %v", op, a, got, want)
+			}
+		case r < 998:
+			before := s.epoch
+			s.Clear()
+			clear(ref)
+			if before == math.MaxUint32 {
+				wrapped = true
+				if s.epoch != 1 {
+					t.Fatalf("op %d: epoch after wrap = %d, want 1", op, s.epoch)
+				}
+			}
+		default:
+			size := len(s.slots)
+			s.Reserve(rng.Intn(4000))
+			if len(s.slots) != size {
+				resizes++
+			}
+		}
+		if s.n != len(ref) {
+			t.Fatalf("op %d: %d members, reference has %d", op, s.n, len(ref))
+		}
+		if s.n*4 > len(s.slots)*3 {
+			t.Fatalf("op %d: load %d/%d above 3/4", op, s.n, len(s.slots))
+		}
+	}
+	if resizes < 3 || !wrapped {
+		t.Fatalf("sequence too tame: %d resizes, wrapped = %v", resizes, wrapped)
+	}
+	// After the wrap every slot of an earlier epoch must read as empty.
+	s.Clear()
+	for _, a := range pool {
+		if s.Contains(a) {
+			t.Fatalf("%v survived Clear", a)
+		}
+	}
+}
+
+// TestSeenKeyEquality pins the equality Seen shares with Index.Lookup:
+// an IPv4 endpoint and its 4-in-6 form are one member, zones are
+// ignored, and the port and address still tell members apart.
+func TestSeenKeyEquality(t *testing.T) {
+	v4 := netip.MustParseAddrPort("1.2.3.4:8333")
+	for _, same := range []netip.AddrPort{
+		netip.MustParseAddrPort("[::ffff:1.2.3.4]:8333"),
+		netip.AddrPortFrom(netip.MustParseAddr("::ffff:1.2.3.4%eth0"), 8333),
+	} {
+		var s Seen
+		s.Add(v4)
+		if s.Add(same) || !s.Contains(same) {
+			t.Errorf("%v and %v are two members", v4, same)
+		}
+	}
+	var s Seen
+	s.Add(v4)
+	for _, other := range []string{"1.2.3.4:8334", "1.2.3.5:8333", "[::1.2.3.4]:8333"} {
+		if s.Contains(netip.MustParseAddrPort(other)) {
+			t.Errorf("%v matched %v", other, v4)
+		}
+	}
+}
+
+// TestSeenReservedAddDoesNotAllocate: after Reserve(n), n adds stay
+// inside the table.
+func TestSeenReservedAddDoesNotAllocate(t *testing.T) {
+	addrs := randAddrs(rand.New(rand.NewSource(6)), 5000)
+	var s Seen
+	s.Reserve(len(addrs))
+	allocs := testing.AllocsPerRun(5, func() {
+		s.Clear()
+		for _, a := range addrs {
+			s.Add(a)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Add after Reserve(%d): %.1f allocs per %d adds, want 0", len(addrs), allocs, len(addrs))
+	}
+}
+
+func TestSeenSlotIs24Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(seenSlot{}); size != 24 {
+		t.Errorf("seenSlot is %d bytes, want 24", size)
 	}
 }

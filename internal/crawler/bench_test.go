@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netgen"
+	"repro/internal/wire"
 )
 
 // benchUniverse generates the benchmark universe at the guard scale.
@@ -46,6 +47,41 @@ func BenchmarkCrawlSnapshot(b *testing.B) {
 		c := New(Config{Index: u.Index}, view)
 		if _, err := c.Crawl(context.Background(), in.at, in.targets, in.known); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCrawlOpenWorld measures the crawl of an address space no
+// Index interns, the path every tcpnet crawl takes, without sockets:
+// part (a) of the tcp_crawl workload, 8 books of 20,000 distinct
+// addresses served in 1,000-address pages to 2 workers.
+func BenchmarkCrawlOpenWorld(b *testing.B) {
+	const servers, perBook = 8, 20000
+	targets := make([]netip.AddrPort, servers)
+	known := make(map[netip.AddrPort]struct{}, servers)
+	books := make(map[netip.AddrPort][]wire.NetAddress, servers)
+	for s := range targets {
+		targets[s] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, byte(s + 1)}), 8333)
+		known[targets[s]] = struct{}{}
+		book := make([]wire.NetAddress, perBook)
+		for i := range book {
+			n := uint32(s*perBook + i)
+			book[i] = na(netip.AddrPortFrom(
+				netip.AddrFrom4([4]byte{11, byte(n >> 16), byte(n >> 8), byte(n)}), 8333))
+		}
+		books[targets[s]] = book
+	}
+	c := New(Config{Workers: 2}, &fakeDialer{books: books, page: 1000})
+	at := time.Unix(1586000000, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := c.Crawl(context.Background(), at, targets, known)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(snap.Unreachable) != servers*perBook {
+			b.Fatalf("%d unreachable, want %d", len(snap.Unreachable), servers*perBook)
 		}
 	}
 }

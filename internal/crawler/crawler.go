@@ -14,8 +14,10 @@
 // internal/par and merge results in target order, so output is
 // byte-identical at any worker count. When Config.Index interns the
 // address universe (the popsim backend always does), every membership
-// set on the hot path is a dense addridx bitset; map sets survive only
-// at the API boundary and as an overlay for uninterned addresses.
+// set on the hot path is a dense addridx bitset; addresses outside it
+// (all of them on tcpnet) go into a pointer-free addridx.Seen. Address-
+// keyed maps remain only at the API boundary: Crawl's known-reachable
+// argument and Snapshot.Reports.
 package crawler
 
 import (
@@ -140,10 +142,9 @@ type Config struct {
 	Workers int
 	// Index, when set, interns the address universe: membership sets on
 	// the drain/dedup hot path become dense addridx bitsets instead of
-	// address-keyed maps, and snapshots carry parallel StationID slices.
-	// The popsim backend always provides it; backends whose address
-	// space is open (simnet, tcpnet) may leave it nil and get the map
-	// fallback.
+	// hashed addridx.Seen sets, and snapshots carry parallel StationID
+	// slices. The popsim backend always provides it; backends whose
+	// address space is open (simnet, tcpnet) leave it nil.
 	Index *addridx.Index
 	// Metrics, when set, receives the crawl reachability series
 	// (crawl.* counters: dials, connections, GETADDR rounds, address
@@ -240,27 +241,22 @@ func New(cfg Config, dialer Dialer) *Crawler {
 
 // knownView is the read-only membership view of the known-reachable
 // reference set, resolved once per crawl: interned addresses collapse
-// into a dense bitset probe, the rest stay behind the API-boundary map.
+// into a dense bitset probe, the rest into a Seen set.
 type knownView struct {
 	bits *addridx.Set
-	rest map[netip.AddrPort]struct{}
+	rest addridx.Seen
 }
 
 func newKnownView(idx *addridx.Index, known map[netip.AddrPort]struct{}) *knownView {
 	v := &knownView{}
-	if idx == nil {
-		v.rest = known
-		return v
+	if idx != nil {
+		v.bits = addridx.NewSet(idx.Len())
 	}
-	v.bits = addridx.NewSet(idx.Len())
 	for a := range known {
-		if id, ok := idx.Lookup(a); ok {
+		if id, ok := lookup(idx, a); ok {
 			v.bits.Add(id)
 		} else {
-			if v.rest == nil {
-				v.rest = make(map[netip.AddrPort]struct{})
-			}
-			v.rest[a] = struct{}{}
+			v.rest.Add(a)
 		}
 	}
 	return v
@@ -270,16 +266,24 @@ func (v *knownView) contains(addr netip.AddrPort, id addridx.ID) bool {
 	if id != addridx.None && v.bits != nil {
 		return v.bits.Contains(id)
 	}
-	_, ok := v.rest[addr]
-	return ok
+	return v.rest.Contains(addr)
+}
+
+// lookup resolves addr in idx, which may be nil.
+func lookup(idx *addridx.Index, addr netip.AddrPort) (addridx.ID, bool) {
+	if idx == nil {
+		return addridx.None, false
+	}
+	return idx.Lookup(addr)
 }
 
 // memberSet is a mutable membership set over addresses: an
-// epoch-versioned dense array for interned addresses, a map overlay for
-// the rest (always empty under popsim, where the whole universe is
-// interned). Epoch versioning makes clear O(1) — the per-target "seen"
-// set is cleared once per crawled node, and a full memset of an
-// index-sized bitset per node was a measurable slice of crawl CPU.
+// epoch-versioned dense array for interned addresses, a Seen set for the
+// rest (every address on tcpnet, none under popsim, where the whole
+// universe is interned). Both halves are epoch-versioned, so clear is
+// O(1) — the per-target "seen" set is cleared once per crawled node, and
+// a full memset of an index-sized table per node was a measurable slice
+// of crawl CPU.
 // A worker's pooled set also carries the scratch in which drainNode
 // collects one target's unreachable (addr, id) pairs, so the buffers grow
 // to the worker's largest target once, not once per target.
@@ -287,7 +291,7 @@ type memberSet struct {
 	idx    *addridx.Index
 	epochs []uint32 // epochs[id] == epoch ⇔ id is a member
 	epoch  uint32
-	rest   map[netip.AddrPort]struct{}
+	rest   addridx.Seen
 
 	unreachable    []netip.AddrPort
 	unreachableIDs []addridx.ID // parallel to unreachable
@@ -304,13 +308,7 @@ func newMemberSet(idx *addridx.Index) *memberSet {
 
 // resolve returns addr's dense ID, or addridx.None.
 func (m *memberSet) resolve(addr netip.AddrPort) addridx.ID {
-	if m.idx == nil {
-		return addridx.None
-	}
-	id, ok := m.idx.Lookup(addr)
-	if !ok {
-		return addridx.None
-	}
+	id, _ := lookup(m.idx, addr)
 	return id
 }
 
@@ -324,14 +322,7 @@ func (m *memberSet) add(addr netip.AddrPort, id addridx.ID) bool {
 		m.epochs[id] = m.epoch
 		return true
 	}
-	if m.rest == nil {
-		m.rest = make(map[netip.AddrPort]struct{})
-	}
-	if _, dup := m.rest[addr]; dup {
-		return false
-	}
-	m.rest[addr] = struct{}{}
-	return true
+	return m.rest.Add(addr)
 }
 
 func (m *memberSet) clear() {
@@ -341,7 +332,7 @@ func (m *memberSet) clear() {
 		clear(m.epochs)
 		m.epoch = 1
 	}
-	clear(m.rest)
+	m.rest.Clear()
 	m.unreachable = m.unreachable[:0]
 	m.unreachableIDs = m.unreachableIDs[:0]
 }
@@ -428,21 +419,32 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 			jobs[i].exchanges = nil
 		}
 	}
-	// Merge, phase two: aggregate the unreachable sets. A counting pass
-	// sizes the aggregate exactly and the fill pass allocates it once —
-	// incremental appending paid for the accumulated set again and again
-	// in growth copies. The membership set is cleared between the passes;
-	// both replay the identical add sequence, so first-seen order is
-	// preserved.
+	// Merge, phase two: aggregate the unreachable sets in one pass. Each
+	// job's slices are compacted in place, in target order, down to the
+	// entries new to the whole crawl; the aggregate is then allocated
+	// once, at exactly the kept total, and concatenated, so first-seen
+	// order is preserved.
+	if c.cfg.Index == nil {
+		sum := 0
+		for i := range jobs {
+			sum += len(jobs[i].unreachable)
+		}
+		global.rest.Reserve(sum)
+	}
 	total := 0
 	for i := range jobs {
-		for k, a := range jobs[i].unreachable {
-			if global.add(a, jobs[i].unreachableIDs[k]) {
-				total++
+		job := &jobs[i]
+		kept := 0
+		for k, a := range job.unreachable {
+			id := job.unreachableIDs[k]
+			if global.add(a, id) {
+				job.unreachable[kept], job.unreachableIDs[kept] = a, id
+				kept++
 			}
 		}
+		job.unreachable, job.unreachableIDs = job.unreachable[:kept], job.unreachableIDs[:kept]
+		total += kept
 	}
-	global.clear()
 	if total > 0 {
 		snap.Unreachable = make([]netip.AddrPort, 0, total)
 		if c.cfg.Index != nil {
@@ -450,15 +452,9 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 		}
 	}
 	for i := range jobs {
-		for k, a := range jobs[i].unreachable {
-			id := jobs[i].unreachableIDs[k]
-			if !global.add(a, id) {
-				continue
-			}
-			snap.Unreachable = append(snap.Unreachable, a)
-			if c.cfg.Index != nil {
-				snap.UnreachableIDs = append(snap.UnreachableIDs, id)
-			}
+		snap.Unreachable = append(snap.Unreachable, jobs[i].unreachable...)
+		if c.cfg.Index != nil {
+			snap.UnreachableIDs = append(snap.UnreachableIDs, jobs[i].unreachableIDs...)
 		}
 		jobs[i] = crawlJob{}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"runtime"
@@ -466,6 +467,165 @@ func TestCrawlUnreachableOrderIsFirstSeen(t *testing.T) {
 	want := []netip.AddrPort{tAddr(101), shared, tAddr(102)}
 	if !reflect.DeepEqual(snap.Unreachable, want) {
 		t.Errorf("Unreachable = %v, want %v", snap.Unreachable, want)
+	}
+}
+
+// assertExactSize checks that the snapshot's aggregate slices were
+// allocated once, at exactly their final length.
+func assertExactSize(t *testing.T, name string, snap *Snapshot) {
+	t.Helper()
+	if len(snap.Unreachable) != cap(snap.Unreachable) {
+		t.Errorf("%s: Unreachable len %d, cap %d", name, len(snap.Unreachable), cap(snap.Unreachable))
+	}
+	if len(snap.UnreachableIDs) != cap(snap.UnreachableIDs) {
+		t.Errorf("%s: UnreachableIDs len %d, cap %d", name, len(snap.UnreachableIDs), cap(snap.UnreachableIDs))
+	}
+}
+
+// firstSeenUnreachable is the reference for Snapshot.Unreachable: every
+// book entry outside known, in target order then book order, once.
+func firstSeenUnreachable(targets []netip.AddrPort, books map[netip.AddrPort][]wire.NetAddress,
+	known map[netip.AddrPort]struct{}) []netip.AddrPort {
+	seen := make(map[netip.AddrPort]struct{})
+	var out []netip.AddrPort
+	for _, tgt := range targets {
+		for _, a := range books[tgt] {
+			if _, ok := known[a.Addr]; ok {
+				continue
+			}
+			if _, dup := seen[a.Addr]; dup {
+				continue
+			}
+			seen[a.Addr] = struct{}{}
+			out = append(out, a.Addr)
+		}
+	}
+	return out
+}
+
+func TestCrawlOpenWorldOverlappingBooks(t *testing.T) {
+	// Three big books that overlap: the per-target sets grow through
+	// several resizes, and the merge must drop each cross-target
+	// duplicate while keeping first-seen order.
+	rng := rand.New(rand.NewSource(11))
+	targets := []netip.AddrPort{tAddr(1), tAddr(2), tAddr(3)}
+	known := map[netip.AddrPort]struct{}{}
+	books := map[netip.AddrPort][]wire.NetAddress{}
+	for k, tgt := range targets {
+		known[tgt] = struct{}{}
+		// Target k holds addresses [3000k, 3000k+6000), shuffled: each
+		// book shares half of itself with the next target's.
+		book := []wire.NetAddress{na(tgt), na(targets[(k+1)%len(targets)])}
+		for _, i := range rng.Perm(6000) {
+			n := 3000*k + i
+			book = append(book, na(netip.AddrPortFrom(
+				netip.AddrFrom4([4]byte{10, byte(n >> 16), byte(n >> 8), byte(n)}), 8333)))
+		}
+		books[tgt] = book
+	}
+	want := firstSeenUnreachable(targets, books, known)
+	if len(want) != 12000 {
+		t.Fatalf("fixture: %d distinct unreachable, want 12000", len(want))
+	}
+	for _, workers := range []int{1, 3} {
+		c := New(Config{Workers: workers}, &fakeDialer{books: books, page: 1000})
+		snap, err := c.Crawl(context.Background(), time.Unix(0, 0), targets, known)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(snap.Unreachable, want) {
+			t.Errorf("workers=%d: Unreachable differs from first-seen order (%d vs %d entries)",
+				workers, len(snap.Unreachable), len(want))
+		}
+		if snap.UnreachableIDs != nil {
+			t.Errorf("workers=%d: UnreachableIDs set without an Index", workers)
+		}
+		assertExactSize(t, fmt.Sprintf("workers=%d", workers), snap)
+		for _, tgt := range targets {
+			rep := snap.Reports[tgt]
+			if rep.TotalSent != 6002 || rep.ReachableSent != 2 || rep.UnreachableSent != 6000 {
+				t.Errorf("workers=%d: %v sent %d = %d reachable + %d unreachable, want 6002 = 2 + 6000",
+					workers, tgt, rep.TotalSent, rep.ReachableSent, rep.UnreachableSent)
+			}
+		}
+	}
+}
+
+func TestCrawlCountsMappedFormOnce(t *testing.T) {
+	// The decoder unmaps 4-in-6 addresses, so a page never carries both
+	// forms of one endpoint off the wire; if a session does, they are one
+	// address, as in addridx.Index.
+	target := tAddr(1)
+	v4 := netip.MustParseAddrPort("198.51.100.7:8333")
+	mapped := netip.MustParseAddrPort("[::ffff:198.51.100.7]:8333")
+	mappedSelf := netip.AddrPortFrom(netip.AddrFrom16(target.Addr().As16()), target.Port())
+	book := []wire.NetAddress{na(target), na(v4), na(mapped), na(mappedSelf)}
+	c := New(Config{}, &fakeDialer{books: map[netip.AddrPort][]wire.NetAddress{target: book}, page: 4})
+	known := map[netip.AddrPort]struct{}{target: {}}
+	snap, err := c.Crawl(context.Background(), time.Unix(0, 0), []netip.AddrPort{target}, known)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := snap.Reports[target]
+	if rep.TotalSent != 2 || rep.ReachableSent != 1 || rep.UnreachableSent != 1 {
+		t.Errorf("sent %d = %d reachable + %d unreachable, want 2 = 1 + 1",
+			rep.TotalSent, rep.ReachableSent, rep.UnreachableSent)
+	}
+	if want := []netip.AddrPort{v4}; !reflect.DeepEqual(snap.Unreachable, want) {
+		t.Errorf("Unreachable = %v, want %v", snap.Unreachable, want)
+	}
+}
+
+// plainDialer serves its inner dialer's sessions behind the bare Session
+// interface, hiding GetAddrIDs as an open-world backend would.
+type plainDialer struct{ Dialer }
+
+func (d plainDialer) Dial(addr netip.AddrPort) (Session, error) {
+	sess, err := d.Dialer.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ Session }{sess}, nil
+}
+
+func TestCrawlOpenWorldMatchesInterned(t *testing.T) {
+	// The same popsim instant crawled through the dense index and through
+	// the open-world sets must give the same snapshot; only the ID
+	// slices, which need the index, differ.
+	u := smallUniverse(t)
+	at := u.Params.Epoch.Add(10 * 24 * time.Hour)
+	seedView := u.SeedViewAt(at)
+	targets := TargetsOf(seedView)
+	known := ReachableReference(seedView)
+	for _, workers := range []int{1, 4} {
+		interned, err := New(Config{Workers: workers, Index: u.Index},
+			NewUniverseView(u, at)).Crawl(context.Background(), at, targets, known)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open, err := New(Config{Workers: workers},
+			plainDialer{NewUniverseView(u, at)}).Crawl(context.Background(), at, targets, known)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(interned.Unreachable) == 0 || len(interned.UnreachableIDs) != len(interned.Unreachable) {
+			t.Fatalf("workers=%d: degenerate interned crawl: %d unreachable, %d IDs",
+				workers, len(interned.Unreachable), len(interned.UnreachableIDs))
+		}
+		if open.UnreachableIDs != nil || open.ConnectedIDs != nil {
+			t.Errorf("workers=%d: open-world crawl carries ID slices", workers)
+		}
+		if open.Dialed != interned.Dialed || !reflect.DeepEqual(open.Connected, interned.Connected) {
+			t.Errorf("workers=%d: Connected differs: %d vs %d", workers, len(open.Connected), len(interned.Connected))
+		}
+		if !reflect.DeepEqual(open.Unreachable, interned.Unreachable) {
+			t.Errorf("workers=%d: Unreachable differs: %d vs %d", workers, len(open.Unreachable), len(interned.Unreachable))
+		}
+		if !reflect.DeepEqual(open.Reports, interned.Reports) {
+			t.Errorf("workers=%d: Reports differ", workers)
+		}
+		assertExactSize(t, fmt.Sprintf("interned workers=%d", workers), interned)
+		assertExactSize(t, fmt.Sprintf("open workers=%d", workers), open)
 	}
 }
 
