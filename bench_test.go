@@ -201,12 +201,6 @@ func BenchmarkSyncDepartures(b *testing.B) {
 	})
 }
 
-// BenchmarkRefinementAblation regenerates the §V refinement comparison
-// (tried-only ADDR, 17-day horizon, priority relay vs stock).
-func BenchmarkRefinementAblation(b *testing.B) {
-	runExperiment(b, "ablation", nil)
-}
-
 // BenchmarkHijackPartition runs the §IV-A1 extension: a live AS-hijack
 // partition over the Table I hosting distribution.
 func BenchmarkHijackPartition(b *testing.B) {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -131,6 +132,29 @@ func TestRunFig1Contrast(t *testing.T) {
 		if integral < 0.5 || integral > 1.3 {
 			t.Errorf("KDE integral over [0,1] = %.3f", integral)
 		}
+	}
+}
+
+// TestRunFig1WorkersInvariant: replications fan out over Workers, and
+// the pooled distributions must be identical at any width.
+func TestRunFig1WorkersInvariant(t *testing.T) {
+	run := func(workers int) *Fig1Result {
+		res, err := RunFig1(context.Background(), Fig1Config{
+			Seed:         6,
+			NumReachable: 24,
+			Duration:     time.Hour,
+			Churn2019:    0.3,
+			Churn2020:    2.5,
+			Replications: 3,
+			Workers:      workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if a, b := run(1), run(3); !reflect.DeepEqual(a, b) {
+		t.Errorf("fig1 differs between workers=1 and workers=3:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
@@ -325,37 +349,6 @@ func TestRunSyncDepartures(t *testing.T) {
 	}
 }
 
-func TestRunAblation(t *testing.T) {
-	base := smallPropConfig(11)
-	base.Duration = 45 * time.Minute
-	base.ChurnDeparturesPer10Min = 0.5
-	variants := []AblationVariant{
-		{Name: "stock"},
-		{Name: "priority", Policies: node.MustPolicySet("priority-relay")},
-		{Name: "broadcast", Policies: node.MustPolicySet("ideal-broadcast")},
-	}
-	res, err := RunAblation(context.Background(), base, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(res.Rows))
-	}
-	byName := map[string]AblationRow{}
-	for _, r := range res.Rows {
-		byName[r.Variant.Name] = r
-		if r.MeanObservedSync <= 0 {
-			t.Errorf("%s: no observed sync", r.Variant.Name)
-		}
-	}
-	// Broadcast (the idealized model) must not be slower than stock
-	// round-robin at relaying blocks.
-	if byName["broadcast"].MeanBlockRelay > byName["stock"].MeanBlockRelay {
-		t.Errorf("broadcast relay %v slower than stock %v",
-			byName["broadcast"].MeanBlockRelay, byName["stock"].MeanBlockRelay)
-	}
-}
-
 func TestSummarizeRelays(t *testing.T) {
 	if got := SummarizeRelays(nil); got.Count != 0 {
 		t.Error("empty summary should have zero count")
@@ -374,28 +367,5 @@ func TestSummarizeRelays(t *testing.T) {
 	}
 	if s.Max != 3 {
 		t.Errorf("max = %v, want 3", s.Max)
-	}
-}
-
-// TestStockVariantsCoverRefinements pins the ablation ladder: row labels
-// and the policy set each runs (node's TestResolvePoliciesHooks pins what
-// each set compiles to).
-func TestStockVariantsCoverRefinements(t *testing.T) {
-	want := [][2]string{
-		{"stock", "stock"},
-		{"tried-only-addr", "tried-only-addr"},
-		{"17d-horizon", "horizon-17d"},
-		{"priority-relay", "priority-relay"},
-		{"all-refinements", "tried-only-addr+horizon-17d+priority-relay"},
-		{"ideal-broadcast", "ideal-broadcast"},
-	}
-	vs := StockVariants()
-	if len(vs) != len(want) {
-		t.Fatalf("variants = %d, want %d", len(vs), len(want))
-	}
-	for i, v := range vs {
-		if got := [2]string{v.Name, v.Policies.String()}; got != want[i] {
-			t.Errorf("variant %d = %v, want %v", i, got, want[i])
-		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/node"
-	"repro/internal/par"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -45,9 +44,9 @@ type ConnExperimentConfig struct {
 	// cold start and uses zero warmup).
 	ObserverWarmup time.Duration
 	// Policies is the intervention policy set applied to every node
-	// (background peers and observer), so the ablation can measure the
-	// §V refinements' effect on cold-start success. Empty means stock
-	// behaviour.
+	// (background peers and observer), so the intervention grid can
+	// measure the §V refinements' effect on cold-start success. Empty
+	// means stock behaviour.
 	Policies node.PolicySet
 	// Runs repeats the experiment (Figure 7 uses 5 runs).
 	Runs int
@@ -112,9 +111,8 @@ type ConnExperimentResult struct {
 // RunConnExperiment builds a background network, then starts a fresh
 // observer node whose address tables match the measured gossip mix, and
 // watches its outgoing connections — the §IV-B experiments. Runs execute
-// concurrently (par.Replicate), each on its own paired seed and
-// simulator; results land in run-indexed slots and the aggregates are
-// folded afterwards, so the result matches the former sequential loop.
+// in order, each on its own paired seed and simulator; the aggregates
+// are folded over the run-indexed slots afterwards.
 func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExperimentResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.LivePeers < 8 {
@@ -122,7 +120,7 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 	}
 	res := &ConnExperimentResult{Runs: make([]ConnRun, cfg.Runs)}
 
-	err := par.Replicate(ctx, cfg.Runs, func(ctx context.Context, run int) error {
+	for run := range res.Runs {
 		seed := cfg.Seed + int64(run)*1000
 		rng := rand.New(rand.NewSource(seed))
 		net := simnet.New(simnet.Config{
@@ -161,7 +159,7 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 		// Let the background network interconnect; with an 85% dead mix
 		// this takes a while, exactly as in the live network.
 		if err := sched.RunForCtx(ctx, 10*time.Minute); err != nil {
-			return err
+			return nil, err
 		}
 
 		// Background churn destabilizes the observer's connections.
@@ -211,7 +209,7 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 		}
 		if cfg.ObserverWarmup > 0 {
 			if err := sched.RunForCtx(ctx, cfg.ObserverWarmup); err != nil {
-				return err
+				return nil, err
 			}
 		}
 
@@ -234,7 +232,7 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 		}
 		sched.After(0, sample)
 		if err := sched.RunUntilCtx(ctx, end); err != nil {
-			return err
+			return nil, err
 		}
 
 		if n := observer.Node(); n != nil {
@@ -242,10 +240,6 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 			cr.Attempts, cr.Successes = a-measureStartAttempts, su-measureStartSuccesses
 		}
 		res.Runs[run] = cr
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	var attempts, successes, sampleSum, sampleCount, below int

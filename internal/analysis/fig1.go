@@ -32,6 +32,9 @@ type Fig1Config struct {
 	// noise from topology randomness, while the regime *difference* is
 	// stable within a pair (default 3).
 	Replications int
+	// Workers is the fan-out width across replications (0 = GOMAXPROCS).
+	// Results are identical at any width.
+	Workers int
 }
 
 // fig1TxPerBlock is the background transaction load of both regimes.
@@ -97,9 +100,9 @@ func summarizeRegime(samples []float64) (RegimeSync, error) {
 }
 
 // RunFig1 runs both regimes and returns their synchronization
-// distributions. Replications run concurrently (par.Replicate), each on
-// its own paired seed and simulator; samples are pooled in replication
-// order, so the result is identical to the former sequential loop.
+// distributions. Replications fan out over cfg.Workers (par.ForEach),
+// each on its own paired seed and simulator; samples are pooled in
+// replication order, so the result is identical at any width.
 func RunFig1(ctx context.Context, cfg Fig1Config) (*Fig1Result, error) {
 	cfg = cfg.withDefaults()
 	base := PropagationConfig{
@@ -126,7 +129,7 @@ func RunFig1(ctx context.Context, cfg Fig1Config) (*Fig1Result, error) {
 
 	rep19 := make([][]float64, cfg.Replications)
 	rep20 := make([][]float64, cfg.Replications)
-	err := par.Replicate(ctx, cfg.Replications, func(ctx context.Context, r int) error {
+	err := par.ForEach(ctx, par.Workers(cfg.Workers), cfg.Replications, func(ctx context.Context, r int) error {
 		seed := cfg.Seed + int64(r)*7919
 		s19, err := run(ctx, cfg.Churn2019, seed)
 		if err != nil {

@@ -60,8 +60,8 @@ type InterventionGridConfig struct {
 }
 
 // DefaultPolicySets is the canonical intervention axis: stock, each §V
-// refinement alone, the two related-work remedies, and the combined §V
-// set.
+// refinement alone, the two related-work remedies, the combined §V set,
+// and the lock-step broadcast upper bound.
 func DefaultPolicySets() []node.PolicySet {
 	return []node.PolicySet{
 		node.MustPolicySet(node.StockPolicyName),
@@ -71,6 +71,7 @@ func DefaultPolicySets() []node.PolicySet {
 		node.MustPolicySet("unreachable-tx-relay"),
 		node.MustPolicySet("churn-resilient-peering"),
 		node.MustPolicySet("tried-only-addr+horizon-17d+priority-relay"),
+		node.MustPolicySet("ideal-broadcast"),
 	}
 }
 
@@ -96,9 +97,10 @@ type IntervCell struct {
 	// ColdStartSuccessRate is the fresh-node dial success rate under
 	// this cell's policies (0 when ColdStartRuns is 0).
 	ColdStartSuccessRate float64
-	// MeanBlockRelay and MaxBlockRelay summarize last-connection block
-	// relay delays.
-	MeanBlockRelay, MaxBlockRelay time.Duration
+	// MeanBlockRelay and P99BlockRelay summarize last-connection block
+	// relay delays in seconds; BlockRelayObs counts the observations.
+	MeanBlockRelay, P99BlockRelay float64
+	BlockRelayObs                 int
 	// MeanOutdegree is the average outbound connection count.
 	MeanOutdegree float64
 	// NumUnreachable is the number of unreachable nodes the cell ran.
@@ -234,11 +236,14 @@ func runIntervCell(ctx context.Context, cfg InterventionGridConfig, spec intervC
 	if len(out.SyncSamples) > 0 {
 		cell.MeanSync = stats.Mean(out.SyncSamples)
 	}
-	sum := summarizePropagation(out)
-	cell.MeanObservedSync = sum.meanObservedSync
-	cell.DialSuccessRate = sum.dialSuccessRate
-	cell.MeanBlockRelay = sum.meanBlockRelay
-	cell.MaxBlockRelay = sum.maxBlockRelay
+	if len(out.ObservedSyncSamples) > 0 {
+		cell.MeanObservedSync = stats.Mean(out.ObservedSyncSamples)
+	}
+	if out.DialAttempts > 0 {
+		cell.DialSuccessRate = float64(out.DialSuccesses) / float64(out.DialAttempts)
+	}
+	relays := SummarizeRelays(out.BlockRelays)
+	cell.MeanBlockRelay, cell.P99BlockRelay, cell.BlockRelayObs = relays.Mean, relays.P99, relays.Count
 
 	// Population scoring: the gossip-visible non-reachable population is
 	// the dead address pool plus the unreachable nodes (which enter

@@ -120,3 +120,59 @@ func TestRunInterventionGridWorkersInvariant(t *testing.T) {
 		t.Error("series differ between workers=1 and workers=4")
 	}
 }
+
+// TestDefaultPolicySets pins the intervention axis: the stock baseline,
+// each §V refinement alone, the two related-work remedies, the combined
+// §V set and the ideal-broadcast bound, in this order (node's
+// TestResolvePoliciesHooks pins what each set compiles to).
+func TestDefaultPolicySets(t *testing.T) {
+	want := []string{
+		"stock",
+		"tried-only-addr",
+		"horizon-17d",
+		"priority-relay",
+		"unreachable-tx-relay",
+		"churn-resilient-peering",
+		"tried-only-addr+horizon-17d+priority-relay",
+		"ideal-broadcast",
+	}
+	sets := DefaultPolicySets()
+	if len(sets) != len(want) {
+		t.Fatalf("policy sets = %d, want %d", len(sets), len(want))
+	}
+	for i, set := range sets {
+		if got := set.String(); got != want[i] {
+			t.Errorf("policy set %d = %q, want %q", i, got, want[i])
+		}
+	}
+}
+
+// TestIdealBroadcastRelaysNoSlowerThanStock: the lock-step broadcast
+// model must not relay blocks slower than stock round-robin in any
+// environment of the grid.
+func TestIdealBroadcastRelaysNoSlowerThanStock(t *testing.T) {
+	cfg := smallIntervConfig(11)
+	cfg.PolicySets = []node.PolicySet{
+		node.MustPolicySet(node.StockPolicyName),
+		node.MustPolicySet("ideal-broadcast"),
+	}
+	cfg.ColdStartRuns = 0
+	res, err := RunInterventionGrid(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := len(cfg.Churns) * len(cfg.UnreachableShares)
+	if len(res.Cells) != 2*envs {
+		t.Fatalf("cells = %d, want %d", len(res.Cells), 2*envs)
+	}
+	for e := 0; e < envs; e++ {
+		stock, bcast := res.Cells[e], res.Cells[envs+e]
+		if stock.BlockRelayObs == 0 || bcast.BlockRelayObs == 0 {
+			t.Fatalf("%s/%s: no block relay observations", stock.Name, bcast.Name)
+		}
+		if bcast.MeanBlockRelay > stock.MeanBlockRelay {
+			t.Errorf("%s: broadcast relay %.3fs slower than stock %.3fs",
+				bcast.Name, bcast.MeanBlockRelay, stock.MeanBlockRelay)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package analysis implements the paper's measurement pipelines: the
 // message-level propagation experiments (synchronization, connection
-// stability and success, relay delays, the §V ablation) and the
+// stability and success, relay delays, the §V intervention grid) and the
 // snapshot-level studies (crawl series, AS censuses, churn figures). Each
 // Fig*/Table* entry point returns plain data that internal/core renders.
 package analysis

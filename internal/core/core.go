@@ -194,7 +194,7 @@ func renderTable(w io.Writer, t *Table) error {
 
 // Experiment is one registered reproduction target.
 type Experiment struct {
-	// ID is the figure/table identifier ("fig1" … "table1", "ablation").
+	// ID is the figure/table identifier ("fig1" … "table1", "fig_interv").
 	ID string
 	// Title describes the experiment.
 	Title string
@@ -226,7 +226,6 @@ func registry() []Experiment {
 		figEstDegreeExperiment(),
 		resyncExperiment(),
 		syncDepExperiment(),
-		ablationExperiment(),
 		figIntervExperiment(),
 		hijackExperiment(),
 		chaosExperiment(),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"fig10", "fig11", "fig12", "fig13",
 		"fig_est_pop", "fig_est_degree", "fig_interv",
-		"table1", "addrmix", "resync", "syncdep", "ablation", "hijack",
+		"table1", "addrmix", "resync", "syncdep", "hijack",
 		"chaos",
 	}
 	got := Experiments()
@@ -39,6 +40,36 @@ func TestExperimentsSorted(t *testing.T) {
 	for i := 1; i < len(es); i++ {
 		if es[i].ID < es[i-1].ID {
 			t.Fatal("Experiments() not sorted by ID")
+		}
+	}
+}
+
+// TestDocsResolve checks that the documents name only what exists:
+// every `reproduce -id <x>` in README.md, DESIGN.md, EXPERIMENTS.md and
+// the verify skill is a registered experiment, and every examples/<x>
+// named there is a directory of the repository.
+func TestDocsResolve(t *testing.T) {
+	const root = "../.."
+	idRe := regexp.MustCompile(`(?:^|\s)-id[ =]([A-Za-z_]\w*)`)
+	exampleRe := regexp.MustCompile(`examples/(\w+)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(text), "\n") {
+			if strings.Contains(line, "reproduce") {
+				for _, m := range idRe.FindAllStringSubmatch(line, -1) {
+					if _, ok := ByID(m[1]); !ok {
+						t.Errorf("%s:%d: reproduce -id %s names no registered experiment", doc, n+1, m[1])
+					}
+				}
+			}
+			for _, m := range exampleRe.FindAllStringSubmatch(line, -1) {
+				if fi, err := os.Stat(filepath.Join(root, "examples", m[1])); err != nil || !fi.IsDir() {
+					t.Errorf("%s:%d: examples/%s is not a directory", doc, n+1, m[1])
+				}
+			}
 		}
 	}
 }

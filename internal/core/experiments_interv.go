@@ -13,8 +13,7 @@ import (
 // the §V refinements and two related-work remedies as composable
 // node.PolicySet values, swept against the paper's 2019/2020 churn
 // regimes and an unreachable-population mix, with the Grundmann
-// estimators scored inside every cell. It is the policy-API successor
-// to the fixed six-row ablation ladder.
+// estimators scored inside every cell.
 
 // figIntervExperiment builds the fig_interv registry entry.
 func figIntervExperiment() Experiment {
@@ -73,7 +72,7 @@ func figIntervExperiment() Experiment {
 				Name: "grid",
 				Header: []string{"policy-set", "churn", "unreach-share", "sync",
 					"observed-sync", "dial-success", "cold-start-success",
-					"mean-block-relay", "max-block-relay", "outdegree",
+					"mean-block-relay", "p99-block-relay", "block-relay-obs", "outdegree",
 					"pop-relerr", "deg-relerr"},
 			}
 			// byCell indexes rows for the headline recovery contrasts.
@@ -92,8 +91,9 @@ func figIntervExperiment() Experiment {
 					fmt.Sprintf("%.1f%%", 100*c.MeanObservedSync),
 					fmt.Sprintf("%.1f%%", 100*c.DialSuccessRate),
 					fmt.Sprintf("%.1f%%", 100*c.ColdStartSuccessRate),
-					fmt.Sprintf("%.2fs", c.MeanBlockRelay.Seconds()),
-					fmt.Sprintf("%.2fs", c.MaxBlockRelay.Seconds()),
+					fmt.Sprintf("%.2fs", c.MeanBlockRelay),
+					fmt.Sprintf("%.2fs", c.P99BlockRelay),
+					fmt.Sprint(c.BlockRelayObs),
 					fmt.Sprintf("%.2f", c.MeanOutdegree),
 					fmt.Sprintf("%.3f", c.PopRelErr),
 					fmt.Sprintf("%.3f", c.DegRelErr),

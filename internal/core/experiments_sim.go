@@ -9,8 +9,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Message-level simulation experiments: Figures 1, 6, 7, 10, 11, the
-// restart/resync measurement, and the §V ablation.
+// Message-level simulation experiments: Figures 1, 6, 7, 10, 11 and the
+// restart/resync measurement.
 
 // fig1Experiment reproduces the synchronization KDE contrast.
 func fig1Experiment() Experiment {
@@ -27,6 +27,7 @@ func fig1Experiment() Experiment {
 				Churn2019:    churnScaled(opts.NetSize, 0.9),
 				Churn2020:    churnScaled(opts.NetSize, 3.0),
 				Replications: 3,
+				Workers:      opts.Workers,
 			}
 			if opts.Quick {
 				cfg.Duration = 3 * time.Hour
@@ -320,56 +321,6 @@ func hijackExperiment() Experiment {
 				asList.Rows = append(asList.Rows, []string{fmt.Sprint(a)})
 			}
 			rep.Tables = append(rep.Tables, asList)
-			return rep, nil
-		},
-	}
-}
-
-// ablationExperiment measures the §V refinements.
-func ablationExperiment() Experiment {
-	return Experiment{
-		ID:      "ablation",
-		Title:   "§V refinements: tried-only ADDR, 17-day horizon, priority relay",
-		Section: "§V",
-		Run: func(ctx context.Context, opts Options) (*Report, error) {
-			opts = opts.withDefaults()
-			base := analysis.PropagationConfig{
-				Seed:                    opts.Seed,
-				NumReachable:            opts.NetSize,
-				Duration:                4 * time.Hour,
-				TxPerBlock:              200,
-				CompactBlocks:           true,
-				BytesPerSec:             200 << 10,
-				ChurnDeparturesPer10Min: churnScaled(opts.NetSize, 2.0),
-			}
-			if opts.Quick {
-				base.Duration = time.Hour
-				base.TxPerBlock = 80
-			}
-			res, err := analysis.RunAblation(ctx, base, nil)
-			if err != nil {
-				return nil, err
-			}
-			rep := &Report{ID: "ablation", Title: "Refinement ablation"}
-			t := Table{
-				Name: "variants",
-				Header: []string{"variant", "dial-success", "cold-start-success",
-					"observed-sync", "mean-block-relay", "max-block-relay", "outdegree"},
-			}
-			for _, row := range res.Rows {
-				t.Rows = append(t.Rows, []string{
-					row.Variant.Name,
-					fmt.Sprintf("%.1f%%", 100*row.DialSuccessRate),
-					fmt.Sprintf("%.1f%%", 100*row.ColdStartSuccessRate),
-					fmt.Sprintf("%.1f%%", 100*row.MeanObservedSync),
-					fmt.Sprintf("%.2fs", row.MeanBlockRelay.Seconds()),
-					fmt.Sprintf("%.2fs", row.MaxBlockRelay.Seconds()),
-					fmt.Sprintf("%.2f", row.MeanOutdegree),
-				})
-			}
-			rep.Tables = append(rep.Tables, t)
-			rep.Notes = append(rep.Notes,
-				"the paper predicts the refinements raise dial success and cut block relay delay (§V)")
 			return rep, nil
 		},
 	}

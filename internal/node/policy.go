@@ -123,7 +123,7 @@ func (priorityRelayPolicy) Name() string                 { return "priority-rela
 func (priorityRelayPolicy) RelayScheduling() RelayPolicy { return PriorityOutbound }
 
 // idealBroadcastPolicy: the theoretical lock-step broadcast (the
-// ablation ladder's upper bound, not a deployable fix).
+// intervention grid's upper bound, not a deployable fix).
 type idealBroadcastPolicy struct{}
 
 func (idealBroadcastPolicy) Name() string                 { return "ideal-broadcast" }

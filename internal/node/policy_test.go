@@ -92,7 +92,7 @@ func TestResolvePoliciesHooks(t *testing.T) {
 		fwdTx     bool
 		anchors   bool
 	}{
-		// The six analysis.StockVariants() sets (the §V ablation ladder).
+		// The §V sets of analysis.DefaultPolicySets() and its ideal-broadcast bound.
 		{set: "stock", relay: RoundRobin},
 		{set: "tried-only-addr", relay: RoundRobin, triedOnly: true},
 		{set: "horizon-17d", relay: RoundRobin, horizon: seventeenDays},

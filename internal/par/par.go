@@ -29,10 +29,10 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// PanicError is a worker panic converted into an error by ForEach or
-// Replicate. It carries the panicking job's index, the recovered value,
-// and the goroutine stack at the panic site, so a service layer can
-// report a structured failure while the process keeps running.
+// PanicError is a worker panic converted into an error by ForEach. It
+// carries the panicking job's index, the recovered value, and the
+// goroutine stack at the panic site, so a service layer can report a
+// structured failure while the process keeps running.
 type PanicError struct {
 	// Index is the job index whose fn panicked.
 	Index int
@@ -151,17 +151,4 @@ func firstError(errs map[int]error) error {
 	default:
 		return nil
 	}
-}
-
-// Replicate runs fn(ctx, rep) for every replication in [0, n)
-// concurrently, one goroutine per replication. Replication counts are
-// small (the paper's sweeps use 3-5 paired seeds), so a bounded pool
-// would only serialise them; full fan-out also guarantees the race
-// detector sees real concurrency even on single-core hosts. Error and
-// panic-recovery semantics match ForEach.
-func Replicate(ctx context.Context, n int, fn func(ctx context.Context, rep int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	return ForEach(ctx, n, n, fn)
 }

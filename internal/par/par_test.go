@@ -194,40 +194,3 @@ func TestForEachPanicBeatsInducedCancellation(t *testing.T) {
 		}
 	}
 }
-
-// TestReplicateRecoversPanics checks the replication fan-out inherits
-// panic containment.
-func TestReplicateRecoversPanics(t *testing.T) {
-	err := Replicate(context.Background(), 3, func(_ context.Context, rep int) error {
-		if rep == 2 {
-			panic(errors.New("replication fault"))
-		}
-		return nil
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Index != 2 {
-		t.Fatalf("got %v, want *PanicError at index 2", err)
-	}
-}
-
-func TestReplicate(t *testing.T) {
-	const n = 5
-	got := make([]int64, n)
-	if err := Replicate(context.Background(), n, func(_ context.Context, rep int) error {
-		got[rep] = int64(rep) * 7919
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for rep := range got {
-		if got[rep] != int64(rep)*7919 {
-			t.Fatalf("rep %d slot = %d", rep, got[rep])
-		}
-	}
-	if err := Replicate(context.Background(), 0, func(context.Context, int) error {
-		t.Fatal("fn called for n=0")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}

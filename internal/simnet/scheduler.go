@@ -3,7 +3,7 @@
 // running the internal/node state machine, link latencies (optionally
 // AS-aware), NAT semantics for unreachable nodes, and dial/timeout
 // behaviour. It is the substrate for the paper's propagation-side
-// experiments (Figures 1, 6, 7, 10, 11 and the §V ablations).
+// experiments (Figures 1, 6, 7, 10, 11 and the §V intervention grid).
 package simnet
 
 import (

@@ -31,6 +31,7 @@ SETS=(
   unreachable-tx-relay
   churn-resilient-peering
   tried-only-addr+horizon-17d+priority-relay
+  ideal-broadcast
 )
 
 tmp=$(mktemp -d)
