@@ -38,9 +38,8 @@
 // instead of being enforced: schema v2, one entry per benchmark with its
 // owning package, and a regenerate note derived from the baseline
 // entries themselves (so the note can never drift from the keys again).
-// Per-entry tolerance overrides survive the rewrite. Legacy v1 files
-// (a bare ns_per_op map) stay readable; their entries simply carry no
-// memory data until the next -update.
+// Per-entry tolerance overrides survive the rewrite. A baseline of any
+// other schema fails to load.
 //
 // Benchmarks present in the output but not in the baseline are reported
 // and pass (new benchmarks should not break CI); baseline entries
@@ -65,8 +64,8 @@ import (
 // note rewrites it to a ./ path so the commands run from the repo root.
 const modulePath = "repro"
 
-// baselineSchema is the current file schema version. Files without the
-// field are v1 (a bare ns_per_op map) and are migrated on load.
+// baselineSchema is the file schema version, the only one loadBaseline
+// accepts.
 const baselineSchema = 2
 
 // Entry is one benchmark's reference costs and optional gate overrides.
@@ -93,27 +92,28 @@ type Baseline struct {
 	// Note documents how to regenerate the file; -update derives it from
 	// the entries so it cannot drift.
 	Note string `json:"note"`
-	// Schema is the file format version (absent = legacy v1).
+	// Schema is the file format version; it must be baselineSchema.
 	Schema int `json:"schema,omitempty"`
 	// Benchmarks maps benchmark name (GOMAXPROCS -N suffix stripped) to
 	// its reference entry.
 	Benchmarks map[string]*Entry `json:"benchmarks,omitempty"`
-	// NsPerOp is the legacy v1 field, migrated into Benchmarks on load.
-	NsPerOp map[string]float64 `json:"ns_per_op,omitempty"`
 }
 
-// migrate lifts a legacy v1 baseline into the v2 shape: ns-only entries
-// with no package attribution, so ns gates still run and memory gates
-// wait for the next -update.
-func (b *Baseline) migrate() {
-	if len(b.Benchmarks) > 0 || len(b.NsPerOp) == 0 {
-		return
+// loadBaseline reads a baseline file and rejects any schema but
+// baselineSchema.
+func loadBaseline(path string) (*Baseline, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	b.Benchmarks = make(map[string]*Entry, len(b.NsPerOp))
-	for name, ns := range b.NsPerOp {
-		b.Benchmarks[name] = &Entry{NsPerOp: ns}
+	var b Baseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
 	}
-	b.NsPerOp = nil
+	if b.Schema != baselineSchema {
+		return nil, fmt.Errorf("%s: schema %d, want %d (regenerate it with -update)", path, b.Schema, baselineSchema)
+	}
+	return &b, nil
 }
 
 // Result is one benchmark's observed costs from the piped output.
@@ -306,7 +306,7 @@ func (l *stringList) Set(v string) error {
 // entries: one `go test -bench` invocation per package, each matching
 // exactly the baselined benchmark names. Because the note is computed
 // from the keys, it cannot drift from them. Entries without package
-// attribution (migrated v1 files) fall back to a generic hint.
+// attribution (output without pkg: lines) fall back to a generic hint.
 func regenerateNote(benchmarks map[string]*Entry) string {
 	byPkg := make(map[string][]string)
 	unattributed := false
@@ -408,15 +408,8 @@ func run() error {
 	}
 
 	if *update {
-		var prev *Baseline
-		if data, err := os.ReadFile(*baselinePath); err == nil {
-			prev = &Baseline{}
-			if json.Unmarshal(data, prev) == nil {
-				prev.migrate()
-			} else {
-				prev = nil
-			}
-		}
+		// A missing or unreadable baseline is simply replaced.
+		prev, _ := loadBaseline(*baselinePath)
 		b := buildBaseline(got, prev)
 		data, err := json.MarshalIndent(b, "", "  ")
 		if err != nil {
@@ -440,15 +433,10 @@ func run() error {
 		return nil
 	}
 
-	data, err := os.ReadFile(*baselinePath)
+	base, err := loadBaseline(*baselinePath)
 	if err != nil {
 		return err
 	}
-	var base Baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing %s: %w", *baselinePath, err)
-	}
-	base.migrate()
 
 	problems, notices := compare(base.Benchmarks, got, gateParams{
 		nsTolerance: *tolerance,

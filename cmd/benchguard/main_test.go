@@ -1,7 +1,9 @@
 package main
 
 import (
-	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -183,35 +185,28 @@ func TestRequireZero(t *testing.T) {
 	}
 }
 
-func TestMigrateV1Baseline(t *testing.T) {
-	raw := `{"note":"old","ns_per_op":{"BenchmarkA":12.5,"BenchmarkB":300}}`
-	var b Baseline
-	if err := json.Unmarshal([]byte(raw), &b); err != nil {
+func TestLoadBaselineRejectsOtherSchema(t *testing.T) {
+	dir := t.TempDir()
+	for schema, raw := range map[int]string{
+		0: `{"note":"old","ns_per_op":{"BenchmarkA":12.5}}`,
+		3: `{"note":"new","schema":3,"benchmarks":{"BenchmarkA":{"ns_per_op":12.5}}}`,
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("schema%d.json", schema))
+		if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := loadBaseline(path)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("schema %d", schema)) {
+			t.Errorf("schema %d: err = %v, want one naming the schema", schema, err)
+		}
+	}
+	// The checked-in baseline is the current schema.
+	b, err := loadBaseline("../../BENCH_baseline.json")
+	if err != nil {
 		t.Fatal(err)
 	}
-	b.migrate()
-	if len(b.Benchmarks) != 2 || b.NsPerOp != nil {
-		t.Fatalf("migrate: %+v", b)
-	}
-	e := b.Benchmarks["BenchmarkA"]
-	if e.NsPerOp != 12.5 || e.BPerOp != nil || e.AllocsPerOp != nil {
-		t.Fatalf("migrated entry: %+v", e)
-	}
-	// Migrated entries still gate ns/op...
-	p, _ := compare(b.Benchmarks, map[string]Result{
-		"BenchmarkA": {NsPerOp: 20, HasMem: true},
-		"BenchmarkB": {NsPerOp: 300, HasMem: true},
-	}, defaults)
-	if len(p) != 1 || !strings.Contains(p[0], "BenchmarkA") {
-		t.Fatalf("migrated v1 entries must still gate ns/op: %v", p)
-	}
-	// ...and never memory (no reference data), even with -benchmem input.
-	p, n := compare(b.Benchmarks, map[string]Result{
-		"BenchmarkA": {NsPerOp: 12.5, BPerOp: 4096, AllocsPerOp: 50, HasMem: true},
-		"BenchmarkB": {NsPerOp: 300, HasMem: true},
-	}, defaults)
-	if len(p) != 0 || len(n) != 0 {
-		t.Fatalf("v1 entries carry no memory gates: problems=%v notices=%v", p, n)
+	if len(b.Benchmarks) == 0 {
+		t.Error("BENCH_baseline.json loaded with no entries")
 	}
 }
 

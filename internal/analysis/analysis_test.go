@@ -369,3 +369,35 @@ func TestSummarizeRelays(t *testing.T) {
 		t.Errorf("max = %v, want 3", s.Max)
 	}
 }
+
+// TestCrawlSeriesAS4134Anomaly pins Table I's AS4134 observation: China
+// Telecom hosts few reachable nodes but a large share of the unreachable
+// and responsive ones (paper: 0.76 %, 5.34 %, 6.18 %). The series is
+// `reproduce -id table1 -quick -seed 7`'s (0.00 %, 5.51 %, 6.15 %).
+func TestCrawlSeriesAS4134Anomaly(t *testing.T) {
+	res, err := RunCrawlSeries(context.Background(), CrawlSeriesConfig{
+		Params:                 netgen.DefaultParams(7, 0.02),
+		Experiments:            12,
+		ScannerStartExperiment: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	share := map[string]float64{}
+	for _, c := range res.Censuses {
+		share[c.Class] = c.AS4134Pct
+		for _, s := range c.Top {
+			if s.ASN == 4134 && s.Pct != c.AS4134Pct {
+				t.Errorf("%s: AS4134Pct = %.4f, top-list row says %.4f", c.Class, c.AS4134Pct, s.Pct)
+			}
+		}
+	}
+	if len(share) != 3 {
+		t.Fatalf("classes = %v, want reachable, unreachable, responsive", share)
+	}
+	r := share["reachable"]
+	if r >= share["unreachable"] || r >= share["responsive"] {
+		t.Errorf("AS4134 shares %.2f%% / %.2f%% / %.2f%%: want reachable below unreachable and responsive",
+			r, share["unreachable"], share["responsive"])
+	}
+}

@@ -92,6 +92,10 @@ type ASClassCensus struct {
 	Top []asmap.ASShare
 	// CoverageFor50Pct is how many ASes host half the nodes.
 	CoverageFor50Pct int
+	// AS4134Pct is China Telecom's share of the class, in percent: small
+	// among reachable nodes, near the top once unreachable and responsive
+	// nodes are counted (§IV-A1).
+	AS4134Pct float64
 }
 
 // CrawlSeriesResult aggregates the longitudinal study.
@@ -352,5 +356,6 @@ func censusOf(class string, c *asmap.Census) ASClassCensus {
 		NumASes:          c.NumASes(),
 		Top:              c.TopN(20),
 		CoverageFor50Pct: c.CoverageCount(0.5),
+		AS4134Pct:        c.Share(4134),
 	}
 }

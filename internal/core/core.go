@@ -1,8 +1,8 @@
 // Package core is the orchestration layer of the reproduction: a registry
 // of every experiment in the paper's evaluation (each figure and table),
 // shared configuration, result reporting, and text/CSV rendering. The
-// cmd/ binaries, the examples, and the repository-level benchmarks all
-// drive experiments through this package.
+// cmd/ binaries and the repository-level benchmarks drive experiments
+// through this package.
 package core
 
 import (

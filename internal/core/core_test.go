@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"go/build"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -46,12 +47,12 @@ func TestExperimentsSorted(t *testing.T) {
 
 // TestDocsResolve checks that the documents name only what exists:
 // every `reproduce -id <x>` in README.md, DESIGN.md, EXPERIMENTS.md and
-// the verify skill is a registered experiment, and every examples/<x>
-// named there is a directory of the repository.
+// the verify skill is a registered experiment, every `go run ./<path>`
+// names a directory holding a main package, and none names examples/.
 func TestDocsResolve(t *testing.T) {
 	const root = "../.."
 	idRe := regexp.MustCompile(`(?:^|\s)-id[ =]([A-Za-z_]\w*)`)
-	exampleRe := regexp.MustCompile(`examples/(\w+)`)
+	runRe := regexp.MustCompile(`go run \./((?:[\w-]+/)*[\w-]+)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -65,10 +66,13 @@ func TestDocsResolve(t *testing.T) {
 					}
 				}
 			}
-			for _, m := range exampleRe.FindAllStringSubmatch(line, -1) {
-				if fi, err := os.Stat(filepath.Join(root, "examples", m[1])); err != nil || !fi.IsDir() {
-					t.Errorf("%s:%d: examples/%s is not a directory", doc, n+1, m[1])
+			for _, m := range runRe.FindAllStringSubmatch(line, -1) {
+				if pkg, err := build.ImportDir(filepath.Join(root, m[1]), 0); err != nil || pkg.Name != "main" {
+					t.Errorf("%s:%d: go run ./%s names no main package", doc, n+1, m[1])
 				}
+			}
+			if strings.Contains(line, "examples/") {
+				t.Errorf("%s:%d: names examples/, which no longer exists", doc, n+1)
 			}
 		}
 	}

@@ -253,11 +253,16 @@ func table1Experiment() Experiment {
 			paperASes := map[string]string{
 				"reachable": "2000", "unreachable": "8494", "responsive": "4453",
 			}
+			paperAS4134 := map[string]string{
+				"reachable": "0.76%", "unreachable": "5.34%", "responsive": "6.18%",
+			}
 			for _, c := range res.Censuses {
 				rep.AddMetric(fmt.Sprintf("%s: ASes hosting 50%%", c.Class),
 					fmt.Sprint(c.CoverageFor50Pct), paperCoverage[c.Class])
 				rep.AddMetric(fmt.Sprintf("%s: distinct ASes", c.Class),
 					fmt.Sprint(c.NumASes), paperASes[c.Class]+" (population-limited at reduced scale)")
+				rep.AddMetricf(fmt.Sprintf("%s: AS4134 share", c.Class),
+					c.AS4134Pct, "%.2f%%", paperAS4134[c.Class])
 				t := Table{
 					Name:   "top20-" + c.Class,
 					Header: []string{"rank", "asn", "count", "pct"},

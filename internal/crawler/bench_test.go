@@ -100,7 +100,7 @@ func BenchmarkScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Scan(at, view, targets); err != nil {
+		if _, err := ScanWith(context.Background(), ScanConfig{Workers: 1}, at, view, targets); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -597,12 +597,6 @@ type ScanResult struct {
 	ReachableSurprises []netip.AddrPort
 }
 
-// Scan runs Algorithm 2 sequentially with default options: probe every
-// address and collect the responsive ones.
-func Scan(at time.Time, prober Prober, addrs []netip.AddrPort) (*ScanResult, error) {
-	return ScanWith(context.Background(), ScanConfig{Workers: 1}, at, prober, addrs)
-}
-
 // ScanWith runs Algorithm 2 with explicit fan-out and instrumentation:
 // probe every address on cfg.Workers workers and collect the responsive
 // ones in target order. Probe failures are counted and skipped — a

@@ -242,7 +242,7 @@ func TestScan(t *testing.T) {
 		tAddr(2): ProbeSilent,
 		tAddr(3): ProbeReachable,
 	}}
-	res, err := Scan(time.Unix(0, 0), p,
+	res, err := ScanWith(context.Background(), ScanConfig{Workers: 1}, time.Unix(0, 0), p,
 		[]netip.AddrPort{tAddr(1), tAddr(2), tAddr(3), tAddr(4)})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestScanToleratesProbeErrors(t *testing.T) {
 		fail:     map[netip.AddrPort]bool{tAddr(1): true},
 		outcomes: map[netip.AddrPort]ProbeOutcome{tAddr(2): ProbeResponsive},
 	}
-	res, err := Scan(time.Unix(0, 0), p, []netip.AddrPort{tAddr(1), tAddr(2)})
+	res, err := ScanWith(context.Background(), ScanConfig{Workers: 1}, time.Unix(0, 0), p, []netip.AddrPort{tAddr(1), tAddr(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,7 +695,7 @@ func TestUniverseViewScan(t *testing.T) {
 			wantResponsive++
 		}
 	}
-	res, err := Scan(at, view, targets)
+	res, err := ScanWith(context.Background(), ScanConfig{Workers: 1}, at, view, targets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -320,17 +319,4 @@ func (inj *Injector) Counters() []obs.NamedValue {
 		out[i] = obs.NamedValue{Name: name, Value: inj.counters[name].Value()}
 	}
 	return out
-}
-
-// CountersString renders the non-zero counters as a deterministic
-// one-line "name=value" summary, suitable for reports and same-seed
-// comparisons.
-func (inj *Injector) CountersString() string {
-	var parts []string
-	for _, nv := range inj.Counters() {
-		if nv.Value != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", nv.Name, nv.Value))
-		}
-	}
-	return strings.Join(parts, " ")
 }

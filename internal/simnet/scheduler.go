@@ -170,9 +170,6 @@ func (s *Scheduler) SetMetrics(reg *obs.Registry) {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Time { return s.now }
 
-// Executed returns the number of events executed so far.
-func (s *Scheduler) Executed() uint64 { return s.count }
-
 // Pending returns the number of queued events.
 func (s *Scheduler) Pending() int { return len(s.events) }
 

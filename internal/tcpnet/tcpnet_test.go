@@ -237,7 +237,7 @@ func TestEndToEndScanMixedPopulation(t *testing.T) {
 	}
 
 	targets := []netip.AddrPort{srv.Addr(), stub1.Addr(), stub2.Addr(), dead}
-	res, err := crawler.Scan(time.Now(), &Prober{}, targets)
+	res, err := crawler.ScanWith(context.Background(), crawler.ScanConfig{Workers: 1}, time.Now(), &Prober{}, targets)
 	if err != nil {
 		t.Fatal(err)
 	}

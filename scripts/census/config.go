@@ -16,11 +16,12 @@ import (
 // process for. An entry that gains a non-test writer, or loses its test
 // writer, is reported as stale.
 var testSeams = map[string]string{
-	"reprod.Config.Lookup":        "server_test.go serves a fake experiment table",
-	"reprod.Config.Registry":      "server_test.go reads the server's counters from its own registry",
-	"reprod.Config.Version":       "server_test.go pins the version that keys the result cache",
-	"reprod.Config.ForceGrace":    "server_test.go shortens the wait between a soft and a forced cancel",
-	"crawler.ScanConfig.Observer": "crawler_test.go records the scan's probe order",
+	"reprod.Config.Lookup":         "server_test.go serves a fake experiment table",
+	"reprod.Config.Registry":       "server_test.go reads the server's counters from its own registry",
+	"reprod.Config.Version":        "server_test.go pins the version that keys the result cache",
+	"reprod.Config.ForceGrace":     "server_test.go shortens the wait between a soft and a forced cancel",
+	"crawler.ScanConfig.Observer":  "crawler_test.go records the scan's probe order",
+	"tcpnet.ServerConfig.OmitSelf": "tcpnet_test.go's TestMaliciousServerDetectedOverTCP plays the flooder that never advertises itself",
 }
 
 // field is one exported field of a config struct.
