@@ -170,8 +170,8 @@ func run() error {
 		var truthSum float64
 		var nsrc int
 		for _, sd := range col.Deg.Estimates() {
-			if st := u.ByAddr(sd.Source); st != nil {
-				truthSum += float64(u.TrueDegreeFrom(st, at, online, visible))
+			if id, ok := u.Index.Lookup(sd.Source); ok {
+				truthSum += float64(u.TrueDegreeFrom(id, at, online, visible))
 				nsrc++
 			}
 		}

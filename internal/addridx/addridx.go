@@ -132,6 +132,9 @@ func Build(addrs []netip.AddrPort) (*Index, error) {
 // Len returns the number of interned addresses.
 func (x *Index) Len() int { return len(x.addrs) }
 
+// Addr returns the endpoint interned as id, which must be below Len.
+func (x *Index) Addr(id ID) netip.AddrPort { return x.addrs[id] }
+
 // Lookup resolves addr to its dense ID, or (None, false) when addr is
 // outside the interned universe.
 func (x *Index) Lookup(addr netip.AddrPort) (ID, bool) {

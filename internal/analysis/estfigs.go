@@ -229,11 +229,11 @@ func runEstCell(ctx context.Context, cfg EstFigsConfig, spec estCellSpec, idx in
 		online := u.OnlineReachable(at)
 		visible := u.VisibleUnreachable(at)
 		for _, sd := range col.Deg.Estimates() {
-			st := u.ByAddr(sd.Source)
-			if st == nil {
+			id, ok := u.Index.Lookup(sd.Source)
+			if !ok {
 				continue
 			}
-			truth := float64(u.TrueDegreeFrom(st, at, online, visible))
+			truth := float64(u.TrueDegreeFrom(id, at, online, visible))
 			degTruthSum += truth
 			degEstSum += sd.Estimate
 			degRelSum += estimate.RelativeError(sd.Estimate, truth)

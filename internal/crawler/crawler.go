@@ -202,7 +202,9 @@ type Snapshot struct {
 	// addresses in receipt order within a target.
 	Unreachable []netip.AddrPort
 	// UnreachableIDs holds dense station IDs parallel to Unreachable,
-	// under the same convention as ConnectedIDs.
+	// under the same convention as ConnectedIDs. With an Index, the
+	// crawl carries IDs and Unreachable is built from them at the
+	// merge, through Index.Addr.
 	UnreachableIDs []addridx.ID
 }
 
@@ -285,8 +287,12 @@ func lookup(idx *addridx.Index, addr netip.AddrPort) (addridx.ID, bool) {
 // a full memset of an index-sized table per node was a measurable slice
 // of crawl CPU.
 // A worker's pooled set also carries the scratch in which drainNode
-// collects one target's unreachable (addr, id) pairs, so the buffers grow
-// to the worker's largest target once, not once per target.
+// collects one target's unreachable entries, so the buffers grow to the
+// worker's largest target once, not once per target. With an Index the
+// scratch holds IDs: unreachableIDs gets every entry, and only the
+// entries outside the Index (ID None) also go to unreachable, in order.
+// Without one, unreachable holds every entry and unreachableIDs stays
+// empty.
 type memberSet struct {
 	idx    *addridx.Index
 	epochs []uint32 // epochs[id] == epoch ⇔ id is a member
@@ -294,7 +300,7 @@ type memberSet struct {
 	rest   addridx.Seen
 
 	unreachable    []netip.AddrPort
-	unreachableIDs []addridx.ID // parallel to unreachable
+	unreachableIDs []addridx.ID
 }
 
 func newMemberSet(idx *addridx.Index) *memberSet {
@@ -341,10 +347,12 @@ func (m *memberSet) clear() {
 // workers write only their own slot, the merge alone touches the
 // snapshot, so output is byte-identical at any worker count.
 type crawlJob struct {
-	report         *NodeReport
-	unreachable    []netip.AddrPort // the job's own copy of the worker's scratch
-	unreachableIDs []addridx.ID     // parallel to unreachable
-	exchanges      []Exchange       // captured only when Config.Observer != nil
+	report *NodeReport
+	// unreachable and unreachableIDs are the job's own copy of the
+	// worker's scratch, under memberSet's convention.
+	unreachable    []netip.AddrPort
+	unreachableIDs []addridx.ID
+	exchanges      []Exchange // captured only when Config.Observer != nil
 }
 
 // Crawl runs Algorithm 1 against every address in targets: connect, issue
@@ -422,41 +430,77 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 	// Merge, phase two: aggregate the unreachable sets in one pass. Each
 	// job's slices are compacted in place, in target order, down to the
 	// entries new to the whole crawl; the aggregate is then allocated
-	// once, at exactly the kept total, and concatenated, so first-seen
-	// order is preserved.
-	if c.cfg.Index == nil {
+	// once, at exactly the kept total, and filled job by job, so
+	// first-seen order is preserved.
+	idx := c.cfg.Index
+	total := 0
+	if idx == nil {
 		sum := 0
 		for i := range jobs {
 			sum += len(jobs[i].unreachable)
 		}
 		global.rest.Reserve(sum)
-	}
-	total := 0
-	for i := range jobs {
-		job := &jobs[i]
-		kept := 0
-		for k, a := range job.unreachable {
-			id := job.unreachableIDs[k]
-			if global.add(a, id) {
-				job.unreachable[kept], job.unreachableIDs[kept] = a, id
-				kept++
+		for i := range jobs {
+			job := &jobs[i]
+			kept := 0
+			for _, a := range job.unreachable {
+				if global.add(a, addridx.None) {
+					job.unreachable[kept] = a
+					kept++
+				}
 			}
+			job.unreachable = job.unreachable[:kept]
+			total += kept
 		}
-		job.unreachable, job.unreachableIDs = job.unreachable[:kept], job.unreachableIDs[:kept]
-		total += kept
+	} else {
+		for i := range jobs {
+			job := &jobs[i]
+			kept, side, keptSide := 0, 0, 0
+			for _, id := range job.unreachableIDs {
+				var a netip.AddrPort
+				if id == addridx.None {
+					a = job.unreachable[side]
+					side++
+				}
+				if !global.add(a, id) {
+					continue
+				}
+				job.unreachableIDs[kept] = id
+				kept++
+				if id == addridx.None {
+					job.unreachable[keptSide] = a
+					keptSide++
+				}
+			}
+			job.unreachableIDs, job.unreachable = job.unreachableIDs[:kept], job.unreachable[:keptSide]
+			total += kept
+		}
 	}
 	if total > 0 {
 		snap.Unreachable = make([]netip.AddrPort, 0, total)
-		if c.cfg.Index != nil {
+		if idx != nil {
 			snap.UnreachableIDs = make([]addridx.ID, 0, total)
 		}
 	}
 	for i := range jobs {
-		snap.Unreachable = append(snap.Unreachable, jobs[i].unreachable...)
-		if c.cfg.Index != nil {
-			snap.UnreachableIDs = append(snap.UnreachableIDs, jobs[i].unreachableIDs...)
+		job := &jobs[i]
+		if idx == nil {
+			snap.Unreachable = append(snap.Unreachable, job.unreachable...)
+		} else {
+			// Interned entries read their address from the Index; the
+			// rest take the next address off the job's side list.
+			side := 0
+			for _, id := range job.unreachableIDs {
+				if id != addridx.None {
+					snap.Unreachable = append(snap.Unreachable, idx.Addr(id))
+				} else {
+					snap.Unreachable = append(snap.Unreachable, job.unreachable[side])
+					side++
+				}
+			}
+			snap.UnreachableIDs = append(snap.UnreachableIDs, job.unreachableIDs...)
 		}
-		jobs[i] = crawlJob{}
+		*job = crawlJob{}
 	}
 	c.mPending.Set(0)
 	return snap, nil
@@ -541,8 +585,12 @@ func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet, job
 			} else {
 				report.UnreachableSent++
 				c.mAddrsUnreach.Inc()
-				seen.unreachable = append(seen.unreachable, na.Addr)
-				seen.unreachableIDs = append(seen.unreachableIDs, id)
+				if seen.idx != nil {
+					seen.unreachableIDs = append(seen.unreachableIDs, id)
+				}
+				if seen.idx == nil || id == addridx.None {
+					seen.unreachable = append(seen.unreachable, na.Addr)
+				}
 			}
 		}
 		// Algorithm 1 termination: a response with no new addresses

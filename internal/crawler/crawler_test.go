@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/addridx"
 	"repro/internal/netgen"
 	"repro/internal/wire"
 )
@@ -573,6 +574,82 @@ func TestCrawlCountsMappedFormOnce(t *testing.T) {
 	}
 	if want := []netip.AddrPort{v4}; !reflect.DeepEqual(snap.Unreachable, want) {
 		t.Errorf("Unreachable = %v, want %v", snap.Unreachable, want)
+	}
+}
+
+func TestCrawlMixedIndex(t *testing.T) {
+	// With an Index the crawl scratch carries IDs, and only addresses
+	// outside the Index go on an ordered side list that the merge reads
+	// back. Books interleave interned and outside addresses within and
+	// across pages, and each overlaps the next target's, so both the
+	// side list's order and its cross-target dedup show.
+	rng := rand.New(rand.NewSource(5))
+	targets := []netip.AddrPort{tAddr(1), tAddr(2), tAddr(3), tAddr(4)}
+	interned := append([]netip.AddrPort(nil), targets...)
+	for i := 0; i < 600; i++ {
+		interned = append(interned, tAddr(1000+i))
+	}
+	idx, err := addridx.Build(interned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := func(n int) netip.AddrPort {
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, byte(n >> 8), byte(n)}), 8333)
+	}
+	known := map[netip.AddrPort]struct{}{}
+	books := map[netip.AddrPort][]wire.NetAddress{}
+	for k, tgt := range targets {
+		known[tgt] = struct{}{}
+		book := []wire.NetAddress{na(tgt)}
+		for _, i := range rng.Perm(200) {
+			n := 100*k + i
+			if n%3 == 0 {
+				book = append(book, na(outside(n)))
+			} else {
+				book = append(book, na(tAddr(1000+n)))
+			}
+		}
+		books[tgt] = book
+	}
+	want := firstSeenUnreachable(targets, books, known)
+	for _, workers := range []int{1, 4} {
+		dialer := &fakeDialer{books: books, page: 7}
+		mixed, err := New(Config{Workers: workers, Index: idx}, dialer).
+			Crawl(context.Background(), time.Unix(0, 0), targets, known)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open, err := New(Config{Workers: workers}, dialer).
+			Crawl(context.Background(), time.Unix(0, 0), targets, known)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(open.Unreachable, want) {
+			t.Fatalf("workers=%d: open-world crawl differs from first-seen order", workers)
+		}
+		if !reflect.DeepEqual(mixed.Unreachable, open.Unreachable) {
+			t.Errorf("workers=%d: Unreachable differs from the Index-free crawl (%d vs %d entries)",
+				workers, len(mixed.Unreachable), len(open.Unreachable))
+		}
+		if len(mixed.UnreachableIDs) != len(mixed.Unreachable) {
+			t.Fatalf("workers=%d: %d IDs for %d addresses", workers, len(mixed.UnreachableIDs), len(mixed.Unreachable))
+		}
+		nOutside := 0
+		for k, a := range mixed.Unreachable {
+			id, in := idx.Lookup(a)
+			if got := mixed.UnreachableIDs[k]; got != id {
+				t.Errorf("workers=%d: UnreachableIDs[%d] = %d for %v, want %d", workers, k, got, a, id)
+			}
+			if !in {
+				nOutside++
+			}
+		}
+		if nOutside == 0 || nOutside == len(mixed.Unreachable) {
+			t.Fatalf("workers=%d: degenerate fixture: %d of %d outside the Index",
+				workers, nOutside, len(mixed.Unreachable))
+		}
+		assertExactSize(t, fmt.Sprintf("mixed workers=%d", workers), mixed)
+		assertExactSize(t, fmt.Sprintf("open workers=%d", workers), open)
 	}
 }
 

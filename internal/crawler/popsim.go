@@ -19,6 +19,8 @@ import (
 // UniverseView is a Dialer and Prober over one instant of a synthetic
 // universe. Create a fresh view per experiment: the candidate pools are
 // frozen at construction, matching the paper's per-experiment snapshots.
+// They are the universe's memoized read-only ID slices for the instant,
+// not copies, so a view costs one small allocation.
 //
 // All dial randomness is a pure function of (universe seed, frozen
 // instant, dense StationID) — see netgen.StationRand — so the view is
@@ -27,8 +29,8 @@ import (
 type UniverseView struct {
 	u       *netgen.Universe
 	at      time.Time
-	online  []*netgen.Station
-	visible []*netgen.Station
+	online  []addridx.ID
+	visible []addridx.ID
 }
 
 var (
@@ -91,7 +93,7 @@ func (v *UniverseView) Dial(addr netip.AddrPort) (Session, error) {
 	if s.ids == nil {
 		s.ids = make([]addridx.ID, 0, 64)
 	}
-	s.book, s.ids = v.u.AppendAddrBook(s.book[:0], s.ids[:0], st, v.at, v.online, v.visible)
+	s.book, s.ids = v.u.AppendAddrBook(s.book[:0], s.ids[:0], st.ID, v.at, v.online, v.visible)
 	return s, nil
 }
 

@@ -13,12 +13,13 @@ import (
 // GETADDR (Algorithm 1), the seed-database views (Bitnodes, DNS), and the
 // NetAddress conversions.
 
-// NetAddr renders a station as a wire NetAddress with a gossip timestamp
-// slightly in the past of t.
-func (u *Universe) NetAddr(s *Station, t time.Time, rng *rand.Rand) wire.NetAddress {
+// NetAddr renders station id as a wire NetAddress with a gossip
+// timestamp slightly in the past of t. The address comes from the
+// Index's dense table, not from the station.
+func (u *Universe) NetAddr(id addridx.ID, t time.Time, rng *rand.Rand) wire.NetAddress {
 	jitter := time.Duration(rng.Int64N(int64(3 * time.Hour)))
 	return wire.NetAddress{
-		Addr:      s.Addr,
+		Addr:      u.Index.Addr(id),
 		Services:  wire.SFNodeNetwork,
 		Timestamp: t.Add(-jitter),
 	}
@@ -30,11 +31,11 @@ func (u *Universe) NetAddr(s *Station, t time.Time, rng *rand.Rand) wire.NetAddr
 // 14.9/85.1 composition. Malicious stations return an unreachable-only
 // flood slice of their budget (no self-advertisement — the detection
 // heuristic's tell). The book is sampled deterministically from online
-// and visible, the candidate pools current at t (OnlineReachable,
+// and visible, the candidate ID pools current at t (OnlineReachable,
 // VisibleUnreachable), using a per-(station, crawl-interval) PCG stream
 // keyed by the dense StationID, so book content is independent of crawl
 // order.
-func (u *Universe) AddrBookFrom(s *Station, t time.Time, online, visible []*Station) []wire.NetAddress {
+func (u *Universe) AddrBookFrom(s addridx.ID, t time.Time, online, visible []addridx.ID) []wire.NetAddress {
 	book, _ := u.AppendAddrBook(nil, nil, s, t, online, visible)
 	return book
 }
@@ -44,22 +45,23 @@ func (u *Universe) AddrBookFrom(s *Station, t time.Time, online, visible []*Stat
 // reusing the caller's capacity — the crawl hot path keeps one book
 // buffer per pooled session instead of allocating ~BookSize entries per
 // dial. When ids is non-nil, the dense StationID of every appended entry
-// is appended to it in parallel (the self entry carries s.ID), which
-// lets crawl consumers skip the per-address index hash lookup; a nil ids
+// is appended to it in parallel (the self entry carries s), which lets
+// crawl consumers skip the per-address index hash lookup; a nil ids
 // skips ID tracking and returns nil.
 func (u *Universe) AppendAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
-	s *Station, t time.Time, online, visible []*Station) ([]wire.NetAddress, []addridx.ID) {
+	s addridx.ID, t time.Time, online, visible []addridx.ID) ([]wire.NetAddress, []addridx.ID) {
 	p := u.Params
 	crawlIdx := int64(t.Sub(p.Epoch) / p.CrawlInterval)
-	rng := bookRand(p.Seed, crawlIdx, s.ID)
+	rng := bookRand(p.Seed, crawlIdx, s)
 	wantIDs := ids != nil
+	st := u.station(s)
 
-	if s.Malicious {
+	if st.Malicious {
 		experiments := int(p.Horizon / p.CrawlInterval)
 		if experiments < 1 {
 			experiments = 1
 		}
-		per := s.FloodBudget / experiments
+		per := st.FloodBudget / experiments
 		if per < 1 {
 			per = 1
 		}
@@ -70,7 +72,7 @@ func (u *Universe) AppendAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
 			target := visible[rng.IntN(len(visible))]
 			addrs = append(addrs, u.NetAddr(target, t, rng))
 			if wantIDs {
-				ids = append(ids, target.ID)
+				ids = append(ids, target)
 			}
 		}
 		return addrs, ids
@@ -83,13 +85,13 @@ func (u *Universe) AppendAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
 	if addrs == nil {
 		addrs = make([]wire.NetAddress, 0, size+1)
 	}
-	self := wire.NetAddress{Addr: s.Addr, Services: wire.SFNodeNetwork, Timestamp: t}
+	self := wire.NetAddress{Addr: st.Addr, Services: wire.SFNodeNetwork, Timestamp: t}
 	addrs = append(addrs, self)
 	if wantIDs {
-		ids = append(ids, s.ID)
+		ids = append(ids, s)
 	}
 	for i := 0; i < size; i++ {
-		var target *Station
+		var target addridx.ID
 		if rng.Float64() < p.AddrReachableShare && len(online) > 0 {
 			target = online[rng.IntN(len(online))]
 		} else if len(visible) > 0 {
@@ -99,7 +101,7 @@ func (u *Universe) AppendAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
 		}
 		addrs = append(addrs, u.NetAddr(target, t, rng))
 		if wantIDs {
-			ids = append(ids, target.ID)
+			ids = append(ids, target)
 		}
 	}
 	return addrs, ids
@@ -120,14 +122,13 @@ type SeedView struct {
 	DNSExcluded      int
 	// CommonExcluded counts blacklisted entries present on both lists.
 	CommonExcluded int
-	// Dialable is the deduplicated, blacklist-filtered union.
+	// Dialable is the blacklist-filtered union.
 	Dialable []*Station
 }
 
 // SeedViewAt builds the seed databases as of t.
 func (u *Universe) SeedViewAt(t time.Time) *SeedView {
 	v := &SeedView{}
-	seen := addridx.NewSet(len(u.stations))
 	for _, s := range u.Reachable {
 		onBit := s.OnBitnodes && s.OnlineAt(t)
 		onDNS := s.OnDNS
@@ -152,7 +153,7 @@ func (u *Universe) SeedViewAt(t time.Time) *SeedView {
 				v.CommonExcluded++
 			}
 		}
-		if !s.Critical && seen.Add(s.ID) {
+		if !s.Critical {
 			v.Dialable = append(v.Dialable, s)
 		}
 	}

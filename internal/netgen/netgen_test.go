@@ -1,10 +1,14 @@
 package netgen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand/v2"
 	"testing"
 	"time"
 
+	"repro/internal/addridx"
 	"repro/internal/wire"
 )
 
@@ -158,8 +162,8 @@ func TestUnreachableVisibilityWindows(t *testing.T) {
 	if len(visible) < want*70/100 || len(visible) > want*140/100 {
 		t.Errorf("visible unreachable at mid = %d, want ≈%d", len(visible), want)
 	}
-	for _, s := range visible {
-		if !s.VisibleAt(mid) {
+	for _, id := range visible {
+		if !u.ByAddr(u.Index.Addr(id)).VisibleAt(mid) {
 			t.Fatal("VisibleUnreachable returned an invisible station")
 		}
 	}
@@ -194,6 +198,87 @@ func TestMaliciousAssignment(t *testing.T) {
 	}
 }
 
+func TestStationSlabLayout(t *testing.T) {
+	// Stations sit in ID order: reachable first, then unreachable, and
+	// the Index table agrees with every station's address.
+	u := generate(t, testParams())
+	for i, s := range u.Reachable {
+		if s.ID != addridx.ID(i) || u.Index.Addr(s.ID) != s.Addr {
+			t.Fatalf("Reachable[%d] has ID %d, address %v vs index %v", i, s.ID, s.Addr, u.Index.Addr(s.ID))
+		}
+	}
+	for j, s := range u.Unreachable {
+		if s.ID != addridx.ID(len(u.Reachable)+j) || u.Index.Addr(s.ID) != s.Addr {
+			t.Fatalf("Unreachable[%d] has ID %d, address %v vs index %v", j, s.ID, s.Addr, u.Index.Addr(s.ID))
+		}
+	}
+	mid := u.Params.Epoch.Add(u.Params.Horizon / 2)
+	pools := map[string][]addridx.ID{
+		"online":  u.OnlineReachable(mid),
+		"visible": u.VisibleUnreachable(mid),
+	}
+	for name, pool := range pools {
+		if len(pool) == 0 {
+			t.Fatalf("%s pool is empty", name)
+		}
+		for k := 1; k < len(pool); k++ {
+			if pool[k] <= pool[k-1] {
+				t.Fatalf("%s pool not strictly ascending at %d: %d after %d", name, k, pool[k], pool[k-1])
+			}
+		}
+	}
+}
+
+// goldenBookDigest is the SHA-256 of 20 stations' address books (seed
+// 7, scale 0.02, mid-horizon; the universe's one malicious station
+// first), recorded when the books were still sampled through station
+// pointers. It pins the book RNG draw order.
+const goldenBookDigest = "5dd5d6098850cb5327b0f29226dbba5bf6598fbdc3aa17c4d8c2f223130eaf5e"
+
+func TestAddrBookGoldenDigest(t *testing.T) {
+	p := DefaultParams(7, 0.02)
+	u := generate(t, p)
+	mid := p.Epoch.Add(p.Horizon / 2)
+	online, visible := u.OnlineReachable(mid), u.VisibleUnreachable(mid)
+	var picked []*Station
+	for _, s := range u.Reachable {
+		if s.Malicious && len(picked) < 5 {
+			picked = append(picked, s)
+		}
+	}
+	if len(picked) == 0 {
+		t.Fatal("fixture has no malicious station")
+	}
+	for _, s := range u.Reachable {
+		if len(picked) == 20 {
+			break
+		}
+		if !s.Malicious {
+			picked = append(picked, s)
+		}
+	}
+	h := sha256.New()
+	var buf [8]byte
+	for _, s := range picked {
+		binary.BigEndian.PutUint32(buf[:4], uint32(s.ID))
+		h.Write(buf[:4])
+		for _, na := range u.AddrBookFrom(s.ID, mid, online, visible) {
+			b, err := na.Addr.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(b)
+			binary.BigEndian.PutUint64(buf[:], uint64(na.Services))
+			h.Write(buf[:])
+			binary.BigEndian.PutUint64(buf[:], uint64(na.Timestamp.UnixNano()))
+			h.Write(buf[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenBookDigest {
+		t.Errorf("book digest = %s, want %s", got, goldenBookDigest)
+	}
+}
+
 func TestAddrBookComposition(t *testing.T) {
 	p := testParams()
 	u := generate(t, p)
@@ -201,12 +286,12 @@ func TestAddrBookComposition(t *testing.T) {
 	online := u.OnlineReachable(mid)
 	visible := u.VisibleUnreachable(mid)
 	reach, unreach := 0, 0
-	for _, s := range online[:10] {
-		book := u.AddrBookFrom(s, mid, online, visible)
+	for _, id := range online[:10] {
+		book := u.AddrBookFrom(id, mid, online, visible)
 		if len(book) == 0 {
 			t.Fatal("empty book from honest station")
 		}
-		if book[0].Addr != s.Addr {
+		if book[0].Addr != u.Index.Addr(id) {
 			t.Error("honest book must lead with self-advertisement")
 		}
 		for _, na := range book[1:] {
@@ -239,7 +324,7 @@ func TestMaliciousBookUnreachableOnly(t *testing.T) {
 		if !s.Malicious {
 			continue
 		}
-		book := u.AddrBookFrom(s, mid, online, visible)
+		book := u.AddrBookFrom(s.ID, mid, online, visible)
 		for _, na := range book {
 			if na.Addr == s.Addr {
 				t.Error("malicious book contains self-advertisement")
@@ -364,7 +449,7 @@ func TestNetAddrTimestampPast(t *testing.T) {
 	u := generate(t, p)
 	mid := p.Epoch.Add(10 * 24 * time.Hour)
 	s := u.Reachable[0]
-	na := u.NetAddr(s, mid, rand.New(rand.NewPCG(StationSeed(p.Seed, mid, s.ID))))
+	na := u.NetAddr(s.ID, mid, rand.New(rand.NewPCG(StationSeed(p.Seed, mid, s.ID))))
 	if na.Timestamp.After(mid) {
 		t.Error("gossip timestamp in the future")
 	}

@@ -62,11 +62,11 @@ func (iv Interval) Duration() time.Duration { return iv.End.Sub(iv.Start) }
 type Station struct {
 	// Addr is the station's address (IP embeds the AS assignment).
 	Addr netip.AddrPort
-	// ID is the station's dense identifier, interned at Universe
-	// construction (see internal/addridx): reachable stations in
-	// generation order, then unreachable stations in appearance order.
-	// Hot paths key membership bitsets and per-target RNG streams off
-	// it instead of hashing the 28-byte address.
+	// ID is the station's dense identifier (see internal/addridx):
+	// reachable stations in generation order, then unreachable stations
+	// in appearance order, which is also their order in the Universe's
+	// slabs. Hot paths key candidate pools, membership bitsets and
+	// per-target RNG streams off it instead of the 28-byte address.
 	ID addridx.ID
 	// ASN hosts the station.
 	ASN uint32
@@ -146,37 +146,45 @@ func (s *Station) SyncedAt(t time.Time, p Params) bool {
 type Universe struct {
 	// Params used for generation.
 	Params Params
-	// Reachable stations, in generation order.
+	// Reachable stations, in generation order: pointers into the
+	// reachable slab, so Reachable[i].ID == i.
 	Reachable []*Station
-	// Unreachable stations (responsive and silent).
+	// Unreachable stations (responsive and silent), in appearance order:
+	// pointers into the unreachable slab, so Unreachable[j].ID ==
+	// len(Reachable)+j.
 	Unreachable []*Station
 	// Alloc maps the universe's IPs back to ASNs.
 	Alloc *asmap.IPAllocator
-	// Index interns every station address into a dense StationID; it is
-	// built once at the end of Generate and backs ByAddr plus every
-	// crawl-path membership bitset.
+	// Index interns every station address under its ID; it is built
+	// once at the end of Generate and backs ByAddr, the address books
+	// (Index.Addr) and every crawl-path membership bitset.
 	Index *addridx.Index
 
-	stations []*Station // by dense ID
-	rng      *rand.Rand
+	// reach and unreach are the station slabs, each allocated once at
+	// its exact size and in ID order, so a walk over a population or
+	// a lookup by ID reads memory in order.
+	reach, unreach []Station
+	rng            *rand.Rand
 
 	pools instantPools // memoized per-instant candidate pools
 }
 
 // instantPools memoizes the candidate pools of the most recently queried
-// instant. A crawl experiment freezes one instant and then asks for the
-// same pools once per view (and once per TrueDegree on the ground-truth
-// path), so remembering the last answer turns the repeated
-// full-population scans into pointer returns. The cached slices are
-// allocated exactly (no spare capacity) and never mutated afterwards, so
-// handing the same slice to multiple callers is safe: callers treat the
-// pools as read-only, and an append by any caller reallocates.
+// instant: the ascending IDs of the stations online (reachable) and
+// gossip-visible (unreachable) then. A crawl experiment freezes one
+// instant and then asks for the same pools once per view (and once per
+// TrueDegree on the ground-truth path), so remembering the last answer
+// turns the repeated full-population scans into slice returns. The
+// cached slices are allocated exactly (no spare capacity) and never
+// mutated afterwards, so handing the same slice to multiple callers is
+// safe: callers treat the pools as read-only, and an append by any
+// caller reallocates.
 type instantPools struct {
 	mu      sync.Mutex
 	at      time.Time
 	ok      bool
-	online  []*Station
-	visible []*Station
+	online  []addridx.ID
+	visible []addridx.ID
 }
 
 // Generate builds the universe from p.
@@ -206,24 +214,17 @@ func Generate(p Params) (*Universe, error) {
 	return u, nil
 }
 
-// buildIndex interns every station into the dense ID space. It runs
-// after generation (the unreachable list is sorted by appearance first),
-// so IDs are stable properties of (Params): reachable stations in
-// generation order, then unreachable stations in appearance order.
+// buildIndex interns every station address under the station's ID, in
+// slab order. The IDs were assigned during generation (the unreachable
+// slab after its sort by appearance), so they are stable properties of
+// (Params).
 func (u *Universe) buildIndex() error {
-	n := len(u.Reachable) + len(u.Unreachable)
-	addrs := make([]netip.AddrPort, 0, n)
-	u.stations = make([]*Station, 0, n)
-	intern := func(s *Station) {
-		s.ID = addridx.ID(len(u.stations))
-		u.stations = append(u.stations, s)
-		addrs = append(addrs, s.Addr)
+	addrs := make([]netip.AddrPort, 0, len(u.reach)+len(u.unreach))
+	for i := range u.reach {
+		addrs = append(addrs, u.reach[i].Addr)
 	}
-	for _, s := range u.Reachable {
-		intern(s)
-	}
-	for _, s := range u.Unreachable {
-		intern(s)
+	for i := range u.unreach {
+		addrs = append(addrs, u.unreach[i].Addr)
 	}
 	idx, err := addridx.Build(addrs)
 	if err != nil {
@@ -233,13 +234,30 @@ func (u *Universe) buildIndex() error {
 	return nil
 }
 
+// station returns the station with the given ID.
+func (u *Universe) station(id addridx.ID) *Station {
+	if int(id) < len(u.reach) {
+		return &u.reach[id]
+	}
+	return &u.unreach[int(id)-len(u.reach)]
+}
+
+// pointers returns a pointer to every station of slab, in order.
+func pointers(slab []Station) []*Station {
+	out := make([]*Station, len(slab))
+	for i := range slab {
+		out[i] = &slab[i]
+	}
+	return out
+}
+
 // ByAddr returns the station at addr, or nil.
 func (u *Universe) ByAddr(addr netip.AddrPort) *Station {
 	id, ok := u.Index.Lookup(addr)
 	if !ok {
 		return nil
 	}
-	return u.stations[id]
+	return u.station(id)
 }
 
 // End returns the end of the measurement horizon.
@@ -292,21 +310,24 @@ func (u *Universe) generateReachable() error {
 	initialEphemerals := int(ephemSteady)
 
 	end := u.End()
+	// The slab is sized exactly, so appending never moves a station and
+	// the pointers newStation hands out stay valid.
+	u.reach = make([]Station, 0, persistent+transientPool+initialEphemerals+freshTotal)
 	newStation := func(fresh bool) (*Station, error) {
 		asn := dist.Sample(u.rng)
 		ip, err := u.Alloc.Alloc(asn)
 		if err != nil {
 			return nil, fmt.Errorf("netgen: alloc reachable IP: %w", err)
 		}
-		s := &Station{
+		u.reach = append(u.reach, Station{
 			Addr:     netip.AddrPortFrom(ip, u.pickPort(p.ReachableDefaultPortPct)),
+			ID:       addridx.ID(len(u.reach)),
 			ASN:      asn,
 			Class:    ClassReachable,
 			Fresh:    fresh,
 			Critical: u.rng.Float64() < p.CriticalInfraPct,
-		}
-		u.Reachable = append(u.Reachable, s)
-		return s, nil
+		})
+		return &u.reach[len(u.reach)-1], nil
 	}
 
 	// Persistent core: online for the whole horizon.
@@ -350,6 +371,7 @@ func (u *Universe) generateReachable() error {
 		arrive := p.Epoch.Add(time.Duration(u.rng.Float64() * float64(p.Horizon)))
 		u.fillEphemeralSession(s, arrive, end)
 	}
+	u.Reachable = pointers(u.reach)
 	return nil
 }
 
@@ -426,6 +448,7 @@ func (u *Universe) generateUnreachable() error {
 	arrivals := int(p.scaledF(p.UnreachablePerDay) * p.Horizon.Hours() / 24)
 	end := u.End()
 
+	u.unreach = make([]Station, 0, initial+arrivals)
 	add := func(appear time.Time) error {
 		responsive := u.rng.Float64() < p.ResponsiveFraction
 		class := ClassSilent
@@ -447,13 +470,12 @@ func (u *Universe) generateUnreachable() error {
 		if expire.After(end.Add(p.UnreachableTTL)) {
 			expire = end.Add(p.UnreachableTTL)
 		}
-		s := &Station{
+		u.unreach = append(u.unreach, Station{
 			Addr:    netip.AddrPortFrom(ip, u.pickPort(p.UnreachableDefaultPortPct)),
 			ASN:     asn,
 			Class:   class,
 			Visible: Interval{Start: appear, End: expire},
-		}
-		u.Unreachable = append(u.Unreachable, s)
+		})
 		return nil
 	}
 
@@ -472,10 +494,15 @@ func (u *Universe) generateUnreachable() error {
 		}
 	}
 	// Keep unreachable stations sorted by appearance for reproducible
-	// iteration.
-	sort.Slice(u.Unreachable, func(i, j int) bool {
-		return u.Unreachable[i].Visible.Start.Before(u.Unreachable[j].Visible.Start)
+	// iteration, then number them in that order after the reachable
+	// ones.
+	sort.Slice(u.unreach, func(i, j int) bool {
+		return u.unreach[i].Visible.Start.Before(u.unreach[j].Visible.Start)
 	})
+	for j := range u.unreach {
+		u.unreach[j].ID = addridx.ID(len(u.reach) + j)
+	}
+	u.Unreachable = pointers(u.unreach)
 	return nil
 }
 
@@ -586,17 +613,18 @@ func (u *Universe) assignMalicious() {
 	}
 }
 
-// OnlineReachable returns the reachable stations online at t. The
-// returned slice is shared with other callers asking about the same
-// instant and must be treated as read-only.
-func (u *Universe) OnlineReachable(t time.Time) []*Station {
+// OnlineReachable returns the IDs of the reachable stations online at
+// t, ascending. The returned slice is shared with other callers asking
+// about the same instant and must be treated as read-only.
+func (u *Universe) OnlineReachable(t time.Time) []addridx.ID {
 	online, _ := u.poolsAt(t)
 	return online
 }
 
-// VisibleUnreachable returns the unreachable stations gossiped at t,
-// under the same shared read-only contract as OnlineReachable.
-func (u *Universe) VisibleUnreachable(t time.Time) []*Station {
+// VisibleUnreachable returns the IDs of the unreachable stations
+// gossiped at t, ascending, under the same shared read-only contract as
+// OnlineReachable.
+func (u *Universe) VisibleUnreachable(t time.Time) []addridx.ID {
 	_, visible := u.poolsAt(t)
 	return visible
 }
@@ -608,37 +636,37 @@ func (u *Universe) VisibleUnreachable(t time.Time) []*Station {
 // caller wants together) hit the cache. Cached slices are exact-sized
 // fresh allocations, so a superseded instant's slices stay valid in the
 // hands of whoever holds them.
-func (u *Universe) poolsAt(t time.Time) (online, visible []*Station) {
+func (u *Universe) poolsAt(t time.Time) (online, visible []addridx.ID) {
 	u.pools.mu.Lock()
 	defer u.pools.mu.Unlock()
 	if u.pools.ok && u.pools.at.Equal(t) {
 		return u.pools.online, u.pools.visible
 	}
 	nOnline, nVisible := 0, 0
-	for _, s := range u.Reachable {
-		if s.OnlineAt(t) {
+	for i := range u.reach {
+		if u.reach[i].OnlineAt(t) {
 			nOnline++
 		}
 	}
-	for _, s := range u.Unreachable {
-		if s.VisibleAt(t) {
+	for j := range u.unreach {
+		if u.unreach[j].VisibleAt(t) {
 			nVisible++
 		}
 	}
 	if nOnline > 0 {
-		online = make([]*Station, 0, nOnline)
+		online = make([]addridx.ID, 0, nOnline)
 	}
 	if nVisible > 0 {
-		visible = make([]*Station, 0, nVisible)
+		visible = make([]addridx.ID, 0, nVisible)
 	}
-	for _, s := range u.Reachable {
-		if s.OnlineAt(t) {
-			online = append(online, s)
+	for i := range u.reach {
+		if u.reach[i].OnlineAt(t) {
+			online = append(online, u.reach[i].ID)
 		}
 	}
-	for _, s := range u.Unreachable {
-		if s.VisibleAt(t) {
-			visible = append(visible, s)
+	for j := range u.unreach {
+		if u.unreach[j].VisibleAt(t) {
+			visible = append(visible, u.unreach[j].ID)
 		}
 	}
 	u.pools.at, u.pools.ok = t, true

@@ -1,8 +1,10 @@
 package netgen
 
 import (
-	"net/netip"
+	"slices"
 	"time"
+
+	"repro/internal/addridx"
 )
 
 // This file exposes the simulator's ground truth for estimator
@@ -23,12 +25,10 @@ import (
 // scans the universe once, not once per station. The book is
 // regenerated from the same deterministic per-(station, crawl-interval)
 // stream AddrBookFrom uses, so the truth matches what any crawl at t
-// actually observes.
-func (u *Universe) TrueDegreeFrom(s *Station, t time.Time, online, visible []*Station) int {
-	book := u.AddrBookFrom(s, t, online, visible)
-	distinct := make(map[netip.AddrPort]struct{}, len(book))
-	for _, na := range book {
-		distinct[na.Addr] = struct{}{}
-	}
-	return len(distinct)
+// actually observes. IDs and addresses are in bijection, so the
+// distinct addresses are counted as distinct book IDs.
+func (u *Universe) TrueDegreeFrom(s addridx.ID, t time.Time, online, visible []addridx.ID) int {
+	_, ids := u.AppendAddrBook(nil, []addridx.ID{}, s, t, online, visible)
+	slices.Sort(ids)
+	return len(slices.Compact(ids))
 }

@@ -19,8 +19,8 @@ func TestTrueDegreeMatchesBookDistinct(t *testing.T) {
 		if !s.OnlineAt(at) {
 			continue
 		}
-		deg := u.TrueDegreeFrom(s, at, online, visible)
-		book := u.AddrBookFrom(s, at, online, visible)
+		deg := u.TrueDegreeFrom(s.ID, at, online, visible)
+		book := u.AddrBookFrom(s.ID, at, online, visible)
 		distinct := make(map[netip.AddrPort]struct{})
 		for _, na := range book {
 			distinct[na.Addr] = struct{}{}
@@ -58,7 +58,7 @@ func TestTrueDegreeDeterministic(t *testing.T) {
 	onA, visA := a.OnlineReachable(at), a.VisibleUnreachable(at)
 	onB, visB := b.OnlineReachable(at), b.VisibleUnreachable(at)
 	for i, s := range a.Reachable[:10] {
-		if got, want := a.TrueDegreeFrom(s, at, onA, visA), b.TrueDegreeFrom(b.Reachable[i], at, onB, visB); got != want {
+		if got, want := a.TrueDegreeFrom(s.ID, at, onA, visA), b.TrueDegreeFrom(b.Reachable[i].ID, at, onB, visB); got != want {
 			t.Fatalf("station %d degree %d != %d across identical universes", i, got, want)
 		}
 	}
