@@ -5,7 +5,7 @@
 // Usage:
 //
 //	btccrawl [-scale 0.05] [-seed 1] [-day 10] [-scan] [-malicious]
-//	         [-estimate] [-series 0] [-csv series.csv] [-workers 0]
+//	         [-series 0] [-csv series.csv] [-workers 0]
 //	         [-pprof] [-pprof-addr 127.0.0.1:6060]
 //
 // With -series N the single-day snapshot is replaced by the full
@@ -14,10 +14,6 @@
 // crawl experiment as it finishes, flushed row by row, so even a run
 // interrupted mid-series leaves a complete, parseable CSV of every
 // finished experiment.
-//
-// -estimate attaches the Grundmann unreachable-population and
-// peer-degree estimators to the crawl through the observer seam and
-// prints both estimates next to the simulator's ground truth.
 //
 // -workers sets the crawl/scan fan-out width (0 = GOMAXPROCS). Results
 // are byte-identical at any width; timing goes to stderr so stdout can
@@ -29,7 +25,6 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
-	"net/netip"
 	"os"
 	"os/signal"
 	"strconv"
@@ -38,7 +33,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/crawler"
-	"repro/internal/estimate"
 	"repro/internal/netgen"
 	"repro/internal/obs"
 )
@@ -57,7 +51,6 @@ func run() error {
 		day       = flag.Int("day", 10, "crawl day within the 60-day horizon")
 		scan      = flag.Bool("scan", false, "also run the responsive scan (Algorithm 2)")
 		malicious = flag.Bool("malicious", false, "report suspected ADDR flooders")
-		estimates = flag.Bool("estimate", false, "report population/degree estimates vs ground truth (snapshot mode)")
 		series    = flag.Int("series", 0, "run the longitudinal study over this many crawl experiments instead of one snapshot")
 		csvOut    = flag.String("csv", "", "with -series: write one CSV row per crawl experiment as it finishes (flushed per row)")
 		workers   = flag.Int("workers", 0, "crawl/scan fan-out width (0 = GOMAXPROCS; output is identical at any width)")
@@ -139,17 +132,8 @@ func run() error {
 
 	targets := crawler.TargetsOf(seedView)
 	known := crawler.ReachableReference(seedView)
-	ccfg := crawler.Config{Metrics: reg, Workers: *workers, Index: u.Index}
-	var col *estimate.Collector
-	if *estimates {
-		col = estimate.NewCollector(estimate.Config{
-			IsReachable: func(a netip.AddrPort) bool { _, ok := known[a]; return ok },
-			Metrics:     reg,
-		})
-		ccfg.Observer = func(ex crawler.Exchange) { col.Exchange(ex.Source, ex.Addrs) }
-	}
 	start := time.Now()
-	c := crawler.New(ccfg, view)
+	c := crawler.New(crawler.Config{Metrics: reg, Workers: *workers, Index: u.Index}, view)
 	snap, err := c.Crawl(ctx, at, targets, known)
 	if err != nil {
 		return err
@@ -159,28 +143,6 @@ func run() error {
 	r, unr := snap.AddrComposition()
 	fmt.Printf("collected %d unreachable addresses; ADDR mix %.1f%% reachable / %.1f%% unreachable\n",
 		len(snap.Unreachable), 100*r, 100*unr)
-
-	if col != nil {
-		popTruth := float64(view.VisibleCount())
-		popEst := col.PopulationEstimate()
-		fmt.Printf("population estimate %.0f vs %.0f gossip-visible unreachable (rel err %.2f%%, %d draws)\n",
-			popEst, popTruth, 100*estimate.RelativeError(popEst, popTruth), col.Pop.Total())
-		online := u.OnlineReachable(at)
-		visible := u.VisibleUnreachable(at)
-		var truthSum float64
-		var nsrc int
-		for _, sd := range col.Deg.Estimates() {
-			if id, ok := u.Index.Lookup(sd.Source); ok {
-				truthSum += float64(u.TrueDegreeFrom(id, at, online, visible))
-				nsrc++
-			}
-		}
-		est, ratio := col.MeanDegree()
-		if nsrc > 0 {
-			fmt.Printf("mean degree estimate %.1f (ratio probe %.1f) vs true %.1f over %d sources\n",
-				est, ratio, truthSum/float64(nsrc), nsrc)
-		}
-	}
 
 	if *malicious {
 		suspects := snap.SuspectedMalicious(50)

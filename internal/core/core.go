@@ -222,8 +222,6 @@ func registry() []Experiment {
 		fig12Experiment(),
 		fig13Experiment(),
 		addrMixExperiment(),
-		figEstPopExperiment(),
-		figEstDegreeExperiment(),
 		resyncExperiment(),
 		syncDepExperiment(),
 		figIntervExperiment(),

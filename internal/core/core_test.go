@@ -14,7 +14,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"fig10", "fig11", "fig12", "fig13",
-		"fig_est_pop", "fig_est_degree", "fig_interv",
+		"fig_interv",
 		"table1", "addrmix", "resync", "syncdep", "hijack",
 		"chaos",
 	}

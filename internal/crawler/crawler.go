@@ -106,31 +106,6 @@ type Prober interface {
 	Probe(addr netip.AddrPort) (ProbeOutcome, error)
 }
 
-// Exchange is one observed GETADDR→ADDR exchange: Source answered the
-// Round-th GETADDR of its drain with Addrs. Observers receive exchanges
-// exactly as the session returned them — duplicates, self-references
-// and all — so downstream estimators choose their own filtering.
-type Exchange struct {
-	// At is the crawl's nominal time.
-	At time.Time
-	// Source is the crawled node that answered.
-	Source netip.AddrPort
-	// SourceID is Source's dense station ID, or addridx.None when the
-	// crawler has no Index (or the address is outside it).
-	SourceID addridx.ID
-	// Round is the zero-based GETADDR round within Source's drain.
-	Round int
-	// Addrs is the raw ADDR response. The slice is owned by the
-	// observer; the crawler does not reuse it.
-	Addrs []wire.NetAddress
-}
-
-// Observer receives crawl exchanges. Deliveries happen on Crawl's calling
-// goroutine in target order (and round order within a target), so an
-// observer needs no locking and sees a byte-identical stream at any
-// worker count. Attaching an observer does not perturb the snapshot.
-type Observer func(Exchange)
-
 // maxGetAddrRounds caps the Algorithm 1 repeat loop per node.
 const maxGetAddrRounds = 50
 
@@ -151,10 +126,6 @@ type Config struct {
 	// composition; crawl.workers / crawl.targets.pending gauges for
 	// live progress). Nil disables instrumentation.
 	Metrics *obs.Registry
-	// Observer, when set, receives every GETADDR→ADDR exchange in
-	// deterministic target order (see Observer). Nil disables capture —
-	// and its buffering cost — entirely.
-	Observer Observer
 }
 
 // NodeReport is the per-reachable-node crawl record.
@@ -352,7 +323,6 @@ type crawlJob struct {
 	// worker's scratch, under memberSet's convention.
 	unreachable    []netip.AddrPort
 	unreachableIDs []addridx.ID
-	exchanges      []Exchange // captured only when Config.Observer != nil
 }
 
 // Crawl runs Algorithm 1 against every address in targets: connect, issue
@@ -413,18 +383,6 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 				snap.ConnectedIDs = make([]addridx.ID, 0, len(targets))
 			}
 			snap.ConnectedIDs = append(snap.ConnectedIDs, global.resolve(rep.Addr))
-		}
-		if c.cfg.Observer != nil {
-			// Deliver from the merge, never from workers: the observer
-			// stream inherits the merge order and needs no
-			// synchronization of its own.
-			srcID := global.resolve(rep.Addr)
-			for _, ex := range jobs[i].exchanges {
-				ex.At = at
-				ex.SourceID = srcID
-				c.cfg.Observer(ex)
-			}
-			jobs[i].exchanges = nil
 		}
 	}
 	// Merge, phase two: aggregate the unreachable sets in one pass. Each
@@ -518,7 +476,7 @@ func (c *Crawler) crawlTarget(target netip.AddrPort, known *knownView,
 	}
 	job.report.Connected = true
 	c.mConnected.Inc()
-	c.drainNode(sess, known, seen, job)
+	c.drainNode(sess, known, seen, job.report)
 	job.unreachable = slices.Clone(seen.unreachable)
 	job.unreachableIDs = slices.Clone(seen.unreachableIDs)
 	if err := sess.Close(); err != nil {
@@ -530,8 +488,7 @@ func (c *Crawler) crawlTarget(target netip.AddrPort, known *knownView,
 
 // drainNode implements the Algorithm 1 inner loop for one node,
 // appending the node's unreachable addresses to seen's scratch.
-func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet, job *crawlJob) {
-	report := job.report
+func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet, report *NodeReport) {
 	// Sessions that know their addresses' dense IDs save the per-address
 	// index lookup; the IDs are only meaningful against Config.Index.
 	var idSess SessionWithIDs
@@ -552,16 +509,6 @@ func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet, job
 		}
 		report.Rounds++
 		c.mRounds.Inc()
-		if c.cfg.Observer != nil {
-			// Copy: the session may reuse its response buffer.
-			captured := make([]wire.NetAddress, len(addrs))
-			copy(captured, addrs)
-			job.exchanges = append(job.exchanges, Exchange{
-				Source: report.Addr,
-				Round:  round,
-				Addrs:  captured,
-			})
-		}
 		fresh := 0
 		for k, na := range addrs {
 			var id addridx.ID
@@ -601,19 +548,6 @@ func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet, job
 	}
 }
 
-// ProbeObservation is one scanner probe outcome as seen by a scan
-// observer. Failed probes carry Err = true and a zero Outcome.
-type ProbeObservation struct {
-	// At is the scan's nominal time.
-	At time.Time
-	// Addr is the probed address.
-	Addr netip.AddrPort
-	// Outcome is the probe classification (zero when Err).
-	Outcome ProbeOutcome
-	// Err reports a probe that failed outright.
-	Err bool
-}
-
 // ScanConfig bounds scanner behaviour.
 type ScanConfig struct {
 	// Workers is the probe fan-out width; zero or negative means
@@ -622,10 +556,6 @@ type ScanConfig struct {
 	Workers int
 	// Metrics, when set, receives the crawl.probe.errors counter.
 	Metrics *obs.Registry
-	// Observer, when set, receives every probe outcome in target order
-	// from the merge fold — the same determinism contract as
-	// Config.Observer on the crawl side.
-	Observer func(ProbeObservation)
 }
 
 // ScanResult is the outcome of one Algorithm 2 scan.
@@ -671,9 +601,6 @@ func ScanWith(ctx context.Context, cfg ScanConfig, at time.Time, prober Prober,
 	}
 	for i, a := range addrs {
 		res.Probed++
-		if cfg.Observer != nil {
-			cfg.Observer(ProbeObservation{At: at, Addr: a, Outcome: outcomes[i], Err: failed[i]})
-		}
 		if failed[i] {
 			res.ProbeErrors++
 			continue

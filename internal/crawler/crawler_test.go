@@ -297,6 +297,37 @@ func TestScanToleratesProbeErrors(t *testing.T) {
 	}
 }
 
+func TestScanResultOrder(t *testing.T) {
+	// Responsive and misclassified-reachable addresses are listed in
+	// target order, and failures are counted, at any fan-out width.
+	p := &flakyProber{
+		fail: map[netip.AddrPort]bool{tAddr(2): true, tAddr(5): true},
+		outcomes: map[netip.AddrPort]ProbeOutcome{
+			tAddr(1): ProbeResponsive, tAddr(3): ProbeReachable,
+			tAddr(4): ProbeResponsive, tAddr(6): ProbeReachable, tAddr(7): ProbeResponsive,
+		},
+	}
+	var targets []netip.AddrPort
+	for i := 1; i <= 8; i++ {
+		targets = append(targets, tAddr(i))
+	}
+	for _, workers := range []int{1, 4} {
+		res, err := ScanWith(context.Background(), ScanConfig{Workers: workers}, time.Unix(0, 0), p, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []netip.AddrPort{tAddr(1), tAddr(4), tAddr(7)}; !reflect.DeepEqual(res.Responsive, want) {
+			t.Errorf("workers=%d: Responsive = %v, want %v", workers, res.Responsive, want)
+		}
+		if want := []netip.AddrPort{tAddr(3), tAddr(6)}; !reflect.DeepEqual(res.ReachableSurprises, want) {
+			t.Errorf("workers=%d: ReachableSurprises = %v, want %v", workers, res.ReachableSurprises, want)
+		}
+		if res.Probed != 8 || res.ProbeErrors != 2 {
+			t.Errorf("workers=%d: Probed/ProbeErrors = %d/%d, want 8/2", workers, res.Probed, res.ProbeErrors)
+		}
+	}
+}
+
 func TestScanCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -400,8 +431,7 @@ func TestCrawlKeepsSnapshotOnCloseError(t *testing.T) {
 }
 
 func TestCrawlWorkerCountInvariance(t *testing.T) {
-	// The snapshot and the observer stream must be byte-identical at any
-	// fan-out width: the popsim backend keys all randomness by StationID
+	// The snapshot must be byte-identical at any fan-out width: the popsim backend keys all randomness by StationID
 	// and the merge is in target order.
 	u := smallUniverse(t)
 	at := u.Params.Epoch.Add(10 * 24 * time.Hour)
@@ -409,20 +439,18 @@ func TestCrawlWorkerCountInvariance(t *testing.T) {
 	targets := TargetsOf(seedView)
 	known := ReachableReference(seedView)
 
-	crawlWith := func(workers int) (*Snapshot, []Exchange) {
-		var exchanges []Exchange
+	crawlWith := func(workers int) *Snapshot {
 		view := NewUniverseView(u, at)
-		c := New(Config{Workers: workers, Index: u.Index,
-			Observer: func(ex Exchange) { exchanges = append(exchanges, ex) }}, view)
+		c := New(Config{Workers: workers, Index: u.Index}, view)
 		snap, err := c.Crawl(context.Background(), at, targets, known)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snap, exchanges
+		return snap
 	}
-	seq, seqEx := crawlWith(1)
-	if len(seq.Unreachable) == 0 || len(seqEx) == 0 {
-		t.Fatalf("degenerate crawl: %d unreachable, %d exchanges", len(seq.Unreachable), len(seqEx))
+	seq := crawlWith(1)
+	if len(seq.Unreachable) == 0 {
+		t.Fatal("degenerate crawl: no unreachable address")
 	}
 	for _, tc := range []struct {
 		name    string
@@ -434,17 +462,13 @@ func TestCrawlWorkerCountInvariance(t *testing.T) {
 		// remember the first crawl for the second to repeat it.
 		{"same instant again", 1},
 	} {
-		got, gotEx := crawlWith(tc.workers)
+		got := crawlWith(tc.workers)
 		if !reflect.DeepEqual(seq, got) {
 			t.Errorf("%s: snapshot differs from the first workers=1 crawl:\n"+
 				"first: dialed=%d connected=%d unreachable=%d\n"+
 				"got:   dialed=%d connected=%d unreachable=%d", tc.name,
 				seq.Dialed, len(seq.Connected), len(seq.Unreachable),
 				got.Dialed, len(got.Connected), len(got.Unreachable))
-		}
-		if !reflect.DeepEqual(seqEx, gotEx) {
-			t.Errorf("%s: observer stream differs from the first workers=1 crawl: %d vs %d exchanges",
-				tc.name, len(seqEx), len(gotEx))
 		}
 	}
 }
@@ -742,7 +766,7 @@ func TestUniverseViewCrawl(t *testing.T) {
 		t.Errorf("connect rate = %.2f; too many failures", rate)
 	}
 	// Collected unreachable set should approach the visible pool.
-	coverage := float64(len(snap.Unreachable)) / float64(view.VisibleCount())
+	coverage := float64(len(snap.Unreachable)) / float64(len(view.visible))
 	if coverage < 0.5 {
 		t.Errorf("unreachable coverage = %.2f, want most of the pool", coverage)
 	}
@@ -860,7 +884,7 @@ func TestUniverseViewAccessors(t *testing.T) {
 	if !view.at.Equal(at) {
 		t.Error("At mismatch")
 	}
-	if len(view.online) <= 0 || view.VisibleCount() <= 0 {
+	if len(view.online) <= 0 || len(view.visible) <= 0 {
 		t.Error("empty pools")
 	}
 	sess, err := view.Dial(TargetsOf(u.SeedViewAt(at))[0])
@@ -904,4 +928,20 @@ func TestUniverseViewProbeOfflineReachable(t *testing.T) {
 		}
 	}
 	t.Skip("no offline reachable station found")
+}
+
+func TestAddrCompositionEmpty(t *testing.T) {
+	// Zero-observation composition must be 0/0, not NaN — an empty
+	// snapshot's shares feed straight into CSVs.
+	empty := &Snapshot{Reports: map[netip.AddrPort]*NodeReport{}}
+	r, u := empty.AddrComposition()
+	if r != 0 || u != 0 {
+		t.Errorf("empty composition = %v/%v, want 0/0", r, u)
+	}
+	// Same with a report present but nothing collected.
+	empty.Reports[tAddr(1)] = &NodeReport{Addr: tAddr(1), Connected: true}
+	r, u = empty.AddrComposition()
+	if r != 0 || u != 0 {
+		t.Errorf("zero-sent composition = %v/%v, want 0/0", r, u)
+	}
 }

@@ -48,10 +48,6 @@ func NewUniverseView(u *netgen.Universe, t time.Time) *UniverseView {
 	}
 }
 
-// VisibleCount returns the number of gossip-visible unreachable
-// addresses.
-func (v *UniverseView) VisibleCount() int { return len(v.visible) }
-
 // popSessPool recycles sessions — and, through them, the book and ID
 // buffers they carry — across dials. A session returns to the pool on
 // Close; the borrowed-buffer contract on Session.GetAddr (responses are

@@ -17,10 +17,9 @@
 //     enumerate distinct addresses up to the full table. Both are lower
 //     bounds that converge to the true degree from below.
 //
-// The package is a leaf: it depends only on the wire types and the
-// metrics registry, consumes observations through plain method calls
-// (the crawler's Observer seam feeds it in deterministic merge order),
-// and performs no I/O. Every estimate is guaranteed finite and
+// The package is a leaf: it depends only on the wire types, consumes
+// observations through plain method calls (fig_interv feeds it the
+// observer node's ADDR intake in simulation order), and performs no I/O. Every estimate is guaranteed finite and
 // non-negative on arbitrary input streams — a property the fuzz target
 // FuzzEstimateObservations pins — and every ratio is guarded against
 // zero-observation division.
@@ -30,7 +29,6 @@ import (
 	"math"
 	"net/netip"
 
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -59,10 +57,6 @@ type Config struct {
 	// are excluded from the unreachable-population sample (the crawl's
 	// N_u definition). Nil treats every announcement as unreachable.
 	IsReachable func(netip.AddrPort) bool
-	// Metrics, when set, receives the est.* observation counters
-	// (est.exchanges, est.announcements, est.announcements.unreachable,
-	// est.sources). Nil disables instrumentation.
-	Metrics *obs.Registry
 }
 
 // PopulationEstimator recovers the size of the hidden unreachable
@@ -117,10 +111,6 @@ func (e *PopulationEstimator) Observe(source, addr netip.AddrPort) bool {
 	}
 	return true
 }
-
-// Total returns the number of counted draws (per-source deduplicated
-// announcements).
-func (e *PopulationEstimator) Total() int { return e.total }
 
 // Estimate returns the population estimate. It is always finite and
 // non-negative: zero before any observation, and capped when no
@@ -321,26 +311,8 @@ func (e *DegreeEstimator) Estimates() []SourceDegree {
 	return out
 }
 
-// Mean returns the mean combined estimate and the mean single-exchange
-// probe estimate across all observed sources. With no sources both are
-// 0 — never NaN (the zero-observation division guard).
-func (e *DegreeEstimator) Mean() (estimate, ratio float64) {
-	if len(e.order) == 0 {
-		return 0, 0
-	}
-	var sumEst, sumRatio float64
-	for _, src := range e.order {
-		sd := e.estimateOf(src, e.sources[src])
-		sumEst += sd.Estimate
-		sumRatio += sd.Ratio
-	}
-	n := float64(len(e.order))
-	return sumEst / n, sumRatio / n
-}
-
-// Collector feeds both estimators from a stream of GETADDR exchanges —
-// the shape the crawler's Observer seam delivers. It owns the est.*
-// metrics and applies the reachable-reference filter for the population
+// Collector feeds both estimators from a stream of GETADDR exchanges.
+// It applies the reachable-reference filter for the population
 // estimator; the degree estimator sees the full response (a peer's
 // tables hold reachable addresses too).
 type Collector struct {
@@ -351,11 +323,6 @@ type Collector struct {
 	Deg *DegreeEstimator
 
 	scratch []netip.AddrPort
-
-	mExchanges *obs.Counter
-	mAnnounce  *obs.Counter
-	mUnreach   *obs.Counter
-	mSources   *obs.Counter
 }
 
 // NewCollector creates a collector over cfg.
@@ -364,11 +331,6 @@ func NewCollector(cfg Config) *Collector {
 		cfg: cfg,
 		Pop: NewPopulationEstimator(),
 		Deg: NewDegreeEstimator(DefaultGetAddrMaxPct, DefaultGetAddrMax),
-
-		mExchanges: cfg.Metrics.Counter("est.exchanges"),
-		mAnnounce:  cfg.Metrics.Counter("est.announcements"),
-		mUnreach:   cfg.Metrics.Counter("est.announcements.unreachable"),
-		mSources:   cfg.Metrics.Counter("est.sources"),
 	}
 }
 
@@ -376,34 +338,23 @@ func NewCollector(cfg Config) *Collector {
 // addrs. Malformed entries (invalid addresses) are skipped; the method
 // never panics on arbitrary input.
 func (c *Collector) Exchange(source netip.AddrPort, addrs []wire.NetAddress) {
-	c.mExchanges.Inc()
 	c.scratch = c.scratch[:0]
 	for _, na := range addrs {
-		c.mAnnounce.Inc()
 		c.scratch = append(c.scratch, na.Addr)
 		if c.cfg.IsReachable != nil && c.cfg.IsReachable(na.Addr) {
 			continue
 		}
-		if c.Pop.Observe(source, na.Addr) {
-			c.mUnreach.Inc()
-		}
+		c.Pop.Observe(source, na.Addr)
 	}
-	if c.Deg.ObserveExchange(source, c.scratch) {
-		c.mSources.Inc()
-	}
+	c.Deg.ObserveExchange(source, c.scratch)
 }
 
 // PopulationEstimate returns the current unreachable-population
 // estimate (finite, non-negative; 0 before any observation).
 func (c *Collector) PopulationEstimate() float64 { return c.Pop.Estimate() }
 
-// MeanDegree returns the mean combined and mean probe degree estimates
-// across observed peers (0, 0 before any observation).
-func (c *Collector) MeanDegree() (estimate, ratio float64) { return c.Deg.Mean() }
-
 // RelativeError returns |estimate − truth| / truth, or 0 when truth is
-// 0 — the NaN-free convention every estimator-error table in the
-// fig_est family uses.
+// 0 — the NaN-free convention fig_interv's estimator-error columns use.
 func RelativeError(estimate, truth float64) float64 {
 	if truth == 0 || math.IsNaN(truth) {
 		return 0

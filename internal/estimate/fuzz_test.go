@@ -30,10 +30,6 @@ func FuzzEstimateObservations(f *testing.F) {
 			if v := c.PopulationEstimate(); !isFiniteNonNeg(v) {
 				t.Fatalf("population estimate %v not finite non-negative", v)
 			}
-			est, ratio := c.MeanDegree()
-			if !isFiniteNonNeg(est) || !isFiniteNonNeg(ratio) {
-				t.Fatalf("degree estimates %v/%v not finite non-negative", est, ratio)
-			}
 			for _, sd := range c.Deg.Estimates() {
 				if !isFiniteNonNeg(sd.Estimate) || !isFiniteNonNeg(sd.Ratio) {
 					t.Fatalf("source %v estimates %v/%v not finite non-negative",

@@ -279,6 +279,76 @@ func TestAddrBookGoldenDigest(t *testing.T) {
 	}
 }
 
+// goldenUniverseDigests are the SHA-256 of every station field of the
+// seed-7, scale-0.02 universe under each calibration, recorded while
+// every calibration value was still a Params field. They pin the
+// generator's RNG draw order and every value it derives.
+var goldenUniverseDigests = map[string]string{
+	"2020": "5011e20db54ce03d92d57381ee43e9990aba1f6227038751bf4ade7dc8641ba6",
+	"2019": "766ffdbd2e31a948fe75c4060f91cf2e3bcf1825847c9cd9803efdc5a4cf26a1",
+}
+
+func TestUniverseGoldenDigest(t *testing.T) {
+	for name, p := range map[string]Params{
+		"2020": DefaultParams(7, 0.02),
+		"2019": Params2019(7, 0.02),
+	} {
+		u := generate(t, p)
+		if got := universeDigest(t, u); got != goldenUniverseDigests[name] {
+			t.Errorf("%s universe digest = %s, want %s", name, got, goldenUniverseDigests[name])
+		}
+	}
+}
+
+// universeDigest hashes every field of every station, reachable slab
+// first, in ID order.
+func universeDigest(t *testing.T, u *Universe) string {
+	t.Helper()
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.BigEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	// Seconds and nanoseconds separately: a reachable station's zero
+	// Visible window is outside UnixNano's range.
+	putTime := func(ts time.Time) {
+		put(uint64(ts.Unix()))
+		put(uint64(ts.Nanosecond()))
+	}
+	flag := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for _, pop := range [][]*Station{u.Reachable, u.Unreachable} {
+		put(uint64(len(pop)))
+		for _, s := range pop {
+			b, err := s.Addr.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(b)
+			put(uint64(s.ID))
+			put(uint64(s.ASN))
+			put(uint64(s.Class))
+			put(flag(s.Persistent) | flag(s.Flapper)<<1 | flag(s.Fresh)<<2 |
+				flag(s.Critical)<<3 | flag(s.Malicious)<<4 |
+				flag(s.OnDNS)<<5 | flag(s.OnBitnodes)<<6)
+			put(uint64(s.FloodBudget))
+			put(uint64(len(s.Sessions)))
+			for _, iv := range s.Sessions {
+				putTime(iv.Start)
+				putTime(iv.End)
+			}
+			putTime(s.Visible.Start)
+			putTime(s.Visible.End)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func TestAddrBookComposition(t *testing.T) {
 	p := testParams()
 	u := generate(t, p)

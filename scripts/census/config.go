@@ -20,7 +20,6 @@ var testSeams = map[string]string{
 	"reprod.Config.Registry":       "server_test.go reads the server's counters from its own registry",
 	"reprod.Config.Version":        "server_test.go pins the version that keys the result cache",
 	"reprod.Config.ForceGrace":     "server_test.go shortens the wait between a soft and a forced cancel",
-	"crawler.ScanConfig.Observer":  "crawler_test.go records the scan's probe order",
 	"tcpnet.ServerConfig.OmitSelf": "tcpnet_test.go's TestMaliciousServerDetectedOverTCP plays the flooder that never advertises itself",
 }
 

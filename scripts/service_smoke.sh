@@ -89,20 +89,20 @@ curl -fsS "$base/runs/$fig7_key/report.html" | grep -q '<h2>Resources</h2>' ||
 # stay free of resource data — already pinned by the cmp against the
 # CLI above, restated here for the reader.
 
-echo "--- estimator sweep: singleflight + cache"
-EST_SPEC='{"id":"fig_est_pop","quick":true,"seed":7}'
-curl -fsS -X POST "$base/run" -d "$EST_SPEC" -o "$tmp/ea.txt" &
-ea=$!
-curl -fsS -X POST "$base/run" -d "$EST_SPEC" -o "$tmp/eb.txt" &
-eb=$!
-wait "$ea" "$eb"
-cmp "$tmp/ea.txt" "$tmp/eb.txt" || { echo "concurrent fig_est responses differ"; exit 1; }
+echo "--- churn study: singleflight + cache"
+CHURN_SPEC='{"id":"fig13","quick":true,"seed":7}'
+curl -fsS -X POST "$base/run" -d "$CHURN_SPEC" -o "$tmp/ca.txt" &
+ca=$!
+curl -fsS -X POST "$base/run" -d "$CHURN_SPEC" -o "$tmp/cb.txt" &
+cb=$!
+wait "$ca" "$cb"
+cmp "$tmp/ca.txt" "$tmp/cb.txt" || { echo "concurrent fig13 responses differ"; exit 1; }
 executed=$(curl -fsS "$base/metrics" | awk '$1 == "reprod_runs_executed" {print $2}')
-[ "$executed" = "2" ] || { echo "reprod_runs_executed = $executed, want 2 (fig7 + one fig_est)"; exit 1; }
-hit=$(curl -fsS -D - -X POST "$base/run" -d "$EST_SPEC" -o /dev/null |
+[ "$executed" = "2" ] || { echo "reprod_runs_executed = $executed, want 2 (fig7 + one fig13)"; exit 1; }
+hit=$(curl -fsS -D - -X POST "$base/run" -d "$CHURN_SPEC" -o /dev/null |
   tr -d '\r' | awk 'tolower($1) == "x-reprod-cache:" {print $2}')
-[ "$hit" = "hit" ] || { echo "fig_est X-Reprod-Cache = '$hit', want hit"; exit 1; }
-echo "one fig_est execution, byte-identical responses, repeat is a cache hit"
+[ "$hit" = "hit" ] || { echo "fig13 X-Reprod-Cache = '$hit', want hit"; exit 1; }
+echo "one fig13 execution, byte-identical responses, repeat is a cache hit"
 
 echo "--- intervention grid: 2-cell restricted sweep through the cache"
 # Two restricted fig_interv specs differing only in the policies field:
@@ -114,7 +114,7 @@ curl -fsS -X POST "$base/run" -d "$IV_STOCK" -o "$tmp/iv_stock.txt"
 curl -fsS -X POST "$base/run" -d "$IV_TRIED" -o "$tmp/iv_tried.txt"
 cmp -s "$tmp/iv_stock.txt" "$tmp/iv_tried.txt" && { echo "different policy sets served the same artifact"; exit 1; }
 executed=$(curl -fsS "$base/metrics" | awk '$1 == "reprod_runs_executed" {print $2}')
-[ "$executed" = "4" ] || { echo "reprod_runs_executed = $executed, want 4 (fig7 + fig_est + 2 fig_interv cells)"; exit 1; }
+[ "$executed" = "4" ] || { echo "reprod_runs_executed = $executed, want 4 (fig7 + fig13 + 2 fig_interv cells)"; exit 1; }
 for spec in "$IV_STOCK" "$IV_TRIED"; do
   hit=$(curl -fsS -D - -X POST "$base/run" -d "$spec" -o /dev/null |
     tr -d '\r' | awk 'tolower($1) == "x-reprod-cache:" {print $2}')
