@@ -71,7 +71,7 @@ func RunChurnFigs(ctx context.Context, cfg ChurnFigsConfig) (*ChurnFigsResult, e
 		MeanDailyArrivals:   tr.MeanArrivals(),
 		UniqueAddresses:     m.Rows(),
 	}
-	steady := cfg.Params.Scale * float64(cfg.Params.SteadyReachable)
+	steady := cfg.Params.Scale * float64(netgen.SteadyReachable)
 	if steady > 0 {
 		res.DepartureSharePct = 100 * res.MeanDailyDepartures / steady
 	}

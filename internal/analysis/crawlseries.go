@@ -20,7 +20,7 @@ type CrawlSeriesConfig struct {
 	// Params is the universe calibration (scale it down for tests).
 	Params netgen.Params
 	// Experiments caps the number of crawl experiments (0 = one per
-	// CrawlInterval over the whole horizon, the paper's 60).
+	// netgen.CrawlInterval over the whole horizon, the paper's 60).
 	Experiments int
 	// ScannerStartExperiment delays the responsive scan, reproducing the
 	// two-week gap the paper reports for Figure 5 (expressed in
@@ -146,13 +146,9 @@ func RunCrawlSeries(ctx context.Context, cfg CrawlSeriesConfig) (*CrawlSeriesRes
 // aggregation, whose population is tiny.
 func RunCrawlSeriesOn(ctx context.Context, u *netgen.Universe, cfg CrawlSeriesConfig) (*CrawlSeriesResult, error) {
 	p := u.Params
-	total := int(p.Horizon / p.CrawlInterval)
+	total := int(netgen.Horizon / netgen.CrawlInterval)
 	if cfg.Experiments > 0 && cfg.Experiments < total {
 		total = cfg.Experiments
-	}
-	if total < 1 {
-		return nil, fmt.Errorf("analysis: horizon %v shorter than crawl interval %v",
-			p.Horizon, p.CrawlInterval)
 	}
 	if cfg.ScanSampleFraction <= 0 || cfg.ScanSampleFraction > 1 {
 		cfg.ScanSampleFraction = 1
@@ -179,7 +175,7 @@ func RunCrawlSeriesOn(ctx context.Context, u *netgen.Universe, cfg CrawlSeriesCo
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		at := p.Epoch.Add(time.Duration(i) * p.CrawlInterval)
+		at := p.Epoch.Add(time.Duration(i) * netgen.CrawlInterval)
 		view := crawler.NewUniverseView(u, at)
 		seedView := u.SeedViewAt(at)
 		targets := crawler.TargetsOf(seedView)

@@ -108,11 +108,3 @@ func TestCrawlSeriesWorkerCountInvariance(t *testing.T) {
 		t.Error("serialized series differ between workers=1 and workers=4")
 	}
 }
-
-func TestCrawlSeriesInvalidHorizon(t *testing.T) {
-	p := netgen.DefaultParams(33, 0.02)
-	p.CrawlInterval = p.Horizon * 2
-	if _, err := RunCrawlSeries(context.Background(), CrawlSeriesConfig{Params: p}); err == nil {
-		t.Error("want error when horizon is shorter than crawl interval")
-	}
-}

@@ -237,13 +237,12 @@ func (t *Transitions) MeanArrivals() float64 {
 // against the Bitnodes feed (3.9/10 min in 2019, 7.6/10 min in 2020).
 // It returns the mean count per interval.
 func SyncedDepartures(u *netgen.Universe, interval time.Duration) float64 {
-	p := u.Params
 	var samples int
 	var departures int
-	for t := p.Epoch; t.Add(interval).Before(u.End()); t = t.Add(interval) {
+	for t := u.Params.Epoch; t.Add(interval).Before(u.End()); t = t.Add(interval) {
 		next := t.Add(interval)
 		for _, s := range u.Reachable {
-			if s.SyncedAt(t, p) && !s.OnlineAt(next) {
+			if s.SyncedAt(t) && !s.OnlineAt(next) {
 				departures++
 			}
 		}

@@ -35,7 +35,7 @@ func BenchmarkCrawlSnapshot(b *testing.B) {
 	}
 	instants := make([]instant, 8)
 	for k := range instants {
-		at := u.Params.Epoch.Add(10*24*time.Hour + time.Duration(k)*u.Params.CrawlInterval)
+		at := u.Params.Epoch.Add(10*24*time.Hour + time.Duration(k)*netgen.CrawlInterval)
 		seedView := u.SeedViewAt(at)
 		instants[k] = instant{at, TargetsOf(seedView), ReachableReference(seedView)}
 	}

@@ -62,7 +62,7 @@ var popSessPool = sync.Pool{
 
 // Dial implements Dialer: the target must be a reachable station that is
 // online at the frozen instant, and even then dials fail with probability
-// 1−ConnectSuccessRate (stale listings, full inbound slots). Failures
+// 1−netgen.ConnectSuccessRate (stale listings, full inbound slots). Failures
 // return shared sentinel errors: a popsim crawl sees thousands of failed
 // dials per experiment, and per-failure error wrapping was measurable
 // crawl-path garbage.
@@ -79,7 +79,7 @@ func (v *UniverseView) Dial(addr netip.AddrPort) (Session, error) {
 	}
 	s := popSessPool.Get().(*popSession)
 	s.pcg.Seed(netgen.StationSeed(v.u.Params.Seed, v.at, st.ID))
-	if s.rnd.Float64() >= v.u.Params.ConnectSuccessRate {
+	if s.rnd.Float64() >= netgen.ConnectSuccessRate {
 		popSessPool.Put(s)
 		return nil, errDialRefused
 	}

@@ -43,7 +43,7 @@ func (u *Universe) AddrBookFrom(s addridx.ID, t time.Time, online, visible []add
 // AppendAddrBook appends station s's address book at t to addrs and
 // returns the extended slice, sampling exactly as AddrBookFrom but
 // reusing the caller's capacity — the crawl hot path keeps one book
-// buffer per pooled session instead of allocating ~BookSize entries per
+// buffer per pooled session instead of allocating ~bookSize entries per
 // dial. When ids is non-nil, the dense StationID of every appended entry
 // is appended to it in parallel (the self entry carries s), which lets
 // crawl consumers skip the per-address index hash lookup; a nil ids
@@ -51,17 +51,13 @@ func (u *Universe) AddrBookFrom(s addridx.ID, t time.Time, online, visible []add
 func (u *Universe) AppendAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
 	s addridx.ID, t time.Time, online, visible []addridx.ID) ([]wire.NetAddress, []addridx.ID) {
 	p := u.Params
-	crawlIdx := int64(t.Sub(p.Epoch) / p.CrawlInterval)
+	crawlIdx := int64(t.Sub(p.Epoch) / CrawlInterval)
 	rng := bookRand(p.Seed, crawlIdx, s)
 	wantIDs := ids != nil
 	st := u.station(s)
 
 	if st.Malicious {
-		experiments := int(p.Horizon / p.CrawlInterval)
-		if experiments < 1 {
-			experiments = 1
-		}
-		per := st.FloodBudget / experiments
+		per := st.FloodBudget / int(Horizon/CrawlInterval)
 		if per < 1 {
 			per = 1
 		}
@@ -78,7 +74,7 @@ func (u *Universe) AppendAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
 		return addrs, ids
 	}
 
-	size := p.scaled(p.BookSize)
+	size := p.scaled(bookSize)
 	if size < 2 {
 		size = 2
 	}
@@ -92,7 +88,7 @@ func (u *Universe) AppendAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
 	}
 	for i := 0; i < size; i++ {
 		var target addridx.ID
-		if rng.Float64() < p.AddrReachableShare && len(online) > 0 {
+		if rng.Float64() < addrReachableShare && len(online) > 0 {
 			target = online[rng.IntN(len(online))]
 		} else if len(visible) > 0 {
 			target = visible[rng.IntN(len(visible))]

@@ -32,11 +32,6 @@ func TestGenerateRejectsBadParams(t *testing.T) {
 	if _, err := Generate(p); err == nil {
 		t.Error("zero scale: want error")
 	}
-	p = testParams()
-	p.Horizon = 0
-	if _, err := Generate(p); err == nil {
-		t.Error("zero horizon: want error")
-	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -57,8 +52,8 @@ func TestPopulationSizes(t *testing.T) {
 	u := generate(t, p)
 	// Unique reachable ≈ persistent + recurring pool + ephemeral stock +
 	// fresh arrivals (the generator's steady-state accounting).
-	steady := p.scaled(p.SteadyReachable)
-	persistent := p.scaled(p.PersistentReachable)
+	steady := p.scaled(SteadyReachable)
+	persistent := p.scaled(persistentReachable)
 	duty := float64(p.MeanSessionOn) / float64(p.MeanSessionOn+p.MeanSessionOff)
 	ephemSteady := p.scaledF(p.FreshPerDay) * p.EphemeralLifetime.Hours() / 24
 	pool := int((float64(steady-persistent) - ephemSteady) / duty)
@@ -68,7 +63,7 @@ func TestPopulationSizes(t *testing.T) {
 	if got < expReachable*9/10 || got > expReachable*11/10 {
 		t.Errorf("reachable population = %d, want ≈%d", got, expReachable)
 	}
-	expUnreachable := p.scaled(p.InitialUnreachable) + int(p.scaledF(p.UnreachablePerDay)*60)
+	expUnreachable := p.scaled(initialUnreachable) + int(p.scaledF(unreachablePerDay)*60)
 	gotU := len(u.Unreachable)
 	if gotU < expUnreachable*9/10 || gotU > expUnreachable*11/10 {
 		t.Errorf("unreachable population = %d, want ≈%d", gotU, expUnreachable)
@@ -78,7 +73,7 @@ func TestPopulationSizes(t *testing.T) {
 func TestSteadyOnlineCount(t *testing.T) {
 	p := testParams()
 	u := generate(t, p)
-	steady := p.scaled(p.SteadyReachable)
+	steady := p.scaled(SteadyReachable)
 	// Sample mid-horizon: the online count should be near steady state.
 	mid := p.Epoch.Add(30 * 24 * time.Hour)
 	online := len(u.OnlineReachable(mid))
@@ -103,8 +98,8 @@ func TestPersistentAlwaysOnline(t *testing.T) {
 			}
 		}
 	}
-	if count != p.scaled(p.PersistentReachable) {
-		t.Errorf("persistent count = %d, want %d", count, p.scaled(p.PersistentReachable))
+	if count != p.scaled(persistentReachable) {
+		t.Errorf("persistent count = %d, want %d", count, p.scaled(persistentReachable))
 	}
 }
 
@@ -158,7 +153,7 @@ func TestUnreachableVisibilityWindows(t *testing.T) {
 	visible := u.VisibleUnreachable(mid)
 	// Steady visible should be near the initial stock (arrivals balance
 	// expiries by calibration).
-	want := p.scaled(p.InitialUnreachable)
+	want := p.scaled(initialUnreachable)
 	if len(visible) < want*70/100 || len(visible) > want*140/100 {
 		t.Errorf("visible unreachable at mid = %d, want ≈%d", len(visible), want)
 	}
@@ -189,12 +184,12 @@ func TestMaliciousAssignment(t *testing.T) {
 			}
 		}
 	}
-	want := p.scaled(p.MaliciousCount)
+	want := p.scaled(maliciousCount)
 	if len(malicious) != want {
 		t.Errorf("malicious count = %d, want %d", len(malicious), want)
 	}
-	if in3320 < p.scaled(p.MaliciousInAS3320)*7/10 {
-		t.Errorf("malicious in AS3320 = %d, want ≈%d", in3320, p.scaled(p.MaliciousInAS3320))
+	if in3320 < p.scaled(maliciousInAS3320)*7/10 {
+		t.Errorf("malicious in AS3320 = %d, want ≈%d", in3320, p.scaled(maliciousInAS3320))
 	}
 }
 
@@ -212,7 +207,7 @@ func TestStationSlabLayout(t *testing.T) {
 			t.Fatalf("Unreachable[%d] has ID %d, address %v vs index %v", j, s.ID, s.Addr, u.Index.Addr(s.ID))
 		}
 	}
-	mid := u.Params.Epoch.Add(u.Params.Horizon / 2)
+	mid := u.Params.Epoch.Add(Horizon / 2)
 	pools := map[string][]addridx.ID{
 		"online":  u.OnlineReachable(mid),
 		"visible": u.VisibleUnreachable(mid),
@@ -238,7 +233,7 @@ const goldenBookDigest = "5dd5d6098850cb5327b0f29226dbba5bf6598fbdc3aa17c4d8c2f2
 func TestAddrBookGoldenDigest(t *testing.T) {
 	p := DefaultParams(7, 0.02)
 	u := generate(t, p)
-	mid := p.Epoch.Add(p.Horizon / 2)
+	mid := p.Epoch.Add(Horizon / 2)
 	online, visible := u.OnlineReachable(mid), u.VisibleUnreachable(mid)
 	var picked []*Station
 	for _, s := range u.Reachable {
@@ -429,7 +424,7 @@ func TestAddrBookDeterministicPerCrawl(t *testing.T) {
 		}
 	}
 	// A different crawl day yields a different sample.
-	other := u.AddrBookFrom(s, mid.Add(p.CrawlInterval), online, visible)
+	other := u.AddrBookFrom(s, mid.Add(CrawlInterval), online, visible)
 	same := true
 	for i := range a {
 		if i >= len(other) || a[i].Addr != other[i].Addr {
@@ -468,7 +463,7 @@ func TestSeedViewStructure(t *testing.T) {
 		seen[s] = true
 	}
 	// DNS list size target (scaled).
-	want := p.scaled(p.DNSListSize)
+	want := p.scaled(dnsListSize)
 	if len(v.DNS) < want*8/10 || len(v.DNS) > want*12/10 {
 		t.Errorf("DNS list = %d, want ≈%d", len(v.DNS), want)
 	}
@@ -488,27 +483,27 @@ func TestSyncedAtSemantics(t *testing.T) {
 	if persistent == nil {
 		t.Fatal("no persistent station")
 	}
-	if persistent.SyncedAt(p.Epoch.Add(time.Minute), p) {
+	if persistent.SyncedAt(p.Epoch.Add(time.Minute)) {
 		t.Error("synced during IBD window")
 	}
-	if !persistent.SyncedAt(p.Epoch.Add(time.Hour), p) {
+	if !persistent.SyncedAt(p.Epoch.Add(time.Hour)) {
 		t.Error("not synced after IBD window")
 	}
 	// A fresh station needs the long first-join IBD.
 	var fresh *Station
 	for _, s := range u.Reachable {
 		if s.Fresh && len(s.Sessions) > 0 &&
-			s.Sessions[0].Duration() > p.IBDFirstJoin+time.Hour {
+			s.Sessions[0].Duration() > ibdFirstJoin+time.Hour {
 			fresh = s
 			break
 		}
 	}
 	if fresh != nil {
 		start := fresh.Sessions[0].Start
-		if fresh.SyncedAt(start.Add(p.IBDRejoin+time.Minute), p) {
+		if fresh.SyncedAt(start.Add(ibdRejoin + time.Minute)) {
 			t.Error("fresh station synced before first-join IBD completes")
 		}
-		if !fresh.SyncedAt(start.Add(p.IBDFirstJoin+time.Minute), p) {
+		if !fresh.SyncedAt(start.Add(ibdFirstJoin + time.Minute)) {
 			t.Error("fresh station not synced after first-join IBD")
 		}
 	}

@@ -10,29 +10,20 @@ package netgen
 
 import "time"
 
-// Params holds every knob of the synthetic universe. DefaultParams
-// returns the 2020 calibration; Params2019 returns the 2019 regime used
-// for the Figure 1 contrast.
+// Params holds the knobs that vary between runs: the seed and scale
+// every caller picks, and the six churn and epoch values Params2019
+// changes. DefaultParams returns the 2020 calibration; Params2019
+// returns the 2019 regime used for the Figure 1 contrast. Every other
+// calibration value is a package constant below.
 type Params struct {
 	// Seed drives all generation randomness.
 	Seed int64
 	// Scale multiplies every population size; tests use small scales,
 	// figure reproduction uses 1.0.
 	Scale float64
-	// Horizon is the measurement duration (paper: 60 days, 04 Apr –
-	// 04 Jun 2020).
-	Horizon time.Duration
 	// Epoch is the trace start time.
 	Epoch time.Time
 
-	// --- Reachable population (§III-A, Figure 3) ---
-
-	// SteadyReachable is the average number of reachable nodes online at
-	// any time (paper: 10,114 from Bitnodes).
-	SteadyReachable int
-	// PersistentReachable is the number of nodes that never leave
-	// (paper Figure 12: 3,034 end-to-end lines).
-	PersistentReachable int
 	// FreshPerDay is the arrival rate of ephemeral nodes: addresses that
 	// appear once, stay for EphemeralLifetime on average, and never
 	// return. Together with the recurring transients this reproduces the
@@ -49,98 +40,113 @@ type Params struct {
 	MeanSessionOn  time.Duration
 	MeanSessionOff time.Duration
 	// FlapperFraction is the share of transient nodes with fast on/off
-	// cycles (MeanSessionOn/8); these drive the 10-minute-granularity
+	// cycles (MeanSessionOn/6); these drive the 10-minute-granularity
 	// synchronized-departure counts (3.9/10 min in 2019 vs 7.6/10 min in
 	// 2020) without inflating the daily churn much.
 	FlapperFraction float64
-	// ReachableDefaultPortPct is the share of reachable nodes on port
-	// 8333 (paper: 95.78%).
-	ReachableDefaultPortPct float64
-	// IBDFirstJoin is how long a brand-new node needs to download the
-	// blockchain before contributing to synchronization (paper: "a few
-	// days"; we use 2 days).
-	IBDFirstJoin time.Duration
-	// IBDRejoin is the catch-up time for a returning node (paper §IV-D:
-	// 11 minutes 14 seconds measured).
-	IBDRejoin time.Duration
+}
 
-	// --- Unreachable population (§IV-A, Figures 4–5) ---
-
-	// InitialUnreachable is the number of unreachable addresses visible
-	// in gossip at the trace start (paper: ≈195K per experiment).
-	InitialUnreachable int
-	// UnreachablePerDay is the arrival rate of new unique unreachable
-	// addresses (paper: (694,696 − 195K)/60 ≈ 8.3K/day).
-	UnreachablePerDay float64
-	// UnreachableTTL is how long an unreachable address stays visible in
-	// gossip (tuned so the per-experiment count holds at ≈195K).
-	UnreachableTTL time.Duration
-	// ResponsiveFraction is the share of unreachable addresses that are
-	// actually running Bitcoin behind NAT (paper: 163,496/694,696 =
-	// 23.54%).
-	ResponsiveFraction float64
-	// ResponsiveTTLBoost multiplies the TTL of responsive addresses:
-	// real nodes outlive stale gossip entries, which is why the paper
-	// sees 27.7% responsive per experiment against 23.5% cumulative.
-	ResponsiveTTLBoost float64
-	// UnreachableDefaultPortPct is the share of unreachable addresses on
-	// port 8333 (paper: 88.54%; the rest spread over 9,414 ports).
-	UnreachableDefaultPortPct float64
-
-	// --- Addressing protocol (§IV-B, Figures 7–8) ---
-
-	// AddrReachableShare is the fraction of reachable addresses in an
-	// average ADDR message (paper: 14.9%).
-	AddrReachableShare float64
-	// MaliciousCount is the number of reachable nodes flooding
-	// unreachable-only ADDR responses (paper: 73).
-	MaliciousCount int
-	// MaliciousInAS3320 is how many of them share AS3320 (paper: 43).
-	MaliciousInAS3320 int
-	// MaliciousHeavyCount is how many flooders sent >100K addresses
-	// (paper: 8, with the maximum >400K).
-	MaliciousHeavyCount int
-
-	// --- AS placement (§IV-A1, Table I) ---
-
-	// ReachableASes, UnreachableASes, and ResponsiveASes are the numbers
-	// of distinct ASes hosting each class (paper: 2,000 / 8,494 / 4,453).
-	ReachableASes   int
-	UnreachableASes int
-	ResponsiveASes  int
-	// TailAlpha shapes each class's AS long tail; tuned so the ASes
-	// needed to cover 50% of nodes are ≈25 / 36 / 24.
-	ReachableTailAlpha   float64
-	UnreachableTailAlpha float64
-	ResponsiveTailAlpha  float64
-
-	// --- Seed databases (§III-A, Figure 3) ---
-
-	// BitnodesCoverage is the fraction of online reachable nodes the
-	// Bitnodes view lists (≈1.0; the view also lags by BitnodesLag).
-	BitnodesCoverage float64
-	// DNSListSize targets the DNS seeder database size (paper: 6,637
-	// with 6,078 common with Bitnodes).
-	DNSListSize int
-	// DNSOverlapFraction is the share of the DNS list also on Bitnodes.
-	DNSOverlapFraction float64
-	// CriticalInfraPct is the share of addresses blacklisted as critical
-	// infrastructure (paper: 439/10,114 ≈ 4.3%).
-	CriticalInfraPct float64
-
-	// --- Crawl model (§III, Figures 3–5) ---
-
+// The calibration shared by both regimes. Population sizes are
+// unscaled: the generator multiplies them by Params.Scale.
+const (
+	// Horizon is the measurement duration (paper: 60 days, 04 Apr –
+	// 04 Jun 2020).
+	Horizon = 60 * 24 * time.Hour
 	// CrawlInterval is the cadence of crawl experiments (paper: roughly
 	// daily over 60 days).
-	CrawlInterval time.Duration
+	CrawlInterval = 24 * time.Hour
 	// ConnectSuccessRate is the probability that dialing a listed
 	// reachable node succeeds (listings go stale and inbound slots fill;
 	// paper: connected to 8,270 of ~9,700 dialable listings ≈ 0.855).
-	ConnectSuccessRate float64
-	// BookSize is the number of addresses a reachable node's tables
+	ConnectSuccessRate = 0.855
+
+	// --- Reachable population (§III-A, Figure 3) ---
+
+	// SteadyReachable is the average number of reachable nodes online at
+	// any time (paper: 10,114 from Bitnodes).
+	SteadyReachable = 10114
+	// persistentReachable is the number of nodes that never leave
+	// (paper Figure 12: 3,034 end-to-end lines).
+	persistentReachable = 3034
+	// reachableDefaultPortPct is the share of reachable nodes on port
+	// 8333 (paper: 95.78%).
+	reachableDefaultPortPct = 0.9578
+	// ibdFirstJoin is how long a brand-new node needs to download the
+	// blockchain before contributing to synchronization (paper: "a few
+	// days"; we use 2 days).
+	ibdFirstJoin = 48 * time.Hour
+	// ibdRejoin is the catch-up time for a returning node (paper §IV-D:
+	// 11 minutes 14 seconds measured).
+	ibdRejoin = 11*time.Minute + 14*time.Second
+
+	// --- Unreachable population (§IV-A, Figures 4–5) ---
+
+	// initialUnreachable is the number of unreachable addresses visible
+	// in gossip at the trace start (paper: ≈195K per experiment).
+	initialUnreachable = 195000
+	// unreachablePerDay is the arrival rate of new unique unreachable
+	// addresses (paper: (694,696 − 195K)/60 ≈ 8.3K/day).
+	unreachablePerDay = 8300.0
+	// unreachableTTL is how long an unreachable address stays visible in
+	// gossip (tuned so the per-experiment count holds at ≈195K).
+	unreachableTTL = 21 * 24 * time.Hour
+	// responsiveFraction is the share of unreachable addresses that are
+	// actually running Bitcoin behind NAT (paper: 163,496/694,696 =
+	// 23.54%).
+	responsiveFraction = 0.2354
+	// responsiveTTLBoost multiplies the TTL of responsive addresses:
+	// real nodes outlive stale gossip entries, which is why the paper
+	// sees 27.7% responsive per experiment against 23.5% cumulative.
+	responsiveTTLBoost = 1.7
+	// unreachableDefaultPortPct is the share of unreachable addresses on
+	// port 8333 (paper: 88.54%; the rest spread over 9,414 ports).
+	unreachableDefaultPortPct = 0.8854
+
+	// --- Addressing protocol (§IV-B, Figures 7–8) ---
+
+	// addrReachableShare is the fraction of reachable addresses in an
+	// average ADDR message (paper: 14.9%).
+	addrReachableShare = 0.149
+	// maliciousCount is the number of reachable nodes flooding
+	// unreachable-only ADDR responses (paper: 73).
+	maliciousCount = 73
+	// maliciousInAS3320 is how many of them share AS3320 (paper: 43).
+	maliciousInAS3320 = 43
+	// maliciousHeavyCount is how many flooders sent >100K addresses
+	// (paper: 8, with the maximum >400K).
+	maliciousHeavyCount = 8
+	// bookSize is the number of addresses a reachable node's tables
 	// reveal to the iterative GETADDR crawl (Algorithm 1).
-	BookSize int
-}
+	bookSize = 2500
+
+	// --- AS placement (§IV-A1, Table I) ---
+
+	// reachableASes, unreachableASes, and responsiveASes are the numbers
+	// of distinct ASes hosting each class (paper: 2,000 / 8,494 / 4,453).
+	reachableASes   = 2000
+	unreachableASes = 8494
+	responsiveASes  = 4453
+	// The tail alphas shape each class's AS long tail; tuned so the ASes
+	// needed to cover 50% of nodes are ≈25 / 36 / 24.
+	reachableTailAlpha   = 0.65
+	unreachableTailAlpha = 0.82
+	responsiveTailAlpha  = 0.68
+
+	// --- Seed databases (§III-A, Figure 3) ---
+
+	// bitnodesCoverage is the fraction of online reachable nodes the
+	// Bitnodes view lists.
+	bitnodesCoverage = 0.96
+	// dnsListSize targets the DNS seeder database size (paper: 6,637
+	// with 6,078 common with Bitnodes).
+	dnsListSize = 6637
+	// dnsOverlapFraction is the share of the DNS list also on Bitnodes
+	// (6,078 / 6,637).
+	dnsOverlapFraction = 0.916
+	// criticalInfraPct is the share of addresses blacklisted as critical
+	// infrastructure (paper: 439/10,114 ≈ 4.3%).
+	criticalInfraPct = 0.0434
+)
 
 // Paper-reported AS shares for Table I (percent of nodes per ASN). These
 // seed the generator's AS distributions; the analysis recovers them from
@@ -172,49 +178,14 @@ var (
 // DefaultParams returns the 2020 calibration at the given scale.
 func DefaultParams(seed int64, scale float64) Params {
 	return Params{
-		Seed:    seed,
-		Scale:   scale,
-		Horizon: 60 * 24 * time.Hour,
-		Epoch:   time.Date(2020, time.April, 4, 0, 0, 0, 0, time.UTC),
-
-		SteadyReachable:         10114,
-		PersistentReachable:     3034,
-		FreshPerDay:             177,
-		EphemeralLifetime:       4 * 24 * time.Hour,
-		MeanSessionOn:           12 * 24 * time.Hour,
-		MeanSessionOff:          24 * 24 * time.Hour,
-		FlapperFraction:         0.08,
-		ReachableDefaultPortPct: 0.9578,
-		IBDFirstJoin:            48 * time.Hour,
-		IBDRejoin:               11*time.Minute + 14*time.Second,
-
-		InitialUnreachable:        195000,
-		UnreachablePerDay:         8300,
-		UnreachableTTL:            21 * 24 * time.Hour,
-		ResponsiveFraction:        0.2354,
-		ResponsiveTTLBoost:        1.7,
-		UnreachableDefaultPortPct: 0.8854,
-
-		AddrReachableShare:  0.149,
-		MaliciousCount:      73,
-		MaliciousInAS3320:   43,
-		MaliciousHeavyCount: 8,
-
-		ReachableASes:        2000,
-		UnreachableASes:      8494,
-		ResponsiveASes:       4453,
-		ReachableTailAlpha:   0.65,
-		UnreachableTailAlpha: 0.82,
-		ResponsiveTailAlpha:  0.68,
-
-		BitnodesCoverage:   0.96,
-		DNSListSize:        6637,
-		DNSOverlapFraction: 0.916, // 6,078 / 6,637
-		CriticalInfraPct:   0.0434,
-
-		CrawlInterval:      24 * time.Hour,
-		ConnectSuccessRate: 0.855,
-		BookSize:           2500,
+		Seed:              seed,
+		Scale:             scale,
+		Epoch:             time.Date(2020, time.April, 4, 0, 0, 0, 0, time.UTC),
+		FreshPerDay:       177,
+		EphemeralLifetime: 4 * 24 * time.Hour,
+		MeanSessionOn:     12 * 24 * time.Hour,
+		MeanSessionOff:    24 * 24 * time.Hour,
+		FlapperFraction:   0.08,
 	}
 }
 

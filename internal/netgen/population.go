@@ -128,14 +128,14 @@ func (s *Station) TotalOnline() time.Duration {
 // chain tip at t: online, and past the IBD period of its current session
 // (a long first-join IBD for fresh nodes, the measured 11-minute rejoin
 // catch-up otherwise).
-func (s *Station) SyncedAt(t time.Time, p Params) bool {
+func (s *Station) SyncedAt(t time.Time) bool {
 	for i, iv := range s.Sessions {
 		if !iv.Contains(t) {
 			continue
 		}
-		ibd := p.IBDRejoin
+		ibd := ibdRejoin
 		if i == 0 && s.Fresh {
-			ibd = p.IBDFirstJoin
+			ibd = ibdFirstJoin
 		}
 		return t.Sub(iv.Start) >= ibd
 	}
@@ -191,9 +191,6 @@ type instantPools struct {
 func Generate(p Params) (*Universe, error) {
 	if p.Scale <= 0 {
 		return nil, fmt.Errorf("netgen: scale must be positive, got %v", p.Scale)
-	}
-	if p.Horizon <= 0 {
-		return nil, fmt.Errorf("netgen: horizon must be positive, got %v", p.Horizon)
 	}
 	u := &Universe{
 		Params: p,
@@ -261,7 +258,7 @@ func (u *Universe) ByAddr(addr netip.AddrPort) *Station {
 }
 
 // End returns the end of the measurement horizon.
-func (u *Universe) End() time.Time { return u.Params.Epoch.Add(u.Params.Horizon) }
+func (u *Universe) End() time.Time { return u.Params.Epoch.Add(Horizon) }
 
 // toShares converts Table I percentages into fractional shares.
 func toShares(pct map[uint32]float64) map[uint32]float64 {
@@ -285,14 +282,14 @@ func (u *Universe) pickPort(pct float64) uint16 {
 func (u *Universe) generateReachable() error {
 	p := u.Params
 	dist, err := asmap.NewDistribution(asmap.PowerLawWeights(
-		toShares(ReachableASShares), p.ReachableASes-len(ReachableASShares),
-		100000, p.ReachableTailAlpha))
+		toShares(ReachableASShares), reachableASes-len(ReachableASShares),
+		100000, reachableTailAlpha))
 	if err != nil {
 		return fmt.Errorf("netgen: reachable AS distribution: %w", err)
 	}
 
-	steady := p.scaled(p.SteadyReachable)
-	persistent := p.scaled(p.PersistentReachable)
+	steady := p.scaled(SteadyReachable)
+	persistent := p.scaled(persistentReachable)
 	if persistent > steady {
 		persistent = steady
 	}
@@ -306,7 +303,7 @@ func (u *Universe) generateReachable() error {
 		transientSteady = 0
 	}
 	transientPool := int(transientSteady / duty)
-	freshTotal := int(freshPerDay * p.Horizon.Hours() / 24)
+	freshTotal := int(freshPerDay * Horizon.Hours() / 24)
 	initialEphemerals := int(ephemSteady)
 
 	end := u.End()
@@ -320,12 +317,12 @@ func (u *Universe) generateReachable() error {
 			return nil, fmt.Errorf("netgen: alloc reachable IP: %w", err)
 		}
 		u.reach = append(u.reach, Station{
-			Addr:     netip.AddrPortFrom(ip, u.pickPort(p.ReachableDefaultPortPct)),
+			Addr:     netip.AddrPortFrom(ip, u.pickPort(reachableDefaultPortPct)),
 			ID:       addridx.ID(len(u.reach)),
 			ASN:      asn,
 			Class:    ClassReachable,
 			Fresh:    fresh,
-			Critical: u.rng.Float64() < p.CriticalInfraPct,
+			Critical: u.rng.Float64() < criticalInfraPct,
 		})
 		return &u.reach[len(u.reach)-1], nil
 	}
@@ -368,7 +365,7 @@ func (u *Universe) generateReachable() error {
 		if err != nil {
 			return err
 		}
-		arrive := p.Epoch.Add(time.Duration(u.rng.Float64() * float64(p.Horizon)))
+		arrive := p.Epoch.Add(time.Duration(u.rng.Float64() * float64(Horizon)))
 		u.fillEphemeralSession(s, arrive, end)
 	}
 	u.Reachable = pointers(u.reach)
@@ -432,32 +429,32 @@ func (u *Universe) generateUnreachable() error {
 	// its tail draws from the same synthetic ASN range; it just spans
 	// fewer ASes with its own skew.
 	respDist, err := asmap.NewDistribution(asmap.PowerLawWeights(
-		toShares(ResponsiveASShares), p.ResponsiveASes-len(ResponsiveASShares),
-		300000, p.ResponsiveTailAlpha))
+		toShares(ResponsiveASShares), responsiveASes-len(ResponsiveASShares),
+		300000, responsiveTailAlpha))
 	if err != nil {
 		return fmt.Errorf("netgen: responsive AS distribution: %w", err)
 	}
 	silentDist, err := asmap.NewDistribution(asmap.PowerLawWeights(
-		toShares(UnreachableASShares), p.UnreachableASes-len(UnreachableASShares),
-		300000, p.UnreachableTailAlpha))
+		toShares(UnreachableASShares), unreachableASes-len(UnreachableASShares),
+		300000, unreachableTailAlpha))
 	if err != nil {
 		return fmt.Errorf("netgen: unreachable AS distribution: %w", err)
 	}
 
-	initial := p.scaled(p.InitialUnreachable)
-	arrivals := int(p.scaledF(p.UnreachablePerDay) * p.Horizon.Hours() / 24)
+	initial := p.scaled(initialUnreachable)
+	arrivals := int(p.scaledF(unreachablePerDay) * Horizon.Hours() / 24)
 	end := u.End()
 
 	u.unreach = make([]Station, 0, initial+arrivals)
 	add := func(appear time.Time) error {
-		responsive := u.rng.Float64() < p.ResponsiveFraction
+		responsive := u.rng.Float64() < responsiveFraction
 		class := ClassSilent
 		dist := silentDist
-		ttl := p.UnreachableTTL
+		ttl := unreachableTTL
 		if responsive {
 			class = ClassResponsive
 			dist = respDist
-			ttl = time.Duration(float64(p.UnreachableTTL) * p.ResponsiveTTLBoost)
+			ttl = time.Duration(float64(ttl) * responsiveTTLBoost)
 		}
 		// Jitter TTL ±30% so expiry is not synchronized.
 		ttl = time.Duration(float64(ttl) * (0.7 + 0.6*u.rng.Float64()))
@@ -467,11 +464,11 @@ func (u *Universe) generateUnreachable() error {
 			return fmt.Errorf("netgen: alloc unreachable IP: %w", err)
 		}
 		expire := appear.Add(ttl)
-		if expire.After(end.Add(p.UnreachableTTL)) {
-			expire = end.Add(p.UnreachableTTL)
+		if expire.After(end.Add(unreachableTTL)) {
+			expire = end.Add(unreachableTTL)
 		}
 		u.unreach = append(u.unreach, Station{
-			Addr:    netip.AddrPortFrom(ip, u.pickPort(p.UnreachableDefaultPortPct)),
+			Addr:    netip.AddrPortFrom(ip, u.pickPort(unreachableDefaultPortPct)),
 			ASN:     asn,
 			Class:   class,
 			Visible: Interval{Start: appear, End: expire},
@@ -482,13 +479,13 @@ func (u *Universe) generateUnreachable() error {
 	// Initial stock: appeared before the epoch, with residual lifetime;
 	// model by back-dating the appearance uniformly within one TTL.
 	for i := 0; i < initial; i++ {
-		back := time.Duration(u.rng.Float64() * float64(p.UnreachableTTL))
+		back := time.Duration(u.rng.Float64() * float64(unreachableTTL))
 		if err := add(p.Epoch.Add(-back)); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < arrivals; i++ {
-		at := p.Epoch.Add(time.Duration(u.rng.Float64() * float64(p.Horizon)))
+		at := p.Epoch.Add(time.Duration(u.rng.Float64() * float64(Horizon)))
 		if err := add(at); err != nil {
 			return err
 		}
@@ -514,10 +511,10 @@ func (u *Universe) generateUnreachable() error {
 func (u *Universe) assignSeedViews() {
 	p := u.Params
 	for _, s := range u.Reachable {
-		s.OnBitnodes = u.rng.Float64() < p.BitnodesCoverage
+		s.OnBitnodes = u.rng.Float64() < bitnodesCoverage
 	}
-	dnsTarget := p.scaled(p.DNSListSize)
-	overlap := int(float64(dnsTarget) * p.DNSOverlapFraction)
+	dnsTarget := p.scaled(dnsListSize)
+	overlap := int(float64(dnsTarget) * dnsOverlapFraction)
 
 	// Weighted sampling without replacement (exponential-key trick):
 	// key = -ln(u)/w; the smallest keys win. Weight is the squared
@@ -527,7 +524,7 @@ func (u *Universe) assignSeedViews() {
 		key float64
 	}
 	var onBit, offBit []cand
-	horizon := float64(p.Horizon)
+	horizon := float64(Horizon)
 	for _, s := range u.Reachable {
 		frac := float64(s.TotalOnline()) / horizon
 		w := frac*frac*frac*frac + 1e-9
@@ -561,9 +558,9 @@ func logFloat(v float64) float64 {
 // heavy-tailed flood budget (8 nodes >100K, max >400K).
 func (u *Universe) assignMalicious() {
 	p := u.Params
-	want := p.scaled(p.MaliciousCount)
-	wantAS3320 := p.scaled(p.MaliciousInAS3320)
-	heavy := p.scaled(p.MaliciousHeavyCount)
+	want := p.scaled(maliciousCount)
+	wantAS3320 := p.scaled(maliciousInAS3320)
+	heavy := p.scaled(maliciousHeavyCount)
 	if want == 0 {
 		return
 	}

@@ -72,7 +72,7 @@ func TestOnlineCountStationaryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := u.Params
-	steady := p.scaled(p.SteadyReachable)
+	steady := p.scaled(SteadyReachable)
 	for day := 5; day < 60; day += 10 {
 		at := p.Epoch.Add(time.Duration(day) * 24 * time.Hour)
 		online := len(u.OnlineReachable(at))
