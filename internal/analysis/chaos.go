@@ -101,8 +101,6 @@ type ChaosResult struct {
 	// quantiles for every registry metric. Same-seed runs render it to
 	// byte-identical CSV at any worker count.
 	Series *obs.SeriesSet
-	// Health aggregates every node's robustness counters.
-	Health node.HealthStats
 	// PersistentShare is the fraction of crash-tracked nodes present in
 	// every presence-matrix sample (the Figure 12 observable under
 	// scripted churn; < 1 whenever the crash wave ran).
@@ -245,12 +243,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		if nodeTip == tip && h.Node().IsSynced() {
 			res.SyncedNodes++
 		}
-		hs := h.Node().Health()
-		res.Health.PingsSent += hs.PingsSent
-		res.Health.StallEvictions += hs.StallEvictions
-		res.Health.HandshakeEvictions += hs.HandshakeEvictions
-		res.Health.BlockStallEvictions += hs.BlockStallEvictions
-		res.Health.BackoffsArmed += hs.BackoffsArmed
 	}
 	res.HeightSpread = maxH - minH
 	res.Converged = res.SyncedNodes == res.TotalNodes

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -177,14 +178,19 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 			sched.After(0, churnTick)
 		}
 
-		// The observer starts now, with gossip-mix address tables.
+		// The observer starts now, with gossip-mix address tables. Its
+		// private registry holds the dial counters the run reports.
 		observerAddr := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, 9, 9}), 8333)
+		observerReg := obs.NewRegistry()
+		dialAttempts := observerReg.Counter("node.dial.attempt")
+		dialSuccesses := observerReg.Counter("node.dial.success")
 		observer := net.AddFullNode(node.Config{
 			Self:      wire.NetAddress{Addr: observerAddr, Services: wire.SFNodeNetwork},
 			Reachable: true,
 			Genesis:   genesis,
 			Policies:  cfg.Policies,
 			SeedAddrs: seedSample(rng, live, dead, observerSeeds, observerAddr, net.Now()),
+			Metrics:   observerReg,
 		})
 		observer.Start()
 		seedStaleTried(rng, observer.Node(), dead, live, net.Now())
@@ -214,10 +220,7 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 		}
 
 		cr := ConnRun{}
-		measureStartAttempts, measureStartSuccesses := 0, 0
-		if n := observer.Node(); n != nil {
-			measureStartAttempts, measureStartSuccesses = n.DialStats()
-		}
+		startAttempts, startSuccesses := dialAttempts.Value(), dialSuccesses.Value()
 		end := net.Now().Add(cfg.Duration)
 		var sample func()
 		sample = func() {
@@ -235,10 +238,8 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 			return nil, err
 		}
 
-		if n := observer.Node(); n != nil {
-			a, su := n.DialStats()
-			cr.Attempts, cr.Successes = a-measureStartAttempts, su-measureStartSuccesses
-		}
+		cr.Attempts = int(dialAttempts.Value() - startAttempts)
+		cr.Successes = int(dialSuccesses.Value() - startSuccesses)
 		res.Runs[run] = cr
 	}
 

@@ -185,3 +185,45 @@ func TestSanitize(t *testing.T) {
 		t.Errorf("sanitize = %q", got)
 	}
 }
+
+// TestChaosHealthMatchesRegistry checks that each node-defence total
+// chaos reports equals the counter of the same name in its own
+// obs-metrics table, which counts across node restarts.
+func TestChaosHealthMatchesRegistry(t *testing.T) {
+	e, _ := ByID("chaos")
+	rep, err := e.Run(context.Background(), Options{Quick: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := map[string]string{}
+	for _, tbl := range rep.Tables {
+		if tbl.Name != "obs-metrics" {
+			continue
+		}
+		for _, row := range tbl.Rows {
+			if row[0] == "counter" {
+				counters[row[1]] = row[2]
+			}
+		}
+	}
+	metrics := map[string]string{}
+	for _, m := range rep.Metrics {
+		metrics[m.Name] = m.Value
+	}
+	for label, name := range map[string]string{
+		"keepalive pings":       "node.ping.sent",
+		"stall evictions":       "node.evict.stall",
+		"block-stall evictions": "node.evict.blockstall",
+		"handshake evictions":   "node.evict.handshake",
+		"dial backoffs armed":   "node.backoff.armed",
+	} {
+		got, ok := metrics[label]
+		if !ok {
+			t.Errorf("report has no %q metric", label)
+			continue
+		}
+		if want := counters[name]; got != want {
+			t.Errorf("%s = %s, but counter %s = %s", label, got, name, want)
+		}
+	}
+}

@@ -8,6 +8,17 @@ import (
 	"repro/internal/analysis"
 )
 
+// chaosHealthCounters are the node-defence totals chaos reports, in
+// report order: each is a registry counter summed over every node and
+// every restart.
+var chaosHealthCounters = []struct{ label, name string }{
+	{"keepalive pings", "node.ping.sent"},
+	{"stall evictions", "node.evict.stall"},
+	{"block-stall evictions", "node.evict.blockstall"},
+	{"handshake evictions", "node.evict.handshake"},
+	{"dial backoffs armed", "node.backoff.armed"},
+}
+
 // chaosExperiment runs the fault-injection chaos scenario: the
 // robustness counterpart of §IV-D. It answers whether, under the
 // adversities the paper identifies (message loss, latency spikes,
@@ -47,14 +58,9 @@ func chaosExperiment() Experiment {
 			rep.AddMetric("recovery after last disruption", recovery, "")
 			rep.AddMetricf("persistent share (crash-tracked)",
 				100*res.PersistentShare, "%.0f%%", "")
-			rep.AddMetricf("keepalive pings", float64(res.Health.PingsSent), "%.0f", "")
-			rep.AddMetricf("stall evictions", float64(res.Health.StallEvictions), "%.0f", "")
-			rep.AddMetricf("block-stall evictions",
-				float64(res.Health.BlockStallEvictions), "%.0f", "")
-			rep.AddMetricf("handshake evictions",
-				float64(res.Health.HandshakeEvictions), "%.0f", "")
-			rep.AddMetricf("dial backoffs armed",
-				float64(res.Health.BackoffsArmed), "%.0f", "")
+			for _, c := range chaosHealthCounters {
+				rep.AddMetricf(c.label, float64(res.Metrics.Counter(c.name)), "%.0f", "")
+			}
 
 			rep.AddMetric("trace digest", res.TraceDigest, "")
 			rep.AddMetricf("trace events", float64(res.TraceTotal), "%.0f", "")

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -42,12 +43,19 @@ func nodeCfg(self netip.AddrPort, seeds []wire.NetAddress) node.Config {
 
 // buildMesh starts n full nodes that all know each other.
 func buildMesh(net *simnet.Network, n int) []netip.AddrPort {
+	return buildMeteredMesh(net, n, nil)
+}
+
+// buildMeteredMesh is buildMesh with every node counting into reg.
+func buildMeteredMesh(net *simnet.Network, n int, reg *obs.Registry) []netip.AddrPort {
 	addrs := make([]netip.AddrPort, n)
 	for i := range addrs {
 		addrs[i] = addr4(10, 0, byte(i>>8), byte(i), 8333)
 	}
 	for _, a := range addrs {
-		net.AddFullNode(nodeCfg(a, seedsOf(net.Now(), a, addrs))).Start()
+		cfg := nodeCfg(a, seedsOf(net.Now(), a, addrs))
+		cfg.Metrics = reg
+		net.AddFullNode(cfg).Start()
 	}
 	return addrs
 }

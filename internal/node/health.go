@@ -14,26 +14,8 @@ import (
 // detection, and the per-address reconnect backoff. Together these are
 // the defences that keep a node syncing through the churn and message
 // loss the paper identifies as the environment of the 2020 network.
-
-// HealthStats aggregates robustness counters for measurement code.
-type HealthStats struct {
-	// PingsSent counts keepalive PING messages sent on idle connections.
-	PingsSent int
-	// StallEvictions counts peers dropped for an unanswered keepalive.
-	StallEvictions int
-	// HandshakeEvictions counts peers dropped for never completing
-	// VERSION/VERACK.
-	HandshakeEvictions int
-	// BlockStallEvictions counts peers dropped for sitting on a
-	// requested block past the block-stall timeout.
-	BlockStallEvictions int
-	// BackoffsArmed counts failed dials that armed (or extended) a
-	// per-address reconnect backoff.
-	BackoffsArmed int
-}
-
-// Health returns the node's robustness counters since start.
-func (n *Node) Health() HealthStats { return n.health }
+// Their counts go to Config.Metrics (node.ping.sent, node.evict.*,
+// node.backoff.armed).
 
 // backoffState is the per-address reconnect schedule.
 type backoffState struct {
@@ -74,7 +56,6 @@ func (n *Node) checkHandshakes(now time.Time) {
 		}
 	}
 	for _, p := range stale {
-		n.health.HandshakeEvictions++
 		n.met.handshakeEvict.Inc()
 		n.emit(Event{
 			Type: EvHandshakeTimeout, Time: now, Node: n.cfg.Self.Addr,
@@ -110,13 +91,11 @@ func (n *Node) checkKeepalive(now time.Time) {
 			}
 			p.pingNonce = nonce
 			p.pingSent = now
-			n.health.PingsSent++
 			n.met.pingsSent.Inc()
 			n.queueMsg(p, &wire.MsgPing{Nonce: nonce}, classControl)
 		}
 	}
 	for _, p := range stalled {
-		n.health.StallEvictions++
 		n.met.stallEvict.Inc()
 		n.emit(Event{
 			Type: EvPeerStalled, Time: now, Node: n.cfg.Self.Addr,
@@ -170,7 +149,6 @@ func (n *Node) checkBlockStalls(now time.Time) {
 			n.clearInFlight(s.conn)
 			continue
 		}
-		n.health.BlockStallEvictions++
 		n.met.blockStallEvict.Inc()
 		n.emit(Event{
 			Type: EvBlockStalled, Time: now, Node: n.cfg.Self.Addr,
@@ -235,7 +213,6 @@ func (n *Node) armBackoff(addr netip.AddrPort) {
 	// Jitter uniformly in [d/2, 3d/2).
 	d = d/2 + time.Duration(n.env.Rand().Int63n(int64(d)))
 	st.until = n.env.Now().Add(d)
-	n.health.BackoffsArmed++
 	n.met.backoffArmed.Inc()
 	n.emit(Event{
 		Type: EvDialBackoff, Time: n.env.Now(), Node: n.cfg.Self.Addr,

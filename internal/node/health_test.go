@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -34,7 +35,9 @@ func (r *eventRecorder) first(t EventType) (Event, bool) {
 
 func TestKeepalivePingOnIdlePeer(t *testing.T) {
 	env := newFakeEnv()
-	n := New(testConfig(mkAddr(10, 0, 0, 1)), env)
+	cfg := testConfig(mkAddr(10, 0, 0, 1))
+	cfg.Metrics = obs.NewRegistry()
+	n := New(cfg, env)
 	n.Start()
 	completeHandshake(t, n, env, 1, mkAddr(10, 0, 0, 2), 0)
 
@@ -48,8 +51,8 @@ func TestKeepalivePingOnIdlePeer(t *testing.T) {
 	if ping == nil {
 		t.Fatal("no keepalive PING sent to a peer idle past PingInterval")
 	}
-	if n.Health().PingsSent == 0 {
-		t.Error("PingsSent not counted")
+	if cfg.Metrics.Counter("node.ping.sent").Value() == 0 {
+		t.Error("keepalive ping not counted")
 	}
 
 	// A matching PONG clears the outstanding ping and keeps the peer.
@@ -69,6 +72,7 @@ func TestSilentPeerEvictedAtStallTimeout(t *testing.T) {
 	rec := &eventRecorder{}
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
 	cfg.Sink = rec
+	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
 	completeHandshake(t, n, env, 1, mkAddr(10, 0, 0, 2), 0)
@@ -82,8 +86,8 @@ func TestSilentPeerEvictedAtStallTimeout(t *testing.T) {
 	if rec.count(EvPeerStalled) != 1 {
 		t.Errorf("EvPeerStalled count = %d, want 1", rec.count(EvPeerStalled))
 	}
-	if n.Health().StallEvictions != 1 {
-		t.Errorf("StallEvictions = %d, want 1", n.Health().StallEvictions)
+	if got := cfg.Metrics.Counter("node.evict.stall").Value(); got != 1 {
+		t.Errorf("node.evict.stall = %d, want 1", got)
 	}
 }
 
@@ -92,6 +96,7 @@ func TestHandshakeTimeoutEvictsMutePeer(t *testing.T) {
 	rec := &eventRecorder{}
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
 	cfg.Sink = rec
+	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
 	// The peer connects and never sends VERSION (a black-hole peer).
@@ -105,8 +110,8 @@ func TestHandshakeTimeoutEvictsMutePeer(t *testing.T) {
 	if rec.count(EvHandshakeTimeout) != 1 {
 		t.Errorf("EvHandshakeTimeout count = %d, want 1", rec.count(EvHandshakeTimeout))
 	}
-	if n.Health().HandshakeEvictions != 1 {
-		t.Errorf("HandshakeEvictions = %d, want 1", n.Health().HandshakeEvictions)
+	if got := cfg.Metrics.Counter("node.evict.handshake").Value(); got != 1 {
+		t.Errorf("node.evict.handshake = %d, want 1", got)
 	}
 }
 
@@ -154,6 +159,7 @@ func TestBlockStallEvictsPeerAndResyncs(t *testing.T) {
 	rec := &eventRecorder{}
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
 	cfg.Sink = rec
+	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
 	startStalledDownload(t, n, env)
@@ -178,8 +184,8 @@ func TestBlockStallEvictsPeerAndResyncs(t *testing.T) {
 	if got := countGetHeaders(env, 2); got != before+1 {
 		t.Errorf("GETHEADERS to surviving peer = %d, want %d (resync)", got, before+1)
 	}
-	if n.Health().BlockStallEvictions != 1 {
-		t.Errorf("BlockStallEvictions = %d, want 1", n.Health().BlockStallEvictions)
+	if got := cfg.Metrics.Counter("node.evict.blockstall").Value(); got != 1 {
+		t.Errorf("node.evict.blockstall = %d, want 1", got)
 	}
 }
 
@@ -266,6 +272,7 @@ func TestBackoffEscalatesWithConsecutiveFailures(t *testing.T) {
 	remote := mkAddr(10, 0, 0, 2)
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
 	cfg.Sink = rec
+	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
 	const failures = 8
@@ -294,7 +301,7 @@ func TestBackoffEscalatesWithConsecutiveFailures(t *testing.T) {
 			t.Errorf("backoff %d = %v, want within [%v, %v)", i+1, got, d/2, d*3/2)
 		}
 	}
-	if n.Health().BackoffsArmed != failures {
-		t.Errorf("BackoffsArmed = %d, want %d", n.Health().BackoffsArmed, failures)
+	if got := cfg.Metrics.Counter("node.backoff.armed").Value(); got != failures {
+		t.Errorf("node.backoff.armed = %d, want %d", got, failures)
 	}
 }

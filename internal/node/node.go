@@ -304,10 +304,6 @@ type Node struct {
 	// allocated.
 	pongFree []*wire.MsgPong
 
-	// Connection statistics (Figure 6/7 observables).
-	dialAttempts  int
-	dialSuccesses int
-
 	// pol is the compiled policy set (resolved once in New); hot paths
 	// read its plain fields, never Config.Policies.
 	pol compiledPolicies
@@ -320,9 +316,6 @@ type Node struct {
 	// backoff holds the per-address reconnect schedule; addresses are
 	// skipped by selectDialTarget until their deadline passes.
 	backoff map[netip.AddrPort]*backoffState
-	// health aggregates the robustness counters (stall evictions,
-	// keepalive traffic, backoff arms) for measurement code.
-	health HealthStats
 	// met holds the obs metric handles (nil-safe no-ops when
 	// Config.Metrics is nil); tracer records structured events.
 	met    nodeMetrics
@@ -475,12 +468,6 @@ func (n *Node) Mempool() *chain.Mempool { return n.mempool }
 
 // AddrMan exposes the node's address manager for measurement code.
 func (n *Node) AddrMan() *addrman.AddrMan { return n.addrman }
-
-// DialStats reports outbound connection attempts and successes since
-// start — the Figure 7 observables.
-func (n *Node) DialStats() (attempts, successes int) {
-	return n.dialAttempts, n.dialSuccesses
-}
 
 // PeerAddrs returns the remote addresses of current connections,
 // filtered by direction (0 = all).
@@ -695,7 +682,6 @@ func (n *Node) dropAnchor(a netip.AddrPort) {
 func (n *Node) startDial(na wire.NetAddress, dir Direction) {
 	n.dialing[na.Addr] = dir
 	n.dialStarted[na.Addr] = n.env.Now()
-	n.dialAttempts++
 	n.met.dialAttempt.Inc()
 	n.addrman.Attempt(na.Addr)
 	n.emit(Event{
@@ -743,7 +729,6 @@ func (n *Node) OnDialResult(remote netip.AddrPort, conn ConnID, err error) {
 		return
 	}
 	n.clearBackoff(remote)
-	n.dialSuccesses++
 	n.met.dialSuccess.Inc()
 	traceDial("ok")
 	n.emit(Event{

@@ -193,6 +193,7 @@ func TestConnectionMaintenanceDials(t *testing.T) {
 	cfg.SeedAddrs = []wire.NetAddress{
 		{Addr: mkAddr(10, 0, 0, 2), Timestamp: env.Now()},
 	}
+	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
 	env.run(3 * time.Second)
@@ -202,8 +203,7 @@ func TestConnectionMaintenanceDials(t *testing.T) {
 	if env.dials[0] != mkAddr(10, 0, 0, 2) {
 		t.Errorf("dialed %v, want the seed", env.dials[0])
 	}
-	attempts, _ := n.DialStats()
-	if attempts == 0 {
+	if cfg.Metrics.Counter("node.dial.attempt").Value() == 0 {
 		t.Error("attempts not counted")
 	}
 }

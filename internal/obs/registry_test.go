@@ -63,6 +63,20 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 }
 
+func TestSnapshotCounterLookup(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("b").Add(2)
+	r.Counter("a").Add(1)
+	r.Counter("c").Add(3)
+	r.Gauge("g").Set(9)
+	snap := r.Snapshot()
+	for name, want := range map[string]int64{"a": 1, "b": 2, "c": 3, "g": 0, "missing": 0} {
+		if got := snap.Counter(name); got != want {
+			t.Errorf("Counter(%q) = %d, want %d", name, got, want)
+		}
+	}
+}
+
 func TestSnapshotSortedAndStable(t *testing.T) {
 	r := NewRegistry()
 	// Register out of order; the snapshot must come back sorted without

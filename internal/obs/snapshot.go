@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -22,6 +23,16 @@ func (s *Snapshot) String() string {
 			h.Name, h.Count, h.Sum, h.Min, h.Max, h.P50, h.P90, h.P99)
 	}
 	return b.String()
+}
+
+// Counter returns the named counter's value, or 0 when the snapshot
+// holds no such counter.
+func (s *Snapshot) Counter(name string) int64 {
+	i := sort.Search(len(s.Counters), func(i int) bool { return s.Counters[i].Name >= name })
+	if i < len(s.Counters) && s.Counters[i].Name == name {
+		return s.Counters[i].Value
+	}
+	return 0
 }
 
 // Rows flattens the snapshot into (kind, name, value) rows for CSV

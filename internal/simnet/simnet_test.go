@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -131,7 +132,9 @@ func TestTwoNodeHandshake(t *testing.T) {
 	a := addr4(10, 0, 0, 1, 8333)
 	b := addr4(10, 0, 0, 2, 8333)
 	hb := net.AddFullNode(nodeCfg(b, nil))
-	ha := net.AddFullNode(nodeCfg(a, seedsOf(net.Now(), b)))
+	cfgA := nodeCfg(a, seedsOf(net.Now(), b))
+	cfgA.Metrics = obs.NewRegistry()
+	ha := net.AddFullNode(cfgA)
 	hb.Start()
 	ha.Start()
 	net.Scheduler().RunFor(30 * time.Second)
@@ -148,7 +151,8 @@ func TestTwoNodeHandshake(t *testing.T) {
 	if !ha.Node().AddrMan().InTried(b) {
 		t.Error("B not in A's tried table after successful connection")
 	}
-	attempts, successes := ha.Node().DialStats()
+	attempts := cfgA.Metrics.Counter("node.dial.attempt").Value()
+	successes := cfgA.Metrics.Counter("node.dial.success").Value()
 	if attempts < 1 || successes != 1 {
 		t.Errorf("dial stats = %d/%d, want >=1/1", attempts, successes)
 	}
@@ -166,13 +170,15 @@ func TestDialToDeadAddressTimesOut(t *testing.T) {
 			fails++
 		}
 	})
+	cfg.Metrics = obs.NewRegistry()
 	ha.SetConfig(cfg)
 	ha.Start()
 	net.Scheduler().RunFor(20 * time.Second)
 	if fails == 0 {
 		t.Error("dials to a dead address never failed")
 	}
-	attempts, successes := ha.Node().DialStats()
+	attempts := cfg.Metrics.Counter("node.dial.attempt").Value()
+	successes := cfg.Metrics.Counter("node.dial.success").Value()
 	if successes != 0 {
 		t.Errorf("successes = %d, want 0", successes)
 	}
