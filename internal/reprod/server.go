@@ -323,11 +323,18 @@ func (s *Server) execute(c *call, spec Spec, key string) {
 	defer s.inflight.Done()
 	defer c.cancel()
 
+	var release func() // set once admission grants a slot
 	finish := func(b *Bundle, err error) {
 		// Forget before finish: once the result is out, later arrivals
 		// must go through the cache (success) or retry fresh (failure)
 		// rather than joining a dead call.
 		s.flights.forget(key)
+		// Free the slot before publishing, for the same reason: a
+		// client that sends its next request on seeing this result
+		// must find the slot free, not get a 429.
+		if release != nil {
+			release()
+		}
 		status := "ok key=" + key
 		if err != nil {
 			status = "error: " + summarizeError(err)
@@ -336,12 +343,12 @@ func (s *Server) execute(c *call, spec Spec, key string) {
 		c.finish(b, err)
 	}
 
-	release, err := s.adm.Acquire(c.ctx)
+	granted, err := s.adm.Acquire(c.ctx)
 	if err != nil {
 		finish(nil, s.classify(spec, err))
 		return
 	}
-	defer release()
+	release = granted
 
 	// A predecessor may have committed this key between our cache miss
 	// and our slot grant; serving it beats recomputing it.
