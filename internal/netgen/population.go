@@ -172,9 +172,9 @@ type Universe struct {
 // instantPools memoizes the candidate pools of the most recently queried
 // instant: the ascending IDs of the stations online (reachable) and
 // gossip-visible (unreachable) then. A crawl experiment freezes one
-// instant and then asks for the same pools once per view (and once per
-// TrueDegree on the ground-truth path), so remembering the last answer
-// turns the repeated full-population scans into slice returns. The
+// instant and then asks for the same pools once per view, so
+// remembering the last answer turns the repeated full-population scans
+// into slice returns. The
 // cached slices are allocated exactly (no spare capacity) and never
 // mutated afterwards, so handing the same slice to multiple callers is
 // safe: callers treat the pools as read-only, and an append by any
