@@ -89,8 +89,8 @@ func (pt *PropagationTree) FeedStream(ev *Event) {
 
 // RelayStats returns the per-(node, object) relay aggregates for one
 // relay kind (KindRelayBlock or KindRelayTx), sorted by last delay, then
-// node, then fanout — the deterministic order the figure pipelines
-// consume. A relay whose delivery predates measurement still appears:
+// node, then fanout, then span — the deterministic order the figure
+// pipelines consume. A relay whose delivery predates measurement still appears:
 // the aggregate is keyed by the span identifier alone.
 func (pt *PropagationTree) RelayStats(kind string) []RelayStat {
 	out := make([]RelayStat, 0, len(pt.relays))
@@ -109,7 +109,10 @@ func (pt *PropagationTree) RelayStats(kind string) []RelayStat {
 		if c := compareAddrPort(out[i].Node, out[j].Node); c != 0 {
 			return c < 0
 		}
-		return out[i].Fanout < out[j].Fanout
+		if out[i].Fanout != out[j].Fanout {
+			return out[i].Fanout < out[j].Fanout
+		}
+		return out[i].Span < out[j].Span
 	})
 	return out
 }

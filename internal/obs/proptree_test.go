@@ -69,6 +69,28 @@ func TestPropagationTreeDuplicatesAndPointEvents(t *testing.T) {
 	}
 }
 
+// TestRelayStatsOrderIsTotal feeds one node's relays of eight objects that
+// tie on delay and fanout, so only the span tells them apart: every call
+// must list them in ascending span order, not in map order.
+func TestRelayStatsOrderIsTotal(t *testing.T) {
+	pt := NewPropagationTree()
+	a := addrPort(1)
+	for i := byte(0); i < 8; i++ {
+		pt.Feed(Event{Kind: KindRelayBlock, From: a, Dur: time.Second, Parent: SpanKey(a, []byte{i})})
+	}
+	for call := 0; call < 50; call++ {
+		stats := pt.RelayStats(KindRelayBlock)
+		if len(stats) != 8 {
+			t.Fatalf("relay stats = %d, want 8", len(stats))
+		}
+		for i := 1; i < len(stats); i++ {
+			if stats[i-1].Span >= stats[i].Span {
+				t.Fatalf("call %d: span %#x listed before %#x", call, stats[i-1].Span, stats[i].Span)
+			}
+		}
+	}
+}
+
 // TestPropagationTreeFromTracerStream pins the intended wiring: the tree
 // fed as a tracer stream sees every event even when the ring evicts.
 func TestPropagationTreeFromTracerStream(t *testing.T) {
