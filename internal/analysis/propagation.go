@@ -60,8 +60,9 @@ type PropagationConfig struct {
 	// driven through the network (paper: 3.9 in 2019, 7.6 in 2020 at
 	// full scale — scale it with NumReachable).
 	ChurnDeparturesPer10Min float64
-	// BytesPerSec forwards to the node timing model: the effective
-	// per-socket rate; lower values deepen the §IV-C queueing delays.
+	// BytesPerSec forwards to the node timing model: the effective rate
+	// of each node's uplink, shared by all its sockets; lower values
+	// deepen the §IV-C queueing delays.
 	BytesPerSec int
 	// Metrics optionally supplies the registry the run writes to. Leave
 	// nil for a private registry (the default, and required when several
@@ -554,7 +555,7 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	// Derive the relay observations from the propagation tree: the
 	// per-(node, object) last-delay/fanout aggregates are keyed by the
 	// node's delivery span, and RelayStats already returns them in the
-	// deterministic (delay, node, fanout) order the figure pipelines
+	// deterministic (delay, node, fanout, span) order the figure pipelines
 	// consume.
 	res.BlockRelays = relayObservations(tree.RelayStats(obs.KindRelayBlock))
 	res.TxRelays = relayObservations(tree.RelayStats(obs.KindRelayTx))

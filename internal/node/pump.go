@@ -261,7 +261,7 @@ func (n *Node) RecycleOutbound(msg wire.Message) {
 }
 
 // sendTime models the local serialization cost of one message: a fixed
-// overhead plus wire size over the per-socket rate.
+// overhead plus wire size over the node's uplink rate.
 func (n *Node) sendTime(msg wire.Message) time.Duration {
 	size := n.sizeEstimate(msg)
 	return msgProcTime +
