@@ -292,11 +292,11 @@ const relayFreshness = 15 * time.Second
 // object seen recently; unknown or stale objects get an untracked entry
 // (no event emitted). The caller fills in the message.
 func (n *Node) relayMarkFor(h chainhash.Hash) outMsg {
-	seen, ok := n.seenTimes[h]
-	if !ok || n.env.Now().Sub(seen) > relayFreshness {
+	seen, ok := n.seenTimes[invKey(h)]
+	if !ok || n.env.Now().UnixNano()-seen > int64(relayFreshness) {
 		return outMsg{}
 	}
-	return relayOut(h, obs.SpanKey(n.cfg.Self.Addr, h[:]), seen)
+	return relayOut(h, obs.SpanKey(n.cfg.Self.Addr, h[:]), time.Unix(0, seen))
 }
 
 // handleTx accepts a transaction into the mempool and relays it.

@@ -157,8 +157,9 @@ const (
 	loopOverhead = time.Millisecond
 	// msgProcTime is the processing cost of one inbound message.
 	msgProcTime = 200 * time.Microsecond
-	// defaultBytesPerSec is the effective per-socket serialization rate
-	// Config.BytesPerSec defaults to.
+	// defaultBytesPerSec is the effective serialization rate of the
+	// node's uplink, shared by all its sockets, that Config.BytesPerSec
+	// defaults to.
 	defaultBytesPerSec = 2 << 20
 	// blockSizeHint is the synthetic full-block wire size used for timing,
 	// simulated blocks carrying few transactions (real 2020 blocks average
@@ -222,8 +223,10 @@ type Config struct {
 	SeedAddrs []wire.NetAddress
 	// Genesis anchors the chain. Required.
 	Genesis *wire.MsgBlock
-	// BytesPerSec is the effective per-socket serialization rate of the
-	// service-time model (default applied when zero).
+	// BytesPerSec is the effective serialization rate of the node's
+	// uplink in the service-time model (default applied when zero). It is
+	// one rate shared by all the node's sockets: a pump loop adds every
+	// send to one running busy total, whichever slot it leaves on.
 	BytesPerSec int
 	// Sink receives instrumentation events; nil discards them.
 	Sink EventSink
@@ -327,10 +330,14 @@ type Node struct {
 	// blocksInFlight tracks requested blocks (and when they were
 	// requested) to avoid duplicate GETDATA and to detect stalls.
 	blocksInFlight map[chainhash.Hash]inFlightBlock
-	// seenTimes records when each object (block or tx) was first seen,
-	// for relay-delay instrumentation: the paper measures receive-to-
-	// last-connection delay including body transfers.
-	seenTimes map[chainhash.Hash]time.Time
+	// known is the known-inventory table every peer's knows/markKnown
+	// probe (see knownTable).
+	known knownTable
+	// seenTimes records when each object (block or tx) was first seen, in
+	// Unix nanoseconds under its invKey, for relay-delay instrumentation:
+	// the paper measures receive-to-last-connection delay including body
+	// transfers.
+	seenTimes map[uint64]int64
 	// pendingCmpct holds compact blocks awaiting GETBLOCKTXN completion.
 	pendingCmpct map[chainhash.Hash]*pendingCompact
 }
@@ -403,7 +410,7 @@ func New(cfg Config, env Env) *Node {
 		backoff:        make(map[netip.AddrPort]*backoffState),
 		blocksInFlight: make(map[chainhash.Hash]inFlightBlock),
 		pendingCmpct:   make(map[chainhash.Hash]*pendingCompact),
-		seenTimes:      make(map[chainhash.Hash]time.Time),
+		seenTimes:      make(map[uint64]int64),
 		met:            resolveMetrics(cfg.Metrics),
 		tracer:         cfg.Tracer,
 		dialStarted:    make(map[netip.AddrPort]time.Time),
@@ -445,9 +452,10 @@ func (n *Node) Stop() {
 	for _, p := range n.slots {
 		if p != nil {
 			n.env.Disconnect(p.id)
-			p.slot = -1
+			p.slot, p.bit = -1, -1
 		}
 	}
+	n.known = knownTable{}
 	n.slots = nil
 	n.slotOf = make(map[ConnID]int32)
 	n.slotHoles = 0
@@ -502,10 +510,11 @@ func (n *Node) IsSynced() bool {
 func (n *Node) noteSeen(h chainhash.Hash, t time.Time) {
 	const maxSeen = 8192
 	if len(n.seenTimes) >= maxSeen {
-		n.seenTimes = make(map[chainhash.Hash]time.Time, maxSeen/4)
+		n.seenTimes = make(map[uint64]int64, maxSeen/4)
 	}
-	if _, ok := n.seenTimes[h]; !ok {
-		n.seenTimes[h] = t
+	k := invKey(h)
+	if _, ok := n.seenTimes[k]; !ok {
+		n.seenTimes[k] = t.UnixNano()
 	}
 }
 
@@ -811,6 +820,8 @@ func (n *Node) addPeer(conn ConnID, remote netip.AddrPort, dir Direction) *Peer 
 		dir:       dir,
 		connected: n.env.Now(),
 		slot:      int32(len(n.slots)),
+		known:     &n.known,
+		bit:       n.known.takeBit(),
 	}
 	n.slotOf[conn] = p.slot
 	n.slots = append(n.slots, p)
@@ -840,6 +851,8 @@ func (n *Node) removePeer(p *Peer) {
 	n.slotHoles++
 	n.ready[i>>6] &^= 1 << (i & 63)
 	p.slot = -1
+	n.known.release(p.bit, p.nKnown > 0)
+	p.bit = -1
 	delete(n.slotOf, p.id)
 	if n.byAddr[p.addr] == p {
 		delete(n.byAddr, p.addr)

@@ -453,15 +453,14 @@ func TestTxRelayToOtherPeers(t *testing.T) {
 // transaction costs exactly one (its GETDATA, entry included).
 func TestRelayAllocatesPerObject(t *testing.T) {
 	const runs = 100
-	// warm fills each peer's inventory set and empties it again, so its
-	// table never grows inside the measured runs.
+	// warm marks keys on every peer until the node's known-inventory table
+	// has room for the measured runs' keys, so it never rehashes inside
+	// them.
 	warm := func(n *Node, peers int) {
-		for c := 1; c <= peers; c++ {
-			p := n.peerByConn(ConnID(c))
-			for k := uint64(1); k <= 2*runs; k++ {
-				p.knownInv.add(k)
+		for k := uint64(1); len(n.known.keys)/2-n.known.used < 2*runs; k++ {
+			for c := 1; c <= peers; c++ {
+				n.peerByConn(ConnID(c)).markKnown(hashWithKey(k))
 			}
-			p.knownInv.reset()
 		}
 	}
 	submit := func(peers int) float64 {

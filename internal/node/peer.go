@@ -2,6 +2,7 @@ package node
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"net/netip"
 	"time"
 
@@ -79,11 +80,16 @@ type Peer struct {
 	sendQ    []outMsg
 	sendHead int
 
-	// knownInv tracks the objects this peer is known to have, to avoid
-	// redundant announcements. It is keyed on the first 64 bits of the
-	// hash (see invKey): the set is probed for every peer on every
-	// announcement, and an 8-byte key indexes and compares in one word.
-	knownInv invSet
+	// known is the node's known-inventory table, which tracks the objects
+	// this peer is known to have, to avoid redundant announcements; bit
+	// is the peer's bit in it (-1 once the peer has been removed) and
+	// nKnown the number of keys it holds. The table is keyed on the first
+	// 64 bits of the hash (see invKey): it is probed for every peer on
+	// every announcement, and an 8-byte key indexes and compares in one
+	// word.
+	known  *knownTable
+	bit    int32
+	nKnown int
 
 	// wantsCmpct reports whether the peer negotiated BIP-152 relay.
 	wantsCmpct bool
@@ -104,110 +110,195 @@ type Peer struct {
 	pingSent  time.Time
 }
 
-// invKey is an object's knownInv key: the first 8 bytes of its hash. Two
-// distinct objects share a key with probability 2^-64, so a probe of a
-// full set (8192 entries) is a false positive with probability below
-// 5e-16 — against the 1e-6 of the rolling Bloom filter Bitcoin Core uses
-// for the same job (filterInventoryKnown). A false positive costs what it
-// costs there: one announcement to one peer is skipped.
+// invKey is an object's known-inventory key: the first 8 bytes of its
+// hash. Two distinct objects share a key with probability 2^-64, so a
+// probe of a peer's full share of the table (8192 keys) is a false
+// positive with probability below 5e-16 — against the 1e-6 of the rolling
+// Bloom filter Bitcoin Core uses for the same job (filterInventoryKnown).
+// A false positive costs what it costs there: one announcement to one
+// peer is skipped.
 func invKey(h chainhash.Hash) uint64 { return binary.LittleEndian.Uint64(h[:8]) }
 
-// maxKnownInv bounds a peer's knownInv set.
+// maxKnownInv bounds how many keys one peer holds in the known-inventory
+// table.
 const maxKnownInv = 8192
 
 // markKnown records that the peer has (or was sent) the object.
-// The set is bounded: once it holds maxKnownInv keys it is emptied, which
-// only costs an occasional duplicate announcement.
+// The peer's share of the table is bounded: once it holds maxKnownInv keys
+// the peer forgets them all, which only costs an occasional duplicate
+// announcement. A removed peer records nothing.
 func (p *Peer) markKnown(h chainhash.Hash) {
-	if p.knownInv.n >= maxKnownInv {
-		p.knownInv.reset()
-	}
-	p.knownInv.add(invKey(h))
-}
-
-// knows reports whether the peer is known to have the object.
-func (p *Peer) knows(h chainhash.Hash) bool { return p.knownInv.has(invKey(h)) }
-
-// invSet is an exact set of 64-bit keys in one open-addressed table. The
-// keys are hash prefixes, uniform already, so the low bits index the
-// table directly and collisions probe linearly. A zero cell is empty; the
-// zero key is a flag beside the table. The table starts at invSetMinCells
-// on the first add and doubles whenever it would pass half load, so a
-// probe sequence always ends at an empty cell.
-type invSet struct {
-	cells []uint64 // power-of-two length, 0 = empty cell
-	n     int      // keys held, the zero key included
-	zero  bool     // the zero key is a member
-}
-
-const invSetMinCells = 16
-
-// has reports whether k is in the set.
-func (s *invSet) has(k uint64) bool {
-	if k == 0 {
-		return s.zero
-	}
-	if len(s.cells) == 0 {
-		return false
-	}
-	mask := uint64(len(s.cells) - 1)
-	for i := k & mask; ; i = (i + 1) & mask {
-		switch s.cells[i] {
-		case k:
-			return true
-		case 0:
-			return false
-		}
-	}
-}
-
-// add inserts k; adding a member again changes nothing.
-func (s *invSet) add(k uint64) {
-	if k == 0 {
-		if !s.zero {
-			s.zero = true
-			s.n++
-		}
+	if p.bit < 0 {
 		return
 	}
-	if 2*(s.n+1) > len(s.cells) {
-		s.grow()
+	if p.nKnown >= maxKnownInv {
+		p.known.clearBit(p.bit)
+		p.nKnown = 0
 	}
-	if s.place(k) {
-		s.n++
+	if p.known.add(p.bit, invKey(h)) {
+		p.nKnown++
 	}
 }
 
-// place stores k in the first free cell of its probe sequence and reports
-// whether it was absent.
-func (s *invSet) place(k uint64) bool {
-	mask := uint64(len(s.cells) - 1)
+// knows reports whether the peer is known to have the object; a removed
+// peer knows nothing.
+func (p *Peer) knows(h chainhash.Hash) bool {
+	return p.bit >= 0 && p.known.has(p.bit, invKey(h))
+}
+
+// knownTable is a node's known-inventory table: one open-addressed table
+// of invKeys, each with a bitset holding one bit per peer that knows the
+// object. Bitcoin Core keeps a filter per peer; one table per node stores
+// each key once however many peers know it. A peer's bit comes from
+// takeBit and stays put while it is connected (its slot does not:
+// compaction renumbers slots).
+//
+// The keys are hash prefixes, uniform already, so the low bits index the
+// table directly and collisions probe linearly. A zero cell is empty; the
+// zero key's bitset is kept beside the table. A key whose bitset empties
+// keeps its cell until the next rehash drops it. An insert that would pass
+// half load rehashes first, so a probe sequence always ends at an empty
+// cell.
+type knownTable struct {
+	keys  []uint64 // power-of-two length, 0 = empty cell
+	bits  []uint64 // the bitset of keys[i] is bits[i*words:][:words]
+	words int      // bitset words per key: one per 64 peer bits
+	used  int      // occupied cells
+	zero  []uint64 // the zero key's bitset, words long
+	taken []uint64 // peer bits held by connected peers, words long
+}
+
+const knownTableMinCells = 16
+
+// takeBit hands out the lowest free peer bit, widening every bitset by a
+// word when all are taken.
+func (t *knownTable) takeBit() int32 {
+	w := 0
+	for w < len(t.taken) && t.taken[w] == ^uint64(0) {
+		w++
+	}
+	if w == t.words {
+		t.words++
+		t.taken = append(t.taken, 0)
+		t.zero = append(t.zero, 0)
+		if len(t.keys) > 0 {
+			t.rehash()
+		}
+	}
+	b := bits.TrailingZeros64(^t.taken[w])
+	t.taken[w] |= 1 << b
+	return int32(64*w + b)
+}
+
+// release frees peer bit b. When its peer marked anything (marked), the
+// bit is first cleared from every bitset, so its next holder starts out
+// knowing nothing.
+func (t *knownTable) release(b int32, marked bool) {
+	if marked {
+		t.clearBit(b)
+	}
+	t.taken[b>>6] &^= 1 << (b & 63)
+}
+
+// find returns k's cell, or the empty cell that ends its probe sequence
+// (none in a table without cells). k is nonzero.
+func (t *knownTable) find(k uint64) (int, bool) {
+	if len(t.keys) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(t.keys) - 1)
 	for i := k & mask; ; i = (i + 1) & mask {
-		switch s.cells[i] {
+		switch t.keys[i] {
 		case k:
-			return false
+			return int(i), true
 		case 0:
-			s.cells[i] = k
+			return int(i), false
+		}
+	}
+}
+
+// has reports whether bit b is set on key k.
+func (t *knownTable) has(b int32, k uint64) bool {
+	w, m := int(b>>6), uint64(1)<<(b&63)
+	if k == 0 {
+		return t.zero[w]&m != 0
+	}
+	i, ok := t.find(k)
+	return ok && t.bits[i*t.words+w]&m != 0
+}
+
+// add sets bit b on key k, inserting the key if absent, and reports
+// whether the bit was clear.
+func (t *knownTable) add(b int32, k uint64) bool {
+	w, m := int(b>>6), uint64(1)<<(b&63)
+	set := &t.zero[w]
+	if k != 0 {
+		i, ok := t.find(k)
+		if !ok {
+			if 2*(t.used+1) > len(t.keys) {
+				t.rehash()
+				i, _ = t.find(k)
+			}
+			t.keys[i] = k
+			t.used++
+		}
+		set = &t.bits[i*t.words+w]
+	}
+	if *set&m != 0 {
+		return false
+	}
+	*set |= m
+	return true
+}
+
+// clearBit removes bit b from every bitset.
+func (t *knownTable) clearBit(b int32) {
+	w, m := int(b>>6), ^(uint64(1) << (b & 63))
+	t.zero[w] &= m
+	for i := w; i < len(t.bits); i += t.words {
+		t.bits[i] &= m
+	}
+}
+
+// rehash re-places every key whose bitset is not empty into fresh arrays
+// of t.words words per bitset, sized to leave them at most a third full.
+// Keys with empty bitsets are dropped.
+func (t *knownTable) rehash() {
+	oldKeys, oldBits := t.keys, t.bits
+	oldWords := 0
+	if len(oldKeys) > 0 {
+		oldWords = len(oldBits) / len(oldKeys)
+	}
+	live := 0
+	for i, k := range oldKeys {
+		if k != 0 && anySet(oldBits[i*oldWords:][:oldWords]) {
+			live++
+		}
+	}
+	size := knownTableMinCells
+	for size < 3*(live+1) {
+		size *= 2
+	}
+	t.keys, t.bits, t.used = make([]uint64, size), make([]uint64, size*t.words), live
+	for i, k := range oldKeys {
+		set := oldBits[i*oldWords:][:oldWords]
+		if k == 0 || !anySet(set) {
+			continue
+		}
+		j, _ := t.find(k)
+		t.keys[j] = k
+		copy(t.bits[j*t.words:], set)
+	}
+}
+
+// anySet reports whether any bit of set is set.
+func anySet(set []uint64) bool {
+	for _, x := range set {
+		if x != 0 {
 			return true
 		}
 	}
-}
-
-// grow doubles the table and re-places every key.
-func (s *invSet) grow() {
-	old := s.cells
-	s.cells = make([]uint64, max(invSetMinCells, 2*len(old)))
-	for _, k := range old {
-		if k != 0 {
-			s.place(k)
-		}
-	}
-}
-
-// reset empties the set in place; the table keeps its size.
-func (s *invSet) reset() {
-	clear(s.cells)
-	s.n, s.zero = 0, false
+	return false
 }
 
 // queueLen returns the depth of the peer's send queue.
