@@ -353,12 +353,7 @@ func TestSummarizeRelays(t *testing.T) {
 	if got := SummarizeRelays(nil); got.Count != 0 {
 		t.Error("empty summary should have zero count")
 	}
-	obs := []RelayObservation{
-		{LastDelay: time.Second},
-		{LastDelay: 2 * time.Second},
-		{LastDelay: 3 * time.Second},
-	}
-	s := SummarizeRelays(obs)
+	s := SummarizeRelays([]time.Duration{time.Second, 2 * time.Second, 3 * time.Second})
 	if s.Count != 3 {
 		t.Errorf("count = %d", s.Count)
 	}

@@ -118,7 +118,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	// experiments.
 	reg := obs.NewRegistry()
 	net := simnet.New(simnet.Config{Seed: cfg.Seed, Metrics: reg})
-	tracer := obs.NewTracer(0, net.Now)
+	tracer := obs.NewTracer(obs.DefaultTraceCapacity, net.Now)
 	sched := net.Scheduler()
 	sampler := obs.NewSampler(reg, obs.DefaultSeriesCapacity)
 	sampler.Tick(net.Now())

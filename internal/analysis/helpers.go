@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"time"
+
 	"repro/internal/chain"
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -11,11 +13,11 @@ func chainGenesis(tag string) *wire.MsgBlock {
 	return chain.GenesisBlock(tag)
 }
 
-// RelayDelaysSeconds extracts the last-connection delays in seconds.
-func RelayDelaysSeconds(obs []RelayObservation) []float64 {
-	out := make([]float64, len(obs))
-	for i, o := range obs {
-		out[i] = o.LastDelay.Seconds()
+// RelayDelaysSeconds converts last-connection delays to seconds.
+func RelayDelaysSeconds(delays []time.Duration) []float64 {
+	out := make([]float64, len(delays))
+	for i, d := range delays {
+		out[i] = d.Seconds()
 	}
 	return out
 }
@@ -34,13 +36,13 @@ type RelayDelayStats struct {
 	Series []float64
 }
 
-// SummarizeRelays folds observations into RelayDelayStats.
-func SummarizeRelays(obs []RelayObservation) RelayDelayStats {
-	out := RelayDelayStats{Count: len(obs)}
-	if len(obs) == 0 {
+// SummarizeRelays folds last-connection delays into RelayDelayStats.
+func SummarizeRelays(delays []time.Duration) RelayDelayStats {
+	out := RelayDelayStats{Count: len(delays)}
+	if len(delays) == 0 {
 		return out
 	}
-	out.Series = RelayDelaysSeconds(obs)
+	out.Series = RelayDelaysSeconds(delays)
 	s := stats.MustSummarize(out.Series)
 	qs := stats.Quantiles(out.Series, []float64{0.5, 0.9, 0.99, 0.9965})
 	out.Mean, out.Max = s.Mean, s.Max

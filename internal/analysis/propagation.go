@@ -129,17 +129,6 @@ func deadAddrPool(numReachable int) int {
 	return int(float64(numReachable) / addrReachableShare)
 }
 
-// RelayObservation is one node's relay-completion record for one object:
-// the delay between receiving it and relaying it to the last connection.
-type RelayObservation struct {
-	// Node reporting the observation.
-	Node netip.AddrPort
-	// LastDelay is the receive-to-last-connection delay (Figure 10/11).
-	LastDelay time.Duration
-	// Fanout is the number of connections relayed to.
-	Fanout int
-}
-
 // PropagationResult aggregates a propagation experiment.
 type PropagationResult struct {
 	// SyncSamples is the true fraction of online nodes at the chain
@@ -150,10 +139,11 @@ type PropagationResult struct {
 	// *last-polled* height equals the tip — Figure 1's actual
 	// observable. Polling lag and churn both depress it.
 	ObservedSyncSamples []float64
-	// BlockRelays and TxRelays hold per-node-per-object relay
-	// observations (Figures 10/11).
-	BlockRelays []RelayObservation
-	TxRelays    []RelayObservation
+	// BlockRelays and TxRelays hold the per-(node, object) delays from
+	// receiving an object to relaying it to the last connection, in
+	// ascending order (Figures 10/11).
+	BlockRelays []time.Duration
+	TxRelays    []time.Duration
 	// DialAttempts/DialSuccesses count outbound-slot dials summed over
 	// all nodes (feelers excluded — they probe the new table by design
 	// and would dilute the §V addressing comparisons).
@@ -198,10 +188,10 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	// Observability: a registry for metrics (private unless the caller
 	// supplies one), a tracer for propagation spans, and a sim-time
 	// sampler ticking on the scheduler. The relay observations are
-	// reconstructed from deliver.*/relay.* span events by a
-	// PropagationTree attached as a synchronous tracer stream — ring
-	// eviction cannot lose hops, and no per-experiment relay bookkeeping
-	// is needed.
+	// reconstructed from relay.* span events by a PropagationTree
+	// attached as a synchronous tracer stream, so no per-experiment relay
+	// bookkeeping is needed. The run reads only the tracer's streams,
+	// digest and total, so the tracer keeps no ring.
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -552,13 +542,11 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 		}
 	}
 
-	// Derive the relay observations from the propagation tree: the
-	// per-(node, object) last-delay/fanout aggregates are keyed by the
-	// node's delivery span, and RelayStats already returns them in the
-	// deterministic (delay, node, fanout, span) order the figure pipelines
-	// consume.
-	res.BlockRelays = relayObservations(tree.RelayStats(obs.KindRelayBlock))
-	res.TxRelays = relayObservations(tree.RelayStats(obs.KindRelayTx))
+	// The relay observations are the propagation tree's per-(node,
+	// object) last delays, keyed by the node's delivery span and returned
+	// in the ascending order the figure pipelines consume.
+	res.BlockRelays = tree.RelayDelays(obs.KindRelayBlock)
+	res.TxRelays = tree.RelayDelays(obs.KindRelayTx)
 	if len(res.SyncSamples) > 0 {
 		res.MeanOutdegree /= float64(len(res.SyncSamples))
 	}
@@ -567,21 +555,6 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	res.TraceDigest = tracer.Digest()
 	res.TraceTotal = tracer.Total()
 	return res, nil
-}
-
-// relayObservations converts span-derived relay aggregates into the
-// result's observation records.
-func relayObservations(stats []obs.RelayStat) []RelayObservation {
-	if len(stats) == 0 {
-		return nil
-	}
-	out := make([]RelayObservation, len(stats))
-	for i, st := range stats {
-		out[i] = RelayObservation{
-			Node: st.Node, LastDelay: st.LastDelay, Fanout: st.Fanout,
-		}
-	}
-	return out
 }
 
 // propagationGenesis is shared by all propagation experiments.

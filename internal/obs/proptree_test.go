@@ -1,7 +1,8 @@
 package obs
 
 import (
-	"net/netip"
+	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 )
@@ -9,8 +10,8 @@ import (
 // feedChain emits a three-node propagation A → B → C of one object into
 // the tree: deliveries at each node with SpanKey-derived identifiers,
 // plus per-connection relay events under each delivery span.
-func feedChain(pt *PropagationTree, hash []byte, t0 time.Time) (a, b, c netip.AddrPort) {
-	a, b, c = addrPort(1), addrPort(2), addrPort(3)
+func feedChain(pt *PropagationTree, hash []byte, t0 time.Time) {
+	a, b, c := addrPort(1), addrPort(2), addrPort(3)
 	// Origin: A mines/holds the object (no parent).
 	pt.Feed(Event{Time: t0, Kind: KindDeliverBlock, From: a, To: a,
 		Detail: "obj1", Span: SpanKey(a, hash)})
@@ -27,30 +28,22 @@ func feedChain(pt *PropagationTree, hash []byte, t0 time.Time) (a, b, c netip.Ad
 	// C accepts last, 400ms after the origin.
 	pt.Feed(Event{Time: t0.Add(400 * time.Millisecond), Kind: KindDeliverBlock,
 		From: a, To: c, Detail: "obj1", Span: SpanKey(c, hash), Parent: SpanKey(a, hash)})
-	return a, b, c
 }
 
 func TestPropagationTreeMultiHop(t *testing.T) {
 	pt := NewPropagationTree()
 	t0 := time.Unix(1585958400, 0).UTC()
-	hash := []byte{0xab, 0xcd}
-	a, b, _ := feedChain(pt, hash, t0)
+	feedChain(pt, []byte{0xab, 0xcd}, t0)
 
-	stats := pt.RelayStats(KindRelayBlock)
-	if len(stats) != 2 {
-		t.Fatalf("relay stats = %d, want 2 (A and B)", len(stats))
+	// One delay per relaying node, ascending: B's only relay (50ms)
+	// before A's last of two (300ms).
+	want := []time.Duration{50 * time.Millisecond, 300 * time.Millisecond}
+	if got := pt.RelayDelays(KindRelayBlock); !slices.Equal(got, want) {
+		t.Errorf("block relay delays = %v, want %v", got, want)
 	}
-	// Sorted by last delay: B (50ms, fanout 1) before A (300ms, fanout 2).
-	if stats[0].Node != b || stats[0].LastDelay != 50*time.Millisecond || stats[0].Fanout != 1 {
-		t.Errorf("stats[0] = %+v", stats[0])
+	if got := pt.RelayDelays(KindRelayTx); len(got) != 0 {
+		t.Errorf("tx relay delays leaked from block kind: %v", got)
 	}
-	if stats[1].Node != a || stats[1].LastDelay != 300*time.Millisecond || stats[1].Fanout != 2 {
-		t.Errorf("stats[1] = %+v", stats[1])
-	}
-	if got := pt.RelayStats(KindRelayTx); len(got) != 0 {
-		t.Errorf("tx relay stats leaked from block kind: %+v", got)
-	}
-
 }
 
 func TestPropagationTreeDuplicatesAndPointEvents(t *testing.T) {
@@ -64,47 +57,73 @@ func TestPropagationTreeDuplicatesAndPointEvents(t *testing.T) {
 	pt.Feed(Event{Time: t0.Add(time.Hour), Kind: KindDeliverTx, To: addrPort(9), Span: SpanKey(a, hash)})
 	pt.Feed(Event{Time: t0, Kind: "drop", Span: 77, Parent: 78})
 	pt.Feed(Event{Time: t0, Kind: KindRelayTx, From: a}) // Parent 0
-	if got := pt.RelayStats(KindRelayTx); len(got) != 0 {
-		t.Errorf("relay stats = %+v, want none", got)
-	}
-}
-
-// TestRelayStatsOrderIsTotal feeds one node's relays of eight objects that
-// tie on delay and fanout, so only the span tells them apart: every call
-// must list them in ascending span order, not in map order.
-func TestRelayStatsOrderIsTotal(t *testing.T) {
-	pt := NewPropagationTree()
-	a := addrPort(1)
-	for i := byte(0); i < 8; i++ {
-		pt.Feed(Event{Kind: KindRelayBlock, From: a, Dur: time.Second, Parent: SpanKey(a, []byte{i})})
-	}
-	for call := 0; call < 50; call++ {
-		stats := pt.RelayStats(KindRelayBlock)
-		if len(stats) != 8 {
-			t.Fatalf("relay stats = %d, want 8", len(stats))
-		}
-		for i := 1; i < len(stats); i++ {
-			if stats[i-1].Span >= stats[i].Span {
-				t.Fatalf("call %d: span %#x listed before %#x", call, stats[i-1].Span, stats[i].Span)
-			}
-		}
+	if got := pt.RelayDelays(KindRelayTx); len(got) != 0 {
+		t.Errorf("relay delays = %v, want none", got)
 	}
 }
 
 // TestPropagationTreeFromTracerStream pins the intended wiring: the tree
-// fed as a tracer stream sees every event even when the ring evicts.
+// fed as a tracer stream sees every event, whether the ring evicts it or
+// there is no ring.
 func TestPropagationTreeFromTracerStream(t *testing.T) {
-	tr := NewTracer(2, virtualClock()) // tiny ring: everything evicts
-	pt := NewPropagationTree()
-	tr.AddStream(pt.FeedStream)
-	hash := []byte{9}
-	for i := 0; i < 20; i++ {
-		n := addrPort(byte(i + 1))
-		tr.Emit(Event{Kind: KindRelayBlock, From: n, Parent: SpanKey(n, hash)})
+	for _, capacity := range []int{0, 2} {
+		tr := NewTracer(capacity, virtualClock())
+		pt := NewPropagationTree()
+		tr.AddStream(pt.FeedStream)
+		hash := []byte{9}
+		for i := 0; i < 20; i++ {
+			n := addrPort(byte(i + 1))
+			tr.Emit(Event{Kind: KindRelayBlock, From: n, Parent: SpanKey(n, hash)})
+		}
+		if got := len(pt.RelayDelays(KindRelayBlock)); got != 20 {
+			t.Fatalf("capacity %d: stream saw %d relaying nodes, want 20", capacity, got)
+		}
 	}
-	if got := len(pt.RelayStats(KindRelayBlock)); got != 20 {
-		t.Fatalf("stream saw %d relaying nodes, want 20 (eviction must not lose relays)", got)
-	}
+}
+
+// FuzzPropagationTree checks RelayDelays against a naive oracle: every
+// relay Dur listed under its (kind, Parent), the maximum of each list,
+// sorted. The input decodes as 4-byte events (kind, parent, signed
+// 16-bit duration in ms) fed through a tracer stream with no ring; eight
+// parent values, zero among them, make spans repeat.
+func FuzzPropagationTree(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 10, 0, 1, 0, 30, 1, 1, 0, 20, 2, 1, 0, 5, 0, 0, 0, 7})
+	f.Add([]byte{1, 3, 0xff, 0xf0, 1, 3, 0, 0, 4, 3, 1, 0, 5, 2, 0, 9, 3, 4, 0, 1})
+	kinds := []string{KindRelayBlock, KindRelayTx, KindDeliverBlock, KindDeliverTx, "drop", "dial"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := NewTracer(0, virtualClock())
+		pt := NewPropagationTree()
+		tr.AddStream(pt.FeedStream)
+		naive := map[string]map[uint64][]time.Duration{}
+		for ; len(data) >= 4; data = data[4:] {
+			ev := Event{
+				Kind:   kinds[int(data[0])%len(kinds)],
+				Parent: uint64(data[1] % 8),
+				Dur:    time.Duration(int16(binary.BigEndian.Uint16(data[2:4]))) * time.Millisecond,
+			}
+			ev.Span = ev.Parent + 100 // a deliver's own span; relays ignore it
+			tr.Emit(ev)
+			if ev.Parent == 0 {
+				continue
+			}
+			if naive[ev.Kind] == nil {
+				naive[ev.Kind] = map[uint64][]time.Duration{}
+			}
+			naive[ev.Kind][ev.Parent] = append(naive[ev.Kind][ev.Parent], ev.Dur)
+		}
+		for _, kind := range kinds {
+			var want []time.Duration
+			if kind == KindRelayBlock || kind == KindRelayTx {
+				for _, durs := range naive[kind] {
+					want = append(want, slices.Max(durs))
+				}
+				slices.Sort(want)
+			}
+			if got := pt.RelayDelays(kind); !slices.Equal(got, want) {
+				t.Fatalf("RelayDelays(%s) = %v, want %v", kind, got, want)
+			}
+		}
+	})
 }
 
 func TestSpanKeyProperties(t *testing.T) {

@@ -115,18 +115,18 @@ func SpanKey(a netip.AddrPort, key []byte) uint64 {
 	return h
 }
 
-// Tracer is a low-overhead structured event recorder: a fixed-capacity
-// ring buffer retaining the most recent events, plus a running digest
-// (FNV-1a steps over 64-bit words, see mixLocked) of every event ever
-// emitted (eviction does not change the
-// digest). Under the simnet virtual clock the scheduler invokes all
-// instrumented code in a deterministic order, so a seeded run always
-// produces the identical event sequence and digest — the property the
-// determinism golden tests compare.
+// Tracer is a low-overhead structured event recorder: an optional
+// fixed-capacity ring buffer retaining the most recent events, plus a
+// running digest (FNV-1a steps over 64-bit words, see mixLocked) of every
+// event ever emitted (eviction does not change the digest). Under the
+// simnet virtual clock the scheduler invokes all instrumented code in a
+// deterministic order, so a seeded run always produces the identical
+// event sequence and digest — the property the determinism golden tests
+// compare.
 //
-// Streaming consumers registered with AddStream see every event before it
-// can be evicted, which is how unbounded analyses (PropagationTree,
-// NDJSON trace files) coexist with the bounded ring.
+// Streaming consumers registered with AddStream see every event as it is
+// emitted, which is how unbounded analyses (PropagationTree, NDJSON trace
+// files) coexist with a bounded ring, or with no ring at all.
 //
 // The nil tracer discards events, so hot paths emit unconditionally.
 // Methods are mutex-guarded for the tcpnet (real socket) backends;
@@ -135,42 +135,43 @@ type Tracer struct {
 	mu      sync.Mutex
 	clock   func() time.Time
 	ring    []Event
-	start   int // index of the oldest retained event
-	n       int // retained events
+	slot    Event // where Emit writes each event when there is no ring
+	start   int   // index of the oldest retained event
+	n       int   // retained events
 	total   uint64
-	dropped uint64 // events evicted from the ring
+	dropped uint64 // events not retained: evicted, or never held
 	hash    uint64 // running digest
 	sinks   []func(*Event)
 }
 
-// DefaultTraceCapacity bounds the retained trace when NewTracer is
-// given a non-positive capacity.
+// DefaultTraceCapacity is the ring capacity of runs that report what
+// their ring retained or evicted (chaos, faults).
 const DefaultTraceCapacity = 20000
 
-// NewTracer creates a tracer retaining up to capacity events. clock
-// supplies event times for Emit calls with a zero Time; nil defaults to
-// time.Now (simulations pass the virtual clock).
+// NewTracer creates a tracer retaining up to capacity events; a
+// non-positive capacity keeps no ring, for runs that read only the
+// streams, the digest and the total. clock supplies event times for Emit
+// calls with a zero Time; nil defaults to time.Now (simulations pass the
+// virtual clock).
 func NewTracer(capacity int, clock func() time.Time) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Tracer{
-		clock: clock,
-		ring:  make([]Event, 0, capacity),
-		hash:  fnvOffset64,
+	t := &Tracer{clock: clock, hash: fnvOffset64}
+	if capacity > 0 {
+		t.ring = make([]Event, 0, capacity)
 	}
+	return t
 }
 
 // AddStream registers a synchronous consumer invoked for every event at
 // emission time, before ring eviction can lose it. The callback runs
 // under the tracer lock — it must be fast and must not call back into
-// the tracer — and the event it is handed is the tracer's own ring
-// slot: read it, copy it if it must outlive the call, never keep the
-// pointer. Streams cannot be removed; attach them for the tracer's
-// lifetime (one experiment run).
+// the tracer — and the event it is handed is tracer-owned storage (a
+// ring slot, or the one slot of a tracer with no ring) that a later
+// Emit overwrites: read it, copy it if it must outlive the call, never
+// keep the pointer. Streams cannot be removed; attach them for the
+// tracer's lifetime (one experiment run).
 func (t *Tracer) AddStream(fn func(*Event)) {
 	if t == nil || fn == nil {
 		return
@@ -181,8 +182,9 @@ func (t *Tracer) AddStream(fn func(*Event)) {
 }
 
 // Emit records one event, stamping Time from the clock when zero. The
-// event is written into its ring slot once; the digest and the streams
-// read it there rather than passing the struct on by value.
+// event is written once, into its ring slot or, with no ring, into the
+// tracer's single slot; the digest and the streams read it there rather
+// than passing the struct on by value.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
@@ -190,11 +192,16 @@ func (t *Tracer) Emit(ev Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var slot *Event
-	if len(t.ring) < cap(t.ring) {
+	switch {
+	case cap(t.ring) == 0:
+		slot = &t.slot
+		*slot = ev
+		t.dropped++
+	case len(t.ring) < cap(t.ring):
 		t.ring = append(t.ring, ev)
 		slot = &t.ring[len(t.ring)-1]
 		t.n++
-	} else {
+	default:
 		// Ring full: overwrite the oldest.
 		slot = &t.ring[t.start]
 		*slot = ev
@@ -250,7 +257,8 @@ func (t *Tracer) mixLocked(ev *Event) {
 	t.hash = (t.hash ^ h) * fnvPrime64
 }
 
-// Events returns the retained events, oldest first.
+// Events returns the retained events, oldest first; a tracer with no
+// ring returns none.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -275,7 +283,9 @@ func (t *Tracer) Total() uint64 {
 	return t.total
 }
 
-// Dropped returns how many events the ring has evicted. Two runs can
+// Dropped returns how many emitted events are not retained: those the
+// ring has evicted, or every event when there is no ring, so that
+// Dropped() == Total() − len(Events()) at any capacity. Two runs can
 // share a digest yet differ here only if their ring capacities differ,
 // so snapshots that publish it (see Publish) let trace comparisons
 // distinguish "identical" from "identically truncated".
@@ -290,7 +300,7 @@ func (t *Tracer) Dropped() uint64 {
 
 // Publish surfaces the tracer's lifetime counters as registry gauges
 // (obs.trace.total, obs.trace.dropped), so metric snapshots record not
-// just what the ring retained but how much it evicted.
+// just what the ring retained but how much it did not.
 func (t *Tracer) Publish(reg *Registry) {
 	if t == nil || reg == nil {
 		return
@@ -304,7 +314,7 @@ func (t *Tracer) Publish(reg *Registry) {
 
 // Digest returns a hex digest over every event ever emitted, in order.
 // Same-seed deterministic runs produce identical digests; the ring
-// capacity does not affect it.
+// capacity, none included, does not affect it.
 func (t *Tracer) Digest() string {
 	if t == nil {
 		return ""

@@ -75,3 +75,34 @@ func TestTracerDroppedSingleWrapBoundary(t *testing.T) {
 		t.Fatalf("Total = %d, want %d", got, capacity+1)
 	}
 }
+
+// TestTracerDroppedIsTotalMinusRetained pins the accounting identity at
+// every capacity, none included: an event is either retained or dropped.
+func TestTracerDroppedIsTotalMinusRetained(t *testing.T) {
+	for _, capacity := range []int{0, 4, 100} {
+		tr := NewTracer(capacity, virtualClock())
+		for i := 0; i < 10; i++ {
+			tr.Emit(Event{Kind: "k"})
+			if got, want := tr.Dropped(), tr.Total()-uint64(len(tr.Events())); got != want {
+				t.Fatalf("capacity %d after %d events: Dropped = %d, want Total − len(Events) = %d",
+					capacity, i+1, got, want)
+			}
+		}
+	}
+}
+
+// TestTracerNoRingEmitDoesNotAllocate: a tracer with no ring hands its
+// streams the tracer's own slot, so Emit copies the event once and
+// allocates nothing.
+func TestTracerNoRingEmitDoesNotAllocate(t *testing.T) {
+	tr := NewTracer(0, virtualClock())
+	var n int
+	tr.AddStream(func(ev *Event) { n += len(ev.Kind) })
+	ev := Event{Kind: KindRelayBlock, From: addrPort(1), To: addrPort(2), Parent: 7, Dur: time.Second}
+	if allocs := testing.AllocsPerRun(1000, func() { tr.Emit(ev) }); allocs != 0 {
+		t.Errorf("Emit allocates %.1f times per event, want 0", allocs)
+	}
+	if len(tr.Events()) != 0 {
+		t.Error("a tracer with no ring retained events")
+	}
+}

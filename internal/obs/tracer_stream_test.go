@@ -5,24 +5,26 @@ import (
 )
 
 func TestTracerStreamsSeeEveryEvent(t *testing.T) {
-	tr := NewTracer(2, virtualClock())
-	var seen []Event
-	tr.AddStream(func(ev *Event) { seen = append(seen, *ev) })
-	tr.AddStream(nil) // ignored
-	var nilTr *Tracer
-	nilTr.AddStream(func(*Event) {}) // no-op
+	for _, capacity := range []int{0, 2} {
+		tr := NewTracer(capacity, virtualClock())
+		var seen []Event
+		tr.AddStream(func(ev *Event) { seen = append(seen, *ev) })
+		tr.AddStream(nil) // ignored
+		var nilTr *Tracer
+		nilTr.AddStream(func(*Event) {}) // no-op
 
-	for i := 0; i < 7; i++ {
-		tr.Emit(Event{Kind: "k"})
-	}
-	if len(seen) != 7 {
-		t.Fatalf("stream saw %d events, want 7 (pre-eviction delivery)", len(seen))
-	}
-	if seen[0].Time.IsZero() {
-		t.Error("stream received unstamped event times")
-	}
-	if tr.Dropped() != 5 {
-		t.Errorf("dropped = %d, want 5", tr.Dropped())
+		for i := 0; i < 7; i++ {
+			tr.Emit(Event{Kind: "k"})
+		}
+		if len(seen) != 7 {
+			t.Fatalf("capacity %d: stream saw %d events, want 7 (pre-eviction delivery)", capacity, len(seen))
+		}
+		if seen[0].Time.IsZero() {
+			t.Errorf("capacity %d: stream received unstamped event times", capacity)
+		}
+		if want := uint64(7 - capacity); tr.Dropped() != want {
+			t.Errorf("capacity %d: dropped = %d, want %d", capacity, tr.Dropped(), want)
+		}
 	}
 }
 

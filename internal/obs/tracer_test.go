@@ -74,9 +74,13 @@ func TestTracerDigestDeterministicAndEvictionFree(t *testing.T) {
 	if run(100) != run(100) {
 		t.Error("same sequence produced different digests")
 	}
-	// Digest covers evicted events too: capacity must not matter.
+	// Digest covers evicted and unretained events too: capacity, none
+	// included, must not matter.
 	if run(100) != run(4) {
 		t.Error("ring capacity changed the digest")
+	}
+	if run(0) != run(100) {
+		t.Error("a tracer with no ring changed the digest")
 	}
 	// Order matters.
 	a := NewTracer(10, virtualClock())
