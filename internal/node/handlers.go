@@ -192,36 +192,57 @@ func (n *Node) handleAddr(p *Peer, m *wire.MsgAddr) {
 	n.addrman.Add(m.AddrList, p.addr.Addr())
 }
 
-// handleInv requests announced objects we lack.
+// handleInv requests announced objects we lack. An INV whose every
+// entry is wanted goes back as the GETDATA itself: the two types share
+// one layout, and a message is never mutated once sent or received, so
+// the INV's list is the request's. Otherwise the GETDATA is a fresh one
+// holding the wanted entries in order.
 func (n *Node) handleInv(p *Peer, m *wire.MsgInv) {
 	var gd *wire.MsgGetData
-	for _, iv := range m.InvList {
+	all := true // every entry so far is wanted
+	for i, iv := range m.InvList {
 		p.markKnown(iv.Hash)
-		switch iv.Type {
-		case wire.InvTypeTx:
-			if n.mempool.Have(iv.Hash) {
-				continue
+		want := n.wantInv(p, iv)
+		switch {
+		case all && want: // still the whole INV so far
+		case all:
+			all = false
+			if i > 0 {
+				gd = newGetData(m.InvList[0])
+				gd.InvList = append(gd.InvList, m.InvList[1:i]...)
 			}
-		case wire.InvTypeBlock:
-			if n.chain.HaveBlock(iv.Hash) {
-				continue
-			}
-			if _, inFlight := n.blocksInFlight[iv.Hash]; inFlight {
-				continue
-			}
-			n.blocksInFlight[iv.Hash] = inFlightBlock{conn: p.id, requested: n.env.Now()}
-		default:
-			continue
-		}
-		if gd == nil {
+		case !want: // not requested
+		case gd == nil:
 			gd = newGetData(iv)
-		} else {
+		default:
 			gd.InvList = append(gd.InvList, iv)
 		}
+	}
+	if all && len(m.InvList) > 0 {
+		gd = (*wire.MsgGetData)(m)
 	}
 	if gd != nil {
 		n.queueMsg(p, gd, classControl)
 	}
+}
+
+// wantInv reports whether iv names an object to request from p, and
+// marks a wanted block in flight from p.
+func (n *Node) wantInv(p *Peer, iv wire.InvVect) bool {
+	switch iv.Type {
+	case wire.InvTypeTx:
+		return !n.mempool.Have(iv.Hash)
+	case wire.InvTypeBlock:
+		if n.chain.HaveBlock(iv.Hash) {
+			return false
+		}
+		if _, inFlight := n.blocksInFlight[iv.Hash]; inFlight {
+			return false
+		}
+		n.blocksInFlight[iv.Hash] = inFlightBlock{conn: p.id, requested: n.env.Now()}
+		return true
+	}
+	return false
 }
 
 // oneInv is an INV or GETDATA together with the backing array of its

@@ -39,7 +39,7 @@ func (n *Node) healthTick() {
 	n.checkHandshakes(now)
 	n.checkKeepalive(now)
 	n.checkBlockStalls(now)
-	n.env.Schedule(healthTickEvery, n.healthTick)
+	n.env.Schedule(healthTickEvery, n.healthFn)
 }
 
 // checkHandshakes evicts peers that have not completed VERSION/VERACK

@@ -297,8 +297,11 @@ type Node struct {
 
 	// pumpFn is the cached method value for pumpOnce: Schedule is called
 	// on every pump arm and re-arm, and a fresh method-value closure per
-	// call would allocate on the hottest path in the package.
-	pumpFn func()
+	// call would allocate on the hottest path in the package. healthFn
+	// and feelerFn do the same for the two periodic ticks.
+	pumpFn   func()
+	healthFn func()
+	feelerFn func()
 
 	// pongFree recycles outbound PONG values. It is fed only by
 	// RecycleOutbound — environments that fully consume messages at
@@ -423,6 +426,8 @@ func New(cfg Config, env Env) *Node {
 	n.pol, amCfg = resolvePolicies(cfg.Policies, amCfg)
 	n.addrman = addrman.New(amCfg)
 	n.pumpFn = n.pumpOnce
+	n.healthFn = n.healthTick
+	n.feelerFn = n.feelerTick
 	return n
 }
 
@@ -438,8 +443,8 @@ func (n *Node) Start() {
 	}
 	n.emit(Event{Type: EvStarted, Node: n.cfg.Self.Addr, Time: n.env.Now()})
 	n.scheduleMaintenance(0)
-	n.env.Schedule(feelerInterval, n.feelerTick)
-	n.env.Schedule(healthTickEvery, n.healthTick)
+	n.env.Schedule(feelerInterval, n.feelerFn)
+	n.env.Schedule(healthTickEvery, n.healthFn)
 }
 
 // Stop takes the node offline: every connection is dropped and future
@@ -607,7 +612,7 @@ func (n *Node) feelerTick() {
 			n.startDial(na, Feeler)
 		}
 	}
-	n.env.Schedule(feelerInterval, n.feelerTick)
+	n.env.Schedule(feelerInterval, n.feelerFn)
 }
 
 // selectDialTarget samples addrman for a dialable address, skipping self,
@@ -787,7 +792,11 @@ func (n *Node) OnDisconnect(conn ConnID) {
 
 // OnMessage is invoked by the environment when a message arrives on conn.
 // The message is queued into the peer's vProcessMsg equivalent and
-// handled by the round-robin pump.
+// handled by the round-robin pump. It becomes the node's to keep: the
+// node retains blocks and transactions, and transmits a fully wanted INV
+// back as its GETDATA. So an environment must hand over a value it will
+// never reuse or mutate (tcpnet uses wire.ReadMessage, never a pooled
+// Decoder's borrowed message).
 func (n *Node) OnMessage(conn ConnID, msg wire.Message) {
 	if n.stopped {
 		return

@@ -450,7 +450,7 @@ func TestTxRelayToOtherPeers(t *testing.T) {
 // TestRelayAllocatesPerObject pins relay's allocation shape: announcing a
 // transaction costs as many allocations at 2 peers as at 8 (one INV,
 // shared by every peer's queue entry), and an INV naming one unknown
-// transaction costs exactly one (its GETDATA, entry included).
+// transaction costs none (it goes back as the GETDATA).
 func TestRelayAllocatesPerObject(t *testing.T) {
 	const runs = 100
 	// warm marks keys on every peer until the node's known-inventory table
@@ -495,8 +495,98 @@ func TestRelayAllocatesPerObject(t *testing.T) {
 		n.handleInv(p, inv)
 		env.run(10 * time.Millisecond)
 	})
-	if got != 1 {
-		t.Errorf("handleInv of one unknown tx costs %v allocations, want 1", got)
+	if got != 0 {
+		t.Errorf("handleInv of one unknown tx costs %v allocations, want 0", got)
+	}
+}
+
+// TestInvBecomesGetData pins handleInv's two request shapes. An INV whose
+// every entry is wanted is transmitted back as the GETDATA itself, the
+// same pointer; one naming a known or in-flight object gets a fresh
+// GETDATA that holds only the wanted entries, in order. Either way the
+// INV's list is untouched: in a relay run every peer of the announcer
+// holds the same INV.
+func TestInvBecomesGetData(t *testing.T) {
+	env, n := handshookNode(t, 1)
+	known := n.SubmitTx(&wire.MsgTx{Version: 2, TxOut: []wire.TxOut{{Value: 1, PkScript: []byte{0x51}}}})
+	tx := func(k uint64) wire.InvVect { return wire.InvVect{Type: wire.InvTypeTx, Hash: hashWithKey(k)} }
+	block := wire.InvVect{Type: wire.InvTypeBlock, Hash: hashWithKey(99)}
+
+	// request delivers an INV of list and returns it with the GETDATAs
+	// the node sent back.
+	request := func(list ...wire.InvVect) (*wire.MsgInv, []*wire.MsgGetData) {
+		t.Helper()
+		inv := &wire.MsgInv{}
+		inv.InvList = list
+		was := append([]wire.InvVect(nil), list...)
+		env.transmits = nil
+		n.OnMessage(1, inv)
+		env.run(time.Second)
+		if len(inv.InvList) != len(was) || &inv.InvList[0] != &list[0] {
+			t.Fatalf("handleInv replaced the INV's list")
+		}
+		for i := range was {
+			if inv.InvList[i] != was[i] {
+				t.Fatalf("handleInv changed INV entry %d: %v, was %v", i, inv.InvList[i], was[i])
+			}
+		}
+		var gds []*wire.MsgGetData
+		for _, m := range env.transmitsTo(1) {
+			if gd, ok := m.(*wire.MsgGetData); ok {
+				gds = append(gds, gd)
+			}
+		}
+		return inv, gds
+	}
+	wantList := func(gd *wire.MsgGetData, want ...wire.InvVect) {
+		t.Helper()
+		if len(gd.InvList) != len(want) {
+			t.Fatalf("GETDATA names %d entries, want %d", len(gd.InvList), len(want))
+		}
+		for i := range want {
+			if gd.InvList[i] != want[i] {
+				t.Fatalf("GETDATA entry %d = %v, want %v", i, gd.InvList[i], want[i])
+			}
+		}
+	}
+
+	// Every entry wanted: the INV itself is the request.
+	inv, gds := request(tx(1), block, tx(2))
+	if len(gds) != 1 {
+		t.Fatalf("fully wanted INV: %d GETDATAs, want 1", len(gds))
+	}
+	if (*wire.MsgInv)(gds[0]) != inv {
+		t.Error("fully wanted INV: GETDATA is a fresh message, want the INV's pointer")
+	}
+	wantList(gds[0], tx(1), block, tx(2))
+
+	// A known tx and the block now in flight are skipped, wherever they
+	// fall: the request is fresh and names the rest in INV order.
+	knownTx := wire.InvVect{Type: wire.InvTypeTx, Hash: known}
+	for _, list := range [][]wire.InvVect{
+		{tx(3), knownTx, tx(4), block, tx(5)},
+		{knownTx, tx(6), block, tx(7)},
+		{tx(8), tx(9), block},
+	} {
+		inv, gds := request(list...)
+		if len(gds) != 1 {
+			t.Fatalf("partly known INV %v: %d GETDATAs, want 1", list, len(gds))
+		}
+		if (*wire.MsgInv)(gds[0]) == inv {
+			t.Fatalf("partly known INV %v went back whole", list)
+		}
+		var want []wire.InvVect
+		for _, iv := range list {
+			if iv != knownTx && iv != block {
+				want = append(want, iv)
+			}
+		}
+		wantList(gds[0], want...)
+	}
+
+	// Nothing wanted: nothing requested.
+	if _, gds := request(knownTx, block); len(gds) != 0 {
+		t.Errorf("fully known INV: %d GETDATAs, want 0", len(gds))
 	}
 }
 

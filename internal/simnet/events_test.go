@@ -104,7 +104,7 @@ func quietPair(tb testing.TB, seed int64) (net *Network, ha, hb *Host, l *link) 
 // first.
 func deliveriesOf(s *Scheduler, msg wire.Message) []*event {
 	var out []*event
-	for _, ev := range s.events {
+	for _, ev := range append(s.lane[s.laneHead:len(s.lane):len(s.lane)], s.events...) {
 		if ev.link != nil && ev.msg == msg {
 			out = append(out, ev)
 		}

@@ -124,11 +124,23 @@ func (h *eventHeap) pop() *event {
 // single-threaded: all simulation state (nodes, hosts, addrman) is only
 // touched from inside scheduled callbacks, so no locking is needed
 // anywhere in the simulation.
+//
+// An event due at the current instant skips the heap and joins lane, a
+// FIFO. Every heap event due at that instant was queued before the clock
+// reached it, and every lane event after, so running the heap's
+// same-instant events first and then the lane keeps the (at, seq) order.
+// The clock never leaves an instant while the lane holds events.
 type Scheduler struct {
-	now    time.Time
-	seq    uint64
-	events eventHeap
-	count  uint64 // total events executed, for reporting
+	now         time.Time
+	nowNS       int64 // now.UnixNano(): the lane's instant
+	nowFromStep bool  // now was built by step, so an event at nowNS keeps it
+	seq         uint64
+	events      eventHeap
+	lane        []*event // events due at nowNS, in seq order from laneHead
+	// laneHead indexes the lane's next event; the slice rewinds to its
+	// start whenever it empties.
+	laneHead int
+	count    uint64 // total events executed, for reporting
 
 	// free recycles event structs popped from the heap. The scheduler is
 	// single-threaded, so a plain slice beats sync.Pool: no locking, and
@@ -149,7 +161,7 @@ type Scheduler struct {
 
 // NewScheduler creates a scheduler starting at epoch.
 func NewScheduler(epoch time.Time) *Scheduler {
-	return &Scheduler{now: epoch}
+	return &Scheduler{now: epoch, nowNS: epoch.UnixNano()}
 }
 
 // SetMetrics wires the scheduler's queue-depth gauges, executed-event
@@ -171,7 +183,7 @@ func (s *Scheduler) SetMetrics(reg *obs.Registry) {
 func (s *Scheduler) Now() time.Time { return s.now }
 
 // Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.events) }
+func (s *Scheduler) Pending() int { return len(s.events) + len(s.lane) - s.laneHead }
 
 // maxFree bounds the event free list so a transient queue-depth spike
 // does not pin its structs for the rest of the run.
@@ -204,11 +216,18 @@ func (s *Scheduler) putEvent(ev *event) {
 	}
 }
 
-// schedule queues p at the absolute time at (UnixNano, not before now).
+// schedule queues p at the absolute time at (UnixNano, not before now):
+// on the lane if it is due now, on the heap otherwise.
 func (s *Scheduler) schedule(at int64, p payload) {
-	s.events.push(s.getEvent(at, p))
-	s.mDepth.Set(int64(len(s.events)))
-	s.mDepthMax.SetMax(int64(len(s.events)))
+	ev := s.getEvent(at, p)
+	if at == s.nowNS {
+		s.lane = append(s.lane, ev)
+	} else {
+		s.events.push(ev)
+	}
+	depth := int64(s.Pending())
+	s.mDepth.Set(depth)
+	s.mDepthMax.SetMax(depth)
 }
 
 // scheduleAfter queues p d from now. Negative d is treated as zero.
@@ -216,15 +235,15 @@ func (s *Scheduler) scheduleAfter(d time.Duration, p payload) {
 	if d < 0 {
 		d = 0
 	}
-	s.schedule(s.now.UnixNano()+int64(d), p)
+	s.schedule(s.nowNS+int64(d), p)
 }
 
 // At schedules fn at the absolute virtual time t. Times in the past run
 // at the current time (never rewinding the clock).
 func (s *Scheduler) At(t time.Time, fn func()) {
 	at := t.UnixNano()
-	if now := s.now.UnixNano(); at < now {
-		at = now
+	if at < s.nowNS {
+		at = s.nowNS
 	}
 	s.schedule(at, payload{fn: fn})
 }
@@ -276,7 +295,7 @@ func (s *Scheduler) RunUntil(deadline time.Time) {
 func (s *Scheduler) RunUntilCtx(ctx context.Context, deadline time.Time) error {
 	deadlineNS := deadline.UnixNano()
 	cancellable := ctx.Done() != nil
-	for len(s.events) > 0 && s.events[0].at <= deadlineNS {
+	for s.due(deadlineNS) {
 		s.step()
 		if cancellable && s.count%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -290,9 +309,18 @@ func (s *Scheduler) RunUntilCtx(ctx context.Context, deadline time.Time) error {
 		}
 	}
 	if s.now.Before(deadline) {
-		s.now = deadline
+		s.now, s.nowNS, s.nowFromStep = deadline, deadlineNS, false
 	}
 	return nil
+}
+
+// due reports whether the next event is at or before deadlineNS. Lane
+// events are due now, which is never after a heap event.
+func (s *Scheduler) due(deadlineNS int64) bool {
+	if s.laneHead < len(s.lane) {
+		return s.nowNS <= deadlineNS
+	}
+	return len(s.events) > 0 && s.events[0].at <= deadlineNS
 }
 
 // RunFor advances the simulation by d.
@@ -310,20 +338,32 @@ func (s *Scheduler) RunForCtx(ctx context.Context, d time.Duration) error {
 // tests on bounded workloads; simulations with self-rescheduling ticks
 // must use RunUntil.
 func (s *Scheduler) Drain(maxEvents int) {
-	for ; len(s.events) > 0 && maxEvents > 0; maxEvents-- {
+	for ; s.Pending() > 0 && maxEvents > 0; maxEvents-- {
 		s.step()
 	}
 }
 
-// step pops the earliest event, advances the clock to it and runs it.
-// The struct goes back on the free list before its payload runs, so a
-// callback that reschedules itself reuses it; the alloc/reused split in
-// the deterministic series depends on that order.
+// step pops the earliest event, advances the clock to it and runs it:
+// the heap's events due now first, then the lane, then the heap's next
+// instant. The struct goes back on the free list before its payload
+// runs, so a callback that reschedules itself reuses it; the
+// alloc/reused split in the deterministic series depends on that order.
 func (s *Scheduler) step() {
-	ev := s.events.pop()
-	s.now = time.Unix(0, ev.at).UTC()
+	var ev *event
+	if s.laneHead < len(s.lane) && (len(s.events) == 0 || s.events[0].at != s.nowNS) {
+		ev = s.lane[s.laneHead]
+		s.lane[s.laneHead] = nil
+		if s.laneHead++; s.laneHead == len(s.lane) {
+			s.lane, s.laneHead = s.lane[:0], 0
+		}
+	} else {
+		ev = s.events.pop()
+	}
+	if ev.at != s.nowNS || !s.nowFromStep {
+		s.now, s.nowNS, s.nowFromStep = time.Unix(0, ev.at).UTC(), ev.at, true
+	}
 	s.count++
-	s.mDepth.Set(int64(len(s.events)))
+	s.mDepth.Set(int64(s.Pending()))
 	s.mExecuted.Inc()
 	p := ev.payload
 	s.putEvent(ev)

@@ -37,7 +37,6 @@ var reachKeep = map[string]kept{
 	"obs.ReadFlightRecord":      {"observe", "flightrec_test.go", "decodes the file FlightRecorder.Dump wrote"},
 	"obs.ReadSeriesCSV":         {"observe", "series_test.go", "decodes the sidecar SeriesSet.WriteCSV wrote; FuzzSeriesCSVRoundTrip"},
 	"obs.SeriesSet.EncodeCSV":   {"observe", "determinism_test.go", "WriteCSV into a string, to compare two runs' series"},
-	"simnet.Scheduler.Pending":  {"observe", "events_test.go", "queue depth"},
 
 	"simnet.Scheduler.Drain":          {"fixture", "bench_test.go", "pops exactly b.N events whatever their times, for BenchmarkSchedulerDepth"},
 	"simnet.ConstantLatency":          {"fixture", "simnet_more_test.go", "equal delays pin delivery and link-close order"},
