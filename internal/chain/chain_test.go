@@ -158,12 +158,52 @@ func TestChainRejectsOrphan(t *testing.T) {
 	}
 }
 
+// TestChainRejectsBadMerkle corrupts the header's root of a block whose
+// txids nextBlock has memoized: a zeroed root, and one bit flipped.
 func TestChainRejectsBadMerkle(t *testing.T) {
 	c := New(GenesisBlock("t"))
 	blk := nextBlock(t, c, 1, 1)
 	blk.Header.MerkleRoot = chainhash.Hash{} // corrupt
 	if _, err := c.Accept(blk); !errors.Is(err, ErrBadMerkleRoot) {
 		t.Errorf("err = %v, want ErrBadMerkleRoot", err)
+	}
+	blk = nextBlock(t, c, 5, 70)
+	blk.Header.MerkleRoot[7] ^= 0x01
+	if err := CheckBlock(blk); !errors.Is(err, ErrBadMerkleRoot) {
+		t.Errorf("one bit flipped: err = %v, want ErrBadMerkleRoot", err)
+	}
+}
+
+// TestBlockMerkleRootMatchesFreshHashes holds BlockMerkleRoot, which
+// reads memoized txids into a stack array, to MerkleRoot over TxHash
+// values of fresh copies, on both sides of the stack array's size and at
+// MineBlock's cap of 2,001 transactions. Up to the stack size, a warm
+// BlockMerkleRoot allocates nothing, and MerkleRoot never modifies its
+// input, including on the heap path.
+func TestBlockMerkleRootMatchesFreshHashes(t *testing.T) {
+	for _, n := range []int{1, 2, 3, merkleStackTxs - 1, merkleStackTxs, merkleStackTxs + 1, 2001} {
+		blk := &wire.MsgBlock{}
+		leaves := make([]chainhash.Hash, n)
+		for i := 0; i < n; i++ {
+			blk.Transactions = append(blk.Transactions, makeTx(uint32(i)))
+			fresh := makeTx(uint32(i))
+			leaves[i] = fresh.TxHash()
+		}
+		want := MerkleRoot(leaves)
+		if got := BlockMerkleRoot(blk); got != want {
+			t.Errorf("%d txs: BlockMerkleRoot %s, MerkleRoot of fresh hashes %s", n, got, want)
+		}
+		for i := range leaves {
+			if fresh := makeTx(uint32(i)); leaves[i] != fresh.TxHash() {
+				t.Fatalf("%d txs: MerkleRoot modified leaf %d", n, i)
+			}
+		}
+		if n > merkleStackTxs {
+			continue
+		}
+		if a := testing.AllocsPerRun(5, func() { BlockMerkleRoot(blk) }); a != 0 {
+			t.Errorf("%d txs: warm BlockMerkleRoot allocates %.1f per run, want 0", n, a)
+		}
 	}
 }
 
@@ -259,8 +299,8 @@ func TestMempoolBasics(t *testing.T) {
 	if p.Get(h) == nil {
 		t.Error("Get = nil after Add")
 	}
-	if p.Size() != 1 {
-		t.Errorf("Size = %d, want 1", p.Size())
+	if n := len(p.Hashes()); n != 1 {
+		t.Errorf("%d pooled, want 1", n)
 	}
 }
 
@@ -273,8 +313,8 @@ func TestMempoolRemoveBlockTxs(t *testing.T) {
 	extra := makeTx(99)
 	p.Add(&extra)
 	p.RemoveBlockTxs(blk)
-	if p.Size() != 1 {
-		t.Errorf("Size after eviction = %d, want 1", p.Size())
+	if n := len(p.Hashes()); n != 1 {
+		t.Errorf("%d pooled after eviction, want 1", n)
 	}
 	if !p.Have(extra.TxHash()) {
 		t.Error("unrelated tx evicted")
@@ -441,6 +481,38 @@ func BenchmarkMerkleRoot1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MerkleRoot(leaves)
+	}
+}
+
+// BenchmarkBlockMerkleRoot is the merkle check of a 150-transaction
+// block, the quick relay experiments' size, whose txids are memoized: no
+// hashing of transactions and no allocation.
+func BenchmarkBlockMerkleRoot(b *testing.B) {
+	blk := &wire.MsgBlock{}
+	for i := 0; i < 150; i++ {
+		blk.Transactions = append(blk.Transactions, makeTx(uint32(i)))
+	}
+	BlockMerkleRoot(blk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BlockMerkleRoot(blk)
+	}
+}
+
+// BenchmarkMempoolAddKnown adds a transaction body the pool already holds,
+// the common case of relay (three in four bodies a node receives are
+// duplicates): a memo read and a map probe, no allocation.
+func BenchmarkMempoolAddKnown(b *testing.B) {
+	pool := NewMempool()
+	tx := makeTx(1)
+	pool.Add(&tx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, added := pool.Add(&tx); added {
+			b.Fatal("a known transaction was added again")
+		}
 	}
 }
 

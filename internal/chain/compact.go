@@ -33,7 +33,7 @@ func BuildCompactBlock(blk *wire.MsgBlock, nonce uint64) *wire.MsgCmpctBlock {
 			})
 			continue
 		}
-		txid := blk.Transactions[i].TxHash()
+		txid := blk.Transactions[i].TxID()
 		cb.ShortIDs = append(cb.ShortIDs,
 			wire.ComputeShortID(blockHash, nonce, txid))
 	}
@@ -61,14 +61,9 @@ type ReconstructResult struct {
 func ReconstructCompactBlock(cb *wire.MsgCmpctBlock, pool *Mempool) (*ReconstructResult, error) {
 	blockHash := cb.BlockHash()
 
-	// Index mempool transactions by their short ID under this block's key.
-	idToTx := make(map[wire.ShortID]*wire.MsgTx, pool.Size())
-	for _, h := range pool.Hashes() {
-		id := wire.ComputeShortID(blockHash, cb.Nonce, h)
-		if _, dup := idToTx[id]; dup {
-			return nil, fmt.Errorf("%w: id %x", ErrShortIDCollision, id)
-		}
-		idToTx[id] = pool.Get(h)
+	idToTx, err := pool.shortIDIndex(blockHash, cb.Nonce)
+	if err != nil {
+		return nil, err
 	}
 
 	total := cb.TotalTxCount()

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/chainhash"
@@ -24,7 +25,7 @@ func NewMempool() *Mempool {
 
 // Add inserts tx, returning its hash and whether it was newly added.
 func (m *Mempool) Add(tx *wire.MsgTx) (chainhash.Hash, bool) {
-	h := tx.TxHash()
+	h := tx.TxID()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.txs[h]; ok {
@@ -54,15 +55,8 @@ func (m *Mempool) RemoveBlockTxs(blk *wire.MsgBlock) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := range blk.Transactions {
-		delete(m.txs, blk.Transactions[i].TxHash())
+		delete(m.txs, blk.Transactions[i].TxID())
 	}
-}
-
-// Size returns the number of pooled transactions.
-func (m *Mempool) Size() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.txs)
 }
 
 // Hashes returns the hashes of all pooled transactions in unspecified
@@ -75,4 +69,23 @@ func (m *Mempool) Hashes() []chainhash.Hash {
 		out = append(out, h)
 	}
 	return out
+}
+
+// shortIDIndex maps the BIP-152 short ID of every pooled transaction,
+// keyed by (blockHash, nonce), to the transaction. It scans the pool in
+// place under one read lock. Two transactions with one short ID make a
+// reconstruction ambiguous, so any collision in the pool is an
+// ErrShortIDCollision.
+func (m *Mempool) shortIDIndex(blockHash chainhash.Hash, nonce uint64) (map[wire.ShortID]*wire.MsgTx, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	idToTx := make(map[wire.ShortID]*wire.MsgTx, len(m.txs))
+	for h, tx := range m.txs {
+		id := wire.ComputeShortID(blockHash, nonce, h)
+		if _, dup := idToTx[id]; dup {
+			return nil, fmt.Errorf("%w: id %x", ErrShortIDCollision, id)
+		}
+		idToTx[id] = tx
+	}
+	return idToTx, nil
 }

@@ -164,8 +164,8 @@ func TestSubmitTxDuplicate(t *testing.T) {
 	if h1 != h2 {
 		t.Error("hashes differ for the same tx")
 	}
-	if n.Mempool().Size() != 1 {
-		t.Errorf("mempool size = %d, want 1", n.Mempool().Size())
+	if k := len(n.Mempool().Hashes()); k != 1 {
+		t.Errorf("mempool size = %d, want 1", k)
 	}
 }
 

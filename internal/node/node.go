@@ -288,9 +288,11 @@ type Node struct {
 
 	byAddr     map[netip.AddrPort]*Peer
 	dialing    map[netip.AddrPort]Direction
-	pumpArmed  bool      // a pump wake-up is scheduled, or the running loop owes one
-	busyUntil  time.Time // virtual time the current loop's socket work ends
-	maintGen   uint64    // supersession counter for maintenance scheduling
+	pumpArmed  bool       // a pump wake-up is scheduled, or the running loop owes one
+	busyUntil  time.Time  // virtual time the current loop's socket work ends
+	maintGen   uint64     // supersession counter for maintenance scheduling
+	maintFree  *maintTick // fired maintenance ticks, reused by scheduleMaintenance
+	maintFirst maintTick  // first tick record, embedded: Start's arm allocates nothing
 	started    bool
 	stopped    bool
 	syncedOnce bool
@@ -428,6 +430,9 @@ func New(cfg Config, env Env) *Node {
 	n.pumpFn = n.pumpOnce
 	n.healthFn = n.healthTick
 	n.feelerFn = n.feelerTick
+	n.maintFirst = maintTick{n: n}
+	n.maintFirst.fn = n.maintFirst.fire
+	n.maintFree = &n.maintFirst
 	return n
 }
 
@@ -579,18 +584,44 @@ func (n *Node) openConnectionsTick() {
 	n.scheduleMaintenance(interval)
 }
 
+// maintTick is one armed openConnectionsTick: the generation it was
+// armed at and its cached fire method value, so that re-arming a
+// recycled record allocates nothing. Fired records wait on the node's
+// free list.
+type maintTick struct {
+	n    *Node
+	gen  uint64
+	fn   func()
+	next *maintTick // free-list link
+}
+
+// fire runs the tick unless a later scheduleMaintenance superseded it. A
+// superseded tick still fires, as a no-op, at the time it was armed for.
+// Either way the record goes back on the free list first, so the re-arm
+// inside openConnectionsTick reuses it.
+func (t *maintTick) fire() {
+	n := t.n
+	live := t.gen == n.maintGen
+	t.next, n.maintFree = n.maintFree, t
+	if live {
+		n.openConnectionsTick()
+	}
+}
+
 // scheduleMaintenance arms the next openConnectionsTick, superseding any
 // previously scheduled one (so a disconnect can pull the next attempt
 // forward without creating duplicate tick chains).
 func (n *Node) scheduleMaintenance(d time.Duration) {
 	n.maintGen++
-	gen := n.maintGen
-	n.env.Schedule(d, func() {
-		if gen != n.maintGen {
-			return
-		}
-		n.openConnectionsTick()
-	})
+	t := n.maintFree
+	if t != nil {
+		n.maintFree = t.next
+	} else {
+		t = &maintTick{n: n}
+		t.fn = t.fire
+	}
+	t.gen = n.maintGen
+	n.env.Schedule(d, t.fn)
 }
 
 // feelerTick opens short-lived feeler connections that test new-table

@@ -500,6 +500,43 @@ func TestRelayAllocatesPerObject(t *testing.T) {
 	}
 }
 
+// TestMaintenanceRearm pins the maintenance tick's supersession and its
+// allocation. Of two ticks armed for one instant, the superseded one
+// fires as a no-op and only the later one runs openConnectionsTick (which
+// re-arms once, at the idle interval). Once the node's free list is warm,
+// re-arming allocates nothing.
+func TestMaintenanceRearm(t *testing.T) {
+	env := newFakeEnv()
+	n := New(testConfig(mkAddr(10, 0, 0, 1)), env)
+	gen := n.maintGen
+	n.scheduleMaintenance(0)
+	n.scheduleMaintenance(0)
+	env.run(0)
+	if n.maintGen != gen+3 || len(env.q) != 1 {
+		t.Fatalf("after two arms and one instant: %d arms, %d ticks queued; want 3 and 1 (a superseded tick ran?)",
+			n.maintGen-gen, len(env.q))
+	}
+	free := 0
+	for r := n.maintFree; r != nil; r = r.next {
+		free++
+	}
+	if free != 1 {
+		t.Errorf("%d tick records free, want 1 (the idle re-arm holds the other)", free)
+	}
+
+	// A stopped node's openConnectionsTick returns at once, so what is
+	// counted is arming, superseding and firing alone.
+	n.stopped = true
+	got := testing.AllocsPerRun(100, func() {
+		n.scheduleMaintenance(0)
+		n.scheduleMaintenance(0)
+		env.run(0)
+	})
+	if got != 0 {
+		t.Errorf("re-arming maintenance allocates %v per run, want 0", got)
+	}
+}
+
 // TestInvBecomesGetData pins handleInv's two request shapes. An INV whose
 // every entry is wanted is transmitted back as the GETDATA itself, the
 // same pointer; one naming a known or in-flight object gets a fresh

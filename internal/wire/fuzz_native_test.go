@@ -81,6 +81,10 @@ func FuzzReadWriteMessage(f *testing.F) {
 		&MsgGetData{invList{InvList: make([]InvVect, 1)}},
 		&MsgTx{Version: 2, TxIn: []TxIn{{SignatureScript: []byte{0xab}}}},
 		&MsgBlock{Header: BlockHeader{Version: 1}},
+		&MsgBlock{Header: BlockHeader{Version: 1}, Transactions: []MsgTx{
+			{Version: 1, TxIn: []TxIn{{SignatureScript: []byte{1}}}},
+			{Version: 2, TxOut: []TxOut{{Value: 5, PkScript: []byte{0x51}}}},
+		}},
 		&MsgHeaders{Headers: make([]BlockHeader, 2)},
 		&MsgGetHeaders{BlockLocatorHashes: make([]chainhash.Hash, 1)},
 		&MsgSendCmpct{Announce: true, Version: 1},
@@ -117,5 +121,34 @@ func FuzzReadWriteMessage(f *testing.F) {
 			t.Fatalf("%q encode not a fixed point: %d vs %d bytes",
 				msg.Command(), first.Len(), second.Len())
 		}
+		checkTxIDs(t, msg)
+		checkTxIDs(t, again)
 	})
+}
+
+// checkTxIDs fails t unless every transaction a decoded message carries
+// has a memoized TxID equal to a fresh TxHash of its bytes.
+func checkTxIDs(t *testing.T, msg Message) {
+	t.Helper()
+	check := func(i int, tx *MsgTx) {
+		if id, h := tx.TxID(), tx.TxHash(); id != h {
+			t.Fatalf("%q tx %d: TxID %s, TxHash %s", msg.Command(), i, id, h)
+		}
+	}
+	switch m := msg.(type) {
+	case *MsgTx:
+		check(0, m)
+	case *MsgBlock:
+		for i := range m.Transactions {
+			check(i, &m.Transactions[i])
+		}
+	case *MsgBlockTxn:
+		for i := range m.Transactions {
+			check(i, &m.Transactions[i])
+		}
+	case *MsgCmpctBlock:
+		for i := range m.PrefilledTxs {
+			check(i, &m.PrefilledTxs[i].Tx)
+		}
+	}
 }

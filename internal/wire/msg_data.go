@@ -142,6 +142,12 @@ type MsgTx struct {
 	TxOut []TxOut
 	// LockTime is the earliest time/height the tx may be mined.
 	LockTime uint32
+
+	// txid memoizes TxID. It is a pointer so that value copies (a mined
+	// block's transactions, a reconstructed block) share one memo. Only
+	// Decode resets it: a transaction is never mutated once it has been
+	// transmitted or hashed.
+	txid *chainhash.Hash
 }
 
 var _ Message = (*MsgTx)(nil)
@@ -175,6 +181,7 @@ func (m *MsgTx) appendTo(b []byte) []byte {
 
 // Decode implements Message.
 func (m *MsgTx) Decode(r *bytes.Reader) error {
+	m.txid = nil
 	v, err := readUint32(r)
 	if err != nil {
 		return err
@@ -227,11 +234,23 @@ func (m *MsgTx) Decode(r *bytes.Reader) error {
 }
 
 // TxHash returns the double-SHA256 of the serialized transaction, its
-// canonical identifier. Transactions up to the scratch size hash without
-// allocating; larger ones grow onto the heap.
+// canonical identifier, computed from the bytes on every call.
+// Transactions up to the scratch size hash without allocating; larger
+// ones grow onto the heap.
 func (m *MsgTx) TxHash() chainhash.Hash {
 	var scratch [512]byte
 	return chainhash.DoubleSHA256(m.appendTo(scratch[:0]))
+}
+
+// TxID returns TxHash, computed on the first call and read from the memo
+// after, so a transaction shared by every node of a network is hashed
+// once. The first call allocates the memo.
+func (m *MsgTx) TxID() chainhash.Hash {
+	if m.txid == nil {
+		h := m.TxHash()
+		m.txid = &h
+	}
+	return *m.txid
 }
 
 // SerializeSize returns the number of bytes the transaction occupies on

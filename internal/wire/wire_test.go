@@ -208,6 +208,59 @@ func TestTxHashDeterministic(t *testing.T) {
 	}
 }
 
+// TestTxIDMemo pins the txid memo: TxID equals TxHash, a value copy
+// shares the memo and reads it without allocating, TxHash still hashes
+// the current bytes, and a pooled Decoder that reads two transactions in
+// a row into one recycled value resets the memo between them.
+func TestTxIDMemo(t *testing.T) {
+	tx := makeTestTx(5)
+	want := tx.TxHash()
+	if got := tx.TxID(); got != want {
+		t.Fatalf("TxID = %s, TxHash = %s", got, want)
+	}
+	cp := tx
+	if cp.txid != tx.txid {
+		t.Error("a value copy does not share the memo")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = cp.TxID() }); n != 0 {
+		t.Errorf("warm TxID allocates %.1f per run, want 0", n)
+	}
+	// TxHash is the pure computation: it sees a change the memo does not.
+	// (Mutating a hashed transaction is what the memo forbids; the
+	// wire.txhash_ns probe does it to time TxHash alone.)
+	cp.LockTime++
+	if cp.TxHash() == want {
+		t.Error("TxHash ignored a changed LockTime")
+	}
+
+	frame := func(m Message) []byte {
+		var buf bytes.Buffer
+		if _, err := new(Encoder).WriteMessage(&buf, m, SimNet); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := makeTestTx(11), makeTestTx(12)
+	dec := GetDecoder()
+	defer dec.Release()
+	var first *MsgTx
+	for i, src := range []*MsgTx{&a, &b} {
+		msg, err := dec.ReadMessage(bytes.NewReader(frame(src)), SimNet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := msg.(*MsgTx)
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatal("the pooled decoder did not recycle the MsgTx value; the reset goes untested")
+		}
+		if id, h := got.TxID(), got.TxHash(); id != h || id != src.TxHash() {
+			t.Errorf("read %d: TxID %s, TxHash %s, sent %s", i, id, h, src.TxHash())
+		}
+	}
+}
+
 // TestHashSharesTheFramedBytes pins hashing to the codec: TxHash is the
 // double-SHA256 of exactly the payload an Encoder frames for the same
 // transaction, and neither hash allocates.
