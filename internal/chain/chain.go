@@ -36,7 +36,7 @@ var (
 // without a heap allocation: MerkleRoot and BlockMerkleRoot each hold
 // that many hashes (16 KiB) on the stack. The relay experiments mine 150
 // (quick) and 400 (full) transactions per block on average; a larger
-// block takes one heap slice in each.
+// block takes one heap slice.
 const merkleStackTxs = 512
 
 // MerkleRoot computes the Bitcoin merkle root of the given transaction
@@ -44,30 +44,12 @@ const merkleStackTxs = 512
 // levels. An empty input returns the zero hash. The input is not
 // modified.
 func MerkleRoot(txids []chainhash.Hash) chainhash.Hash {
-	if len(txids) == 0 {
-		return chainhash.Hash{}
-	}
 	var stack [merkleStackTxs]chainhash.Hash
 	level := stack[:]
 	if len(txids) > len(stack) {
-		// One spare slot for an odd level's duplicate.
-		level = make([]chainhash.Hash, len(txids), len(txids)+1)
+		level = make([]chainhash.Hash, len(txids))
 	}
-	level = level[:copy(level, txids)]
-	var buf [64]byte
-	for len(level) > 1 {
-		if len(level)%2 != 0 {
-			level = append(level, level[len(level)-1])
-		}
-		next := level[:0]
-		for i := 0; i < len(level); i += 2 {
-			copy(buf[:32], level[i][:])
-			copy(buf[32:], level[i+1][:])
-			next = append(next, chainhash.DoubleSHA256(buf[:]))
-		}
-		level = next
-	}
-	return level[0]
+	return merkleReduce(level[:copy(level, txids)])
 }
 
 // BlockMerkleRoot computes the merkle root over a block's transactions
@@ -81,7 +63,28 @@ func BlockMerkleRoot(blk *wire.MsgBlock) chainhash.Hash {
 	for i := range blk.Transactions {
 		txids = append(txids, blk.Transactions[i].TxID())
 	}
-	return MerkleRoot(txids)
+	return merkleReduce(txids)
+}
+
+// merkleReduce computes the merkle root of level, overwriting level with
+// the inner nodes as it goes. An empty level has the zero root.
+func merkleReduce(level []chainhash.Hash) chainhash.Hash {
+	if len(level) == 0 {
+		return chainhash.Hash{}
+	}
+	var buf [64]byte
+	for n := len(level); n > 1; n = (n + 1) / 2 {
+		for i := 0; i < n; i += 2 {
+			j := i + 1
+			if j == n {
+				j = i // an odd level pairs its last hash with itself
+			}
+			copy(buf[:32], level[i][:])
+			copy(buf[32:], level[j][:])
+			level[i/2] = chainhash.DoubleSHA256(buf[:])
+		}
+	}
+	return level[0]
 }
 
 // entry is a stored block with its height.

@@ -175,13 +175,14 @@ func TestChainRejectsBadMerkle(t *testing.T) {
 }
 
 // TestBlockMerkleRootMatchesFreshHashes holds BlockMerkleRoot, which
-// reads memoized txids into a stack array, to MerkleRoot over TxHash
-// values of fresh copies, on both sides of the stack array's size and at
-// MineBlock's cap of 2,001 transactions. Up to the stack size, a warm
-// BlockMerkleRoot allocates nothing, and MerkleRoot never modifies its
-// input, including on the heap path.
+// reads memoized txids into a stack array and reduces it in place, and
+// MerkleRoot to a level-by-level reference over TxHash values of fresh
+// copies, on both sides of the stack array's size and at MineBlock's cap
+// of 2,001 transactions. Up to the stack size, a warm BlockMerkleRoot
+// allocates nothing, and MerkleRoot never modifies its input, including
+// on the heap path.
 func TestBlockMerkleRootMatchesFreshHashes(t *testing.T) {
-	for _, n := range []int{1, 2, 3, merkleStackTxs - 1, merkleStackTxs, merkleStackTxs + 1, 2001} {
+	for _, n := range []int{1, 2, 3, 5, 6, 7, merkleStackTxs - 1, merkleStackTxs, merkleStackTxs + 1, 2001} {
 		blk := &wire.MsgBlock{}
 		leaves := make([]chainhash.Hash, n)
 		for i := 0; i < n; i++ {
@@ -189,9 +190,12 @@ func TestBlockMerkleRootMatchesFreshHashes(t *testing.T) {
 			fresh := makeTx(uint32(i))
 			leaves[i] = fresh.TxHash()
 		}
-		want := MerkleRoot(leaves)
+		want := refMerkleRoot(leaves)
 		if got := BlockMerkleRoot(blk); got != want {
-			t.Errorf("%d txs: BlockMerkleRoot %s, MerkleRoot of fresh hashes %s", n, got, want)
+			t.Errorf("%d txs: BlockMerkleRoot %s, reference root of fresh hashes %s", n, got, want)
+		}
+		if got := MerkleRoot(leaves); got != want {
+			t.Errorf("%d txs: MerkleRoot %s, reference root %s", n, got, want)
 		}
 		for i := range leaves {
 			if fresh := makeTx(uint32(i)); leaves[i] != fresh.TxHash() {
@@ -205,6 +209,26 @@ func TestBlockMerkleRootMatchesFreshHashes(t *testing.T) {
 			t.Errorf("%d txs: warm BlockMerkleRoot allocates %.1f per run, want 0", n, a)
 		}
 	}
+}
+
+// refMerkleRoot is the textbook merkle root: each level is a new slice
+// of the hashes of the previous level's pairs, an odd level's last hash
+// paired with itself.
+func refMerkleRoot(leaves []chainhash.Hash) chainhash.Hash {
+	level := leaves
+	for len(level) > 1 {
+		var next []chainhash.Hash
+		for i := 0; i < len(level); i += 2 {
+			right := level[len(level)-1]
+			if i+1 < len(level) {
+				right = level[i+1]
+			}
+			pair := append(append([]byte{}, level[i][:]...), right[:]...)
+			next = append(next, chainhash.DoubleSHA256(pair))
+		}
+		level = next
+	}
+	return level[0]
 }
 
 func TestChainRejectsEmptyBlock(t *testing.T) {

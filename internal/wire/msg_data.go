@@ -143,11 +143,14 @@ type MsgTx struct {
 	// LockTime is the earliest time/height the tx may be mined.
 	LockTime uint32
 
-	// txid memoizes TxID. It is a pointer so that value copies (a mined
-	// block's transactions, a reconstructed block) share one memo. Only
-	// Decode resets it: a transaction is never mutated once it has been
-	// transmitted or hashed.
-	txid *chainhash.Hash
+	// hashed says txid holds TxID's memo. The memo is inline, so taking it
+	// never allocates, and a value copy of a hashed transaction (a mined
+	// block's transactions, a reconstructed block) carries it. Only Decode
+	// resets it: a transaction is never mutated once it has been
+	// transmitted or hashed. The flag sits in LockTime's padding word, so
+	// the memo costs the struct 32 bytes.
+	hashed bool
+	txid   chainhash.Hash
 }
 
 var _ Message = (*MsgTx)(nil)
@@ -181,7 +184,7 @@ func (m *MsgTx) appendTo(b []byte) []byte {
 
 // Decode implements Message.
 func (m *MsgTx) Decode(r *bytes.Reader) error {
-	m.txid = nil
+	m.hashed = false
 	v, err := readUint32(r)
 	if err != nil {
 		return err
@@ -244,13 +247,13 @@ func (m *MsgTx) TxHash() chainhash.Hash {
 
 // TxID returns TxHash, computed on the first call and read from the memo
 // after, so a transaction shared by every node of a network is hashed
-// once. The first call allocates the memo.
+// once. It allocates no more than TxHash does.
 func (m *MsgTx) TxID() chainhash.Hash {
-	if m.txid == nil {
-		h := m.TxHash()
-		m.txid = &h
+	if !m.hashed {
+		m.txid = m.TxHash()
+		m.hashed = true
 	}
-	return *m.txid
+	return m.txid
 }
 
 // SerializeSize returns the number of bytes the transaction occupies on

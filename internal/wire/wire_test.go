@@ -208,29 +208,35 @@ func TestTxHashDeterministic(t *testing.T) {
 	}
 }
 
-// TestTxIDMemo pins the txid memo: TxID equals TxHash, a value copy
-// shares the memo and reads it without allocating, TxHash still hashes
-// the current bytes, and a pooled Decoder that reads two transactions in
-// a row into one recycled value resets the memo between them.
+// TestTxIDMemo pins the txid memo: TxID equals TxHash and takes no
+// allocation, a value copy of a hashed transaction carries the memo,
+// TxHash still hashes the current bytes, and a pooled Decoder that reads
+// two transactions in a row into one recycled value resets the memo
+// between them.
 func TestTxIDMemo(t *testing.T) {
 	tx := makeTestTx(5)
 	want := tx.TxHash()
+	fresh := makeTestTx(5)
+	if n := testing.AllocsPerRun(1, func() { _ = fresh.TxID() }); n != 0 {
+		t.Errorf("first TxID allocates %.1f, want 0", n)
+	}
 	if got := tx.TxID(); got != want {
 		t.Fatalf("TxID = %s, TxHash = %s", got, want)
 	}
 	cp := tx
-	if cp.txid != tx.txid {
-		t.Error("a value copy does not share the memo")
-	}
 	if n := testing.AllocsPerRun(100, func() { _ = cp.TxID() }); n != 0 {
 		t.Errorf("warm TxID allocates %.1f per run, want 0", n)
 	}
 	// TxHash is the pure computation: it sees a change the memo does not.
 	// (Mutating a hashed transaction is what the memo forbids; the
-	// wire.txhash_ns probe does it to time TxHash alone.)
+	// wire.txhash_ns probe does it to time TxHash alone.) The copy's
+	// unchanged TxID shows it reads the memo it carried over.
 	cp.LockTime++
 	if cp.TxHash() == want {
 		t.Error("TxHash ignored a changed LockTime")
+	}
+	if cp.TxID() != want {
+		t.Error("a value copy of a hashed transaction did not carry the memo")
 	}
 
 	frame := func(m Message) []byte {

@@ -38,6 +38,8 @@ var reachKeep = map[string]kept{
 	"obs.ReadSeriesCSV":         {"observe", "series_test.go", "decodes the sidecar SeriesSet.WriteCSV wrote; FuzzSeriesCSVRoundTrip"},
 	"obs.SeriesSet.EncodeCSV":   {"observe", "determinism_test.go", "WriteCSV into a string, to compare two runs' series"},
 
+	"chain.MerkleRoot": {"oracle", "chain_test.go", "the merkle root over given hashes, which BlockMerkleRoot's in-place reduction must match"},
+
 	"simnet.Scheduler.Drain":          {"fixture", "bench_test.go", "pops exactly b.N events whatever their times, for BenchmarkSchedulerDepth"},
 	"simnet.ConstantLatency":          {"fixture", "simnet_more_test.go", "equal delays pin delivery and link-close order"},
 	"simnet.Network.AddBlackholeStub": {"fixture", "injector_test.go", "a peer that accepts and never speaks: the node's handshake timeout"},
