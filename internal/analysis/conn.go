@@ -394,7 +394,7 @@ func RunResync(ctx context.Context, cfg ConnExperimentConfig) (*ResyncResult, er
 		// most of the paper's 11-minute recovery is spent here.
 		MaxPendingDials: 1,
 		SeedAddrs:       seedSample(rng, live, dead, observerSeeds, observerAddr, net.Now()),
-		Sink: node.SinkFunc(func(ev node.Event) {
+		Sink: func(ev node.Event) {
 			switch ev.Type {
 			case node.EvHandshake:
 				if ev.Dir == node.Outbound && res.ToFirstConnection == 0 {
@@ -405,7 +405,7 @@ func RunResync(ctx context.Context, cfg ConnExperimentConfig) (*ResyncResult, er
 					res.ToSynced = ev.Time.Sub(restartAt)
 				}
 			}
-		}),
+		},
 	})
 	observer.Start()
 	seedStaleTried(rng, observer.Node(), dead, live, net.Now())

@@ -149,9 +149,6 @@ type PropagationResult struct {
 	// and would dilute the §V addressing comparisons).
 	DialAttempts  int
 	DialSuccesses int
-	// FeelerAttempts/FeelerSuccesses count feeler dials.
-	FeelerAttempts  int
-	FeelerSuccesses int
 	// BlocksMined counts produced blocks.
 	BlocksMined int
 	// NumUnreachable is the number of unreachable nodes the run added
@@ -232,25 +229,17 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 
 	res := &PropagationResult{}
 
-	sink := node.SinkFunc(func(ev node.Event) {
-		if !measuring {
+	sink := func(ev node.Event) {
+		if !measuring || ev.Dir == node.Feeler {
 			return
 		}
 		switch ev.Type {
 		case node.EvDialAttempt:
-			if ev.Dir == node.Feeler {
-				res.FeelerAttempts++
-			} else {
-				res.DialAttempts++
-			}
+			res.DialAttempts++
 		case node.EvDialSuccess:
-			if ev.Dir == node.Feeler {
-				res.FeelerSuccesses++
-			} else {
-				res.DialSuccesses++
-			}
+			res.DialSuccesses++
 		}
-	})
+	}
 
 	// Build hosts.
 	hosts := make([]*simnet.Host, cfg.NumReachable)

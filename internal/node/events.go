@@ -99,26 +99,3 @@ type Event struct {
 	// Err carries the failure for EvDialFail.
 	Err error
 }
-
-// EventSink consumes instrumentation events.
-type EventSink interface {
-	// OnEvent receives one event. Implementations must not retain
-	// pointers into the node and should return quickly.
-	OnEvent(ev Event)
-}
-
-// SinkFunc adapts a function to the EventSink interface.
-type SinkFunc func(ev Event)
-
-// OnEvent implements EventSink.
-func (f SinkFunc) OnEvent(ev Event) { f(ev) }
-
-// MultiSink fans events out to several sinks.
-type MultiSink []EventSink
-
-// OnEvent implements EventSink.
-func (m MultiSink) OnEvent(ev Event) {
-	for _, s := range m {
-		s.OnEvent(ev)
-	}
-}

@@ -71,7 +71,7 @@ func TestSilentPeerEvictedAtStallTimeout(t *testing.T) {
 	env := newFakeEnv()
 	rec := &eventRecorder{}
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.Sink = rec
+	cfg.Sink = rec.OnEvent
 	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
@@ -95,7 +95,7 @@ func TestHandshakeTimeoutEvictsMutePeer(t *testing.T) {
 	env := newFakeEnv()
 	rec := &eventRecorder{}
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.Sink = rec
+	cfg.Sink = rec.OnEvent
 	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
@@ -158,7 +158,7 @@ func TestBlockStallEvictsPeerAndResyncs(t *testing.T) {
 	env := newFakeEnv()
 	rec := &eventRecorder{}
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.Sink = rec
+	cfg.Sink = rec.OnEvent
 	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
@@ -222,7 +222,7 @@ func TestDialFailureArmsBackoff(t *testing.T) {
 	rec := &eventRecorder{}
 	remote := mkAddr(10, 0, 0, 2)
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.Sink = rec
+	cfg.Sink = rec.OnEvent
 	cfg.SeedAddrs = []wire.NetAddress{{Addr: remote, Timestamp: env.Now()}}
 	cfg.MaxFeelers = -1
 	n := New(cfg, env)
@@ -271,7 +271,7 @@ func TestBackoffEscalatesWithConsecutiveFailures(t *testing.T) {
 	rec := &eventRecorder{}
 	remote := mkAddr(10, 0, 0, 2)
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.Sink = rec
+	cfg.Sink = rec.OnEvent
 	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()

@@ -32,11 +32,11 @@ func TestIBDThroughHeadersAndGetData(t *testing.T) {
 	n.Start()
 
 	var syncDone bool
-	n.cfg.Sink = SinkFunc(func(ev Event) {
+	n.cfg.Sink = func(ev Event) {
 		if ev.Type == EvSyncDone {
 			syncDone = true
 		}
-	})
+	}
 
 	// Handshake with a peer that claims height 5.
 	completeHandshake(t, n, env, 1, mkAddr(10, 0, 0, 2), 5)
@@ -215,17 +215,5 @@ func TestAccessors(t *testing.T) {
 		if ev.String() == "" {
 			t.Error("empty event type string")
 		}
-	}
-}
-
-func TestMultiSink(t *testing.T) {
-	var a, b int
-	sink := MultiSink{
-		SinkFunc(func(Event) { a++ }),
-		SinkFunc(func(Event) { b++ }),
-	}
-	sink.OnEvent(Event{Type: EvStarted})
-	if a != 1 || b != 1 {
-		t.Errorf("fan-out = %d/%d, want 1/1", a, b)
 	}
 }

@@ -211,7 +211,7 @@ type Config struct {
 	CompactBlocks bool
 	// Policies is the ordered intervention set (see policy.go). It is
 	// compiled once in New into plain fields — the hot paths never
-	// consult the set. The last policy implementing a hook wins.
+	// consult the set. The last policy to set a knob wins.
 	Policies PolicySet
 	// AddrSink, when non-nil, receives every multi-address ADDR payload
 	// this node ingests (GETADDR response chunks; one-address
@@ -228,8 +228,9 @@ type Config struct {
 	// one rate shared by all the node's sockets: a pump loop adds every
 	// send to one running busy total, whichever slot it leaves on.
 	BytesPerSec int
-	// Sink receives instrumentation events; nil discards them.
-	Sink EventSink
+	// Sink receives instrumentation events; nil discards them. It must
+	// not retain pointers into the node and should return quickly.
+	Sink func(Event)
 	// Metrics, when set, receives the node's counters and latency
 	// histograms (node.* names: dial outcomes, health evictions, relay
 	// and block-download delays). Nil disables metric collection.
@@ -557,7 +558,7 @@ func (n *Node) traceDeliver(kind string, h chainhash.Hash, from netip.AddrPort, 
 // emit delivers an instrumentation event to the configured sink.
 func (n *Node) emit(ev Event) {
 	if n.cfg.Sink != nil {
-		n.cfg.Sink.OnEvent(ev)
+		n.cfg.Sink(ev)
 	}
 }
 
@@ -701,6 +702,11 @@ func (n *Node) selectAnchor() (wire.NetAddress, bool) {
 	}
 	return wire.NetAddress{}, false
 }
+
+// maxAnchors bounds the anchor list (§ Younis-style resilience): big
+// enough to cover every outbound slot, small enough that a stale list
+// drains quickly (failed anchors are dropped on dial failure).
+const maxAnchors = 2 * DefaultMaxOutbound
 
 // noteAnchor records a confirmed-good outbound peer, moving a repeat to
 // the back (most recently confirmed) and bounding the list.

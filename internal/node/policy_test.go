@@ -2,6 +2,8 @@ package node
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -80,8 +82,9 @@ func TestPolicyNamesAllParse(t *testing.T) {
 	}
 }
 
-// TestResolvePoliciesHooks checks each hook lands on the compiled form,
-// on top of the stock baseline (round-robin relay, untouched addrman).
+// TestResolvePoliciesHooks checks each policy lands on the compiled
+// form, on top of the stock baseline (round-robin relay, untouched
+// addrman).
 func TestResolvePoliciesHooks(t *testing.T) {
 	const seventeenDays = 17 * 24 * time.Hour
 	for _, tc := range []struct {
@@ -103,7 +106,7 @@ func TestResolvePoliciesHooks(t *testing.T) {
 		// The related-work remedies leave relay and addrman alone.
 		{set: "unreachable-tx-relay+churn-resilient-peering", relay: RoundRobin,
 			fwdTx: true, anchors: true},
-		// Last RelaySchedPolicy wins.
+		// The last relay schedule wins.
 		{set: "priority-relay+ideal-broadcast", relay: Broadcast},
 	} {
 		c, am := resolvePolicies(MustPolicySet(tc.set), addrman.Config{})
@@ -116,6 +119,30 @@ func TestResolvePoliciesHooks(t *testing.T) {
 				tc.set, am.TriedOnlyGetAddr, am.Horizon, tc.triedOnly, tc.horizon)
 		}
 	}
+	// Every listed name compiles to something other than stock, so a name
+	// added to policyNames without a resolvePolicies case fails here
+	// instead of silently acting as stock.
+	if !slices.IsSorted(PolicyNames()) {
+		t.Errorf("PolicyNames() = %v, not sorted", PolicyNames())
+	}
+	stock, stockAM := resolvePolicies(nil, addrman.Config{})
+	for _, name := range PolicyNames() {
+		c, am := resolvePolicies(MustPolicySet(name), addrman.Config{})
+		if c == stock && reflect.DeepEqual(am, stockAM) {
+			t.Errorf("%s compiles to stock", name)
+		}
+	}
+	// A zero Policy, which PolicyByName never returns, panics in New.
+	t.Run("zero", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Error("New accepted a zero Policy")
+			}
+		}()
+		cfg := testConfig(mkAddr(10, 0, 0, 1))
+		cfg.Policies = append(MustPolicySet("priority-relay"), Policy{})
+		New(cfg, newFakeEnv())
+	})
 }
 
 // TestUnreachableTxForwardGate: a stock unreachable node must not

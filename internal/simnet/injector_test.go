@@ -46,7 +46,7 @@ func TestFastFailSplitIsPerAddress(t *testing.T) {
 	}
 
 	outcome := make(map[netip.AddrPort]map[netip.AddrPort]error) // dialer -> target -> err
-	mkSink := func(self netip.AddrPort) node.SinkFunc {
+	mkSink := func(self netip.AddrPort) func(node.Event) {
 		outcome[self] = make(map[netip.AddrPort]error)
 		return func(ev node.Event) {
 			if ev.Type == node.EvDialFail {
@@ -108,11 +108,11 @@ func TestInjectorDialVerdicts(t *testing.T) {
 			ha := net.AddFullNode(nodeCfg(a, seedsOf(net.Now(), b)))
 			var got error
 			cfg := ha.Config()
-			cfg.Sink = node.SinkFunc(func(ev node.Event) {
+			cfg.Sink = func(ev node.Event) {
 				if ev.Type == node.EvDialFail && ev.Peer == b && got == nil {
 					got = ev.Err
 				}
-			})
+			}
 			ha.SetConfig(cfg)
 			ha.Start()
 			net.Scheduler().RunFor(30 * time.Second)
@@ -187,11 +187,11 @@ func TestBlackholeStubStallsDialer(t *testing.T) {
 	var dialOK bool
 	cfg := ha.Config()
 	cfg.MaxFeelers = -1
-	cfg.Sink = node.SinkFunc(func(ev node.Event) {
+	cfg.Sink = func(ev node.Event) {
 		if ev.Type == node.EvDialSuccess && ev.Peer == hole {
 			dialOK = true
 		}
-	})
+	}
 	ha.SetConfig(cfg)
 	ha.Start()
 	// Short of the 60 s handshake timeout, which would evict the stall.

@@ -66,7 +66,7 @@ func TestFastFailTiming(t *testing.T) {
 	var quick, slow int
 	start := net.Now()
 	cfg := nodeCfg(self, seeds)
-	cfg.Sink = node.SinkFunc(func(ev node.Event) {
+	cfg.Sink = func(ev node.Event) {
 		if ev.Type != node.EvDialFail {
 			return
 		}
@@ -77,7 +77,7 @@ func TestFastFailTiming(t *testing.T) {
 				slow++
 			}
 		}
-	})
+	}
 	h := net.AddFullNode(cfg)
 	h.Start()
 	net.Scheduler().RunFor(time.Minute)
@@ -95,11 +95,11 @@ func TestStopClosesLinksInConnIDOrder(t *testing.T) {
 	hubAddr := addr4(10, 0, 0, 1, 8333)
 	var closed []node.ConnID
 	hubCfg := nodeCfg(hubAddr, nil)
-	hubCfg.Sink = node.SinkFunc(func(ev node.Event) {
+	hubCfg.Sink = func(ev node.Event) {
 		if ev.Type == node.EvConnClose {
 			closed = append(closed, ev.Conn)
 		}
-	})
+	}
 	hub := net.AddFullNode(hubCfg)
 	hub.Start()
 	const peers = 12

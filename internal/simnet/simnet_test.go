@@ -165,11 +165,11 @@ func TestDialToDeadAddressTimesOut(t *testing.T) {
 	ha := net.AddFullNode(nodeCfg(a, seedsOf(net.Now(), ghost)))
 	var fails int
 	cfg := ha.Config()
-	cfg.Sink = node.SinkFunc(func(ev node.Event) {
+	cfg.Sink = func(ev node.Event) {
 		if ev.Type == node.EvDialFail {
 			fails++
 		}
-	})
+	}
 	cfg.Metrics = obs.NewRegistry()
 	ha.SetConfig(cfg)
 	ha.Start()
@@ -320,11 +320,11 @@ func TestLateJoinerSyncsChain(t *testing.T) {
 	hl := net.AddFullNode(nodeCfg(late, seedsOf(net.Now(), miner)))
 	var synced bool
 	cfg := hl.Config()
-	cfg.Sink = node.SinkFunc(func(ev node.Event) {
+	cfg.Sink = func(ev node.Event) {
 		if ev.Type == node.EvSyncDone {
 			synced = true
 		}
-	})
+	}
 	hl.SetConfig(cfg)
 	hl.Start()
 	net.Scheduler().RunFor(2 * time.Minute)

@@ -29,7 +29,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // newNodeServer starts a full node over loopback; sink, when non-nil,
 // receives its events.
-func newNodeServer(t *testing.T, genesis *wire.MsgBlock, seeds []wire.NetAddress, sink node.EventSink) *NodeServer {
+func newNodeServer(t *testing.T, genesis *wire.MsgBlock, seeds []wire.NetAddress, sink func(node.Event)) *NodeServer {
 	t.Helper()
 	cfg := node.Config{
 		Reachable: true,
@@ -58,11 +58,11 @@ func connectedPair(t *testing.T) (a, b *NodeServer) {
 	t.Helper()
 	genesis := chain.GenesisBlock("tcp-node-test")
 	var handshakes atomic.Int32
-	sink := node.SinkFunc(func(ev node.Event) {
+	sink := func(ev node.Event) {
 		if ev.Type == node.EvHandshake {
 			handshakes.Add(1)
 		}
-	})
+	}
 	a = newNodeServer(t, genesis, nil, sink)
 	b = newNodeServer(t, genesis, []wire.NetAddress{{
 		Addr: a.Addr(), Services: wire.SFNodeNetwork, Timestamp: time.Now(),
@@ -112,11 +112,11 @@ func TestNodeServerBlockPropagationOverTCP(t *testing.T) {
 func TestNodeServerTxPropagationOverTCP(t *testing.T) {
 	genesis := chain.GenesisBlock("tcp-node-test")
 	var inbound atomic.Int32
-	hub := newNodeServer(t, genesis, nil, node.SinkFunc(func(ev node.Event) {
+	hub := newNodeServer(t, genesis, nil, func(ev node.Event) {
 		if ev.Type == node.EvHandshake && ev.Dir == node.Inbound {
 			inbound.Add(1)
 		}
-	}))
+	})
 	seed := []wire.NetAddress{{Addr: hub.Addr(), Services: wire.SFNodeNetwork, Timestamp: time.Now()}}
 	peers := []*NodeServer{newNodeServer(t, genesis, seed, nil), newNodeServer(t, genesis, seed, nil)}
 	waitFor(t, 10*time.Second, "both peers handshaken at the hub", func() bool {
