@@ -153,6 +153,9 @@ func RunCrawlSeriesOn(ctx context.Context, u *netgen.Universe, cfg CrawlSeriesCo
 	if cfg.ScanSampleFraction <= 0 || cfg.ScanSampleFraction > 1 {
 		cfg.ScanSampleFraction = 1
 	}
+	// The scan probes addresses in one of stride sample buckets; every
+	// responsive count, per experiment and in total, scales by stride.
+	stride := max(int(1/cfg.ScanSampleFraction), 1)
 
 	n := u.Index.Len()
 	res := &CrawlSeriesResult{}
@@ -259,10 +262,6 @@ func RunCrawlSeriesOn(ctx context.Context, u *netgen.Universe, cfg CrawlSeriesCo
 		// Figure 5: responsive scan, delayed by the configured start.
 		if i >= cfg.ScannerStartExperiment {
 			probeTargets := make([]netip.AddrPort, 0, len(snap.Unreachable))
-			stride := int(1 / cfg.ScanSampleFraction)
-			if stride < 1 {
-				stride = 1
-			}
 			// Membership in the probe sample is a deterministic function
 			// of the address, so the same subset is probed in every
 			// experiment and the scaled cumulative count is an unbiased
@@ -301,10 +300,7 @@ func RunCrawlSeriesOn(ctx context.Context, u *netgen.Universe, cfg CrawlSeriesCo
 	}
 
 	res.TotalUniqueUnreachable = cumulativeUnreachable.Count()
-	res.TotalResponsive = cumulativeResponsive.Count()
-	if cfg.ScanSampleFraction < 1 {
-		res.TotalResponsive = int(float64(res.TotalResponsive) / cfg.ScanSampleFraction)
-	}
+	res.TotalResponsive = cumulativeResponsive.Count() * stride
 	res.UniqueConnected = uniqueConnected.Count()
 	res.MeanConnected = float64(connectedSum) / float64(total)
 	res.MeanAddrReachableShare = reachShareSum / float64(total)

@@ -41,6 +41,32 @@ func TestCrawlSeriesScanSampling(t *testing.T) {
 	}
 }
 
+func TestCrawlSeriesSampledTotalMatchesCumulative(t *testing.T) {
+	// At a fraction whose inverse is not an integer the total and the
+	// per-experiment cumulative count must still scale by one factor:
+	// after the last experiment they count the same union.
+	u, err := netgen.Generate(netgen.DefaultParams(31, 0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunCrawlSeriesOn(context.Background(), u, CrawlSeriesConfig{
+		Experiments:            4,
+		ScannerStartExperiment: 0,
+		ScanSampleFraction:     0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := res.Experiments[len(res.Experiments)-1]
+	if res.TotalResponsive == 0 {
+		t.Fatal("sampled scan found nothing")
+	}
+	if last.CumulativeResponsive != res.TotalResponsive {
+		t.Errorf("last CumulativeResponsive = %d, TotalResponsive = %d",
+			last.CumulativeResponsive, res.TotalResponsive)
+	}
+}
+
 func TestCrawlSeriesOnReusedUniverse(t *testing.T) {
 	// Two runs on the same universe must agree exactly (determinism).
 	u, err := netgen.Generate(netgen.DefaultParams(32, 0.02))

@@ -120,3 +120,49 @@ func BenchmarkUniverseView(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUniverseViewDial measures one popsim dial of a warm view:
+// dial an online reachable station, drain it through GetAddrIDs until a
+// page adds nothing, close it. It cycles over the stations whose dial
+// succeeds, listed before the timer starts. A warm dial reseeds the
+// pooled session's generators and refills its buffers in place, so it
+// allocates nothing.
+func BenchmarkUniverseViewDial(b *testing.B) {
+	u := benchUniverse(b, 58)
+	at := u.Params.Epoch.Add(10 * 24 * time.Hour)
+	view := NewUniverseView(u, at)
+	var stations []netip.AddrPort
+	for _, id := range view.online {
+		addr := u.Index.Addr(id)
+		if sess, err := view.Dial(addr); err == nil {
+			sess.Close()
+			stations = append(stations, addr)
+		}
+	}
+	if len(stations) == 0 {
+		b.Fatal("no station accepts a dial")
+	}
+	seen := newMemberSet(u.Index)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess, err := view.Dial(stations[i%len(stations)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for fresh := true; fresh; {
+			ids, err := sess.(SessionWithIDs).GetAddrIDs()
+			if err != nil {
+				b.Fatal(err)
+			}
+			fresh = false
+			for _, id := range ids {
+				if seen.add(netip.AddrPort{}, id) {
+					fresh = true
+				}
+			}
+		}
+		sess.Close()
+		seen.clear()
+	}
+}

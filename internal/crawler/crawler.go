@@ -52,15 +52,15 @@ type Session interface {
 
 // SessionWithIDs is an optional Session extension for backends whose
 // address space is interned in the same addridx.Index the crawler was
-// configured with: GetAddrIDs returns the page's dense StationIDs
-// alongside the addresses (None for out-of-index entries), saving the
-// crawler one index hash lookup per received address — the single
-// hottest operation of a popsim crawl. Both slices follow GetAddr's
-// borrowed-buffer contract. The crawler uses this path only when
-// Config.Index is set; a backend must implement it only if the IDs it
-// returns are dense in that same index.
+// configured with: GetAddrIDs performs one GETADDR→ADDR exchange and
+// returns the page as dense StationIDs only, never addridx.None, so the
+// crawler drains the node without resolving — or even building — a
+// single address. The slice follows GetAddr's borrowed-buffer contract.
+// The crawler uses this path only when Config.Index is set; a backend
+// must implement it only if every entry it serves is dense in that same
+// index.
 type SessionWithIDs interface {
-	GetAddrIDs() ([]wire.NetAddress, []addridx.ID, error)
+	GetAddrIDs() ([]addridx.ID, error)
 }
 
 // Dialer opens crawl sessions. Dial must be safe for concurrent use:
@@ -316,9 +316,9 @@ func (m *memberSet) clear() {
 
 // crawlJob is one target's private crawl outcome — the Runner pattern:
 // workers write only their own slot, the merge alone touches the
-// snapshot, so output is byte-identical at any worker count.
+// snapshot, so output is byte-identical at any worker count. The job's
+// NodeReport lives at the same index of the crawl's report slab.
 type crawlJob struct {
-	report *NodeReport
 	// unreachable and unreachableIDs are the job's own copy of the
 	// worker's scratch, under memberSet's convention.
 	unreachable    []netip.AddrPort
@@ -344,10 +344,13 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 
 	known := newKnownView(c.cfg.Index, knownReachable)
 	jobs := make([]crawlJob, len(targets))
+	// One slab holds every target's report; Snapshot.Reports points
+	// into it.
+	reports := make([]NodeReport, len(targets))
 	scratch := sync.Pool{New: func() any { return newMemberSet(c.cfg.Index) }}
 	err := par.ForEach(ctx, workers, len(targets), func(ctx context.Context, i int) error {
 		seen := scratch.Get().(*memberSet)
-		c.crawlTarget(targets[i], known, seen, &jobs[i])
+		c.crawlTarget(targets[i], known, seen, &reports[i], &jobs[i])
 		seen.clear()
 		scratch.Put(seen)
 		c.mPending.Add(-1)
@@ -365,8 +368,8 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 		Reports: make(map[netip.AddrPort]*NodeReport, len(targets)),
 	}
 	global := newMemberSet(c.cfg.Index)
-	for i := range jobs {
-		rep := jobs[i].report
+	for i := range reports {
+		rep := &reports[i]
 		snap.Dialed++
 		snap.Reports[rep.Addr] = rep
 		if !rep.Connected {
@@ -464,45 +467,51 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 	return snap, nil
 }
 
-// crawlTarget dials one target and drains it into its private job slot,
-// accumulating through the worker's seen scratch.
+// crawlTarget dials one target and drains it into its private report
+// and job slot, accumulating through the worker's seen scratch.
 func (c *Crawler) crawlTarget(target netip.AddrPort, known *knownView,
-	seen *memberSet, job *crawlJob) {
+	seen *memberSet, report *NodeReport, job *crawlJob) {
 	c.mDials.Inc()
-	job.report = &NodeReport{Addr: target}
+	report.Addr = target
 	sess, err := c.dialer.Dial(target)
 	if err != nil {
 		return
 	}
-	job.report.Connected = true
+	report.Connected = true
 	c.mConnected.Inc()
-	c.drainNode(sess, known, seen, job.report)
+	c.drainNode(sess, known, seen, report)
 	job.unreachable = slices.Clone(seen.unreachable)
 	job.unreachableIDs = slices.Clone(seen.unreachableIDs)
 	if err := sess.Close(); err != nil {
 		// Teardown failed after a successful drain: record it on the
 		// report and keep the snapshot.
-		job.report.CloseErr = err.Error()
+		report.CloseErr = err.Error()
 	}
 }
 
 // drainNode implements the Algorithm 1 inner loop for one node,
 // appending the node's unreachable addresses to seen's scratch.
 func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet, report *NodeReport) {
-	// Sessions that know their addresses' dense IDs save the per-address
-	// index lookup; the IDs are only meaningful against Config.Index.
+	// Sessions that serve dense IDs skip the per-address index lookup
+	// and never build an address; the IDs are only meaningful against
+	// Config.Index. The target's own ID is resolved once, so the
+	// self-advertisement check is an ID comparison too.
 	var idSess SessionWithIDs
 	if c.cfg.Index != nil {
 		idSess, _ = sess.(SessionWithIDs)
 	}
+	self := seen.resolve(report.Addr)
 	for round := 0; round < maxGetAddrRounds; round++ {
 		var addrs []wire.NetAddress
 		var ids []addridx.ID
 		var err error
+		n := 0
 		if idSess != nil {
-			addrs, ids, err = idSess.GetAddrIDs()
+			ids, err = idSess.GetAddrIDs()
+			n = len(ids)
 		} else {
 			addrs, err = sess.GetAddr()
+			n = len(addrs)
 		}
 		if err != nil {
 			return
@@ -510,23 +519,27 @@ func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet, rep
 		report.Rounds++
 		c.mRounds.Inc()
 		fresh := 0
-		for k, na := range addrs {
+		for k := 0; k < n; k++ {
+			// On the ID path addr stays zero: every ID is dense, and the
+			// sets below read the address only for addridx.None.
+			var addr netip.AddrPort
 			var id addridx.ID
 			if ids != nil {
 				id = ids[k]
 			} else {
-				id = seen.resolve(na.Addr)
+				addr = addrs[k].Addr
+				id = seen.resolve(addr)
 			}
-			if !seen.add(na.Addr, id) {
+			if !seen.add(addr, id) {
 				continue
 			}
 			fresh++
 			report.TotalSent++
 			c.mAddrsTotal.Inc()
-			if na.Addr == report.Addr {
+			if id == self && (id != addridx.None || addr == report.Addr) {
 				report.SentOwnAddr = true
 			}
-			if known.contains(na.Addr, id) {
+			if known.contains(addr, id) {
 				report.ReachableSent++
 				c.mAddrsReach.Inc()
 			} else {
@@ -536,7 +549,7 @@ func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet, rep
 					seen.unreachableIDs = append(seen.unreachableIDs, id)
 				}
 				if seen.idx == nil || id == addridx.None {
-					seen.unreachable = append(seen.unreachable, na.Addr)
+					seen.unreachable = append(seen.unreachable, addr)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -725,8 +727,108 @@ func TestCrawlOpenWorldMatchesInterned(t *testing.T) {
 		if !reflect.DeepEqual(open.Reports, interned.Reports) {
 			t.Errorf("workers=%d: Reports differ", workers)
 		}
+		// The comparison covers SentOwnAddr, which the two paths derive
+		// differently (ID against address), only if both of its values
+		// occur among the connected reports.
+		ownAddr := 0
+		for _, rep := range interned.Reports {
+			if rep.Connected && rep.SentOwnAddr {
+				ownAddr++
+			}
+		}
+		if ownAddr == 0 || len(interned.SuspectedMalicious(10)) == 0 {
+			t.Fatalf("workers=%d: degenerate fixture: %d of %d connected sent their own address, %d suspected",
+				workers, ownAddr, len(interned.Connected), len(interned.SuspectedMalicious(10)))
+		}
 		assertExactSize(t, fmt.Sprintf("interned workers=%d", workers), interned)
 		assertExactSize(t, fmt.Sprintf("open workers=%d", workers), open)
+	}
+}
+
+func TestPopSessionPagesMatchBook(t *testing.T) {
+	// A session's GetAddr pages, up to the repeat page, render exactly
+	// the station's book — as a multiset, timestamps included — and a
+	// parallel session's GetAddrIDs pages are the same entries as dense
+	// IDs, in the same order.
+	u := smallUniverse(t)
+	type entry struct {
+		addr     netip.AddrPort
+		services wire.ServiceFlag
+		ts       int64
+	}
+	multiset := func(book []wire.NetAddress) []entry {
+		out := make([]entry, len(book))
+		for i, na := range book {
+			out[i] = entry{na.Addr, na.Services, na.Timestamp.UnixNano()}
+		}
+		slices.SortFunc(out, func(a, b entry) int {
+			if c := addridx.Compare(a.addr, b.addr); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ts, b.ts)
+		})
+		return out
+	}
+	honest, malicious := 0, 0
+	for day := 0; day < 60 && (honest < 8 || malicious == 0); day++ {
+		at := u.Params.Epoch.Add(time.Duration(day) * netgen.CrawlInterval)
+		view := NewUniverseView(u, at)
+		for _, st := range u.Reachable {
+			if st.Malicious && malicious > 0 || !st.Malicious && honest >= 8 {
+				continue
+			}
+			sess, err := view.Dial(st.Addr)
+			if err != nil {
+				continue
+			}
+			twin, err := view.Dial(st.Addr)
+			if err != nil {
+				t.Fatalf("%v: second dial failed: %v", st.Addr, err)
+			}
+			want := u.AddrBookFrom(st.ID, at, view.online, view.visible)
+			var got []wire.NetAddress
+			var gotIDs []addridx.ID
+			for len(got) < len(want) {
+				page, err := sess.GetAddr()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids, err := twin.(SessionWithIDs).GetAddrIDs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(page) == 0 || len(ids) != len(page) {
+					t.Fatalf("%v: page of %d addresses, %d IDs", st.Addr, len(page), len(ids))
+				}
+				got = append(got, page...)
+				gotIDs = append(gotIDs, ids...)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v: pages hold %d entries, book %d", st.Addr, len(got), len(want))
+			}
+			repeat, err := sess.GetAddr()
+			if err != nil || len(repeat) == 0 || repeat[0] != got[0] {
+				t.Fatalf("%v: page after the book is not the repeat page", st.Addr)
+			}
+			if !reflect.DeepEqual(multiset(got), multiset(want)) {
+				t.Errorf("%v (malicious %v): pages differ from AddrBookFrom", st.Addr, st.Malicious)
+			}
+			for k, na := range got {
+				if id, _ := u.Index.Lookup(na.Addr); gotIDs[k] != id {
+					t.Fatalf("%v: GetAddrIDs entry %d = %d, want %d", st.Addr, k, gotIDs[k], id)
+				}
+			}
+			sess.Close()
+			twin.Close()
+			if st.Malicious {
+				malicious++
+			} else {
+				honest++
+			}
+		}
+	}
+	if honest < 8 || malicious == 0 {
+		t.Fatalf("sampled %d honest and %d malicious stations", honest, malicious)
 	}
 }
 

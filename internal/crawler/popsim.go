@@ -23,7 +23,7 @@ import (
 // not copies, so a view costs one small allocation.
 //
 // All dial randomness is a pure function of (universe seed, frozen
-// instant, dense StationID) — see netgen.StationRand — so the view is
+// instant, dense StationID) — see netgen.StationSeed — so the view is
 // safe for concurrent dials and the outcome of dialing a station is
 // independent of dial order and worker count.
 type UniverseView struct {
@@ -48,10 +48,11 @@ func NewUniverseView(u *netgen.Universe, t time.Time) *UniverseView {
 	}
 }
 
-// popSessPool recycles sessions — and, through them, the book and ID
-// buffers they carry — across dials. A session returns to the pool on
-// Close; the borrowed-buffer contract on Session.GetAddr (responses are
-// invalid after Close) is what makes that sound.
+// popSessPool recycles sessions — and, through them, the book and page
+// buffers and the two generators they carry — across dials, so a warm
+// dial allocates nothing. A session returns to the pool on Close; the
+// borrowed-buffer contract on Session.GetAddr (responses are invalid
+// after Close) is what makes that sound.
 var popSessPool = sync.Pool{
 	New: func() any {
 		s := &popSession{}
@@ -83,13 +84,11 @@ func (v *UniverseView) Dial(addr netip.AddrPort) (Session, error) {
 		popSessPool.Put(s)
 		return nil, errDialRefused
 	}
+	s.view = v
 	s.remote = addr
 	s.cursor = 0
 	s.closed = false
-	if s.ids == nil {
-		s.ids = make([]addridx.ID, 0, 64)
-	}
-	s.book, s.ids = v.u.AppendAddrBook(s.book[:0], s.ids[:0], st.ID, v.at, v.online, v.visible)
+	s.ids, s.ages = v.u.AppendAddrBook(&s.bookPCG, s.ids[:0], s.ages[:0], st.ID, v.at, v.online, v.visible)
 	return s, nil
 }
 
@@ -130,17 +129,24 @@ var (
 // — the with-replacement original needs Θ(n log n) transfers per node,
 // which matters at the study's 8,270-nodes × 60-experiments scale.
 //
-// The session embeds its PCG so dialing reseeds in place, and the book
-// carries a parallel dense-ID slice (ids[i] is book[i]'s StationID) that
-// backs the GetAddrIDs fast path.
+// The book is held as netgen.AppendAddrBook's (ID, age) pairs: ids[i]
+// is an entry's dense StationID and ages[i] how far its timestamp lies
+// before the view's instant. GetAddrIDs serves ID pages straight from
+// ids; only GetAddr renders addresses, one page at a time into the
+// reused page buffer. The session embeds both of its generators — the
+// dial/shuffle stream and the book stream — so a dial reseeds them in
+// place.
 type popSession struct {
-	remote netip.AddrPort
-	book   []wire.NetAddress
-	ids    []addridx.ID
-	cursor int
-	pcg    rand.PCG
-	rnd    *rand.Rand
-	closed bool
+	view    *UniverseView
+	remote  netip.AddrPort
+	ids     []addridx.ID
+	ages    []time.Duration
+	page    []wire.NetAddress
+	cursor  int
+	pcg     rand.PCG
+	rnd     *rand.Rand
+	bookPCG rand.PCG
+	closed  bool
 }
 
 var (
@@ -151,54 +157,61 @@ var (
 // Remote implements Session.
 func (s *popSession) Remote() netip.AddrPort { return s.remote }
 
-// GetAddr implements Session.
+// GetAddr implements Session, rendering the next page's entries as
+// addresses into the session's page buffer.
 func (s *popSession) GetAddr() ([]wire.NetAddress, error) {
-	addrs, _, err := s.page()
-	return addrs, err
+	lo, hi, err := s.next()
+	if err != nil {
+		return nil, err
+	}
+	s.page = s.page[:0]
+	for i := lo; i < hi; i++ {
+		s.page = append(s.page, s.view.u.NetAddr(s.ids[i], s.view.at, s.ages[i]))
+	}
+	return s.page, nil
 }
 
 // GetAddrIDs implements SessionWithIDs: popsim books are sampled from an
-// interned universe, so every entry's dense ID is known at sampling time.
-func (s *popSession) GetAddrIDs() ([]wire.NetAddress, []addridx.ID, error) {
-	return s.page()
+// interned universe, so a page is a slice of the book's dense IDs.
+func (s *popSession) GetAddrIDs() ([]addridx.ID, error) {
+	lo, hi, err := s.next()
+	if err != nil {
+		return nil, err
+	}
+	return s.ids[lo:hi], nil
 }
 
-// page serves the next GETADDR response: a book slice and the parallel
-// ID slice, both borrowed until the next call or Close.
-func (s *popSession) page() ([]wire.NetAddress, []addridx.ID, error) {
+// next advances to the next GETADDR response and returns its range of
+// book entries.
+func (s *popSession) next() (lo, hi int, err error) {
 	if s.closed {
-		return nil, nil, errSessClosed
+		return 0, 0, errSessClosed
 	}
 	if s.cursor == 0 {
 		// Inline Fisher–Yates, drawing exactly like rand.Shuffle (IntN of
 		// i+1, descending): the closure-free loop keeps the swap of the
-		// 64-byte entries and their parallel IDs out of a callback.
-		for i := len(s.book) - 1; i > 0; i-- {
+		// parallel IDs and ages out of a callback.
+		for i := len(s.ids) - 1; i > 0; i-- {
 			j := s.rnd.IntN(i + 1)
-			s.book[i], s.book[j] = s.book[j], s.book[i]
 			s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
+			s.ages[i], s.ages[j] = s.ages[j], s.ages[i]
 		}
 	}
-	page := len(s.book) * 23 / 100
+	page := len(s.ids) * 23 / 100
 	if page > wire.MaxAddrPerMsg {
 		page = wire.MaxAddrPerMsg
 	}
 	if page < 1 {
-		page = len(s.book)
+		page = len(s.ids)
 	}
-	if s.cursor >= len(s.book) {
+	if s.cursor >= len(s.ids) {
 		// Tables drained: repeat already-served addresses, which is what
 		// terminates Algorithm 1.
-		n := min(page, len(s.book))
-		return s.book[:n], s.ids[:n], nil
+		return 0, min(page, len(s.ids)), nil
 	}
-	end := s.cursor + page
-	if end > len(s.book) {
-		end = len(s.book)
-	}
-	addrs, ids := s.book[s.cursor:end], s.ids[s.cursor:end]
-	s.cursor = end
-	return addrs, ids, nil
+	lo, hi = s.cursor, min(s.cursor+page, len(s.ids))
+	s.cursor = hi
+	return lo, hi, nil
 }
 
 // Close implements Session and recycles the session. Closing invalidates
@@ -208,6 +221,7 @@ func (s *popSession) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.view = nil
 	popSessPool.Put(s)
 	return nil
 }

@@ -2,6 +2,7 @@ package netgen
 
 import (
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"repro/internal/addridx"
@@ -13,15 +14,14 @@ import (
 // GETADDR (Algorithm 1), the seed-database views (Bitnodes, DNS), and the
 // NetAddress conversions.
 
-// NetAddr renders station id as a wire NetAddress with a gossip
-// timestamp slightly in the past of t. The address comes from the
-// Index's dense table, not from the station.
-func (u *Universe) NetAddr(id addridx.ID, t time.Time, rng *rand.Rand) wire.NetAddress {
-	jitter := time.Duration(rng.Int64N(int64(3 * time.Hour)))
+// NetAddr renders station id as a wire NetAddress whose gossip
+// timestamp lies age before t — one address-book entry, rendered. The
+// address comes from the Index's dense table, not from the station.
+func (u *Universe) NetAddr(id addridx.ID, t time.Time, age time.Duration) wire.NetAddress {
 	return wire.NetAddress{
 		Addr:      u.Index.Addr(id),
 		Services:  wire.SFNodeNetwork,
-		Timestamp: t.Add(-jitter),
+		Timestamp: t.Add(-age),
 	}
 }
 
@@ -36,24 +36,28 @@ func (u *Universe) NetAddr(id addridx.ID, t time.Time, rng *rand.Rand) wire.NetA
 // keyed by the dense StationID, so book content is independent of crawl
 // order.
 func (u *Universe) AddrBookFrom(s addridx.ID, t time.Time, online, visible []addridx.ID) []wire.NetAddress {
-	book, _ := u.AppendAddrBook(nil, nil, s, t, online, visible)
+	ids, ages := u.AppendAddrBook(new(rand.PCG), nil, nil, s, t, online, visible)
+	book := make([]wire.NetAddress, len(ids))
+	for i, id := range ids {
+		book[i] = u.NetAddr(id, t, ages[i])
+	}
 	return book
 }
 
-// AppendAddrBook appends station s's address book at t to addrs and
-// returns the extended slice, sampling exactly as AddrBookFrom but
-// reusing the caller's capacity — the crawl hot path keeps one book
-// buffer per pooled session instead of allocating ~bookSize entries per
-// dial. When ids is non-nil, the dense StationID of every appended entry
-// is appended to it in parallel (the self entry carries s), which lets
-// crawl consumers skip the per-address index hash lookup; a nil ids
-// skips ID tracking and returns nil.
-func (u *Universe) AppendAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
-	s addridx.ID, t time.Time, online, visible []addridx.ID) ([]wire.NetAddress, []addridx.ID) {
+// AppendAddrBook appends station s's address book at t to ids and ages
+// and returns the extended slices: entry i is station ids[i], gossiped
+// with a timestamp ages[i] before t (the self entry, first in an honest
+// book, has age 0). It samples exactly as AddrBookFrom, which renders
+// these pairs as addresses, but builds no address itself — the crawl hot
+// path works on dense IDs end to end and renders addresses only for a
+// caller that asks for them. pcg is scratch: AppendAddrBook reseeds it
+// in place, so a caller that keeps one generator and one pair of
+// buffers per pooled session samples a book without allocating.
+func (u *Universe) AppendAddrBook(pcg *rand.PCG, ids []addridx.ID, ages []time.Duration,
+	s addridx.ID, t time.Time, online, visible []addridx.ID) ([]addridx.ID, []time.Duration) {
 	p := u.Params
-	crawlIdx := int64(t.Sub(p.Epoch) / CrawlInterval)
-	rng := bookRand(p.Seed, crawlIdx, s)
-	wantIDs := ids != nil
+	pcg.Seed(bookSeed(p.Seed, int64(t.Sub(p.Epoch)/CrawlInterval), s))
+	rng := rand.New(pcg)
 	st := u.station(s)
 
 	if st.Malicious {
@@ -61,31 +65,20 @@ func (u *Universe) AppendAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
 		if per < 1 {
 			per = 1
 		}
-		if addrs == nil {
-			addrs = make([]wire.NetAddress, 0, per)
-		}
+		ids, ages = slices.Grow(ids, per), slices.Grow(ages, per)
 		for i := 0; i < per && len(visible) > 0; i++ {
-			target := visible[rng.IntN(len(visible))]
-			addrs = append(addrs, u.NetAddr(target, t, rng))
-			if wantIDs {
-				ids = append(ids, target)
-			}
+			ids = append(ids, visible[rng.IntN(len(visible))])
+			ages = append(ages, gossipAge(rng))
 		}
-		return addrs, ids
+		return ids, ages
 	}
 
 	size := p.scaled(bookSize)
 	if size < 2 {
 		size = 2
 	}
-	if addrs == nil {
-		addrs = make([]wire.NetAddress, 0, size+1)
-	}
-	self := wire.NetAddress{Addr: st.Addr, Services: wire.SFNodeNetwork, Timestamp: t}
-	addrs = append(addrs, self)
-	if wantIDs {
-		ids = append(ids, s)
-	}
+	ids, ages = slices.Grow(ids, size+1), slices.Grow(ages, size+1)
+	ids, ages = append(ids, s), append(ages, 0)
 	for i := 0; i < size; i++ {
 		var target addridx.ID
 		if rng.Float64() < addrReachableShare && len(online) > 0 {
@@ -95,12 +88,15 @@ func (u *Universe) AppendAddrBook(addrs []wire.NetAddress, ids []addridx.ID,
 		} else {
 			continue
 		}
-		addrs = append(addrs, u.NetAddr(target, t, rng))
-		if wantIDs {
-			ids = append(ids, target)
-		}
+		ids, ages = append(ids, target), append(ages, gossipAge(rng))
 	}
-	return addrs, ids
+	return ids, ages
+}
+
+// gossipAge draws how far a gossiped entry's timestamp lies in the past:
+// uniform in [0, 3h).
+func gossipAge(rng *rand.Rand) time.Duration {
+	return time.Duration(rng.Int64N(int64(3 * time.Hour)))
 }
 
 // SeedView is the crawl bootstrap picture at one instant: the two seed

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -510,19 +509,26 @@ func TestSyncedAtSemantics(t *testing.T) {
 }
 
 func TestNetAddrTimestampPast(t *testing.T) {
+	// Every rendered book entry is gossiped at most 3h before the book's
+	// instant, never after it, and carries the node-network service bit.
 	p := testParams()
 	u := generate(t, p)
 	mid := p.Epoch.Add(10 * 24 * time.Hour)
-	s := u.Reachable[0]
-	na := u.NetAddr(s.ID, mid, rand.New(rand.NewPCG(StationSeed(p.Seed, mid, s.ID))))
-	if na.Timestamp.After(mid) {
-		t.Error("gossip timestamp in the future")
+	online, visible := u.OnlineReachable(mid), u.VisibleUnreachable(mid)
+	book := u.AddrBookFrom(online[0], mid, online, visible)
+	if len(book) < 2 {
+		t.Fatalf("book has %d entries", len(book))
 	}
-	if mid.Sub(na.Timestamp) > 3*time.Hour {
-		t.Error("gossip timestamp too old")
-	}
-	if na.Services != wire.SFNodeNetwork {
-		t.Error("missing service flags")
+	for _, na := range book {
+		if na.Timestamp.After(mid) {
+			t.Error("gossip timestamp in the future")
+		}
+		if mid.Sub(na.Timestamp) > 3*time.Hour {
+			t.Error("gossip timestamp too old")
+		}
+		if na.Services != wire.SFNodeNetwork {
+			t.Error("missing service flags")
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package netgen
 
 import (
-	"math/rand/v2"
 	"time"
 
 	"repro/internal/addridx"
@@ -43,10 +42,10 @@ func StationSeed(seed int64, at time.Time, id addridx.ID) (uint64, uint64) {
 	return uint64(seed), stationStream(uint64(at.UnixNano()), id)
 }
 
-// bookRand returns the RNG stream for station id's address book in
-// crawl interval crawlIdx. Book content is keyed to the interval, not
-// the instant, so repeated GETADDR drains within one crawl see one
-// stable book.
-func bookRand(seed int64, crawlIdx int64, id addridx.ID) *rand.Rand {
-	return rand.New(rand.NewPCG(uint64(seed), stationStream(splitmix64(uint64(crawlIdx)), id)))
+// bookSeed returns the two PCG seed words for station id's address
+// book in crawl interval crawlIdx. Book content is keyed to the
+// interval, not the instant, so repeated GETADDR drains within one crawl
+// see one stable book.
+func bookSeed(seed int64, crawlIdx int64, id addridx.ID) (uint64, uint64) {
+	return uint64(seed), stationStream(splitmix64(uint64(crawlIdx)), id)
 }

@@ -146,8 +146,9 @@ type MsgTx struct {
 	// hashed says txid holds TxID's memo. The memo is inline, so taking it
 	// never allocates, and a value copy of a hashed transaction (a mined
 	// block's transactions, a reconstructed block) carries it. Only Decode
-	// resets it: a transaction is never mutated once it has been
-	// transmitted or hashed. The flag sits in LockTime's padding word, so
+	// resets it, clearing txid too so a recycled value equals a fresh one:
+	// a transaction is never mutated once it has been transmitted or
+	// hashed. The flag sits in LockTime's padding word, so
 	// the memo costs the struct 32 bytes.
 	hashed bool
 	txid   chainhash.Hash
@@ -184,7 +185,7 @@ func (m *MsgTx) appendTo(b []byte) []byte {
 
 // Decode implements Message.
 func (m *MsgTx) Decode(r *bytes.Reader) error {
-	m.hashed = false
+	m.hashed, m.txid = false, chainhash.Hash{}
 	v, err := readUint32(r)
 	if err != nil {
 		return err

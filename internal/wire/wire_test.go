@@ -261,6 +261,16 @@ func TestTxIDMemo(t *testing.T) {
 		} else if got != first {
 			t.Fatal("the pooled decoder did not recycle the MsgTx value; the reset goes untested")
 		}
+		// The recycled value must equal a fresh decode before TxID runs:
+		// a stale memo left by the previous read is state a fresh value
+		// never has, even with the flag reset.
+		var fresh MsgTx
+		if err := fresh.Decode(bytes.NewReader(src.appendTo(nil))); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, &fresh) {
+			t.Errorf("read %d: recycled MsgTx differs from a fresh decode:\n%#v\n%#v", i, got, &fresh)
+		}
 		if id, h := got.TxID(), got.TxHash(); id != h || id != src.TxHash() {
 			t.Errorf("read %d: TxID %s, TxHash %s, sent %s", i, id, h, src.TxHash())
 		}
