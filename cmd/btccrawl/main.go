@@ -160,7 +160,7 @@ func run() error {
 
 	if *scan {
 		start = time.Now()
-		res, err := crawler.ScanWith(ctx, crawler.ScanConfig{Workers: *workers, Metrics: reg},
+		res, err := crawler.ScanWith(ctx, crawler.ScanConfig{Workers: *workers, Metrics: reg, IDs: snap.UnreachableIDs},
 			at, view, snap.Unreachable)
 		if err != nil {
 			return err

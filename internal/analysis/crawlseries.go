@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -173,6 +174,9 @@ func RunCrawlSeriesOn(ctx context.Context, u *netgen.Universe, cfg CrawlSeriesCo
 	countedReachable := addridx.NewSet(n)
 	countedResponsive := addridx.NewSet(n)
 	onBitnodes := addridx.NewSet(n)
+	// The scan's targets and their IDs, reused by every experiment.
+	var probeTargets []netip.AddrPort
+	var probeIDs []addridx.ID
 
 	for i := 0; i < total; i++ {
 		if err := ctx.Err(); err != nil {
@@ -261,31 +265,33 @@ func RunCrawlSeriesOn(ctx context.Context, u *netgen.Universe, cfg CrawlSeriesCo
 
 		// Figure 5: responsive scan, delayed by the configured start.
 		if i >= cfg.ScannerStartExperiment {
-			probeTargets := make([]netip.AddrPort, 0, len(snap.Unreachable))
+			probeTargets = slices.Grow(probeTargets[:0], len(snap.Unreachable))
+			probeIDs = slices.Grow(probeIDs[:0], len(snap.Unreachable))
 			// Membership in the probe sample is a deterministic function
 			// of the address, so the same subset is probed in every
 			// experiment and the scaled cumulative count is an unbiased
 			// estimator of the full union.
-			for _, a := range snap.Unreachable {
+			for k, a := range snap.Unreachable {
 				if addrSampleBucket(a, stride) == 0 {
 					probeTargets = append(probeTargets, a)
+					probeIDs = append(probeIDs, snap.UnreachableIDs[k])
 				}
 			}
 			scan, err := crawler.ScanWith(ctx, crawler.ScanConfig{
 				Workers: cfg.Workers,
 				Metrics: cfg.Metrics,
+				IDs:     probeIDs,
 			}, at, view, probeTargets)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: scan %d: %w", i, err)
 			}
 			st.Responsive = len(scan.Responsive) * stride
-			for _, a := range scan.Responsive {
-				id, ok := u.Index.Lookup(a)
-				if !ok {
+			for k, id := range scan.ResponsiveIDs {
+				if id == addridx.None {
 					continue
 				}
 				if cumulativeResponsive.Add(id) && countedResponsive.Add(id) {
-					if asn, ok := u.Alloc.ASNOf(a.Addr()); ok {
+					if asn, ok := u.Alloc.ASNOf(scan.Responsive[k].Addr()); ok {
 						responsiveCensus.Add(asn)
 					}
 				}

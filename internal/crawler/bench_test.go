@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/addridx"
 	"repro/internal/netgen"
 	"repro/internal/wire"
 )
@@ -86,38 +87,69 @@ func BenchmarkCrawlOpenWorld(b *testing.B) {
 	}
 }
 
-// BenchmarkScan measures the Algorithm 2 probe sweep.
+// BenchmarkScan measures the Algorithm 2 probe sweep of every
+// gossip-visible address, passing the targets' IDs as the study does.
 func BenchmarkScan(b *testing.B) {
 	u := benchUniverse(b, 56)
 	at := u.Params.Epoch.Add(10 * 24 * time.Hour)
 	view := NewUniverseView(u, at)
 	var targets []netip.AddrPort
+	var ids []addridx.ID
 	for _, s := range u.Unreachable {
 		if s.VisibleAt(at) {
 			targets = append(targets, s.Addr)
+			ids = append(ids, s.ID)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ScanWith(context.Background(), ScanConfig{Workers: 1}, at, view, targets); err != nil {
+		if _, err := ScanWith(context.Background(), ScanConfig{Workers: 1, IDs: ids}, at, view, targets); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkUniverseView measures freezing a universe instant (the
-// per-experiment pool scan every crawl and scan starts from).
+// BenchmarkUniverseView measures freezing a universe instant: the
+// per-experiment pool scan every crawl and scan starts from. It cycles
+// over the study's 60 crawl instants, so no iteration finds its instant
+// in the one-instant pool memo.
 func BenchmarkUniverseView(b *testing.B) {
 	u := benchUniverse(b, 57)
-	at := u.Params.Epoch.Add(10 * 24 * time.Hour)
+	instants := make([]time.Time, netgen.Horizon/netgen.CrawlInterval)
+	for k := range instants {
+		instants[k] = u.Params.Epoch.Add(time.Duration(k) * netgen.CrawlInterval)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		view := NewUniverseView(u, at)
+		view := NewUniverseView(u, instants[i%len(instants)])
 		if len(view.online) == 0 {
 			b.Fatal("empty view")
 		}
+	}
+}
+
+// BenchmarkUniverseViewProbeID measures one scanner probe of a warm
+// view by station ID, cycling over every station of the universe.
+func BenchmarkUniverseViewProbeID(b *testing.B) {
+	u := benchUniverse(b, 59)
+	view := NewUniverseView(u, u.Params.Epoch.Add(10*24*time.Hour))
+	n := u.Index.Len()
+	responsive := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o, err := view.ProbeID(addridx.ID(i % n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if o == ProbeResponsive {
+			responsive++
+		}
+	}
+	if b.N >= n && responsive == 0 {
+		b.Fatal("no station probed responsive")
 	}
 }
 

@@ -23,6 +23,7 @@ package crawler
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/netip"
 	"slices"
 	"sort"
@@ -104,6 +105,16 @@ func (o ProbeOutcome) String() string {
 type Prober interface {
 	// Probe classifies the endpoint at addr.
 	Probe(addr netip.AddrPort) (ProbeOutcome, error)
+}
+
+// ProberWithIDs is an optional Prober extension for backends whose
+// address space is interned in the addridx.Index that ScanConfig.IDs
+// refers to: ProbeID classifies the endpoint with that dense ID exactly
+// as Probe classifies its address, without resolving the address.
+// ScanWith uses it for every target whose ScanConfig.IDs entry is not
+// addridx.None. Like Probe, it must be safe for concurrent use.
+type ProberWithIDs interface {
+	ProbeID(id addridx.ID) (ProbeOutcome, error)
 }
 
 // maxGetAddrRounds caps the Algorithm 1 repeat loop per node.
@@ -569,6 +580,12 @@ type ScanConfig struct {
 	Workers int
 	// Metrics, when set, receives the crawl.probe.errors counter.
 	Metrics *obs.Registry
+	// IDs, when set, holds the targets' dense station IDs, parallel to
+	// the addresses and under Snapshot.UnreachableIDs' convention. A
+	// prober that implements ProberWithIDs then probes every target
+	// whose ID is not addridx.None by ID; any other prober ignores them.
+	// The result's ResponsiveIDs is taken from them.
+	IDs []addridx.ID
 }
 
 // ScanResult is the outcome of one Algorithm 2 scan.
@@ -583,6 +600,10 @@ type ScanResult struct {
 	ProbeErrors int
 	// Responsive lists addresses that answered the VER probe.
 	Responsive []netip.AddrPort
+	// ResponsiveIDs holds the ScanConfig.IDs entries parallel to
+	// Responsive, under Snapshot.ConnectedIDs' convention; it is nil
+	// when the scan had no IDs.
+	ResponsiveIDs []addridx.ID
 	// ReachableSurprises lists addresses that accepted outright (they
 	// were misclassified as unreachable).
 	ReachableSurprises []netip.AddrPort
@@ -592,37 +613,76 @@ type ScanResult struct {
 // probe every address on cfg.Workers workers and collect the responsive
 // ones in target order. Probe failures are counted and skipped — a
 // single refused socket must not abort a 100K-address sweep — so the
-// only error returned is ctx cancellation.
+// only errors returned are ctx cancellation and a cfg.IDs whose length
+// is not the target count.
 func ScanWith(ctx context.Context, cfg ScanConfig, at time.Time, prober Prober,
 	addrs []netip.AddrPort) (*ScanResult, error) {
-	res := &ScanResult{Time: at}
-	outcomes := make([]ProbeOutcome, len(addrs))
-	failed := make([]bool, len(addrs))
+	if cfg.IDs != nil && len(cfg.IDs) != len(addrs) {
+		return nil, fmt.Errorf("crawler: scan of %d targets given %d IDs", len(addrs), len(cfg.IDs))
+	}
+	var byID ProberWithIDs
+	if cfg.IDs != nil {
+		byID, _ = prober.(ProberWithIDs)
+	}
+	// outcomes[i] is target i's ProbeOutcome in one byte; 0, which no
+	// outcome takes, marks a failed probe.
+	outcomes := make([]byte, len(addrs))
 	mProbeErrs := cfg.Metrics.Counter("crawl.probe.errors")
 	err := par.ForEach(ctx, par.Workers(cfg.Workers), len(addrs), func(ctx context.Context, i int) error {
-		outcome, err := prober.Probe(addrs[i])
+		var outcome ProbeOutcome
+		var err error
+		if byID != nil && cfg.IDs[i] != addridx.None {
+			outcome, err = byID.ProbeID(cfg.IDs[i])
+		} else {
+			outcome, err = prober.Probe(addrs[i])
+		}
 		if err != nil {
-			failed[i] = true
 			mProbeErrs.Inc()
 			return nil
 		}
-		outcomes[i] = outcome
+		switch outcome {
+		case ProbeResponsive, ProbeReachable:
+			outcomes[i] = byte(outcome)
+		default:
+			outcomes[i] = byte(ProbeSilent)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, a := range addrs {
-		res.Probed++
-		if failed[i] {
+	// Count first, so the result lists are allocated at their exact
+	// sizes.
+	res := &ScanResult{Time: at, Probed: len(addrs)}
+	responsive, surprises := 0, 0
+	for _, o := range outcomes {
+		switch ProbeOutcome(o) {
+		case 0:
 			res.ProbeErrors++
-			continue
-		}
-		switch outcomes[i] {
 		case ProbeResponsive:
-			res.Responsive = append(res.Responsive, a)
+			responsive++
 		case ProbeReachable:
-			res.ReachableSurprises = append(res.ReachableSurprises, a)
+			surprises++
+		}
+	}
+	if responsive > 0 {
+		res.Responsive = make([]netip.AddrPort, 0, responsive)
+		if cfg.IDs != nil {
+			res.ResponsiveIDs = make([]addridx.ID, 0, responsive)
+		}
+	}
+	if surprises > 0 {
+		res.ReachableSurprises = make([]netip.AddrPort, 0, surprises)
+	}
+	for i, o := range outcomes {
+		switch ProbeOutcome(o) {
+		case ProbeResponsive:
+			res.Responsive = append(res.Responsive, addrs[i])
+			if cfg.IDs != nil {
+				res.ResponsiveIDs = append(res.ResponsiveIDs, cfg.IDs[i])
+			}
+		case ProbeReachable:
+			res.ReachableSurprises = append(res.ReachableSurprises, addrs[i])
 		}
 	}
 	return res, nil

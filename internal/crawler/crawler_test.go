@@ -240,24 +240,35 @@ func (p *fakeProber) Probe(addr netip.AddrPort) (ProbeOutcome, error) {
 }
 
 func TestScan(t *testing.T) {
+	// fakeProber has no ProbeID, so IDs change nothing but the
+	// ResponsiveIDs the result copies from them.
 	p := &fakeProber{outcomes: map[netip.AddrPort]ProbeOutcome{
 		tAddr(1): ProbeResponsive,
 		tAddr(2): ProbeSilent,
 		tAddr(3): ProbeReachable,
 	}}
-	res, err := ScanWith(context.Background(), ScanConfig{Workers: 1}, time.Unix(0, 0), p,
-		[]netip.AddrPort{tAddr(1), tAddr(2), tAddr(3), tAddr(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Probed != 4 {
-		t.Errorf("Probed = %d, want 4", res.Probed)
-	}
-	if len(res.Responsive) != 1 || res.Responsive[0] != tAddr(1) {
-		t.Errorf("Responsive = %v", res.Responsive)
-	}
-	if len(res.ReachableSurprises) != 1 || res.ReachableSurprises[0] != tAddr(3) {
-		t.Errorf("ReachableSurprises = %v", res.ReachableSurprises)
+	for _, ids := range [][]addridx.ID{nil, {7, 7, 7, addridx.None}} {
+		res, err := ScanWith(context.Background(), ScanConfig{Workers: 1, IDs: ids}, time.Unix(0, 0), p,
+			[]netip.AddrPort{tAddr(1), tAddr(2), tAddr(3), tAddr(4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Probed != 4 {
+			t.Errorf("IDs %v: Probed = %d, want 4", ids, res.Probed)
+		}
+		if len(res.Responsive) != 1 || res.Responsive[0] != tAddr(1) {
+			t.Errorf("IDs %v: Responsive = %v", ids, res.Responsive)
+		}
+		if len(res.ReachableSurprises) != 1 || res.ReachableSurprises[0] != tAddr(3) {
+			t.Errorf("IDs %v: ReachableSurprises = %v", ids, res.ReachableSurprises)
+		}
+		var want []addridx.ID
+		if ids != nil {
+			want = ids[:1]
+		}
+		if !slices.Equal(res.ResponsiveIDs, want) || (want == nil) != (res.ResponsiveIDs == nil) {
+			t.Errorf("IDs %v: ResponsiveIDs = %v, want %v", ids, res.ResponsiveIDs, want)
+		}
 	}
 }
 
@@ -904,6 +915,141 @@ func TestUniverseViewScan(t *testing.T) {
 	}
 	if len(res.Responsive) != wantResponsive {
 		t.Errorf("responsive = %d, want %d", len(res.Responsive), wantResponsive)
+	}
+}
+
+// stationOutcome is the probe outcome the station model gives st at t.
+func stationOutcome(st *netgen.Station, t time.Time) ProbeOutcome {
+	switch {
+	case st.Class == netgen.ClassReachable && st.OnlineAt(t):
+		return ProbeReachable
+	case st.Class == netgen.ClassResponsive && st.VisibleAt(t):
+		return ProbeResponsive
+	}
+	return ProbeSilent
+}
+
+func TestUniverseViewProbeIDMatchesProbe(t *testing.T) {
+	// For every station, on both sides of each edge of its visibility
+	// window or online sessions, the ID probe, the address probe and the
+	// station model agree. Only the instant matters to a probe, so each
+	// edge gets a copy of one view with the instant moved.
+	u := smallUniverse(t)
+	base := NewUniverseView(u, u.Params.Epoch)
+	check := func(st *netgen.Station, edge time.Time) {
+		t.Helper()
+		for _, at := range []time.Time{edge.Add(-time.Nanosecond), edge} {
+			v := *base
+			v.at, v.tn = at, netgen.UnixNano(at)
+			want := stationOutcome(st, at)
+			byID, err := v.ProbeID(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byAddr, err := v.Probe(u.Index.Addr(st.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if byID != want || byAddr != want {
+				t.Fatalf("station %d (%v) at %v: ProbeID %v, Probe %v, model %v", st.ID, st.Class, at, byID, byAddr, want)
+			}
+		}
+	}
+	responsive := 0
+	for _, st := range u.Reachable {
+		for _, iv := range st.Sessions {
+			check(st, iv.Start)
+			check(st, iv.End)
+		}
+	}
+	for _, st := range u.Unreachable {
+		check(st, st.Visible.Start)
+		check(st, st.Visible.End)
+		if st.Class == netgen.ClassResponsive {
+			responsive++
+		}
+	}
+	if responsive == 0 {
+		t.Fatal("the universe has no responsive station")
+	}
+	ghost := netip.AddrPortFrom(netip.MustParseAddr("203.0.113.99"), 8333)
+	if _, ok := u.Index.Lookup(ghost); ok {
+		t.Fatal("the ghost address is in the universe")
+	}
+	if o, err := base.Probe(ghost); err != nil || o != ProbeSilent {
+		t.Errorf("Probe(%v) = %v, %v; want silent", ghost, o, err)
+	}
+	for _, id := range []addridx.ID{addridx.None, addridx.ID(u.Index.Len())} {
+		if o, err := base.ProbeID(id); err != nil || o != ProbeSilent {
+			t.Errorf("ProbeID(%d) = %v, %v; want silent", id, o, err)
+		}
+	}
+}
+
+func TestScanWithIDsMatchesAddrs(t *testing.T) {
+	// A scan by ID finds what the scan by address finds, with
+	// ResponsiveIDs parallel to Responsive. The targets are every
+	// unreachable station and every reachable one, online or not, and a
+	// responsive station listed with ID None, which must be probed by
+	// its address.
+	u := smallUniverse(t)
+	at := u.Params.Epoch.Add(10 * 24 * time.Hour)
+	view := NewUniverseView(u, at)
+	var addrs []netip.AddrPort
+	var ids []addridx.ID
+	for id := range addridx.ID(u.Index.Len()) {
+		addrs = append(addrs, u.Index.Addr(id))
+		ids = append(ids, id)
+	}
+	for k, id := range ids {
+		if o, _ := view.ProbeID(id); o == ProbeResponsive {
+			ids[k] = addridx.None
+			break
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		plain, err := ScanWith(context.Background(), ScanConfig{Workers: workers}, at, view, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withIDs, err := ScanWith(context.Background(), ScanConfig{Workers: workers, IDs: ids}, at, view, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.ResponsiveIDs != nil {
+			t.Errorf("workers=%d: a scan without IDs has %d ResponsiveIDs", workers, len(plain.ResponsiveIDs))
+		}
+		if len(plain.Responsive) == 0 || len(plain.ReachableSurprises) == 0 {
+			t.Fatalf("workers=%d: %d responsive, %d reachable: the fixture is degenerate",
+				workers, len(plain.Responsive), len(plain.ReachableSurprises))
+		}
+		if withIDs.Probed != plain.Probed || withIDs.ProbeErrors != plain.ProbeErrors ||
+			!slices.Equal(withIDs.Responsive, plain.Responsive) ||
+			!slices.Equal(withIDs.ReachableSurprises, plain.ReachableSurprises) {
+			t.Fatalf("workers=%d: by ID %d probed, %d responsive, %d reachable; by address %d, %d, %d", workers,
+				withIDs.Probed, len(withIDs.Responsive), len(withIDs.ReachableSurprises),
+				plain.Probed, len(plain.Responsive), len(plain.ReachableSurprises))
+		}
+		if len(withIDs.ResponsiveIDs) != len(withIDs.Responsive) {
+			t.Fatalf("workers=%d: %d ResponsiveIDs for %d responsive", workers, len(withIDs.ResponsiveIDs), len(withIDs.Responsive))
+		}
+		none := 0
+		for k, id := range withIDs.ResponsiveIDs {
+			if id == addridx.None {
+				none++
+				continue
+			}
+			if u.Index.Addr(id) != withIDs.Responsive[k] {
+				t.Fatalf("workers=%d: ResponsiveIDs[%d] = %d is %v, Responsive[%d] is %v",
+					workers, k, id, u.Index.Addr(id), k, withIDs.Responsive[k])
+			}
+		}
+		if none != 1 {
+			t.Errorf("workers=%d: %d responsive entries listed with ID None, want 1", workers, none)
+		}
+	}
+	if _, err := ScanWith(context.Background(), ScanConfig{IDs: ids[1:]}, at, view, addrs); err == nil {
+		t.Error("a scan with fewer IDs than targets succeeded")
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 // universe. Create a fresh view per experiment: the candidate pools are
 // frozen at construction, matching the paper's per-experiment snapshots.
 // They are the universe's memoized read-only ID slices for the instant,
-// not copies, so a view costs one small allocation.
+// not copies, and the view reads the universe's shared visibility column
+// for probes, so a view costs one small allocation.
 //
 // All dial randomness is a pure function of (universe seed, frozen
 // instant, dense StationID) — see netgen.StationSeed — so the view is
@@ -29,13 +30,16 @@ import (
 type UniverseView struct {
 	u       *netgen.Universe
 	at      time.Time
+	tn      int64 // at, as netgen.UnixNano
 	online  []addridx.ID
 	visible []addridx.ID
+	vis     []netgen.VisWindow // u.Visibility()
 }
 
 var (
-	_ Dialer = (*UniverseView)(nil)
-	_ Prober = (*UniverseView)(nil)
+	_ Dialer        = (*UniverseView)(nil)
+	_ Prober        = (*UniverseView)(nil)
+	_ ProberWithIDs = (*UniverseView)(nil)
 )
 
 // NewUniverseView freezes the universe at t.
@@ -43,8 +47,10 @@ func NewUniverseView(u *netgen.Universe, t time.Time) *UniverseView {
 	return &UniverseView{
 		u:       u,
 		at:      t,
+		tn:      netgen.UnixNano(t),
 		online:  u.OnlineReachable(t),
 		visible: u.VisibleUnreachable(t),
+		vis:     u.Visibility(),
 	}
 }
 
@@ -92,26 +98,33 @@ func (v *UniverseView) Dial(addr netip.AddrPort) (Session, error) {
 	return s, nil
 }
 
-// Probe implements Prober using the station classes.
+// Probe implements Prober: an address outside the universe is silent,
+// and any other is classified as ProbeID classifies its station.
 func (v *UniverseView) Probe(addr netip.AddrPort) (ProbeOutcome, error) {
-	st := v.u.ByAddr(addr)
-	if st == nil {
+	id, ok := v.u.Index.Lookup(addr)
+	if !ok {
 		return ProbeSilent, nil
 	}
-	switch st.Class {
-	case netgen.ClassReachable:
-		if st.OnlineAt(v.at) {
+	return v.ProbeID(id)
+}
+
+// ProbeID implements ProberWithIDs using the station classes: a
+// reachable station answers as reachable while online, a responsive one
+// as responsive while gossip-visible, and everything else is silent. An
+// unreachable station is judged from the universe's visibility column,
+// without touching its Station.
+func (v *UniverseView) ProbeID(id addridx.ID) (ProbeOutcome, error) {
+	nReach := addridx.ID(len(v.u.Reachable))
+	if id < nReach {
+		if v.u.Reachable[id].OnlineAt(v.at) {
 			return ProbeReachable, nil
 		}
 		return ProbeSilent, nil
-	case netgen.ClassResponsive:
-		if st.VisibleAt(v.at) {
-			return ProbeResponsive, nil
-		}
-		return ProbeSilent, nil
-	default:
-		return ProbeSilent, nil
 	}
+	if j := id - nReach; j < addridx.ID(len(v.vis)) && v.vis[j].Responsive && v.vis[j].Contains(v.tn) {
+		return ProbeResponsive, nil
+	}
+	return ProbeSilent, nil
 }
 
 // Dial failure sentinels (internal; callers only need the error).

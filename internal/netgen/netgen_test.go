@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"testing"
 	"time"
 
@@ -219,6 +220,54 @@ func TestStationSlabLayout(t *testing.T) {
 			if pool[k] <= pool[k-1] {
 				t.Fatalf("%s pool not strictly ascending at %d: %d after %d", name, k, pool[k], pool[k-1])
 			}
+		}
+	}
+}
+
+// TestPoolsMatchStationScan checks the candidate pools, which scan the
+// Visibility column, against a scan of the stations' time.Time model:
+// at each crawl instant of the study, at the Start, End−1ns and End of a
+// sample of unreachable windows (the half-open edges), and at instants
+// outside the column's nanosecond range. It also checks that Generate
+// leaves the column unbuilt: a universe that is never crawled pays
+// nothing for it.
+func TestPoolsMatchStationScan(t *testing.T) {
+	u := generate(t, testParams())
+	if u.vis != nil {
+		t.Fatal("Generate built the visibility column")
+	}
+	var instants []time.Time
+	for i := 0; i < int(Horizon/CrawlInterval); i++ {
+		instants = append(instants, u.Params.Epoch.Add(time.Duration(i)*CrawlInterval))
+	}
+	step := max(len(u.Unreachable)/64, 1)
+	for j := 0; j < len(u.Unreachable); j += step {
+		w := u.Unreachable[j].Visible
+		instants = append(instants, w.Start, w.End.Add(-time.Nanosecond), w.End)
+	}
+	instants = append(instants, time.Time{}, time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC))
+	for _, at := range instants {
+		var online, visible []addridx.ID
+		for _, s := range u.Reachable {
+			if s.OnlineAt(at) {
+				online = append(online, s.ID)
+			}
+		}
+		for _, s := range u.Unreachable {
+			if s.VisibleAt(at) {
+				visible = append(visible, s.ID)
+			}
+		}
+		if got := u.OnlineReachable(at); !slices.Equal(got, online) {
+			t.Fatalf("OnlineReachable(%v): %d stations, the station scan %d", at, len(got), len(online))
+		}
+		if got := u.VisibleUnreachable(at); !slices.Equal(got, visible) {
+			t.Fatalf("VisibleUnreachable(%v): %d stations, the station scan %d", at, len(got), len(visible))
+		}
+	}
+	for j, w := range u.Visibility() {
+		if want := u.Unreachable[j].Class == ClassResponsive; w.Responsive != want {
+			t.Fatalf("Visibility()[%d].Responsive = %v, station class %v", j, w.Responsive, u.Unreachable[j].Class)
 		}
 	}
 }

@@ -115,6 +115,40 @@ func (s *Station) OnlineAt(t time.Time) bool {
 // at t.
 func (s *Station) VisibleAt(t time.Time) bool { return s.Visible.Contains(t) }
 
+// VisWindow is an unreachable station's Visible window as unix
+// nanoseconds, [Lo, Hi), with its class reduced to one flag: the
+// pointer-free form in which the pool scan and the popsim probe read the
+// unreachable slab (see Universe.Visibility).
+type VisWindow struct {
+	Lo, Hi int64
+	// Responsive marks a ClassResponsive station.
+	Responsive bool
+}
+
+// Contains reports whether the instant tn, as UnixNano returns it, lies
+// in the window; it agrees with Interval.Contains on the window's
+// Interval.
+func (w VisWindow) Contains(tn int64) bool { return w.Lo <= tn && tn < w.Hi }
+
+// The instants int64 unix nanoseconds can hold.
+var (
+	minNano = time.Unix(0, math.MinInt64)
+	maxNano = time.Unix(0, math.MaxInt64)
+)
+
+// UnixNano returns t as unix nanoseconds, saturated to the int64 range,
+// so that VisWindow.Contains answers false for instants outside it (year
+// 1678 to 2262), as Interval.Contains does for every generated window.
+func UnixNano(t time.Time) int64 {
+	switch {
+	case t.Before(minNano):
+		return math.MinInt64
+	case t.After(maxNano):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
 // TotalOnline returns the station's cumulative online time.
 func (s *Station) TotalOnline() time.Duration {
 	var total time.Duration
@@ -166,7 +200,9 @@ type Universe struct {
 	reach, unreach []Station
 	rng            *rand.Rand
 
-	pools instantPools // memoized per-instant candidate pools
+	visOnce sync.Once
+	vis     []VisWindow  // the unreachable slab's windows; see Visibility
+	pools   instantPools // memoized per-instant candidate pools
 }
 
 // instantPools memoizes the candidate pools of the most recently queried
@@ -626,27 +662,50 @@ func (u *Universe) VisibleUnreachable(t time.Time) []addridx.ID {
 	return visible
 }
 
+// Visibility returns the unreachable slab's visibility column: entry j
+// is Unreachable[j]'s window and responsive flag, so the station's ID is
+// len(Reachable)+j. The column is derived from the stations on the first
+// call, by the first pool query or popsim view, so a universe that is
+// never crawled pays nothing for it. It is shared and read-only.
+func (u *Universe) Visibility() []VisWindow {
+	u.visOnce.Do(func() {
+		u.vis = make([]VisWindow, len(u.unreach))
+		for j := range u.unreach {
+			s := &u.unreach[j]
+			u.vis[j] = VisWindow{
+				Lo:         s.Visible.Start.UnixNano(),
+				Hi:         s.Visible.End.UnixNano(),
+				Responsive: s.Class == ClassResponsive,
+			}
+		}
+	})
+	return u.vis
+}
+
 // poolsAt returns both candidate pools for instant t, computing and
 // memoizing them on first request. The memo holds one instant only; a
 // series sweep computes each instant once and never revisits, while
 // repeated experiments at one instant (and the online+visible pair every
 // caller wants together) hit the cache. Cached slices are exact-sized
 // fresh allocations, so a superseded instant's slices stay valid in the
-// hands of whoever holds them.
+// hands of whoever holds them. The visible pool is a scan of the
+// Visibility column, not of the Station slab's time.Time windows.
 func (u *Universe) poolsAt(t time.Time) (online, visible []addridx.ID) {
+	vis := u.Visibility()
 	u.pools.mu.Lock()
 	defer u.pools.mu.Unlock()
 	if u.pools.ok && u.pools.at.Equal(t) {
 		return u.pools.online, u.pools.visible
 	}
+	tn := UnixNano(t)
 	nOnline, nVisible := 0, 0
 	for i := range u.reach {
 		if u.reach[i].OnlineAt(t) {
 			nOnline++
 		}
 	}
-	for j := range u.unreach {
-		if u.unreach[j].VisibleAt(t) {
+	for j := range vis {
+		if vis[j].Contains(tn) {
 			nVisible++
 		}
 	}
@@ -661,9 +720,9 @@ func (u *Universe) poolsAt(t time.Time) (online, visible []addridx.ID) {
 			online = append(online, u.reach[i].ID)
 		}
 	}
-	for j := range u.unreach {
-		if u.unreach[j].VisibleAt(t) {
-			visible = append(visible, u.unreach[j].ID)
+	for j := range vis {
+		if vis[j].Contains(tn) {
+			visible = append(visible, addridx.ID(len(u.reach)+j))
 		}
 	}
 	u.pools.at, u.pools.ok = t, true
