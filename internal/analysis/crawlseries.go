@@ -287,9 +287,6 @@ func RunCrawlSeriesOn(ctx context.Context, u *netgen.Universe, cfg CrawlSeriesCo
 			}
 			st.Responsive = len(scan.Responsive) * stride
 			for k, id := range scan.ResponsiveIDs {
-				if id == addridx.None {
-					continue
-				}
 				if cumulativeResponsive.Add(id) && countedResponsive.Add(id) {
 					if asn, ok := u.Alloc.ASNOf(scan.Responsive[k].Addr()); ok {
 						responsiveCensus.Add(asn)

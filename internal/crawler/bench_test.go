@@ -174,7 +174,7 @@ func BenchmarkUniverseViewDial(b *testing.B) {
 	if len(stations) == 0 {
 		b.Fatal("no station accepts a dial")
 	}
-	seen := newMemberSet(u.Index)
+	seen := &idScratch{epochs: make([]uint32, u.Index.Len()), epoch: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -189,12 +189,13 @@ func BenchmarkUniverseViewDial(b *testing.B) {
 			}
 			fresh = false
 			for _, id := range ids {
-				if seen.add(netip.AddrPort{}, id) {
+				if seen.epochs[id] != seen.epoch {
+					seen.epochs[id] = seen.epoch
 					fresh = true
 				}
 			}
 		}
 		sess.Close()
-		seen.clear()
+		seen.epoch++
 	}
 }

@@ -12,12 +12,13 @@
 //
 // Both the crawl and the scan fan their per-target loops out through
 // internal/par and merge results in target order, so output is
-// byte-identical at any worker count. When Config.Index interns the
-// address universe (the popsim backend always does), every membership
-// set on the hot path is a dense addridx bitset; addresses outside it
-// (all of them on tcpnet) go into a pointer-free addridx.Seen. Address-
-// keyed maps remain only at the API boundary: Crawl's known-reachable
-// argument and Snapshot.Reports.
+// byte-identical at any worker count. A crawl lives in one address
+// space, chosen once by Config.Index. An interned crawl (the popsim
+// backend) holds dense station IDs of the Index from its targets to its
+// merge, which alone builds addresses; an open-world crawl (tcpnet)
+// holds addresses only, in pointer-free addridx.Seen sets. Address-keyed
+// maps remain only at the API boundary: Crawl's known-reachable argument
+// and Snapshot.Reports.
 package crawler
 
 import (
@@ -27,7 +28,6 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/addridx"
@@ -51,15 +51,13 @@ type Session interface {
 	Close() error
 }
 
-// SessionWithIDs is an optional Session extension for backends whose
-// address space is interned in the same addridx.Index the crawler was
-// configured with: GetAddrIDs performs one GETADDR→ADDR exchange and
-// returns the page as dense StationIDs only, never addridx.None, so the
+// SessionWithIDs is the Session extension an interned crawl requires:
+// GetAddrIDs performs one GETADDR→ADDR exchange and returns the page as
+// dense IDs of the crawler's Config.Index, never addridx.None, so the
 // crawler drains the node without resolving — or even building — a
 // single address. The slice follows GetAddr's borrowed-buffer contract.
-// The crawler uses this path only when Config.Index is set; a backend
-// must implement it only if every entry it serves is dense in that same
-// index.
+// With Config.Index set, every session must implement it; a crawl
+// without an Index never calls it.
 type SessionWithIDs interface {
 	GetAddrIDs() ([]addridx.ID, error)
 }
@@ -107,12 +105,11 @@ type Prober interface {
 	Probe(addr netip.AddrPort) (ProbeOutcome, error)
 }
 
-// ProberWithIDs is an optional Prober extension for backends whose
-// address space is interned in the addridx.Index that ScanConfig.IDs
-// refers to: ProbeID classifies the endpoint with that dense ID exactly
-// as Probe classifies its address, without resolving the address.
-// ScanWith uses it for every target whose ScanConfig.IDs entry is not
-// addridx.None. Like Probe, it must be safe for concurrent use.
+// ProberWithIDs is the Prober extension a scan with ScanConfig.IDs
+// requires: ProbeID classifies the endpoint with a dense ID of the
+// addridx.Index the IDs refer to exactly as Probe classifies its
+// address, without resolving the address. Like Probe, it must be safe
+// for concurrent use.
 type ProberWithIDs interface {
 	ProbeID(id addridx.ID) (ProbeOutcome, error)
 }
@@ -126,11 +123,12 @@ type Config struct {
 	// GOMAXPROCS. Results are merged in target order and are
 	// byte-identical at any width.
 	Workers int
-	// Index, when set, interns the address universe: membership sets on
-	// the drain/dedup hot path become dense addridx bitsets instead of
-	// hashed addridx.Seen sets, and snapshots carry parallel StationID
-	// slices. The popsim backend always provides it; backends whose
-	// address space is open (simnet, tcpnet) leave it nil.
+	// Index, when set, makes the crawl interned: every target must be in
+	// it and every session must implement SessionWithIDs, the crawl
+	// dedups in dense arrays and bitsets over its IDs, and snapshots
+	// carry parallel ID slices. The popsim backend always provides it;
+	// backends whose address space is open (tcpnet) leave it nil, and the
+	// crawl then holds addresses only.
 	Index *addridx.Index
 	// Metrics, when set, receives the crawl reachability series
 	// (crawl.* counters: dials, connections, GETADDR rounds, address
@@ -172,9 +170,8 @@ type Snapshot struct {
 	// Connected lists nodes that accepted and completed the crawl, in
 	// target order.
 	Connected []netip.AddrPort
-	// ConnectedIDs holds dense station IDs parallel to Connected. It is
-	// nil when the crawler has no Index; entries are addridx.None for
-	// addresses outside the index.
+	// ConnectedIDs holds the Index IDs of Connected, parallel to it. It
+	// is nil when the crawler has no Index.
 	ConnectedIDs []addridx.ID
 	// Reports holds the per-node records, keyed by address.
 	Reports map[netip.AddrPort]*NodeReport
@@ -183,10 +180,10 @@ type Snapshot struct {
 	// in deterministic first-seen order: targets in crawl order,
 	// addresses in receipt order within a target.
 	Unreachable []netip.AddrPort
-	// UnreachableIDs holds dense station IDs parallel to Unreachable,
-	// under the same convention as ConnectedIDs. With an Index, the
-	// crawl carries IDs and Unreachable is built from them at the
-	// merge, through Index.Addr.
+	// UnreachableIDs holds the Index IDs of Unreachable, parallel to it,
+	// and is nil without an Index. An interned crawl carries IDs only,
+	// and Unreachable is built from them at the merge, through
+	// Index.Addr.
 	UnreachableIDs []addridx.ID
 }
 
@@ -223,124 +220,13 @@ func New(cfg Config, dialer Dialer) *Crawler {
 	}
 }
 
-// knownView is the read-only membership view of the known-reachable
-// reference set, resolved once per crawl: interned addresses collapse
-// into a dense bitset probe, the rest into a Seen set.
-type knownView struct {
-	bits *addridx.Set
-	rest addridx.Seen
-}
-
-func newKnownView(idx *addridx.Index, known map[netip.AddrPort]struct{}) *knownView {
-	v := &knownView{}
-	if idx != nil {
-		v.bits = addridx.NewSet(idx.Len())
-	}
-	for a := range known {
-		if id, ok := lookup(idx, a); ok {
-			v.bits.Add(id)
-		} else {
-			v.rest.Add(a)
-		}
-	}
-	return v
-}
-
-func (v *knownView) contains(addr netip.AddrPort, id addridx.ID) bool {
-	if id != addridx.None && v.bits != nil {
-		return v.bits.Contains(id)
-	}
-	return v.rest.Contains(addr)
-}
-
-// lookup resolves addr in idx, which may be nil.
-func lookup(idx *addridx.Index, addr netip.AddrPort) (addridx.ID, bool) {
-	if idx == nil {
-		return addridx.None, false
-	}
-	return idx.Lookup(addr)
-}
-
-// memberSet is a mutable membership set over addresses: an
-// epoch-versioned dense array for interned addresses, a Seen set for the
-// rest (every address on tcpnet, none under popsim, where the whole
-// universe is interned). Both halves are epoch-versioned, so clear is
-// O(1) — the per-target "seen" set is cleared once per crawled node, and
-// a full memset of an index-sized table per node was a measurable slice
-// of crawl CPU.
-// A worker's pooled set also carries the scratch in which drainNode
-// collects one target's unreachable entries, so the buffers grow to the
-// worker's largest target once, not once per target. With an Index the
-// scratch holds IDs: unreachableIDs gets every entry, and only the
-// entries outside the Index (ID None) also go to unreachable, in order.
-// Without one, unreachable holds every entry and unreachableIDs stays
-// empty.
-type memberSet struct {
-	idx    *addridx.Index
-	epochs []uint32 // epochs[id] == epoch ⇔ id is a member
-	epoch  uint32
-	rest   addridx.Seen
-
-	unreachable    []netip.AddrPort
-	unreachableIDs []addridx.ID
-}
-
-func newMemberSet(idx *addridx.Index) *memberSet {
-	m := &memberSet{epoch: 1}
-	m.idx = idx
-	if idx != nil {
-		m.epochs = make([]uint32, idx.Len())
-	}
-	return m
-}
-
-// resolve returns addr's dense ID, or addridx.None.
-func (m *memberSet) resolve(addr netip.AddrPort) addridx.ID {
-	id, _ := lookup(m.idx, addr)
-	return id
-}
-
-// add inserts addr (with its pre-resolved id) and reports whether it
-// was newly added.
-func (m *memberSet) add(addr netip.AddrPort, id addridx.ID) bool {
-	if id != addridx.None {
-		if m.epochs[id] == m.epoch {
-			return false
-		}
-		m.epochs[id] = m.epoch
-		return true
-	}
-	return m.rest.Add(addr)
-}
-
-func (m *memberSet) clear() {
-	m.epoch++
-	if m.epoch == 0 {
-		// Epoch wrapped: pay the one-in-four-billion full reset.
-		clear(m.epochs)
-		m.epoch = 1
-	}
-	m.rest.Clear()
-	m.unreachable = m.unreachable[:0]
-	m.unreachableIDs = m.unreachableIDs[:0]
-}
-
-// crawlJob is one target's private crawl outcome — the Runner pattern:
-// workers write only their own slot, the merge alone touches the
-// snapshot, so output is byte-identical at any worker count. The job's
-// NodeReport lives at the same index of the crawl's report slab.
-type crawlJob struct {
-	// unreachable and unreachableIDs are the job's own copy of the
-	// worker's scratch, under memberSet's convention.
-	unreachable    []netip.AddrPort
-	unreachableIDs []addridx.ID
-}
-
 // Crawl runs Algorithm 1 against every address in targets: connect, issue
 // GETADDR until a response adds nothing new, classify each collected
 // address against knownReachable, and accumulate the unreachable set.
 // Targets are crawled concurrently on Config.Workers workers and merged
-// in target order; ctx cancellation aborts mid-crawl with ctx.Err().
+// in target order; ctx cancellation aborts mid-crawl with ctx.Err(). An
+// interned crawl also fails, naming a target, if the target is outside
+// Config.Index or its session has no GetAddrIDs.
 func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrPort,
 	knownReachable map[netip.AddrPort]struct{}) (*Snapshot, error) {
 	if len(targets) == 0 {
@@ -350,38 +236,34 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 	if workers > len(targets) {
 		workers = len(targets)
 	}
+	sp, err := newSpace(c.cfg.Index, workers, targets, knownReachable)
+	if err != nil {
+		return nil, err
+	}
 	c.mWorkers.Set(int64(workers))
 	c.mPending.Set(int64(len(targets)))
 
-	known := newKnownView(c.cfg.Index, knownReachable)
-	jobs := make([]crawlJob, len(targets))
 	// One slab holds every target's report; Snapshot.Reports points
 	// into it.
 	reports := make([]NodeReport, len(targets))
-	scratch := sync.Pool{New: func() any { return newMemberSet(c.cfg.Index) }}
-	err := par.ForEach(ctx, workers, len(targets), func(ctx context.Context, i int) error {
-		seen := scratch.Get().(*memberSet)
-		c.crawlTarget(targets[i], known, seen, &reports[i], &jobs[i])
-		seen.clear()
-		scratch.Put(seen)
+	err = par.ForEach(ctx, workers, len(targets), func(ctx context.Context, i int) error {
+		err := c.crawlTarget(sp, i, targets[i], &reports[i])
 		c.mPending.Add(-1)
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Merge, phase one: fold per-target reports into the snapshot in
-	// target order. The per-job unreachable slices are left in place for
-	// phase two, which sizes the aggregate exactly.
+	// Merge: fold the reports into the snapshot in target order, then
+	// let the space append the unreachable union.
 	snap := &Snapshot{
 		Time:    at,
+		Dialed:  len(targets),
 		Reports: make(map[netip.AddrPort]*NodeReport, len(targets)),
 	}
-	global := newMemberSet(c.cfg.Index)
 	for i := range reports {
 		rep := &reports[i]
-		snap.Dialed++
 		snap.Reports[rep.Addr] = rep
 		if !rep.Connected {
 			continue
@@ -392,183 +274,297 @@ func (c *Crawler) Crawl(ctx context.Context, at time.Time, targets []netip.AddrP
 			snap.Connected = make([]netip.AddrPort, 0, len(targets))
 		}
 		snap.Connected = append(snap.Connected, rep.Addr)
-		if c.cfg.Index != nil {
-			if snap.ConnectedIDs == nil {
-				snap.ConnectedIDs = make([]addridx.ID, 0, len(targets))
-			}
-			snap.ConnectedIDs = append(snap.ConnectedIDs, global.resolve(rep.Addr))
-		}
 	}
-	// Merge, phase two: aggregate the unreachable sets in one pass. Each
-	// job's slices are compacted in place, in target order, down to the
-	// entries new to the whole crawl; the aggregate is then allocated
-	// once, at exactly the kept total, and filled job by job, so
-	// first-seen order is preserved.
-	idx := c.cfg.Index
-	total := 0
-	if idx == nil {
-		sum := 0
-		for i := range jobs {
-			sum += len(jobs[i].unreachable)
-		}
-		global.rest.Reserve(sum)
-		for i := range jobs {
-			job := &jobs[i]
-			kept := 0
-			for _, a := range job.unreachable {
-				if global.add(a, addridx.None) {
-					job.unreachable[kept] = a
-					kept++
-				}
-			}
-			job.unreachable = job.unreachable[:kept]
-			total += kept
-		}
-	} else {
-		for i := range jobs {
-			job := &jobs[i]
-			kept, side, keptSide := 0, 0, 0
-			for _, id := range job.unreachableIDs {
-				var a netip.AddrPort
-				if id == addridx.None {
-					a = job.unreachable[side]
-					side++
-				}
-				if !global.add(a, id) {
-					continue
-				}
-				job.unreachableIDs[kept] = id
-				kept++
-				if id == addridx.None {
-					job.unreachable[keptSide] = a
-					keptSide++
-				}
-			}
-			job.unreachableIDs, job.unreachable = job.unreachableIDs[:kept], job.unreachable[:keptSide]
-			total += kept
-		}
-	}
-	if total > 0 {
-		snap.Unreachable = make([]netip.AddrPort, 0, total)
-		if idx != nil {
-			snap.UnreachableIDs = make([]addridx.ID, 0, total)
-		}
-	}
-	for i := range jobs {
-		job := &jobs[i]
-		if idx == nil {
-			snap.Unreachable = append(snap.Unreachable, job.unreachable...)
-		} else {
-			// Interned entries read their address from the Index; the
-			// rest take the next address off the job's side list.
-			side := 0
-			for _, id := range job.unreachableIDs {
-				if id != addridx.None {
-					snap.Unreachable = append(snap.Unreachable, idx.Addr(id))
-				} else {
-					snap.Unreachable = append(snap.Unreachable, job.unreachable[side])
-					side++
-				}
-			}
-			snap.UnreachableIDs = append(snap.UnreachableIDs, job.unreachableIDs...)
-		}
-		*job = crawlJob{}
-	}
+	sp.merge(snap, reports)
 	c.mPending.Set(0)
 	return snap, nil
 }
 
-// crawlTarget dials one target and drains it into its private report
-// and job slot, accumulating through the worker's seen scratch.
-func (c *Crawler) crawlTarget(target netip.AddrPort, known *knownView,
-	seen *memberSet, report *NodeReport, job *crawlJob) {
+// crawlTarget dials target i and drains it through the crawl's space
+// into its private report. It returns only a configuration error.
+func (c *Crawler) crawlTarget(sp space, i int, target netip.AddrPort, report *NodeReport) error {
 	c.mDials.Inc()
 	report.Addr = target
 	sess, err := c.dialer.Dial(target)
 	if err != nil {
-		return
+		// A failed dial is a finding, recorded as !report.Connected.
+		return nil
 	}
 	report.Connected = true
 	c.mConnected.Inc()
-	c.drainNode(sess, known, seen, report)
-	job.unreachable = slices.Clone(seen.unreachable)
-	job.unreachableIDs = slices.Clone(seen.unreachableIDs)
-	if err := sess.Close(); err != nil {
+	err = sp.drain(c, i, sess, report)
+	if cerr := sess.Close(); cerr != nil {
 		// Teardown failed after a successful drain: record it on the
 		// report and keep the snapshot.
-		report.CloseErr = err.Error()
+		report.CloseErr = cerr.Error()
 	}
+	return err
 }
 
-// drainNode implements the Algorithm 1 inner loop for one node,
-// appending the node's unreachable addresses to seen's scratch.
-func (c *Crawler) drainNode(sess Session, known *knownView, seen *memberSet, report *NodeReport) {
-	// Sessions that serve dense IDs skip the per-address index lookup
-	// and never build an address; the IDs are only meaningful against
-	// Config.Index. The target's own ID is resolved once, so the
-	// self-advertisement check is an ID comparison too.
-	var idSess SessionWithIDs
-	if c.cfg.Index != nil {
-		idSess, _ = sess.(SessionWithIDs)
-	}
-	self := seen.resolve(report.Addr)
+// drain is Algorithm 1's repeat loop for one node. page performs one
+// GETADDR exchange and dedups the answer against the node's earlier
+// pages, returning how many entries were new and how many of those are
+// unreachable. A page that adds nothing means the node's tables are
+// drained; a failed exchange ends the drain with what it has.
+func (c *Crawler) drain(report *NodeReport, page func() (fresh, unreachable int, err error)) {
 	for round := 0; round < maxGetAddrRounds; round++ {
-		var addrs []wire.NetAddress
-		var ids []addridx.ID
-		var err error
-		n := 0
-		if idSess != nil {
-			ids, err = idSess.GetAddrIDs()
-			n = len(ids)
-		} else {
-			addrs, err = sess.GetAddr()
-			n = len(addrs)
-		}
+		fresh, unreachable, err := page()
 		if err != nil {
 			return
 		}
 		report.Rounds++
+		report.TotalSent += fresh
+		report.ReachableSent += fresh - unreachable
+		report.UnreachableSent += unreachable
 		c.mRounds.Inc()
-		fresh := 0
-		for k := 0; k < n; k++ {
-			// On the ID path addr stays zero: every ID is dense, and the
-			// sets below read the address only for addridx.None.
-			var addr netip.AddrPort
-			var id addridx.ID
-			if ids != nil {
-				id = ids[k]
-			} else {
-				addr = addrs[k].Addr
-				id = seen.resolve(addr)
-			}
-			if !seen.add(addr, id) {
-				continue
-			}
-			fresh++
-			report.TotalSent++
-			c.mAddrsTotal.Inc()
-			if id == self && (id != addridx.None || addr == report.Addr) {
-				report.SentOwnAddr = true
-			}
-			if known.contains(addr, id) {
-				report.ReachableSent++
-				c.mAddrsReach.Inc()
-			} else {
-				report.UnreachableSent++
-				c.mAddrsUnreach.Inc()
-				if seen.idx != nil {
-					seen.unreachableIDs = append(seen.unreachableIDs, id)
-				}
-				if seen.idx == nil || id == addridx.None {
-					seen.unreachable = append(seen.unreachable, addr)
-				}
-			}
-		}
-		// Algorithm 1 termination: a response with no new addresses
-		// means the node's tables are drained.
+		c.mAddrsTotal.Add(int64(fresh))
+		c.mAddrsReach.Add(int64(fresh - unreachable))
+		c.mAddrsUnreach.Add(int64(unreachable))
 		if fresh == 0 {
 			return
 		}
+	}
+}
+
+// space is one crawl's address space, chosen once by Config.Index:
+// idSpace for an interned crawl, addrSpace for an open-world one. It
+// holds the known-reachable set, the workers' dedup scratch and the
+// targets' unreachable lists in its own element type, so no operation
+// asks which space an entry is in. Workers write only their own target's
+// list; the merge alone reads across targets, which is what keeps the
+// snapshot byte-identical at any worker count. A worker takes its
+// scratch from the space's free list, or makes one when every scratch is
+// in use, so a crawl makes at most one scratch per worker.
+type space interface {
+	// drain runs Algorithm 1 over target i's open session, counting into
+	// its report and keeping its unreachable entries for the merge.
+	drain(c *Crawler, i int, sess Session, report *NodeReport) error
+	// merge sets the snapshot's unreachable union, in first-seen order
+	// (targets in crawl order, receipt order within a target), and its
+	// ID slices where the space has IDs.
+	merge(snap *Snapshot, reports []NodeReport)
+}
+
+// idSpace is an interned crawl: targets, pages, dedup sets and the
+// targets' lists are IDs of idx, and an address is built only at the
+// merge.
+type idSpace struct {
+	idx     *addridx.Index
+	targets []addridx.ID // targets[i] is target i's ID
+	known   *addridx.Set
+	jobs    [][]addridx.ID  // jobs[i] lists target i's unreachable IDs
+	free    chan *idScratch // idle scratch; capacity workers, the most a crawl makes
+}
+
+// idScratch is a worker's scratch for one target of an interned crawl.
+// The node's dedup set is epoch-versioned (epochs[id] == epoch ⇔ id is a
+// member), so clearing it per target is one increment, not a memclr of
+// an index-sized table, which was a measurable slice of crawl CPU. The
+// target's unreachable IDs collect in receipt order, in a buffer that
+// grows to the worker's largest target once.
+type idScratch struct {
+	epochs      []uint32
+	epoch       uint32
+	unreachable []addridx.ID
+}
+
+// addrSpace is an open-world crawl: every set and list holds addresses,
+// under addridx.Seen's key equality, and no ID is made.
+type addrSpace struct {
+	known addridx.Seen
+	jobs  [][]netip.AddrPort // jobs[i] lists target i's unreachable addresses
+	free  chan *addrScratch  // as idSpace.free
+}
+
+// addrScratch is idScratch for an open-world crawl; Seen's epochs clear
+// it the same way.
+type addrScratch struct {
+	seen        addridx.Seen
+	unreachable []netip.AddrPort
+}
+
+// newSpace resolves the crawl's targets and known-reachable set in the
+// space idx chooses: an interned one when idx is set, else an open one.
+func newSpace(idx *addridx.Index, workers int, targets []netip.AddrPort,
+	known map[netip.AddrPort]struct{}) (space, error) {
+	if idx == nil {
+		s := &addrSpace{jobs: make([][]netip.AddrPort, len(targets)), free: make(chan *addrScratch, workers)}
+		s.known.Reserve(len(known))
+		for a := range known {
+			s.known.Add(a)
+		}
+		return s, nil
+	}
+	s := &idSpace{
+		idx:     idx,
+		targets: make([]addridx.ID, len(targets)),
+		known:   addridx.NewSet(idx.Len()),
+		jobs:    make([][]addridx.ID, len(targets)),
+		free:    make(chan *idScratch, workers),
+	}
+	for i, a := range targets {
+		id, ok := idx.Lookup(a)
+		if !ok {
+			return nil, fmt.Errorf("crawler: target %v is outside the crawl's Index", a)
+		}
+		s.targets[i] = id
+	}
+	// A known address outside the Index can never equal a served ID.
+	for a := range known {
+		if id, ok := idx.Lookup(a); ok {
+			s.known.Add(id)
+		}
+	}
+	return s, nil
+}
+
+func (s *idSpace) drain(c *Crawler, i int, sess Session, report *NodeReport) error {
+	idSess, ok := sess.(SessionWithIDs)
+	if !ok {
+		return fmt.Errorf("crawler: session to %v serves no station IDs, which a crawl with an Index needs", report.Addr)
+	}
+	var w *idScratch
+	select {
+	case w = <-s.free:
+	default:
+		w = &idScratch{epochs: make([]uint32, s.idx.Len()), epoch: 1}
+	}
+	self := s.targets[i]
+	c.drain(report, func() (fresh, unreachable int, err error) {
+		page, err := idSess.GetAddrIDs()
+		if err != nil {
+			return 0, 0, err
+		}
+		for _, id := range page {
+			if w.epochs[id] == w.epoch {
+				continue
+			}
+			w.epochs[id] = w.epoch
+			fresh++
+			if id == self {
+				report.SentOwnAddr = true
+			}
+			if !s.known.Contains(id) {
+				w.unreachable = append(w.unreachable, id)
+				unreachable++
+			}
+		}
+		return fresh, unreachable, nil
+	})
+	s.jobs[i] = slices.Clone(w.unreachable)
+	w.unreachable = w.unreachable[:0]
+	if w.epoch++; w.epoch == 0 {
+		// Epoch wrapped: pay the one-in-four-billion full reset.
+		clear(w.epochs)
+		w.epoch = 1
+	}
+	s.free <- w
+	return nil
+}
+
+func (s *addrSpace) drain(c *Crawler, i int, sess Session, report *NodeReport) error {
+	var w *addrScratch
+	select {
+	case w = <-s.free:
+	default:
+		w = new(addrScratch)
+	}
+	// The self check uses Seen's key equality, as an interned crawl's
+	// ID comparison does: a 4-in-6 spelling of the target is the target.
+	self, selfPort := report.Addr.Addr().As16(), report.Addr.Port()
+	c.drain(report, func() (fresh, unreachable int, err error) {
+		page, err := sess.GetAddr()
+		if err != nil {
+			return 0, 0, err
+		}
+		for k := range page {
+			a := page[k].Addr
+			if !w.seen.Add(a) {
+				continue
+			}
+			fresh++
+			if a.Port() == selfPort && a.Addr().As16() == self {
+				report.SentOwnAddr = true
+			}
+			if !s.known.Contains(a) {
+				w.unreachable = append(w.unreachable, a)
+				unreachable++
+			}
+		}
+		return fresh, unreachable, nil
+	})
+	s.jobs[i] = slices.Clone(w.unreachable)
+	w.unreachable = w.unreachable[:0]
+	w.seen.Clear()
+	s.free <- w
+	return nil
+}
+
+// merge compacts each target's list in place, in target order, down to
+// the IDs new to the whole crawl, then allocates the union once, at
+// exactly the kept total, building each address from the Index.
+func (s *idSpace) merge(snap *Snapshot, reports []NodeReport) {
+	if len(snap.Connected) > 0 {
+		snap.ConnectedIDs = make([]addridx.ID, 0, len(snap.Connected))
+		for i := range reports {
+			if reports[i].Connected {
+				snap.ConnectedIDs = append(snap.ConnectedIDs, s.targets[i])
+			}
+		}
+	}
+	global := addridx.NewSet(s.idx.Len())
+	total := 0
+	for i, job := range s.jobs {
+		kept := 0
+		for _, id := range job {
+			if global.Add(id) {
+				job[kept] = id
+				kept++
+			}
+		}
+		s.jobs[i] = job[:kept]
+		total += kept
+	}
+	if total == 0 {
+		return
+	}
+	snap.Unreachable = make([]netip.AddrPort, 0, total)
+	snap.UnreachableIDs = make([]addridx.ID, 0, total)
+	for _, job := range s.jobs {
+		for _, id := range job {
+			snap.Unreachable = append(snap.Unreachable, s.idx.Addr(id))
+		}
+		snap.UnreachableIDs = append(snap.UnreachableIDs, job...)
+	}
+}
+
+// merge is idSpace's merge over addresses; the crawl-wide Seen is
+// reserved for the summed list lengths first, so it never grows.
+func (s *addrSpace) merge(snap *Snapshot, _ []NodeReport) {
+	var global addridx.Seen
+	sum := 0
+	for _, job := range s.jobs {
+		sum += len(job)
+	}
+	global.Reserve(sum)
+	total := 0
+	for i, job := range s.jobs {
+		kept := 0
+		for _, a := range job {
+			if global.Add(a) {
+				job[kept] = a
+				kept++
+			}
+		}
+		s.jobs[i] = job[:kept]
+		total += kept
+	}
+	if total == 0 {
+		return
+	}
+	snap.Unreachable = make([]netip.AddrPort, 0, total)
+	for _, job := range s.jobs {
+		snap.Unreachable = append(snap.Unreachable, job...)
 	}
 }
 
@@ -580,11 +576,10 @@ type ScanConfig struct {
 	Workers int
 	// Metrics, when set, receives the crawl.probe.errors counter.
 	Metrics *obs.Registry
-	// IDs, when set, holds the targets' dense station IDs, parallel to
-	// the addresses and under Snapshot.UnreachableIDs' convention. A
-	// prober that implements ProberWithIDs then probes every target
-	// whose ID is not addridx.None by ID; any other prober ignores them.
-	// The result's ResponsiveIDs is taken from them.
+	// IDs, when set, holds the targets' dense IDs, parallel to the
+	// addresses. The prober must then implement ProberWithIDs, and every
+	// target is probed by its ID. The result's ResponsiveIDs is taken
+	// from them.
 	IDs []addridx.ID
 }
 
@@ -601,8 +596,7 @@ type ScanResult struct {
 	// Responsive lists addresses that answered the VER probe.
 	Responsive []netip.AddrPort
 	// ResponsiveIDs holds the ScanConfig.IDs entries parallel to
-	// Responsive, under Snapshot.ConnectedIDs' convention; it is nil
-	// when the scan had no IDs.
+	// Responsive; it is nil when the scan had no IDs.
 	ResponsiveIDs []addridx.ID
 	// ReachableSurprises lists addresses that accepted outright (they
 	// were misclassified as unreachable).
@@ -613,16 +607,20 @@ type ScanResult struct {
 // probe every address on cfg.Workers workers and collect the responsive
 // ones in target order. Probe failures are counted and skipped — a
 // single refused socket must not abort a 100K-address sweep — so the
-// only errors returned are ctx cancellation and a cfg.IDs whose length
-// is not the target count.
+// only errors returned are ctx cancellation and, before any probe, a
+// cfg.IDs whose length is not the target count or whose prober has no
+// ProbeID.
 func ScanWith(ctx context.Context, cfg ScanConfig, at time.Time, prober Prober,
 	addrs []netip.AddrPort) (*ScanResult, error) {
-	if cfg.IDs != nil && len(cfg.IDs) != len(addrs) {
-		return nil, fmt.Errorf("crawler: scan of %d targets given %d IDs", len(addrs), len(cfg.IDs))
-	}
 	var byID ProberWithIDs
 	if cfg.IDs != nil {
-		byID, _ = prober.(ProberWithIDs)
+		if len(cfg.IDs) != len(addrs) {
+			return nil, fmt.Errorf("crawler: scan of %d targets given %d IDs", len(addrs), len(cfg.IDs))
+		}
+		var ok bool
+		if byID, ok = prober.(ProberWithIDs); !ok {
+			return nil, fmt.Errorf("crawler: scan given IDs, but the %T prober has no ProbeID", prober)
+		}
 	}
 	// outcomes[i] is target i's ProbeOutcome in one byte; 0, which no
 	// outcome takes, marks a failed probe.
@@ -631,7 +629,7 @@ func ScanWith(ctx context.Context, cfg ScanConfig, at time.Time, prober Prober,
 	err := par.ForEach(ctx, par.Workers(cfg.Workers), len(addrs), func(ctx context.Context, i int) error {
 		var outcome ProbeOutcome
 		var err error
-		if byID != nil && cfg.IDs[i] != addridx.None {
+		if byID != nil {
 			outcome, err = byID.ProbeID(cfg.IDs[i])
 		} else {
 			outcome, err = prober.Probe(addrs[i])

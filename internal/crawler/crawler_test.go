@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -240,35 +241,33 @@ func (p *fakeProber) Probe(addr netip.AddrPort) (ProbeOutcome, error) {
 }
 
 func TestScan(t *testing.T) {
-	// fakeProber has no ProbeID, so IDs change nothing but the
-	// ResponsiveIDs the result copies from them.
 	p := &fakeProber{outcomes: map[netip.AddrPort]ProbeOutcome{
 		tAddr(1): ProbeResponsive,
 		tAddr(2): ProbeSilent,
 		tAddr(3): ProbeReachable,
 	}}
-	for _, ids := range [][]addridx.ID{nil, {7, 7, 7, addridx.None}} {
-		res, err := ScanWith(context.Background(), ScanConfig{Workers: 1, IDs: ids}, time.Unix(0, 0), p,
-			[]netip.AddrPort{tAddr(1), tAddr(2), tAddr(3), tAddr(4)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Probed != 4 {
-			t.Errorf("IDs %v: Probed = %d, want 4", ids, res.Probed)
-		}
-		if len(res.Responsive) != 1 || res.Responsive[0] != tAddr(1) {
-			t.Errorf("IDs %v: Responsive = %v", ids, res.Responsive)
-		}
-		if len(res.ReachableSurprises) != 1 || res.ReachableSurprises[0] != tAddr(3) {
-			t.Errorf("IDs %v: ReachableSurprises = %v", ids, res.ReachableSurprises)
-		}
-		var want []addridx.ID
-		if ids != nil {
-			want = ids[:1]
-		}
-		if !slices.Equal(res.ResponsiveIDs, want) || (want == nil) != (res.ResponsiveIDs == nil) {
-			t.Errorf("IDs %v: ResponsiveIDs = %v, want %v", ids, res.ResponsiveIDs, want)
-		}
+	targets := []netip.AddrPort{tAddr(1), tAddr(2), tAddr(3), tAddr(4)}
+	res, err := ScanWith(context.Background(), ScanConfig{Workers: 1}, time.Unix(0, 0), p, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Probed != 4 {
+		t.Errorf("Probed = %d, want 4", res.Probed)
+	}
+	if len(res.Responsive) != 1 || res.Responsive[0] != tAddr(1) {
+		t.Errorf("Responsive = %v", res.Responsive)
+	}
+	if len(res.ReachableSurprises) != 1 || res.ReachableSurprises[0] != tAddr(3) {
+		t.Errorf("ReachableSurprises = %v", res.ReachableSurprises)
+	}
+	if res.ResponsiveIDs != nil {
+		t.Errorf("ResponsiveIDs = %v without IDs", res.ResponsiveIDs)
+	}
+	// fakeProber has no ProbeID, so a scan by ID is a configuration
+	// error, not a scan by address.
+	if _, err := ScanWith(context.Background(), ScanConfig{Workers: 1, IDs: []addridx.ID{7, 7, 7, 7}},
+		time.Unix(0, 0), p, targets); err == nil {
+		t.Error("a scan with IDs through a prober without ProbeID succeeded")
 	}
 }
 
@@ -614,82 +613,6 @@ func TestCrawlCountsMappedFormOnce(t *testing.T) {
 	}
 }
 
-func TestCrawlMixedIndex(t *testing.T) {
-	// With an Index the crawl scratch carries IDs, and only addresses
-	// outside the Index go on an ordered side list that the merge reads
-	// back. Books interleave interned and outside addresses within and
-	// across pages, and each overlaps the next target's, so both the
-	// side list's order and its cross-target dedup show.
-	rng := rand.New(rand.NewSource(5))
-	targets := []netip.AddrPort{tAddr(1), tAddr(2), tAddr(3), tAddr(4)}
-	interned := append([]netip.AddrPort(nil), targets...)
-	for i := 0; i < 600; i++ {
-		interned = append(interned, tAddr(1000+i))
-	}
-	idx, err := addridx.Build(interned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outside := func(n int) netip.AddrPort {
-		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, byte(n >> 8), byte(n)}), 8333)
-	}
-	known := map[netip.AddrPort]struct{}{}
-	books := map[netip.AddrPort][]wire.NetAddress{}
-	for k, tgt := range targets {
-		known[tgt] = struct{}{}
-		book := []wire.NetAddress{na(tgt)}
-		for _, i := range rng.Perm(200) {
-			n := 100*k + i
-			if n%3 == 0 {
-				book = append(book, na(outside(n)))
-			} else {
-				book = append(book, na(tAddr(1000+n)))
-			}
-		}
-		books[tgt] = book
-	}
-	want := firstSeenUnreachable(targets, books, known)
-	for _, workers := range []int{1, 4} {
-		dialer := &fakeDialer{books: books, page: 7}
-		mixed, err := New(Config{Workers: workers, Index: idx}, dialer).
-			Crawl(context.Background(), time.Unix(0, 0), targets, known)
-		if err != nil {
-			t.Fatal(err)
-		}
-		open, err := New(Config{Workers: workers}, dialer).
-			Crawl(context.Background(), time.Unix(0, 0), targets, known)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(open.Unreachable, want) {
-			t.Fatalf("workers=%d: open-world crawl differs from first-seen order", workers)
-		}
-		if !reflect.DeepEqual(mixed.Unreachable, open.Unreachable) {
-			t.Errorf("workers=%d: Unreachable differs from the Index-free crawl (%d vs %d entries)",
-				workers, len(mixed.Unreachable), len(open.Unreachable))
-		}
-		if len(mixed.UnreachableIDs) != len(mixed.Unreachable) {
-			t.Fatalf("workers=%d: %d IDs for %d addresses", workers, len(mixed.UnreachableIDs), len(mixed.Unreachable))
-		}
-		nOutside := 0
-		for k, a := range mixed.Unreachable {
-			id, in := idx.Lookup(a)
-			if got := mixed.UnreachableIDs[k]; got != id {
-				t.Errorf("workers=%d: UnreachableIDs[%d] = %d for %v, want %d", workers, k, got, a, id)
-			}
-			if !in {
-				nOutside++
-			}
-		}
-		if nOutside == 0 || nOutside == len(mixed.Unreachable) {
-			t.Fatalf("workers=%d: degenerate fixture: %d of %d outside the Index",
-				workers, nOutside, len(mixed.Unreachable))
-		}
-		assertExactSize(t, fmt.Sprintf("mixed workers=%d", workers), mixed)
-		assertExactSize(t, fmt.Sprintf("open workers=%d", workers), open)
-	}
-}
-
 // plainDialer serves its inner dialer's sessions behind the bare Session
 // interface, hiding GetAddrIDs as an open-world backend would.
 type plainDialer struct{ Dialer }
@@ -700,6 +623,38 @@ func (d plainDialer) Dial(addr netip.AddrPort) (Session, error) {
 		return nil, err
 	}
 	return struct{ Session }{sess}, nil
+}
+
+func TestCrawlIndexNeedsIDSessions(t *testing.T) {
+	// An interned crawl lives in the Index's IDs: a session without
+	// GetAddrIDs, or a target outside the Index, is a configuration
+	// error that names the target, not a drain by address.
+	u := smallUniverse(t)
+	at := u.Params.Epoch.Add(10 * 24 * time.Hour)
+	seedView := u.SeedViewAt(at)
+	targets := TargetsOf(seedView)
+	known := ReachableReference(seedView)
+	namesTarget := func(err error, targets []netip.AddrPort) bool {
+		for _, a := range targets {
+			if strings.Contains(err.Error(), a.String()) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, workers := range []int{1, 4} {
+		_, err := New(Config{Workers: workers, Index: u.Index},
+			plainDialer{NewUniverseView(u, at)}).Crawl(context.Background(), at, targets, known)
+		if err == nil || !namesTarget(err, targets) {
+			t.Errorf("workers=%d: address-only sessions on an Index crawl: err = %v, want one naming a target", workers, err)
+		}
+	}
+	ghost := netip.MustParseAddrPort("203.0.113.77:8333")
+	_, err := New(Config{Index: u.Index}, NewUniverseView(u, at)).
+		Crawl(context.Background(), at, append(slices.Clone(targets), ghost), known)
+	if err == nil || !namesTarget(err, []netip.AddrPort{ghost}) {
+		t.Errorf("target outside the Index: err = %v, want one naming %v", err, ghost)
+	}
 }
 
 func TestCrawlOpenWorldMatchesInterned(t *testing.T) {
@@ -989,9 +944,7 @@ func TestUniverseViewProbeIDMatchesProbe(t *testing.T) {
 func TestScanWithIDsMatchesAddrs(t *testing.T) {
 	// A scan by ID finds what the scan by address finds, with
 	// ResponsiveIDs parallel to Responsive. The targets are every
-	// unreachable station and every reachable one, online or not, and a
-	// responsive station listed with ID None, which must be probed by
-	// its address.
+	// unreachable station and every reachable one, online or not.
 	u := smallUniverse(t)
 	at := u.Params.Epoch.Add(10 * 24 * time.Hour)
 	view := NewUniverseView(u, at)
@@ -1000,12 +953,6 @@ func TestScanWithIDsMatchesAddrs(t *testing.T) {
 	for id := range addridx.ID(u.Index.Len()) {
 		addrs = append(addrs, u.Index.Addr(id))
 		ids = append(ids, id)
-	}
-	for k, id := range ids {
-		if o, _ := view.ProbeID(id); o == ProbeResponsive {
-			ids[k] = addridx.None
-			break
-		}
 	}
 	for _, workers := range []int{1, 3} {
 		plain, err := ScanWith(context.Background(), ScanConfig{Workers: workers}, at, view, addrs)
@@ -1033,19 +980,11 @@ func TestScanWithIDsMatchesAddrs(t *testing.T) {
 		if len(withIDs.ResponsiveIDs) != len(withIDs.Responsive) {
 			t.Fatalf("workers=%d: %d ResponsiveIDs for %d responsive", workers, len(withIDs.ResponsiveIDs), len(withIDs.Responsive))
 		}
-		none := 0
 		for k, id := range withIDs.ResponsiveIDs {
-			if id == addridx.None {
-				none++
-				continue
-			}
 			if u.Index.Addr(id) != withIDs.Responsive[k] {
 				t.Fatalf("workers=%d: ResponsiveIDs[%d] = %d is %v, Responsive[%d] is %v",
 					workers, k, id, u.Index.Addr(id), k, withIDs.Responsive[k])
 			}
-		}
-		if none != 1 {
-			t.Errorf("workers=%d: %d responsive entries listed with ID None, want 1", workers, none)
 		}
 	}
 	if _, err := ScanWith(context.Background(), ScanConfig{IDs: ids[1:]}, at, view, addrs); err == nil {
