@@ -22,12 +22,13 @@
 // summarised on stderr as "reproduce: FAILED <id>: <cause>", and the
 // process exits non-zero.
 //
-// Stderr carries one "  resources: <id> ..." line per experiment (wall
-// time, allocations, GC, peak heap, CPU); stdout, CSVs, and the HTML
-// report stay byte-identical at any -workers count. -flightrec names a
-// directory that receives a crash flight
-// record (tracer ring, resource watermarks, panic stack) whenever an
-// experiment dies by panic or deadline.
+// Stderr carries one "  resources: <id> ..." line per experiment, in
+// experiment order (wall time, allocations, GC, the peak heap sampled
+// every 10 ms while it ran, CPU); stdout, CSVs, and the HTML report
+// stay byte-identical at any -workers count. -flightrec names a
+// directory that receives a crash flight record (tracer ring, resource
+// watermarks, panic stack) whenever an experiment dies by panic or
+// deadline.
 package main
 
 import (
@@ -96,15 +97,19 @@ func run() error {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	// KeepGoing: one broken experiment must not cost the rest of the
-	// batch. Failures are summarised per experiment on stderr after
-	// everything has run, and the process still exits non-zero.
+	// Collect sees each finished report in experiment order from the
+	// Runner's merge loop, so the resources lines and the HTML page are
+	// deterministic at any -workers.
+	var collected []*core.Report
 	runner := core.Runner{
-		Workers:   *workers,
-		Options:   opts,
-		CSVDir:    *csvDir,
-		Profiles:  os.Stderr,
-		KeepGoing: true,
+		Options: opts,
+		CSVDir:  *csvDir,
+		Collect: func(r *core.Report, res obs.ResourceStats) {
+			fmt.Fprintf(os.Stderr, "  resources: %s %s\n", r.ID, res)
+			if *report != "" {
+				collected = append(collected, r)
+			}
+		},
 	}
 	if *flightDir != "" {
 		fr, err := obs.OpenFlightRecorder(*flightDir)
@@ -112,12 +117,6 @@ func run() error {
 			return err
 		}
 		runner.FlightRecorder = fr
-	}
-	// The HTML report collects finished reports from the Runner's
-	// ordered merge loop, so the page is deterministic at any -workers.
-	var collected []*core.Report
-	if *report != "" {
-		runner.Collect = func(r *core.Report) { collected = append(collected, r) }
 	}
 	writeReport := func() error {
 		if *report == "" {
@@ -142,8 +141,9 @@ func run() error {
 
 	case *all:
 		start := time.Now()
-		if err := runner.Run(ctx, core.Experiments(), os.Stdout); err != nil {
-			return finishBatch(err, writeReport)
+		exps := core.Experiments()
+		if err := runner.Run(ctx, exps, os.Stdout); err != nil {
+			return finishBatch(err, len(exps), writeReport)
 		}
 		// Wall time is nondeterministic; keep stdout byte-identical
 		// across worker counts.
@@ -162,7 +162,7 @@ func run() error {
 			exps = append(exps, e)
 		}
 		if err := runner.Run(ctx, exps, os.Stdout); err != nil {
-			return finishBatch(err, writeReport)
+			return finishBatch(err, len(exps), writeReport)
 		}
 		return writeReport()
 
@@ -172,23 +172,27 @@ func run() error {
 	}
 }
 
-// finishBatch handles a Runner failure: for a KeepGoing batch it prints
-// one stderr line per failed experiment, still writes the HTML report
-// (the healthy experiments' results are real and already on stdout),
-// and returns a compact error so main exits non-zero. Any other error
-// (cancellation, I/O) passes through untouched.
-func finishBatch(err error, writeReport func() error) error {
-	var batch *core.BatchError
-	if !errors.As(err, &batch) {
+// finishBatch handles a Runner failure: for failed experiments it prints
+// one stderr line each, still writes the HTML report (the healthy
+// experiments' results are real and already on stdout), and returns a
+// compact error so main exits non-zero. Any other error (cancellation,
+// I/O) passes through untouched.
+func finishBatch(err error, total int, writeReport func() error) error {
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok {
 		return err
 	}
-	for _, f := range batch.Failures {
-		fmt.Fprintf(os.Stderr, "reproduce: FAILED %s: %v\n", f.ID, firstLine(f.Err.Error()))
+	failed := joined.Unwrap()
+	for _, f := range failed {
+		var je *core.JobError
+		if errors.As(f, &je) {
+			fmt.Fprintf(os.Stderr, "reproduce: FAILED %s: %v\n", je.ID, firstLine(je.Error()))
+		}
 	}
 	if werr := writeReport(); werr != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", werr)
 	}
-	return fmt.Errorf("%d of %d experiments failed", len(batch.Failures), batch.Total)
+	return fmt.Errorf("%d of %d experiments failed", len(failed), total)
 }
 
 // firstLine clips a (possibly multi-line panic) message for the summary.

@@ -42,12 +42,10 @@ type InterventionGridConfig struct {
 	// PolicySets is the intervention axis, swept in slice order.
 	// Empty selects DefaultPolicySets.
 	PolicySets []node.PolicySet
-	// Churns is the churn axis. Empty selects the paper's 2019/2020
-	// regimes scaled to Base.NumReachable.
+	// Churns is the churn axis; it must not be empty.
 	Churns []IntervChurn
 	// UnreachableShares is the population-mix axis: each entry adds
-	// round(share·NumReachable) unreachable nodes. Empty selects
-	// {0, 0.3}.
+	// round(share·NumReachable) unreachable nodes. It must not be empty.
 	UnreachableShares []float64
 	// ColdStartRuns is the number of cold-start connection runs per cell
 	// (0 disables the cold-start column; the cold-start network halves
@@ -170,14 +168,9 @@ func RunInterventionGrid(ctx context.Context, cfg InterventionGridConfig) (*Inte
 	if len(cfg.PolicySets) == 0 {
 		cfg.PolicySets = DefaultPolicySets()
 	}
-	if len(cfg.Churns) == 0 {
-		cfg.Churns = []IntervChurn{
-			{Name: "2019", DeparturesPer10Min: 0.9 * float64(cfg.Base.NumReachable) / 80},
-			{Name: "2020", DeparturesPer10Min: 3.0 * float64(cfg.Base.NumReachable) / 80},
-		}
-	}
-	if len(cfg.UnreachableShares) == 0 {
-		cfg.UnreachableShares = []float64{0, 0.3}
+	if len(cfg.Churns) == 0 || len(cfg.UnreachableShares) == 0 {
+		return nil, fmt.Errorf("analysis: intervention grid needs a churn and an unreachable-share axis (%d churns, %d shares)",
+			len(cfg.Churns), len(cfg.UnreachableShares))
 	}
 	if cfg.Base.Metrics != nil {
 		return nil, fmt.Errorf("analysis: intervention grid cells must own their registries (Base.Metrics set)")

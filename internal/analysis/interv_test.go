@@ -27,6 +27,20 @@ func smallIntervConfig(seed int64) InterventionGridConfig {
 	}
 }
 
+// TestRunInterventionGridNeedsAxes: an empty churn or unreachable-share
+// axis is an error, not a silently empty grid.
+func TestRunInterventionGridNeedsAxes(t *testing.T) {
+	noChurn := smallIntervConfig(1)
+	noChurn.Churns = nil
+	noShares := smallIntervConfig(1)
+	noShares.UnreachableShares = nil
+	for name, cfg := range map[string]InterventionGridConfig{"churns": noChurn, "shares": noShares} {
+		if res, err := RunInterventionGrid(context.Background(), cfg); err == nil {
+			t.Errorf("empty %s axis: got %d cells and no error", name, len(res.Cells))
+		}
+	}
+}
+
 func TestRunInterventionGridSmall(t *testing.T) {
 	cfg := smallIntervConfig(3)
 	res, err := RunInterventionGrid(context.Background(), cfg)

@@ -63,23 +63,19 @@ func TestRunnerFlightRecordOnPanic(t *testing.T) {
 	}}
 
 	tracer := obs.NewTracer(256, nil)
-	var out, profs bytes.Buffer
+	var out bytes.Buffer
 	r := Runner{
-		Workers:        2,
-		Options:        Options{Quick: true},
-		KeepGoing:      true,
+		Options:        Options{Quick: true, Workers: 2},
 		Trace:          tracer,
-		Profiles:       &profs,
-		Resources:      obs.NewResourceSampler(nil),
 		FlightRecorder: fr,
 	}
 	err = r.Run(context.Background(), []Experiment{healthy, crash}, &out)
-	var batch *BatchError
-	if !errors.As(err, &batch) || len(batch.Failures) != 1 {
-		t.Fatalf("Run = %v, want a BatchError with the one crash", err)
+	var je *JobError
+	if !errors.As(err, &je) || je.ID != SelftestCrashID {
+		t.Fatalf("Run = %v, want the one crash", err)
 	}
 	if !bytes.Contains(out.Bytes(), []byte("== ok —")) {
-		t.Error("healthy report missing from a KeepGoing batch")
+		t.Error("healthy report missing beside the crash")
 	}
 
 	rec, err := obs.ReadFlightRecord(filepath.Join(dir, obs.FlightRecordName(SelftestCrashID)))
@@ -136,7 +132,7 @@ func TestRunnerFlightRecordOnDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	var out bytes.Buffer
-	r := Runner{Workers: 1, Options: Options{Quick: true}, KeepGoing: true, FlightRecorder: fr}
+	r := Runner{Options: Options{Quick: true, Workers: 1}, FlightRecorder: fr}
 	if err := r.Run(ctx, []Experiment{sleepy}, &out); err == nil {
 		t.Fatal("expected the deadline to surface as an error")
 	}
@@ -152,9 +148,9 @@ func TestRunnerFlightRecordOnDeadline(t *testing.T) {
 	}
 }
 
-// TestRunnerFlightRecordWithoutSampler: a Runner with no shared sampler
-// (the CLI's -flightrec) must still yield a record with live watermarks —
-// the Runner samples on its own unpublished sampler.
+// TestRunnerFlightRecordWithoutSampler: a record dumped by a bare Runner
+// (the CLI's -flightrec) carries live watermarks — the Runner samples on
+// its own unpublished sampler.
 func TestRunnerFlightRecordWithoutSampler(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "flightrec")
 	fr, err := obs.OpenFlightRecorder(dir)
@@ -166,7 +162,7 @@ func TestRunnerFlightRecordWithoutSampler(t *testing.T) {
 		t.Fatalf("ByID(%q) not found", SelftestCrashID)
 	}
 	var out bytes.Buffer
-	r := Runner{Workers: 1, Options: Options{Quick: true}, KeepGoing: true, FlightRecorder: fr}
+	r := Runner{Options: Options{Quick: true, Workers: 1}, FlightRecorder: fr}
 	if err := r.Run(context.Background(), []Experiment{crash}, &out); err == nil {
 		t.Fatal("expected the induced panic to surface as an error")
 	}
@@ -191,7 +187,7 @@ func TestRunnerNoFlightRecordOnPlainFailure(t *testing.T) {
 		return nil, fmt.Errorf("ordinary failure")
 	}}
 	var out bytes.Buffer
-	r := Runner{Workers: 1, Options: Options{Quick: true}, KeepGoing: true, FlightRecorder: fr}
+	r := Runner{Options: Options{Quick: true, Workers: 1}, FlightRecorder: fr}
 	if err := r.Run(context.Background(), []Experiment{bad}, &out); err == nil {
 		t.Fatal("expected the failure to surface")
 	}
@@ -202,8 +198,9 @@ func TestRunnerNoFlightRecordOnPlainFailure(t *testing.T) {
 
 // TestRunnerResourcesWorkerInvariance is the resource observatory's
 // determinism contract: Workers: 1 and Workers: 4 produce byte-identical
-// report output and CSVs, and the "  resources: <id>" lines appear only
-// on the Profiles channel, once per experiment in experiment order.
+// report output and CSVs, and the resource stats reach only Collect,
+// once per experiment in experiment order, where cmd/reproduce formats
+// them as its "  resources: <id>" lines.
 func TestRunnerResourcesWorkerInvariance(t *testing.T) {
 	mk := func(id string, seed int64) Experiment {
 		return Experiment{ID: id, Run: func(_ context.Context, o Options) (*Report, error) {
@@ -226,11 +223,14 @@ func TestRunnerResourcesWorkerInvariance(t *testing.T) {
 	run := func(workers int) (string, map[string]string, string) {
 		var out, profs bytes.Buffer
 		dir := t.TempDir()
+		o := opts
+		o.Workers = workers
 		r := Runner{
-			Workers:  workers,
-			Options:  opts,
-			CSVDir:   dir,
-			Profiles: &profs,
+			Options: o,
+			CSVDir:  dir,
+			Collect: func(rep *Report, res obs.ResourceStats) {
+				fmt.Fprintf(&profs, "  resources: %s %s\n", rep.ID, res)
+			},
 		}
 		if err := r.Run(context.Background(), exps, &out); err != nil {
 			t.Fatal(err)
@@ -255,11 +255,11 @@ func TestRunnerResourcesWorkerInvariance(t *testing.T) {
 	for _, p := range []string{prof1, prof4} {
 		lines := strings.Split(strings.TrimSuffix(p, "\n"), "\n")
 		if len(lines) != len(exps) {
-			t.Fatalf("%d lines on Profiles, want %d:\n%s", len(lines), len(exps), p)
+			t.Fatalf("%d resources lines, want %d:\n%s", len(lines), len(exps), p)
 		}
 		for i, e := range exps {
 			if !strings.HasPrefix(lines[i], "  resources: "+e.ID+" wall=") {
-				t.Errorf("Profiles line %d = %q, want the resources line of %s", i, lines[i], e.ID)
+				t.Errorf("resources line %d = %q, want the resources line of %s", i, lines[i], e.ID)
 			}
 		}
 		if !strings.Contains(p, "peak-heap=") {

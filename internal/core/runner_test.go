@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -61,16 +62,15 @@ func readDir(t *testing.T, dir string) map[string]string {
 // CSV sidecars (including the chaos trace digest) to Workers: 1.
 func TestRunnerParallelMatchesSequential(t *testing.T) {
 	exps := runnerSubset(t)
-	opts := Options{Seed: 3, Quick: true}
 
 	var seqOut, parOut bytes.Buffer
 	seqDir, parDir := t.TempDir(), t.TempDir()
 
-	seq := Runner{Workers: 1, Options: opts, CSVDir: seqDir}
+	seq := Runner{Options: Options{Seed: 3, Quick: true, Workers: 1}, CSVDir: seqDir}
 	if err := seq.Run(context.Background(), exps, &seqOut); err != nil {
 		t.Fatal(err)
 	}
-	par := Runner{Workers: 4, Options: opts, CSVDir: parDir}
+	par := Runner{Options: Options{Seed: 3, Quick: true, Workers: 4}, CSVDir: parDir}
 	if err := par.Run(context.Background(), exps, &parOut); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRunnerCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	var out bytes.Buffer
 	go func() {
-		r := Runner{Workers: 2, Options: Options{Quick: true}}
+		r := Runner{Options: Options{Quick: true, Workers: 2}}
 		done <- r.Run(ctx, exps, &out)
 	}()
 	<-started
@@ -160,7 +160,7 @@ func TestRunnerCancellationMidMerge(t *testing.T) {
 	var out safeBuffer
 	done := make(chan error, 1)
 	go func() {
-		r := Runner{Workers: 2, Options: Options{Quick: true}}
+		r := Runner{Options: Options{Quick: true, Workers: 2}}
 		done <- r.Run(ctx, exps, &out)
 	}()
 
@@ -232,7 +232,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestRunnerKeepGoing checks a failing and a panicking experiment are
 // both contained: every healthy report is still emitted in order, and
-// the aggregate *BatchError names the failures.
+// the error joins one *JobError per failure in slice order.
 func TestRunnerKeepGoing(t *testing.T) {
 	sentinel := errors.New("boom")
 	ok := func(id string) Experiment {
@@ -250,19 +250,22 @@ func TestRunnerKeepGoing(t *testing.T) {
 
 	for _, workers := range []int{1, 3} {
 		var out bytes.Buffer
-		r := Runner{Workers: workers, Options: Options{Quick: true}, KeepGoing: true}
+		r := Runner{Options: Options{Quick: true, Workers: workers}}
 		err := r.Run(context.Background(), exps, &out)
 
-		var batch *BatchError
-		if !errors.As(err, &batch) {
-			t.Fatalf("workers=%d: got %v (%T), want *BatchError", workers, err, err)
+		joined, isJoin := err.(interface{ Unwrap() []error })
+		if !isJoin {
+			t.Fatalf("workers=%d: got %v (%T), want a joined error", workers, err, err)
 		}
-		if len(batch.Failures) != 2 || batch.Total != 5 {
-			t.Fatalf("workers=%d: failures = %+v, total = %d", workers, batch.Failures, batch.Total)
+		failures := joined.Unwrap()
+		if len(failures) != 2 {
+			t.Fatalf("workers=%d: failures = %v", workers, failures)
 		}
-		if batch.Failures[0].ID != "bad" || batch.Failures[1].ID != "angry" {
-			t.Errorf("workers=%d: failure IDs = %s, %s", workers,
-				batch.Failures[0].ID, batch.Failures[1].ID)
+		for i, id := range []string{"bad", "angry"} {
+			var je *JobError
+			if !errors.As(failures[i], &je) || je.ID != id {
+				t.Errorf("workers=%d: failure %d = %v, want the JobError of %s", workers, i, failures[i], id)
+			}
 		}
 		if !errors.Is(err, sentinel) {
 			t.Errorf("workers=%d: errors.Is(err, sentinel) = false", workers)
@@ -295,9 +298,9 @@ func TestRunnerTraceEvents(t *testing.T) {
 	}
 	tracer := obs.NewTracer(64, nil)
 	var out bytes.Buffer
-	r := Runner{Workers: 2, Options: Options{Quick: true}, Trace: tracer, KeepGoing: true}
+	r := Runner{Options: Options{Quick: true, Workers: 2}, Trace: tracer}
 	if err := r.Run(context.Background(), exps, &out); err == nil {
-		t.Fatal("expected a BatchError")
+		t.Fatal("expected y's failure")
 	}
 	counts := map[string]int{}
 	var failDetail string
@@ -349,8 +352,9 @@ func TestCSVFilesMatchWriteCSV(t *testing.T) {
 	}
 }
 
-// TestRunnerErrorPropagation checks the first failing experiment's error
-// is returned wrapped with its ID and that later reports are withheld.
+// TestRunnerErrorPropagation checks a single failing experiment's error
+// reads "core: <id>: <cause>" and wraps the cause, and that it costs no
+// other report: those before and after it are both emitted.
 func TestRunnerErrorPropagation(t *testing.T) {
 	sentinel := errors.New("boom")
 	ok := func(id string) Experiment {
@@ -371,7 +375,7 @@ func TestRunnerErrorPropagation(t *testing.T) {
 
 	for _, workers := range []int{1, 3} {
 		var out bytes.Buffer
-		r := Runner{Workers: workers, Options: Options{Quick: true}}
+		r := Runner{Options: Options{Quick: true, Workers: workers}}
 		err := r.Run(context.Background(), exps, &out)
 		if !errors.Is(err, sentinel) {
 			t.Fatalf("workers=%d: got %v, want wrapped sentinel", workers, err)
@@ -379,19 +383,16 @@ func TestRunnerErrorPropagation(t *testing.T) {
 		if got := err.Error(); got != "core: bad: boom" {
 			t.Errorf("workers=%d: error = %q, want %q", workers, got, "core: bad: boom")
 		}
-		if !bytes.Contains(out.Bytes(), []byte("== a —")) {
-			t.Errorf("workers=%d: report before the failure was not emitted", workers)
-		}
-		if bytes.Contains(out.Bytes(), []byte("== c —")) {
-			t.Errorf("workers=%d: report after the failure was emitted", workers)
+		if got := out.String(); !strings.HasPrefix(got, "== a —") || !strings.Contains(got, "== c —") {
+			t.Errorf("workers=%d: want the reports of a then c, got:\n%s", workers, got)
 		}
 	}
 }
 
-// TestRunnerProfiles checks the Profiles writer gets exactly one labelled
-// resources line per experiment, in experiment order, and the report
-// stream gets none.
-func TestRunnerProfiles(t *testing.T) {
+// TestRunnerCollect checks Collect gets each finished report once, in
+// experiment order, with its resource window; the report stream gets no
+// resource figures.
+func TestRunnerCollect(t *testing.T) {
 	exps := []Experiment{
 		{ID: "x", Run: func(context.Context, Options) (*Report, error) {
 			return &Report{ID: "x", Title: "x"}, nil
@@ -400,20 +401,53 @@ func TestRunnerProfiles(t *testing.T) {
 			return &Report{ID: "y", Title: "y"}, nil
 		}},
 	}
-	var out, profs bytes.Buffer
-	r := Runner{Workers: 2, Options: Options{Quick: true}, Profiles: &profs}
+	var out bytes.Buffer
+	var ids []string
+	r := Runner{Options: Options{Quick: true, Workers: 2}, Collect: func(rep *Report, res obs.ResourceStats) {
+		ids = append(ids, rep.ID)
+		if res.WallNS <= 0 || res.PeakHeapBytes == 0 || res.PeakGoroutines == 0 {
+			t.Errorf("%s: resource window unmeasured: %+v", rep.ID, res)
+		}
+	}}
 	if err := r.Run(context.Background(), exps, &out); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSuffix(profs.String(), "\n"), "\n")
-	if len(lines) != 2 ||
-		!strings.HasPrefix(lines[0], "  resources: x wall=") ||
-		!strings.HasPrefix(lines[1], "  resources: y wall=") {
-		t.Errorf("Profiles = %q, want one resources line each for x then y", profs.String())
+	if strings.Join(ids, ",") != "x,y" {
+		t.Errorf("Collect saw %v, want x then y", ids)
 	}
-	if bytes.Contains(out.Bytes(), []byte("resources:")) {
-		t.Error("resources line leaked into the report stream")
+	if bytes.Contains(out.Bytes(), []byte("wall=")) {
+		t.Error("resource figures leaked into the report stream")
 	}
+}
+
+// TestRunnerPeakHeap checks the Runner's own ticking sampler sees a heap
+// peak that neither end of an experiment's window holds: the experiment
+// keeps a 64 MiB buffer alive for several sampler intervals and frees it
+// before returning. The ticker goroutine must be gone once Run returns.
+func TestRunnerPeakHeap(t *testing.T) {
+	const size = 64 << 20
+	before := runtime.NumGoroutine()
+	hold := Experiment{ID: "hold", Run: func(context.Context, Options) (*Report, error) {
+		buf := make([]byte, size)
+		for i := range buf {
+			buf[i] = byte(i)
+		}
+		time.Sleep(5 * sampleInterval)
+		runtime.KeepAlive(buf)
+		runtime.GC()
+		return &Report{ID: "hold", Title: "hold"}, nil
+	}}
+	var peak uint64
+	r := Runner{Options: Options{Quick: true, Workers: 1}, Collect: func(_ *Report, res obs.ResourceStats) {
+		peak = res.PeakHeapBytes
+	}}
+	if err := r.Run(context.Background(), []Experiment{hold}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if peak < size {
+		t.Errorf("PeakHeapBytes = %d, want at least the %d-byte buffer", peak, size)
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // BenchmarkRunnerFanOut measures the engine's per-experiment overhead:
@@ -429,7 +463,7 @@ func BenchmarkRunnerFanOut(b *testing.B) {
 			return rep, nil
 		}}
 	}
-	r := Runner{Workers: 4, Options: Options{Quick: true}}
+	r := Runner{Options: Options{Quick: true, Workers: 4}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

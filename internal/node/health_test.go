@@ -277,7 +277,7 @@ func TestBackoffEscalatesWithConsecutiveFailures(t *testing.T) {
 	n.Start()
 	const failures = 8
 	for i := 0; i < failures; i++ {
-		n.dialing[remote] = Outbound
+		n.dialing[remote] = pendingDial{dir: Outbound}
 		n.OnDialResult(remote, 0, errors.New("refused"))
 	}
 	var delays []time.Duration

@@ -288,7 +288,7 @@ type Node struct {
 	nFeelers  int
 
 	byAddr     map[netip.AddrPort]*Peer
-	dialing    map[netip.AddrPort]Direction
+	dialing    map[netip.AddrPort]pendingDial
 	pumpArmed  bool       // a pump wake-up is scheduled, or the running loop owes one
 	busyUntil  time.Time  // virtual time the current loop's socket work ends
 	maintGen   uint64     // supersession counter for maintenance scheduling
@@ -329,10 +329,6 @@ type Node struct {
 	// Config.Metrics is nil); tracer records structured events.
 	met    nodeMetrics
 	tracer *obs.Tracer
-	// dialStarted remembers when each in-flight dial began, for the
-	// dial trace spans.
-	dialStarted map[netip.AddrPort]time.Time
-
 	// blocksInFlight tracks requested blocks (and when they were
 	// requested) to avoid duplicate GETDATA and to detect stalls.
 	blocksInFlight map[chainhash.Hash]inFlightBlock
@@ -412,14 +408,13 @@ func New(cfg Config, env Env) *Node {
 		mempool:        chain.NewMempool(),
 		slotOf:         make(map[ConnID]int32),
 		byAddr:         make(map[netip.AddrPort]*Peer),
-		dialing:        make(map[netip.AddrPort]Direction),
+		dialing:        make(map[netip.AddrPort]pendingDial),
 		backoff:        make(map[netip.AddrPort]*backoffState),
 		blocksInFlight: make(map[chainhash.Hash]inFlightBlock),
 		pendingCmpct:   make(map[chainhash.Hash]*pendingCompact),
 		seenTimes:      make(map[uint64]int64),
 		met:            resolveMetrics(cfg.Metrics),
 		tracer:         cfg.Tracer,
-		dialStarted:    make(map[netip.AddrPort]time.Time),
 	}
 	amCfg := addrman.Config{
 		Key:  cfg.AddrManKey,
@@ -570,8 +565,8 @@ func (n *Node) openConnectionsTick() {
 	}
 	outbound, _, _ := n.ConnCounts()
 	pendingOut := 0
-	for _, dir := range n.dialing {
-		if dir == Outbound {
+	for _, d := range n.dialing {
+		if d.dir == Outbound {
 			pendingOut++
 		}
 	}
@@ -634,8 +629,8 @@ func (n *Node) feelerTick() {
 	}
 	_, _, feelers := n.ConnCounts()
 	pendingFeelers := 0
-	for _, dir := range n.dialing {
-		if dir == Feeler {
+	for _, d := range n.dialing {
+		if d.dir == Feeler {
 			pendingFeelers++
 		}
 	}
@@ -729,10 +724,16 @@ func (n *Node) dropAnchor(a netip.AddrPort) {
 	}
 }
 
+// pendingDial is one in-flight dial: its direction, and when it began
+// for the dial trace span.
+type pendingDial struct {
+	dir     Direction
+	started time.Time
+}
+
 // startDial records the attempt and hands the dial to the environment.
 func (n *Node) startDial(na wire.NetAddress, dir Direction) {
-	n.dialing[na.Addr] = dir
-	n.dialStarted[na.Addr] = n.env.Now()
+	n.dialing[na.Addr] = pendingDial{dir: dir, started: n.env.Now()}
 	n.met.dialAttempt.Inc()
 	n.addrman.Attempt(na.Addr)
 	n.emit(Event{
@@ -750,20 +751,19 @@ func (n *Node) OnDialResult(remote netip.AddrPort, conn ConnID, err error) {
 		}
 		return
 	}
-	dir, ok := n.dialing[remote]
+	pending, ok := n.dialing[remote]
+	dir := pending.dir
 	if !ok {
 		dir = Outbound
 	}
 	delete(n.dialing, remote)
-	started, timed := n.dialStarted[remote]
-	delete(n.dialStarted, remote)
 	traceDial := func(detail string) {
-		if n.tracer == nil || !timed {
+		if n.tracer == nil || !ok {
 			return
 		}
 		n.tracer.Emit(obs.Event{
 			Time: n.env.Now(), Kind: "dial", From: n.cfg.Self.Addr,
-			To: remote, Detail: detail, Dur: n.env.Now().Sub(started),
+			To: remote, Detail: detail, Dur: n.env.Now().Sub(pending.started),
 		})
 	}
 	if err != nil {

@@ -801,7 +801,7 @@ func TestPriorityOutboundServicesOutboundFirst(t *testing.T) {
 	completeHandshake(t, n, env, 2, mkAddr(10, 0, 1, 2), 0)
 	out := mkAddr(10, 0, 1, 3)
 	n.AddrMan().Add([]wire.NetAddress{{Addr: out, Timestamp: env.Now()}}, out.Addr())
-	n.dialing[out] = Outbound
+	n.dialing[out] = pendingDial{dir: Outbound}
 	n.OnDialResult(out, 3, nil)
 	n.OnMessage(3, &wire.MsgVersion{Timestamp: env.Now()})
 	n.OnMessage(3, &wire.MsgVerAck{})

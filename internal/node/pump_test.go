@@ -230,7 +230,7 @@ func (s *pumpScript) open() {
 	case r < 9:
 		s.n.OnDialResult(remote, conn, nil)
 	default:
-		s.n.dialing[remote] = Feeler
+		s.n.dialing[remote] = pendingDial{dir: Feeler}
 		s.n.OnDialResult(remote, conn, nil)
 	}
 	s.conns = append(s.conns, conn)

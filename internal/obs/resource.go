@@ -12,7 +12,7 @@ import (
 // time), the ResourceSampler measures the *process running it* — heap,
 // goroutines, GC pauses, CPU time. Those values are wall-clock derived
 // and vary run to run, so they are routed exclusively onto the
-// nondeterministic surfaces (the Runner's Profiles channel, the live
+// nondeterministic surfaces (the Runner's Collect callback, the live
 // /metrics registry, flight records, run manifests) and never into the
 // deterministic report stream or CSV sidecars.
 
@@ -49,7 +49,7 @@ type ResourceStats struct {
 	EventsProcessed uint64 `json:"events_processed,omitempty"`
 }
 
-// String renders the stats compactly for the Profiles channel.
+// String renders the stats compactly for a resources line.
 func (s ResourceStats) String() string {
 	out := fmt.Sprintf("wall=%v alloc=%s gc=%d peak-heap=%s peak-goroutines=%d",
 		time.Duration(s.WallNS).Round(time.Millisecond), formatBytes(s.AllocBytes), s.NumGC,
@@ -190,15 +190,17 @@ func (rs *ResourceSampler) sampleLocked(ms *runtime.MemStats, goroutines int) {
 }
 
 // Start drives Sample from a wall-clock ticker; the returned stop
-// function halts it. Resource samples are wall-time measurements by
-// nature, so unlike the metrics Sampler there is no sim-clock variant.
+// function halts it and returns once the ticker goroutine has exited.
+// Resource samples are wall-time measurements by nature, so unlike the
+// metrics Sampler there is no sim-clock variant.
 func (rs *ResourceSampler) Start(interval time.Duration) (stop func()) {
 	if rs == nil || interval <= 0 {
 		return func() {}
 	}
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -210,7 +212,10 @@ func (rs *ResourceSampler) Start(interval time.Duration) (stop func()) {
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }
 
 // StartRun opens a per-run measurement window: the returned function

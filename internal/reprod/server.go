@@ -118,10 +118,9 @@ type Server struct {
 	runCtx   context.Context
 	stopRuns context.CancelFunc
 
-	// resources is the process-wide sampler behind the proc.* gauges on
-	// /metrics and the per-run windows attached to bundle manifests;
-	// flightRec receives crash dumps when Config.FlightDir is set.
-	resources     *obs.ResourceSampler
+	// stopResources halts the process-wide sampler behind the proc.*
+	// gauges on /metrics; flightRec receives crash dumps when
+	// Config.FlightDir is set.
 	stopResources func()
 	flightRec     *obs.FlightRecorder
 	httpInflight  *obs.Gauge
@@ -164,20 +163,18 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	resources := obs.NewResourceSampler(reg)
 	runCtx, stopRuns := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:       cfg,
-		reg:       reg,
-		cache:     cache,
-		adm:       NewAdmission(cfg.MaxActive, cfg.MaxQueue, reg),
-		flights:   newFlightGroup(reg),
-		runCtx:    runCtx,
-		stopRuns:  stopRuns,
-		resources: resources,
-		// The wall ticker keeps the proc.* gauges fresh for scrapes and
-		// raises run-window peaks even mid-experiment; Drain stops it.
-		stopResources: resources.Start(resourceSampleInterval),
+		cfg:      cfg,
+		reg:      reg,
+		cache:    cache,
+		adm:      NewAdmission(cfg.MaxActive, cfg.MaxQueue, reg),
+		flights:  newFlightGroup(reg),
+		runCtx:   runCtx,
+		stopRuns: stopRuns,
+		// The wall ticker keeps the proc.* gauges fresh for scrapes;
+		// Drain stops it.
+		stopResources: obs.NewResourceSampler(reg).Start(resourceSampleInterval),
 		flightRec:     flightRec,
 		httpInflight:  httpInflightGauge(reg),
 
@@ -201,9 +198,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// resourceSampleInterval paces the server's background resource ticker.
-// Run windows also sample at their own open/close, so this only bounds
-// how stale the live gauges and mid-run peaks can get.
+// resourceSampleInterval paces the server's background resource ticker,
+// bounding how stale the live gauges can get. Run windows sample on the
+// Runner's own sampler.
 const resourceSampleInterval = 5 * time.Second
 
 // Handler returns the service's HTTP surface.
@@ -367,28 +364,25 @@ func (s *Server) execute(c *call, spec Spec, key string) {
 	begin := time.Now()
 	var out bytes.Buffer
 	var reports []*core.Report
+	var res obs.ResourceStats
 	runner := core.Runner{
-		Workers: spec.Workers,
 		Options: spec.Options(),
 		Trace:   c.tracer,
-		Collect: func(r *core.Report) { reports = append(reports, r) },
-		// The runner opens a nested window per experiment and dumps the
-		// flight record itself on panic/deadline, keyed by our cache key
-		// so the crash artifact shares the run's address.
-		Resources:      s.resources,
+		Collect: func(r *core.Report, rs obs.ResourceStats) {
+			reports = append(reports, r)
+			res = rs
+		},
+		// The runner dumps the flight record itself on panic/deadline,
+		// keyed by our cache key so the crash artifact shares the run's
+		// address.
 		FlightRecorder: s.flightRec,
 		FlightKey:      key,
 	}
-	endRes := s.resources.StartRun()
 	runErr := runner.Run(c.ctx, []core.Experiment{exp}, &out)
-	res := endRes()
 	s.runMS.Observe(time.Since(begin).Milliseconds())
 	if runErr != nil {
 		finish(nil, s.classify(spec, runErr))
 		return
-	}
-	for _, rep := range reports {
-		res.EventsProcessed += core.EventsProcessed(rep)
 	}
 
 	bundle, err := s.buildBundle(spec, key, out.Bytes(), reports, &res)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,7 +23,8 @@ import (
 
 // testExperiments is the synthetic registry the server tests inject via
 // Config.Lookup: a deterministic experiment, a panicking one, one that
-// blocks until released, and one that sleeps until its context dies.
+// fails with a plain error, one that blocks until released, and one
+// that sleeps until its context dies.
 type testExperiments struct {
 	// blockGate, when non-nil, gates the "block" experiment: its Run
 	// waits here (or for ctx) before completing.
@@ -59,6 +61,10 @@ func (te *testExperiments) lookup(id string) (core.Experiment, bool) {
 	case "angry":
 		return core.Experiment{ID: "angry", Title: "always panics", Run: func(context.Context, core.Options) (*core.Report, error) {
 			panic("experiment meltdown")
+		}}, true
+	case "broken":
+		return core.Experiment{ID: "broken", Title: "always fails", Run: func(context.Context, core.Options) (*core.Report, error) {
+			return nil, errors.New("bad input")
 		}}, true
 	case "block":
 		return core.Experiment{ID: "block", Title: "blocks until released", Run: func(ctx context.Context, _ core.Options) (*core.Report, error) {
@@ -358,6 +364,30 @@ func TestServerPanicIsolation(t *testing.T) {
 	}
 	if resp, _ := ts.postSpec(t, `{"id":"angry"}`); resp.StatusCode != http.StatusInternalServerError {
 		t.Errorf("repeat angry = %d, want 500 again (failures are never cached)", resp.StatusCode)
+	}
+}
+
+// TestServerPlainFailure checks an experiment that returns an ordinary
+// error becomes a 500 of kind "failed" whose message is the Runner's
+// "core: <id>: <cause>", and counts once on reprod.runs.failed.
+func TestServerPlainFailure(t *testing.T) {
+	ts := newTestServer(t, nil)
+	failed := ts.reg.Counter("reprod.runs.failed")
+	before := failed.Value()
+
+	resp, body := ts.postSpec(t, `{"id":"broken"}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500; body %s", resp.StatusCode, body)
+	}
+	e := decodeRunError(t, body)
+	if e.Kind != "failed" || e.Experiment != "broken" {
+		t.Errorf("error = %+v, want kind failed for broken", e)
+	}
+	if want := "core: broken: bad input"; e.Message != want {
+		t.Errorf("message = %q, want %q", e.Message, want)
+	}
+	if got := failed.Value() - before; got != 1 {
+		t.Errorf("failed counter rose by %d, want 1", got)
 	}
 }
 
