@@ -11,7 +11,6 @@ package chain
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/chainhash"
 	"repro/internal/wire"
@@ -94,9 +93,11 @@ type entry struct {
 }
 
 // Chain is a linear (best-chain-only) block store. Heights start at 0 for
-// the genesis block. It is safe for concurrent use.
+// the genesis block. A Chain belongs to one node and is used from that
+// node's goroutine only (the simnet scheduler, or tcpnet's actor loop);
+// it takes no lock. Stored blocks are never mutated, so nodes of one
+// process may store the same *wire.MsgBlock.
 type Chain struct {
-	mu     sync.RWMutex
 	byHash map[chainhash.Hash]entry
 	byIdx  []chainhash.Hash // byIdx[h] = hash of block at height h
 }
@@ -136,31 +137,23 @@ func GenesisBlock(tag string) *wire.MsgBlock {
 
 // Tip returns the hash and height of the best block.
 func (c *Chain) Tip() (chainhash.Hash, int32) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	h := c.byIdx[len(c.byIdx)-1]
 	return h, int32(len(c.byIdx) - 1)
 }
 
 // Height returns the best block height.
 func (c *Chain) Height() int32 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return int32(len(c.byIdx) - 1)
 }
 
 // HaveBlock reports whether the chain stores the given block.
 func (c *Chain) HaveBlock(h chainhash.Hash) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	_, ok := c.byHash[h]
 	return ok
 }
 
 // BlockByHash returns the stored block with the given hash.
 func (c *Chain) BlockByHash(h chainhash.Hash) (*wire.MsgBlock, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	e, ok := c.byHash[h]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownBlock, h)
@@ -170,8 +163,6 @@ func (c *Chain) BlockByHash(h chainhash.Hash) (*wire.MsgBlock, error) {
 
 // BlockByHeight returns the block at the given height.
 func (c *Chain) BlockByHeight(height int32) (*wire.MsgBlock, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	if height < 0 || int(height) >= len(c.byIdx) {
 		return nil, fmt.Errorf("%w: height %d (tip %d)", ErrUnknownBlock,
 			height, len(c.byIdx)-1)
@@ -200,8 +191,6 @@ func (c *Chain) Accept(blk *wire.MsgBlock) (int32, error) {
 		return 0, err
 	}
 	h := blk.BlockHash()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.byHash[h]; ok {
 		return 0, fmt.Errorf("%w: %s", ErrDuplicateBlock, h)
 	}
@@ -219,8 +208,6 @@ func (c *Chain) Accept(blk *wire.MsgBlock) (int32, error) {
 // Locator returns a block locator for the current tip: the last 10 hashes,
 // then hashes at exponentially increasing gaps, ending at genesis.
 func (c *Chain) Locator() []chainhash.Hash {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	var loc []chainhash.Hash
 	idx := len(c.byIdx) - 1
 	step := 1
@@ -243,8 +230,6 @@ func (c *Chain) Locator() []chainhash.Hash {
 // HeadersAfter returns up to max headers following the most recent locator
 // hash present in the chain. Unknown locators fall back to genesis.
 func (c *Chain) HeadersAfter(locator []chainhash.Hash, max int) []wire.BlockHeader {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	start := 0 // default: everything after genesis
 	for _, lh := range locator {
 		if e, ok := c.byHash[lh]; ok {

@@ -1,8 +1,11 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -404,6 +407,114 @@ func TestCompactBlockMissingTxRoundTrip(t *testing.T) {
 	}
 	if full.BlockHash() != blk.BlockHash() {
 		t.Error("completed block hash mismatch")
+	}
+}
+
+// TestCompactBlockSharesOrigin checks an in-process compact block
+// reconstructs to the very block it was built from, both straight from a
+// full mempool and through CompleteReconstruction after a GETBLOCKTXN.
+func TestCompactBlockSharesOrigin(t *testing.T) {
+	c := New(GenesisBlock("t"))
+	blk := nextBlock(t, c, 8, 300)
+	cb := BuildCompactBlock(blk, 42)
+	if cb.Origin() != blk {
+		t.Fatal("BuildCompactBlock did not record its origin")
+	}
+
+	full := NewMempool()
+	for i := 1; i < len(blk.Transactions); i++ {
+		tx := blk.Transactions[i] // the pool holds its own copies
+		full.Add(&tx)
+	}
+	res, err := ReconstructCompactBlock(cb, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete || res.Block != blk {
+		t.Errorf("full mempool: got block %p (complete %v), want the origin %p", res.Block, res.Complete, blk)
+	}
+
+	half := NewMempool()
+	for i := 2; i < len(blk.Transactions); i += 2 {
+		tx := blk.Transactions[i]
+		half.Add(&tx)
+	}
+	partial, err := ReconstructCompactBlock(cb, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial.Complete || len(partial.MissingIndexes) == 0 {
+		t.Fatalf("half mempool: complete %v, missing %v", partial.Complete, partial.MissingIndexes)
+	}
+	resp, err := BlockTxnFor(blk, &wire.MsgGetBlockTxn{BlockHash: cb.BlockHash(), Indexes: partial.MissingIndexes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CompleteReconstruction(cb, partial, half, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != blk {
+		t.Errorf("after GETBLOCKTXN: got block %p, want the origin %p", got, blk)
+	}
+}
+
+// TestCompactBlockDecodedCopies checks a compact block that crossed the
+// wire, which has no origin, reconstructs to an equal block of its own.
+func TestCompactBlockDecodedCopies(t *testing.T) {
+	c := New(GenesisBlock("t"))
+	blk := nextBlock(t, c, 8, 700)
+	payload, err := BuildCompactBlock(blk, 43).AppendPayload(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cb wire.MsgCmpctBlock
+	if err := cb.Decode(bytes.NewReader(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if cb.Origin() != nil {
+		t.Fatal("a decoded compact block has an origin")
+	}
+	pool := NewMempool()
+	for i := 1; i < len(blk.Transactions); i++ {
+		pool.Add(&blk.Transactions[i])
+	}
+	res, err := ReconstructCompactBlock(&cb, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete || res.Block == blk {
+		t.Fatalf("got block %p (complete %v), want a copy distinct from %p", res.Block, res.Complete, blk)
+	}
+	if !reflect.DeepEqual(res.Block, blk) {
+		t.Error("the decoded compact block's copy differs from the block it was built from")
+	}
+}
+
+// TestCompactBlockOriginMismatchCopies checks a compact block whose
+// recorded origin differs from what it resolves to at one index
+// reconstructs to a copy of what it resolved to, never the origin.
+func TestCompactBlockOriginMismatchCopies(t *testing.T) {
+	c := New(GenesisBlock("t"))
+	blk := nextBlock(t, c, 8, 1100)
+	cb := BuildCompactBlock(blk, 44)
+	other := &wire.MsgBlock{Header: blk.Header, Transactions: slices.Clone(blk.Transactions)}
+	other.Transactions[5] = makeTx(9999)
+	cb.SetOrigin(other)
+
+	pool := NewMempool()
+	for i := 1; i < len(blk.Transactions); i++ {
+		pool.Add(&blk.Transactions[i])
+	}
+	res, err := ReconstructCompactBlock(cb, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete || res.Block == other || res.Block == blk {
+		t.Fatalf("got block %p (complete %v), want a copy (origin %p, source %p)", res.Block, res.Complete, other, blk)
+	}
+	if res.Block.BlockHash() != blk.BlockHash() || res.Block.Transactions[5].TxID() != blk.Transactions[5].TxID() {
+		t.Error("the copy is not the block the compact block resolves to")
 	}
 }
 

@@ -18,14 +18,20 @@ var (
 
 // BuildCompactBlock converts a full block into its BIP-152 compact form.
 // The coinbase (index 0) is always prefilled; every other transaction is
-// carried as a short ID.
+// carried as a short ID. The compact block keeps blk as its origin, so a
+// receiver in this process that resolves it to blk's transactions stores
+// blk itself rather than a copy.
 func BuildCompactBlock(blk *wire.MsgBlock, nonce uint64) *wire.MsgCmpctBlock {
 	blockHash := blk.BlockHash()
 	cb := &wire.MsgCmpctBlock{
 		Header: blk.Header,
 		Nonce:  nonce,
 	}
+	cb.SetOrigin(blk)
 	for i := range blk.Transactions {
+		// Taken before the coinbase is copied, so the prefilled copy
+		// carries the memo and reading its txid never writes to cb.
+		txid := blk.Transactions[i].TxID()
 		if i == 0 {
 			cb.PrefilledTxs = append(cb.PrefilledTxs, wire.PrefilledTx{
 				Index: 0,
@@ -33,7 +39,6 @@ func BuildCompactBlock(blk *wire.MsgBlock, nonce uint64) *wire.MsgCmpctBlock {
 			})
 			continue
 		}
-		txid := blk.Transactions[i].TxID()
 		cb.ShortIDs = append(cb.ShortIDs,
 			wire.ComputeShortID(blockHash, nonce, txid))
 	}
@@ -57,18 +62,16 @@ type ReconstructResult struct {
 // ReconstructCompactBlock attempts to rebuild the full block for cb using
 // transactions from pool. When transactions are missing it reports their
 // indexes rather than failing, mirroring Bitcoin Core's flow of following
-// up with GETBLOCKTXN.
+// up with GETBLOCKTXN. A block that resolves to cb's origin, transaction
+// for transaction, is the origin itself; any other is a fresh copy.
 func ReconstructCompactBlock(cb *wire.MsgCmpctBlock, pool *Mempool) (*ReconstructResult, error) {
-	blockHash := cb.BlockHash()
-
-	idToTx, err := pool.shortIDIndex(blockHash, cb.Nonce)
+	idToTx, err := pool.shortIDIndex(cb.BlockHash(), cb.Nonce)
 	if err != nil {
 		return nil, err
 	}
 
 	total := cb.TotalTxCount()
 	slots := make([]*wire.MsgTx, total)
-	prefilled := make(map[int]bool, len(cb.PrefilledTxs))
 	for i := range cb.PrefilledTxs {
 		p := &cb.PrefilledTxs[i]
 		if int(p.Index) >= total {
@@ -76,13 +79,12 @@ func ReconstructCompactBlock(cb *wire.MsgCmpctBlock, pool *Mempool) (*Reconstruc
 				p.Index, total)
 		}
 		slots[p.Index] = &p.Tx
-		prefilled[int(p.Index)] = true
 	}
 
 	res := &ReconstructResult{}
 	sid := 0
-	for i := 0; i < total; i++ {
-		if prefilled[i] {
+	for i := range slots {
+		if slots[i] != nil { // prefilled
 			continue
 		}
 		id := cb.ShortIDs[sid]
@@ -98,10 +100,13 @@ func ReconstructCompactBlock(cb *wire.MsgCmpctBlock, pool *Mempool) (*Reconstruc
 	if len(res.MissingIndexes) > 0 {
 		return res, nil
 	}
-	blk := &wire.MsgBlock{Header: cb.Header}
-	blk.Transactions = make([]wire.MsgTx, total)
-	for i, tx := range slots {
-		blk.Transactions[i] = *tx
+	blk := resolvedOrigin(cb, slots)
+	if blk == nil {
+		blk = &wire.MsgBlock{Header: cb.Header}
+		blk.Transactions = make([]wire.MsgTx, total)
+		for i, tx := range slots {
+			blk.Transactions[i] = *tx
+		}
 	}
 	if err := CheckBlock(blk); err != nil {
 		return nil, fmt.Errorf("chain: reconstructed block invalid: %w", err)
@@ -109,6 +114,23 @@ func ReconstructCompactBlock(cb *wire.MsgCmpctBlock, pool *Mempool) (*Reconstruc
 	res.Block = blk
 	res.Complete = true
 	return res, nil
+}
+
+// resolvedOrigin returns cb's origin when slots, the transactions cb
+// resolved to, are the origin's in order: same header, same count, and
+// the same txid at every index. It returns nil otherwise, and always for
+// a compact block without an origin.
+func resolvedOrigin(cb *wire.MsgCmpctBlock, slots []*wire.MsgTx) *wire.MsgBlock {
+	blk := cb.Origin()
+	if blk == nil || blk.Header != cb.Header || len(blk.Transactions) != len(slots) {
+		return nil
+	}
+	for i, tx := range slots {
+		if tx.TxID() != blk.Transactions[i].TxID() {
+			return nil
+		}
+	}
+	return blk
 }
 
 // CompleteReconstruction fills the transactions missing from a previous

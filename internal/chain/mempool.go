@@ -2,7 +2,6 @@ package chain
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/chainhash"
 	"repro/internal/wire"
@@ -13,9 +12,13 @@ import (
 // absent the node must issue a GETBLOCKTXN round trip, which is exactly
 // the delay coupling the paper highlights between transaction relay and
 // block relay.
+//
+// A Mempool belongs to one node and is used from that node's goroutine
+// only (the simnet scheduler, or tcpnet's actor loop); it takes no lock.
 type Mempool struct {
-	mu  sync.RWMutex
 	txs map[chainhash.Hash]*wire.MsgTx
+	// ids is shortIDIndex's scratch, cleared and refilled on every call.
+	ids map[wire.ShortID]*wire.MsgTx
 }
 
 // NewMempool returns an empty mempool.
@@ -26,8 +29,6 @@ func NewMempool() *Mempool {
 // Add inserts tx, returning its hash and whether it was newly added.
 func (m *Mempool) Add(tx *wire.MsgTx) (chainhash.Hash, bool) {
 	h := tx.TxID()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if _, ok := m.txs[h]; ok {
 		return h, false
 	}
@@ -37,23 +38,17 @@ func (m *Mempool) Add(tx *wire.MsgTx) (chainhash.Hash, bool) {
 
 // Have reports whether the pool contains the transaction.
 func (m *Mempool) Have(h chainhash.Hash) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	_, ok := m.txs[h]
 	return ok
 }
 
 // Get returns the transaction with the given hash, or nil.
 func (m *Mempool) Get(h chainhash.Hash) *wire.MsgTx {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	return m.txs[h]
 }
 
 // RemoveBlockTxs evicts every transaction confirmed by blk.
 func (m *Mempool) RemoveBlockTxs(blk *wire.MsgBlock) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for i := range blk.Transactions {
 		delete(m.txs, blk.Transactions[i].TxID())
 	}
@@ -62,8 +57,6 @@ func (m *Mempool) RemoveBlockTxs(blk *wire.MsgBlock) {
 // Hashes returns the hashes of all pooled transactions in unspecified
 // order.
 func (m *Mempool) Hashes() []chainhash.Hash {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := make([]chainhash.Hash, 0, len(m.txs))
 	for h := range m.txs {
 		out = append(out, h)
@@ -72,20 +65,21 @@ func (m *Mempool) Hashes() []chainhash.Hash {
 }
 
 // shortIDIndex maps the BIP-152 short ID of every pooled transaction,
-// keyed by (blockHash, nonce), to the transaction. It scans the pool in
-// place under one read lock. Two transactions with one short ID make a
-// reconstruction ambiguous, so any collision in the pool is an
-// ErrShortIDCollision.
+// keyed by (blockHash, nonce), to the transaction. The map is the pool's
+// own scratch, valid until the next call. Two transactions with one
+// short ID make a reconstruction ambiguous, so any collision in the pool
+// is an ErrShortIDCollision.
 func (m *Mempool) shortIDIndex(blockHash chainhash.Hash, nonce uint64) (map[wire.ShortID]*wire.MsgTx, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	idToTx := make(map[wire.ShortID]*wire.MsgTx, len(m.txs))
+	if m.ids == nil {
+		m.ids = make(map[wire.ShortID]*wire.MsgTx, len(m.txs))
+	}
+	clear(m.ids)
 	for h, tx := range m.txs {
 		id := wire.ComputeShortID(blockHash, nonce, h)
-		if _, dup := idToTx[id]; dup {
+		if _, dup := m.ids[id]; dup {
 			return nil, fmt.Errorf("%w: id %x", ErrShortIDCollision, id)
 		}
-		idToTx[id] = tx
+		m.ids[id] = tx
 	}
-	return idToTx, nil
+	return m.ids, nil
 }

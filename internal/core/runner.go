@@ -95,18 +95,21 @@ func (r *Runner) emitTrace(kind, id, detail string, dur time.Duration) {
 	r.Trace.Emit(obs.Event{Kind: kind, Detail: id + detail, Dur: dur})
 }
 
-// runOne executes experiment e with panic containment: a panicking
-// Run is recovered into a *par.PanicError carrying the job index and
-// the faulting stack, so one crashed experiment cannot take the batch
-// (or, behind the reprod service, the process) down.
-func (r *Runner) runOne(ctx context.Context, i int, e Experiment) (rep *Report, err error) {
+// errNilReport is the cause of a JobError for an experiment whose Run
+// returned neither a report nor an error.
+var errNilReport = errors.New("experiment returned no report and no error")
+
+// contain calls fn with panic containment: a panic is recovered into a
+// *par.PanicError carrying the job index and the faulting stack, so one
+// crashed experiment cannot take the batch (or, behind the reprod
+// service, the process) down.
+func contain(i int, fn func() error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			rep = nil
 			err = &par.PanicError{Index: i, Value: rec, Stack: debug.Stack()}
 		}
 	}()
-	return e.Run(ctx, r.Options)
+	return fn()
 }
 
 // writeOut renders rep into buf and writes its CSV sidecars.
@@ -156,13 +159,15 @@ func (r *Runner) recordFlight(id string, err error, res obs.ResourceStats) {
 
 // Run executes every experiment of exps on the pool and renders each
 // successful report to w in slice order; a failing (or panicking)
-// experiment never stops the others. Output is streamed: a report is
-// written as soon as it and all its predecessors are done, and a report
-// is always written whole or not at all — the merge loop never copies a
-// failed or half-rendered buffer. If ctx is cancelled, Run stops
-// mid-simulation and returns ctx.Err(); otherwise it returns nil, a
-// write error from w, or errors.Join of one *JobError per failed
-// experiment, in slice order.
+// experiment never stops the others. An experiment fails when its Run
+// errors, panics, or returns neither a report nor an error, and when
+// rendering its report or writing its CSV sidecars errors or panics.
+// Output is streamed: a report is written as soon as it and all its
+// predecessors are done, and a report is always written whole or not at
+// all — the merge loop never copies a failed or half-rendered buffer.
+// If ctx is cancelled, Run stops mid-simulation and returns ctx.Err();
+// otherwise it returns nil, a write error from w, or errors.Join of one
+// *JobError per failed experiment, in slice order.
 //
 // For the length of the batch Run samples process resources on a
 // sampler of its own, ticked every sampleInterval; each experiment's
@@ -177,18 +182,28 @@ func (r *Runner) Run(ctx context.Context, exps []Experiment, w io.Writer) error 
 	stopSampling := sampler.Start(sampleInterval)
 	defer stopSampling()
 
-	forEachErr := make(chan error, 1)
+	// The pool goroutine sets poolErr before it closes pool.
+	var poolErr error
+	pool := make(chan struct{})
 	go func() {
-		forEachErr <- par.ForEach(ctx, r.Options.Workers, len(exps), func(ctx context.Context, i int) error {
+		defer close(pool)
+		poolErr = par.ForEach(ctx, r.Options.Workers, len(exps), func(ctx context.Context, i int) error {
 			job, e := &jobs[i], exps[i]
 			defer close(job.done)
 			r.emitTrace("exp.start", e.ID, "", 0)
 			begin := time.Now()
 			endRes := sampler.StartRun()
-			rep, err := r.runOne(ctx, i, e)
+			var rep *Report
+			err := contain(i, func() (err error) {
+				rep, err = e.Run(ctx, r.Options)
+				return err
+			})
 			job.res = endRes()
+			if err == nil && rep == nil {
+				err = errNilReport
+			}
 			if err == nil {
-				err = r.writeOut(&job.buf, rep)
+				err = contain(i, func() error { return r.writeOut(&job.buf, rep) })
 			}
 			if err != nil {
 				job.err = &JobError{ID: e.ID, Err: err}
@@ -204,8 +219,11 @@ func (r *Runner) Run(ctx context.Context, exps []Experiment, w io.Writer) error 
 	}()
 
 	// Merge loop: emit buffered reports in slice order and set failures
-	// aside. Every dispatched job closes done; once ctx is cancelled the
-	// pool skips the rest, and the loop returns on ctx.Done instead.
+	// aside. Every dispatched job closes done before the pool returns;
+	// once ctx is cancelled the pool skips the rest, and the loop returns
+	// on ctx.Done instead. A pool that returns with jobs undispatched
+	// (which only an uncontained worker failure can cause) ends the loop
+	// too, and Run reports the pool's error.
 	var failed []error
 	emit := func() error {
 		for i := range jobs {
@@ -214,6 +232,12 @@ func (r *Runner) Run(ctx context.Context, exps []Experiment, w io.Writer) error 
 			case <-job.done:
 			case <-ctx.Done():
 				return ctx.Err()
+			case <-pool:
+				select {
+				case <-job.done:
+				default:
+					return nil
+				}
 			}
 			if job.err != nil {
 				failed = append(failed, job.err)
@@ -230,8 +254,9 @@ func (r *Runner) Run(ctx context.Context, exps []Experiment, w io.Writer) error 
 	}
 
 	emitErr := emit()
-	if err := <-forEachErr; err != nil {
-		return err
+	<-pool
+	if poolErr != nil {
+		return poolErr
 	}
 	// A cancelled ctx wins over whatever the interrupted jobs reported.
 	if err := ctx.Err(); err != nil {

@@ -285,6 +285,54 @@ func TestRunnerKeepGoing(t *testing.T) {
 	}
 }
 
+// TestRunnerNilReport checks an experiment that returns neither a report
+// nor an error fails as a *JobError instead of hanging the batch: with it
+// first among five, Run returns within a bound at one and two workers,
+// with one failure and the four other reports rendered in order.
+func TestRunnerNilReport(t *testing.T) {
+	ok := func(id string) Experiment {
+		return Experiment{ID: id, Run: func(context.Context, Options) (*Report, error) {
+			return &Report{ID: id, Title: id}, nil
+		}}
+	}
+	empty := Experiment{ID: "empty", Run: func(context.Context, Options) (*Report, error) {
+		return nil, nil
+	}}
+	exps := []Experiment{empty, ok("a"), ok("b"), ok("c"), ok("d")}
+
+	for _, workers := range []int{1, 2} {
+		var out safeBuffer
+		done := make(chan error, 1)
+		go func() {
+			r := Runner{Options: Options{Quick: true, Workers: workers}}
+			done <- r.Run(context.Background(), exps, &out)
+		}()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: Run did not return", workers)
+		}
+		var je *JobError
+		if !errors.As(err, &je) || je.ID != "empty" || !errors.Is(err, errNilReport) {
+			t.Fatalf("workers=%d: Run returned %v, want the JobError of empty", workers, err)
+		}
+		if failures := err.(interface{ Unwrap() []error }).Unwrap(); len(failures) != 1 {
+			t.Errorf("workers=%d: failures = %v, want one", workers, failures)
+		}
+		var headers []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "== ") {
+				headers = append(headers, line)
+			}
+		}
+		want := "== a — a ==,== b — b ==,== c — c ==,== d — d =="
+		if got := strings.Join(headers, ","); got != want {
+			t.Errorf("workers=%d: rendered report headers %q, want %q", workers, got, want)
+		}
+	}
+}
+
 // TestRunnerTraceEvents checks the progress tracer sees one start and
 // one terminal event per experiment, with failures labelled exp.fail.
 func TestRunnerTraceEvents(t *testing.T) {

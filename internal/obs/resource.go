@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 )
@@ -36,11 +37,17 @@ type ResourceStats struct {
 	// GCPauseMaxNS is the longest stop-the-world pause observed in the
 	// window, in nanoseconds.
 	GCPauseMaxNS int64 `json:"gc_pause_max_ns"`
-	// PeakHeapBytes is the highest live-heap (HeapAlloc) sample seen in
-	// the window. The heap is process-wide: concurrent experiments in
-	// the same process share one allocator, so overlapping windows see
-	// each other's mass.
+	// PeakHeapBytes is the highest HeapAlloc sample seen in the window:
+	// the bytes of allocated heap objects, live ones and garbage not yet
+	// swept alike, so it tracks the GC pacer as much as the program. The
+	// heap is process-wide: concurrent experiments in the same process
+	// share one allocator, so overlapping windows see each other's mass.
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
+	// PeakLiveHeapBytes is the highest live heap sampled in the window:
+	// runtime/metrics' /gc/heap/live:bytes, the heap the latest GC cycle
+	// marked reachable. It moves only when a cycle ends, so a window
+	// without one reads the live heap of the cycle before it.
+	PeakLiveHeapBytes uint64 `json:"peak_live_heap_bytes"`
 	// PeakGoroutines is the highest goroutine count sampled in the window.
 	PeakGoroutines int `json:"peak_goroutines"`
 	// EventsProcessed carries the deterministic scheduler event count the
@@ -51,9 +58,9 @@ type ResourceStats struct {
 
 // String renders the stats compactly for a resources line.
 func (s ResourceStats) String() string {
-	out := fmt.Sprintf("wall=%v alloc=%s gc=%d peak-heap=%s peak-goroutines=%d",
+	out := fmt.Sprintf("wall=%v alloc=%s gc=%d peak-heap=%s peak-live=%s peak-goroutines=%d",
 		time.Duration(s.WallNS).Round(time.Millisecond), formatBytes(s.AllocBytes), s.NumGC,
-		formatBytes(s.PeakHeapBytes), s.PeakGoroutines)
+		formatBytes(s.PeakHeapBytes), formatBytes(s.PeakLiveHeapBytes), s.PeakGoroutines)
 	if s.GCPauseMaxNS > 0 {
 		out += fmt.Sprintf(" gc-pause-max=%v", time.Duration(s.GCPauseMaxNS).Round(time.Microsecond))
 	}
@@ -91,6 +98,9 @@ type ResourceSampler struct {
 	mu        sync.Mutex
 	lastNumGC uint32
 	windows   map[*resourceWindow]struct{}
+	// live is the runtime/metrics read buffer for liveHeapMetric, reused
+	// under mu so a sample does not allocate one.
+	live [1]metrics.Sample
 
 	// Live registry handles (nil when no registry was supplied).
 	gHeap       *Gauge
@@ -105,6 +115,7 @@ type ResourceSampler struct {
 // resourceWindow accumulates the peaks seen while a run window is open.
 type resourceWindow struct {
 	peakHeap       uint64
+	peakLive       uint64
 	peakGoroutines int
 	gcPauseMax     int64
 	begin          time.Time
@@ -131,9 +142,24 @@ func NewResourceSampler(reg *Registry) *ResourceSampler {
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	rs.live[0].Name = liveHeapMetric
 	rs.lastNumGC = ms.NumGC
 	rs.sampleLocked(&ms, runtime.NumGoroutine())
 	return rs
+}
+
+// liveHeapMetric names the runtime/metrics sample of the heap the latest
+// GC cycle marked live.
+const liveHeapMetric = "/gc/heap/live:bytes"
+
+// liveHeapLocked reads liveHeapMetric; zero if the runtime lacks it.
+// Callers hold mu (or are the constructor).
+func (rs *ResourceSampler) liveHeapLocked() uint64 {
+	metrics.Read(rs.live[:])
+	if rs.live[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return rs.live[0].Value.Uint64()
 }
 
 // Sample takes one snapshot now: live gauges are refreshed, GC pauses since the previous sample observed into the
@@ -150,8 +176,11 @@ func (rs *ResourceSampler) Sample() {
 	rs.sampleLocked(&ms, n)
 }
 
-// sampleLocked folds one MemStats reading into gauges and open windows. Callers hold mu (or are the constructor).
+// sampleLocked folds one MemStats reading, and a live-heap read of its
+// own, into gauges and open windows. Callers hold mu (or are the
+// constructor).
 func (rs *ResourceSampler) sampleLocked(ms *runtime.MemStats, goroutines int) {
+	live := rs.liveHeapLocked()
 	rs.gHeap.Set(int64(ms.HeapAlloc))
 	rs.gHeapSys.Set(int64(ms.HeapSys))
 	rs.gHeapObjs.Set(int64(ms.HeapObjects))
@@ -179,6 +208,9 @@ func (rs *ResourceSampler) sampleLocked(ms *runtime.MemStats, goroutines int) {
 	for w := range rs.windows {
 		if ms.HeapAlloc > w.peakHeap {
 			w.peakHeap = ms.HeapAlloc
+		}
+		if live > w.peakLive {
+			w.peakLive = live
 		}
 		if goroutines > w.peakGoroutines {
 			w.peakGoroutines = goroutines
@@ -243,14 +275,15 @@ func (rs *ResourceSampler) StartRun() func() ResourceStats {
 		delete(rs.windows, w)
 		rs.mu.Unlock()
 		return ResourceStats{
-			WallNS:         time.Since(w.begin).Nanoseconds(),
-			CPUNS:          cpuDelta(w.beginCPU),
-			AllocBytes:     ms.TotalAlloc - w.base.TotalAlloc,
-			Mallocs:        ms.Mallocs - w.base.Mallocs,
-			NumGC:          ms.NumGC - w.base.NumGC,
-			GCPauseMaxNS:   w.gcPauseMax,
-			PeakHeapBytes:  w.peakHeap,
-			PeakGoroutines: w.peakGoroutines,
+			WallNS:            time.Since(w.begin).Nanoseconds(),
+			CPUNS:             cpuDelta(w.beginCPU),
+			AllocBytes:        ms.TotalAlloc - w.base.TotalAlloc,
+			Mallocs:           ms.Mallocs - w.base.Mallocs,
+			NumGC:             ms.NumGC - w.base.NumGC,
+			GCPauseMaxNS:      w.gcPauseMax,
+			PeakHeapBytes:     w.peakHeap,
+			PeakLiveHeapBytes: w.peakLive,
+			PeakGoroutines:    w.peakGoroutines,
 		}
 	}
 }

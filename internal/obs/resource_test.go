@@ -75,6 +75,28 @@ func TestResourceSamplerOverlappingWindows(t *testing.T) {
 	}
 }
 
+// TestResourceSamplerPeakLive checks a window that retains a 64 MiB slice
+// across a GC cycle reports a peak live heap of at least the slice.
+func TestResourceSamplerPeakLive(t *testing.T) {
+	const size = 64 << 20
+	rs := NewResourceSampler(nil)
+	stop := rs.StartRun()
+	buf := make([]byte, size)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	runtime.GC()
+	rs.Sample()
+	runtime.KeepAlive(buf)
+	st := stop()
+	if st.PeakLiveHeapBytes < size {
+		t.Errorf("PeakLiveHeapBytes = %d, want at least the %d-byte slice", st.PeakLiveHeapBytes, size)
+	}
+	if !strings.Contains(st.String(), "peak-live=") {
+		t.Errorf("String() = %q, missing peak-live=", st.String())
+	}
+}
+
 func TestResourceSamplerNilSafe(t *testing.T) {
 	var rs *ResourceSampler
 	rs.Sample()

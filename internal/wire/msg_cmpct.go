@@ -90,6 +90,11 @@ type MsgCmpctBlock struct {
 	ShortIDs []ShortID
 	// PrefilledTxs are transactions sent in full.
 	PrefilledTxs []PrefilledTx
+
+	// origin is the block this compact block was built from, when it was
+	// built in this process. It is never encoded, and Decode clears it,
+	// so a compact block that crossed a socket has none.
+	origin *MsgBlock
 }
 
 var _ Message = (*MsgCmpctBlock)(nil)
@@ -124,6 +129,7 @@ func (m *MsgCmpctBlock) AppendPayload(b []byte) ([]byte, error) {
 
 // Decode implements Message.
 func (m *MsgCmpctBlock) Decode(r *bytes.Reader) error {
+	m.origin = nil
 	if err := m.Header.decode(r); err != nil {
 		return err
 	}
@@ -173,6 +179,15 @@ func (m *MsgCmpctBlock) Decode(r *bytes.Reader) error {
 
 // BlockHash returns the announced block's identifier.
 func (m *MsgCmpctBlock) BlockHash() chainhash.Hash { return m.Header.BlockHash() }
+
+// SetOrigin records blk as the block m was built from. A block is
+// immutable once mined, so a receiver in the same process may keep blk
+// itself instead of a copy once it has checked that m resolves to it.
+func (m *MsgCmpctBlock) SetOrigin(blk *MsgBlock) { m.origin = blk }
+
+// Origin returns the block m was built from, or nil when m was decoded
+// or built without one.
+func (m *MsgCmpctBlock) Origin() *MsgBlock { return m.origin }
 
 // TotalTxCount returns the number of transactions the full block holds.
 func (m *MsgCmpctBlock) TotalTxCount() int {
