@@ -345,20 +345,8 @@ func RunResync(ctx context.Context, cfg ConnExperimentConfig) (*ResyncResult, er
 	sched := net.Scheduler()
 	genesis := chainGenesis("resync")
 
-	live := make([]netip.AddrPort, cfg.LivePeers)
-	var hosts []*simnet.Host
-	for i := range live {
-		live[i] = netip.AddrPortFrom(
-			netip.AddrFrom4([4]byte{10, 2, byte(i >> 8), byte(i)}), 8333)
-		h := net.AddFullNode(node.Config{
-			Self:      wire.NetAddress{Addr: live[i], Services: wire.SFNodeNetwork},
-			Reachable: true,
-			Genesis:   genesis,
-			SeedAddrs: seedSample(rng, live, nil, 20, live[i], net.Now()),
-		})
-		h.Start()
-		hosts = append(hosts, h)
-	}
+	live := addrBlock(netip.AddrFrom4([4]byte{10, 2, 0, 0}), cfg.LivePeers)
+	hosts := addPeers(net, rng, genesis, nil, live, nil, 20)
 	dead := make([]netip.AddrPort, cfg.deadAddrs())
 	for i := range dead {
 		dead[i] = netip.AddrPortFrom(
