@@ -296,10 +296,7 @@ func TestRunConnExperiment(t *testing.T) {
 }
 
 func TestRunResync(t *testing.T) {
-	res, err := RunResync(context.Background(), ConnExperimentConfig{
-		Seed:      8,
-		LivePeers: 30,
-	})
+	res, err := RunResync(context.Background(), 8, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

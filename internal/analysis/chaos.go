@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/faults"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -124,7 +125,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	sampler.Tick(net.Now())
 	stopSampling := sched.Every(chaosSampleEvery, func() { sampler.Tick(net.Now()) })
 	defer stopSampling()
-	genesis := chainGenesis("chaos")
+	genesis := chain.GenesisBlock("chaos")
 	inj := faults.New(net, faults.Config{Seed: cfg.Seed, Default: faults.Profile{
 		Drop:      chaosDrop,
 		Spike:     chaosSpike,
@@ -133,11 +134,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 		Duplicate: chaosDuplicate,
 	}, Metrics: reg, Tracer: tracer})
 
-	addrs := make([]netip.AddrPort, cfg.NumNodes)
-	for i := range addrs {
-		addrs[i] = netip.AddrPortFrom(
-			netip.AddrFrom4([4]byte{10, 4, byte(i >> 8), byte(i)}), 8333)
-	}
+	addrs := addrBlock(netip.AddrFrom4([4]byte{10, 4, 0, 0}), cfg.NumNodes)
 	seedsFor := func(self netip.AddrPort) []wire.NetAddress {
 		var out []wire.NetAddress
 		for _, a := range addrs {

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/simnet"
@@ -69,11 +70,12 @@ func (c ConnExperimentConfig) withDefaults() ConnExperimentConfig {
 	return c
 }
 
-// deadAddrs is the number of dead/unreachable addresses mixed into the
-// observer's address manager, so that the live peers are the gossip's
-// 14.9% (the paper's tables hold 85.1% such addresses).
-func (c ConnExperimentConfig) deadAddrs() int {
-	return deadAddrPool(c.LivePeers) - c.LivePeers
+// connDeadAddrs is the number of dead/unreachable addresses mixed into
+// the observer's address manager beside livePeers live ones, so that the
+// live peers are the gossip's 14.9% (the paper's tables hold 85.1% such
+// addresses).
+func connDeadAddrs(livePeers int) int {
+	return deadAddrPool(livePeers) - livePeers
 }
 
 const (
@@ -124,58 +126,31 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 	for run := range res.Runs {
 		seed := cfg.Seed + int64(run)*1000
 		rng := rand.New(rand.NewSource(seed))
-		net := simnet.New(simnet.Config{
-			Seed:    seed,
-			Latency: simnet.HashLatency(20*time.Millisecond, 120*time.Millisecond),
-		})
+		net := simnet.New(simnet.Config{Seed: seed, Latency: simLatency})
 		sched := net.Scheduler()
-		genesis := chainGenesis("conn-experiment")
+		genesis := chain.GenesisBlock("conn-experiment")
 
-		live := make([]netip.AddrPort, cfg.LivePeers)
-		var liveHosts []*simnet.Host
-		for i := range live {
-			live[i] = netip.AddrPortFrom(
-				netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), 8333)
-			liveHosts = append(liveHosts, nil) // placeholder; filled below
-		}
-		dead := make([]netip.AddrPort, cfg.deadAddrs())
-		for i := range dead {
-			dead[i] = netip.AddrPortFrom(
-				netip.AddrFrom4([4]byte{172, 20, byte(i >> 8), byte(i)}), 8333)
-		}
+		live := addrBlock(netip.AddrFrom4([4]byte{10, 1, 0, 0}), cfg.LivePeers)
+		dead := addrBlock(netip.AddrFrom4([4]byte{172, 20, 0, 0}), connDeadAddrs(cfg.LivePeers))
 		// Background peers live with the same polluted gossip the paper
 		// measured: their tables (and therefore their ADDR responses to
 		// the observer) are dominated by dead addresses.
-		for i := range live {
-			h := net.AddFullNode(node.Config{
-				Self:      wire.NetAddress{Addr: live[i], Services: wire.SFNodeNetwork},
-				Reachable: true,
-				Genesis:   genesis,
-				Policies:  cfg.Policies,
-				SeedAddrs: seedSample(rng, live, dead, 150, live[i], net.Now()),
-			})
-			h.Start()
-			liveHosts[i] = h
-		}
+		liveHosts := addPeers(net, rng, genesis, cfg.Policies, live, dead, 150)
 		// Let the background network interconnect; with an 85% dead mix
 		// this takes a while, exactly as in the live network.
 		if err := sched.RunForCtx(ctx, 10*time.Minute); err != nil {
 			return nil, err
 		}
 
+		// Every driver below stops at the end of the sampled window.
+		end := net.Now().Add(cfg.ObserverWarmup + cfg.Duration)
+
 		// Background churn destabilizes the observer's connections.
 		if cfg.PeerChurnPer10Min > 0 {
 			gap := time.Duration(float64(10*time.Minute) / cfg.PeerChurnPer10Min)
-			var churnTick func()
-			churnTick = func() {
-				h := liveHosts[rng.Intn(len(liveHosts))]
-				if h.Online() {
-					h.Stop()
-					sched.After(5*time.Minute, h.Start)
-				}
-				sched.After(time.Duration(rng.ExpFloat64()*float64(gap)), churnTick)
-			}
-			sched.After(0, churnTick)
+			churnHosts(sched, rng, end, 0, gap, liveHosts, 1, func(h *simnet.Host) {
+				sched.After(5*time.Minute, h.Start)
+			})
 		}
 
 		// The observer starts now, with gossip-mix address tables. Its
@@ -189,7 +164,7 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 			Reachable: true,
 			Genesis:   genesis,
 			Policies:  cfg.Policies,
-			SeedAddrs: seedSample(rng, live, dead, observerSeeds, observerAddr, net.Now()),
+			SeedAddrs: seedSample(rng, live, dead, gossipLiveShare, observerSeeds, observerAddr, net.Now()),
 			Metrics:   observerReg,
 		})
 		observer.Start()
@@ -199,8 +174,8 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 			hostByAddr[h.Addr()] = h
 		}
 		if cfg.ConnDropEvery > 0 {
-			var dropTick func()
-			dropTick = func() {
+			next := func() time.Duration { return expGap(rng, cfg.ConnDropEvery) }
+			loop(sched, end, next(), next, func() {
 				if n := observer.Node(); n != nil {
 					if peers := n.PeerAddrs(node.Outbound); len(peers) > 0 {
 						if h := hostByAddr[peers[rng.Intn(len(peers))]]; h != nil && h.Online() {
@@ -209,9 +184,7 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 						}
 					}
 				}
-				sched.After(time.Duration(rng.ExpFloat64()*float64(cfg.ConnDropEvery)), dropTick)
-			}
-			sched.After(time.Duration(rng.ExpFloat64()*float64(cfg.ConnDropEvery)), dropTick)
+			})
 		}
 		if cfg.ObserverWarmup > 0 {
 			if err := sched.RunForCtx(ctx, cfg.ObserverWarmup); err != nil {
@@ -221,19 +194,12 @@ func RunConnExperiment(ctx context.Context, cfg ConnExperimentConfig) (*ConnExpe
 
 		cr := ConnRun{}
 		startAttempts, startSuccesses := dialAttempts.Value(), dialSuccesses.Value()
-		end := net.Now().Add(cfg.Duration)
-		var sample func()
-		sample = func() {
-			if !net.Now().Before(end) {
-				return
-			}
+		loop(sched, end, 0, func() time.Duration { return cfg.SampleEvery }, func() {
 			if n := observer.Node(); n != nil {
 				out, _, feelers := n.ConnCounts()
 				cr.Samples = append(cr.Samples, out+feelers)
 			}
-			sched.After(cfg.SampleEvery, sample)
-		}
-		sched.After(0, sample)
+		})
 		if err := sched.RunUntilCtx(ctx, end); err != nil {
 			return nil, err
 		}
@@ -295,28 +261,10 @@ func seedStaleTried(rng *rand.Rand, n *node.Node, dead, live []netip.AddrPort, n
 // of the time.
 const gossipOnlineFraction = 0.67
 
-// seedSample builds a seed list mixing live and dead addresses at the
-// gossip's reachable share, discounted by gossipOnlineFraction; with no
-// dead addresses every seed is live.
-func seedSample(rng *rand.Rand, live, dead []netip.AddrPort, n int,
-	self netip.AddrPort, now time.Time) []wire.NetAddress {
-	out := make([]wire.NetAddress, 0, n)
-	for len(out) < n {
-		var a netip.AddrPort
-		if len(dead) == 0 || rng.Float64() < addrReachableShare*gossipOnlineFraction {
-			a = live[rng.Intn(len(live))]
-		} else {
-			a = dead[rng.Intn(len(dead))]
-		}
-		if a == self {
-			continue
-		}
-		out = append(out, wire.NetAddress{
-			Addr: a, Services: wire.SFNodeNetwork, Timestamp: now,
-		})
-	}
-	return out
-}
+// gossipLiveShare is the share of the connection experiments' seeds that
+// are live: the gossip's reachable share, discounted by
+// gossipOnlineFraction.
+const gossipLiveShare = addrReachableShare * gossipOnlineFraction
 
 // ResyncResult measures a restarted node's recovery (§IV-D: the paper
 // measured 11 min 14 s to resynchronize and resume relaying).
@@ -330,28 +278,20 @@ type ResyncResult struct {
 	ToFullSlots time.Duration
 }
 
-// RunResync restarts a node inside a live network and measures its
-// recovery milestones.
-func RunResync(ctx context.Context, cfg ConnExperimentConfig) (*ResyncResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.LivePeers < 8 {
-		return nil, fmt.Errorf("analysis: need at least 8 live peers, got %d", cfg.LivePeers)
+// RunResync restarts a node inside a network of livePeers reachable
+// nodes and measures its recovery milestones over a 30-minute window.
+func RunResync(ctx context.Context, seed int64, livePeers int) (*ResyncResult, error) {
+	if livePeers < 8 {
+		return nil, fmt.Errorf("analysis: need at least 8 live peers, got %d", livePeers)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	net := simnet.New(simnet.Config{
-		Seed:    cfg.Seed,
-		Latency: simnet.HashLatency(20*time.Millisecond, 120*time.Millisecond),
-	})
+	rng := rand.New(rand.NewSource(seed))
+	net := simnet.New(simnet.Config{Seed: seed, Latency: simLatency})
 	sched := net.Scheduler()
-	genesis := chainGenesis("resync")
+	genesis := chain.GenesisBlock("resync")
 
-	live := addrBlock(netip.AddrFrom4([4]byte{10, 2, 0, 0}), cfg.LivePeers)
+	live := addrBlock(netip.AddrFrom4([4]byte{10, 2, 0, 0}), livePeers)
 	hosts := addPeers(net, rng, genesis, nil, live, nil, 20)
-	dead := make([]netip.AddrPort, cfg.deadAddrs())
-	for i := range dead {
-		dead[i] = netip.AddrPortFrom(
-			netip.AddrFrom4([4]byte{172, 21, byte(i >> 8), byte(i)}), 8333)
-	}
+	dead := addrBlock(netip.AddrFrom4([4]byte{172, 21, 0, 0}), connDeadAddrs(livePeers))
 	if err := sched.RunForCtx(ctx, time.Minute); err != nil {
 		return nil, err
 	}
@@ -381,7 +321,7 @@ func RunResync(ctx context.Context, cfg ConnExperimentConfig) (*ResyncResult, er
 		// Bitcoin Core restarts dial serially (ThreadOpenConnections):
 		// most of the paper's 11-minute recovery is spent here.
 		MaxPendingDials: 1,
-		SeedAddrs:       seedSample(rng, live, dead, observerSeeds, observerAddr, net.Now()),
+		SeedAddrs:       seedSample(rng, live, dead, gossipLiveShare, observerSeeds, observerAddr, net.Now()),
 		Sink: func(ev node.Event) {
 			switch ev.Type {
 			case node.EvHandshake:
@@ -399,19 +339,13 @@ func RunResync(ctx context.Context, cfg ConnExperimentConfig) (*ResyncResult, er
 	seedStaleTried(rng, observer.Node(), dead, live, net.Now())
 
 	end := net.Now().Add(30 * time.Minute)
-	var watch func()
-	watch = func() {
-		if !net.Now().Before(end) {
-			return
-		}
+	loop(sched, end, 0, func() time.Duration { return time.Second }, func() {
 		if n := observer.Node(); n != nil && res.ToFullSlots == 0 {
 			if out, _, _ := n.ConnCounts(); out >= node.DefaultMaxOutbound {
 				res.ToFullSlots = net.Now().Sub(restartAt)
 			}
 		}
-		sched.After(time.Second, watch)
-	}
-	sched.After(0, watch)
+	})
 	if err := sched.RunUntilCtx(ctx, end); err != nil {
 		return nil, err
 	}

@@ -3,15 +3,8 @@ package analysis
 import (
 	"time"
 
-	"repro/internal/chain"
 	"repro/internal/stats"
-	"repro/internal/wire"
 )
-
-// chainGenesis builds the genesis block used by analysis experiments.
-func chainGenesis(tag string) *wire.MsgBlock {
-	return chain.GenesisBlock(tag)
-}
 
 // RelayDelaysSeconds converts last-connection delays to seconds.
 func RelayDelaysSeconds(delays []time.Duration) []float64 {

@@ -9,9 +9,8 @@ import (
 	"time"
 
 	"repro/internal/asmap"
-	"repro/internal/node"
+	"repro/internal/chain"
 	"repro/internal/simnet"
-	"repro/internal/wire"
 )
 
 // This file extends the paper's §IV-A1 routing-attack revision from a
@@ -27,8 +26,6 @@ type HijackConfig struct {
 	Seed int64
 	// NumReachable is the live network size.
 	NumReachable int
-	// HijackTopASes is how many of the largest ASes are blackholed.
-	HijackTopASes int
 	// At is when the hijack strikes, after the topology forms.
 	At time.Duration
 	// Observe is how long after the hijack the survivors are measured.
@@ -39,9 +36,6 @@ func (c HijackConfig) withDefaults() HijackConfig {
 	if c.NumReachable == 0 {
 		c.NumReachable = 120
 	}
-	if c.HijackTopASes == 0 {
-		c.HijackTopASes = 8
-	}
 	if c.At == 0 {
 		c.At = 30 * time.Minute
 	}
@@ -50,6 +44,9 @@ func (c HijackConfig) withDefaults() HijackConfig {
 	}
 	return c
 }
+
+// hijackTopASes is how many of the largest ASes are blackholed.
+const hijackTopASes = 8
 
 // HijackResult reports the partition experiment.
 type HijackResult struct {
@@ -91,52 +88,29 @@ func RunHijack(ctx context.Context, cfg HijackConfig) (*HijackResult, error) {
 		Latency: simnet.ASLatency(alloc, 8*time.Millisecond, 30*time.Millisecond, 120*time.Millisecond),
 	})
 	sched := net.Scheduler()
-	genesis := chainGenesis("hijack")
 
-	type placed struct {
-		host *simnet.Host
-		asn  uint32
-	}
-	var hosts []placed
-	var addrs []netip.AddrPort
-	for i := 0; i < cfg.NumReachable; i++ {
-		asn := dist.Sample(rng)
-		ip, err := alloc.Alloc(asn)
+	// asns[i] is the AS hosting hosts[i].
+	asns := make([]uint32, cfg.NumReachable)
+	addrs := make([]netip.AddrPort, cfg.NumReachable)
+	for i := range asns {
+		asns[i] = dist.Sample(rng)
+		ip, err := alloc.Alloc(asns[i])
 		if err != nil {
 			return nil, fmt.Errorf("analysis: alloc: %w", err)
 		}
-		addrs = append(addrs, netip.AddrPortFrom(ip, 8333))
-		hosts = append(hosts, placed{asn: asn})
+		addrs[i] = netip.AddrPortFrom(ip, 8333)
 	}
-	for i := range hosts {
-		seeds := make([]wire.NetAddress, 0, 20)
-		for len(seeds) < 20 {
-			a := addrs[rng.Intn(len(addrs))]
-			if a == addrs[i] {
-				continue
-			}
-			seeds = append(seeds, wire.NetAddress{
-				Addr: a, Services: wire.SFNodeNetwork, Timestamp: net.Now(),
-			})
-		}
-		hosts[i].host = net.AddFullNode(node.Config{
-			Self:      wire.NetAddress{Addr: addrs[i], Services: wire.SFNodeNetwork},
-			Reachable: true,
-			Genesis:   genesis,
-			SeedAddrs: seeds,
-		})
-		hosts[i].host.Start()
-	}
+	hosts := addPeers(net, rng, chain.GenesisBlock("hijack"), nil, addrs, nil, 20)
 	if err := sched.RunForCtx(ctx, cfg.At); err != nil {
 		return nil, err
 	}
 
 	// Identify the top-k ASes by hosted nodes.
 	census := asmap.NewCensus()
-	for _, p := range hosts {
-		census.Add(p.asn)
+	for _, asn := range asns {
+		census.Add(asn)
 	}
-	top := census.TopN(cfg.HijackTopASes)
+	top := census.TopN(hijackTopASes)
 	hijacked := make(map[uint32]bool, len(top))
 	res := &HijackResult{}
 	for _, s := range top {
@@ -148,90 +122,40 @@ func RunHijack(ctx context.Context, cfg HijackConfig) (*HijackResult, error) {
 	})
 
 	// Measure survivors' outdegree before the hijack.
-	var survivors []placed
-	for _, p := range hosts {
-		if !hijacked[p.asn] {
-			survivors = append(survivors, p)
+	var survivors []*simnet.Host
+	for i, h := range hosts {
+		if !hijacked[asns[i]] {
+			survivors = append(survivors, h)
 		}
 	}
 	res.IsolatedShare = 1 - float64(len(survivors))/float64(len(hosts))
-	outSum := 0
-	for _, p := range survivors {
-		if n := p.host.Node(); n != nil {
-			out, _, _ := n.ConnCounts()
-			outSum += out
-		}
-	}
-	if len(survivors) > 0 {
-		res.SurvivorMeanOutdegreeBefore = float64(outSum) / float64(len(survivors))
-	}
+	_, _, outBefore := tally(survivors, bestHeight(survivors))
 
 	// The hijack: every node in a hijacked AS goes dark at once.
 	sched.After(0, func() {
-		for _, p := range hosts {
-			if hijacked[p.asn] {
-				p.host.Stop()
+		for i, h := range hosts {
+			if hijacked[asns[i]] {
+				h.Stop()
 			}
 		}
 	})
 
 	// Keep mining on survivors through the observation window.
 	end := net.Now().Add(cfg.Observe)
-	var mineTick func()
-	mineTick = func() {
-		if !net.Now().Before(end) {
-			return
+	loop(sched, end, time.Minute, func() time.Duration { return expGap(rng, 5*time.Minute) }, func() {
+		if mineAtBest(rng, survivors, 10, 0) {
+			res.BlocksMinedAfter++
 		}
-		best := int32(-1)
-		for _, p := range survivors {
-			if n := p.host.Node(); n != nil {
-				if h := n.Chain().Height(); h > best {
-					best = h
-				}
-			}
-		}
-		for try := 0; try < 10; try++ {
-			p := survivors[rng.Intn(len(survivors))]
-			n := p.host.Node()
-			if n == nil || n.Chain().Height() != best {
-				continue
-			}
-			if _, err := n.MineBlock(0); err == nil {
-				res.BlocksMinedAfter++
-			}
-			break
-		}
-		sched.After(time.Duration(rng.ExpFloat64()*float64(5*time.Minute)), mineTick)
-	}
-	sched.After(time.Minute, mineTick)
+	})
 	if err := sched.RunUntilCtx(ctx, end); err != nil {
 		return nil, err
 	}
 
 	// Post-hijack measurements.
-	outSum = 0
-	best := int32(-1)
-	for _, p := range survivors {
-		if n := p.host.Node(); n != nil {
-			if h := n.Chain().Height(); h > best {
-				best = h
-			}
-		}
-	}
-	atTip := 0
-	for _, p := range survivors {
-		n := p.host.Node()
-		if n == nil {
-			continue
-		}
-		out, _, _ := n.ConnCounts()
-		outSum += out
-		if n.Chain().Height() == best {
-			atTip++
-		}
-	}
+	_, atTip, outAfter := tally(survivors, bestHeight(survivors))
 	if len(survivors) > 0 {
-		res.SurvivorMeanOutdegreeAfter = float64(outSum) / float64(len(survivors))
+		res.SurvivorMeanOutdegreeBefore = float64(outBefore) / float64(len(survivors))
+		res.SurvivorMeanOutdegreeAfter = float64(outAfter) / float64(len(survivors))
 		res.SurvivorsAtTip = float64(atTip) / float64(len(survivors))
 	}
 	return res, nil

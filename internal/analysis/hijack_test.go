@@ -8,17 +8,16 @@ import (
 
 func TestRunHijack(t *testing.T) {
 	res, err := RunHijack(context.Background(), HijackConfig{
-		Seed:          51,
-		NumReachable:  60,
-		HijackTopASes: 5,
-		At:            20 * time.Minute,
-		Observe:       20 * time.Minute,
+		Seed:         51,
+		NumReachable: 60,
+		At:           20 * time.Minute,
+		Observe:      20 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.HijackedASes) != 5 {
-		t.Fatalf("hijacked ASes = %d, want 5", len(res.HijackedASes))
+	if len(res.HijackedASes) != hijackTopASes {
+		t.Fatalf("hijacked ASes = %d, want %d", len(res.HijackedASes), hijackTopASes)
 	}
 	if res.IsolatedShare <= 0 || res.IsolatedShare >= 1 {
 		t.Errorf("isolated share = %.2f, want in (0,1)", res.IsolatedShare)

@@ -207,9 +207,9 @@ func runIntervCell(ctx context.Context, cfg InterventionGridConfig, spec intervC
 	// node: every multi-address ADDR payload it ingests is a GETADDR
 	// response chunk from one of its peers.
 	col := estimate.NewCollector(estimate.Config{
-		// The reachable plan uses 10.0.0.0/8; the dead pool (172/8) and
-		// the unreachable nodes (11/8) are the hidden population.
-		IsReachable: func(a netip.AddrPort) bool { return a.Addr().As4()[0] == 10 },
+		// The dead pool and the unreachable nodes of the propagation
+		// address plan are the hidden population.
+		IsReachable: func(a netip.AddrPort) bool { return reachablePlan.Contains(a.Addr()) },
 	})
 	pcfg := cfg.Base
 	pcfg.Seed = spec.seed

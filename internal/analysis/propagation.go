@@ -12,6 +12,7 @@ import (
 	"net/netip"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/simnet"
@@ -122,6 +123,14 @@ const (
 	listingTTL = time.Hour
 )
 
+// The propagation address plan: live reachable nodes in 10/8, unreachable
+// (NATed) nodes in 11/8 and the dead addresses of gossip in 172/8.
+var (
+	reachablePlan   = netip.MustParsePrefix("10.0.0.0/8")
+	unreachablePlan = netip.MustParsePrefix("11.0.0.0/8")
+	deadPlan        = netip.MustParsePrefix("172.0.0.0/8")
+)
+
 // deadAddrPool is the number of unreachable/dead addresses mixed into
 // gossip and seeds beside numReachable live ones; dials to them time out,
 // reproducing the §IV-B failure rate.
@@ -195,7 +204,7 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	}
 	net := simnet.New(simnet.Config{
 		Seed:    cfg.Seed,
-		Latency: simnet.HashLatency(20*time.Millisecond, 120*time.Millisecond),
+		Latency: simLatency,
 		Metrics: reg,
 	})
 	sched := net.Scheduler()
@@ -216,15 +225,10 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	mBlocksMined := reg.Counter("prop.blocks.mined")
 
 	// Address plan: live reachable nodes plus a pool of dead addresses.
-	addrs := make([]netip.AddrPort, cfg.NumReachable)
-	for i := range addrs {
-		addrs[i] = netip.AddrPortFrom(
-			netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), 8333)
-	}
-	dead := make([]netip.AddrPort, deadAddrPool(cfg.NumReachable))
-	for i := range dead {
-		dead[i] = netip.AddrPortFrom(
-			netip.AddrFrom4([4]byte{172, byte(i >> 16), byte(i >> 8), byte(i)}), 8333)
+	addrs := addrBlock(reachablePlan.Addr(), cfg.NumReachable)
+	dead := addrBlock(deadPlan.Addr(), deadAddrPool(cfg.NumReachable))
+	seedFor := func(self netip.AddrPort) []wire.NetAddress {
+		return seedSample(rng, addrs, dead, addrReachableShare, seedsPerNode, self, net.Now())
 	}
 
 	res := &PropagationResult{}
@@ -243,24 +247,6 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 
 	// Build hosts.
 	hosts := make([]*simnet.Host, cfg.NumReachable)
-	seedFor := func(self netip.AddrPort) []wire.NetAddress {
-		seeds := make([]wire.NetAddress, 0, seedsPerNode)
-		for len(seeds) < seedsPerNode {
-			var a netip.AddrPort
-			if rng.Float64() < addrReachableShare {
-				a = addrs[rng.Intn(len(addrs))]
-			} else {
-				a = dead[rng.Intn(len(dead))]
-			}
-			if a == self {
-				continue
-			}
-			seeds = append(seeds, wire.NetAddress{
-				Addr: a, Services: wire.SFNodeNetwork, Timestamp: net.Now(),
-			})
-		}
-		return seeds
-	}
 	for i, a := range addrs {
 		compact := cfg.CompactBlocks && rng.Float64() < cfg.CompactShare
 		cfgNode := node.Config{
@@ -295,28 +281,26 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	numUnreach := int(cfg.UnreachableShare*float64(cfg.NumReachable) + 0.5)
 	res.NumUnreachable = numUnreach
 	unreach := make([]*simnet.Host, 0, numUnreach)
-	if numUnreach > 0 {
-		for i := 0; i < numUnreach; i++ {
-			a := netip.AddrPortFrom(
-				netip.AddrFrom4([4]byte{11, byte(i >> 16), byte(i >> 8), byte(i)}), 8333)
-			cfgNode := node.Config{
-				Self:          wire.NetAddress{Addr: a, Services: wire.SFNodeNetwork},
-				Reachable:     false,
-				Genesis:       genesis,
-				SeedAddrs:     seedFor(a),
-				CompactBlocks: cfg.CompactBlocks,
-				Policies:      cfg.Policies,
-				BytesPerSec:   cfg.BytesPerSec,
-				AddrManKey:    uint64(cfg.Seed) + uint64(cfg.NumReachable+i),
-				Sink:          sink,
-				Metrics:       reg,
-				Tracer:        tracer,
-			}
-			h := net.AddFullNode(cfgNode)
-			unreach = append(unreach, h)
-			h.Start()
-		}
+	for i, a := range addrBlock(unreachablePlan.Addr(), numUnreach) {
+		h := net.AddFullNode(node.Config{
+			Self:          wire.NetAddress{Addr: a, Services: wire.SFNodeNetwork},
+			Reachable:     false,
+			Genesis:       genesis,
+			SeedAddrs:     seedFor(a),
+			CompactBlocks: cfg.CompactBlocks,
+			Policies:      cfg.Policies,
+			BytesPerSec:   cfg.BytesPerSec,
+			AddrManKey:    uint64(cfg.Seed) + uint64(cfg.NumReachable+i),
+			Sink:          sink,
+			Metrics:       reg,
+			Tracer:        tracer,
+		})
+		unreach = append(unreach, h)
+		h.Start()
 	}
+
+	// Every driver below stops at the end of the measured phase.
+	end := net.Now().Add(cfg.Warmup + cfg.Duration)
 
 	// Bitnodes-style monitor: each host is revisited on its own cadence
 	// (the real crawler's revisit interval varies per node with crawl
@@ -324,19 +308,15 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	// and last-seen time.
 	polled := make(map[netip.AddrPort]int32, len(hosts))
 	lastSeen := make(map[netip.AddrPort]time.Time, len(hosts))
-	for i := range hosts {
-		h := hosts[i]
+	for _, h := range hosts {
 		interval := time.Duration(float64(pollInterval) * (0.5 + 2.0*rng.Float64()))
-		var poll func()
-		poll = func() {
+		stagger := time.Duration(rng.Int63n(int64(interval)))
+		loop(sched, end, stagger, func() time.Duration { return interval }, func() {
 			if n := h.Node(); n != nil {
 				polled[h.Addr()] = n.Chain().Height()
 				lastSeen[h.Addr()] = net.Now()
 			}
-			sched.After(interval, poll)
-		}
-		stagger := time.Duration(rng.Int63n(int64(interval)))
-		sched.After(stagger, poll)
+		})
 	}
 
 	// Warmup: let the topology form.
@@ -344,8 +324,6 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 		return nil, err
 	}
 	measuring = true
-
-	end := net.Now().Add(cfg.Duration)
 
 	// Sim-time series sampling over the measured phase: the first tick
 	// baselines counters at measurement start (its deltas absorb the
@@ -358,42 +336,23 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 
 	// Churn driver: departures at the configured rate; departed hosts
 	// rejoin after an exponential offline period with fresh node state.
+	// The observer (host 0) never departs.
 	if cfg.ChurnDeparturesPer10Min > 0 {
 		gap := time.Duration(float64(10*time.Minute) / cfg.ChurnDeparturesPer10Min)
-		var churnTick func()
-		churnTick = func() {
-			if !net.Now().Before(end) {
-				return
-			}
-			// Pick a random online non-observer host to stop.
-			for try := 0; try < 10; try++ {
-				h := hosts[1+rng.Intn(len(hosts)-1)]
-				if !h.Online() {
-					continue
-				}
-				h.Stop()
-				mDepartures.Inc()
-				cfgNode := h.Config()
-				cfgNode.SeedAddrs = seedFor(cfgNode.Self.Addr)
-				h.SetConfig(cfgNode)
-				off := time.Duration(rng.ExpFloat64() * float64(rejoinAfter))
-				sched.After(off, h.Start)
-				break
-			}
-			sched.After(time.Duration(rng.ExpFloat64()*float64(gap)), churnTick)
-		}
-		sched.After(time.Duration(rng.ExpFloat64()*float64(gap)), churnTick)
+		churnHosts(sched, rng, end, expGap(rng, gap), gap, hosts[1:], 10, func(h *simnet.Host) {
+			mDepartures.Inc()
+			cfgNode := h.Config()
+			cfgNode.SeedAddrs = seedFor(cfgNode.Self.Addr)
+			h.SetConfig(cfgNode)
+			sched.After(expGap(rng, rejoinAfter), h.Start)
+		})
 	}
 
 	// Background transactions: TxPerBlock submissions per block interval.
 	if cfg.TxPerBlock > 0 {
 		txGap := blockInterval / time.Duration(cfg.TxPerBlock)
 		txCounter := uint32(0)
-		var txTick func()
-		txTick = func() {
-			if !net.Now().Before(end) {
-				return
-			}
+		loop(sched, end, 0, func() time.Duration { return expGap(rng, txGap) }, func() {
 			h := hosts[rng.Intn(len(hosts))]
 			if n := h.Node(); n != nil {
 				txCounter++
@@ -408,40 +367,13 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 				}
 				n.SubmitTx(tx)
 			}
-			sched.After(time.Duration(rng.ExpFloat64()*float64(txGap)), txTick)
-		}
-		sched.After(0, txTick)
+		})
 	}
 
 	// Synchronization sampler: fixed cadence, like the Bitnodes feed.
-	var syncSample func()
-	syncSample = func() {
-		if !net.Now().Before(end) {
-			return
-		}
-		best := int32(-1)
-		var online, atTip, outSum int
-		for _, h := range hosts {
-			n := h.Node()
-			if n == nil {
-				continue
-			}
-			if hh := n.Chain().Height(); hh > best {
-				best = hh
-			}
-		}
-		for _, h := range hosts {
-			n := h.Node()
-			if n == nil {
-				continue
-			}
-			online++
-			out, _, _ := n.ConnCounts()
-			outSum += out
-			if n.Chain().Height() == best {
-				atTip++
-			}
-		}
+	loop(sched, end, syncSampleEvery, func() time.Duration { return syncSampleEvery }, func() {
+		best := bestHeight(hosts)
+		online, atTip, outSum := tally(hosts, best)
 		if online > 0 {
 			ratio := float64(atTip) / float64(online)
 			outdeg := float64(outSum) / float64(online)
@@ -472,9 +404,7 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 			res.ObservedSyncSamples = append(res.ObservedSyncSamples, observed)
 			sampler.Observe(now, "prop.sync.observed.ratio", observed)
 		}
-		sched.After(syncSampleEvery, syncSample)
-	}
-	sched.After(syncSampleEvery, syncSample)
+	})
 
 	// Mining driver: the block schedule is precomputed from a dedicated
 	// random stream, so two runs with the same seed see identical block
@@ -487,25 +417,9 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 	}
 	for _, bt := range blockTimes {
 		sched.At(bt, func() {
-			best := int32(-1)
-			for _, h := range hosts {
-				if n := h.Node(); n != nil {
-					if hh := n.Chain().Height(); hh > best {
-						best = hh
-					}
-				}
-			}
-			for try := 0; try < 20; try++ {
-				h := hosts[rng.Intn(len(hosts))]
-				n := h.Node()
-				if n == nil || n.Chain().Height() != best {
-					continue
-				}
-				if _, err := n.MineBlock(2000); err == nil {
-					res.BlocksMined++
-					mBlocksMined.Inc()
-				}
-				break
+			if mineAtBest(rng, hosts, 20, 2000) {
+				res.BlocksMined++
+				mBlocksMined.Inc()
 			}
 		})
 	}
@@ -547,6 +461,4 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 }
 
 // propagationGenesis is shared by all propagation experiments.
-var propagationGenesis = func() *wire.MsgBlock {
-	return chainGenesis("propagation")
-}()
+var propagationGenesis = chain.GenesisBlock("propagation")

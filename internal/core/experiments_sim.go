@@ -262,10 +262,7 @@ func resyncExperiment() Experiment {
 		Section: "§IV-D",
 		Run: func(ctx context.Context, opts Options) (*Report, error) {
 			opts = opts.withDefaults()
-			res, err := analysis.RunResync(ctx, analysis.ConnExperimentConfig{
-				Seed:      opts.Seed,
-				LivePeers: opts.NetSize / 2,
-			})
+			res, err := analysis.RunResync(ctx, opts.Seed, opts.NetSize/2)
 			if err != nil {
 				return nil, err
 			}
@@ -297,9 +294,8 @@ func hijackExperiment() Experiment {
 		Run: func(ctx context.Context, opts Options) (*Report, error) {
 			opts = opts.withDefaults()
 			cfg := analysis.HijackConfig{
-				Seed:          opts.Seed,
-				NumReachable:  opts.NetSize,
-				HijackTopASes: 8,
+				Seed:         opts.Seed,
+				NumReachable: opts.NetSize,
 			}
 			if opts.Quick {
 				cfg.At = 15 * time.Minute

@@ -4,10 +4,12 @@
 # Builds `reproduce`, `btcsim` and `btccrawl` from REF and from the working
 # tree, runs the determinism job's commands on both, and compares
 #
-#   - stdout of `reproduce -all -quick -seed 7 -workers=1` and of
+#   - stdout of `reproduce -all -quick -seed 7 -workers=1`, of
 #     `reproduce -id fig10 -quick -seed 179 -workers=1` (trace digests
-#     included) with diff,
-#   - the two -csv trees with diff -r, after dropping the rows whose
+#     included) and of `reproduce -id fig6,fig7,resync,hijack,chaos -seed 7
+#     -workers=1` (the cheap message-level runners at default scale, where
+#     hijack's timing and chaos's node count differ from -quick) with diff,
+#   - the three -csv trees with diff -r, after dropping the rows whose
 #     series name matches -allow,
 #   - stdout and the NDJSON trace of `btcsim -nodes 30 -hours 1 -txs 50
 #     -compact -seed 179 -trace-out` with diff and cmp,
@@ -64,11 +66,12 @@ produce() (
   cd "$1"
   ./reproduce -all -quick -seed 7 -workers=1 -csv csv7 > all7.txt 2> all7.err
   ./reproduce -id fig10 -quick -seed 179 -workers=1 -csv csv179 > fig10_179.txt 2> fig10_179.err
+  ./reproduce -id fig6,fig7,resync,hijack,chaos -seed 7 -workers=1 -csv csvdef > def7.txt 2> def7.err
   ./btcsim -nodes 30 -hours 1 -txs 50 -compact -seed 179 -trace-out trace.ndjson > btcsim.txt 2> btcsim.err
   ./btccrawl -series 6 -scale 0.02 -seed 7 -workers=1 > btccrawl.txt 2> btccrawl.err
   # Copy each CSV without the -allow rows; the name is matched as its own
   # field, so the regex can anchor it with ^ and $.
-  for tree in csv7 csv179; do
+  for tree in csv7 csv179 csvdef; do
     find "$tree" -name '*.csv' | while read -r f; do
       mkdir -p "filtered/$(dirname "$f")"
       ALLOW="$allow" awk -F, '
@@ -95,14 +98,16 @@ check() { # label, command...
 }
 check "stdout: reproduce -all -quick -seed 7"       diff "$tmp/parent/all7.txt" "$tmp/change/all7.txt"
 check "stdout: reproduce -id fig10 -quick -seed 179" diff "$tmp/parent/fig10_179.txt" "$tmp/change/fig10_179.txt"
+check "stdout: reproduce -id fig6,fig7,resync,hijack,chaos -seed 7" diff "$tmp/parent/def7.txt" "$tmp/change/def7.txt"
 check "csv tree: seed 7${allow:+ (minus -allow rows)}"   diff -r "$tmp/parent/filtered/csv7" "$tmp/change/filtered/csv7"
 check "csv tree: seed 179${allow:+ (minus -allow rows)}" diff -r "$tmp/parent/filtered/csv179" "$tmp/change/filtered/csv179"
+check "csv tree: default seed 7${allow:+ (minus -allow rows)}" diff -r "$tmp/parent/filtered/csvdef" "$tmp/change/filtered/csvdef"
 check "stdout: btcsim -seed 179"                     diff "$tmp/parent/btcsim.txt" "$tmp/change/btcsim.txt"
 check "trace:  btcsim -seed 179 NDJSON"              cmp "$tmp/parent/trace.ndjson" "$tmp/change/trace.ndjson"
 check "stdout: btccrawl -series 6 -seed 7"           diff "$tmp/parent/btccrawl.txt" "$tmp/change/btccrawl.txt"
 
 if [ -n "$allow" ]; then
-  moved=$( (diff -r "$tmp/parent/csv7" "$tmp/change/csv7"; diff -r "$tmp/parent/csv179" "$tmp/change/csv179") | grep -c '^<' || true)
+  moved=$(for tree in csv7 csv179 csvdef; do diff -r "$tmp/parent/$tree" "$tmp/change/$tree"; done | grep -c '^<' || true)
   echo "diff_parent: $moved CSV rows differ before -allow is applied" >&2
 fi
 exit $status
