@@ -11,9 +11,10 @@ import (
 )
 
 // This file holds the pieces the message-level runners build their
-// networks and drivers from. Each helper draws from the rng it is given,
-// in the order the runners drew before it existed, so a runner's output
-// is unchanged by going through it.
+// networks and drivers from. A runner passes its one rng to every helper,
+// so the helpers' draws interleave on a single stream: a runner's output
+// is fixed by its seed and by the order of its calls, and a change to the
+// draws of one helper moves every later draw of every runner using it.
 
 // simLatency is the link latency of the propagation and connection
 // networks.
@@ -22,8 +23,10 @@ var simLatency = simnet.HashLatency(20*time.Millisecond, 120*time.Millisecond)
 // addrBlock returns n consecutive port-8333 addresses starting at base.
 func addrBlock(base netip.Addr, n int) []netip.AddrPort {
 	out := make([]netip.AddrPort, n)
-	for i, a := 0, base; i < n; i, a = i+1, a.Next() {
+	a := base
+	for i := range out {
 		out[i] = netip.AddrPortFrom(a, 8333)
+		a = a.Next()
 	}
 	return out
 }
@@ -115,10 +118,10 @@ func mineAtBest(rng *rand.Rand, hosts []*simnet.Host, tries, maxTxs int) bool {
 	return false
 }
 
-// churnHosts stops hosts from pool until end: the first departure comes
-// first after now, the next ones exponential gaps of mean gap apart. Each
-// departure draws up to tries hosts and stops the first online one, then
-// hands it to leave, which decides when it comes back.
+// churnHosts makes hosts of pool depart until end: once at first after
+// now, then at exponential gaps of mean gap. A departure draws up to tries
+// hosts, stops the first online one and hands it to leave, which decides
+// when it comes back.
 func churnHosts(sched *simnet.Scheduler, rng *rand.Rand, end time.Time, first, gap time.Duration,
 	pool []*simnet.Host, tries int, leave func(*simnet.Host)) {
 	loop(sched, end, first, func() time.Duration { return expGap(rng, gap) }, func() {

@@ -12,8 +12,8 @@ import (
 
 // TestAddPeersSeeds builds RunResync's background network (30 peers, 20
 // live-only seeds each, seed 7): every peer must start with 20 valid seeds,
-// none of them its own address. RunResync once drew the seeds from a live
-// list it was still filling, so half of them were the zero address.
+// none of them its own address. A seed drawn from a live list that is not
+// yet filled is the zero address, which the address manager drops.
 func TestAddPeersSeeds(t *testing.T) {
 	net := simnet.New(simnet.Config{Seed: 7})
 	live := addrBlock(netip.AddrFrom4([4]byte{10, 2, 0, 0}), 30)

@@ -36,7 +36,7 @@
 #
 # REF is unpacked with `git archive` into a temporary directory (removed
 # on exit), so nothing is left in .git and a dirty tree is no obstacle.
-# Takes about a minute on two cores.
+# Takes about half a minute on two cores.
 set -euo pipefail
 
 usage() { sed -n '2,/^set -euo/p' "$0" | sed '$d; s/^# \{0,1\}//'; }
