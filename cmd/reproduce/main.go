@@ -41,9 +41,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/netgen"
 	"repro/internal/node"
 	"repro/internal/obs"
 )
@@ -137,7 +135,10 @@ func run() error {
 		return nil
 
 	case *render != "":
-		return renderArtifact(ctx, *render, opts)
+		if *render != "fig12" {
+			return fmt.Errorf("no renderer for %q (try fig12)", *render)
+		}
+		return core.RenderFig12(ctx, opts, os.Stdout)
 
 	case *all:
 		start := time.Now()
@@ -201,29 +202,4 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
-}
-
-// renderArtifact draws figure artifacts that are pictures rather than
-// series.
-func renderArtifact(ctx context.Context, id string, opts core.Options) error {
-	switch id {
-	case "fig12":
-		scale := opts.Scale
-		if scale == 0 {
-			scale = 0.05
-		}
-		res, err := analysis.RunChurnFigs(ctx, analysis.ChurnFigsConfig{
-			Params: netgen.DefaultParams(opts.Seed, scale),
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Matrix.Render(48, 100))
-		fmt.Printf("persistent=%d of %d, mean lifetime %.1f days\n",
-			res.PersistentCount, res.UniqueAddresses,
-			res.MeanLifetime.Hours()/24)
-		return nil
-	default:
-		return fmt.Errorf("no renderer for %q (try fig12)", id)
-	}
 }

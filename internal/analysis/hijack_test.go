@@ -22,8 +22,9 @@ func TestRunHijack(t *testing.T) {
 	if res.IsolatedShare <= 0 || res.IsolatedShare >= 1 {
 		t.Errorf("isolated share = %.2f, want in (0,1)", res.IsolatedShare)
 	}
-	// The hijack must dent the survivors' outdegree (their peers in
-	// hijacked ASes vanished); recovery may claw some back.
+	// The survivors had outbound peers before the hijack; their
+	// outdegree is sampled again only at the end of the window, so no
+	// dip in between is asserted.
 	if res.SurvivorMeanOutdegreeBefore <= 0 {
 		t.Error("no pre-hijack connectivity")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/analysis"
@@ -24,6 +25,20 @@ func churnFigsFor(ctx context.Context, opts Options) (*analysis.ChurnFigsResult,
 			Params: netgen.DefaultParams(opts.Seed, opts.Scale),
 		})
 	})
+}
+
+// RenderFig12 draws Figure 12's presence matrix as ASCII art with a
+// summary line. It reads the study the fig12 experiment reports on the
+// same Options, so both describe one population.
+func RenderFig12(ctx context.Context, opts Options, w io.Writer) error {
+	res, err := churnFigsFor(ctx, opts)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "%s\npersistent=%d of %d, mean lifetime %.1f days\n",
+		res.Matrix.Render(48, 100), res.PersistentCount, res.UniqueAddresses,
+		res.MeanLifetime.Hours()/24)
+	return err
 }
 
 // fig12Experiment reproduces the binary presence matrix.

@@ -100,3 +100,28 @@ func TestStudyWaiterHonoursDeadline(t *testing.T) {
 		t.Errorf("entry after a failed run = %d, %v; want 1", got, err)
 	}
 }
+
+// TestRenderFig12MatchesReport: `reproduce -render fig12` draws the
+// population the fig12 report measures on the same Options, so its
+// summary line carries the report's always-present and unique counts.
+func TestRenderFig12MatchesReport(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Quick: true, Seed: 7}
+	var out bytes.Buffer
+	if err := RenderFig12(ctx, opts, &out); err != nil {
+		t.Fatal(err)
+	}
+	fig12, _ := ByID("fig12")
+	rep, err := fig12.Run(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := make(map[string]string)
+	for _, m := range rep.Metrics {
+		values[m.Name] = m.Value
+	}
+	want := "persistent=" + values["always-present nodes"] + " of " + values["unique reachable addresses"] + ","
+	if !bytes.Contains(out.Bytes(), []byte(want)) {
+		t.Errorf("render lacks the report's counts %q; it printed:\n%s", want, &out)
+	}
+}

@@ -406,7 +406,8 @@ func TestInternCommand(t *testing.T) {
 
 // BenchmarkWireRoundTrip measures a full encode+decode of a relay-mix
 // frame pair (PING and a one-entry INV) through a held Encoder/Decoder.
-// Gated at 0 allocs/op by benchguard -require-zero.
+// Its BENCH_baseline.json entry at 0 allocs/op makes it a zero-allocation
+// contract that benchguard enforces.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	var enc Encoder
 	var dec Decoder
