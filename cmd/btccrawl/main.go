@@ -48,7 +48,7 @@ func run() error {
 	var (
 		scale     = flag.Float64("scale", 0.05, "population scale (1.0 = the paper's 694K addresses)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		day       = flag.Int("day", 10, "crawl day within the 60-day horizon")
+		day       = flag.Int("day", 10, "crawl day within the 60-day horizon (0-59)")
 		scan      = flag.Bool("scan", false, "also run the responsive scan (Algorithm 2)")
 		malicious = flag.Bool("malicious", false, "report suspected ADDR flooders")
 		series    = flag.Int("series", 0, "run the longitudinal study over this many crawl experiments instead of one snapshot")
@@ -58,6 +58,11 @@ func run() error {
 		pprofAddr = flag.String("pprof-addr", "127.0.0.1:6060", "pprof listen address (with -pprof; port 0 picks a free port)")
 	)
 	flag.Parse()
+	if err := validateFlags(*day, *series, *csvOut); err != nil {
+		fmt.Fprintln(os.Stderr, "btccrawl:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// The crawl counters (crawl.dials, crawl.connected, ...) always
 	// accumulate here; -pprof additionally serves them live at /metrics
@@ -114,10 +119,6 @@ func run() error {
 		return nil
 	}
 
-	if *csvOut != "" {
-		return fmt.Errorf("-csv requires -series (the snapshot mode has no series to write)")
-	}
-
 	fmt.Fprintf(os.Stderr, "generating universe (scale %.2f)...\n", *scale)
 	u, err := netgen.Generate(params)
 	if err != nil {
@@ -170,6 +171,24 @@ func run() error {
 			res.Probed, len(res.Responsive),
 			sharePct(len(res.Responsive), res.Probed),
 			len(res.ReachableSurprises))
+	}
+	return nil
+}
+
+// validateFlags rejects, before any work, the flag values that would
+// otherwise run quietly into nothing: a crawl day outside the
+// measurement horizon connects to no node, a negative series falls back
+// to the snapshot mode, and the snapshot mode has no series to write to
+// -csv.
+func validateFlags(day, series int, csvOut string) error {
+	days := int(netgen.Horizon / (24 * time.Hour))
+	switch {
+	case day < 0 || day >= days:
+		return fmt.Errorf("-day must lie in [0, %d), got %d", days, day)
+	case series < 0:
+		return fmt.Errorf("-series must not be negative, got %d", series)
+	case csvOut != "" && series == 0:
+		return fmt.Errorf("-csv requires -series (the snapshot mode has no series to write)")
 	}
 	return nil
 }

@@ -81,14 +81,11 @@ type ChaosResult struct {
 	// RecoveryTime is how long after the last scripted disruption every
 	// node was back at the tip (0 when that never happened).
 	RecoveryTime time.Duration
-	// FaultCounters is the injector's sorted counter snapshot.
-	FaultCounters []obs.NamedValue
 	// Metrics is the run's full registry snapshot: scheduler, network,
-	// node, and fault metrics in one name-sorted view. MetricsText is
-	// its deterministic rendering — two same-seed runs produce
+	// node, and fault (faults.*) metrics in one name-sorted view. Its
+	// String rendering is deterministic — two same-seed runs produce
 	// byte-identical text (the determinism golden tests pin this).
-	Metrics     *obs.Snapshot
-	MetricsText string
+	Metrics *obs.Snapshot
 	// TraceDigest is the event tracer's running digest over every dial,
 	// handshake, relay, block-download, and fault event of the run;
 	// TraceTotal counts them, TraceDropped counts ring evictions (the
@@ -243,14 +240,12 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosResult, error) {
 	}
 	res.HeightSpread = maxH - minH
 	res.Converged = res.SyncedNodes == res.TotalNodes
-	res.FaultCounters = inj.Counters()
 	if m := inj.PresenceMatrix(time.Minute); m.Rows() > 0 {
 		res.PersistentShare = float64(m.PersistentCount()) / float64(m.Rows())
 		m.Publish(reg)
 	}
 	tracer.Publish(reg)
 	res.Metrics = reg.Snapshot()
-	res.MetricsText = res.Metrics.String()
 	res.TraceDigest = tracer.Digest()
 	res.TraceTotal = tracer.Total()
 	res.TraceDropped = tracer.Dropped()

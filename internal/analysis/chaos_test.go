@@ -25,8 +25,8 @@ func TestRunChaosConvergesAndRecovers(t *testing.T) {
 	if res.MinerHeight < 20 {
 		t.Errorf("miner height = %d, want ≥ 20", res.MinerHeight)
 	}
-	if len(res.FaultCounters) == 0 {
-		t.Error("no fault counters recorded")
+	if res.Metrics.Counter("faults.transmit.dropped") == 0 {
+		t.Error("faults.transmit.dropped = 0: no fault counter recorded in the run's registry")
 	}
 	// The crash wave must show up as non-persistent rows in the presence
 	// matrix.

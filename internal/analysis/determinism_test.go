@@ -101,12 +101,13 @@ func TestChaosObservabilityGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.MetricsText == "" {
+	textA, textB := a.Metrics.String(), b.Metrics.String()
+	if textA == "" {
 		t.Fatal("chaos run produced an empty metrics snapshot")
 	}
-	if a.MetricsText != b.MetricsText {
+	if textA != textB {
 		t.Errorf("same-seed metrics snapshots differ:\n--- run A ---\n%s\n--- run B ---\n%s",
-			a.MetricsText, b.MetricsText)
+			textA, textB)
 	}
 	if a.TraceDigest != b.TraceDigest {
 		t.Errorf("same-seed trace digests differ: %s vs %s",
@@ -146,7 +147,7 @@ func TestChaosObservabilityGolden(t *testing.T) {
 	if c.TraceDigest == a.TraceDigest {
 		t.Error("different seeds produced the same trace digest")
 	}
-	if c.MetricsText == a.MetricsText {
+	if c.Metrics.String() == textA {
 		t.Error("different seeds produced identical metrics snapshots")
 	}
 	if csvC, _ := c.Series.EncodeCSV(); csvC == csvA {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -68,9 +69,13 @@ func chaosExperiment() Experiment {
 				float64(res.TraceDropped), "%.0f", "")
 			rep.Series = res.Series
 
+			// The fault layer's counters, zero ones included: faults.New
+			// registers every one of them up front.
 			t := Table{Name: "fault-counters", Header: []string{"counter", "count"}}
-			for _, c := range res.FaultCounters {
-				t.Rows = append(t.Rows, []string{c.Name, fmt.Sprint(c.Value)})
+			for _, c := range res.Metrics.Counters {
+				if strings.HasPrefix(c.Name, "faults.") {
+					t.Rows = append(t.Rows, []string{c.Name, fmt.Sprint(c.Value)})
+				}
 			}
 			rep.Tables = append(rep.Tables, t)
 

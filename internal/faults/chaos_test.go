@@ -36,7 +36,8 @@ type chaosResult struct {
 func runChaosScenario(t *testing.T, seed int64) chaosResult {
 	t.Helper()
 	net := simnet.New(simnet.Config{Seed: seed})
-	inj := New(net, Config{Seed: seed, Default: Profile{
+	reg := obs.NewRegistry()
+	inj := New(net, Config{Seed: seed, Metrics: reg, Default: Profile{
 		Drop:      0.05,
 		Spike:     0.05,
 		SpikeMin:  200 * time.Millisecond,
@@ -71,7 +72,7 @@ func runChaosScenario(t *testing.T, seed int64) chaosResult {
 	res := chaosResult{
 		trace:    inj.tracer.Events(),
 		digest:   inj.tracer.Digest(),
-		counters: inj.Counters(),
+		counters: reg.Snapshot().Counters,
 	}
 	for _, a := range addrs {
 		h := net.Host(a)

@@ -64,7 +64,7 @@ type Config struct {
 	Default Profile
 	// Metrics, when set, hosts the fault counters (faults.* names) so
 	// one registry covers the whole experiment. When nil the injector
-	// keeps a private registry — Counters still works.
+	// keeps a private registry.
 	Metrics *obs.Registry
 	// Tracer, when set, receives the fault events, interleaving them
 	// with node and network events in one timeline. When nil the
@@ -82,8 +82,9 @@ type Config struct {
 // restore, crash, restart.
 type TraceEvent = obs.Event
 
-// faultCounterNames lists every counter the injector maintains, sorted;
-// Counters walks it so snapshots stay sorted without a per-call sort.
+// faultCounterNames lists every counter the injector maintains. New
+// registers them all up front, so a registry snapshot carries each one,
+// zero or not.
 var faultCounterNames = []string{
 	"faults.blackhole",
 	"faults.crash",
@@ -307,16 +308,3 @@ func (inj *Injector) inc(name string) { inj.counters[name].Inc() }
 
 // record emits a trace event into the (possibly shared) tracer.
 func (inj *Injector) record(ev TraceEvent) { inj.tracer.Emit(ev) }
-
-// Counters returns a name-sorted snapshot of the fault counters. The
-// order is fixed at compile time (faultCounterNames), so no allocation
-// beyond the result and no sorting happens per call — and with a shared
-// Config.Metrics registry only the fault layer's own counters are
-// returned, never the rest of the experiment's.
-func (inj *Injector) Counters() []obs.NamedValue {
-	out := make([]obs.NamedValue, len(faultCounterNames))
-	for i, name := range faultCounterNames {
-		out[i] = obs.NamedValue{Name: name, Value: inj.counters[name].Value()}
-	}
-	return out
-}

@@ -95,10 +95,7 @@ func (n *Node) maybeCompleteHandshake(p *Peer) {
 			To: p.addr, Detail: p.dir.String(), Dur: hsDur,
 		})
 	}
-	n.emit(Event{
-		Type: EvHandshake, Time: n.env.Now(), Node: n.cfg.Self.Addr,
-		Peer: p.addr, Dir: p.dir, Conn: p.id,
-	})
+	n.emit(Event{Type: EvHandshake, Time: n.env.Now(), Dir: p.dir, Conn: p.id})
 	switch p.dir {
 	case Feeler:
 		// Feelers exist only to verify reachability: mark the address
@@ -139,10 +136,7 @@ func (n *Node) maybeCompleteHandshake(p *Peer) {
 func (n *Node) disconnectPeer(p *Peer) {
 	n.removePeer(p)
 	n.env.Disconnect(p.id)
-	n.emit(Event{
-		Type: EvConnClose, Time: n.env.Now(), Node: n.cfg.Self.Addr,
-		Peer: p.addr, Dir: p.dir, Conn: p.id,
-	})
+	n.emit(Event{Type: EvConnClose, Time: n.env.Now(), Dir: p.dir, Conn: p.id})
 	n.clearInFlight(p.id)
 }
 
@@ -517,9 +511,7 @@ func (n *Node) markSynced() {
 		return
 	}
 	n.syncedOnce = true
-	n.emit(Event{
-		Type: EvSyncDone, Time: n.env.Now(), Node: n.cfg.Self.Addr,
-	})
+	n.emit(Event{Type: EvSyncDone, Time: n.env.Now()})
 }
 
 // handleGetHeaders serves headers following the peer's locator.

@@ -57,10 +57,6 @@ func (n *Node) checkHandshakes(now time.Time) {
 	}
 	for _, p := range stale {
 		n.met.handshakeEvict.Inc()
-		n.emit(Event{
-			Type: EvHandshakeTimeout, Time: now, Node: n.cfg.Self.Addr,
-			Peer: p.addr, Dir: p.dir, Conn: p.id,
-		})
 		n.disconnectPeer(p)
 	}
 }
@@ -97,10 +93,6 @@ func (n *Node) checkKeepalive(now time.Time) {
 	}
 	for _, p := range stalled {
 		n.met.stallEvict.Inc()
-		n.emit(Event{
-			Type: EvPeerStalled, Time: now, Node: n.cfg.Self.Addr,
-			Peer: p.addr, Dir: p.dir, Conn: p.id,
-		})
 		n.disconnectPeer(p)
 	}
 }
@@ -150,10 +142,6 @@ func (n *Node) checkBlockStalls(now time.Time) {
 			continue
 		}
 		n.met.blockStallEvict.Inc()
-		n.emit(Event{
-			Type: EvBlockStalled, Time: now, Node: n.cfg.Self.Addr,
-			Peer: p.addr, Dir: p.dir, Conn: p.id, Hash: s.hash,
-		})
 		// disconnectPeer clears this conn's in-flight blocks and kicks a
 		// header resync from another peer.
 		n.disconnectPeer(p)
@@ -214,10 +202,6 @@ func (n *Node) armBackoff(addr netip.AddrPort) {
 	d = d/2 + time.Duration(n.env.Rand().Int63n(int64(d)))
 	st.until = n.env.Now().Add(d)
 	n.met.backoffArmed.Inc()
-	n.emit(Event{
-		Type: EvDialBackoff, Time: n.env.Now(), Node: n.cfg.Self.Addr,
-		Peer: addr, Delay: d, Count: st.failures,
-	})
 }
 
 // clearBackoff resets addr's backoff after a successful dial.

@@ -9,30 +9,6 @@ import (
 	"repro/internal/wire"
 )
 
-// eventRecorder collects emitted events by type for assertions.
-type eventRecorder struct{ events []Event }
-
-func (r *eventRecorder) OnEvent(ev Event) { r.events = append(r.events, ev) }
-
-func (r *eventRecorder) count(t EventType) int {
-	n := 0
-	for _, ev := range r.events {
-		if ev.Type == t {
-			n++
-		}
-	}
-	return n
-}
-
-func (r *eventRecorder) first(t EventType) (Event, bool) {
-	for _, ev := range r.events {
-		if ev.Type == t {
-			return ev, true
-		}
-	}
-	return Event{}, false
-}
-
 func TestKeepalivePingOnIdlePeer(t *testing.T) {
 	env := newFakeEnv()
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
@@ -69,9 +45,7 @@ func TestKeepalivePingOnIdlePeer(t *testing.T) {
 
 func TestSilentPeerEvictedAtStallTimeout(t *testing.T) {
 	env := newFakeEnv()
-	rec := &eventRecorder{}
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.Sink = rec.OnEvent
 	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
@@ -83,9 +57,6 @@ func TestSilentPeerEvictedAtStallTimeout(t *testing.T) {
 	if n.peerByConn(1) != nil {
 		t.Fatal("silent peer still connected after stall timeout")
 	}
-	if rec.count(EvPeerStalled) != 1 {
-		t.Errorf("EvPeerStalled count = %d, want 1", rec.count(EvPeerStalled))
-	}
 	if got := cfg.Metrics.Counter("node.evict.stall").Value(); got != 1 {
 		t.Errorf("node.evict.stall = %d, want 1", got)
 	}
@@ -93,9 +64,7 @@ func TestSilentPeerEvictedAtStallTimeout(t *testing.T) {
 
 func TestHandshakeTimeoutEvictsMutePeer(t *testing.T) {
 	env := newFakeEnv()
-	rec := &eventRecorder{}
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.Sink = rec.OnEvent
 	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
@@ -106,9 +75,6 @@ func TestHandshakeTimeoutEvictsMutePeer(t *testing.T) {
 	env.run(2 * time.Minute)
 	if n.peerByConn(7) != nil {
 		t.Fatal("mute peer still connected past the handshake timeout")
-	}
-	if rec.count(EvHandshakeTimeout) != 1 {
-		t.Errorf("EvHandshakeTimeout count = %d, want 1", rec.count(EvHandshakeTimeout))
 	}
 	if got := cfg.Metrics.Counter("node.evict.handshake").Value(); got != 1 {
 		t.Errorf("node.evict.handshake = %d, want 1", got)
@@ -156,9 +122,7 @@ func TestDisconnectMidIBDClearsInFlightAndResyncs(t *testing.T) {
 
 func TestBlockStallEvictsPeerAndResyncs(t *testing.T) {
 	env := newFakeEnv()
-	rec := &eventRecorder{}
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.Sink = rec.OnEvent
 	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
@@ -171,12 +135,8 @@ func TestBlockStallEvictsPeerAndResyncs(t *testing.T) {
 	if n.peerByConn(1) != nil {
 		t.Fatal("stalling peer still connected past the block-stall timeout")
 	}
-	ev, ok := rec.first(EvBlockStalled)
-	if !ok {
-		t.Fatal("no EvBlockStalled emitted")
-	}
-	if ev.Conn != 1 {
-		t.Errorf("EvBlockStalled.Conn = %d, want 1", ev.Conn)
+	if n.peerByConn(2) == nil {
+		t.Fatal("block-stall eviction hit the peer that holds no request")
 	}
 	if len(n.blocksInFlight) != 0 {
 		t.Errorf("blocksInFlight = %d after eviction, want 0", len(n.blocksInFlight))
@@ -219,10 +179,8 @@ func TestDialResultAfterStopClosesConnection(t *testing.T) {
 
 func TestDialFailureArmsBackoff(t *testing.T) {
 	env := newFakeEnv()
-	rec := &eventRecorder{}
 	remote := mkAddr(10, 0, 0, 2)
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.Sink = rec.OnEvent
 	cfg.SeedAddrs = []wire.NetAddress{{Addr: remote, Timestamp: env.Now()}}
 	cfg.MaxFeelers = -1
 	n := New(cfg, env)
@@ -236,16 +194,13 @@ func TestDialFailureArmsBackoff(t *testing.T) {
 	if !n.inBackoff(remote) {
 		t.Fatal("failed dial did not arm the backoff")
 	}
-	ev, ok := rec.first(EvDialBackoff)
-	if !ok {
-		t.Fatal("no EvDialBackoff emitted")
-	}
+	st := n.backoff[remote]
 	// dialBackoffBase×2^0 jittered ±50%: the window is [5s, 15s).
-	if ev.Delay < dialBackoffBase/2 || ev.Delay >= dialBackoffBase*3/2 {
-		t.Errorf("backoff delay = %v, want within [5s, 15s)", ev.Delay)
+	if delay := st.until.Sub(env.Now()); delay < dialBackoffBase/2 || delay >= dialBackoffBase*3/2 {
+		t.Errorf("backoff delay = %v, want within [5s, 15s)", delay)
 	}
-	if ev.Count != 1 {
-		t.Errorf("backoff failure count = %d, want 1", ev.Count)
+	if st.failures != 1 {
+		t.Errorf("backoff failure count = %d, want 1", st.failures)
 	}
 
 	// Inside the window the address must not be redialed...
@@ -268,36 +223,27 @@ func TestDialFailureArmsBackoff(t *testing.T) {
 
 func TestBackoffEscalatesWithConsecutiveFailures(t *testing.T) {
 	env := newFakeEnv()
-	rec := &eventRecorder{}
 	remote := mkAddr(10, 0, 0, 2)
 	cfg := testConfig(mkAddr(10, 0, 0, 1))
-	cfg.Sink = rec.OnEvent
 	cfg.Metrics = obs.NewRegistry()
 	n := New(cfg, env)
 	n.Start()
 	const failures = 8
-	for i := 0; i < failures; i++ {
-		n.dialing[remote] = pendingDial{dir: Outbound}
-		n.OnDialResult(remote, 0, errors.New("refused"))
-	}
-	var delays []time.Duration
-	for _, ev := range rec.events {
-		if ev.Type == EvDialBackoff {
-			delays = append(delays, ev.Delay)
-		}
-	}
-	if len(delays) != failures {
-		t.Fatalf("backoff events = %d, want %d", len(delays), failures)
-	}
 	// Failure i+1 has pre-jitter delay min(10s×2^i, 10m); jitter keeps it
 	// within [d/2, 3d/2). The seventh failure (640 s) is the first the cap
 	// holds back.
-	for i, got := range delays {
+	for i := 0; i < failures; i++ {
+		n.dialing[remote] = pendingDial{dir: Outbound}
+		n.OnDialResult(remote, 0, errors.New("refused"))
+		st := n.backoff[remote]
+		if st == nil || st.failures != i+1 {
+			t.Fatalf("after failure %d: backoff state %+v", i+1, st)
+		}
 		d := dialBackoffBase << uint(i)
 		if d > dialBackoffMax {
 			d = dialBackoffMax
 		}
-		if got < d/2 || got >= d*3/2 {
+		if got := st.until.Sub(env.Now()); got < d/2 || got >= d*3/2 {
 			t.Errorf("backoff %d = %v, want within [%v, %v)", i+1, got, d/2, d*3/2)
 		}
 	}

@@ -211,9 +211,4 @@ func TestAccessors(t *testing.T) {
 			t.Error("empty relay policy string")
 		}
 	}
-	for ev := EvStarted; ev <= EvSyncDone+1; ev++ {
-		if ev.String() == "" {
-			t.Error("empty event type string")
-		}
-	}
 }

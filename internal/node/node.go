@@ -442,7 +442,6 @@ func (n *Node) Start() {
 	if len(n.cfg.SeedAddrs) > 0 {
 		n.addrman.Add(n.cfg.SeedAddrs, n.cfg.Self.Addr.Addr())
 	}
-	n.emit(Event{Type: EvStarted, Node: n.cfg.Self.Addr, Time: n.env.Now()})
 	n.scheduleMaintenance(0)
 	n.env.Schedule(feelerInterval, n.feelerFn)
 	n.env.Schedule(healthTickEvery, n.healthFn)
@@ -736,10 +735,7 @@ func (n *Node) startDial(na wire.NetAddress, dir Direction) {
 	n.dialing[na.Addr] = pendingDial{dir: dir, started: n.env.Now()}
 	n.met.dialAttempt.Inc()
 	n.addrman.Attempt(na.Addr)
-	n.emit(Event{
-		Type: EvDialAttempt, Node: n.cfg.Self.Addr, Peer: na.Addr,
-		Dir: dir, Time: n.env.Now(),
-	})
+	n.emit(Event{Type: EvDialAttempt, Time: n.env.Now(), Dir: dir})
 	n.env.Dial(na.Addr)
 }
 
@@ -769,10 +765,6 @@ func (n *Node) OnDialResult(remote netip.AddrPort, conn ConnID, err error) {
 	if err != nil {
 		n.met.dialFail.Inc()
 		traceDial(err.Error())
-		n.emit(Event{
-			Type: EvDialFail, Node: n.cfg.Self.Addr, Peer: remote,
-			Dir: dir, Time: n.env.Now(), Err: err,
-		})
 		n.armBackoff(remote)
 		if n.pol.anchorsEnabled {
 			n.dropAnchor(remote)
@@ -782,10 +774,7 @@ func (n *Node) OnDialResult(remote netip.AddrPort, conn ConnID, err error) {
 	n.clearBackoff(remote)
 	n.met.dialSuccess.Inc()
 	traceDial("ok")
-	n.emit(Event{
-		Type: EvDialSuccess, Node: n.cfg.Self.Addr, Peer: remote,
-		Dir: dir, Time: n.env.Now(), Conn: conn,
-	})
+	n.emit(Event{Type: EvDialSuccess, Time: n.env.Now(), Dir: dir, Conn: conn})
 	p := n.addPeer(conn, remote, dir)
 	// The initiator speaks first: VERSION.
 	n.queueMsg(p, n.versionMsg(), classControl)
@@ -813,10 +802,7 @@ func (n *Node) OnDisconnect(conn ConnID) {
 		return
 	}
 	n.removePeer(p)
-	n.emit(Event{
-		Type: EvConnClose, Node: n.cfg.Self.Addr, Peer: p.addr,
-		Dir: p.dir, Time: n.env.Now(), Conn: conn,
-	})
+	n.emit(Event{Type: EvConnClose, Time: n.env.Now(), Dir: p.dir, Conn: conn})
 	// Blocks requested from this peer will never arrive; clear them so
 	// they can be re-requested from another peer at the next header sync.
 	n.clearInFlight(conn)

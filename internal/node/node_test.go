@@ -936,6 +936,52 @@ func TestFeelerDisconnectsAfterHandshake(t *testing.T) {
 	}
 }
 
+// TestDialEventsCarryDirection pins the Dir that analysis.RunPropagation
+// filters on: its dial counts (the Figure 7 success rate) exclude feelers
+// only by Dir, so a feeler dial must reach the Sink as Feeler and an
+// outbound-slot dial as Outbound, from attempt through success.
+func TestDialEventsCarryDirection(t *testing.T) {
+	for _, dir := range []Direction{Outbound, Feeler} {
+		t.Run(dir.String(), func(t *testing.T) {
+			env := newFakeEnv()
+			cfg := testConfig(mkAddr(10, 0, 0, 1))
+			if dir == Feeler {
+				cfg.MaxOutbound = -1
+			} else {
+				cfg.MaxFeelers = -1
+			}
+			var dials []Event
+			cfg.Sink = func(ev Event) {
+				if ev.Type == EvDialAttempt || ev.Type == EvDialSuccess {
+					dials = append(dials, ev)
+				}
+			}
+			n := New(cfg, env)
+			n.Start()
+			target := mkAddr(10, 0, 0, 9)
+			n.AddrMan().Add([]wire.NetAddress{{Addr: target, Timestamp: env.Now()}}, target.Addr())
+			env.run(feelerInterval + time.Second)
+			if len(env.dials) != 1 || env.dials[0] != target {
+				t.Fatalf("dials = %v, want one to %v", env.dials, target)
+			}
+			n.OnDialResult(target, 42, nil)
+			want := []Event{
+				{Type: EvDialAttempt, Dir: dir},
+				{Type: EvDialSuccess, Dir: dir, Conn: 42},
+			}
+			if len(dials) != len(want) {
+				t.Fatalf("dial events = %+v, want %+v", dials, want)
+			}
+			for i, ev := range dials {
+				ev.Time = time.Time{}
+				if ev != want[i] {
+					t.Errorf("dial event %d = %+v, want %+v", i, ev, want[i])
+				}
+			}
+		})
+	}
+}
+
 func TestGetDataForMissingObjectAnswersNotFound(t *testing.T) {
 	env := newFakeEnv()
 	n := New(testConfig(mkAddr(10, 0, 0, 1)), env)

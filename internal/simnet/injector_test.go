@@ -1,12 +1,11 @@
 package simnet
 
 import (
-	"errors"
 	"net/netip"
 	"testing"
 	"time"
 
-	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -30,6 +29,18 @@ func (s *scriptInjector) FilterTransmit(from, to netip.AddrPort, msg wire.Messag
 	return s.transmit(from, to, msg)
 }
 
+// dialOutcomes returns a tracer that hands fn every node dial event: the
+// dialer, the target, and the outcome (the dial error's text, or "ok").
+func dialOutcomes(fn func(from, to netip.AddrPort, detail string)) *obs.Tracer {
+	tr := obs.NewTracer(0, nil)
+	tr.AddStream(func(ev *obs.Event) {
+		if ev.Kind == "dial" {
+			fn(ev.From, ev.To, ev.Detail)
+		}
+	})
+	return tr
+}
+
 // TestFastFailSplitIsPerAddress pins the intentional semantics of
 // Config.FastFailPct: whether a dial to a dead address fails fast
 // (refused) or slow (timeout) is a property of the target address alone,
@@ -45,18 +56,15 @@ func TestFastFailSplitIsPerAddress(t *testing.T) {
 		deads = append(deads, addr4(172, 16, 0, i, 8333))
 	}
 
-	outcome := make(map[netip.AddrPort]map[netip.AddrPort]error) // dialer -> target -> err
-	mkSink := func(self netip.AddrPort) func(node.Event) {
-		outcome[self] = make(map[netip.AddrPort]error)
-		return func(ev node.Event) {
-			if ev.Type == node.EvDialFail {
-				outcome[self][ev.Peer] = ev.Err
-			}
-		}
-	}
+	// dialer -> target -> the dial trace's outcome (error text or "ok")
+	outcome := make(map[netip.AddrPort]map[netip.AddrPort]string)
+	tracer := dialOutcomes(func(from, to netip.AddrPort, detail string) {
+		outcome[from][to] = detail
+	})
 	for _, self := range []netip.AddrPort{dialerA, dialerB} {
+		outcome[self] = make(map[netip.AddrPort]string)
 		cfg := nodeCfg(self, seedsOf(net.Now(), deads...))
-		cfg.Sink = mkSink(self)
+		cfg.Tracer = tracer
 		cfg.MaxFeelers = -1
 		net.AddFullNode(cfg).Start()
 	}
@@ -69,15 +77,19 @@ func TestFastFailSplitIsPerAddress(t *testing.T) {
 		if !okA || !okB {
 			continue // not every address is necessarily dialed by both
 		}
-		if errors.Is(errA, ErrRefused) != errors.Is(errB, ErrRefused) {
-			t.Errorf("target %v: dialer A saw %v, dialer B saw %v — split must be per-address",
+		if errA != errB {
+			t.Errorf("target %v: dialer A saw %q, dialer B saw %q — split must be per-address",
 				target, errA, errB)
 		}
-		want := int(addrHash(target.Addr())%100) < fastFailPct
-		if got := errors.Is(errA, ErrRefused); got != want {
-			t.Errorf("target %v: refused=%v, want %v from addrHash split", target, got, want)
+		refused := errA == ErrRefused.Error()
+		if !refused && errA != ErrTimeout.Error() {
+			t.Errorf("target %v: dial outcome %q, want refused or timeout", target, errA)
 		}
-		if errors.Is(errA, ErrRefused) {
+		want := int(addrHash(target.Addr())%100) < fastFailPct
+		if refused != want {
+			t.Errorf("target %v: refused=%v, want %v from addrHash split", target, refused, want)
+		}
+		if refused {
 			fast++
 		} else {
 			slow++
@@ -106,18 +118,18 @@ func TestInjectorDialVerdicts(t *testing.T) {
 			})
 			net.AddFullNode(nodeCfg(b, nil)).Start()
 			ha := net.AddFullNode(nodeCfg(a, seedsOf(net.Now(), b)))
-			var got error
+			var got string
 			cfg := ha.Config()
-			cfg.Sink = func(ev node.Event) {
-				if ev.Type == node.EvDialFail && ev.Peer == b && got == nil {
-					got = ev.Err
+			cfg.Tracer = dialOutcomes(func(_, to netip.AddrPort, detail string) {
+				if to == b && got == "" {
+					got = detail
 				}
-			}
+			})
 			ha.SetConfig(cfg)
 			ha.Start()
 			net.Scheduler().RunFor(30 * time.Second)
-			if !errors.Is(got, tc.wantErr) {
-				t.Fatalf("dial error = %v, want %v", got, tc.wantErr)
+			if got != tc.wantErr.Error() {
+				t.Fatalf("dial outcome = %q, want %q", got, tc.wantErr)
 			}
 		})
 	}
@@ -187,11 +199,11 @@ func TestBlackholeStubStallsDialer(t *testing.T) {
 	var dialOK bool
 	cfg := ha.Config()
 	cfg.MaxFeelers = -1
-	cfg.Sink = func(ev node.Event) {
-		if ev.Type == node.EvDialSuccess && ev.Peer == hole {
+	cfg.Tracer = dialOutcomes(func(_, to netip.AddrPort, detail string) {
+		if to == hole && detail == "ok" {
 			dialOK = true
 		}
-	}
+	})
 	ha.SetConfig(cfg)
 	ha.Start()
 	// Short of the 60 s handshake timeout, which would evict the stall.

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"errors"
 	"net/netip"
 	"slices"
 	"testing"
@@ -9,6 +8,7 @@ import (
 
 	"repro/internal/asmap"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -51,9 +51,11 @@ func TestASLatency(t *testing.T) {
 func TestFastFailTiming(t *testing.T) {
 	// End-to-end: a node seeded with only dead addresses sees a mix of
 	// quick refusals and slow timeouts under the default 50% split.
+	reg := obs.NewRegistry()
 	net := New(Config{
 		Seed:    5,
 		Latency: ConstantLatency(10 * time.Millisecond),
+		Metrics: reg,
 	})
 	self := addr4(10, 0, 0, 1, 8333)
 	var seeds []wire.NetAddress
@@ -63,24 +65,11 @@ func TestFastFailTiming(t *testing.T) {
 			Timestamp: net.Now(),
 		})
 	}
-	var quick, slow int
-	start := net.Now()
-	cfg := nodeCfg(self, seeds)
-	cfg.Sink = func(ev node.Event) {
-		if ev.Type != node.EvDialFail {
-			return
-		}
-		if ev.Time.Sub(start) < time.Minute {
-			if errors.Is(ev.Err, ErrRefused) {
-				quick++
-			} else if errors.Is(ev.Err, ErrTimeout) {
-				slow++
-			}
-		}
-	}
-	h := net.AddFullNode(cfg)
+	h := net.AddFullNode(nodeCfg(self, seeds))
 	h.Start()
 	net.Scheduler().RunFor(time.Minute)
+	quick := reg.Counter("simnet.dial.refused").Value()
+	slow := reg.Counter("simnet.dial.timeout").Value()
 	if quick == 0 || slow == 0 {
 		t.Errorf("fast/slow failure split = %d/%d; both kinds expected", quick, slow)
 	}

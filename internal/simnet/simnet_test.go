@@ -163,18 +163,12 @@ func TestDialToDeadAddressTimesOut(t *testing.T) {
 	a := addr4(10, 0, 0, 1, 8333)
 	ghost := addr4(10, 9, 9, 9, 8333) // never registered
 	ha := net.AddFullNode(nodeCfg(a, seedsOf(net.Now(), ghost)))
-	var fails int
 	cfg := ha.Config()
-	cfg.Sink = func(ev node.Event) {
-		if ev.Type == node.EvDialFail {
-			fails++
-		}
-	}
 	cfg.Metrics = obs.NewRegistry()
 	ha.SetConfig(cfg)
 	ha.Start()
 	net.Scheduler().RunFor(20 * time.Second)
-	if fails == 0 {
+	if cfg.Metrics.Counter("node.dial.fail").Value() == 0 {
 		t.Error("dials to a dead address never failed")
 	}
 	attempts := cfg.Metrics.Counter("node.dial.attempt").Value()

@@ -5,14 +5,16 @@
 # tree, runs the determinism job's commands on both, and compares
 #
 #   - stdout of `reproduce -all -quick -seed 7 -workers=1`, of
-#     `reproduce -id fig10 -quick -seed 179 -workers=1` (trace digests
-#     included) and of `reproduce -id fig6,fig7,resync,hijack,chaos -seed 7
-#     -workers=1` (the cheap message-level runners at default scale, where
-#     hijack's timing and chaos's node count differ from -quick) with diff,
+#     `reproduce -id fig10 -quick -seed 179 -workers=1` and of
+#     `reproduce -id fig6,fig7,resync,hijack,chaos -seed 7 -workers=1` (the
+#     cheap message-level runners at default scale, where hijack's timing
+#     and chaos's node count differ from -quick) with diff; of these only
+#     chaos's report prints a `trace digest`,
 #   - the three -csv trees with diff -r, after dropping the rows whose
 #     series name matches -allow,
 #   - stdout and the NDJSON trace of `btcsim -nodes 30 -hours 1 -txs 50
-#     -compact -seed 179 -trace-out` with diff and cmp,
+#     -compact -seed 179 -trace-out` with diff and cmp: the one comparison
+#     of the propagation relay trace,
 #   - stdout of `btccrawl -series 6 -scale 0.02 -seed 7 -workers=1` with
 #     diff.
 #
