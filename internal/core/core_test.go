@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"go/build"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -48,11 +49,33 @@ func TestExperimentsSorted(t *testing.T) {
 // TestDocsResolve checks that the documents name only what exists:
 // every `reproduce -id <x>` in README.md, DESIGN.md, EXPERIMENTS.md and
 // the verify skill is a registered experiment, every `go run ./<path>`
-// names a directory holding a main package, and none names examples/.
+// names a directory holding a main package, every backticked Go file
+// exists (a path from the module root, or a bare name that some package
+// holds), and none names examples/.
 func TestDocsResolve(t *testing.T) {
 	const root = "../.."
 	idRe := regexp.MustCompile(`(?:^|\s)-id[ =]([A-Za-z_]\w*)`)
 	runRe := regexp.MustCompile(`go run \./((?:[\w-]+/)*[\w-]+)`)
+	codeRe := regexp.MustCompile("`[^`]+`")
+	// A file name starts with a letter or digit, so the bare suffix
+	// `_test.go` is not one; a `:line` suffix is allowed.
+	fileRe := regexp.MustCompile(`^((?:[\w-]+/)*[A-Za-z0-9][\w-]*\.go)(?::\S*)?$`)
+	goFiles := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(d.Name(), ".go") {
+			goFiles[d.Name()] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -69,6 +92,21 @@ func TestDocsResolve(t *testing.T) {
 			for _, m := range runRe.FindAllStringSubmatch(line, -1) {
 				if pkg, err := build.ImportDir(filepath.Join(root, m[1]), 0); err != nil || pkg.Name != "main" {
 					t.Errorf("%s:%d: go run ./%s names no main package", doc, n+1, m[1])
+				}
+			}
+			for _, span := range codeRe.FindAllString(line, -1) {
+				for _, field := range strings.Fields(strings.Trim(span, "`")) {
+					m := fileRe.FindStringSubmatch(field)
+					if m == nil {
+						continue
+					}
+					if strings.Contains(m[1], "/") {
+						if _, err := os.Stat(filepath.Join(root, m[1])); err != nil {
+							t.Errorf("%s:%d: %s names no file", doc, n+1, m[1])
+						}
+					} else if !goFiles[m[1]] {
+						t.Errorf("%s:%d: no package holds a file %s", doc, n+1, m[1])
+					}
 				}
 			}
 			if strings.Contains(line, "examples/") {

@@ -37,7 +37,8 @@ func runChaosScenario(t *testing.T, seed int64) chaosResult {
 	t.Helper()
 	net := simnet.New(simnet.Config{Seed: seed})
 	reg := obs.NewRegistry()
-	inj := New(net, Config{Seed: seed, Metrics: reg, Default: Profile{
+	tracer := obs.NewTracer(obs.DefaultTraceCapacity, net.Now)
+	inj := New(net, Config{Seed: seed, Metrics: reg, Tracer: tracer, Default: Profile{
 		Drop:      0.05,
 		Spike:     0.05,
 		SpikeMin:  200 * time.Millisecond,
@@ -70,8 +71,8 @@ func runChaosScenario(t *testing.T, seed int64) chaosResult {
 
 	tip, wantHeight := net.Host(miner).Node().Chain().Tip()
 	res := chaosResult{
-		trace:    inj.tracer.Events(),
-		digest:   inj.tracer.Digest(),
+		trace:    tracer.Events(),
+		digest:   tracer.Digest(),
 		counters: reg.Snapshot().Counters,
 	}
 	for _, a := range addrs {

@@ -62,15 +62,11 @@ type Config struct {
 	Seed int64
 	// Default is the profile applied to every link.
 	Default Profile
-	// Metrics, when set, hosts the fault counters (faults.* names) so
-	// one registry covers the whole experiment. When nil the injector
-	// keeps a private registry.
+	// Metrics hosts the fault counters (faults.* names), so one registry
+	// covers the whole experiment. Nil discards the counts.
 	Metrics *obs.Registry
-	// Tracer, when set, receives the fault events, interleaving them
-	// with node and network events in one timeline. When nil the
-	// injector keeps a private ring of obs.DefaultTraceCapacity events;
-	// events past it are evicted oldest-first but still counted and
-	// digested.
+	// Tracer receives the fault events, interleaving them with node and
+	// network events in one timeline. Nil discards the events.
 	Tracer *obs.Tracer
 }
 
@@ -118,7 +114,6 @@ type Injector struct {
 	blackholed map[netip.Addr]bool
 
 	counters map[string]*obs.Counter
-	tracer   *obs.Tracer
 
 	// Crash/restart presence tracking for PresenceMatrix.
 	start   time.Time
@@ -135,19 +130,9 @@ var _ simnet.Injector = (*Injector)(nil)
 
 // New creates an injector and installs it on the network.
 func New(net *simnet.Network, cfg Config) *Injector {
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = obs.NewTracer(obs.DefaultTraceCapacity, net.Now)
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		// Private registry: the injector's own bookkeeping still works
-		// when the caller has no experiment-wide registry.
-		reg = obs.NewRegistry()
-	}
 	counters := make(map[string]*obs.Counter, len(faultCounterNames))
 	for _, name := range faultCounterNames {
-		counters[name] = reg.Counter(name)
+		counters[name] = cfg.Metrics.Counter(name)
 	}
 	inj := &Injector{
 		net:        net,
@@ -156,7 +141,6 @@ func New(net *simnet.Network, cfg Config) *Injector {
 		groups:     make(map[netip.Addr]int),
 		blackholed: make(map[netip.Addr]bool),
 		counters:   counters,
-		tracer:     tracer,
 		start:      net.Now(),
 		isDown:     make(map[netip.AddrPort]bool),
 		down:       make(map[netip.AddrPort][]downInterval),
@@ -307,4 +291,4 @@ func (inj *Injector) FilterTransmit(from, to netip.AddrPort, msg wire.Message) s
 func (inj *Injector) inc(name string) { inj.counters[name].Inc() }
 
 // record emits a trace event into the (possibly shared) tracer.
-func (inj *Injector) record(ev TraceEvent) { inj.tracer.Emit(ev) }
+func (inj *Injector) record(ev TraceEvent) { inj.cfg.Tracer.Emit(ev) }

@@ -62,7 +62,8 @@ func buildMeteredMesh(net *simnet.Network, n int, reg *obs.Registry) []netip.Add
 
 func TestPartitionBlocksAndHeals(t *testing.T) {
 	net := simnet.New(simnet.Config{Seed: 1})
-	inj := New(net, Config{Seed: 1})
+	reg := obs.NewRegistry()
+	inj := New(net, Config{Seed: 1, Metrics: reg})
 	addrs := buildMesh(net, 6)
 
 	inj.Partition(addrs[:3], addrs[3:])
@@ -79,7 +80,7 @@ func TestPartitionBlocksAndHeals(t *testing.T) {
 			}
 		}
 	}
-	if got := inj.counters["faults.dial.blocked"].Value(); got == 0 {
+	if got := reg.Counter("faults.dial.blocked").Value(); got == 0 {
 		t.Error("partition never blocked a dial")
 	}
 
@@ -102,25 +103,27 @@ func TestPartitionBlocksAndHeals(t *testing.T) {
 
 func TestDropProfileLosesMessages(t *testing.T) {
 	net := simnet.New(simnet.Config{Seed: 2})
-	inj := New(net, Config{Seed: 2, Default: Profile{Drop: 0.3}})
+	reg := obs.NewRegistry()
+	New(net, Config{Seed: 2, Metrics: reg, Default: Profile{Drop: 0.3}})
 	buildMesh(net, 4)
 	net.Scheduler().RunFor(5 * time.Minute)
-	if got := inj.counters["faults.transmit.dropped"].Value(); got == 0 {
+	if got := reg.Counter("faults.transmit.dropped").Value(); got == 0 {
 		t.Error("30% drop profile never dropped a message")
 	}
 }
 
 func TestBlackholeSilencesHost(t *testing.T) {
 	net := simnet.New(simnet.Config{Seed: 4})
-	inj := New(net, Config{Seed: 4})
+	reg := obs.NewRegistry()
+	inj := New(net, Config{Seed: 4, Metrics: reg})
 	addrs := buildMesh(net, 4)
 	net.Scheduler().RunFor(2 * time.Minute)
 
 	victim := addrs[0]
 	inj.Blackhole(victim.Addr())
-	before := inj.counters["faults.transmit.blocked"].Value()
+	before := reg.Counter("faults.transmit.blocked").Value()
 	net.Scheduler().RunFor(5 * time.Minute)
-	if inj.counters["faults.transmit.blocked"].Value() == before {
+	if reg.Counter("faults.transmit.blocked").Value() == before {
 		t.Error("blackholed host's traffic was not blocked")
 	}
 	inj.Restore(victim.Addr())
@@ -128,7 +131,8 @@ func TestBlackholeSilencesHost(t *testing.T) {
 
 func TestScheduleCrashAndPresenceMatrix(t *testing.T) {
 	net := simnet.New(simnet.Config{Seed: 5})
-	inj := New(net, Config{Seed: 5})
+	reg := obs.NewRegistry()
+	inj := New(net, Config{Seed: 5, Metrics: reg})
 	addrs := buildMesh(net, 3)
 
 	inj.ScheduleCrash(addrs[1], 2*time.Minute, 3*time.Minute)
@@ -142,9 +146,9 @@ func TestScheduleCrashAndPresenceMatrix(t *testing.T) {
 	if !net.Host(addrs[1]).Online() {
 		t.Fatal("host did not restart after outage")
 	}
-	if inj.counters["faults.crash"].Value() != 1 || inj.counters["faults.restart"].Value() != 1 {
+	if reg.Counter("faults.crash").Value() != 1 || reg.Counter("faults.restart").Value() != 1 {
 		t.Errorf("crash/restart counters = %d/%d, want 1/1",
-			inj.counters["faults.crash"].Value(), inj.counters["faults.restart"].Value())
+			reg.Counter("faults.crash").Value(), reg.Counter("faults.restart").Value())
 	}
 
 	m := inj.PresenceMatrix(time.Minute)
@@ -182,14 +186,15 @@ func TestCrashWaveStaggers(t *testing.T) {
 
 func TestDisabledInjectorIsTransparent(t *testing.T) {
 	net := simnet.New(simnet.Config{Seed: 8})
-	inj := New(net, Config{Seed: 8, Default: Profile{Drop: 1, DialFail: 1}})
+	tracer := obs.NewTracer(obs.DefaultTraceCapacity, net.Now)
+	inj := New(net, Config{Seed: 8, Tracer: tracer, Default: Profile{Drop: 1, DialFail: 1}})
 	inj.SetEnabled(false)
 	addrs := buildMesh(net, 2)
 	net.Scheduler().RunFor(time.Minute)
 	if !net.Host(addrs[0]).Node().AddrMan().InTried(addrs[1]) {
 		t.Error("disabled injector still interfered with the handshake")
 	}
-	if len(inj.tracer.Events()) != 0 {
-		t.Errorf("disabled injector recorded %d events", len(inj.tracer.Events()))
+	if len(tracer.Events()) != 0 {
+		t.Errorf("disabled injector recorded %d events", len(tracer.Events()))
 	}
 }

@@ -447,9 +447,9 @@ func (n *Node) announceBlock(blk *wire.MsgBlock, span uint64, except ConnID, rec
 		}
 		n.queueRelay(p, &out)
 	}
-	// PriorityOutbound announces to outbound connections first (the §V
+	// priorityOutbound announces to outbound connections first (the §V
 	// refinement); the stock policies use arrival order.
-	if n.pol.relay != PriorityOutbound {
+	if n.pol.relay != priorityOutbound {
 		for _, p := range n.slots {
 			announce(p)
 		}

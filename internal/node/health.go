@@ -2,10 +2,9 @@ package node
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
-	"repro/internal/chainhash"
 	"repro/internal/wire"
 )
 
@@ -30,7 +29,7 @@ const maxBackoffEntries = 4096
 // healthTick runs the periodic connection-health checks and reschedules
 // itself. All eviction decisions are collected before acting so map and
 // slice mutation never happens under iteration, and eviction order is
-// deterministic (slot order for peers, sorted hashes for blocks).
+// deterministic (slot order for peers, ConnID order for block stalls).
 func (n *Node) healthTick() {
 	if n.stopped {
 		return
@@ -108,37 +107,20 @@ func (n *Node) handlePong(p *Peer, m *wire.MsgPong) {
 // the block-stall timeout (the simplified form of Bitcoin Core's
 // 2-minute stalling rule), so IBD can continue from another peer.
 func (n *Node) checkBlockStalls(now time.Time) {
-	// Collect the oldest stalled request per connection, deterministically
-	// despite map iteration: gather then sort by (conn, hash).
-	type stall struct {
-		conn ConnID
-		hash chainhash.Hash
-	}
-	var stalls []stall
-	for h, f := range n.blocksInFlight {
-		if now.Sub(f.requested) >= blockStallTimeout {
-			stalls = append(stalls, stall{f.conn, h})
+	// Collect each stalled connection once, deterministically despite map
+	// iteration: gather the distinct ConnIDs, then evict in ConnID order.
+	var stalled []ConnID
+	for _, f := range n.blocksInFlight {
+		if now.Sub(f.requested) >= blockStallTimeout && !slices.Contains(stalled, f.conn) {
+			stalled = append(stalled, f.conn)
 		}
 	}
-	if len(stalls) == 0 {
-		return
-	}
-	sort.Slice(stalls, func(i, j int) bool {
-		if stalls[i].conn != stalls[j].conn {
-			return stalls[i].conn < stalls[j].conn
-		}
-		return stalls[i].hash.String() < stalls[j].hash.String()
-	})
-	evicted := make(map[ConnID]bool)
-	for _, s := range stalls {
-		if evicted[s.conn] {
-			continue
-		}
-		evicted[s.conn] = true
-		p := n.peerByConn(s.conn)
+	slices.Sort(stalled)
+	for _, conn := range stalled {
+		p := n.peerByConn(conn)
 		if p == nil {
 			// Connection already gone; just clear its requests.
-			n.clearInFlight(s.conn)
+			n.clearInFlight(conn)
 			continue
 		}
 		n.met.blockStallEvict.Inc()

@@ -23,7 +23,6 @@
 package node
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -69,39 +68,24 @@ func (d Direction) String() string {
 	}
 }
 
-// RelayPolicy selects how queued messages are scheduled across
-// connections.
-type RelayPolicy int
+// relaySchedule selects how queued messages are scheduled across
+// connections. The PolicySet names (stock, priority-relay,
+// ideal-broadcast) are the only names for these schedules.
+type relaySchedule int
 
-// Relay policies.
+// Relay schedules.
 const (
-	// RoundRobin is Bitcoin Core's behaviour: one message per connection
+	// roundRobin is Bitcoin Core's behaviour: one message per connection
 	// per message-handler loop (Algorithm 3 in the paper).
-	RoundRobin RelayPolicy = iota + 1
-	// Broadcast is the idealized lock-step model of the theoretical
+	roundRobin relaySchedule = iota + 1
+	// broadcast is the idealized lock-step model of the theoretical
 	// literature: announcements leave to every connection simultaneously.
-	Broadcast
-	// PriorityOutbound is the paper's §V refinement: blocks jump the send
+	broadcast
+	// priorityOutbound is the paper's §V refinement: blocks jump the send
 	// queue and outbound (always-reachable) connections are serviced
 	// first.
-	PriorityOutbound
+	priorityOutbound
 )
-
-// String returns the policy name. Out-of-range values render as a
-// stable "unknown(N)" form, so logs and CSV cells stay unambiguous and
-// distinct values never collide on a bare "unknown".
-func (p RelayPolicy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case Broadcast:
-		return "broadcast"
-	case PriorityOutbound:
-		return "priority-outbound"
-	default:
-		return fmt.Sprintf("unknown(%d)", int(p))
-	}
-}
 
 // Env is the node's window to the outside world. Implementations provide
 // time, randomness, timers, and connectivity; the simnet implementation
@@ -147,8 +131,10 @@ const (
 	// an empty outbound slot.
 	connectInterval = 500 * time.Millisecond
 	// connectIdleInterval is the maintenance cadence while all outbound
-	// slots are filled; it keeps large simulations cheap without changing
-	// behaviour (the loop is re-armed immediately on disconnect).
+	// slots are filled, which keeps large simulations cheap. OnDisconnect
+	// re-arms the loop at once when a remote peer closes an outbound
+	// connection; a local eviction (disconnectPeer) does not, so the slot
+	// it frees waits up to this long.
 	connectIdleInterval = 30 * time.Second
 	// userAgent is advertised in the VERSION handshake.
 	userAgent = "/Satoshi:0.20.1(repro)/"
@@ -563,12 +549,7 @@ func (n *Node) openConnectionsTick() {
 		return
 	}
 	outbound, _, _ := n.ConnCounts()
-	pendingOut := 0
-	for _, d := range n.dialing {
-		if d.dir == Outbound {
-			pendingOut++
-		}
-	}
+	pendingOut := n.pendingDials(Outbound)
 	interval := connectIdleInterval
 	if outbound+pendingOut < n.cfg.MaxOutbound && pendingOut < n.cfg.MaxPendingDials {
 		if na, ok := n.selectDialTarget(false); ok {
@@ -627,13 +608,7 @@ func (n *Node) feelerTick() {
 		return
 	}
 	_, _, feelers := n.ConnCounts()
-	pendingFeelers := 0
-	for _, d := range n.dialing {
-		if d.dir == Feeler {
-			pendingFeelers++
-		}
-	}
-	if feelers+pendingFeelers < n.cfg.MaxFeelers {
+	if feelers+n.pendingDials(Feeler) < n.cfg.MaxFeelers {
 		if na, ok := n.selectDialTarget(true); ok {
 			n.startDial(na, Feeler)
 		}
@@ -659,19 +634,9 @@ func (n *Node) selectDialTarget(newOnly bool) (wire.NetAddress, bool) {
 		if !ok {
 			return wire.NetAddress{}, false
 		}
-		if na.Addr == n.cfg.Self.Addr {
-			continue
+		if n.dialable(na.Addr) && !n.inBackoff(na.Addr) {
+			return na, true
 		}
-		if _, connected := n.byAddr[na.Addr]; connected {
-			continue
-		}
-		if _, inFlight := n.dialing[na.Addr]; inFlight {
-			continue
-		}
-		if n.inBackoff(na.Addr) {
-			continue
-		}
-		return na, true
 	}
 	return wire.NetAddress{}, false
 }
@@ -681,20 +646,35 @@ func (n *Node) selectDialTarget(newOnly bool) (wire.NetAddress, bool) {
 // deterministic.
 func (n *Node) selectAnchor() (wire.NetAddress, bool) {
 	for _, a := range n.anchors {
-		if a == n.cfg.Self.Addr {
-			continue
+		if n.dialable(a) {
+			return wire.NetAddress{
+				Addr: a, Services: wire.SFNodeNetwork, Timestamp: n.env.Now(),
+			}, true
 		}
-		if _, connected := n.byAddr[a]; connected {
-			continue
-		}
-		if _, inFlight := n.dialing[a]; inFlight {
-			continue
-		}
-		return wire.NetAddress{
-			Addr: a, Services: wire.SFNodeNetwork, Timestamp: n.env.Now(),
-		}, true
 	}
 	return wire.NetAddress{}, false
+}
+
+// dialable reports whether a is neither this node, nor a current peer,
+// nor already being dialed.
+func (n *Node) dialable(a netip.AddrPort) bool {
+	if a == n.cfg.Self.Addr {
+		return false
+	}
+	_, connected := n.byAddr[a]
+	_, inFlight := n.dialing[a]
+	return !connected && !inFlight
+}
+
+// pendingDials counts the in-flight dials of direction dir.
+func (n *Node) pendingDials(dir Direction) int {
+	pending := 0
+	for _, d := range n.dialing {
+		if d.dir == dir {
+			pending++
+		}
+	}
+	return pending
 }
 
 // maxAnchors bounds the anchor list (§ Younis-style resilience): big

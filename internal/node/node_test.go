@@ -649,23 +649,63 @@ func TestMineBlockExtendsChain(t *testing.T) {
 	}
 }
 
-// TestVersionAdvertisesTipHeight pins the outbound VERSION's StartHeight to
-// the chain tip at handshake time, not the height at construction.
+// TestVersionAdvertisesTipHeight pins VERSION's StartHeight to the chain
+// height at handshake time, not the height at construction, on both sides
+// of a handshake: the initiator's VERSION (OnDialResult) and the
+// responder's (handleVersion). A peer's header-sync decision in
+// maybeCompleteHandshake reads this field, so a stale or zero height
+// would leave every peer looking unsynced.
 func TestVersionAdvertisesTipHeight(t *testing.T) {
-	const blocks = 4
-	n, env := minedChain(t, blocks)
-	n.OnDialResult(mkAddr(10, 0, 0, 2), 1, nil)
+	const k = 4
+	miner := New(testConfig(mkAddr(10, 0, 0, 9)), newFakeEnv())
+	var blocks []*wire.MsgBlock
+	for i := 0; i < k; i++ {
+		blk, err := miner.MineBlock(0)
+		if err != nil {
+			t.Fatalf("mine %d: %v", i, err)
+		}
+		blocks = append(blocks, blk)
+	}
+	env := newFakeEnv()
+	n := New(testConfig(mkAddr(10, 0, 0, 1)), env)
+	n.Start()
+	completeHandshake(t, n, env, 1, mkAddr(10, 0, 0, 2), k)
+	for _, blk := range blocks {
+		n.OnMessage(1, blk)
+	}
+	env.run(5 * time.Second)
+	if got := n.Chain().Height(); got != k {
+		t.Fatalf("height after accepting %d blocks = %d", k, got)
+	}
+	// Each side's first message on the connection is its VERSION.
+	version := func(conn ConnID) *wire.MsgVersion {
+		t.Helper()
+		msgs := env.transmitsTo(conn)
+		if len(msgs) == 0 {
+			t.Fatalf("nothing transmitted on conn %d", conn)
+		}
+		ver, ok := msgs[0].(*wire.MsgVersion)
+		if !ok {
+			t.Fatalf("first message on conn %d = %T, want *MsgVersion", conn, msgs[0])
+		}
+		return ver
+	}
+
+	// Initiator: the VERSION goes out with the dial result.
+	n.OnDialResult(mkAddr(10, 0, 0, 3), 2, nil)
 	env.run(time.Second)
-	msgs := env.transmitsTo(1)
-	if len(msgs) == 0 {
-		t.Fatal("nothing transmitted after dial success")
+	if got := version(2).StartHeight; got != n.Chain().Height() {
+		t.Errorf("initiator VERSION StartHeight = %d, want chain height %d", got, n.Chain().Height())
 	}
-	ver, ok := msgs[0].(*wire.MsgVersion)
-	if !ok {
-		t.Fatalf("first message = %T, want *MsgVersion", msgs[0])
+
+	// Responder: the VERSION answers the peer's.
+	if !n.OnInbound(mkAddr(10, 0, 0, 4), 3) {
+		t.Fatal("inbound connection refused")
 	}
-	if ver.StartHeight != blocks {
-		t.Errorf("VERSION StartHeight = %d, want tip height %d", ver.StartHeight, blocks)
+	n.OnMessage(3, &wire.MsgVersion{ProtocolVersion: wire.ProtocolVersion, Timestamp: env.Now()})
+	env.run(time.Second)
+	if got := version(3).StartHeight; got != n.Chain().Height() {
+		t.Errorf("responder VERSION StartHeight = %d, want chain height %d", got, n.Chain().Height())
 	}
 }
 

@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -21,45 +20,28 @@ import (
 // Policy is one named intervention. PolicyByName is the only way to
 // build one, so a Policy always names a known behaviour; the zero
 // Policy names none, and New panics on it.
-type Policy struct {
-	name string
-	days int // horizon-<days>d expiry; 0 for every other policy
-}
+type Policy struct{ name string }
 
 // Name returns the stable name ("tried-only-addr", "horizon-17d", …).
 func (p Policy) Name() string { return p.name }
 
-// policyNames is every policy name, sorted, with the parameterized
-// horizon family shown at its canonical §V parameter.
+// policyNames is every policy name, sorted.
 var policyNames = []string{
 	"churn-resilient-peering", // anchor reconnection (Younis et al., arXiv:1803.06559)
-	"horizon-17d",             // tried entries expire after N days (§V refinement 2)
+	"horizon-17d",             // tried entries expire after 17 days (§V refinement 2)
 	"ideal-broadcast",         // lock-step broadcast: the grid's upper bound, not a fix
 	"priority-relay",          // blocks first, outbound first (§V refinement 3)
 	"tried-only-addr",         // GETADDR answers from the tried table only (§V refinement 1)
 	"unreachable-tx-relay",    // unreachable nodes forward txs (Franzoni & Daza, arXiv:2010.15070)
 }
 
-// PolicyNames returns a copy of policyNames.
-func PolicyNames() []string { return slices.Clone(policyNames) }
-
-// PolicyByName resolves one policy name. The horizon family parses as
-// "horizon-<N>d" for any positive day count N (canonical: 17).
+// PolicyByName resolves one policy name.
 func PolicyByName(name string) (Policy, error) {
-	if rest, ok := strings.CutPrefix(name, "horizon-"); ok {
-		if days, ok := strings.CutSuffix(rest, "d"); ok {
-			n, err := strconv.Atoi(days)
-			// Reject non-canonical spellings ("07", "+7") so that
-			// encode→parse→encode is the identity.
-			if err == nil && n > 0 && strconv.Itoa(n) == days {
-				return Policy{name: name, days: n}, nil
-			}
-		}
-	} else if slices.Contains(policyNames, name) {
-		return Policy{name: name}, nil
+	if !slices.Contains(policyNames, name) {
+		return Policy{}, fmt.Errorf("node: unknown policy %q (known: %s)",
+			name, strings.Join(policyNames, ", "))
 	}
-	return Policy{}, fmt.Errorf("node: unknown policy %q (known: %s)",
-		name, strings.Join(PolicyNames(), ", "))
+	return Policy{name: name}, nil
 }
 
 // PolicySet is an ordered set of interventions; empty is stock Bitcoin Core.
@@ -118,32 +100,31 @@ func MustPolicySet(s string) PolicySet {
 
 // compiledPolicies is a PolicySet as the plain fields the hot paths read.
 type compiledPolicies struct {
-	relay            RelayPolicy // RoundRobin unless a relay schedule overrides it
-	fwdTxUnreachable bool        // unreachable nodes forward third-party txs
-	anchorsEnabled   bool        // anchor-based redialing
+	relay            relaySchedule // roundRobin unless a relay schedule overrides it
+	fwdTxUnreachable bool          // unreachable nodes forward third-party txs
+	anchorsEnabled   bool          // anchor-based redialing
 }
 
 // resolvePolicies compiles set on top of stock behaviour: round-robin
 // relay and the given addrman configuration.
 func resolvePolicies(set PolicySet, am addrman.Config) (compiledPolicies, addrman.Config) {
-	c := compiledPolicies{relay: RoundRobin}
+	c := compiledPolicies{relay: roundRobin}
 	for _, p := range set {
 		switch p.name {
 		case "tried-only-addr":
 			am.TriedOnlyGetAddr = true
+		case "horizon-17d":
+			am.Horizon = 17 * 24 * time.Hour
 		case "priority-relay":
-			c.relay = PriorityOutbound
+			c.relay = priorityOutbound
 		case "ideal-broadcast":
-			c.relay = Broadcast
+			c.relay = broadcast
 		case "unreachable-tx-relay":
 			c.fwdTxUnreachable = true
 		case "churn-resilient-peering":
 			c.anchorsEnabled = true
 		default:
-			if p.days <= 0 {
-				panic(fmt.Sprintf("node: policy %q was not built by PolicyByName", p.name))
-			}
-			am.Horizon = time.Duration(p.days) * 24 * time.Hour
+			panic(fmt.Sprintf("node: policy %q was not built by PolicyByName", p.name))
 		}
 	}
 	return c, am

@@ -12,28 +12,11 @@ import (
 	"repro/internal/wire"
 )
 
-func TestRelayPolicyStringStable(t *testing.T) {
-	cases := map[RelayPolicy]string{
-		RoundRobin:       "round-robin",
-		Broadcast:        "broadcast",
-		PriorityOutbound: "priority-outbound",
-		RelayPolicy(0):   "unknown(0)",
-		RelayPolicy(42):  "unknown(42)",
-		RelayPolicy(-3):  "unknown(-3)",
-	}
-	for p, want := range cases {
-		if got := p.String(); got != want {
-			t.Errorf("RelayPolicy(%d).String() = %q, want %q", int(p), got, want)
-		}
-	}
-}
-
 func TestPolicySetEncoding(t *testing.T) {
 	cases := []string{
 		"stock",
 		"tried-only-addr",
 		"horizon-17d",
-		"horizon-3d",
 		"priority-relay",
 		"ideal-broadcast",
 		"unreachable-tx-relay",
@@ -61,7 +44,7 @@ func TestPolicySetEncoding(t *testing.T) {
 func TestParsePolicySetRejects(t *testing.T) {
 	for _, bad := range []string{
 		"", "nope", "stock+tried-only-addr", "tried-only-addr+tried-only-addr",
-		"horizon-0d", "horizon--1d", "horizon-07d", "horizon-+7d", "horizon-d",
+		"horizon-3d", "horizon-0d", "horizon--1d", "horizon-07d", "horizon-+7d", "horizon-d",
 		"horizon-17", "tried-only-addr+", "+tried-only-addr", "HORIZON-17D",
 	} {
 		if set, err := ParsePolicySet(bad); err == nil {
@@ -71,7 +54,7 @@ func TestParsePolicySetRejects(t *testing.T) {
 }
 
 func TestPolicyNamesAllParse(t *testing.T) {
-	for _, name := range PolicyNames() {
+	for _, name := range policyNames {
 		p, err := PolicyByName(name)
 		if err != nil {
 			t.Fatalf("PolicyByName(%q): %v", name, err)
@@ -89,25 +72,25 @@ func TestResolvePoliciesHooks(t *testing.T) {
 	const seventeenDays = 17 * 24 * time.Hour
 	for _, tc := range []struct {
 		set       string
-		relay     RelayPolicy
+		relay     relaySchedule
 		triedOnly bool
 		horizon   time.Duration
 		fwdTx     bool
 		anchors   bool
 	}{
 		// The §V sets of analysis.DefaultPolicySets() and its ideal-broadcast bound.
-		{set: "stock", relay: RoundRobin},
-		{set: "tried-only-addr", relay: RoundRobin, triedOnly: true},
-		{set: "horizon-17d", relay: RoundRobin, horizon: seventeenDays},
-		{set: "priority-relay", relay: PriorityOutbound},
-		{set: "tried-only-addr+horizon-17d+priority-relay", relay: PriorityOutbound,
+		{set: "stock", relay: roundRobin},
+		{set: "tried-only-addr", relay: roundRobin, triedOnly: true},
+		{set: "horizon-17d", relay: roundRobin, horizon: seventeenDays},
+		{set: "priority-relay", relay: priorityOutbound},
+		{set: "tried-only-addr+horizon-17d+priority-relay", relay: priorityOutbound,
 			triedOnly: true, horizon: seventeenDays},
-		{set: "ideal-broadcast", relay: Broadcast},
+		{set: "ideal-broadcast", relay: broadcast},
 		// The related-work remedies leave relay and addrman alone.
-		{set: "unreachable-tx-relay+churn-resilient-peering", relay: RoundRobin,
+		{set: "unreachable-tx-relay+churn-resilient-peering", relay: roundRobin,
 			fwdTx: true, anchors: true},
 		// The last relay schedule wins.
-		{set: "priority-relay+ideal-broadcast", relay: Broadcast},
+		{set: "priority-relay+ideal-broadcast", relay: broadcast},
 	} {
 		c, am := resolvePolicies(MustPolicySet(tc.set), addrman.Config{})
 		if c.relay != tc.relay || c.fwdTxUnreachable != tc.fwdTx || c.anchorsEnabled != tc.anchors {
@@ -122,11 +105,11 @@ func TestResolvePoliciesHooks(t *testing.T) {
 	// Every listed name compiles to something other than stock, so a name
 	// added to policyNames without a resolvePolicies case fails here
 	// instead of silently acting as stock.
-	if !slices.IsSorted(PolicyNames()) {
-		t.Errorf("PolicyNames() = %v, not sorted", PolicyNames())
+	if !slices.IsSorted(policyNames) {
+		t.Errorf("policyNames = %v, not sorted", policyNames)
 	}
 	stock, stockAM := resolvePolicies(nil, addrman.Config{})
-	for _, name := range PolicyNames() {
+	for _, name := range policyNames {
 		c, am := resolvePolicies(MustPolicySet(name), addrman.Config{})
 		if c == stock && reflect.DeepEqual(am, stockAM) {
 			t.Errorf("%s compiles to stock", name)

@@ -19,7 +19,7 @@ import (
 // paper measures in §IV-C.
 
 // queueMsg appends msg to the peer's vSendMsg queue (or transmits
-// immediately under the Broadcast policy for announcement classes) and
+// immediately under the broadcast schedule for announcement classes) and
 // arms the pump.
 func (n *Node) queueMsg(p *Peer, msg wire.Message, class msgClass) {
 	n.queueRelay(p, &outMsg{msg: msg, class: class})
@@ -30,12 +30,12 @@ func (n *Node) queueMsg(p *Peer, msg wire.Message, class msgClass) {
 // queue, not retained.
 func (n *Node) queueRelay(p *Peer, out *outMsg) {
 	switch {
-	case n.pol.relay == Broadcast && (out.class == classBlock || out.class == classTx):
+	case n.pol.relay == broadcast && (out.class == classBlock || out.class == classTx):
 		// Idealized lock-step broadcast: announcements leave instantly,
 		// concurrently to every connection.
 		n.transmitNow(p, out, 0)
 		return
-	case n.pol.relay == PriorityOutbound && out.class == classBlock:
+	case n.pol.relay == priorityOutbound && out.class == classBlock:
 		// §V refinement: block traffic jumps ahead of queued requests.
 		p.insertSendPriority(out)
 	default:
@@ -151,9 +151,9 @@ func (n *Node) armPumpAt(now time.Time) {
 }
 
 // pumpOnce runs one message-handler loop iteration (Algorithm 3) over the
-// slots that hold work, in ascending slot order. RoundRobin and Broadcast
+// slots that hold work, in ascending slot order. roundRobin and broadcast
 // service connections in arrival order (Bitcoin Core iterates vNodes in
-// connection order); PriorityOutbound services outbound connections
+// connection order); priorityOutbound services outbound connections
 // first, as a second scan of the same bitmap.
 func (n *Node) pumpOnce() {
 	n.pumpArmed = false
@@ -167,7 +167,7 @@ func (n *Node) pumpOnce() {
 	// Peers added mid-loop must not be serviced this iteration, so the
 	// bound is fixed here.
 	limit := len(n.slots)
-	if n.pol.relay != PriorityOutbound {
+	if n.pol.relay != priorityOutbound {
 		for i := n.nextReady(0, limit); i >= 0 && !n.stopped; i = n.nextReady(i+1, limit) {
 			n.serviceSlot(i, &busy)
 		}

@@ -26,7 +26,7 @@ func (n *Node) fullWalkLoop() {
 	n.inPump = true
 	busy := time.Duration(0)
 	limit := len(n.slots)
-	if n.pol.relay != PriorityOutbound {
+	if n.pol.relay != priorityOutbound {
 		for i := 0; i < limit && !n.stopped; i++ {
 			n.fullWalkSlot(i, &busy)
 		}

@@ -160,7 +160,7 @@ func TestRelayHopParentIsOwnDelivery(t *testing.T) {
 				paths["insertSendPriority"]++
 			}
 		case addrs[4]:
-			paths["Broadcast transmitNow"]++
+			paths["broadcast transmitNow"]++
 		}
 	})
 
@@ -188,7 +188,7 @@ func TestRelayHopParentIsOwnDelivery(t *testing.T) {
 	t.Logf("%d relay events by path: %v", relays, paths)
 	for _, path := range []string{
 		"announceTx INV", "announceBlock INV", "announceBlock CMPCTBLOCK",
-		"relayMarkFor body", "insertSendPriority", "Broadcast transmitNow",
+		"relayMarkFor body", "insertSendPriority", "broadcast transmitNow",
 	} {
 		if paths[path] == 0 {
 			t.Errorf("no relay event took the %s path (%d relays: %v)", path, relays, paths)
