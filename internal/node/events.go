@@ -41,3 +41,10 @@ type Event struct {
 	// Conn is the connection; zero for EvDialAttempt, which has none yet.
 	Conn ConnID
 }
+
+// emit delivers an instrumentation event to the configured sink.
+func (n *Node) emit(ev Event) {
+	if n.cfg.Sink != nil {
+		n.cfg.Sink(ev)
+	}
+}

@@ -330,21 +330,6 @@ type Node struct {
 	pendingCmpct map[chainhash.Hash]*pendingCompact
 }
 
-// pendingCompact is a compact block whose reconstruction awaits a
-// BLOCKTXN response.
-type pendingCompact struct {
-	cb      *wire.MsgCmpctBlock
-	partial *chain.ReconstructResult
-	from    ConnID
-}
-
-// inFlightBlock records who a block was requested from and when, for the
-// block-download stall detector.
-type inFlightBlock struct {
-	conn      ConnID
-	requested time.Time
-}
-
 // nodeMetrics groups the obs handles the node writes on its hot paths.
 // Each handle is resolved once in New and is a nil no-op when metrics
 // are disabled.
@@ -495,427 +480,4 @@ func (n *Node) ConnCounts() (outbound, inbound, feelers int) {
 // requests).
 func (n *Node) IsSynced() bool {
 	return n.syncedOnce && len(n.blocksInFlight) == 0
-}
-
-// noteSeen records the first-seen time of an object, bounding the map.
-func (n *Node) noteSeen(h chainhash.Hash, t time.Time) {
-	const maxSeen = 8192
-	if len(n.seenTimes) >= maxSeen {
-		n.seenTimes = make(map[uint64]int64, maxSeen/4)
-	}
-	k := invKey(h)
-	if _, ok := n.seenTimes[k]; !ok {
-		n.seenTimes[k] = t.UnixNano()
-	}
-}
-
-// traceDeliver emits the delivery-span trace event for an accepted
-// object and returns the span, which every relay entry for the object
-// carries as its Parent (see relayOut). Span identity is SpanKey-derived,
-// so the receiving node's Parent matches the sender's own delivery Span
-// without any shared state — PropagationTree stitches the hops back
-// together from the flat stream. from is the zero AddrPort at the origin
-// (local mine or submit), which yields Parent 0 (tree root).
-func (n *Node) traceDeliver(kind string, h chainhash.Hash, from netip.AddrPort, at time.Time) uint64 {
-	self := n.cfg.Self.Addr
-	span := obs.SpanKey(self, h[:])
-	if n.tracer == nil {
-		return span
-	}
-	ev := obs.Event{
-		Time: at, Kind: kind, From: from, To: self,
-		Obj: obs.ObjectPrefix(h.Prefix()), Span: span,
-	}
-	if from.IsValid() {
-		ev.Parent = obs.SpanKey(from, h[:])
-	} else {
-		ev.From = self
-	}
-	n.tracer.Emit(ev)
-	return span
-}
-
-// emit delivers an instrumentation event to the configured sink.
-func (n *Node) emit(ev Event) {
-	if n.cfg.Sink != nil {
-		n.cfg.Sink(ev)
-	}
-}
-
-// openConnectionsTick fills empty outbound slots, one dial per tick, then
-// reschedules itself — Bitcoin Core's ThreadOpenConnections cadence.
-func (n *Node) openConnectionsTick() {
-	if n.stopped {
-		return
-	}
-	outbound, _, _ := n.ConnCounts()
-	pendingOut := n.pendingDials(Outbound)
-	interval := connectIdleInterval
-	if outbound+pendingOut < n.cfg.MaxOutbound && pendingOut < n.cfg.MaxPendingDials {
-		if na, ok := n.selectDialTarget(false); ok {
-			n.startDial(na, Outbound)
-		}
-		interval = connectInterval
-	}
-	n.scheduleMaintenance(interval)
-}
-
-// maintTick is one armed openConnectionsTick: the generation it was
-// armed at and its cached fire method value, so that re-arming a
-// recycled record allocates nothing. Fired records wait on the node's
-// free list.
-type maintTick struct {
-	n    *Node
-	gen  uint64
-	fn   func()
-	next *maintTick // free-list link
-}
-
-// fire runs the tick unless a later scheduleMaintenance superseded it. A
-// superseded tick still fires, as a no-op, at the time it was armed for.
-// Either way the record goes back on the free list first, so the re-arm
-// inside openConnectionsTick reuses it.
-func (t *maintTick) fire() {
-	n := t.n
-	live := t.gen == n.maintGen
-	t.next, n.maintFree = n.maintFree, t
-	if live {
-		n.openConnectionsTick()
-	}
-}
-
-// scheduleMaintenance arms the next openConnectionsTick, superseding any
-// previously scheduled one (so a disconnect can pull the next attempt
-// forward without creating duplicate tick chains).
-func (n *Node) scheduleMaintenance(d time.Duration) {
-	n.maintGen++
-	t := n.maintFree
-	if t != nil {
-		n.maintFree = t.next
-	} else {
-		t = &maintTick{n: n}
-		t.fn = t.fire
-	}
-	t.gen = n.maintGen
-	n.env.Schedule(d, t.fn)
-}
-
-// feelerTick opens short-lived feeler connections that test new-table
-// addresses, moving responsive ones to tried (Bitcoin Core PR #9037,
-// which the paper's Figure 6 observes as connections 9 and 10).
-func (n *Node) feelerTick() {
-	if n.stopped {
-		return
-	}
-	_, _, feelers := n.ConnCounts()
-	if feelers+n.pendingDials(Feeler) < n.cfg.MaxFeelers {
-		if na, ok := n.selectDialTarget(true); ok {
-			n.startDial(na, Feeler)
-		}
-	}
-	n.env.Schedule(feelerInterval, n.feelerFn)
-}
-
-// selectDialTarget samples addrman for a dialable address, skipping self,
-// current peers, and in-flight dials. Under churn-resilient-peering,
-// regular outbound dials try the anchor list first (bypassing backoff —
-// an anchor was good moments ago, and a failed retry evicts it), so a
-// node that just lost a peer to churn reconnects to proven addresses
-// instead of re-gambling on the mostly-dead gossip mix.
-func (n *Node) selectDialTarget(newOnly bool) (wire.NetAddress, bool) {
-	if n.pol.anchorsEnabled && !newOnly {
-		if na, ok := n.selectAnchor(); ok {
-			return na, true
-		}
-	}
-	const tries = 20
-	for i := 0; i < tries; i++ {
-		na, ok := n.addrman.Select(newOnly)
-		if !ok {
-			return wire.NetAddress{}, false
-		}
-		if n.dialable(na.Addr) && !n.inBackoff(na.Addr) {
-			return na, true
-		}
-	}
-	return wire.NetAddress{}, false
-}
-
-// selectAnchor returns the oldest anchor not already connected or being
-// dialed. Anchors are kept in confirmation order, so the scan is
-// deterministic.
-func (n *Node) selectAnchor() (wire.NetAddress, bool) {
-	for _, a := range n.anchors {
-		if n.dialable(a) {
-			return wire.NetAddress{
-				Addr: a, Services: wire.SFNodeNetwork, Timestamp: n.env.Now(),
-			}, true
-		}
-	}
-	return wire.NetAddress{}, false
-}
-
-// dialable reports whether a is neither this node, nor a current peer,
-// nor already being dialed.
-func (n *Node) dialable(a netip.AddrPort) bool {
-	if a == n.cfg.Self.Addr {
-		return false
-	}
-	_, connected := n.byAddr[a]
-	_, inFlight := n.dialing[a]
-	return !connected && !inFlight
-}
-
-// pendingDials counts the in-flight dials of direction dir.
-func (n *Node) pendingDials(dir Direction) int {
-	pending := 0
-	for _, d := range n.dialing {
-		if d.dir == dir {
-			pending++
-		}
-	}
-	return pending
-}
-
-// maxAnchors bounds the anchor list (§ Younis-style resilience): big
-// enough to cover every outbound slot, small enough that a stale list
-// drains quickly (failed anchors are dropped on dial failure).
-const maxAnchors = 2 * DefaultMaxOutbound
-
-// noteAnchor records a confirmed-good outbound peer, moving a repeat to
-// the back (most recently confirmed) and bounding the list.
-func (n *Node) noteAnchor(a netip.AddrPort) {
-	n.dropAnchor(a)
-	n.anchors = append(n.anchors, a)
-	if len(n.anchors) > maxAnchors {
-		n.anchors = n.anchors[len(n.anchors)-maxAnchors:]
-	}
-}
-
-// dropAnchor removes an address from the anchor list (dial failure: the
-// anchor has churned away and must not be retried forever).
-func (n *Node) dropAnchor(a netip.AddrPort) {
-	for i, x := range n.anchors {
-		if x == a {
-			n.anchors = append(n.anchors[:i], n.anchors[i+1:]...)
-			return
-		}
-	}
-}
-
-// pendingDial is one in-flight dial: its direction, and when it began
-// for the dial trace span.
-type pendingDial struct {
-	dir     Direction
-	started time.Time
-}
-
-// startDial records the attempt and hands the dial to the environment.
-func (n *Node) startDial(na wire.NetAddress, dir Direction) {
-	n.dialing[na.Addr] = pendingDial{dir: dir, started: n.env.Now()}
-	n.met.dialAttempt.Inc()
-	n.addrman.Attempt(na.Addr)
-	n.emit(Event{Type: EvDialAttempt, Time: n.env.Now(), Dir: dir})
-	n.env.Dial(na.Addr)
-}
-
-// OnDialResult is invoked by the environment when a dial completes.
-func (n *Node) OnDialResult(remote netip.AddrPort, conn ConnID, err error) {
-	if n.stopped {
-		if err == nil {
-			n.env.Disconnect(conn)
-		}
-		return
-	}
-	pending, ok := n.dialing[remote]
-	dir := pending.dir
-	if !ok {
-		dir = Outbound
-	}
-	delete(n.dialing, remote)
-	traceDial := func(detail string) {
-		if n.tracer == nil || !ok {
-			return
-		}
-		n.tracer.Emit(obs.Event{
-			Time: n.env.Now(), Kind: "dial", From: n.cfg.Self.Addr,
-			To: remote, Detail: detail, Dur: n.env.Now().Sub(pending.started),
-		})
-	}
-	if err != nil {
-		n.met.dialFail.Inc()
-		traceDial(err.Error())
-		n.armBackoff(remote)
-		if n.pol.anchorsEnabled {
-			n.dropAnchor(remote)
-		}
-		return
-	}
-	n.clearBackoff(remote)
-	n.met.dialSuccess.Inc()
-	traceDial("ok")
-	n.emit(Event{Type: EvDialSuccess, Time: n.env.Now(), Dir: dir, Conn: conn})
-	p := n.addPeer(conn, remote, dir)
-	// The initiator speaks first: VERSION.
-	n.queueMsg(p, n.versionMsg(), classControl)
-}
-
-// OnInbound is invoked by the environment when a remote peer connects.
-// It returns false when the connection must be refused (capacity or
-// unreachable policy).
-func (n *Node) OnInbound(remote netip.AddrPort, conn ConnID) bool {
-	if n.stopped || !n.cfg.Reachable {
-		return false
-	}
-	_, inbound, _ := n.ConnCounts()
-	if inbound >= maxInbound {
-		return false
-	}
-	n.addPeer(conn, remote, Inbound)
-	return true
-}
-
-// OnDisconnect is invoked by the environment when a connection closes.
-func (n *Node) OnDisconnect(conn ConnID) {
-	p := n.peerByConn(conn)
-	if p == nil {
-		return
-	}
-	n.removePeer(p)
-	n.emit(Event{Type: EvConnClose, Time: n.env.Now(), Dir: p.dir, Conn: conn})
-	// Blocks requested from this peer will never arrive; clear them so
-	// they can be re-requested from another peer at the next header sync.
-	n.clearInFlight(conn)
-	// A dropped outbound connection frees a slot: try to refill promptly
-	// rather than waiting out the idle maintenance interval.
-	if p.dir == Outbound && !n.stopped {
-		n.scheduleMaintenance(0)
-	}
-}
-
-// OnMessage is invoked by the environment when a message arrives on conn.
-// The message is queued into the peer's vProcessMsg equivalent and
-// handled by the round-robin pump. It becomes the node's to keep: the
-// node retains blocks and transactions, and transmits a fully wanted INV
-// back as its GETDATA. So an environment must hand over a value it will
-// never reuse or mutate (tcpnet uses wire.ReadMessage, never a pooled
-// Decoder's borrowed message).
-func (n *Node) OnMessage(conn ConnID, msg wire.Message) {
-	if n.stopped {
-		return
-	}
-	p := n.peerByConn(conn)
-	if p == nil {
-		return
-	}
-	now := n.env.Now()
-	p.lastRecv = now
-	p.pushRecv(msg)
-	n.markReady(p)
-	n.armPumpAt(now)
-}
-
-// peerByConn resolves a connection ID to its peer, or nil.
-func (n *Node) peerByConn(conn ConnID) *Peer {
-	if i, ok := n.slotOf[conn]; ok {
-		return n.slots[i]
-	}
-	return nil
-}
-
-// addPeer registers a connection in the next slot (arrival order is the
-// round-robin order).
-func (n *Node) addPeer(conn ConnID, remote netip.AddrPort, dir Direction) *Peer {
-	p := &Peer{
-		id:        conn,
-		addr:      remote,
-		dir:       dir,
-		connected: n.env.Now(),
-		slot:      int32(len(n.slots)),
-		known:     &n.known,
-		bit:       n.known.takeBit(),
-	}
-	n.slotOf[conn] = p.slot
-	n.slots = append(n.slots, p)
-	if len(n.slots) > 64*len(n.ready) {
-		n.ready = append(n.ready, 0)
-	}
-	n.byAddr[remote] = p
-	switch dir {
-	case Outbound:
-		n.nOutbound++
-	case Inbound:
-		n.nInbound++
-	case Feeler:
-		n.nFeelers++
-	}
-	return p
-}
-
-// removePeer unregisters a connection, leaving a nil hole so slot indices
-// stay stable for an in-progress pump iteration.
-func (n *Node) removePeer(p *Peer) {
-	i, ok := n.slotOf[p.id]
-	if !ok || n.slots[i] != p {
-		return
-	}
-	n.slots[i] = nil
-	n.slotHoles++
-	n.ready[i>>6] &^= 1 << (i & 63)
-	p.slot = -1
-	n.known.release(p.bit, p.nKnown > 0)
-	p.bit = -1
-	delete(n.slotOf, p.id)
-	if n.byAddr[p.addr] == p {
-		delete(n.byAddr, p.addr)
-	}
-	switch p.dir {
-	case Outbound:
-		n.nOutbound--
-	case Inbound:
-		n.nInbound--
-	case Feeler:
-		n.nFeelers--
-	}
-	n.maybeCompactSlots()
-}
-
-// maybeCompactSlots squeezes nil holes out of the slot array once they
-// outnumber live peers. It never runs while the pump is iterating: slot
-// indices must stay stable within one pump pass.
-func (n *Node) maybeCompactSlots() {
-	if n.inPump || n.slotHoles == 0 || n.slotHoles*2 < len(n.slots) {
-		return
-	}
-	live := n.slots[:0]
-	clear(n.ready)
-	for _, p := range n.slots {
-		if p != nil {
-			p.slot = int32(len(live))
-			n.slotOf[p.id] = p.slot
-			live = append(live, p)
-			if p.recvLen()+p.queueLen() > 0 {
-				n.markReady(p)
-			}
-		}
-	}
-	for i := len(live); i < len(n.slots); i++ {
-		n.slots[i] = nil
-	}
-	n.slots = live
-	n.slotHoles = 0
-}
-
-// versionMsg builds this node's VERSION message.
-func (n *Node) versionMsg() *wire.MsgVersion {
-	return &wire.MsgVersion{
-		ProtocolVersion: wire.ProtocolVersion,
-		Services:        n.cfg.Self.Services,
-		Timestamp:       n.env.Now(),
-		AddrMe:          n.cfg.Self,
-		Nonce:           n.env.Rand().Uint64(),
-		UserAgent:       userAgent,
-		StartHeight:     n.chain.Height(),
-		Relay:           true,
-	}
 }
