@@ -55,14 +55,20 @@ func MerkleRoot(txids []chainhash.Hash) chainhash.Hash {
 // from their memoized txids.
 func BlockMerkleRoot(blk *wire.MsgBlock) chainhash.Hash {
 	var stack [merkleStackTxs]chainhash.Hash
-	txids := stack[:0]
-	if len(blk.Transactions) > len(stack) {
-		txids = make([]chainhash.Hash, 0, len(blk.Transactions))
+	return merkleReduce(txidLevel(blk, stack[:0]))
+}
+
+// txidLevel returns blk's txids in buf's backing array, or in a new one
+// of exactly the block's size when buf is too small.
+func txidLevel(blk *wire.MsgBlock, buf []chainhash.Hash) []chainhash.Hash {
+	if n := len(blk.Transactions); cap(buf) < n {
+		buf = make([]chainhash.Hash, 0, n)
 	}
+	buf = buf[:0]
 	for i := range blk.Transactions {
-		txids = append(txids, blk.Transactions[i].TxID())
+		buf = append(buf, blk.Transactions[i].TxID())
 	}
-	return merkleReduce(txids)
+	return buf
 }
 
 // merkleReduce computes the merkle root of level, overwriting level with
@@ -100,6 +106,8 @@ type entry struct {
 type Chain struct {
 	byHash map[chainhash.Hash]entry
 	byIdx  []chainhash.Hash // byIdx[h] = hash of block at height h
+	// merkle is Accept's txid scratch for large blocks (see checkBlock).
+	merkle []chainhash.Hash
 }
 
 // New creates a chain rooted at the given genesis block.
@@ -174,20 +182,38 @@ func (c *Chain) BlockByHeight(height int32) (*wire.MsgBlock, error) {
 // a coinbase must exist and the header's merkle root must commit to the
 // transactions.
 func CheckBlock(blk *wire.MsgBlock) error {
+	_, err := checkBlock(blk, nil)
+	return err
+}
+
+// checkBlock is CheckBlock without an allocation per call: a block of up
+// to merkleStackTxs transactions takes its txids on the stack, a larger
+// one in big, which grows to the largest such block and is returned for
+// the next call. Chain and Mempool each keep their own.
+func checkBlock(blk *wire.MsgBlock, big []chainhash.Hash) ([]chainhash.Hash, error) {
 	if len(blk.Transactions) == 0 {
-		return ErrNoCoinbase
+		return big, ErrNoCoinbase
 	}
-	if got := BlockMerkleRoot(blk); got != blk.Header.MerkleRoot {
-		return fmt.Errorf("%w: computed %s, header %s", ErrBadMerkleRoot,
+	var stack [merkleStackTxs]chainhash.Hash
+	var level []chainhash.Hash
+	if len(blk.Transactions) > len(stack) {
+		big = txidLevel(blk, big)
+		level = big
+	} else {
+		level = txidLevel(blk, stack[:0])
+	}
+	if got := merkleReduce(level); got != blk.Header.MerkleRoot {
+		return big, fmt.Errorf("%w: computed %s, header %s", ErrBadMerkleRoot,
 			got, blk.Header.MerkleRoot)
 	}
-	return nil
+	return big, nil
 }
 
 // Accept validates blk and appends it to the chain. The block's parent
 // must be the current tip (linear chain). It returns the new height.
 func (c *Chain) Accept(blk *wire.MsgBlock) (int32, error) {
-	if err := CheckBlock(blk); err != nil {
+	var err error
+	if c.merkle, err = checkBlock(blk, c.merkle); err != nil {
 		return 0, err
 	}
 	h := blk.BlockHash()

@@ -214,6 +214,45 @@ func TestBlockMerkleRootMatchesFreshHashes(t *testing.T) {
 	}
 }
 
+// TestLargeBlockChecksReuseScratch pins the merkle check of a block above
+// merkleStackTxs: Chain.Accept and ReconstructCompactBlock each keep the
+// txid scratch their first such block grew, so checking it again
+// allocates nothing, while the exported CheckBlock still takes one slice
+// per call.
+func TestLargeBlockChecksReuseScratch(t *testing.T) {
+	c := New(GenesisBlock("t"))
+	blk := nextBlock(t, c, 599, 700) // 600 transactions
+	if _, err := c.Accept(blk); err != nil {
+		t.Fatal(err)
+	}
+	if cap(c.merkle) != len(blk.Transactions) {
+		t.Fatalf("chain scratch holds %d txids, want %d", cap(c.merkle), len(blk.Transactions))
+	}
+	var err error
+	if a := testing.AllocsPerRun(10, func() { c.merkle, err = checkBlock(blk, c.merkle) }); a != 0 || err != nil {
+		t.Errorf("chain re-check: %.1f allocs per run (err %v), want 0", a, err)
+	}
+	if a := testing.AllocsPerRun(10, func() { err = CheckBlock(blk) }); a != 1 || err != nil {
+		t.Errorf("CheckBlock: %.1f allocs per run (err %v), want 1", a, err)
+	}
+
+	cb := BuildCompactBlock(blk, 11)
+	pool := NewMempool()
+	for i := 1; i < len(blk.Transactions); i++ {
+		pool.Add(&blk.Transactions[i])
+	}
+	if res, err := ReconstructCompactBlock(cb, pool); err != nil || res.Block != blk {
+		t.Fatalf("reconstruct: %v, block %p, want the origin %p", err, res.Block, blk)
+	}
+	if cap(pool.merkle) != len(blk.Transactions) {
+		t.Fatalf("mempool scratch holds %d txids, want %d", cap(pool.merkle), len(blk.Transactions))
+	}
+	// What is left is the slot table and the result, not the txids.
+	if a := testing.AllocsPerRun(10, func() { _, err = ReconstructCompactBlock(cb, pool) }); a != 2 || err != nil {
+		t.Errorf("warm reconstruct: %.1f allocs per run (err %v), want 2", a, err)
+	}
+}
+
 // refMerkleRoot is the textbook merkle root: each level is a new slice
 // of the hashes of the previous level's pairs, an odd level's last hash
 // paired with itself.

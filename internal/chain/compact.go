@@ -108,7 +108,7 @@ func ReconstructCompactBlock(cb *wire.MsgCmpctBlock, pool *Mempool) (*Reconstruc
 			blk.Transactions[i] = *tx
 		}
 	}
-	if err := CheckBlock(blk); err != nil {
+	if pool.merkle, err = checkBlock(blk, pool.merkle); err != nil {
 		return nil, fmt.Errorf("chain: reconstructed block invalid: %w", err)
 	}
 	res.Block = blk

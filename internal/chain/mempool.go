@@ -19,6 +19,9 @@ type Mempool struct {
 	txs map[chainhash.Hash]*wire.MsgTx
 	// ids is shortIDIndex's scratch, cleared and refilled on every call.
 	ids map[wire.ShortID]*wire.MsgTx
+	// merkle is the txid scratch for large blocks of the checks
+	// ReconstructCompactBlock runs against this pool (see checkBlock).
+	merkle []chainhash.Hash
 }
 
 // NewMempool returns an empty mempool.

@@ -78,6 +78,42 @@ func BenchmarkPolicyDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkAnnounceTx announces one transaction, its INV already
+// memoised, to 8 handshook peers and drains the queue: relay's per-peer
+// cost, which allocates nothing since the INV is the transaction's own.
+// Each iteration then has the peers forget the transaction so that the
+// next one announces it again; a fresh node takes over every
+// dispatchPerNode iterations, as in BenchmarkPolicyDispatch.
+func BenchmarkAnnounceTx(b *testing.B) {
+	const dispatchPerNode = 4096
+	tx := &wire.MsgTx{
+		Version: 2,
+		TxIn:    []wire.TxIn{{Sequence: 1}},
+		TxOut:   []wire.TxOut{{Value: 1, PkScript: []byte{0x51}}},
+	}
+	tx.Inv()
+	var env *fakeEnv
+	var n *Node
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%dispatchPerNode == 0 {
+			b.StopTimer()
+			env, n = handshookNode(b, 8)
+			env.discard = true
+			b.StartTimer()
+		}
+		n.announceTx(tx, 0, 0, env.Now())
+		env.run(10 * time.Millisecond)
+		for _, p := range n.slots {
+			if p != nil {
+				p.known.clearBit(p.bit)
+				p.nKnown = 0
+			}
+		}
+	}
+}
+
 // handshookNode starts a node whose inbound peers on conns 1..peers have
 // completed the handshake.
 func handshookNode(tb testing.TB, peers int) (*fakeEnv, *Node) {

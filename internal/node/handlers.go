@@ -73,6 +73,11 @@ func (n *Node) handleVerAck(p *Peer) {
 	n.maybeCompleteHandshake(p)
 }
 
+// sendCmpct is the SENDCMPCT every handshake sends when compact relay is
+// on. Its fields never vary and a sent message is never mutated, so all
+// connections share one value.
+var sendCmpct = &wire.MsgSendCmpct{Announce: true, Version: 1}
+
 // maybeCompleteHandshake finishes connection setup once both VERSION and
 // VERACK have arrived.
 func (n *Node) maybeCompleteHandshake(p *Peer) {
@@ -111,7 +116,7 @@ func (n *Node) maybeCompleteHandshake(p *Peer) {
 		n.queueMsg(p, &wire.MsgAddr{AddrList: []wire.NetAddress{self}}, classAddr)
 	}
 	if n.cfg.CompactBlocks {
-		n.queueMsg(p, &wire.MsgSendCmpct{Announce: true, Version: 1}, classControl)
+		n.queueMsg(p, sendCmpct, classControl)
 	}
 	// Begin or continue header sync with peers that are ahead.
 	if p.startHeight > n.chain.Height() {

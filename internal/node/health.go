@@ -165,11 +165,9 @@ func (n *Node) inBackoff(addr netip.AddrPort) bool {
 // base×2^(failures−1), capped at max, then jittered ±50% so a network
 // full of nodes does not retry in lockstep.
 func (n *Node) armBackoff(addr netip.AddrPort) {
-	st := n.backoff[addr]
-	if st == nil {
+	st, ok := n.backoff[addr]
+	if !ok {
 		n.pruneBackoff()
-		st = &backoffState{}
-		n.backoff[addr] = st
 	}
 	st.failures++
 	shift := st.failures - 1
@@ -183,6 +181,7 @@ func (n *Node) armBackoff(addr netip.AddrPort) {
 	// Jitter uniformly in [d/2, 3d/2).
 	d = d/2 + time.Duration(n.env.Rand().Int63n(int64(d)))
 	st.until = n.env.Now().Add(d)
+	n.backoff[addr] = st
 	n.met.backoffArmed.Inc()
 }
 
@@ -205,6 +204,6 @@ func (n *Node) pruneBackoff() {
 		}
 	}
 	if len(n.backoff) >= maxBackoffEntries {
-		n.backoff = make(map[netip.AddrPort]*backoffState)
+		n.backoff = make(map[netip.AddrPort]backoffState)
 	}
 }

@@ -235,8 +235,8 @@ func TestBackoffEscalatesWithConsecutiveFailures(t *testing.T) {
 	for i := 0; i < failures; i++ {
 		n.dialing[remote] = pendingDial{dir: Outbound}
 		n.OnDialResult(remote, 0, errors.New("refused"))
-		st := n.backoff[remote]
-		if st == nil || st.failures != i+1 {
+		st, ok := n.backoff[remote]
+		if !ok || st.failures != i+1 {
 			t.Fatalf("after failure %d: backoff state %+v", i+1, st)
 		}
 		d := dialBackoffBase << uint(i)
@@ -249,5 +249,10 @@ func TestBackoffEscalatesWithConsecutiveFailures(t *testing.T) {
 	}
 	if got := cfg.Metrics.Counter("node.backoff.armed").Value(); got != failures {
 		t.Errorf("node.backoff.armed = %d, want %d", got, failures)
+	}
+	// The map holds states by value: re-arming a known address
+	// allocates nothing.
+	if a := testing.AllocsPerRun(10, func() { n.armBackoff(remote) }); a != 0 {
+		t.Errorf("re-arming a backoff allocates %.1f, want 0", a)
 	}
 }

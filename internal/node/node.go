@@ -310,7 +310,7 @@ type Node struct {
 
 	// backoff holds the per-address reconnect schedule; addresses are
 	// skipped by selectDialTarget until their deadline passes.
-	backoff map[netip.AddrPort]*backoffState
+	backoff map[netip.AddrPort]backoffState
 	// met holds the obs metric handles (nil-safe no-ops when
 	// Config.Metrics is nil); tracer records structured events.
 	met    nodeMetrics
@@ -380,7 +380,7 @@ func New(cfg Config, env Env) *Node {
 		slotOf:         make(map[ConnID]int32),
 		byAddr:         make(map[netip.AddrPort]*Peer),
 		dialing:        make(map[netip.AddrPort]pendingDial),
-		backoff:        make(map[netip.AddrPort]*backoffState),
+		backoff:        make(map[netip.AddrPort]backoffState),
 		blocksInFlight: make(map[chainhash.Hash]inFlightBlock),
 		pendingCmpct:   make(map[chainhash.Hash]*pendingCompact),
 		seenTimes:      make(map[uint64]int64),

@@ -68,25 +68,20 @@ func (n *Node) wantInv(p *Peer, iv wire.InvVect) bool {
 	return false
 }
 
-// oneInv is an INV or GETDATA together with the backing array of its
-// first entry, so a message naming one object — nearly every
-// announcement and request — costs one allocation.
-type oneInv[M any] struct {
-	msg M
+// oneInv is a GETDATA together with the backing array of its first
+// entry, so a request naming one object — nearly every request — costs
+// one allocation. Announcements need no such type: each is the INV that
+// wire.MsgTx.Inv or wire.MsgBlock.Inv builds once per object and every
+// node shares.
+type oneInv struct {
+	msg wire.MsgGetData
 	one [1]wire.InvVect
-}
-
-// newInv returns a one-entry INV in a single allocation.
-func newInv(iv wire.InvVect) *wire.MsgInv {
-	m := &oneInv[wire.MsgInv]{one: [1]wire.InvVect{iv}}
-	m.msg.InvList = m.one[:]
-	return &m.msg
 }
 
 // newGetData returns a GETDATA for iv in a single allocation; only a
 // second entry appended to it grows the slice.
 func newGetData(iv wire.InvVect) *wire.MsgGetData {
-	m := &oneInv[wire.MsgGetData]{one: [1]wire.InvVect{iv}}
+	m := &oneInv{one: [1]wire.InvVect{iv}}
 	m.msg.InvList = m.one[:]
 	return &m.msg
 }
@@ -158,7 +153,7 @@ func (n *Node) handleTx(p *Peer, m *wire.MsgTx) {
 	// §IV root causes. The unreachable-tx-relay policy (Franzoni &
 	// Daza) turns forwarding on; reachable nodes always forward.
 	if n.cfg.Reachable || n.pol.fwdTxUnreachable {
-		n.announceTx(h, span, p.id, now)
+		n.announceTx(m, span, p.id, now)
 	}
 }
 
@@ -172,15 +167,17 @@ func (n *Node) SubmitTx(tx *wire.MsgTx) chainhash.Hash {
 	now := n.env.Now()
 	n.noteSeen(h, now)
 	span := n.traceDeliver(obs.KindDeliverTx, h, netip.AddrPort{}, now)
-	n.announceTx(h, span, 0, now)
+	n.announceTx(tx, span, 0, now)
 	return h
 }
 
-// announceTx queues a transaction INV to every handshook peer that does
-// not already know it: one INV, built for the first such peer and shared
-// by every entry. span is this node's delivery span of the transaction,
-// which each entry carries for the relay record.
-func (n *Node) announceTx(h chainhash.Hash, span uint64, except ConnID, recvAt time.Time) {
+// announceTx queues tx's INV to every handshook peer that does not
+// already know it. The INV is tx.Inv(), built by the first node to
+// announce the transaction and shared by every node after. span is this
+// node's delivery span of the transaction, which each entry carries for
+// the relay record.
+func (n *Node) announceTx(tx *wire.MsgTx, span uint64, except ConnID, recvAt time.Time) {
+	h := tx.TxID()
 	relay := relayOut(h, span, recvAt)
 	relay.class = classTx
 	for _, p := range n.slots {
@@ -189,7 +186,7 @@ func (n *Node) announceTx(h chainhash.Hash, span uint64, except ConnID, recvAt t
 		}
 		p.markKnown(h)
 		if relay.msg == nil {
-			relay.msg = newInv(wire.InvVect{Type: wire.InvTypeTx, Hash: h})
+			relay.msg = tx.Inv()
 		}
 		n.queueRelay(p, &relay)
 	}
@@ -253,10 +250,9 @@ func (n *Node) announceBlock(blk *wire.MsgBlock, span uint64, except ConnID, rec
 	h := blk.BlockHash()
 	relay := relayOut(h, span, recvAt)
 	relay.class = classBlock
-	// One compact block and one INV per announcement, each built for the
-	// first peer that needs it and shared by the rest.
+	// One compact block per announcement, built for the first peer that
+	// needs it and shared by the rest; the INV is the block's own.
 	var cmpct *wire.MsgCmpctBlock
-	var inv *wire.MsgInv
 	announce := func(p *Peer) {
 		if p == nil || !p.handshook || p.id == except || p.knows(h) {
 			return
@@ -269,10 +265,7 @@ func (n *Node) announceBlock(blk *wire.MsgBlock, span uint64, except ConnID, rec
 			}
 			out.msg = cmpct
 		} else {
-			if inv == nil {
-				inv = newInv(wire.InvVect{Type: wire.InvTypeBlock, Hash: h})
-			}
-			out.msg = inv
+			out.msg = blk.Inv()
 		}
 		n.queueRelay(p, &out)
 	}

@@ -71,6 +71,24 @@ func BenchmarkTransmitDeliver(b *testing.B) {
 	}
 }
 
+// BenchmarkDialFail measures the two failed dials churn makes common: a
+// quiet full node dials an offline address that refuses and one that
+// times out, and each result is delivered to the node. A dial carries
+// its attempt in a recycled struct, and the node keeps its backoff by
+// value, so allocs/op is held at zero.
+func BenchmarkDialFail(b *testing.B) {
+	net, ha, _, _ := quietPair(b, 46)
+	refused, timeout := deadAddrs(b)
+	sched := net.Scheduler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ha.Dial(refused)
+		ha.Dial(timeout)
+		sched.RunFor(dialTimeout)
+	}
+}
+
 // BenchmarkSmallNetworkMinute measures a 20-node network advancing one
 // virtual minute with block production.
 func BenchmarkSmallNetworkMinute(b *testing.B) {

@@ -138,6 +138,8 @@ type Network struct {
 	links    map[node.ConnID]*link
 	next     node.ConnID
 	injector Injector
+	// freeDials recycles dial attempts whose last event has run.
+	freeDials []*dialAttempt
 
 	// Metric handles, resolved once at construction; nil-safe no-ops
 	// when Config.Metrics is nil.
@@ -224,36 +226,57 @@ func (n *Network) addLink(l *link) {
 	l.b.links[l.id] = l
 }
 
+// dialAttempt is one dial in flight: what its accept step and its
+// result delivery need. An event payload references it, so a dial
+// schedules no closure; the network recycles it once its last event has
+// run.
+type dialAttempt struct {
+	from      *Host
+	fromEpoch int
+	remote    netip.AddrPort
+	target    *Host // nil for an unknown address
+	// targetEpoch and lat are set when the accept step is scheduled.
+	targetEpoch int
+	lat         time.Duration
+	// err is the failure to deliver; nil while the accept step is
+	// pending.
+	err error
+}
+
+// newDial takes a recycled attempt or allocates one.
+func (n *Network) newDial(from *Host, remote netip.AddrPort) *dialAttempt {
+	var a *dialAttempt
+	if k := len(n.freeDials); k > 0 {
+		a = n.freeDials[k-1]
+		n.freeDials = n.freeDials[:k-1]
+	} else {
+		a = new(dialAttempt)
+	}
+	*a = dialAttempt{from: from, fromEpoch: from.epoch, remote: remote, target: n.hosts[remote]}
+	return a
+}
+
+// putDial returns a to the free list, dropping its references.
+func (n *Network) putDial(a *dialAttempt) {
+	*a = dialAttempt{}
+	n.freeDials = append(n.freeDials, a)
+}
+
 // dial implements the connection attempt semantics. Called by a Host on
 // behalf of its node.
 func (n *Network) dial(from *Host, remote netip.AddrPort) {
-	fromEpoch := from.epoch
-	target := n.hosts[remote]
-
-	fail := func(after time.Duration, err error) {
-		if errors.Is(err, ErrRefused) {
-			n.mDialRefused.Inc()
-		} else {
-			n.mDialTimeout.Inc()
-		}
-		n.sched.After(after, func() {
-			if from.epoch != fromEpoch || from.node == nil {
-				return
-			}
-			from.node.OnDialResult(remote, 0, err)
-		})
-	}
+	a := n.newDial(from, remote)
 
 	// Fault injection comes first: a partitioned or black-holed route
 	// fails regardless of what the target would have answered.
 	if n.injector != nil {
 		switch n.injector.FilterDial(from.addr, remote) {
 		case DialBlock:
-			fail(dialTimeout, ErrTimeout)
+			n.dialFail(a, dialTimeout, ErrTimeout)
 			return
 		case DialRefuse:
 			rtt := n.cfg.Latency(from.addr.Addr(), remote.Addr()) * handshakeRTTs
-			fail(rtt, ErrRefused)
+			n.dialFail(a, rtt, ErrRefused)
 			return
 		}
 	}
@@ -264,53 +287,83 @@ func (n *Network) dial(from *Host, remote netip.AddrPort) {
 	// address answers with an RST (departed host, route still up) or
 	// silently swallows the SYN (NAT/firewall) does not depend on who
 	// dials it, so every dialer observes the same failure mode.
+	target := a.target
 	if target == nil || !target.online {
 		if int(addrHash(remote.Addr())%100) < fastFailPct {
 			rtt := n.cfg.Latency(from.addr.Addr(), remote.Addr()) * handshakeRTTs
-			fail(rtt, ErrRefused)
+			n.dialFail(a, rtt, ErrRefused)
 		} else {
-			fail(dialTimeout, ErrTimeout)
+			n.dialFail(a, dialTimeout, ErrTimeout)
 		}
 		return
 	}
-	lat := n.cfg.Latency(from.addr.Addr(), remote.Addr())
-	rtt := lat * handshakeRTTs
 	// Full node or black-hole target: the accept decision happens at the
 	// target after the connection-establishment RTT.
-	targetEpoch := target.epoch
-	n.sched.After(rtt, func() {
-		if from.epoch != fromEpoch || from.node == nil {
-			return
-		}
-		if target.epoch != targetEpoch || !target.online {
-			fail(dialTimeout-rtt, ErrTimeout)
-			return
-		}
-		if target.blackhole {
-			// The black hole accepts the connection and then says
-			// nothing, ever: the link exists but no handshake will
-			// complete on it.
-			n.next++
-			id := n.next
-			n.addLink(&link{id: id, a: from, b: target, latency: lat})
-			n.mDialOK.Inc()
-			from.node.OnDialResult(remote, id, nil)
-			return
-		}
-		if target.node == nil {
-			fail(dialTimeout-rtt, ErrTimeout)
-			return
-		}
+	a.lat = n.cfg.Latency(from.addr.Addr(), remote.Addr())
+	a.targetEpoch = target.epoch
+	n.sched.scheduleAfter(a.lat*handshakeRTTs, payload{dial: a})
+}
+
+// dialFail counts a failed dial now and delivers err to the dialer after
+// the given delay.
+func (n *Network) dialFail(a *dialAttempt, after time.Duration, err error) {
+	if errors.Is(err, ErrRefused) {
+		n.mDialRefused.Inc()
+	} else {
+		n.mDialTimeout.Inc()
+	}
+	a.err = err
+	n.sched.scheduleAfter(after, payload{dial: a})
+}
+
+// runDial runs a's pending event: the failure delivery when a.err is
+// set, the accept step at the target otherwise. Either is dropped when
+// the dialer's session has ended. a goes back on the free list before
+// any node code runs, except when the accept step re-arms it as a
+// failure.
+func (n *Network) runDial(a *dialAttempt) {
+	from, remote := a.from, a.remote
+	if from.epoch != a.fromEpoch || from.node == nil {
+		n.putDial(a)
+		return
+	}
+	if err := a.err; err != nil {
+		n.putDial(a)
+		from.node.OnDialResult(remote, 0, err)
+		return
+	}
+	target, lat := a.target, a.lat
+	rtt := lat * handshakeRTTs
+	if target.epoch != a.targetEpoch || !target.online {
+		n.dialFail(a, dialTimeout-rtt, ErrTimeout)
+		return
+	}
+	if target.blackhole {
+		// The black hole accepts the connection and then says
+		// nothing, ever: the link exists but no handshake will
+		// complete on it.
+		n.putDial(a)
 		n.next++
 		id := n.next
-		if !target.node.OnInbound(from.addr, id) {
-			fail(lat, ErrRefused)
-			return
-		}
 		n.addLink(&link{id: id, a: from, b: target, latency: lat})
 		n.mDialOK.Inc()
 		from.node.OnDialResult(remote, id, nil)
-	})
+		return
+	}
+	if target.node == nil {
+		n.dialFail(a, dialTimeout-rtt, ErrTimeout)
+		return
+	}
+	n.next++
+	id := n.next
+	if !target.node.OnInbound(from.addr, id) {
+		n.dialFail(a, lat, ErrRefused)
+		return
+	}
+	n.putDial(a)
+	n.addLink(&link{id: id, a: from, b: target, latency: lat})
+	n.mDialOK.Inc()
+	from.node.OnDialResult(remote, id, nil)
 }
 
 // transmit delivers msg over the link after the sender-side delay plus

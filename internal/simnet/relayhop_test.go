@@ -223,3 +223,58 @@ func TestRelayHopParentIsOwnDelivery(t *testing.T) {
 	t.Logf("%d INV/GETDATA messages; %d announcements, %d of them to more than one peer",
 		len(last.sent), len(last.invs), shared)
 }
+
+// TestTxInvSharedAcrossNodes submits one transaction on a line of five
+// quiet nodes (each dials the one before it) and checks that every node
+// that passes it on announces it with the same INV, the transaction's
+// own tx.Inv(): relay allocates one INV per transaction per simulation,
+// not one per node.
+func TestTxInvSharedAcrossNodes(t *testing.T) {
+	net := newTestNet(54)
+	last := newLastTransmit()
+	net.SetInjector(last)
+	const nodes = 5
+	addrs := make([]netip.AddrPort, nodes)
+	hosts := make([]*Host, nodes)
+	for i := range addrs {
+		addrs[i] = addr4(10, 0, 0, byte(i+1), 8333)
+		cfg := quietCfg(addrs[i], nil, -1)
+		if i > 0 {
+			cfg = quietCfg(addrs[i], seedsOf(net.Now(), addrs[i-1]), 1)
+		}
+		hosts[i] = net.AddFullNode(cfg)
+		hosts[i].Start()
+	}
+	net.Scheduler().RunFor(time.Minute)
+
+	tx := &wire.MsgTx{
+		Version: 2,
+		TxIn:    []wire.TxIn{{Sequence: 54, SignatureScript: []byte{5, 4}}},
+		TxOut:   []wire.TxOut{{Value: 5400, PkScript: []byte{0x51}}},
+	}
+	net.Scheduler().After(0, func() { hosts[0].Node().SubmitTx(tx) })
+	net.Scheduler().RunFor(30 * time.Second)
+
+	h := tx.TxID()
+	for i, host := range hosts {
+		if !host.Node().Mempool().Have(h) {
+			t.Errorf("node %d never received the transaction", i)
+		}
+	}
+	senders := 0
+	for k, invs := range last.invs {
+		if k.obj != h {
+			continue
+		}
+		senders++
+		for inv := range invs {
+			if inv != tx.Inv() {
+				t.Errorf("%v announced the transaction with INV %p, want the shared %p", k.from, inv, tx.Inv())
+			}
+		}
+	}
+	// Along the line every node but the last has a peer to tell.
+	if senders != nodes-1 {
+		t.Errorf("%d nodes announced the transaction, want %d", senders, nodes-1)
+	}
+}

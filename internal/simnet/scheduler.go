@@ -23,22 +23,25 @@ type event struct {
 	payload
 }
 
-// payload is what an event does when it fires. It is one of three
-// shapes, told apart by which fields are set, so that the two hot
-// schedulers — Host.Schedule and Network.transmit — queue their work
-// without allocating a closure:
+// payload is what an event does when it fires. It is one of four
+// shapes, told apart by which fields are set, so that Host.Schedule,
+// Network.transmit and Network.dial queue their work without allocating
+// a closure:
 //
 //   - callback (At/After):   fn only.
 //   - host-guarded callback: fn, host and epoch; fn is skipped when the
 //     host session that armed it has ended.
 //   - delivery:              link, host (the destination), epoch and msg;
 //     dropped when the link closed or the destination session ended.
+//   - dial step:             dial only; the attempt carries its own
+//     staleness guard (Network.runDial).
 type payload struct {
 	fn    func()
 	host  *Host
 	epoch int
 	link  *link
 	msg   wire.Message
+	dial  *dialAttempt
 }
 
 // run applies the payload's staleness guard and executes it.
@@ -55,6 +58,8 @@ func (p *payload) run() {
 			return
 		}
 		p.fn()
+	case p.dial != nil:
+		p.dial.from.net.runDial(p.dial)
 	default:
 		p.fn()
 	}

@@ -106,9 +106,9 @@ func TestNodeServerBlockPropagationOverTCP(t *testing.T) {
 }
 
 // TestNodeServerTxPropagationOverTCP relays a transaction from a hub to
-// two connected peers. The hub announces it with one INV shared by both
-// connections, so under -race this also covers two outbox writers
-// encoding the same message at once.
+// two connected peers. The hub announces it with the transaction's
+// memoised INV, shared by both connections, so under -race this also
+// covers two outbox writers encoding the same message at once.
 func TestNodeServerTxPropagationOverTCP(t *testing.T) {
 	genesis := chain.GenesisBlock("tcp-node-test")
 	var inbound atomic.Int32
@@ -136,6 +136,53 @@ func TestNodeServerTxPropagationOverTCP(t *testing.T) {
 			return have
 		})
 	}
+}
+
+// TestNodeServerRelaysDecodedTxInv has one peer of a hub submit a
+// transaction, which the hub decodes from the socket and passes on to its
+// two other peers. The hub announces its decoded copy with that copy's
+// memoised INV, built on the actor goroutine and shared by both
+// connections, so under -race this covers two outbox writers encoding
+// the memo at once.
+func TestNodeServerRelaysDecodedTxInv(t *testing.T) {
+	genesis := chain.GenesisBlock("tcp-node-test")
+	var inbound atomic.Int32
+	hub := newNodeServer(t, genesis, nil, func(ev node.Event) {
+		if ev.Type == node.EvHandshake && ev.Dir == node.Inbound {
+			inbound.Add(1)
+		}
+	})
+	seed := []wire.NetAddress{{Addr: hub.Addr(), Services: wire.SFNodeNetwork, Timestamp: time.Now()}}
+	origin := newNodeServer(t, genesis, seed, nil)
+	peers := []*NodeServer{newNodeServer(t, genesis, seed, nil), newNodeServer(t, genesis, seed, nil)}
+	waitFor(t, 10*time.Second, "three peers handshaken at the hub", func() bool {
+		return inbound.Load() >= 3
+	})
+	tx := &wire.MsgTx{
+		Version: 2,
+		TxIn:    []wire.TxIn{{Sequence: 8, SignatureScript: []byte{5, 4}}},
+		TxOut:   []wire.TxOut{{Value: 321, PkScript: []byte{0x51}}},
+	}
+	h := tx.TxHash()
+	origin.Do(func(n *node.Node) { n.SubmitTx(tx) })
+	for i, p := range peers {
+		waitFor(t, 10*time.Second, fmt.Sprintf("tx relay to peer %d", i), func() bool {
+			var have bool
+			p.Do(func(n *node.Node) { have = n.Mempool().Have(h) })
+			return have
+		})
+	}
+	hub.Do(func(n *node.Node) {
+		got := n.Mempool().Get(h)
+		switch {
+		case got == nil:
+			t.Error("the hub did not pool the transaction")
+		case got == tx:
+			t.Error("the hub holds the submitter's value, not a decoded copy")
+		case got.Inv().InvList[0].Hash != h:
+			t.Errorf("the hub's INV names %s, want %s", got.Inv().InvList[0].Hash, h)
+		}
+	})
 }
 
 func TestNodeServerAnswersCrawler(t *testing.T) {

@@ -74,6 +74,20 @@ type MsgInv struct {
 	invList
 }
 
+// oneInv is an INV together with the backing array of its one entry, so
+// an announcement costs one allocation.
+type oneInv struct {
+	msg MsgInv
+	one [1]InvVect
+}
+
+// newInv returns a one-entry INV for iv in a single allocation.
+func newInv(iv InvVect) *MsgInv {
+	m := &oneInv{one: [1]InvVect{iv}}
+	m.msg.InvList = m.one[:]
+	return &m.msg
+}
+
 var _ Message = (*MsgInv)(nil)
 
 // Command implements Message.
@@ -152,6 +166,11 @@ type MsgTx struct {
 	// the memo costs the struct 32 bytes.
 	hashed bool
 	txid   chainhash.Hash
+	// inv is Inv's memo, 8 bytes more. It is a separate allocation that
+	// never points into the MsgTx, so a value copy shares it and a
+	// Decoder refilling a recycled value cannot change an INV already
+	// sent; Decode drops the reference.
+	inv *MsgInv
 }
 
 var _ Message = (*MsgTx)(nil)
@@ -185,7 +204,7 @@ func (m *MsgTx) appendTo(b []byte) []byte {
 
 // Decode implements Message.
 func (m *MsgTx) Decode(r *bytes.Reader) error {
-	m.hashed, m.txid = false, chainhash.Hash{}
+	m.hashed, m.txid, m.inv = false, chainhash.Hash{}, nil
 	v, err := readUint32(r)
 	if err != nil {
 		return err
@@ -255,6 +274,17 @@ func (m *MsgTx) TxID() chainhash.Hash {
 		m.hashed = true
 	}
 	return m.txid
+}
+
+// Inv returns the one-entry INV announcing the transaction, built on the
+// first call and shared after, so a transaction that every node of a
+// network relays costs one INV. Like every transmitted message it is
+// never mutated.
+func (m *MsgTx) Inv() *MsgInv {
+	if m.inv == nil {
+		m.inv = newInv(InvVect{Type: InvTypeTx, Hash: m.TxID()})
+	}
+	return m.inv
 }
 
 // SerializeSize returns the number of bytes the transaction occupies on
@@ -352,6 +382,9 @@ type MsgBlock struct {
 	Header BlockHeader
 	// Transactions in the block, coinbase first.
 	Transactions []MsgTx
+
+	// inv is Inv's memo, as on MsgTx; Decode drops it.
+	inv *MsgInv
 }
 
 var _ Message = (*MsgBlock)(nil)
@@ -371,6 +404,7 @@ func (m *MsgBlock) AppendPayload(b []byte) ([]byte, error) {
 
 // Decode implements Message.
 func (m *MsgBlock) Decode(r *bytes.Reader) error {
+	m.inv = nil
 	if err := m.Header.decode(r); err != nil {
 		return err
 	}
@@ -392,6 +426,15 @@ func (m *MsgBlock) Decode(r *bytes.Reader) error {
 
 // BlockHash returns the block's canonical identifier.
 func (m *MsgBlock) BlockHash() chainhash.Hash { return m.Header.BlockHash() }
+
+// Inv returns the one-entry INV announcing the block, built on the first
+// call and shared after, like MsgTx.Inv.
+func (m *MsgBlock) Inv() *MsgInv {
+	if m.inv == nil {
+		m.inv = newInv(InvVect{Type: InvTypeBlock, Hash: m.BlockHash()})
+	}
+	return m.inv
+}
 
 // SerializeSize returns the block's on-wire size in bytes.
 func (m *MsgBlock) SerializeSize() int {

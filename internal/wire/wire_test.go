@@ -277,6 +277,83 @@ func TestTxIDMemo(t *testing.T) {
 	}
 }
 
+// TestInvMemo pins the announcement memo: Inv returns one one-entry INV
+// per transaction or block, built once and shared by value copies, and
+// Decode drops it, so a pooled Decoder's recycled MsgTx equals a fresh
+// decode and builds a fresh INV for the transaction it now holds, while
+// the INV it built before still names the old one.
+func TestInvMemo(t *testing.T) {
+	tx := makeTestTx(5)
+	inv := tx.Inv()
+	if want := (InvVect{Type: InvTypeTx, Hash: tx.TxHash()}); len(inv.InvList) != 1 || inv.InvList[0] != want {
+		t.Fatalf("Inv = %v, want [%v]", inv.InvList, want)
+	}
+	cp := tx
+	if cp.Inv() != inv || tx.Inv() != inv {
+		t.Error("Inv is not memoised across calls and value copies")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = cp.Inv() }); n != 0 {
+		t.Errorf("warm Inv allocates %.1f per run, want 0", n)
+	}
+	blk := MsgBlock{Header: BlockHeader{Version: 4, PrevBlock: makeHash(3)}, Transactions: []MsgTx{tx}}
+	binv := blk.Inv()
+	if want := (InvVect{Type: InvTypeBlock, Hash: blk.BlockHash()}); len(binv.InvList) != 1 || binv.InvList[0] != want || blk.Inv() != binv {
+		t.Errorf("block Inv = %v, want one shared [%v]", binv.InvList, want)
+	}
+
+	frame := func(m Message) []byte {
+		var buf bytes.Buffer
+		if _, err := new(Encoder).WriteMessage(&buf, m, SimNet); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := makeTestTx(11), makeTestTx(12)
+	dec := GetDecoder()
+	defer dec.Release()
+	var first *MsgTx
+	var firstInv *MsgInv
+	for i, src := range []*MsgTx{&a, &b} {
+		msg, err := dec.ReadMessage(bytes.NewReader(frame(src)), SimNet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := msg.(*MsgTx)
+		var fresh MsgTx
+		if err := fresh.Decode(bytes.NewReader(src.appendTo(nil))); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, &fresh) {
+			t.Errorf("read %d: recycled MsgTx differs from a fresh decode:\n%#v\n%#v", i, got, &fresh)
+		}
+		gotInv := got.Inv()
+		if gotInv.InvList[0].Hash != src.TxHash() {
+			t.Errorf("read %d: Inv names %s, sent %s", i, gotInv.InvList[0].Hash, src.TxHash())
+		}
+		if i == 0 {
+			first, firstInv = got, gotInv
+			continue
+		}
+		if got != first {
+			t.Fatal("the pooled decoder did not recycle the MsgTx value; the reset goes untested")
+		}
+		if gotInv == firstInv {
+			t.Error("a recycled MsgTx kept the previous transaction's INV")
+		}
+		if firstInv.InvList[0].Hash != a.TxHash() {
+			t.Error("decoding into a recycled MsgTx changed the INV built before")
+		}
+	}
+	var dblk MsgBlock
+	dblk.inv = binv
+	if err := dblk.Decode(bytes.NewReader(frame(&blk)[headerSize:])); err != nil {
+		t.Fatal(err)
+	}
+	if dblk.inv != nil {
+		t.Error("MsgBlock.Decode kept the INV memo")
+	}
+}
+
 // TestHashSharesTheFramedBytes pins hashing to the codec: TxHash is the
 // double-SHA256 of exactly the payload an Encoder frames for the same
 // transaction, and neither hash allocates.

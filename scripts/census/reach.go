@@ -38,6 +38,7 @@ var reachKeep = map[string]kept{
 	"obs.ReadSeriesCSV":         {"observe", "series_test.go", "decodes the sidecar SeriesSet.WriteCSV wrote; FuzzSeriesCSVRoundTrip"},
 	"obs.SeriesSet.EncodeCSV":   {"observe", "determinism_test.go", "WriteCSV into a string, to compare two runs' series"},
 
+	"chain.CheckBlock": {"oracle", "chain_test.go", "the block check without an owner's scratch, whose verdict and one slice per large block Accept's and ReconstructCompactBlock's reuse is measured against"},
 	"chain.MerkleRoot": {"oracle", "chain_test.go", "the merkle root over given hashes, which BlockMerkleRoot's in-place reduction must match"},
 
 	"simnet.Scheduler.Drain":          {"fixture", "bench_test.go", "pops exactly b.N events whatever their times, for BenchmarkSchedulerDepth"},
